@@ -21,7 +21,17 @@ from typing import Callable, Mapping, Sequence, Union
 
 from . import quadrature
 from .exactmat import det, from_rows
-from .grassmann import GeneratorMismatch, Supernumber, indices_of, mask_of, merge_sign
+from .grassmann import (
+    GeneratorMismatch,
+    Supernumber,
+    _map_terms,
+    _mask_mono,
+    _product,
+    _sum,
+    indices_of,
+    mask_of,
+    merge_sign,
+)
 from .polynomials import Polynomial, from_json_poly, to_json_poly
 from .scalars import CRat
 
@@ -66,14 +76,10 @@ class Domain:
 # -- Grassmann derivative ------------------------------------------------
 
 
-def _derive_mask(mask: int, mu: int) -> tuple[int, int] | None:
-    """Left derivative of a monomial mask: (new mask, sign) or None."""
-    bit = 1 << (mu - 1)
-    if not mask & bit:
-        return None
-    below = mask & (bit - 1)
-    sign = -1 if below.bit_count() & 1 else 1
-    return mask & ~bit, sign
+def _derive_term(mask: int, coeff, bit: int):
+    """Left derivative of one term along the generator `bit`, or None."""
+    if mask & bit:
+        return mask & ~bit, _negate(coeff) if (mask & (bit - 1)).bit_count() & 1 else coeff
 
 
 def grassmann_derivative(f, mu: int):
@@ -84,32 +90,19 @@ def grassmann_derivative(f, mu: int):
     if isinstance(f, Supernumber):
         if not 1 <= mu <= f.n:
             raise ValueError(f"generator index {mu} outside 1..{f.n}")
-        out: dict[int, CRat] = {}
-        for mask, c in f.terms.items():
-            hit = _derive_mask(mask, mu)
-            if hit is None:
-                continue
-            new_mask, sign = hit
-            out[new_mask] = c if sign > 0 else -c
-        return Supernumber(f.n, out, _canonical=True)
+        return Supernumber(f.n, _map_terms(f.terms, _derive_term, 1 << (mu - 1)), _canonical=True)
     if isinstance(f, MixedFunction):
         if not 1 <= mu <= f.nu:
             raise ValueError(f"generator index {mu} outside 1..{f.nu}")
-        out_terms: dict[int, Coefficient] = {}
-        for mask, coeff in f.terms.items():
-            hit = _derive_mask(mask, mu)
-            if hit is None:
-                continue
-            new_mask, sign = hit
-            out_terms[new_mask] = coeff if sign > 0 else _negate(coeff)
-        return MixedFunction(f.n, f.nu, out_terms, _canonical=True)
+        terms = _map_terms(f.terms, _derive_term, 1 << (mu - 1))
+        return MixedFunction(f.n, f.nu, terms, _canonical=True)
     raise TypeError(f"cannot differentiate {type(f).__name__}")
 
 
 def _negate(coeff: Coefficient) -> Coefficient:
-    if isinstance(coeff, Polynomial):
-        return -coeff
-    return lambda *xs, _c=coeff: -_c(*xs)
+    if callable(coeff):
+        return lambda *xs, _c=coeff: -_c(*xs)
+    return -coeff
 
 
 # -- Berezin integral ----------------------------------------------------
@@ -189,14 +182,7 @@ class MixedFunction:
         self._check(other)
         if not (self.is_polynomial() and other.is_polynomial()):
             raise TypeError("addition needs polynomial coefficients")
-        terms: dict[int, Coefficient] = dict(self.terms)
-        for mask, c in other.terms.items():
-            s = terms.get(mask, Polynomial(self.n)) + c
-            if s.is_zero():
-                terms.pop(mask, None)
-            else:
-                terms[mask] = s
-        return MixedFunction(self.n, self.nu, terms, _canonical=True)
+        return MixedFunction(self.n, self.nu, _sum(self.terms, other.terms), _canonical=True)
 
     def __neg__(self):
         return MixedFunction(
@@ -210,21 +196,8 @@ class MixedFunction:
         self._check(other)
         if not (self.is_polynomial() and other.is_polynomial()):
             raise TypeError("products need polynomial coefficients")
-        out: dict[int, Polynomial] = {}
-        for ma, pa in self.terms.items():
-            for mb, pb in other.terms.items():
-                if ma & mb:
-                    continue
-                m = ma | mb
-                prod = pa * pb
-                if merge_sign(ma, mb) < 0:
-                    prod = -prod
-                s = out.get(m, Polynomial(self.n)) + prod
-                if s.is_zero():
-                    out.pop(m, None)
-                else:
-                    out[m] = s
-        return MixedFunction(self.n, self.nu, out, _canonical=True)
+        terms = _product(self.terms, other.terms, _mask_mono, 0)
+        return MixedFunction(self.n, self.nu, terms, _canonical=True)
 
     def __eq__(self, other):
         if not isinstance(other, MixedFunction):
@@ -256,22 +229,13 @@ def tensor_product(f: MixedFunction, g: MixedFunction) -> MixedFunction:
     reordering signs arise."""
     if not (f.is_polynomial() and g.is_polynomial()):
         raise TypeError("tensor products need polynomial coefficients")
-    n, nu = f.n + g.n, f.nu + g.nu
-    out: dict[int, Polynomial] = {}
-    for ma, pa in f.terms.items():
-        for mb, pb in g.terms.items():
-            mask = ma | (mb << f.nu)
-            terms = {}
-            for ea, ca in pa.terms.items():
-                for eb, cb in pb.terms.items():
-                    terms[ea + eb] = ca * cb
-            poly = Polynomial(n, terms)
-            s = out.get(mask, Polynomial(n)) + poly
-            if s.is_zero():
-                out.pop(mask, None)
-            else:
-                out[mask] = s
-    return MixedFunction(n, nu, out, _canonical=True)
+    n = f.n + g.n
+    pad_f, pad_g = (0,) * g.n, (0,) * f.n
+    lift_f = {m: Polynomial(n, {e + pad_f: c for e, c in p.terms.items()}) for m, p in f.terms.items()}
+    lift_g = {
+        m << f.nu: Polynomial(n, {pad_g + e: c for e, c in p.terms.items()}) for m, p in g.terms.items()
+    }
+    return MixedFunction(n, f.nu + g.nu, _product(lift_f, lift_g, _mask_mono, 0), _canonical=True)
 
 
 # -- change of variables -------------------------------------------------

@@ -27,7 +27,8 @@ def zeros(rows: int, cols: int) -> Matrix:
 
 def matmul(a: Matrix, b: Matrix) -> Matrix:
     rows, inner, cols = len(a), len(b), len(b[0])
-    assert all(len(r) == inner for r in a), "shape mismatch"
+    if any(len(r) != inner for r in a):
+        raise ValueError("shape mismatch")
     out = zeros(rows, cols)
     for i in range(rows):
         ai = a[i]

@@ -29,7 +29,7 @@ from .graded_poly import (
     form_carrier,
     function_carrier,
 )
-from .grassmann import GeneratorMismatch, Parity, indices_of
+from .grassmann import GeneratorMismatch, Parity, _map_terms, indices_of
 from .polynomials import Polynomial
 from .scalars import CRat
 
@@ -90,14 +90,16 @@ def _as_function(coords: CoordinateSystem, f) -> GradedPoly:
     raise TypeError(f"cannot treat {type(f).__name__} as a superfunction")
 
 
-class SuperForm:
-    """Degree-homogeneous exterior form with polynomial coefficients."""
+class _Homogeneous:
+    """Degree-homogeneous element of the form or density algebra of a
+    patch; subclasses name the carrier kind."""
 
     __slots__ = ("coords", "poly", "degree")
+    _kind: Kind
 
     def __init__(self, coords: CoordinateSystem, poly: GradedPoly):
-        if poly.carrier != coords.forms:
-            raise GeneratorMismatch("payload is not a form over these coordinates")
+        if poly.carrier != Carrier(coords.n, coords.nu, self._kind):
+            raise GeneratorMismatch(f"payload is not a {self._kind.value} over these coordinates")
         degrees = poly.degrees()
         if len(degrees) > 1:
             raise ValueError(f"inhomogeneous degrees {sorted(degrees)}")
@@ -106,11 +108,11 @@ class SuperForm:
         object.__setattr__(self, "degree", degrees.pop() if degrees else 0)
 
     def __setattr__(self, name, value):
-        raise AttributeError("SuperForm is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
-    @staticmethod
-    def from_function(coords: CoordinateSystem, f) -> "SuperForm":
-        return SuperForm(coords, _as_function(coords, f).with_carrier(coords.forms))
+    @classmethod
+    def from_function(cls, coords: CoordinateSystem, f):
+        return cls(coords, _as_function(coords, f).with_carrier(Carrier(coords.n, coords.nu, cls._kind)))
 
     def parity(self) -> Parity:
         return self.poly.parity()
@@ -118,24 +120,20 @@ class SuperForm:
     def is_zero(self) -> bool:
         return self.poly.is_zero()
 
-    def __add__(self, other: "SuperForm") -> "SuperForm":
-        return SuperForm(self.coords, self.poly + other.poly)
+    def __add__(self, other):
+        return type(self)(self.coords, self.poly + other.poly)
 
-    def __sub__(self, other: "SuperForm") -> "SuperForm":
-        return SuperForm(self.coords, self.poly - other.poly)
+    def __sub__(self, other):
+        return type(self)(self.coords, self.poly - other.poly)
 
     def __neg__(self):
-        return SuperForm(self.coords, -self.poly)
+        return type(self)(self.coords, -self.poly)
 
-    def scale(self, c) -> "SuperForm":
-        return SuperForm(self.coords, self.poly * CRat.coerce(c))
+    def scale(self, c):
+        return type(self)(self.coords, self.poly * CRat.coerce(c))
 
     def __eq__(self, other):
-        return (
-            isinstance(other, SuperForm)
-            and self.coords == other.coords
-            and self.poly == other.poly
-        )
+        return type(other) is type(self) and self.coords == other.coords and self.poly == other.poly
 
     def components(self) -> dict[tuple[tuple[int, ...], tuple[int, ...]], GradedPoly]:
         """Canonical components keyed by (bosonic index set, fermionic
@@ -143,73 +141,32 @@ class SuperForm:
         return _split_components(self.coords, self.poly)
 
     def __repr__(self):
-        return f"SuperForm(deg {self.degree}: {self.poly!r})"
+        return f"{type(self).__name__}(deg {self.degree}: {self.poly!r})"
 
 
-class SuperDensity:
+class SuperForm(_Homogeneous):
+    """Degree-homogeneous exterior form with polynomial coefficients."""
+
+    __slots__ = ()
+    _kind = Kind.FORM
+
+
+class SuperDensity(_Homogeneous):
     """Degree-homogeneous weight-one density (graded antisymmetric
     contravariant tensor) with polynomial coefficients."""
 
-    __slots__ = ("coords", "poly", "degree")
-
-    def __init__(self, coords: CoordinateSystem, poly: GradedPoly):
-        if poly.carrier != coords.densities:
-            raise GeneratorMismatch("payload is not a density over these coordinates")
-        degrees = poly.degrees()
-        if len(degrees) > 1:
-            raise ValueError(f"inhomogeneous degrees {sorted(degrees)}")
-        object.__setattr__(self, "coords", coords)
-        object.__setattr__(self, "poly", poly)
-        object.__setattr__(self, "degree", degrees.pop() if degrees else 0)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SuperDensity is immutable")
-
-    @staticmethod
-    def from_function(coords: CoordinateSystem, f) -> "SuperDensity":
-        return SuperDensity(coords, _as_function(coords, f).with_carrier(coords.densities))
-
-    def parity(self) -> Parity:
-        return self.poly.parity()
-
-    def is_zero(self) -> bool:
-        return self.poly.is_zero()
-
-    def __add__(self, other: "SuperDensity") -> "SuperDensity":
-        return SuperDensity(self.coords, self.poly + other.poly)
-
-    def __sub__(self, other: "SuperDensity") -> "SuperDensity":
-        return SuperDensity(self.coords, self.poly - other.poly)
-
-    def __neg__(self):
-        return SuperDensity(self.coords, -self.poly)
-
-    def scale(self, c) -> "SuperDensity":
-        return SuperDensity(self.coords, self.poly * CRat.coerce(c))
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, SuperDensity)
-            and self.coords == other.coords
-            and self.poly == other.poly
-        )
-
-    def components(self) -> dict[tuple[tuple[int, ...], tuple[int, ...]], GradedPoly]:
-        return _split_components(self.coords, self.poly)
-
-    def __repr__(self):
-        return f"SuperDensity(deg {self.degree}: {self.poly!r})"
+    __slots__ = ()
+    _kind = Kind.DENSITY
 
 
 def _split_components(coords, poly) -> dict:
-    out: dict[tuple[tuple[int, ...], tuple[int, ...]], GradedPoly] = {}
-    fn = coords.functions
-    for (x_exps, xi, ao, ae), c in poly.terms.items():
-        fermi = tuple(i for i, e in ae for _ in range(e))
-        key = (indices_of(ao), fermi)
-        piece = GradedPoly(fn, {(x_exps, xi, 0, EMPTY): c}, _canonical=True)
-        out[key] = out.get(key, GradedPoly.zero(fn)) + piece
-    return out
+    return _map_terms(poly.terms, _component_term, coords.functions)
+
+
+def _component_term(mono, c: CRat, fn: Carrier):
+    x_exps, xi, ao, ae = mono
+    fermi = tuple(i for i, e in ae for _ in range(e))
+    return (indices_of(ao), fermi), GradedPoly(fn, {(x_exps, xi, 0, EMPTY): c}, _canonical=True)
 
 
 @dataclass(frozen=True)
@@ -384,22 +341,38 @@ def scalar_op(c) -> Operator:
 # operators on the form algebra
 
 
-def op_mult(coords: CoordinateSystem, f) -> Operator:
+def _mult(coords: CoordinateSystem, f, carrier: Carrier) -> Operator:
     f = _as_function(coords, f)
-    lifted = f.with_carrier(coords.forms)
+    lifted = f.with_carrier(carrier)
     return Operator(_parity_of(f), lambda w: lifted * w, "M")
+
+
+def op_mult(coords: CoordinateSystem, f) -> Operator:
+    return _mult(coords, f, coords.forms)
+
+
+def _differential(coords: CoordinateSystem, w: GradedPoly) -> GradedPoly:
+    """dw = sum_A dx^A (dw/dx^A) on the form algebra."""
+    out = GradedPoly.zero(coords.forms)
+    for a in range(1, coords.n + 1):
+        out = out + coords.dx(a) * w.partial_x(a)
+    for alpha in range(1, coords.nu + 1):
+        out = out + coords.dxi(alpha) * w.partial_xi(alpha)
+    return out
+
+
+def _contract(carrier: Carrier, comps, w: GradedPoly) -> GradedPoly:
+    """sum of comp * (derivative of w along the auxiliary (family, index))."""
+    out = GradedPoly.zero(carrier)
+    for comp, (fam, idx) in comps:
+        der = w.partial_aux_odd(idx) if fam == "ao" else w.partial_aux_even(idx)
+        out = out + comp * der
+    return out
 
 
 def total_differential(coords: CoordinateSystem, f) -> GradedPoly:
     """dF = sum_A dx^A (dF/dx^A) as an element of the form algebra."""
-    f = _as_function(coords, f)
-    lifted = f.with_carrier(coords.forms)
-    out = GradedPoly.zero(coords.forms)
-    for a in range(1, coords.n + 1):
-        out = out + coords.dx(a) * lifted.partial_x(a)
-    for alpha in range(1, coords.nu + 1):
-        out = out + coords.dxi(alpha) * lifted.partial_xi(alpha)
-    return out
+    return _differential(coords, _as_function(coords, f).with_carrier(coords.forms))
 
 
 def op_e_form(coords: CoordinateSystem, f) -> Operator:
@@ -410,16 +383,7 @@ def op_e_form(coords: CoordinateSystem, f) -> Operator:
 
 def op_d_form(coords: CoordinateSystem) -> Operator:
     """Exterior differential, an odd derivation with dd = 0."""
-
-    def run(w: GradedPoly) -> GradedPoly:
-        out = GradedPoly.zero(coords.forms)
-        for a in range(1, coords.n + 1):
-            out = out + coords.dx(a) * w.partial_x(a)
-        for alpha in range(1, coords.nu + 1):
-            out = out + coords.dxi(alpha) * w.partial_xi(alpha)
-        return out
-
-    return Operator(1, run, "d")
+    return Operator(1, lambda w: _differential(coords, w), "d")
 
 
 def op_i_form(x: SuperVectorField) -> Operator:
@@ -435,15 +399,7 @@ def op_i_form(x: SuperVectorField) -> Operator:
         for al, c in enumerate(x.fermi, start=1)
         if not c.is_zero()
     ]
-
-    def run(w: GradedPoly) -> GradedPoly:
-        out = GradedPoly.zero(coords.forms)
-        for comp, (fam, idx) in comps:
-            der = w.partial_aux_odd(idx) if fam == "ao" else w.partial_aux_even(idx)
-            out = out + comp * der
-        return out
-
-    return Operator((x.parity + 1) % 2, run, "i")
+    return Operator((x.parity + 1) % 2, lambda w: _contract(coords.forms, comps, w), "i")
 
 
 def op_lie_form(x: SuperVectorField) -> Operator:
@@ -456,9 +412,7 @@ def op_lie_form(x: SuperVectorField) -> Operator:
 
 
 def op_mult_density(coords: CoordinateSystem, f) -> Operator:
-    f = _as_function(coords, f)
-    lifted = f.with_carrier(coords.densities)
-    return Operator(_parity_of(f), lambda w: lifted * w, "M")
+    return _mult(coords, f, coords.densities)
 
 
 def op_divergence(coords: CoordinateSystem) -> Operator:
@@ -505,17 +459,8 @@ def op_e_density(coords: CoordinateSystem, f) -> Operator:
         (f.partial_xi(alpha).with_carrier(coords.densities), ("ae", alpha))
         for alpha in range(1, coords.nu + 1)
     ]
-
-    def run(w: GradedPoly) -> GradedPoly:
-        out = GradedPoly.zero(coords.densities)
-        for grad, (fam, idx) in grads:
-            if grad.is_zero():
-                continue
-            der = w.partial_aux_odd(idx) if fam == "ao" else w.partial_aux_even(idx)
-            out = out + grad * der
-        return out
-
-    return Operator((_parity_of(f) + 1) % 2, run, "e")
+    grads = [(grad, aux) for grad, aux in grads if not grad.is_zero()]
+    return Operator((_parity_of(f) + 1) % 2, lambda w: _contract(coords.densities, grads, w), "e")
 
 
 def op_lie_density(x: SuperVectorField) -> Operator:
@@ -793,18 +738,19 @@ def commutator_table(coords: CoordinateSystem, trials: TrialSet) -> list[TableRe
         ),
     )
 
-    def d_rep_devs():
-        for w in forms_:
-            acc = GradedPoly.zero(coords.forms)
-            for a in range(1, coords.n + 1):
-                xa = SuperVectorField.coordinate_basis(coords, ("x", a))
-                acc = acc + op_e_form(coords, coords.x(a))(op_lie_form(xa)(w))
-            for al in range(1, coords.nu + 1):
-                xal = SuperVectorField.coordinate_basis(coords, ("xi", al))
-                acc = acc + op_e_form(coords, coords.xi(al))(op_lie_form(xal)(w))
-            yield acc - d(w)
+    def rep_devs(elements, op_e, op_lie, op):
+        """Deviations of op = sum_A e(x^A) L(d/dx^A) on each element."""
+        labels = [("x", a) for a in range(1, coords.n + 1)]
+        labels += [("xi", al) for al in range(1, coords.nu + 1)]
+        for w in elements:
+            acc = GradedPoly.zero(w.carrier)
+            for kind, idx in labels:
+                basis = SuperVectorField.coordinate_basis(coords, (kind, idx))
+                coordinate = coords.x(idx) if kind == "x" else coords.xi(idx)
+                acc = acc + op_e(coords, coordinate)(op_lie(basis)(w))
+            yield acc - op(w)
 
-    run("forms: d = sum e(x^A) L(d/dx^A)", d_rep_devs)
+    run("forms: d = sum e(x^A) L(d/dx^A)", lambda: rep_devs(forms_, op_e_form, op_lie_form, d))
 
     def ladder_devs():
         for a in range(1, coords.n + 1):
@@ -879,18 +825,10 @@ def commutator_table(coords: CoordinateSystem, trials: TrialSet) -> list[TableRe
         ),
     )
 
-    def b_rep_devs():
-        for u in densities_:
-            acc = GradedPoly.zero(coords.densities)
-            for a in range(1, coords.n + 1):
-                xa = SuperVectorField.coordinate_basis(coords, ("x", a))
-                acc = acc + op_e_density(coords, coords.x(a))(op_lie_density(xa)(u))
-            for al in range(1, coords.nu + 1):
-                xal = SuperVectorField.coordinate_basis(coords, ("xi", al))
-                acc = acc + op_e_density(coords, coords.xi(al))(op_lie_density(xal)(u))
-            yield acc - b(u)
-
-    run("densities: b = sum e(x^A) L(d/dx^A)", b_rep_devs)
+    run(
+        "densities: b = sum e(x^A) L(d/dx^A)",
+        lambda: rep_devs(densities_, op_e_density, op_lie_density, b),
+    )
 
     def lie_transport_devs():
         for u in densities_[:3]:
@@ -938,18 +876,20 @@ def function_to_mixed(f: GradedPoly) -> MixedFunction:
     """Superfunction -> the integration module's representation."""
     if f.carrier.kind is not Kind.FUNCTION:
         f = f.coefficient_function()
-    n, nu = f.carrier.n, f.carrier.nu
-    terms: dict[int, Polynomial] = {}
-    for (x_exps, xi, _ao, _ae), c in f.terms.items():
-        dense = [0] * n
-        for idx, e in x_exps:
-            dense[idx - 1] = e
-        poly = terms.get(xi, Polynomial(n)) + Polynomial(n, {tuple(dense): c})
-        if poly.is_zero():
-            terms.pop(xi, None)
-        else:
-            terms[xi] = poly
-    return MixedFunction(n, nu, terms, _canonical=True)
+    n = f.carrier.n
+    return MixedFunction(n, f.carrier.nu, _map_terms(f.terms, _xi_term, n), _canonical=True)
+
+
+def _dense(n: int, x_exps) -> tuple[int, ...]:
+    dense = [0] * n
+    for idx, e in x_exps:
+        dense[idx - 1] = e
+    return tuple(dense)
+
+
+def _xi_term(mono, c: CRat, n: int):
+    """A function term as (xi mask, polynomial coefficient)."""
+    return mono[1], Polynomial(n, {_dense(n, mono[0]): c})
 
 
 def mixed_to_function(f: MixedFunction) -> GradedPoly:
@@ -971,10 +911,7 @@ def function_to_polynomial(f: GradedPoly) -> Polynomial:
     for (x_exps, xi, _ao, _ae), c in f.terms.items():
         if xi:
             raise ValueError("function still depends on odd coordinates")
-        dense = [0] * n
-        for idx, e in x_exps:
-            dense[idx - 1] = e
-        terms[tuple(dense)] = c
+        terms[_dense(n, x_exps)] = c
     return Polynomial(n, terms)
 
 

@@ -19,7 +19,9 @@ differentials, slots and coordinates never needs case analysis.
 
 Monomials are stored canonically (x exponents, xi bitmask, odd-aux
 bitmask, even-aux exponents) with every reordering sign absorbed into
-the exact complex-rational coefficient.
+the exact complex-rational coefficient.  Ring arithmetic and the four
+derivations run through the shared sparse term routines of `grassmann`;
+the monomial rule here is `mul_mono` on these 4-tuples.
 """
 
 from __future__ import annotations
@@ -29,7 +31,21 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
-from .grassmann import GeneratorMismatch, Parity, indices_of, merge_sign
+from .grassmann import (
+    _SCALARS,
+    GeneratorMismatch,
+    Parity,
+    _hash,
+    _map_terms,
+    _neg,
+    _parity,
+    _power,
+    _product,
+    _scale,
+    _sum,
+    indices_of,
+    merge_sign,
+)
 from .scalars import CRat
 
 ExpTuple = tuple[tuple[int, int], ...]  # sorted ((index, exponent), ...)
@@ -86,6 +102,54 @@ def _mono_degree(mono: Mono) -> int:
     return mono[2].bit_count() + sum(e for _, e in mono[3])
 
 
+def _d_exps(exps: ExpTuple, idx: int) -> tuple[ExpTuple, int] | None:
+    """Lower the exponent of generator idx by one: (new exponents, old
+    exponent), or None when idx is absent."""
+    for pos, (i, e) in enumerate(exps):
+        if i == idx:
+            return exps[:pos] + (((i, e - 1),) if e > 1 else ()) + exps[pos + 1:], e
+    return None
+
+
+# term rules for _map_terms
+
+
+def _substitute_term(mono: Mono, c: CRat, assignment: Mapping[int, CRat]):
+    rest = []
+    for idx, e in mono[0]:
+        if idx in assignment:
+            c = c * CRat.coerce(assignment[idx]) ** e
+        else:
+            rest.append((idx, e))
+    if not c.is_zero():
+        return (tuple(rest), mono[1], mono[2], mono[3]), c
+
+
+def _d_x(mono: Mono, c: CRat, a: int):
+    hit = _d_exps(mono[0], a)
+    if hit is not None:
+        return (hit[0], mono[1], mono[2], mono[3]), c * hit[1]
+
+
+def _d_xi(mono: Mono, c: CRat, bit: int):
+    x_exps, xi, ao, ae = mono
+    if xi & bit:
+        return (x_exps, xi & ~bit, ao, ae), -c if (xi & (bit - 1)).bit_count() & 1 else c
+
+
+def _d_aux_odd(mono: Mono, c: CRat, bit: int):
+    x_exps, xi, ao, ae = mono
+    if ao & bit:
+        before = xi.bit_count() + (ao & (bit - 1)).bit_count()
+        return (x_exps, xi, ao & ~bit, ae), -c if before & 1 else c
+
+
+def _d_aux_even(mono: Mono, c: CRat, alpha: int):
+    hit = _d_exps(mono[3], alpha)
+    if hit is not None:
+        return (mono[0], mono[1], mono[2], hit[0]), c * hit[1]
+
+
 def mul_mono(a: Mono, b: Mono, nu: int) -> tuple[Mono, int] | None:
     """Product of canonical monomials: (result, sign), or None when an
     odd generator repeats."""
@@ -108,7 +172,7 @@ class GradedPoly:
         if terms is None:
             clean: dict[Mono, CRat] = {}
         elif _canonical:
-            clean = dict(terms)
+            clean = terms  # a fresh dict, or the terms of another immutable element
         else:
             clean = {}
             for mono, c in terms.items():
@@ -185,28 +249,20 @@ class GradedPoly:
             raise GeneratorMismatch(f"carriers differ: {self.carrier} vs {other.carrier}")
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction, CRat)):
+        if isinstance(other, _SCALARS):
             other = GradedPoly.scalar(self.carrier, other)
         if not isinstance(other, GradedPoly):
             return NotImplemented
         self._check(other)
-        terms = dict(self.terms)
-        for mono, c in other.terms.items():
-            prev = terms.get(mono)
-            s = c if prev is None else prev + c
-            if s.is_zero():
-                terms.pop(mono, None)
-            else:
-                terms[mono] = s
-        return GradedPoly(self.carrier, terms, _canonical=True)
+        return GradedPoly(self.carrier, _sum(self.terms, other.terms), _canonical=True)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return GradedPoly(self.carrier, {m: -c for m, c in self.terms.items()}, _canonical=True)
+        return GradedPoly(self.carrier, _neg(self.terms), _canonical=True)
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction, CRat)):
+        if isinstance(other, _SCALARS):
             other = GradedPoly.scalar(self.carrier, other)
         return self + (-other)
 
@@ -214,57 +270,31 @@ class GradedPoly:
         return GradedPoly.scalar(self.carrier, other) - self
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, CRat)):
-            c = CRat.coerce(other)
-            if c.is_zero():
-                return GradedPoly(self.carrier)
-            return GradedPoly(self.carrier, {m: v * c for m, v in self.terms.items()}, _canonical=True)
+        if isinstance(other, _SCALARS):
+            return GradedPoly(self.carrier, _scale(self.terms, CRat.coerce(other)), _canonical=True)
         if not isinstance(other, GradedPoly):
             return NotImplemented
         self._check(other)
-        nu = self.carrier.nu
-        out: dict[Mono, CRat] = {}
-        for ma, ca in self.terms.items():
-            for mb, cb in other.terms.items():
-                hit = mul_mono(ma, mb, nu)
-                if hit is None:
-                    continue
-                mono, sign = hit
-                c = ca * cb
-                if sign < 0:
-                    c = -c
-                prev = out.get(mono)
-                s = c if prev is None else prev + c
-                if s.is_zero():
-                    out.pop(mono, None)
-                else:
-                    out[mono] = s
-        return GradedPoly(self.carrier, out, _canonical=True)
+        terms = _product(self.terms, other.terms, mul_mono, self.carrier.nu)
+        return GradedPoly(self.carrier, terms, _canonical=True)
 
     def __rmul__(self, other):
-        if isinstance(other, (int, Fraction, CRat)):
+        if isinstance(other, _SCALARS):
             return self * other
         return NotImplemented
 
     def __pow__(self, k: int):
-        out = GradedPoly.unit(self.carrier)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+        return _power(self, k, GradedPoly.unit(self.carrier))
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction, CRat)):
+        if isinstance(other, _SCALARS):
             other = GradedPoly.scalar(self.carrier, other)
         if not isinstance(other, GradedPoly):
             return NotImplemented
         return self.carrier == other.carrier and self.terms == other.terms
 
     def __hash__(self):
-        return hash((self.carrier, frozenset(self.terms.items())))
+        return _hash(self.carrier, self.terms)
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -272,12 +302,7 @@ class GradedPoly:
     # -- structure ------------------------------------------------------
 
     def parity(self) -> Parity:
-        seen = {_mono_parity(m) for m in self.terms}
-        if len(seen) > 1:
-            return Parity.MIXED
-        if not seen:
-            return Parity.EVEN
-        return Parity.ODD if seen.pop() else Parity.EVEN
+        return _parity({_mono_parity(m) for m in self.terms})
 
     def degrees(self) -> set[int]:
         """Auxiliary degrees present (form degree / density degree)."""
@@ -303,84 +328,27 @@ class GradedPoly:
         """d/dx_a, an even derivation."""
         if not 1 <= a <= self.carrier.n:
             raise ValueError(f"index {a} outside 1..{self.carrier.n}")
-        out: dict[Mono, CRat] = {}
-        for (x_exps, xi, ao, ae), c in self.terms.items():
-            for pos, (idx, e) in enumerate(x_exps):
-                if idx != a:
-                    continue
-                new = x_exps[:pos] + (((idx, e - 1),) if e > 1 else ()) + x_exps[pos + 1:]
-                mono = (new, xi, ao, ae)
-                prev = out.get(mono)
-                inc = c * e
-                s = inc if prev is None else prev + inc
-                if s.is_zero():
-                    out.pop(mono, None)
-                else:
-                    out[mono] = s
-        return GradedPoly(self.carrier, out, _canonical=True)
+        return GradedPoly(self.carrier, _map_terms(self.terms, _d_x, a), _canonical=True)
 
     def partial_xi(self, alpha: int) -> "GradedPoly":
         """Left derivative d/dxi_alpha, an odd derivation: anticommute
         xi_alpha to the front (past lower-index xi factors) and drop it."""
         if not 1 <= alpha <= self.carrier.nu:
             raise ValueError(f"index {alpha} outside 1..{self.carrier.nu}")
-        bit = 1 << (alpha - 1)
-        out: dict[Mono, CRat] = {}
-        for (x_exps, xi, ao, ae), c in self.terms.items():
-            if not xi & bit:
-                continue
-            sign = -1 if (xi & (bit - 1)).bit_count() & 1 else 1
-            mono = (x_exps, xi & ~bit, ao, ae)
-            prev = out.get(mono)
-            inc = c if sign > 0 else -c
-            s = inc if prev is None else prev + inc
-            if s.is_zero():
-                out.pop(mono, None)
-            else:
-                out[mono] = s
-        return GradedPoly(self.carrier, out, _canonical=True)
+        return GradedPoly(self.carrier, _map_terms(self.terms, _d_xi, 1 << (alpha - 1)), _canonical=True)
 
     def partial_aux_odd(self, a: int) -> "GradedPoly":
         """Odd derivation along the odd auxiliary a (dx_a or the x_a slot);
         the prefix sign counts all xi factors plus lower odd auxiliaries."""
         if not 1 <= a <= self.carrier.n:
             raise ValueError(f"index {a} outside 1..{self.carrier.n}")
-        bit = 1 << (a - 1)
-        out: dict[Mono, CRat] = {}
-        for (x_exps, xi, ao, ae), c in self.terms.items():
-            if not ao & bit:
-                continue
-            before = xi.bit_count() + (ao & (bit - 1)).bit_count()
-            sign = -1 if before & 1 else 1
-            mono = (x_exps, xi, ao & ~bit, ae)
-            prev = out.get(mono)
-            inc = c if sign > 0 else -c
-            s = inc if prev is None else prev + inc
-            if s.is_zero():
-                out.pop(mono, None)
-            else:
-                out[mono] = s
-        return GradedPoly(self.carrier, out, _canonical=True)
+        return GradedPoly(self.carrier, _map_terms(self.terms, _d_aux_odd, 1 << (a - 1)), _canonical=True)
 
     def partial_aux_even(self, alpha: int) -> "GradedPoly":
         """Even derivation along the even auxiliary alpha."""
         if not 1 <= alpha <= self.carrier.nu:
             raise ValueError(f"index {alpha} outside 1..{self.carrier.nu}")
-        out: dict[Mono, CRat] = {}
-        for (x_exps, xi, ao, ae), c in self.terms.items():
-            for pos, (idx, e) in enumerate(ae):
-                if idx != alpha:
-                    continue
-                new = ae[:pos] + (((idx, e - 1),) if e > 1 else ()) + ae[pos + 1:]
-                mono = (x_exps, xi, ao, new)
-                prev = out.get(mono)
-                inc = c * e
-                s = inc if prev is None else prev + inc
-                if s.is_zero():
-                    out.pop(mono, None)
-                else:
-                    out[mono] = s
-        return GradedPoly(self.carrier, out, _canonical=True)
+        return GradedPoly(self.carrier, _map_terms(self.terms, _d_aux_even, alpha), _canonical=True)
 
     # -- conversions ------------------------------------------------------
 
@@ -401,17 +369,8 @@ class GradedPoly:
 
     def substitute_value(self, assignment: Mapping[int, CRat]) -> "GradedPoly":
         """Evaluate the even coordinates at exact values (x_a -> c_a)."""
-        out = GradedPoly(self.carrier)
-        for (x_exps, xi, ao, ae), c in self.terms.items():
-            coeff = c
-            rest = []
-            for idx, e in x_exps:
-                if idx in assignment:
-                    coeff = coeff * CRat.coerce(assignment[idx]) ** e
-                else:
-                    rest.append((idx, e))
-            out = out + GradedPoly(self.carrier, {(tuple(rest), xi, ao, ae): coeff})
-        return out
+        terms = _map_terms(self.terms, _substitute_term, assignment)
+        return GradedPoly(self.carrier, terms, _canonical=True)
 
     # -- rendering --------------------------------------------------------
 

@@ -7,6 +7,13 @@ held internally as bitmasks (bit k set = generator x_{k+1} present), kept
 strictly increasing by construction; every reordering sign is absorbed
 into the coefficient when a term is created.  This makes representation
 unique, so equality tests are exact.
+
+This module also holds the sparse term routines shared by every kernel
+(`Supernumber` here, `polynomials.Polynomial`, `berezin.MixedFunction`,
+`graded_poly.GradedPoly`): `_accumulate` (add terms, drop the keys that
+cancel), `_sum`, `_scale`, `_neg`, `_product` under a monomial rule,
+`_power` and `_map_terms`.  The supernumber monomial rule is `_mask_mono`:
+disjoint masks multiply to their union with the `merge_sign` sign.
 """
 
 from __future__ import annotations
@@ -88,6 +95,98 @@ def merge_sign(a: int, b: int) -> int:
     return -1 if swaps & 1 else 1
 
 
+# -- sparse term routines ------------------------------------------------
+#
+# Supernumber, Polynomial, MixedFunction and GradedPoly all hold an element
+# as a dict from a canonical monomial key to a nonzero coefficient, and do
+# their ring arithmetic through the routines below.  A type supplies only
+# its monomial rule, rule(a, b, nu) -> (key, sign), or None when the
+# product of the two monomials vanishes.
+
+_SCALARS = (int, Fraction, CRat)
+
+
+def _accumulate(out: dict, terms) -> dict:
+    """Add (key, coefficient) pairs into `out`, dropping keys that cancel.
+
+    Incoming coefficients are nonzero, so only sums are tested for zero.
+    """
+    for key, c in terms:
+        prev = out.get(key)
+        if prev is None:
+            out[key] = c
+        else:
+            c = prev + c
+            if c.is_zero():
+                del out[key]
+            else:
+                out[key] = c
+    return out
+
+
+def _sum(a: dict, b: dict) -> dict:
+    return _accumulate(dict(a), b.items())
+
+
+def _scale(terms: dict, c) -> dict:
+    return {k: v * c for k, v in terms.items()} if not c.is_zero() else {}
+
+
+def _neg(terms: dict) -> dict:
+    return {k: -v for k, v in terms.items()}
+
+
+def _product_terms(a: dict, b: dict, rule, nu: int):
+    for ka, ca in a.items():
+        for kb, cb in b.items():
+            hit = rule(ka, kb, nu)
+            if hit is not None:
+                c = ca * cb
+                yield hit[0], (c if hit[1] > 0 else -c)
+
+
+def _product(a: dict, b: dict, rule, nu: int) -> dict:
+    return _accumulate({}, _product_terms(a, b, rule, nu))
+
+
+def _map_terms(terms: dict, rule, arg) -> dict:
+    """Accumulate rule(key, coeff, arg) -> (key, coeff) | None over terms."""
+    return _accumulate({}, filter(None, (rule(k, c, arg) for k, c in terms.items())))
+
+
+def _power(base, k: int, one):
+    """base ** k by repeated squaring, with `one` for k == 0."""
+    if k < 0:
+        raise ValueError("negative powers are not supported; see Supernumber.inverse")
+    out = None
+    while k:
+        if k & 1:
+            out = base if out is None else out * base
+        k >>= 1
+        if k:
+            base = base * base
+    return one if out is None else out
+
+
+def _parity(seen: set[int]) -> Parity:
+    """Parity of an element from the set of its terms' parities; zero
+    counts as even."""
+    if len(seen) > 1:
+        return Parity.MIXED
+    return Parity.ODD if 1 in seen else Parity.EVEN
+
+
+def _hash(space, terms: dict) -> int:
+    return hash((space, frozenset(terms.items())))
+
+
+def _mask_mono(a: int, b: int, nu: int) -> tuple[int, int] | None:
+    """Monomial rule of xi masks: None when a generator repeats."""
+    if a & b:
+        return None
+    return a | b, merge_sign(a, b)
+
+
 class Supernumber:
     """Element of Lambda_N over Q(i)."""
 
@@ -100,7 +199,7 @@ class Supernumber:
         if terms is None:
             clean: dict[int, CRat] = {}
         elif _canonical:
-            clean = dict(terms)
+            clean = terms  # a fresh dict, or the terms of another immutable element
         else:
             clean = {}
             limit = 1 << n
@@ -148,24 +247,17 @@ class Supernumber:
             raise GeneratorMismatch(f"operands over {self.n} vs {other.n} generators")
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction, CRat)):
+        if isinstance(other, _SCALARS):
             other = Supernumber.scalar(self.n, other)
         if not isinstance(other, Supernumber):
             return NotImplemented
         self._check(other)
-        terms = dict(self.terms)
-        for mask, c in other.terms.items():
-            s = terms.get(mask, CRat(0)) + c
-            if s.is_zero():
-                terms.pop(mask, None)
-            else:
-                terms[mask] = s
-        return Supernumber(self.n, terms, _canonical=True)
+        return Supernumber(self.n, _sum(self.terms, other.terms), _canonical=True)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Supernumber(self.n, {m: -c for m, c in self.terms.items()}, _canonical=True)
+        return Supernumber(self.n, _neg(self.terms), _canonical=True)
 
     def __sub__(self, other):
         return self + (-other if isinstance(other, Supernumber) else Supernumber.scalar(self.n, -CRat.coerce(other)))
@@ -174,57 +266,30 @@ class Supernumber:
         return Supernumber.scalar(self.n, other) - self
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, CRat)):
-            c = CRat.coerce(other)
-            if c.is_zero():
-                return Supernumber.zero(self.n)
-            return Supernumber(self.n, {m: v * c for m, v in self.terms.items()}, _canonical=True)
+        if isinstance(other, _SCALARS):
+            return Supernumber(self.n, _scale(self.terms, CRat.coerce(other)), _canonical=True)
         if not isinstance(other, Supernumber):
             return NotImplemented
         self._check(other)
-        out: dict[int, CRat] = {}
-        for ma, ca in self.terms.items():
-            for mb, cb in other.terms.items():
-                if ma & mb:
-                    continue  # repeated generator
-                m = ma | mb
-                c = ca * cb
-                if merge_sign(ma, mb) < 0:
-                    c = -c
-                s = out.get(m)
-                s = c if s is None else s + c
-                if s.is_zero():
-                    out.pop(m, None)
-                else:
-                    out[m] = s
-        return Supernumber(self.n, out, _canonical=True)
+        return Supernumber(self.n, _product(self.terms, other.terms, _mask_mono, 0), _canonical=True)
 
     def __rmul__(self, other):
-        if isinstance(other, (int, Fraction, CRat)):
+        if isinstance(other, _SCALARS):
             return self * other
         return NotImplemented
 
     def __pow__(self, k: int):
-        if k < 0:
-            raise ValueError("use inverse() for negative powers")
-        out = Supernumber.unit(self.n)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+        return _power(self, k, Supernumber.unit(self.n))
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction, CRat)):
+        if isinstance(other, _SCALARS):
             other = Supernumber.scalar(self.n, other)
         if not isinstance(other, Supernumber):
             return NotImplemented
         return self.n == other.n and self.terms == other.terms
 
     def __hash__(self):
-        return hash((self.n, frozenset(self.terms.items())))
+        return _hash(self.n, self.terms)
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -251,12 +316,7 @@ class Supernumber:
         )
 
     def parity(self) -> Parity:
-        seen = {m.bit_count() & 1 for m in self.terms}
-        if len(seen) > 1:
-            return Parity.MIXED
-        if not seen:
-            return Parity.EVEN  # zero counts as even
-        return Parity.ODD if seen.pop() else Parity.EVEN
+        return _parity({m.bit_count() & 1 for m in self.terms})
 
     def inverse(self) -> "Supernumber":
         """Multiplicative inverse; the geometric series in the soul
@@ -373,38 +433,3 @@ def dumps(z: Supernumber) -> str:
 def loads(text: str) -> Supernumber:
     data = json.loads(text)
     return from_json_terms(data["terms"], data["n"])
-
-
-# -- module-level operation aliases ------------------------------------
-
-
-def mul(a: Supernumber, b: Supernumber) -> Supernumber:
-    return a * b
-
-
-def body(z: Supernumber) -> CRat:
-    return z.body()
-
-
-def soul(z: Supernumber) -> Supernumber:
-    return z.soul()
-
-
-def even_part(z: Supernumber) -> Supernumber:
-    return z.even_part()
-
-
-def odd_part(z: Supernumber) -> Supernumber:
-    return z.odd_part()
-
-
-def parity(z: Supernumber) -> Parity:
-    return z.parity()
-
-
-def inverse(z: Supernumber) -> Supernumber:
-    return z.inverse()
-
-
-def conjugate(z: Supernumber, convention: Convention = DEFAULT_CONVENTION) -> Supernumber:
-    return z.conjugate(convention)

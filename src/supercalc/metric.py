@@ -21,7 +21,7 @@ from . import exactmat
 from .exactmat import Matrix, from_rows, minor_det
 from .forms import CoordinateSystem, SuperDensity, SuperForm, op_d_form, op_divergence
 from .graded_poly import EMPTY, GradedPoly
-from .grassmann import indices_of, merge_sign
+from .grassmann import _accumulate, _map_terms, indices_of, merge_sign
 from .scalars import CRat
 
 
@@ -128,32 +128,40 @@ def _require_bosonic(coords: CoordinateSystem, metric: Metric):
 
 def _components_by_mask(poly: GradedPoly) -> dict[int, GradedPoly]:
     """Split a bosonic form/density by its differential (slot) mask."""
-    carrier = poly.carrier
-    fn_carrier = CoordinateSystem(carrier.n, carrier.nu).functions
-    out: dict[int, GradedPoly] = {}
-    for (x_exps, xi, ao, ae), c in poly.terms.items():
-        if xi or ae:
-            raise MetricError("metric operations need a purely bosonic element")
-        piece = GradedPoly(fn_carrier, {(x_exps, 0, 0, EMPTY): c}, _canonical=True)
-        out[ao] = out.get(ao, GradedPoly.zero(fn_carrier)) + piece
-    return out
+    fn_carrier = CoordinateSystem(poly.carrier.n, poly.carrier.nu).functions
+    return _map_terms(poly.terms, _mask_piece, fn_carrier)
+
+
+def _mask_piece(mono, c: CRat, fn_carrier):
+    x_exps, xi, ao, ae = mono
+    if xi or ae:
+        raise MetricError("metric operations need a purely bosonic element")
+    return ao, GradedPoly(fn_carrier, {(x_exps, 0, 0, EMPTY): c}, _canonical=True)
 
 
 def _masks_of_size(d: int, p: int) -> list[int]:
     return [m for m in range(1 << d) if m.bit_count() == p]
 
 
-def _raise_mask(metric: Metric, target: int, source: int) -> CRat:
-    """Minor determinant of g^{-1} picked by two ordered index sets."""
+def _minor(matrix: Matrix, target: int, source: int) -> CRat:
+    """Minor determinant picked by two ordered index sets (as masks)."""
     rows = [i - 1 for i in indices_of(target)]
     cols = [j - 1 for j in indices_of(source)]
-    return minor_det(metric.g_inv, rows, cols)
+    return minor_det(matrix, rows, cols)
 
 
-def _lower_mask(metric: Metric, target: int, source: int) -> CRat:
-    rows = [i - 1 for i in indices_of(target)]
-    cols = [j - 1 for j in indices_of(source)]
-    return minor_det(metric.g, rows, cols)
+def _transform(comps: dict[int, GradedPoly], targets, factor) -> dict[int, GradedPoly]:
+    """Components sum_s factor(t, s) comps[s] for each target mask t;
+    targets whose sum vanishes are left out."""
+    return _accumulate(
+        {},
+        (
+            (t, coeff * f)
+            for t in targets
+            for s, coeff in comps.items()
+            if not (f := factor(t, s)).is_zero()
+        ),
+    )
 
 
 def _rebuild(carrier_coords: CoordinateSystem, kind: str, comps: dict[int, GradedPoly]):
@@ -188,19 +196,8 @@ def correspondence_cg(metric: Metric, w: SuperForm) -> Scaled:
     """p-form -> p-density: raise every index with g^{-1} and weight by
     sqrt(det g)."""
     _require_bosonic(w.coords, metric)
-    comps = _components_by_mask(w.poly)
-    p = w.degree
-    out: dict[int, GradedPoly] = {}
-    for target in _masks_of_size(metric.dim, p):
-        acc = None
-        for source, coeff in comps.items():
-            factor = _raise_mask(metric, target, source)
-            if factor.is_zero():
-                continue
-            piece = coeff * factor
-            acc = piece if acc is None else acc + piece
-        if acc is not None and not acc.is_zero():
-            out[target] = acc
+    targets = _masks_of_size(metric.dim, w.degree)
+    out = _transform(_components_by_mask(w.poly), targets, lambda t, s: _minor(metric.g_inv, t, s))
     return Scaled(_rebuild(w.coords, "density", out), half_power=1).normalized(metric)
 
 
@@ -211,19 +208,8 @@ def cg_inverse(metric: Metric, f: SuperDensity | Scaled) -> Scaled:
         half = f.half_power
         f = f.value
     _require_bosonic(f.coords, metric)
-    comps = _components_by_mask(f.poly)
-    p = f.degree
-    out: dict[int, GradedPoly] = {}
-    for target in _masks_of_size(metric.dim, p):
-        acc = None
-        for source, coeff in comps.items():
-            factor = _lower_mask(metric, target, source)
-            if factor.is_zero():
-                continue
-            piece = coeff * factor
-            acc = piece if acc is None else acc + piece
-        if acc is not None and not acc.is_zero():
-            out[target] = acc
+    targets = _masks_of_size(metric.dim, f.degree)
+    out = _transform(_components_by_mask(f.poly), targets, lambda t, s: _minor(metric.g, t, s))
     return Scaled(_rebuild(f.coords, "form", out), half_power=half - 1).normalized(metric)
 
 
@@ -250,9 +236,16 @@ def _star_matrix(metric: Metric, p: int) -> tuple[list[int], list[int], Matrix]:
         i_mask = full & ~k_mask
         eps = merge_sign(i_mask, k_mask)
         for c, j_mask in enumerate(ins):
-            factor = _raise_mask(metric, i_mask, j_mask)
+            factor = _minor(metric.g_inv, i_mask, j_mask)
             q[r][c] = factor * eps
     return ins, outs, q
+
+
+def _entry(matrix: Matrix, rows: list[int], cols: list[int]):
+    """Look up a matrix entry by the masks labelling its row and column."""
+    row_of = {m: r for r, m in enumerate(rows)}
+    col_of = {m: c for c, m in enumerate(cols)}
+    return lambda t, s: matrix[row_of[t]][col_of[s]]
 
 
 def hodge_star(metric: Metric, w: SuperForm) -> Scaled:
@@ -261,18 +254,7 @@ def hodge_star(metric: Metric, w: SuperForm) -> Scaled:
     product times the volume form."""
     _require_bosonic(w.coords, metric)
     ins, outs, q = _star_matrix(metric, w.degree)
-    comps = _components_by_mask(w.poly)
-    fn = w.coords.functions
-    out: dict[int, GradedPoly] = {}
-    for r, k_mask in enumerate(outs):
-        acc = GradedPoly.zero(fn)
-        for c, j_mask in enumerate(ins):
-            coeff = comps.get(j_mask)
-            if coeff is None or q[r][c].is_zero():
-                continue
-            acc = acc + coeff * q[r][c]
-        if not acc.is_zero():
-            out[k_mask] = acc
+    out = _transform(_components_by_mask(w.poly), outs, _entry(q, outs, ins))
     return Scaled(_rebuild(w.coords, "form", out), half_power=1).normalized(metric)
 
 
@@ -285,19 +267,7 @@ def hodge_star_inverse(metric: Metric, w: SuperForm | Scaled) -> Scaled:
     d = metric.dim
     p = d - w.degree  # the preimage degree
     ins, outs, q = _star_matrix(metric, p)
-    q_inv = exactmat.inverse(q)
-    comps = _components_by_mask(w.poly)
-    fn = w.coords.functions
-    out: dict[int, GradedPoly] = {}
-    for r, j_mask in enumerate(ins):
-        acc = GradedPoly.zero(fn)
-        for c, k_mask in enumerate(outs):
-            coeff = comps.get(k_mask)
-            if coeff is None or q_inv[r][c].is_zero():
-                continue
-            acc = acc + coeff * q_inv[r][c]
-        if not acc.is_zero():
-            out[j_mask] = acc
+    out = _transform(_components_by_mask(w.poly), ins, _entry(exactmat.inverse(q), ins, outs))
     return Scaled(_rebuild(w.coords, "form", out), half_power=half - 1).normalized(metric)
 
 
@@ -342,6 +312,14 @@ def beta_ascending(metric: Metric, f: SuperDensity | Scaled) -> Scaled:
 # -- linear coordinate changes (x = A xbar) -------------------------------
 
 
+def _images(generator, carrier, n: int, entry) -> list[GradedPoly]:
+    """The n linear combinations sum_c entry(i, c) generator(carrier, c + 1)."""
+    return [
+        sum((generator(carrier, c + 1) * entry(i, c) for c in range(n)), GradedPoly.zero(carrier))
+        for i in range(n)
+    ]
+
+
 def pullback_form(w: SuperForm, a: Sequence[Sequence]) -> SuperForm:
     """Pull a bosonic form through the substitution x = A xbar: both the
     coordinates in the coefficients and the differentials transform by A."""
@@ -349,21 +327,9 @@ def pullback_form(w: SuperForm, a: Sequence[Sequence]) -> SuperForm:
     if coords.nu:
         raise MetricError("linear pullback implemented on bosonic patches")
     mat = from_rows(a)
-    fn, fc = coords.functions, coords.forms
-    x_images = [
-        sum(
-            (GradedPoly.coordinate(fn, c + 1) * mat[i][c] for c in range(coords.n)),
-            GradedPoly.zero(fn),
-        )
-        for i in range(coords.n)
-    ]
-    dx_images = [
-        sum(
-            (GradedPoly.aux_odd(fc, c + 1) * mat[i][c] for c in range(coords.n)),
-            GradedPoly.zero(fc),
-        )
-        for i in range(coords.n)
-    ]
+    fc = coords.forms
+    x_images = _images(GradedPoly.coordinate, coords.functions, coords.n, lambda i, c: mat[i][c])
+    dx_images = _images(GradedPoly.aux_odd, fc, coords.n, lambda i, c: mat[i][c])
     return SuperForm(coords, _substitute(w.poly, fc, x_images, dx_images))
 
 
@@ -376,21 +342,9 @@ def pullback_density(f: SuperDensity, a: Sequence[Sequence]) -> SuperDensity:
     mat = from_rows(a)
     inv = exactmat.inverse(mat)
     d = exactmat.det(mat)
-    fn, dc = coords.functions, coords.densities
-    x_images = [
-        sum(
-            (GradedPoly.coordinate(fn, c + 1) * mat[i][c] for c in range(coords.n)),
-            GradedPoly.zero(fn),
-        )
-        for i in range(coords.n)
-    ]
-    slot_images = [
-        sum(
-            (GradedPoly.aux_odd(dc, c + 1) * inv[c][i] for c in range(coords.n)),
-            GradedPoly.zero(dc),
-        )
-        for i in range(coords.n)
-    ]
+    dc = coords.densities
+    x_images = _images(GradedPoly.coordinate, coords.functions, coords.n, lambda i, c: mat[i][c])
+    slot_images = _images(GradedPoly.aux_odd, dc, coords.n, lambda i, c: inv[c][i])
     return SuperDensity(coords, _substitute(f.poly, dc, x_images, slot_images) * d)
 
 

@@ -5,16 +5,27 @@ keys are exponent tuples, values exact complex rationals.  Supports the
 operations the integration layer needs: ring arithmetic, partial
 derivatives, evaluation, exact definite integrals over boxes and linear
 substitution of variables.
+
+Ring arithmetic runs through the shared sparse term routines of
+`grassmann`; the monomial rule here, `_exps_mono`, adds dense exponent
+tuples with sign +1.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add
 from typing import Mapping, Sequence
 
+from .grassmann import GeneratorMismatch, _SCALARS, _hash, _neg, _power, _product, _scale, _sum
 from .scalars import CRat
 
 Expts = tuple[int, ...]
+
+
+def _exps_mono(a: Expts, b: Expts, nu: int) -> tuple[Expts, int]:
+    """Monomial rule of dense exponent tuples: add exponents, no sign."""
+    return tuple(map(add, a, b)), 1
 
 
 class Polynomial:
@@ -25,7 +36,7 @@ class Polynomial:
         if terms is None:
             clean: dict[Expts, CRat] = {}
         elif _canonical:
-            clean = dict(terms)
+            clean = terms  # a fresh dict, or the terms of another immutable element
         else:
             clean = {}
             for exps, c in terms.items():
@@ -53,38 +64,35 @@ class Polynomial:
     def is_zero(self) -> bool:
         return not self.terms
 
+    def _check(self, other: "Polynomial") -> None:
+        if self.n != other.n:
+            raise GeneratorMismatch(f"operands over {self.n} vs {other.n} variables")
+
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction, CRat)):
+        if isinstance(other, _SCALARS):
             other = Polynomial.constant(self.n, other)
         if not isinstance(other, Polynomial):
             return NotImplemented
         return self.n == other.n and self.terms == other.terms
 
     def __hash__(self):
-        return hash((self.n, frozenset(self.terms.items())))
+        return _hash(self.n, self.terms)
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction, CRat)):
+        if isinstance(other, _SCALARS):
             other = Polynomial.constant(self.n, other)
         if not isinstance(other, Polynomial):
             return NotImplemented
-        assert self.n == other.n
-        terms = dict(self.terms)
-        for e, c in other.terms.items():
-            s = terms.get(e, CRat(0)) + c
-            if s.is_zero():
-                terms.pop(e, None)
-            else:
-                terms[e] = s
-        return Polynomial(self.n, terms, _canonical=True)
+        self._check(other)
+        return Polynomial(self.n, _sum(self.terms, other.terms), _canonical=True)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Polynomial(self.n, {e: -c for e, c in self.terms.items()}, _canonical=True)
+        return Polynomial(self.n, _neg(self.terms), _canonical=True)
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction, CRat)):
+        if isinstance(other, _SCALARS):
             other = Polynomial.constant(self.n, other)
         return self + (-other)
 
@@ -92,37 +100,17 @@ class Polynomial:
         return Polynomial.constant(self.n, other) - self
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, CRat)):
-            c = CRat.coerce(other)
-            return Polynomial(
-                self.n, {e: v * c for e, v in self.terms.items()} if not c.is_zero() else {},
-                _canonical=True,
-            )
+        if isinstance(other, _SCALARS):
+            return Polynomial(self.n, _scale(self.terms, CRat.coerce(other)), _canonical=True)
         if not isinstance(other, Polynomial):
             return NotImplemented
-        assert self.n == other.n
-        out: dict[Expts, CRat] = {}
-        for ea, ca in self.terms.items():
-            for eb, cb in other.terms.items():
-                e = tuple(x + y for x, y in zip(ea, eb))
-                s = out.get(e, CRat(0)) + ca * cb
-                if s.is_zero():
-                    out.pop(e, None)
-                else:
-                    out[e] = s
-        return Polynomial(self.n, out, _canonical=True)
+        self._check(other)
+        return Polynomial(self.n, _product(self.terms, other.terms, _exps_mono, 0), _canonical=True)
 
     __rmul__ = __mul__
 
     def __pow__(self, k: int):
-        out = Polynomial.constant(self.n, 1)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+        return _power(self, k, Polynomial.constant(self.n, 1))
 
     def partial(self, index: int) -> "Polynomial":
         """d/dx_index (1-based)."""

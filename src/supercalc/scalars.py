@@ -153,10 +153,6 @@ def format_crat(c: CRat) -> str:
     if c.im == 0:
         return _format_rat(c.re)
     im_part = "i" if abs(c.im) == 1 else _format_rat(abs(c.im)) + "i"
-    if abs(c.im) == 1:
-        im_part = "i"
-    else:
-        im_part = _format_rat(abs(c.im)) + "i"
     sign = "-" if c.im < 0 else "+"
     if c.re == 0:
         return ("-" if c.im < 0 else "") + im_part

@@ -21,7 +21,7 @@ from supercalc.berezin import (
     tensor_product,
     to_json_mixed,
 )
-from supercalc.grassmann import Supernumber
+from supercalc.grassmann import GeneratorMismatch, Supernumber
 from supercalc.polynomials import Polynomial
 from supercalc.scalars import CRat
 
@@ -175,3 +175,13 @@ def test_mixed_function_json_round_trip():
         f = rg.mixed_function(rng, 2, 3)
         data = to_json_mixed(f)
         assert from_json_mixed(data) == f
+
+
+def test_polynomial_variable_count_mismatch():
+    one_var = Polynomial(1, {(1,): 1})
+    two_vars = Polynomial(2, {(1, 1): 1})
+    for op in (lambda a, b: a + b, lambda a, b: a - b, lambda a, b: a * b):
+        with pytest.raises(GeneratorMismatch):
+            op(one_var, two_vars)
+        with pytest.raises(GeneratorMismatch):
+            op(two_vars, one_var)

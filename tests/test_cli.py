@@ -105,3 +105,11 @@ def test_metric_file_for_clifford(tmp_path):
     path = tmp_path / "metric.json"
     path.write_text(json.dumps([["2", "1"], ["1", "3"]]))
     run_cli("clifford", "check", "--dim", "2", "--metric", str(path), "--trials", "1")
+
+
+def test_division_by_zero_is_an_input_error():
+    for args in (("eval", "inverse(x1)", "--nu", "2"), ("eval", "1/0", "--nu", "1")):
+        proc = run_cli(*args, expect=2)
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error:")
+        assert len(proc.stderr.strip().splitlines()) == 1
