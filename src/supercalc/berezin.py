@@ -167,10 +167,6 @@ class MixedFunction:
     def from_indices(n: int, nu: int, terms: Mapping[tuple[int, ...], Coefficient]) -> "MixedFunction":
         return MixedFunction(n, nu, {mask_of(idx, nu): c for idx, c in terms.items()})
 
-    @staticmethod
-    def from_supernumber(z: Supernumber, n: int = 0) -> "MixedFunction":
-        return MixedFunction(n, z.n, {m: Polynomial.constant(n, c) for m, c in z.terms.items()})
-
     def is_polynomial(self) -> bool:
         return all(isinstance(c, Polynomial) for c in self.terms.values())
 

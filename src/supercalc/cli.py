@@ -15,16 +15,33 @@ from fractions import Fraction
 
 from . import suites
 from .berezin import Domain, MixedFunction, Normalization, berezin_integral, mixed_integral
-from .exprlang import Context, ExprError, evaluate
-from .grassmann import from_json_terms, format_supernumber, Supernumber
+from .exprlang import Context, evaluate
+from .grassmann import from_json_terms, format_supernumber, mask_of, Supernumber
 from .polynomials import from_json_poly
 from .scalars import CRat
+
+
+def _int_at_least(low: int):
+    """argparse type for an integer flag with a lower bound."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    return parse
+
+
+_COUNT = _int_at_least(0)
+_POSITIVE = _int_at_least(1)
 
 
 def _common_flags(parser: argparse.ArgumentParser):
     parser.add_argument("--json", action="store_true", help="machine-readable output")
     parser.add_argument("--seed", type=int, default=0, help="random seed for suites")
-    parser.add_argument("--trials", type=int, default=None, help="trial count override")
+    parser.add_argument("--trials", type=_POSITIVE, default=None, help="trial count override")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -38,8 +55,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_eval = sub.add_parser("eval", help="evaluate an expression")
     p_eval.add_argument("expression")
-    p_eval.add_argument("--nu", type=int, default=0, help="Grassmann generator count")
-    p_eval.add_argument("--n", type=int, default=0, help="bosonic coordinate count (form mode)")
+    p_eval.add_argument("--nu", type=_COUNT, default=0, help="Grassmann generator count")
+    p_eval.add_argument("--n", type=_COUNT, default=0, help="bosonic coordinate count (form mode)")
     p_eval.add_argument(
         "--let",
         action="append",
@@ -50,7 +67,7 @@ def build_parser() -> argparse.ArgumentParser:
     _common_flags(p_eval)
 
     p_ber = sub.add_parser("berezin", help="Berezin-integrate a supernumber file")
-    p_ber.add_argument("--nu", type=int, required=True)
+    p_ber.add_argument("--nu", type=_COUNT, required=True)
     p_ber.add_argument("--expr", required=True, help="JSON term map file")
     p_ber.add_argument(
         "--normalization",
@@ -60,8 +77,8 @@ def build_parser() -> argparse.ArgumentParser:
     _common_flags(p_ber)
 
     p_mixed = sub.add_parser("mixed", help="integrate a mixed function over a box")
-    p_mixed.add_argument("--n", type=int, required=True)
-    p_mixed.add_argument("--nu", type=int, required=True)
+    p_mixed.add_argument("--n", type=_COUNT, required=True)
+    p_mixed.add_argument("--nu", type=_COUNT, required=True)
     p_mixed.add_argument("--expr", required=True, help="JSON mixed-function file")
     p_mixed.add_argument("--domain", required=True, help="bounds like '0,1' or '0,1;-1,1'")
     p_mixed.add_argument("--quad", type=float, default=1e-10, help="quadrature tolerance")
@@ -72,13 +89,13 @@ def build_parser() -> argparse.ArgumentParser:
         "suite",
         choices=sorted(suites.SUITES) + ["all"],
     )
-    p_check.add_argument("--n", type=int, default=None)
-    p_check.add_argument("--nu", type=int, default=None)
-    p_check.add_argument("--dim", type=int, default=None)
+    p_check.add_argument("--n", type=_COUNT, default=None)
+    p_check.add_argument("--nu", type=_COUNT, default=None)
+    p_check.add_argument("--dim", type=_POSITIVE, default=None)
     p_check.add_argument("--metric", default=None, help="identity|minkowski|FILE")
-    p_check.add_argument("--nb", type=int, default=2)
-    p_check.add_argument("--nf", type=int, default=2)
-    p_check.add_argument("--max-occ", type=int, default=3)
+    p_check.add_argument("--nb", type=_POSITIVE, default=2)
+    p_check.add_argument("--nf", type=_POSITIVE, default=2)
+    p_check.add_argument("--max-occ", type=_COUNT, default=3)
     _common_flags(p_check)
 
     for name, help_text in (
@@ -89,15 +106,15 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("action", choices=["check"])
         if name == "fock":
-            p.add_argument("--nb", type=int, default=2)
-            p.add_argument("--nf", type=int, default=2)
-            p.add_argument("--max-occ", type=int, default=3)
+            p.add_argument("--nb", type=_POSITIVE, default=2)
+            p.add_argument("--nf", type=_POSITIVE, default=2)
+            p.add_argument("--max-occ", type=_COUNT, default=3)
         elif name == "clifford":
-            p.add_argument("--dim", type=int, default=4)
+            p.add_argument("--dim", type=_POSITIVE, default=4)
             p.add_argument("--metric", default=None, help="identity|minkowski|FILE")
         else:
-            p.add_argument("--n", type=int, default=2)
-            p.add_argument("--nu", type=int, default=2)
+            p.add_argument("--n", type=_COUNT, default=2)
+            p.add_argument("--nu", type=_COUNT, default=2)
         _common_flags(p)
 
     return root
@@ -128,8 +145,6 @@ def _load_mixed(data: dict, n: int, nu: int) -> MixedFunction:
     n = int(data.get("n", n))
     nu = int(data.get("nu", nu))
     terms = {}
-    from .grassmann import mask_of
-
     for key, value in data["terms"].items():
         indices = tuple(int(tok) for tok in key.split(",")) if key else ()
         mask = mask_of(indices, nu)
@@ -201,17 +216,28 @@ def _metric_rows(spec: str | None):
     return [[Fraction(str(v)) for v in row] for row in data]
 
 
+_DEFAULT_TRIALS = {
+    "all": 50,
+    "grassmann": 200,
+    "berezin": 200,
+    "linalg": 100,
+    "complexes": 50,
+    "metric": 5,
+    "fock": 30,
+    "clifford": 5,
+}
+
+
 def cmd_check(args, suite: str) -> int:
-    trials = args.trials
-    reports = []
+    trials = _DEFAULT_TRIALS[suite] if args.trials is None else args.trials
     if suite == "all":
-        reports = suites.run_all(trials=trials or 50, seed=args.seed)
+        reports = suites.run_all(trials=trials, seed=args.seed)
     elif suite == "grassmann":
-        reports = [suites.run_grassmann(trials=trials or 200, seed=args.seed)]
+        reports = [suites.run_grassmann(trials=trials, seed=args.seed)]
     elif suite == "berezin":
-        reports = [suites.run_berezin(trials=trials or 200, seed=args.seed)]
+        reports = [suites.run_berezin(trials=trials, seed=args.seed)]
     elif suite == "linalg":
-        reports = [suites.run_linalg(trials=trials or 100, seed=args.seed)]
+        reports = [suites.run_linalg(trials=trials, seed=args.seed)]
     elif suite == "complexes":
         mixes = None
         n = getattr(args, "n", None)
@@ -220,16 +246,14 @@ def cmd_check(args, suite: str) -> int:
             mixes = ((n, nu),)
         kwargs = {"mixes": mixes} if mixes else {}
         reports = [
-            suites.run_complexes(
-                trials=trials or 50, seed=args.seed, table_cases=12, **kwargs
-            )
+            suites.run_complexes(trials=trials, seed=args.seed, table_cases=12, **kwargs)
         ]
     elif suite == "metric":
-        reports = [suites.run_metric(trials=trials or 5, seed=args.seed)]
+        reports = [suites.run_metric(trials=trials, seed=args.seed)]
     elif suite == "fock":
         reports = [
             suites.run_fock(
-                trials=trials or 30,
+                trials=trials,
                 seed=args.seed,
                 n_bose=getattr(args, "nb", 2),
                 n_fermi=getattr(args, "nf", 2),
@@ -238,17 +262,15 @@ def cmd_check(args, suite: str) -> int:
         ]
     elif suite == "clifford":
         dim = getattr(args, "dim", None)
-        dims = (dim,) if dim else (1, 2, 3, 4)
+        dims = (1, 2, 3, 4) if dim is None else (dim,)
         reports = [
             suites.run_clifford(
-                trials=trials or 5,
+                trials=trials,
                 seed=args.seed,
                 dims=dims,
                 metric_spec=_metric_rows(getattr(args, "metric", None)),
             )
         ]
-    else:
-        raise ValueError(f"unknown suite {suite!r}")
 
     if args.json:
         print(json.dumps([r.to_json_dict() for r in reports], sort_keys=True))
@@ -274,9 +296,6 @@ def main(argv: list[str] | None = None) -> int:
             return cmd_check(args, args.suite)
         if args.command in ("fock", "clifford", "complexes"):
             return cmd_check(args, args.command)
-    except ExprError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (ValueError, OSError, KeyError, TypeError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

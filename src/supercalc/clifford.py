@@ -11,81 +11,42 @@ module).
 The exterior-algebra carrier reuses the Grassmann kernel: an element of
 Lambda V* is exactly a supernumber on D generators.  Operators are
 materialized as dense 2^D x 2^D matrices over exact complex rationals,
-the strongest brute-force oracle at these sizes.
+the strongest brute-force oracle at these sizes.  The metric is a
+`metric.Metric` (`CliffordContext` names the same class).  The current
+components gamma_[I] come from the one-index antisymmetrizer: each rank
+is built from the one below by peeling off one index with its sign,
+gamma_[i1..ip] = (1/p) sum_k (-1)^(k-1) gamma_ik gamma_[I - ik], so no
+sum over all p! orderings is formed.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, permutations
-from math import factorial
+from functools import reduce
+from itertools import combinations
 from typing import Callable, Sequence
 
 from . import exactmat
-from .exactmat import Matrix, from_rows
+from .berezin import grassmann_derivative
+from .exactmat import Matrix
+from .forms import SuperForm, SuperVectorField, op_d_form, op_e_form, op_i_form, op_lie_form
 from .grassmann import Supernumber
+from .metric import Metric, metric_delta
 from .scalars import CRat
 
 ExteriorElement = Supernumber  # Lambda V* on D generators
 
 Endo = Callable[[ExteriorElement], ExteriorElement]
 
-
-@dataclass(frozen=True)
-class CliffordContext:
-    dim: int
-    g: Matrix
-    g_inv: Matrix
-
-    @staticmethod
-    def from_matrix(rows: Sequence[Sequence]) -> "CliffordContext":
-        g = from_rows(rows)
-        d = len(g)
-        if any(len(r) != d for r in g):
-            raise ValueError("metric must be square")
-        for i in range(d):
-            for j in range(d):
-                if g[i][j] != g[j][i]:
-                    raise ValueError("metric must be symmetric")
-        det = exactmat.det(g)
-        if det.is_zero():
-            raise ValueError("metric is degenerate")
-        return CliffordContext(d, g, exactmat.inverse(g))
-
-    @staticmethod
-    def identity(d: int) -> "CliffordContext":
-        return CliffordContext.from_matrix(
-            [[1 if i == j else 0 for j in range(d)] for i in range(d)]
-        )
-
-    @staticmethod
-    def minkowski(d: int = 4) -> "CliffordContext":
-        return CliffordContext.from_matrix(
-            [[(-1 if i == 0 else 1) if i == j else 0 for j in range(d)] for i in range(d)]
-        )
-
-    def scalar_product(self, v: Sequence, w: Sequence) -> CRat:
-        v = [CRat.coerce(c) for c in v]
-        w = [CRat.coerce(c) for c in w]
-        total = CRat(0)
-        for a in range(self.dim):
-            for b in range(self.dim):
-                total = total + self.g[a][b] * v[a] * w[b]
-        return total
-
-    def basis_vector(self, a: int) -> list[CRat]:
-        return [CRat(1 if i == a - 1 else 0) for i in range(self.dim)]
+CliffordContext = Metric  # the Clifford layer takes the same constant metric
 
 
-def contraction(ctx: CliffordContext, v: Sequence) -> Endo:
+def contraction(ctx: Metric, v: Sequence) -> Endo:
     """i(v): remove one factor at a time with alternating signs; on the
     generator basis this is the left Grassmann derivative."""
     comps = [CRat.coerce(c) for c in v]
 
     def run(w: ExteriorElement) -> ExteriorElement:
-        from .berezin import grassmann_derivative
-
         out = Supernumber.zero(ctx.dim)
         for b, c in enumerate(comps, start=1):
             if not c.is_zero():
@@ -95,7 +56,7 @@ def contraction(ctx: CliffordContext, v: Sequence) -> Endo:
     return run
 
 
-def lowered_covector(ctx: CliffordContext, v: Sequence) -> ExteriorElement:
+def lowered_covector(ctx: Metric, v: Sequence) -> ExteriorElement:
     """The image of v under the metric isomorphism with the dual space."""
     comps = [CRat.coerce(c) for c in v]
     out = Supernumber.zero(ctx.dim)
@@ -108,7 +69,7 @@ def lowered_covector(ctx: CliffordContext, v: Sequence) -> ExteriorElement:
     return out
 
 
-def gamma(ctx: CliffordContext, v: Sequence) -> Endo:
+def gamma(ctx: Metric, v: Sequence) -> Endo:
     """gamma(v) = (lowered v) wedge + i(v); satisfies
     gamma(v) gamma(w) + gamma(w) gamma(v) = 2 g(v, w)."""
     cov = lowered_covector(ctx, v)
@@ -120,11 +81,11 @@ def gamma(ctx: CliffordContext, v: Sequence) -> Endo:
     return run
 
 
-def gamma_lower(ctx: CliffordContext, a: int) -> Endo:
+def gamma_lower(ctx: Metric, a: int) -> Endo:
     return gamma(ctx, ctx.basis_vector(a))
 
 
-def gamma_upper(ctx: CliffordContext, a: int) -> Endo:
+def gamma_upper(ctx: Metric, a: int) -> Endo:
     """gamma^a = g^{ab} gamma_b, which on generators reads
     xi^a wedge + g^{ab} d/dxi^b."""
     row = ctx.g_inv[a - 1]
@@ -140,13 +101,11 @@ def gamma_upper(ctx: CliffordContext, a: int) -> Endo:
     return run
 
 
-def gamma_upper_symbolic(ctx: CliffordContext, a: int) -> Endo:
+def gamma_upper_symbolic(ctx: Metric, a: int) -> Endo:
     """Independent route: multiply by the generator and add the
     metric-weighted left derivatives directly."""
 
     def run(w: ExteriorElement) -> ExteriorElement:
-        from .berezin import grassmann_derivative
-
         out = Supernumber.generator(ctx.dim, a) * w
         for b in range(1, ctx.dim + 1):
             c = ctx.g_inv[a - 1][b - 1]
@@ -167,19 +126,13 @@ def reversal(w: ExteriorElement) -> ExteriorElement:
     return Supernumber(w.n, out, _canonical=True)
 
 
-def gamma0(ctx: CliffordContext, v: Sequence) -> Endo:
+def gamma0(ctx: Metric, v: Sequence) -> Endo:
     """The commuting copy J gamma(v) J."""
     inner = gamma(ctx, v)
     return lambda w: reversal(inner(reversal(w)))
 
 
 # -- dense-matrix materialization ------------------------------------------
-
-
-def basis(d: int) -> list[ExteriorElement]:
-    return [
-        Supernumber(d, {mask: CRat(1)}, _canonical=True) for mask in range(1 << d)
-    ]
 
 
 def matrix_of(op: Endo, d: int) -> Matrix:
@@ -203,48 +156,34 @@ def commutator_matrix(a: Matrix, b: Matrix) -> Matrix:
     return exactmat.madd(exactmat.matmul(a, b), exactmat.mscale(exactmat.matmul(b, a), -1))
 
 
-def gamma_matrices(ctx: CliffordContext, upper: bool = True) -> list[Matrix]:
+def gamma_matrices(ctx: Metric, upper: bool = True) -> list[Matrix]:
     make = gamma_upper if upper else gamma_lower
     return [matrix_of(make(ctx, a), ctx.dim) for a in range(1, ctx.dim + 1)]
 
 
-def current(ctx: CliffordContext, p: int) -> dict[tuple[int, ...], Matrix]:
+def current(ctx: Metric, p: int) -> dict[tuple[int, ...], Matrix]:
     """Antisymmetrized products gamma_[i1 ... ip] as dense matrices, one
-    per ordered index set; the bilinear current against two states is a
-    plain matrix sandwich."""
+    per increasing index set; the bilinear current against two states is
+    a plain matrix sandwich.  Built rank by rank with the one-index
+    antisymmetrizer (see the module docstring)."""
     if not 0 <= p <= ctx.dim:
         raise ValueError(f"antisymmetrization rank {p} outside 0..{ctx.dim}")
-    lowers = gamma_matrices(ctx, upper=False)
-    out: dict[tuple[int, ...], Matrix] = {}
     if p == 0:
         return {(): identity_matrix(ctx.dim)}
-    for indices in combinations(range(1, ctx.dim + 1), p):
-        acc = exactmat.zeros(1 << ctx.dim, 1 << ctx.dim)
-        for perm in permutations(range(p)):
-            sign = _perm_sign(perm)
-            prod = lowers[indices[perm[0]] - 1]
-            for k in perm[1:]:
-                prod = exactmat.matmul(prod, lowers[indices[k] - 1])
-            acc = exactmat.madd(acc, exactmat.mscale(prod, sign))
-        out[indices] = exactmat.mscale(acc, Fraction(1, factorial(p)))
-    return out
-
-
-def _perm_sign(perm: Sequence[int]) -> int:
-    sign = 1
-    seen = [False] * len(perm)
-    for start in range(len(perm)):
-        if seen[start]:
-            continue
-        length = 0
-        i = start
-        while not seen[i]:
-            seen[i] = True
-            i = perm[i]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
+    lowers = gamma_matrices(ctx, upper=False)
+    level = {(i,): lowers[i - 1] for i in range(1, ctx.dim + 1)}
+    for rank in range(2, p + 1):
+        prev, level = level, {}
+        for indices in combinations(range(1, ctx.dim + 1), rank):
+            terms = (
+                exactmat.mscale(
+                    exactmat.matmul(lowers[i - 1], prev[indices[:k] + indices[k + 1:]]),
+                    Fraction((-1) ** k, rank),
+                )
+                for k, i in enumerate(indices)
+            )
+            level[indices] = reduce(exactmat.madd, terms)
+    return level
 
 
 # -- Dirac-type operator on polynomial forms --------------------------------
@@ -253,8 +192,6 @@ def _perm_sign(perm: Sequence[int]) -> int:
 def dirac_gamma_on_forms(metric, mu: int):
     """gamma^mu on the bosonic form algebra: e(x^mu) + g^{mu nu} i(d/dx^nu).
     Anticommutators reproduce 2 g^{mu nu} on every polynomial form."""
-    from .forms import SuperVectorField, op_e_form, op_i_form
-
     coords = metric.coords()
     e_part = op_e_form(coords, coords.x(mu))
     terms = [e_part]
@@ -277,9 +214,6 @@ def dirac_operator(metric):
     """d + metric transpose, acting degreewise on a (possibly mixed
     degree) element of the bosonic form algebra; returns a raw algebra
     element because the image mixes degrees p-1 and p+1."""
-    from .forms import SuperForm, op_d_form
-    from .metric import metric_delta
-
     coords = metric.coords()
     d = op_d_form(coords)
 
@@ -296,8 +230,6 @@ def dirac_operator(metric):
 def dirac_operator_gamma_route(metric):
     """The same operator assembled from gamma^mu and coordinate Lie
     derivatives - the dual-route oracle."""
-    from .forms import SuperVectorField, op_lie_form
-
     coords = metric.coords()
     lies = [
         op_lie_form(SuperVectorField.coordinate_basis(coords, ("x", mu)))

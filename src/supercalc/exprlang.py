@@ -223,7 +223,11 @@ def _parse_factor(p: _Parser, ctx: Context):
 def _parse_atom(p: _Parser, ctx: Context):
     kind, text, at = p.next()
     if kind == "num":
-        return ctx.scalar(parse_crat(text))
+        try:
+            value = parse_crat(text)
+        except ValueError as exc:
+            raise ExprError(str(exc), at) from None
+        return ctx.scalar(value)
     if text == "(":
         value = _parse_expr(p, ctx)
         p.expect(")")

@@ -86,9 +86,7 @@ class FockState:
         return FockState(self.spec, self.rep, self.poly + other.poly)
 
     def __sub__(self, other: "FockState") -> "FockState":
-        if (self.spec, self.rep) != (other.spec, other.rep):
-            raise ValueError("states live in different spaces")
-        return FockState(self.spec, self.rep, self.poly - other.poly)
+        return self + (-other)
 
     def __neg__(self):
         return FockState(self.spec, self.rep, -self.poly)

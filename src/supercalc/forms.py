@@ -69,11 +69,6 @@ class CoordinateSystem:
     def one(self) -> GradedPoly:
         return GradedPoly.unit(self.functions)
 
-    def coordinate_labels(self) -> list[str]:
-        return [f"x{a}" for a in range(1, self.n + 1)] + [
-            f"xi{al}" for al in range(1, self.nu + 1)
-        ]
-
 
 # -- wrappers ----------------------------------------------------------
 
@@ -98,7 +93,7 @@ class _Homogeneous:
     _kind: Kind
 
     def __init__(self, coords: CoordinateSystem, poly: GradedPoly):
-        if poly.carrier != Carrier(coords.n, coords.nu, self._kind):
+        if poly.carrier != self.carrier_of(coords):
             raise GeneratorMismatch(f"payload is not a {self._kind.value} over these coordinates")
         degrees = poly.degrees()
         if len(degrees) > 1:
@@ -111,8 +106,12 @@ class _Homogeneous:
         raise AttributeError(f"{type(self).__name__} is immutable")
 
     @classmethod
+    def carrier_of(cls, coords: CoordinateSystem) -> Carrier:
+        return Carrier(coords.n, coords.nu, cls._kind)
+
+    @classmethod
     def from_function(cls, coords: CoordinateSystem, f):
-        return cls(coords, _as_function(coords, f).with_carrier(Carrier(coords.n, coords.nu, cls._kind)))
+        return cls(coords, _as_function(coords, f).with_carrier(cls.carrier_of(coords)))
 
     def parity(self) -> Parity:
         return self.poly.parity()
@@ -277,13 +276,6 @@ class Operator:
     def __call__(self, w: GradedPoly) -> GradedPoly:
         return self.fn(w)
 
-    def compose(self, other: "Operator") -> "Operator":
-        return Operator(
-            (self.parity + other.parity) % 2,
-            lambda w: self.fn(other.fn(w)),
-            f"{self.name}*{other.name}",
-        )
-
     def __add__(self, other: "Operator") -> "Operator":
         parity = self.parity if self.parity == other.parity else None
         return Operator(parity, lambda w: self.fn(w) + other.fn(w), f"{self.name}+{other.name}")
@@ -323,19 +315,6 @@ def _parity_of(f: GradedPoly) -> int:
     if p is Parity.MIXED:
         raise ValueError("operator argument must have homogeneous parity")
     return p.value if p is not Parity.EVEN else 0
-
-
-def zero_op(parity: int = 0) -> Operator:
-    return Operator(parity, lambda w: GradedPoly.zero(w.carrier), "0")
-
-
-def identity_op() -> Operator:
-    return Operator(0, lambda w: w, "Id")
-
-
-def scalar_op(c) -> Operator:
-    c = CRat.coerce(c)
-    return Operator(0, lambda w: w * c, f"{c}*Id")
 
 
 # operators on the form algebra

@@ -72,9 +72,6 @@ class Carrier:
         if self.n < 0 or self.nu < 0:
             raise ValueError("coordinate counts must be >= 0")
 
-    def with_kind(self, kind: Kind) -> "Carrier":
-        return Carrier(self.n, self.nu, kind)
-
     def aux_labels(self) -> tuple[str, str]:
         if self.kind is Kind.FORM:
             return "dx", "dxi"
@@ -112,17 +109,6 @@ def _d_exps(exps: ExpTuple, idx: int) -> tuple[ExpTuple, int] | None:
 
 
 # term rules for _map_terms
-
-
-def _substitute_term(mono: Mono, c: CRat, assignment: Mapping[int, CRat]):
-    rest = []
-    for idx, e in mono[0]:
-        if idx in assignment:
-            c = c * CRat.coerce(assignment[idx]) ** e
-        else:
-            rest.append((idx, e))
-    if not c.is_zero():
-        return (tuple(rest), mono[1], mono[2], mono[3]), c
 
 
 def _d_x(mono: Mono, c: CRat, a: int):
@@ -366,11 +352,6 @@ class GradedPoly:
         if any(_mono_degree(m) for m in self.terms):
             raise ValueError("element carries auxiliary generators")
         return self.with_carrier(Carrier(self.carrier.n, self.carrier.nu, Kind.FUNCTION))
-
-    def substitute_value(self, assignment: Mapping[int, CRat]) -> "GradedPoly":
-        """Evaluate the even coordinates at exact values (x_a -> c_a)."""
-        terms = _map_terms(self.terms, _substitute_term, assignment)
-        return GradedPoly(self.carrier, terms, _canonical=True)
 
     # -- rendering --------------------------------------------------------
 

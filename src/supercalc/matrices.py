@@ -56,8 +56,19 @@ class ParitySignature:
         return f"ParitySignature({list(self.parities)})"
 
 
-def _entry_parity(z: Supernumber) -> Parity:
-    return z.parity()
+def _common_parity(pairs) -> int | None:
+    """The parity shared by every nonzero entry once shifted by its
+    basis parity, from (shift, entry) pairs: 0, 1, or None when no parity
+    can be assigned.  All entries zero counts as even."""
+    found = set()
+    for shift, z in pairs:
+        if z.is_zero():
+            continue
+        pz = z.parity()
+        if pz is Parity.MIXED:
+            return None
+        found.add((pz.value + shift) % 2)
+    return None if len(found) > 1 else (found.pop() if found else 0)
 
 
 class GradedVector:
@@ -81,19 +92,7 @@ class GradedVector:
 
     def parity(self) -> int | None:
         """0, 1, or None when no parity can be assigned."""
-        candidates = {0, 1}
-        for p_basis, z in zip(self.sig.parities, self.coords):
-            if z.is_zero():
-                continue
-            pz = z.parity()
-            if pz is Parity.MIXED:
-                return None
-            candidates &= {(pz.value + p_basis) % 2}
-            if not candidates:
-                return None
-        if len(candidates) == 1:
-            return candidates.pop()
-        return 0  # zero vector: call it even
+        return _common_parity(zip(self.sig.parities, self.coords))
 
     def upper_components(self) -> tuple[Supernumber, ...]:
         pv = self.parity()
@@ -153,21 +152,11 @@ class GradedMatrix:
         )
 
     def parity(self) -> int | None:
-        candidates = {0, 1}
-        for i, pr in enumerate(self.row_sig.parities):
-            for j, pc in enumerate(self.col_sig.parities):
-                z = self.entries[i][j]
-                if z.is_zero():
-                    continue
-                pz = z.parity()
-                if pz is Parity.MIXED:
-                    return None
-                candidates &= {(pz.value + pr + pc) % 2}
-                if not candidates:
-                    return None
-        if len(candidates) == 1:
-            return candidates.pop()
-        return 0  # zero matrix
+        return _common_parity(
+            (pr + pc, z)
+            for pr, row in zip(self.row_sig.parities, self.entries)
+            for pc, z in zip(self.col_sig.parities, row)
+        )
 
     def parity_projection(self, target: int) -> "GradedMatrix":
         """Keep only the entry components contributing matrix parity

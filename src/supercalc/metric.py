@@ -82,6 +82,18 @@ class Metric:
     def coords(self) -> CoordinateSystem:
         return CoordinateSystem(self.dim, 0)
 
+    def basis_vector(self, a: int) -> list[CRat]:
+        return [CRat(1 if i == a - 1 else 0) for i in range(self.dim)]
+
+    def scalar_product(self, v: Sequence, w: Sequence) -> CRat:
+        v = [CRat.coerce(c) for c in v]
+        w = [CRat.coerce(c) for c in w]
+        total = CRat(0)
+        for a in range(self.dim):
+            for b in range(self.dim):
+                total = total + self.g[a][b] * v[a] * w[b]
+        return total
+
 
 @dataclass(frozen=True)
 class Scaled:
@@ -164,29 +176,16 @@ def _transform(comps: dict[int, GradedPoly], targets, factor) -> dict[int, Grade
     )
 
 
-def _rebuild(carrier_coords: CoordinateSystem, kind: str, comps: dict[int, GradedPoly]):
-    if kind == "form":
-        carrier = carrier_coords.forms
-        blade = lambda m: _blade(carrier_coords, m, form=True)
-        wrap = lambda poly: SuperForm(carrier_coords, poly)
-    else:
-        carrier = carrier_coords.densities
-        blade = lambda m: _blade(carrier_coords, m, form=False)
-        wrap = lambda poly: SuperDensity(carrier_coords, poly)
-    total = GradedPoly.zero(carrier)
-    for mask, coeff in comps.items():
-        if coeff.is_zero():
-            continue
-        total = total + coeff.with_carrier(carrier) * blade(mask)
-    return wrap(total)
-
-
-def _blade(coords: CoordinateSystem, mask: int, form: bool) -> GradedPoly:
-    carrier = coords.forms if form else coords.densities
-    out = GradedPoly.unit(carrier)
-    for a in indices_of(mask):
-        out = out * GradedPoly.aux_odd(carrier, a)
-    return out
+def _rebuild(coords: CoordinateSystem, cls, comps: dict[int, GradedPoly]):
+    """Assemble a SuperForm or SuperDensity from its components by slot
+    mask: an increasing bosonic blade times a bosonic coefficient monomial
+    is the canonical monomial (x_exps, 0, mask, EMPTY) with sign +1."""
+    terms = {
+        (x_exps, 0, mask, EMPTY): c
+        for mask, coeff in comps.items()
+        for (x_exps, _xi, _ao, _ae), c in coeff.terms.items()
+    }
+    return cls(coords, GradedPoly(cls.carrier_of(coords), terms, _canonical=True))
 
 
 # -- the correspondence C_g ----------------------------------------------
@@ -198,7 +197,7 @@ def correspondence_cg(metric: Metric, w: SuperForm) -> Scaled:
     _require_bosonic(w.coords, metric)
     targets = _masks_of_size(metric.dim, w.degree)
     out = _transform(_components_by_mask(w.poly), targets, lambda t, s: _minor(metric.g_inv, t, s))
-    return Scaled(_rebuild(w.coords, "density", out), half_power=1).normalized(metric)
+    return Scaled(_rebuild(w.coords, SuperDensity, out), half_power=1).normalized(metric)
 
 
 def cg_inverse(metric: Metric, f: SuperDensity | Scaled) -> Scaled:
@@ -210,7 +209,7 @@ def cg_inverse(metric: Metric, f: SuperDensity | Scaled) -> Scaled:
     _require_bosonic(f.coords, metric)
     targets = _masks_of_size(metric.dim, f.degree)
     out = _transform(_components_by_mask(f.poly), targets, lambda t, s: _minor(metric.g, t, s))
-    return Scaled(_rebuild(f.coords, "form", out), half_power=half - 1).normalized(metric)
+    return Scaled(_rebuild(f.coords, SuperForm, out), half_power=half - 1).normalized(metric)
 
 
 def volume_density(metric: Metric) -> Scaled:
@@ -255,7 +254,7 @@ def hodge_star(metric: Metric, w: SuperForm) -> Scaled:
     _require_bosonic(w.coords, metric)
     ins, outs, q = _star_matrix(metric, w.degree)
     out = _transform(_components_by_mask(w.poly), outs, _entry(q, outs, ins))
-    return Scaled(_rebuild(w.coords, "form", out), half_power=1).normalized(metric)
+    return Scaled(_rebuild(w.coords, SuperForm, out), half_power=1).normalized(metric)
 
 
 def hodge_star_inverse(metric: Metric, w: SuperForm | Scaled) -> Scaled:
@@ -268,7 +267,7 @@ def hodge_star_inverse(metric: Metric, w: SuperForm | Scaled) -> Scaled:
     p = d - w.degree  # the preimage degree
     ins, outs, q = _star_matrix(metric, p)
     out = _transform(_components_by_mask(w.poly), ins, _entry(exactmat.inverse(q), ins, outs))
-    return Scaled(_rebuild(w.coords, "form", out), half_power=half - 1).normalized(metric)
+    return Scaled(_rebuild(w.coords, SuperForm, out), half_power=half - 1).normalized(metric)
 
 
 # -- metric transpose and its ascending partner ---------------------------

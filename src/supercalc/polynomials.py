@@ -3,8 +3,7 @@
 Used as the commuting-coefficient ring for mixed superfunctions: term
 keys are exponent tuples, values exact complex rationals.  Supports the
 operations the integration layer needs: ring arithmetic, partial
-derivatives, evaluation, exact definite integrals over boxes and linear
-substitution of variables.
+derivatives, evaluation and exact definite integrals over boxes.
 
 Ring arithmetic runs through the shared sparse term routines of
 `grassmann`; the monomial rule here, `_exps_mono`, adds dense exponent
@@ -135,16 +134,6 @@ class Polynomial:
             total = total + term
         return total
 
-    def evaluate_float(self, point: Sequence[float]) -> complex:
-        total = 0j
-        for e, c in self.terms.items():
-            term = complex(c)
-            for v, k in zip(point, e):
-                if k:
-                    term *= v ** k
-            total += term
-        return total
-
     def integrate_box(self, bounds: Sequence[tuple]) -> CRat:
         """Exact definite integral over a product of intervals."""
         if len(bounds) != self.n:
@@ -159,25 +148,6 @@ class Polynomial:
                 factor = factor * width
             total = total + c * factor
         return total
-
-    def substitute_linear(self, a: Sequence[Sequence]) -> "Polynomial":
-        """Replace x_i by sum_j a[i][j] y_j (same variable count)."""
-        n = self.n
-        rows = [[CRat.coerce(Fraction(v) if isinstance(v, str) else v) for v in row] for row in a]
-        if len(rows) != n or any(len(r) != n for r in rows):
-            raise ValueError("substitution matrix must be n x n")
-        images = [
-            Polynomial(n, {tuple(1 if j == k else 0 for k in range(n)): rows[i][j] for j in range(n)})
-            for i in range(n)
-        ]
-        out = Polynomial(n)
-        for e, c in self.terms.items():
-            term = Polynomial.constant(n, c)
-            for i, k in enumerate(e):
-                if k:
-                    term = term * images[i] ** k
-            out = out + term
-        return out
 
     def degree(self) -> int:
         return max((sum(e) for e in self.terms), default=0)

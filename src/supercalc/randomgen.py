@@ -8,6 +8,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+from . import exactmat
 from .forms import CoordinateSystem, SuperDensity, SuperForm, SuperVectorField
 from .graded_poly import GradedPoly
 from .grassmann import Supernumber
@@ -100,50 +101,37 @@ def superfunction(
 
 
 def form(rng: random.Random, coords: CoordinateSystem, degree: int, blades: int = 3) -> SuperForm:
-    acc = GradedPoly.zero(coords.forms)
+    return _homogeneous(rng, coords, degree, blades, SuperForm)
+
+
+def density(rng: random.Random, coords: CoordinateSystem, degree: int, blades: int = 3) -> SuperDensity:
+    return _homogeneous(rng, coords, degree, blades, SuperDensity)
+
+
+def _homogeneous(rng: random.Random, coords: CoordinateSystem, degree: int, blades: int, cls):
+    """Sum of random superfunctions times random blades of the given
+    degree, in the form or density algebra of ``cls``."""
+    carrier = cls.carrier_of(coords)
+    acc = GradedPoly.zero(carrier)
     for _ in range(blades):
-        blade = GradedPoly.unit(coords.forms)
+        blade = GradedPoly.unit(carrier)
         d = 0
         guard = 0
         while d < degree and guard < 30:
             guard += 1
             if coords.nu and (not coords.n or rng.random() < 0.5):
-                blade = blade * coords.dxi(rng.randint(1, coords.nu))
+                blade = blade * GradedPoly.aux_even(carrier, rng.randint(1, coords.nu))
                 d += 1
             elif coords.n:
-                new = blade * coords.dx(rng.randint(1, coords.n))
+                new = blade * GradedPoly.aux_odd(carrier, rng.randint(1, coords.n))
                 if new.is_zero():
                     continue  # repeated bosonic differential
                 blade = new
                 d += 1
         if d < degree:
             continue
-        acc = acc + superfunction(rng, coords).with_carrier(coords.forms) * blade
-    return SuperForm(coords, acc.degree_part(degree))
-
-
-def density(rng: random.Random, coords: CoordinateSystem, degree: int, blades: int = 3) -> SuperDensity:
-    dc = coords.densities
-    acc = GradedPoly.zero(dc)
-    for _ in range(blades):
-        blade = GradedPoly.unit(dc)
-        d = 0
-        guard = 0
-        while d < degree and guard < 30:
-            guard += 1
-            if coords.nu and (not coords.n or rng.random() < 0.5):
-                blade = blade * GradedPoly.aux_even(dc, rng.randint(1, coords.nu))
-                d += 1
-            elif coords.n:
-                new = blade * GradedPoly.aux_odd(dc, rng.randint(1, coords.n))
-                if new.is_zero():
-                    continue
-                blade = new
-                d += 1
-        if d < degree:
-            continue
-        acc = acc + superfunction(rng, coords).with_carrier(dc) * blade
-    return SuperDensity(coords, acc.degree_part(degree))
+        acc = acc + superfunction(rng, coords).with_carrier(carrier) * blade
+    return cls(coords, acc.degree_part(degree))
 
 
 def vector_field(rng: random.Random, coords: CoordinateSystem, parity: int) -> SuperVectorField:
@@ -153,22 +141,19 @@ def vector_field(rng: random.Random, coords: CoordinateSystem, parity: int) -> S
 
 
 def invertible_rational_matrix(rng: random.Random, size: int) -> list[list[Fraction]]:
-    from . import exactmat
-
-    while True:
-        rows = [[rational(rng, 3, 2) for _ in range(size)] for _ in range(size)]
-        if not exactmat.det(exactmat.from_rows(rows)).is_zero():
-            return rows
+    return _invertible(rng, size, lambda a: a)
 
 
 def symmetric_invertible_matrix(rng: random.Random, size: int) -> list[list[Fraction]]:
-    from . import exactmat
+    return _invertible(rng, size, lambda a: [[a[i][j] + a[j][i] for j in range(size)] for i in range(size)])
 
+
+def _invertible(rng: random.Random, size: int, shape) -> list[list[Fraction]]:
+    """shape(a) for random rational a, redrawn until it is invertible."""
     while True:
-        a = [[rational(rng, 3, 2) for _ in range(size)] for _ in range(size)]
-        g = [[a[i][j] + a[j][i] for j in range(size)] for i in range(size)]
-        if not exactmat.det(exactmat.from_rows(g)).is_zero():
-            return g
+        rows = shape([[rational(rng, 3, 2) for _ in range(size)] for _ in range(size)])
+        if not exactmat.det(exactmat.from_rows(rows)).is_zero():
+            return rows
 
 
 def parity_signature(rng: random.Random, max_size: int = 4) -> ParitySignature:

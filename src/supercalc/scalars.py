@@ -12,8 +12,6 @@ import re
 from fractions import Fraction
 from typing import Union
 
-Rat = Fraction
-
 _NumberLike = Union[int, Fraction, "CRat"]
 
 
@@ -139,11 +137,6 @@ class CRat:
         return format_crat(self)
 
 
-ZERO = CRat(0)
-ONE = CRat(1)
-I = CRat(0, 1)
-
-
 def _format_rat(q: Fraction) -> str:
     return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
 
@@ -163,11 +156,14 @@ _RAT = r"\d+(?:/\d+)?"
 _PURE_REAL = re.compile(rf"^[+-]?{_RAT}$")
 _PURE_IMAG = re.compile(rf"^(?P<sign>[+-]?)(?P<mag>{_RAT})?i$")
 _REAL_IMAG = re.compile(rf"^(?P<re>[+-]?{_RAT})(?P<sign>[+-])(?P<mag>{_RAT})?i$")
+_ZERO_DENOMINATOR = re.compile(r"/0+(?!\d)")
 
 
 def parse_crat(text: str) -> CRat:
     """Inverse of :func:`format_crat`."""
     text = text.strip()
+    if _ZERO_DENOMINATOR.search(text):
+        raise ValueError(f"zero denominator in scalar literal {text!r}")
     if _PURE_REAL.match(text):
         return CRat(Fraction(text))
     m = _PURE_IMAG.match(text)

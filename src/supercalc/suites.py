@@ -850,13 +850,8 @@ def run_clifford(
         if d == 4:
             out.append(("minkowski", CliffordContext.minkowski(d)))
         for k in range(trials):
-            while True:
-                g = rg.symmetric_invertible_matrix(rng, d)
-                try:
-                    out.append((f"random{k}", CliffordContext.from_matrix(g)))
-                    break
-                except ValueError:
-                    continue
+            g = rg.symmetric_invertible_matrix(rng, d)  # symmetric, real and invertible
+            out.append((f"random{k}", CliffordContext.from_matrix(g)))
         return out
 
     relations = rec.check("anticommutators equal twice the inverse metric")

@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 PY = [sys.executable, "-m", "supercalc"]
 
 
@@ -113,3 +115,43 @@ def test_division_by_zero_is_an_input_error():
         assert proc.stdout == ""
         assert proc.stderr.startswith("error:")
         assert len(proc.stderr.strip().splitlines()) == 1
+
+
+def test_zero_denominator_names_the_column(tmp_path):
+    proc = run_cli("eval", "1 + 1/0", "--nu", "1", expect=2)
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error:")
+    assert "zero denominator" in proc.stderr
+    assert "column 5" in proc.stderr
+    path = tmp_path / "z.json"
+    path.write_text(json.dumps({"1": "1/0"}))
+    for args in (
+        ("eval", "s", "--nu", "1", "--let", f"s={path}"),
+        ("berezin", "--nu", "1", "--expr", str(path)),
+    ):
+        proc = run_cli(*args, expect=2)
+        assert proc.stderr.startswith("error:")
+        assert "zero denominator" in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "args, flag",
+    [
+        (("check", "grassmann", "--trials", "0"), "--trials"),
+        (("clifford", "check", "--dim", "0"), "--dim"),
+        (("check", "clifford", "--dim", "-2"), "--dim"),
+        (("fock", "check", "--nb", "0", "--nf", "0"), "--nb"),
+        (("check", "fock", "--nf", "0"), "--nf"),
+        (("fock", "check", "--max-occ", "-1"), "--max-occ"),
+        (("eval", "x1", "--nu", "-1"), "--nu"),
+        (("complexes", "check", "--n", "-1"), "--n"),
+    ],
+    ids=["trials", "dim-zero", "dim-negative", "nb-nf", "nf", "max-occ", "nu", "n"],
+)
+def test_integer_flag_out_of_range(args, flag):
+    proc = run_cli(*args, expect=2)
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    errors = [line for line in proc.stderr.splitlines() if "error:" in line]
+    assert len(errors) == 1
+    assert f"argument {flag}:" in errors[0]

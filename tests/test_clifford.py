@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -205,3 +206,28 @@ def test_gamma_on_zero_form_is_differential_plus_gradient():
     out = dirac_operator(m)(f)
     d_only = coords.dx(1) * f.partial_x(1) + coords.dx(2) * f.partial_x(2)
     assert (out - d_only).is_zero()
+
+
+def test_current_matches_permutation_sum():
+    """Every rank at D = 3 and 4 against the p!-term definition
+    gamma_[I] = (1/p!) sum_sigma sign(sigma) gamma_sigma(1) ... gamma_sigma(p),
+    with the sign from the inversion count, on non-diagonal metrics."""
+    rng = random.Random(58)
+    for d in (3, 4):
+        ctx = random_context(rng, d)
+        assert any(not ctx.g[i][j].is_zero() for i in range(d) for j in range(d) if i != j)
+        lowers = gamma_matrices(ctx, upper=False)
+        size = 1 << d
+        for p in range(d + 1):
+            comps = current(ctx, p)
+            assert sorted(comps) == list(itertools.combinations(range(1, d + 1), p))
+            for indices, got in comps.items():
+                acc = exactmat.zeros(size, size)
+                for perm in itertools.permutations(indices):
+                    inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
+                    prod = identity_matrix(d)
+                    for i in perm:
+                        prod = exactmat.matmul(prod, lowers[i - 1])
+                    acc = exactmat.madd(acc, exactmat.mscale(prod, (-1) ** inversions))
+                want = exactmat.mscale(acc, Fraction(1, math.factorial(p)))
+                assert exactmat.mat_eq(got, want), (d, indices)

@@ -1,6 +1,8 @@
 """Source checks on the library itself."""
 
 import ast
+import re
+from collections import Counter
 from pathlib import Path
 
 import supercalc
@@ -15,3 +17,33 @@ def test_no_assert_statements():
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert not found, f"assert statements in the library: {found}"
+
+
+def _public_names(tree: ast.Module):
+    """Public top-level functions, classes and assigned names, and the
+    public methods of top-level classes."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name
+            if isinstance(node, ast.ClassDef):
+                yield from (sub.name for sub in node.body if isinstance(sub, ast.FunctionDef))
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            yield from (t.id for t in targets if isinstance(t, ast.Name))
+
+
+def test_no_unreferenced_public_names():
+    """A public name that occurs only at its definition across the library,
+    the tests and the benchmark has no caller and no test: dead or untested."""
+    repo = Path(__file__).resolve().parent.parent
+    files = [*SOURCE.glob("*.py"), *(repo / "tests").glob("*.py"), *(repo / "perfbench").glob("*.py")]
+    words = Counter(w for path in files for w in re.findall(r"\w+", path.read_text(encoding="utf-8")))
+    unreferenced = []
+    for path in sorted(SOURCE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        unreferenced += [
+            f"{path.name}:{name}"
+            for name in _public_names(tree)
+            if not name.startswith("_") and words[name] <= 1
+        ]
+    assert not unreferenced, f"public names with no reference: {unreferenced}"
