@@ -21,21 +21,31 @@ from .polynomials import from_json_poly
 from .scalars import CRat
 
 
-def _int_at_least(low: int):
-    """argparse type for an integer flag with a lower bound."""
+# Clifford operators are dense 2^D x 2^D matrices, so the cost grows about
+# fourfold per dimension: `clifford check` takes about 3 s at D = 5 and
+# 10 s at D = 6 on a 2-core host.  Larger sizes are refused up front.
+MAX_CLIFFORD_DIM = 6
+
+
+def _int_in_range(low: int, high: int | None = None):
+    """argparse type for an integer flag with a lower and an optional
+    upper bound."""
 
     def parse(text: str) -> int:
         value = int(text)
         if value < low:
             raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        if high is not None and value > high:
+            raise argparse.ArgumentTypeError(f"must be at most {high}, got {value}")
         return value
 
     parse.__name__ = "int"  # argparse names the type in "invalid int value"
     return parse
 
 
-_COUNT = _int_at_least(0)
-_POSITIVE = _int_at_least(1)
+_COUNT = _int_in_range(0)
+_POSITIVE = _int_in_range(1)
+_CLIFFORD_DIM = _int_in_range(1, MAX_CLIFFORD_DIM)
 
 
 def _common_flags(parser: argparse.ArgumentParser):
@@ -91,7 +101,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_check.add_argument("--n", type=_COUNT, default=None)
     p_check.add_argument("--nu", type=_COUNT, default=None)
-    p_check.add_argument("--dim", type=_POSITIVE, default=None)
+    p_check.add_argument("--dim", type=_CLIFFORD_DIM, default=None)
     p_check.add_argument("--metric", default=None, help="identity|minkowski|FILE")
     p_check.add_argument("--nb", type=_POSITIVE, default=2)
     p_check.add_argument("--nf", type=_POSITIVE, default=2)
@@ -110,7 +120,9 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--nf", type=_POSITIVE, default=2)
             p.add_argument("--max-occ", type=_COUNT, default=3)
         elif name == "clifford":
-            p.add_argument("--dim", type=_POSITIVE, default=4)
+            p.add_argument(
+                "--dim", type=_CLIFFORD_DIM, default=None, help="default 4, or the metric file size"
+            )
             p.add_argument("--metric", default=None, help="identity|minkowski|FILE")
         else:
             p.add_argument("--n", type=_COUNT, default=2)
@@ -125,14 +137,29 @@ def _load_json(path: str):
         return json.load(fh)
 
 
+def _rational(value, where: str) -> Fraction:
+    """One exact number from a flag or a JSON file; `where` names its place
+    in the error message."""
+    if isinstance(value, (int, float, str)) and not isinstance(value, bool):
+        try:
+            return Fraction(str(value).strip())
+        except ZeroDivisionError:
+            raise ValueError(f"{where}: zero denominator in {value!r}") from None
+        except ValueError:
+            pass
+    raise ValueError(f"{where}: {value!r} is not a number")
+
+
 def _parse_domain(text: str, n: int, tol: float) -> Domain:
     chunks = [c for c in text.split(";") if c.strip()]
     if len(chunks) != n:
-        raise ValueError(f"domain has {len(chunks)} intervals, expected {n}")
+        raise ValueError(f"--domain: {len(chunks)} intervals, expected {n}")
     bounds = []
-    for chunk in chunks:
-        lo, hi = chunk.split(",")
-        bounds.append((Fraction(lo.strip()), Fraction(hi.strip())))
+    for k, chunk in enumerate(chunks, start=1):
+        ends = chunk.split(",")
+        if len(ends) != 2:
+            raise ValueError(f"--domain: interval {k} {chunk.strip()!r} is not lo,hi")
+        bounds.append(tuple(_rational(end, f"--domain: interval {k}") for end in ends))
     return Domain(tuple(bounds), tol=tol)
 
 
@@ -213,7 +240,16 @@ def _metric_rows(spec: str | None):
     if spec in (None, "identity", "minkowski"):
         return spec
     data = _load_json(spec)
-    return [[Fraction(str(v)) for v in row] for row in data]
+    if not isinstance(data, list) or not data or not all(isinstance(row, list) for row in data):
+        raise ValueError(f"--metric {spec}: expected a JSON list of rows")
+    if len(data) > MAX_CLIFFORD_DIM:
+        raise ValueError(f"--metric {spec}: {len(data)} rows, at most {MAX_CLIFFORD_DIM} allowed")
+    if any(len(row) != len(data) for row in data):
+        raise ValueError(f"--metric {spec}: expected {len(data)} rows of {len(data)} entries")
+    return [
+        [_rational(v, f"--metric {spec}: row {i} entry {j}") for j, v in enumerate(row, start=1)]
+        for i, row in enumerate(data, start=1)
+    ]
 
 
 _DEFAULT_TRIALS = {
@@ -261,15 +297,19 @@ def cmd_check(args, suite: str) -> int:
             )
         ]
     elif suite == "clifford":
-        dim = getattr(args, "dim", None)
-        dims = (1, 2, 3, 4) if dim is None else (dim,)
+        metric = _metric_rows(args.metric)
+        if isinstance(metric, list):
+            if args.dim not in (None, len(metric)):
+                raise ValueError(
+                    f"--dim {args.dim} does not match the {len(metric)}-row --metric {args.metric}"
+                )
+            dims = (len(metric),)
+        elif args.dim is not None:
+            dims = (args.dim,)
+        else:
+            dims = (4,) if args.command == "clifford" else (1, 2, 3, 4)
         reports = [
-            suites.run_clifford(
-                trials=trials,
-                seed=args.seed,
-                dims=dims,
-                metric_spec=_metric_rows(getattr(args, "metric", None)),
-            )
+            suites.run_clifford(trials=trials, seed=args.seed, dims=dims, metric_spec=metric)
         ]
 
     if args.json:

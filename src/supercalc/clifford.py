@@ -140,7 +140,7 @@ def matrix_of(op: Endo, d: int) -> Matrix:
     cols = []
     for mask in range(size):
         image = op(Supernumber(d, {mask: CRat(1)}, _canonical=True))
-        cols.append([image.terms.get(r, CRat(0)) for r in range(size)])
+        cols.append([image.terms.get(r, exactmat.ZERO) for r in range(size)])
     return [[cols[c][r] for c in range(size)] for r in range(size)]
 
 

@@ -1,6 +1,16 @@
-"""Dense exact matrices over Q(i) - just enough linear algebra for the
-metric and Clifford layers (determinant, inverse, products).  Entries are
+"""Exact matrices over Q(i) - just enough linear algebra for the metric
+and Clifford layers (determinant, inverse, products).  Entries are
 :class:`~supercalc.scalars.CRat`; no pivot tolerance is ever involved.
+
+A matrix is a dense list of rows, but the products cost what the nonzero
+entries cost: `matmul` lists each row of its right factor as (column,
+entry) pairs once per call and multiplies only nonzero by nonzero, so a
+near signed-permutation matrix such as a Clifford gamma costs about one
+exact product per row.  Every zero that `zeros`, `identity`, `matmul`,
+`madd` and `mscale` create is the one shared immutable `ZERO` (an exact
+product of nonzero scalars is never zero, so only sums are tested);
+`madd` and `mscale` pass it through untouched, and list comparison
+matches it by identity before comparing values.
 """
 
 from __future__ import annotations
@@ -12,43 +22,60 @@ from .scalars import CRat
 
 Matrix = list[list[CRat]]
 
+ZERO = CRat(0)
+_ONE = CRat(1)
+
 
 def from_rows(rows: Sequence[Sequence]) -> Matrix:
     return [[CRat.coerce(Fraction(v) if isinstance(v, str) else v) for v in row] for row in rows]
 
 
 def identity(n: int) -> Matrix:
-    return [[CRat(1 if i == j else 0) for j in range(n)] for i in range(n)]
+    return [[_ONE if i == j else ZERO for j in range(n)] for i in range(n)]
 
 
 def zeros(rows: int, cols: int) -> Matrix:
-    return [[CRat(0) for _ in range(cols)] for _ in range(rows)]
+    return [[ZERO] * cols for _ in range(rows)]
 
 
 def matmul(a: Matrix, b: Matrix) -> Matrix:
-    rows, inner, cols = len(a), len(b), len(b[0])
+    inner, cols = len(b), len(b[0])
     if any(len(r) != inner for r in a):
         raise ValueError("shape mismatch")
-    out = zeros(rows, cols)
-    for i in range(rows):
-        ai = a[i]
-        for k in range(inner):
-            aik = ai[k]
-            if aik.is_zero():
+    b_pairs = [[(j, x) for j, x in enumerate(row) if x is not ZERO and x] for row in b]
+    out = []
+    for ai in a:
+        acc: dict[int, CRat] = {}
+        summed = False
+        for aik, bk in zip(ai, b_pairs):
+            if not bk or aik is ZERO or not aik:
                 continue
-            bk = b[k]
-            oi = out[i]
-            for j in range(cols):
-                oi[j] = oi[j] + aik * bk[j]
+            for j, x in bk:
+                if j in acc:
+                    acc[j] = acc[j] + aik * x
+                    summed = True
+                else:
+                    acc[j] = aik * x
+        row = [ZERO] * cols
+        for j, v in acc.items():
+            if not summed or v:
+                row[j] = v
+        out.append(row)
     return out
 
+
 def madd(a: Matrix, b: Matrix) -> Matrix:
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+    return [
+        [y if x is ZERO else x if y is ZERO else (x + y) or ZERO for x, y in zip(ra, rb)]
+        for ra, rb in zip(a, b)
+    ]
 
 
 def mscale(a: Matrix, s) -> Matrix:
     s = CRat.coerce(s)
-    return [[x * s for x in row] for row in a]
+    if not s:
+        return zeros(len(a), len(a[0]) if a else 0)
+    return [[x if x is ZERO else x * s for x in row] for row in a]
 
 
 def transpose(a: Matrix) -> Matrix:

@@ -66,10 +66,16 @@ def tokenize(text: str) -> list[tuple[str, str, int]]:
     return out
 
 
+# Deepest nesting of parentheses and calls; each level costs four Python
+# frames, so this stays well inside the interpreter's recursion limit.
+MAX_NESTING = 100
+
+
 @dataclass
 class _Parser:
     tokens: list[tuple[str, str, int]]
     pos: int = 0
+    depth: int = 0
 
     def peek(self):
         return self.tokens[self.pos] if self.pos < len(self.tokens) else ("end", "", -1)
@@ -83,6 +89,11 @@ class _Parser:
         kind, text, at = self.next()
         if text != value:
             raise ExprError(f"expected {value!r}, found {text or 'end of input'!r}", at)
+
+    def enter(self, at: int):
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ExprError(f"nesting deeper than {MAX_NESTING} levels", at)
 
 
 class Context:
@@ -210,14 +221,11 @@ def _parse_term(p: _Parser, ctx: Context):
 
 
 def _parse_factor(p: _Parser, ctx: Context):
-    kind, text, at = p.peek()
-    if text == "-":
-        p.next()
-        return -_parse_factor(p, ctx)
-    if text == "+":
-        p.next()
-        return _parse_factor(p, ctx)
-    return _parse_atom(p, ctx)
+    negate = False
+    while p.peek()[1] in ("+", "-"):
+        negate ^= p.next()[1] == "-"
+    value = _parse_atom(p, ctx)
+    return -value if negate else value
 
 
 def _parse_atom(p: _Parser, ctx: Context):
@@ -229,8 +237,10 @@ def _parse_atom(p: _Parser, ctx: Context):
             raise ExprError(str(exc), at) from None
         return ctx.scalar(value)
     if text == "(":
+        p.enter(at)
         value = _parse_expr(p, ctx)
         p.expect(")")
+        p.depth -= 1
         return value
     if kind == "name":
         nxt = p.peek()[1]
@@ -245,11 +255,13 @@ def _parse_atom(p: _Parser, ctx: Context):
                 p.expect("]")
                 param = "".join(chunks)
             p.expect("(")
+            p.enter(at)
             args = [_parse_expr(p, ctx)]
             while p.peek()[1] == ",":
                 p.next()
                 args.append(_parse_expr(p, ctx))
             p.expect(")")
+            p.depth -= 1
             return ctx.call(text, param, args, at)
         return ctx.identifier(text, at)
     raise ExprError(f"unexpected token {text!r}", at)

@@ -832,7 +832,6 @@ def run_clifford(
         dirac_operator_gamma_route,
         gamma0,
         gamma_matrices,
-        gamma_upper,
         gamma_upper_symbolic,
         identity_matrix,
         matrix_of,
@@ -900,10 +899,7 @@ def run_clifford(
             for a in range(1, d + 1):
                 rec.expect(
                     dual_route,
-                    exactmat.mat_eq(
-                        matrix_of(gamma_upper(ctx, a), d),
-                        matrix_of(gamma_upper_symbolic(ctx, a), d),
-                    ),
+                    exactmat.mat_eq(gs[a - 1], matrix_of(gamma_upper_symbolic(ctx, a), d)),
                     f"routes D={d} {label} a={a}",
                 )
         for k in range(5):

@@ -155,3 +155,82 @@ def test_integer_flag_out_of_range(args, flag):
     errors = [line for line in proc.stderr.splitlines() if "error:" in line]
     assert len(errors) == 1
     assert f"argument {flag}:" in errors[0]
+
+
+@pytest.mark.parametrize(
+    "args",
+    [("clifford", "check", "--dim", "7"), ("check", "clifford", "--dim", "7")],
+    ids=["clifford-check", "check-clifford"],
+)
+def test_clifford_dim_above_the_cap(args):
+    proc = run_cli(*args, expect=2)
+    assert proc.stdout == ""
+    errors = [line for line in proc.stderr.splitlines() if "error:" in line]
+    assert len(errors) == 1
+    assert "argument --dim: must be at most 6" in errors[0]
+
+
+def one_error_line(proc) -> str:
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error:")
+    assert len(proc.stderr.strip().splitlines()) == 1
+    return proc.stderr
+
+
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        ([[1 if i == j else 0 for j in range(7)] for i in range(7)], "7 rows, at most 6"),
+        ({"terms": {"1": "1"}}, "expected a JSON list of rows"),
+        ([["1", "0"], ["0"]], "expected 2 rows of 2 entries"),
+        ([["1", "1/0"], ["1/0", "1"]], "row 1 entry 2: zero denominator"),
+        ([["1", "x"], ["x", "1"]], "row 1 entry 2: 'x' is not a number"),
+    ],
+    ids=["too-large", "object", "ragged", "zero-denominator", "not-a-number"],
+)
+def test_metric_file_shape(tmp_path, content, message):
+    path = tmp_path / "metric.json"
+    path.write_text(json.dumps(content))
+    proc = run_cli("clifford", "check", "--metric", str(path), expect=2)
+    assert f"--metric {path}: {message}" in one_error_line(proc)
+
+
+def test_metric_file_sets_the_dimension(tmp_path):
+    path = tmp_path / "metric.json"
+    path.write_text(json.dumps([["2", "1"], ["1", "3"]]))
+    run_cli("clifford", "check", "--metric", str(path), "--trials", "1")
+    run_cli("check", "clifford", "--metric", str(path), "--trials", "1")
+    proc = run_cli("clifford", "check", "--dim", "3", "--metric", str(path), expect=2)
+    assert "--dim 3 does not match" in one_error_line(proc)
+
+
+@pytest.mark.parametrize(
+    "domain, message",
+    [
+        ("0", "interval 1 '0' is not lo,hi"),
+        ("0,1,2", "interval 1 '0,1,2' is not lo,hi"),
+        ("0,1/0", "interval 1: zero denominator in '1/0'"),
+        ("0,x", "interval 1: 'x' is not a number"),
+        ("0,1;0,1", "2 intervals, expected 1"),
+    ],
+    ids=["one-bound", "three-bounds", "zero-denominator", "not-a-number", "interval-count"],
+)
+def test_mixed_domain_shape(tmp_path, domain, message):
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps({"terms": {"1,2": {"1": "1"}}}))
+    proc = run_cli(
+        "mixed", "--n", "1", "--nu", "2", "--expr", str(path), f"--domain={domain}", expect=2
+    )
+    assert f"--domain: {message}" in one_error_line(proc)
+
+
+def test_deep_nesting_is_an_input_error():
+    depth = 3000
+    nested = (("(" * depth + "1" + ")" * depth, 101), ("body(" * depth + "1" + ")" * depth, 501))
+    for text, column in nested:
+        proc = run_cli("eval", text, "--nu", "1", expect=2)
+        assert f"nesting deeper than 100 levels (at column {column})" in one_error_line(proc)
+    proc = run_cli("eval", "(" * 100 + "1" + ")" * 100, "--nu", "1")
+    assert proc.stdout.strip() == "1"
+    proc = run_cli("eval", "x1 + " + "-" * depth + "x1", "--nu", "1")
+    assert proc.stdout.strip() == "2*x1"

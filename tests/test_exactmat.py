@@ -1,0 +1,145 @@
+"""The exact matrix kernel against a naive triple loop and, when sympy is
+installed, against sympy's exact rational matrices."""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from supercalc import exactmat
+from supercalc.scalars import CRat
+
+
+def naive_matmul(a, b):
+    return [
+        [sum((a[i][k] * b[k][j] for k in range(len(b))), CRat(0)) for j in range(len(b[0]))]
+        for i in range(len(a))
+    ]
+
+
+def random_matrix(rng, rows, cols, zero_fill):
+    """A Q(i) matrix with about `zero_fill` of its entries zero, one zero
+    row and one zero column when the shape allows, and some entries with
+    an imaginary part."""
+
+    def entry():
+        if rng.random() < zero_fill:
+            return CRat(0)
+        re = Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+        im = Fraction(rng.randint(-9, 9), rng.randint(1, 5)) if rng.random() < 0.4 else 0
+        return CRat(re, im)
+
+    m = [[entry() for _ in range(cols)] for _ in range(rows)]
+    if rows > 1:
+        m[rng.randrange(rows)] = [CRat(0)] * cols
+    if cols > 1:
+        zero_col = rng.randrange(cols)
+        for row in m:
+            row[zero_col] = CRat(0)
+    return m
+
+
+def as_shared_zeros(m):
+    """The same matrix with its zeros replaced by the kernel's shared zero."""
+    return [[x if x else exactmat.ZERO for x in row] for row in m]
+
+
+SHAPES = [(1, 1, 1), (2, 3, 4), (5, 2, 3), (4, 4, 4), (7, 6, 1), (8, 8, 8)]
+CASES = [
+    (seed, rows, inner, cols, fill)
+    for seed, (rows, inner, cols) in enumerate(SHAPES)
+    for fill in (0.0, 0.3, 0.6, 0.9)
+]
+
+
+@pytest.mark.parametrize("seed, rows, inner, cols, fill", CASES)
+def test_matmul_equals_naive_triple_loop(seed, rows, inner, cols, fill):
+    rng = random.Random(f"matmul:{seed}:{fill}")
+    a = random_matrix(rng, rows, inner, fill)
+    b = random_matrix(rng, inner, cols, fill)
+    want = naive_matmul(a, b)
+    # zeros as fresh CRat(0) objects and as the shared zero must agree
+    assert exactmat.matmul(a, b) == want
+    assert exactmat.matmul(as_shared_zeros(a), as_shared_zeros(b)) == want
+
+
+@pytest.mark.parametrize("seed, rows, inner, cols, fill", CASES)
+def test_madd_and_mscale_equal_entrywise(seed, rows, inner, cols, fill):
+    rng = random.Random(f"madd:{seed}:{fill}")
+    a = random_matrix(rng, rows, cols, fill)
+    b = random_matrix(rng, rows, cols, fill)
+    neg_a = [[-x for x in row] for row in a]
+    for x, y in ((a, b), (as_shared_zeros(a), as_shared_zeros(b)), (a, neg_a)):
+        want = [[p + q for p, q in zip(rx, ry)] for rx, ry in zip(x, y)]
+        assert exactmat.madd(x, y) == want
+    for s in (CRat(0), 1, -1, Fraction(-3, 7), CRat(2, -5)):
+        want = [[x * CRat.coerce(s) for x in row] for row in a]
+        assert exactmat.mscale(a, s) == want
+        assert exactmat.mscale(as_shared_zeros(a), s) == want
+
+
+def test_cancelling_sums_give_the_shared_zero():
+    a = exactmat.from_rows([[1, 1], [0, 2]])
+    b = exactmat.from_rows([[1, 0], [-1, 0]])
+    product = exactmat.matmul(a, b)
+    assert product == exactmat.from_rows([[0, 0], [-2, 0]])
+    assert product[0][0] is exactmat.ZERO
+    assert exactmat.madd(a, exactmat.mscale(a, -1))[0][0] is exactmat.ZERO
+    assert exactmat.mat_eq(exactmat.madd(a, exactmat.mscale(a, -1)), exactmat.zeros(2, 2))
+
+
+def test_products_with_identity_and_zeros():
+    rng = random.Random(3)
+    a = random_matrix(rng, 4, 4, 0.5)
+    assert exactmat.matmul(exactmat.identity(4), a) == a
+    assert exactmat.matmul(a, exactmat.identity(4)) == a
+    assert exactmat.matmul(a, exactmat.zeros(4, 2)) == exactmat.zeros(4, 2)
+
+
+def test_shape_mismatch_is_refused():
+    with pytest.raises(ValueError, match="shape mismatch"):
+        exactmat.matmul(exactmat.zeros(2, 3), exactmat.zeros(2, 2))
+    with pytest.raises(ValueError, match="shape mismatch"):
+        exactmat.matmul([[CRat(1)], [CRat(1), CRat(2)]], exactmat.identity(2))
+
+
+def _to_sympy(sympy, m):
+    def entry(x):
+        return sympy.Rational(x.re.numerator, x.re.denominator) + sympy.I * sympy.Rational(
+            x.im.numerator, x.im.denominator
+        )
+
+    return sympy.Matrix([[entry(x) for x in row] for row in m])
+
+
+def _from_sympy(sympy, m):
+    out = []
+    for i in range(m.rows):
+        row = []
+        for j in range(m.cols):
+            re, im = m[i, j].as_real_imag()
+            row.append(CRat(Fraction(int(re.p), int(re.q)), Fraction(int(im.p), int(im.q))))
+        out.append(row)
+    return out
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_against_sympy(seed):
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(f"sympy:{seed}")
+    n = 2 + seed % 4
+    fill = (0.0, 0.4, 0.7)[seed % 3]
+    a = random_matrix(rng, n, n + 1, fill)
+    b = random_matrix(rng, n + 1, n - 1, fill)
+    product = sympy.expand(_to_sympy(sympy, a) * _to_sympy(sympy, b))
+    assert exactmat.matmul(a, b) == _from_sympy(sympy, product)
+    # a sparse but invertible square matrix: a shifted diagonal plus noise
+    sq = [
+        [x + (CRat(seed + 2, 1) if i == j else 0) for j, x in enumerate(row)]
+        for i, row in enumerate(random_matrix(rng, n, n, 0.6))
+    ]
+    sq_sympy = _to_sympy(sympy, sq)
+    det = sympy.expand(sq_sympy.det())
+    assert exactmat.det(sq) == _from_sympy(sympy, sympy.Matrix([[det]]))[0][0]
+    if det != 0:
+        assert exactmat.inverse(sq) == _from_sympy(sympy, sq_sympy.inv())
