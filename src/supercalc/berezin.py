@@ -351,10 +351,24 @@ def to_json_mixed(f: MixedFunction) -> dict:
     }
 
 
-def from_json_mixed(data: Mapping) -> MixedFunction:
+def from_json_mixed(
+    data: Mapping, integrands: Mapping[str, Callable[[float], float]] | None = None
+) -> MixedFunction:
+    """Inverse of :func:`to_json_mixed`.  A term whose value is a string
+    names a black-box coefficient in `integrands`."""
     n, nu = int(data["n"]), int(data["nu"])
-    terms: dict[int, Polynomial] = {}
-    for key, poly in data["terms"].items():
-        indices = tuple(int(tok) for tok in key.split(",")) if key else ()
-        terms[mask_of(indices, nu)] = from_json_poly(poly, n)
+    integrands = integrands or {}
+    if not isinstance(data.get("terms"), Mapping):
+        raise ValueError('"terms" is missing or not a JSON object')
+    terms: dict[int, Coefficient] = {}
+    for key, value in data["terms"].items():
+        mask = mask_of(tuple(int(tok) for tok in key.split(",")) if key else (), nu)
+        if isinstance(value, str):
+            if value not in integrands:
+                raise ValueError(f"unknown integrand {value!r}; known: {sorted(integrands)}")
+            terms[mask] = integrands[value]
+        elif isinstance(value, Mapping):
+            terms[mask] = from_json_poly(value, n)
+        else:
+            raise ValueError(f"term {key!r}: {value!r} is neither a polynomial nor an integrand")
     return MixedFunction(n, nu, terms)

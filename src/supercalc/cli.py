@@ -11,13 +11,14 @@ import argparse
 import json
 import math
 import sys
+import time
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import suites
-from .berezin import Domain, MixedFunction, Normalization, berezin_integral, mixed_integral
+from .berezin import Domain, Normalization, berezin_integral, from_json_mixed, mixed_integral
 from .exprlang import Context, evaluate
-from .grassmann import from_json_terms, format_supernumber, mask_of, Supernumber
-from .polynomials import from_json_poly
+from .grassmann import from_json_terms, format_supernumber, Supernumber
 from .scalars import CRat
 
 
@@ -26,32 +27,101 @@ from .scalars import CRat
 # 10 s at D = 6 on a 2-core host.  Larger sizes are refused up front.
 MAX_CLIFFORD_DIM = 6
 
+# The adaptive quadrature bisects until its tolerance is met; at or below
+# roundoff it never is and bisects to full depth.  1e-14 is the smallest
+# tolerance measured to converge: the gaussian takes about 0.5 s on -8,8
+# and 1 s on -100,100 on a 2-core host.  The upper bound refuses inf.
+MIN_QUAD_TOL = 1e-14
 
-def _int_in_range(low: int, high: int | None = None):
-    """argparse type for an integer flag with a lower and an optional
-    upper bound."""
 
-    def parse(text: str) -> int:
-        value = int(text)
-        if value < low:
+def _in_range(kind: type, low, high=None):
+    """argparse type for an int or float flag with a lower and an optional
+    upper bound; a float NaN is in no range."""
+
+    def parse(text: str):
+        value = kind(text)
+        if not value >= low:
             raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
-        if high is not None and value > high:
+        if high is not None and not value <= high:
             raise argparse.ArgumentTypeError(f"must be at most {high}, got {value}")
         return value
 
-    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    parse.__name__ = kind.__name__  # argparse names the type in "invalid int value"
     return parse
 
 
-_COUNT = _int_in_range(0)
-_POSITIVE = _int_in_range(1)
-_CLIFFORD_DIM = _int_in_range(1, MAX_CLIFFORD_DIM)
+_COUNT = _in_range(int, 0)
+_POSITIVE = _in_range(int, 1)
+_CLIFFORD_DIM = _in_range(int, 1, MAX_CLIFFORD_DIM)
+_QUAD_TOL = _in_range(float, MIN_QUAD_TOL, sys.float_info.max)
 
 
-def _common_flags(parser: argparse.ArgumentParser):
+class _Suite(NamedTuple):
+    """What `check SUITE` and, where it exists, `SUITE check` run."""
+
+    trials: int  # default --trials
+    flags: tuple = ()  # the suite's own flags: (flag, add_argument keywords)
+    kwargs: dict = {}  # keyword arguments of the run on both spellings
+    command: str | None = None  # help line of the `SUITE check` spelling
+    standalone: dict = {}  # `SUITE check` keyword arguments over `kwargs`
+
+
+_SUITES = {
+    "all": _Suite(50),
+    "grassmann": _Suite(200),
+    "berezin": _Suite(200),
+    "linalg": _Suite(100),
+    "complexes": _Suite(
+        50,
+        (
+            ("--n", dict(type=_COUNT, help="bosonic coordinates of the one patch to check")),
+            ("--nu", dict(type=_COUNT, help="its Grassmann coordinates (either defaults to 2)")),
+        ),
+        kwargs={"table_cases": 12},
+        command="exterior-calculus checks",
+        standalone={"mixes": ((2, 2),)},
+    ),
+    "metric": _Suite(5),
+    "fock": _Suite(
+        30,
+        (
+            ("--nb", dict(type=_POSITIVE, default=2)),
+            ("--nf", dict(type=_POSITIVE, default=2)),
+            ("--max-occ", dict(type=_COUNT, default=3)),
+        ),
+        command="Fock-space checks",
+    ),
+    "clifford": _Suite(
+        5,
+        (
+            ("--dim", dict(type=_CLIFFORD_DIM, help="one dimension, else the metric file size")),
+            ("--metric", dict(help="identity|minkowski|FILE")),
+        ),
+        command="Clifford-representation checks",
+        standalone={"dims": (4,)},
+    ),
+}
+
+
+def _command(subparsers, name: str, help_text: str | None = None) -> argparse.ArgumentParser:
+    parser = subparsers.add_parser(name, help=help_text)
     parser.add_argument("--json", action="store_true", help="machine-readable output")
-    parser.add_argument("--seed", type=int, default=0, help="random seed for suites")
-    parser.add_argument("--trials", type=_POSITIVE, default=None, help="trial count override")
+    return parser
+
+
+def _suite_parser(subparsers, name: str, suite: str, standalone: bool) -> None:
+    """Add the parser of one suite's run under `name`: the suite itself
+    below `check`, or `check` below the suite when `standalone`."""
+    row = _SUITES[suite]
+    parser = _command(subparsers, name)
+    parser.add_argument("--seed", type=int, default=0, help="random seed")
+    parser.add_argument(
+        "--trials", type=_POSITIVE, default=row.trials, help="trial count (default %(default)s)"
+    )
+    for flag, options in row.flags:
+        parser.add_argument(flag, **options)
+    defaults = {**row.kwargs, **row.standalone} if standalone else row.kwargs
+    parser.set_defaults(suite=suite, run_defaults=defaults)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -63,7 +133,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = root.add_subparsers(dest="command", required=True)
 
-    p_eval = sub.add_parser("eval", help="evaluate an expression")
+    p_eval = _command(sub, "eval", "evaluate an expression")
     p_eval.add_argument("expression")
     p_eval.add_argument("--nu", type=_COUNT, default=0, help="Grassmann generator count")
     p_eval.add_argument("--n", type=_COUNT, default=0, help="bosonic coordinate count (form mode)")
@@ -74,67 +144,54 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="NAME=FILE",
         help="bind NAME to the supernumber in FILE (JSON term map)",
     )
-    _common_flags(p_eval)
 
-    p_ber = sub.add_parser("berezin", help="Berezin-integrate a supernumber file")
+    p_ber = _command(sub, "berezin", "Berezin-integrate a supernumber file")
     p_ber.add_argument("--nu", type=_COUNT, required=True)
     p_ber.add_argument("--expr", required=True, help="JSON term map file")
-    p_ber.add_argument(
-        "--normalization",
-        choices=["one", "sqrt2pii", "invsqrt2pii"],
-        default="one",
-    )
-    _common_flags(p_ber)
+    p_ber.add_argument("--normalization", choices=_NORMALIZATIONS, default="one")
 
-    p_mixed = sub.add_parser("mixed", help="integrate a mixed function over a box")
+    p_mixed = _command(sub, "mixed", "integrate a mixed function over a box")
     p_mixed.add_argument("--n", type=_COUNT, required=True)
     p_mixed.add_argument("--nu", type=_COUNT, required=True)
     p_mixed.add_argument("--expr", required=True, help="JSON mixed-function file")
     p_mixed.add_argument("--domain", required=True, help="bounds like '0,1' or '0,1;-1,1'")
-    p_mixed.add_argument("--quad", type=float, default=1e-10, help="quadrature tolerance")
-    _common_flags(p_mixed)
+    p_mixed.add_argument("--quad", type=_QUAD_TOL, default=1e-10, help="quadrature tolerance")
 
-    p_check = sub.add_parser("check", help="run invariant suites")
-    p_check.add_argument(
-        "suite",
-        choices=sorted(suites.SUITES) + ["all"],
-    )
-    p_check.add_argument("--n", type=_COUNT, default=None)
-    p_check.add_argument("--nu", type=_COUNT, default=None)
-    p_check.add_argument("--dim", type=_CLIFFORD_DIM, default=None)
-    p_check.add_argument("--metric", default=None, help="identity|minkowski|FILE")
-    p_check.add_argument("--nb", type=_POSITIVE, default=2)
-    p_check.add_argument("--nf", type=_POSITIVE, default=2)
-    p_check.add_argument("--max-occ", type=_COUNT, default=3)
-    _common_flags(p_check)
-
-    for name, help_text in (
-        ("fock", "Fock-space checks"),
-        ("clifford", "Clifford-representation checks"),
-        ("complexes", "exterior-calculus checks"),
-    ):
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("action", choices=["check"])
-        if name == "fock":
-            p.add_argument("--nb", type=_POSITIVE, default=2)
-            p.add_argument("--nf", type=_POSITIVE, default=2)
-            p.add_argument("--max-occ", type=_COUNT, default=3)
-        elif name == "clifford":
-            p.add_argument(
-                "--dim", type=_CLIFFORD_DIM, default=None, help="default 4, or the metric file size"
-            )
-            p.add_argument("--metric", default=None, help="identity|minkowski|FILE")
-        else:
-            p.add_argument("--n", type=_COUNT, default=2)
-            p.add_argument("--nu", type=_COUNT, default=2)
-        _common_flags(p)
-
+    checks = sub.add_parser("check", help="run invariant suites")
+    checks = checks.add_subparsers(dest="suite", required=True)
+    for suite, row in _SUITES.items():
+        _suite_parser(checks, suite, suite, standalone=False)
+        if row.command:
+            actions = sub.add_parser(suite, help=row.command)
+            actions = actions.add_subparsers(dest="action", required=True)
+            _suite_parser(actions, "check", suite, standalone=True)
     return root
 
 
-def _load_json(path: str):
+def _load_json(flag: str, path: str, rows: bool = False):
+    """The JSON value in the file that `flag` names: an object, or with
+    `rows` a nonempty list of lists."""
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            data = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{flag} {path}: {exc}") from None
+    if rows:
+        ok = isinstance(data, list) and data and all(isinstance(row, list) for row in data)
+    else:
+        ok = isinstance(data, dict)
+    if not ok:
+        raise ValueError(f"{flag} {path}: expected a JSON {'list of rows' if rows else 'object'}")
+    return data
+
+
+def _load_terms(flag: str, path: str, nu: int) -> Supernumber:
+    """A supernumber file: a JSON term map, bare or under "terms"."""
+    data = _load_json(flag, path)
+    terms = data.get("terms", data)
+    if not isinstance(terms, dict):
+        raise ValueError(f'{flag} {path}: "terms" is not a JSON object')
+    return from_json_terms(terms, nu)
 
 
 def _rational(value, where: str) -> Fraction:
@@ -163,27 +220,9 @@ def _parse_domain(text: str, n: int, tol: float) -> Domain:
     return Domain(tuple(bounds), tol=tol)
 
 
-_BUILTIN_INTEGRANDS = {
-    "gaussian": lambda x: math.exp(-x * x),
-}
-
-
-def _load_mixed(data: dict, n: int, nu: int) -> MixedFunction:
-    n = int(data.get("n", n))
-    nu = int(data.get("nu", nu))
-    terms = {}
-    for key, value in data["terms"].items():
-        indices = tuple(int(tok) for tok in key.split(",")) if key else ()
-        mask = mask_of(indices, nu)
-        if isinstance(value, str):
-            if value not in _BUILTIN_INTEGRANDS:
-                raise ValueError(
-                    f"unknown builtin integrand {value!r}; known: {sorted(_BUILTIN_INTEGRANDS)}"
-                )
-            terms[mask] = _BUILTIN_INTEGRANDS[value]
-        else:
-            terms[mask] = from_json_poly(value, n)
-    return MixedFunction(n, nu, terms)
+def _print_result(args, text: str) -> int:
+    print(json.dumps({"result": text}, sort_keys=True) if args.json else text)
+    return 0
 
 
 def cmd_eval(args) -> int:
@@ -192,56 +231,46 @@ def cmd_eval(args) -> int:
         name, _, path = item.partition("=")
         if not path:
             raise ValueError(f"--let needs NAME=FILE, got {item!r}")
-        data = _load_json(path)
-        terms = data["terms"] if isinstance(data, dict) and "terms" in data else data
-        bindings[name] = from_json_terms(terms, args.nu)
-    ctx = Context(args.n, args.nu, bindings)
-    value = evaluate(args.expression, ctx)
-    if isinstance(value, Supernumber):
-        text = format_supernumber(value)
-    else:
-        text = repr(value)
-    if args.json:
-        print(json.dumps({"result": text}, sort_keys=True))
-    else:
-        print(text)
-    return 0
+        bindings[name] = _load_terms("--let", path, args.nu)
+    value = evaluate(args.expression, Context(args.n, args.nu, bindings))
+    text = format_supernumber(value) if isinstance(value, Supernumber) else repr(value)
+    return _print_result(args, text)
+
+
+_NORMALIZATIONS = {
+    "one": Normalization.ONE,
+    "sqrt2pii": Normalization.SQRT_2PI_I,
+    "invsqrt2pii": Normalization.INV_SQRT_2PI_I,
+}
 
 
 def cmd_berezin(args) -> int:
-    data = _load_json(args.expr)
-    terms = data["terms"] if isinstance(data, dict) and "terms" in data else data
-    z = from_json_terms(terms, args.nu)
-    norm = {
-        "one": Normalization.ONE,
-        "sqrt2pii": Normalization.SQRT_2PI_I,
-        "invsqrt2pii": Normalization.INV_SQRT_2PI_I,
-    }[args.normalization]
-    value = berezin_integral(z, norm)
+    norm = _NORMALIZATIONS[args.normalization]
+    value = berezin_integral(_load_terms("--expr", args.expr, args.nu), norm)
     if norm is Normalization.ONE:
-        text = str(value)
-    else:
-        power = {1: "1/2", -1: "-1/2"}[value.half_power]
-        text = f"{value.coeff} * (2*pi*i)^({power})"
-    print(json.dumps({"result": text}, sort_keys=True) if args.json else text)
-    return 0
+        return _print_result(args, str(value))
+    power = {1: "1/2", -1: "-1/2"}[value.half_power]
+    return _print_result(args, f"{value.coeff} * (2*pi*i)^({power})")
+
+
+_INTEGRANDS = {"gaussian": lambda x: math.exp(-x * x)}
 
 
 def cmd_mixed(args) -> int:
-    f = _load_mixed(_load_json(args.expr), args.n, args.nu)
-    domain = _parse_domain(args.domain, f.n, args.quad)
-    value = mixed_integral(f, domain)
-    text = str(value) if isinstance(value, CRat) else repr(value)
-    print(json.dumps({"result": text}, sort_keys=True) if args.json else text)
-    return 0
+    data = _load_json("--expr", args.expr)
+    for key in ("n", "nu"):
+        flag = getattr(args, key)
+        if data.get(key, flag) != flag:
+            raise ValueError(f'--expr {args.expr}: "{key}" is {data[key]!r}, --{key} is {flag}')
+    f = from_json_mixed({**data, "n": args.n, "nu": args.nu}, _INTEGRANDS)
+    value = mixed_integral(f, _parse_domain(args.domain, args.n, args.quad))
+    return _print_result(args, str(value) if isinstance(value, CRat) else repr(value))
 
 
 def _metric_rows(spec: str | None):
     if spec in (None, "identity", "minkowski"):
         return spec
-    data = _load_json(spec)
-    if not isinstance(data, list) or not data or not all(isinstance(row, list) for row in data):
-        raise ValueError(f"--metric {spec}: expected a JSON list of rows")
+    data = _load_json("--metric", spec, rows=True)
     if len(data) > MAX_CLIFFORD_DIM:
         raise ValueError(f"--metric {spec}: {len(data)} rows, at most {MAX_CLIFFORD_DIM} allowed")
     if any(len(row) != len(data) for row in data):
@@ -252,94 +281,56 @@ def _metric_rows(spec: str | None):
     ]
 
 
-_DEFAULT_TRIALS = {
-    "all": 50,
-    "grassmann": 200,
-    "berezin": 200,
-    "linalg": 100,
-    "complexes": 50,
-    "metric": 5,
-    "fock": 30,
-    "clifford": 5,
-}
-
-
-def cmd_check(args, suite: str) -> int:
-    trials = _DEFAULT_TRIALS[suite] if args.trials is None else args.trials
-    if suite == "all":
-        reports = suites.run_all(trials=trials, seed=args.seed)
-    elif suite == "grassmann":
-        reports = [suites.run_grassmann(trials=trials, seed=args.seed)]
-    elif suite == "berezin":
-        reports = [suites.run_berezin(trials=trials, seed=args.seed)]
-    elif suite == "linalg":
-        reports = [suites.run_linalg(trials=trials, seed=args.seed)]
-    elif suite == "complexes":
-        mixes = None
-        n = getattr(args, "n", None)
-        nu = getattr(args, "nu", None)
-        if n is not None and nu is not None:
-            mixes = ((n, nu),)
-        kwargs = {"mixes": mixes} if mixes else {}
-        reports = [
-            suites.run_complexes(trials=trials, seed=args.seed, table_cases=12, **kwargs)
-        ]
-    elif suite == "metric":
-        reports = [suites.run_metric(trials=trials, seed=args.seed)]
-    elif suite == "fock":
-        reports = [
-            suites.run_fock(
-                trials=trials,
-                seed=args.seed,
-                n_bose=getattr(args, "nb", 2),
-                n_fermi=getattr(args, "nf", 2),
-                max_occupation=getattr(args, "max_occ", 3),
-            )
-        ]
-    elif suite == "clifford":
+def _suite_kwargs(args) -> dict:
+    """Keyword arguments of the chosen suite's run: the defaults of its
+    table row for this spelling, overridden by the suite's own flags."""
+    kwargs = dict(args.run_defaults)
+    if args.suite == "fock":
+        kwargs.update(n_bose=args.nb, n_fermi=args.nf, max_occupation=args.max_occ)
+    elif args.suite == "complexes" and (args.n, args.nu) != (None, None):
+        kwargs["mixes"] = ((2 if args.n is None else args.n, 2 if args.nu is None else args.nu),)
+    elif args.suite == "clifford":
         metric = _metric_rows(args.metric)
         if isinstance(metric, list):
             if args.dim not in (None, len(metric)):
                 raise ValueError(
                     f"--dim {args.dim} does not match the {len(metric)}-row --metric {args.metric}"
                 )
-            dims = (len(metric),)
+            kwargs["dims"] = (len(metric),)
         elif args.dim is not None:
-            dims = (args.dim,)
-        else:
-            dims = (4,) if args.command == "clifford" else (1, 2, 3, 4)
-        reports = [
-            suites.run_clifford(trials=trials, seed=args.seed, dims=dims, metric_spec=metric)
-        ]
+            kwargs["dims"] = (args.dim,)
+        kwargs["metric_spec"] = metric
+    return kwargs
 
+
+def cmd_check(args) -> int:
+    kwargs = _suite_kwargs(args)
+    start = time.monotonic()
+    if args.suite == "all":
+        reports = suites.run_all(trials=args.trials, seed=args.seed)
+    else:
+        reports = [suites.SUITES[args.suite](trials=args.trials, seed=args.seed, **kwargs)]
+    elapsed = time.monotonic() - start
     if args.json:
         print(json.dumps([r.to_json_dict() for r in reports], sort_keys=True))
     else:
         for r in reports:
             print(r.to_text())
-    elapsed = sum(r.elapsed for r in reports)
     print(f"[elapsed {elapsed:.2f}s]", file=sys.stderr)
     return 0 if all(r.ok for r in reports) else 1
 
 
+_COMMANDS = {"eval": cmd_eval, "berezin": cmd_berezin, "mixed": cmd_mixed, "check": cmd_check}
+_COMMANDS.update((suite, cmd_check) for suite, row in _SUITES.items() if row.command)
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        if args.command == "eval":
-            return cmd_eval(args)
-        if args.command == "berezin":
-            return cmd_berezin(args)
-        if args.command == "mixed":
-            return cmd_mixed(args)
-        if args.command == "check":
-            return cmd_check(args, args.suite)
-        if args.command in ("fock", "clifford", "complexes"):
-            return cmd_check(args, args.command)
+        return _COMMANDS[args.command](args)
     except (ValueError, OSError, KeyError, TypeError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    return 2
 
 
 if __name__ == "__main__":

@@ -117,7 +117,7 @@ def det(a: Matrix) -> CRat:
 def inverse(a: Matrix) -> Matrix:
     """Exact inverse via Gauss-Jordan; raises ValueError when singular."""
     n = len(a)
-    m = [row[:] + identity(n)[i] for i, row in enumerate(a)]
+    m = [row[:] + [_ONE if j == i else ZERO for j in range(n)] for i, row in enumerate(a)]
     for col in range(n):
         pivot = None
         for r in range(col, n):

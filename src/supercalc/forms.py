@@ -288,25 +288,19 @@ class Operator:
 
     def graded_bracket(self, other: "Operator") -> "Operator":
         """[P, Q] = PQ - (-1)^{parity P * parity Q} QP."""
-        sign = -1 if (self.parity * other.parity) & 1 else 1
-        return Operator(
-            (self.parity + other.parity) % 2,
-            lambda w: self.fn(other.fn(w)) - sign * other.fn(self.fn(w)),
-            f"[{self.name},{other.name}]",
-        )
+        anti = (self.parity * other.parity) & 1
+
+        def bracket(w: GradedPoly) -> GradedPoly:
+            pq, qp = self.fn(other.fn(w)), other.fn(self.fn(w))
+            return pq + qp if anti else pq - qp
+
+        return Operator((self.parity + other.parity) % 2, bracket, f"[{self.name},{other.name}]")
 
     def anticommutator(self, other: "Operator") -> "Operator":
         return Operator(
             (self.parity + other.parity) % 2,
             lambda w: self.fn(other.fn(w)) + other.fn(self.fn(w)),
             f"{{{self.name},{other.name}}}",
-        )
-
-    def commutator(self, other: "Operator") -> "Operator":
-        return Operator(
-            (self.parity + other.parity) % 2,
-            lambda w: self.fn(other.fn(w)) - other.fn(self.fn(w)),
-            f"[{self.name},{other.name}]",
         )
 
 
@@ -736,14 +730,14 @@ def commutator_table(coords: CoordinateSystem, trials: TrialSet) -> list[TableRe
             for k in range(1, coords.n + 1):
                 pair = op_i_form(
                     SuperVectorField.coordinate_basis(coords, ("x", a))
-                ).anticommutator(op_e_form(coords, coords.x(k)))
+                ).graded_bracket(op_e_form(coords, coords.x(k)))
                 for w in forms_[:3]:
                     yield pair(w) - w * CRat(1 if a == k else 0)
         for al in range(1, coords.nu + 1):
             for lam in range(1, coords.nu + 1):
                 pair = op_i_form(
                     SuperVectorField.coordinate_basis(coords, ("xi", al))
-                ).commutator(op_e_form(coords, coords.xi(lam)))
+                ).graded_bracket(op_e_form(coords, coords.xi(lam)))
                 for w in forms_[:3]:
                     yield pair(w) - w * CRat(1 if al == lam else 0)
 
@@ -835,7 +829,7 @@ def commutator_table(coords: CoordinateSystem, trials: TrialSet) -> list[TableRe
             for x in even_fields:
                 for f in functions:
                     u = f.with_carrier(coords.densities)
-                    lhs = b.anticommutator(op_i_density(x))(u)
+                    lhs = b.graded_bracket(op_i_density(x))(u)
                     acc = GradedPoly.zero(coords.densities)
                     for a in range(1, coords.n + 1):
                         acc = acc + (

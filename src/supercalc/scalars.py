@@ -161,6 +161,8 @@ _ZERO_DENOMINATOR = re.compile(r"/0+(?!\d)")
 
 def parse_crat(text: str) -> CRat:
     """Inverse of :func:`format_crat`."""
+    if not isinstance(text, str):
+        raise ValueError(f"scalar literal {text!r} is not a string")
     text = text.strip()
     if _ZERO_DENOMINATOR.search(text):
         raise ValueError(f"zero denominator in scalar literal {text!r}")

@@ -185,3 +185,16 @@ def test_polynomial_variable_count_mismatch():
             op(one_var, two_vars)
         with pytest.raises(GeneratorMismatch):
             op(two_vars, one_var)
+
+
+def test_from_json_mixed_resolves_named_integrands():
+    data = {"n": 1, "nu": 2, "terms": {"1,2": "gaussian", "": {"0": "3"}}}
+    gaussian = lambda x: math.exp(-x * x)  # noqa: E731
+    f = from_json_mixed(data, {"gaussian": gaussian})
+    assert f.terms[0b11] is gaussian
+    assert f.terms[0] == Polynomial(1, {(0,): 3})
+    value = mixed_integral(f, Domain(((-8.0, 8.0),), tol=1e-12))
+    assert abs(value - math.sqrt(math.pi)) < 1e-10
+    for integrands in (None, {"other": gaussian}):
+        with pytest.raises(ValueError, match="unknown integrand 'gaussian'"):
+            from_json_mixed(data, integrands)

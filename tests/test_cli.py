@@ -234,3 +234,88 @@ def test_deep_nesting_is_an_input_error():
     assert proc.stdout.strip() == "1"
     proc = run_cli("eval", "x1 + " + "-" * depth + "x1", "--nu", "1")
     assert proc.stdout.strip() == "2*x1"
+
+
+@pytest.mark.parametrize(
+    "args, flags",
+    [
+        (("check", "grassmann", "--dim", "3", "--trials", "1"), "--dim 3"),
+        (("check", "all", "--n", "2"), "--n 2"),
+        (("check", "complexes", "--nb", "1", "--trials", "1"), "--nb 1"),
+        (("eval", "x1", "--nu", "1", "--seed", "3"), "--seed 3"),
+    ],
+    ids=["grassmann-dim", "all-n", "complexes-nb", "eval-seed"],
+)
+def test_flag_foreign_to_the_command_is_a_usage_error(args, flags):
+    proc = run_cli(*args, expect=2)
+    assert proc.stdout == ""
+    errors = [line for line in proc.stderr.splitlines() if "error:" in line]
+    assert errors == [f"supercalc: error: unrecognized arguments: {flags}"]
+
+
+def test_check_flags_follow_the_suite_name():
+    proc = run_cli("check", "--seed", "3", "grassmann", expect=2)
+    assert proc.stdout == ""
+    assert len([line for line in proc.stderr.splitlines() if "error:" in line]) == 1
+
+
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        ([1, 2], "expected a JSON object"),
+        ({"1": 5}, "scalar literal 5 is not a string"),
+        ({"terms": [1]}, '"terms" is not a JSON object'),
+    ],
+    ids=["list", "number", "terms-list"],
+)
+@pytest.mark.parametrize("command", ["let", "berezin"])
+def test_term_map_file_shape(tmp_path, content, message, command):
+    path = tmp_path / "z.json"
+    path.write_text(json.dumps(content))
+    if command == "let":
+        proc = run_cli("eval", "s", "--nu", "1", "--let", f"s={path}", expect=2)
+    else:
+        proc = run_cli("berezin", "--nu", "1", "--expr", str(path), expect=2)
+    assert message in one_error_line(proc)
+
+
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        ([1, 2], "expected a JSON object"),
+        ({"terms": {"1,2": {"1": 1}}}, "scalar literal 1 is not a string"),
+        ({"n": 1}, '"terms" is missing'),
+        ({"terms": {"1,2": [1]}}, "term '1,2': [1] is neither"),
+        ({"terms": {"1,2": "sine"}}, "unknown integrand 'sine'"),
+        ({"n": 2, "nu": 2, "terms": {"1,2": "gaussian"}}, '"n" is 2, --n is 1'),
+        ({"nu": 1, "terms": {"1": {"1": "1"}}}, '"nu" is 1, --nu is 2'),
+    ],
+    ids=["list", "number", "no-terms", "term-list", "unknown-integrand", "n", "nu"],
+)
+def test_mixed_file_shape(tmp_path, content, message):
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps(content))
+    proc = run_cli(
+        "mixed", "--n", "1", "--nu", "2", "--expr", str(path), "--domain", "0,1", expect=2
+    )
+    assert message in one_error_line(proc)
+
+
+@pytest.mark.parametrize("value", ["0", "-1", "nan", "inf", "1e-300", "1e-15"])
+def test_quad_tolerance_out_of_range(tmp_path, value):
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps({"terms": {"1,2": "gaussian"}}))
+    proc = run_cli(
+        "mixed", "--n", "1", "--nu", "2", "--expr", str(path), "--domain=-8,8",
+        f"--quad={value}", expect=2,
+    )
+    assert proc.stdout == ""
+    errors = [line for line in proc.stderr.splitlines() if "error:" in line]
+    assert len(errors) == 1
+    assert "argument --quad: must be at " in errors[0]
+
+
+def test_check_complexes_with_one_patch_flag():
+    proc = run_cli("check", "complexes", "--n", "1", "--trials", "2")
+    checks = [line for line in proc.stdout.splitlines() if line.startswith(("  PASS", "  FAIL"))]
+    assert checks and all(line.startswith("  PASS (1,2) ") for line in checks)
