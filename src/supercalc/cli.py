@@ -12,6 +12,7 @@ import json
 import math
 import sys
 import time
+from contextlib import contextmanager
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -185,13 +186,23 @@ def _load_json(flag: str, path: str, rows: bool = False):
     return data
 
 
+@contextmanager
+def _blame(place: str):
+    """Prefix `place` to the message of a ValueError raised inside."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ValueError(f"{place}: {exc}") from None
+
+
 def _load_terms(flag: str, path: str, nu: int) -> Supernumber:
     """A supernumber file: a JSON term map, bare or under "terms"."""
     data = _load_json(flag, path)
     terms = data.get("terms", data)
     if not isinstance(terms, dict):
         raise ValueError(f'{flag} {path}: "terms" is not a JSON object')
-    return from_json_terms(terms, nu)
+    with _blame(f"{flag} {path}"):
+        return from_json_terms(terms, nu)
 
 
 def _rational(value, where: str) -> Fraction:
@@ -262,8 +273,11 @@ def cmd_mixed(args) -> int:
         flag = getattr(args, key)
         if data.get(key, flag) != flag:
             raise ValueError(f'--expr {args.expr}: "{key}" is {data[key]!r}, --{key} is {flag}')
-    f = from_json_mixed({**data, "n": args.n, "nu": args.nu}, _INTEGRANDS)
-    value = mixed_integral(f, _parse_domain(args.domain, args.n, args.quad))
+    with _blame(f"--expr {args.expr}"):
+        f = from_json_mixed({**data, "n": args.n, "nu": args.nu}, _INTEGRANDS)
+    domain = _parse_domain(args.domain, args.n, args.quad)
+    with _blame(f"--quad {args.quad:g} --domain {args.domain}"):
+        value = mixed_integral(f, domain)
     return _print_result(args, str(value) if isinstance(value, CRat) else repr(value))
 
 

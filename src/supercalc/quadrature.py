@@ -3,6 +3,11 @@
 Deterministic recursive bisection on a fixed 15-point rule; results do
 not depend on evaluation scheduling.  Only the floating-point integration
 path uses this; polynomial integrands are integrated exactly elsewhere.
+
+The tolerance halves at every split, so a tolerance near roundoff on a
+wide interval can bisect without converging for a very long time.  The
+work is therefore bounded by a fixed number of panels (one panel is one
+15- plus 30-point evaluation of a subinterval).
 """
 
 from __future__ import annotations
@@ -13,6 +18,10 @@ import numpy as np
 
 _NODES, _WEIGHTS = np.polynomial.legendre.leggauss(15)
 _NODES_30, _WEIGHTS_30 = np.polynomial.legendre.leggauss(30)
+
+# The gaussian on -100,100 at tolerance 1e-14 takes 12 435 panels (0.5 s on
+# a 2-core host); on -1000,1000 at 1e-13 it would take 268 711 (9.4 s).
+MAX_PANELS = 20_000
 
 
 def _fixed(f: Callable[[float], float], a: float, b: float, nodes, weights) -> float:
@@ -28,9 +37,20 @@ def integrate(
     tol: float = 1e-10,
     max_depth: int = 40,
 ) -> float:
-    """Integrate f over [a, b] to absolute tolerance tol."""
+    """Integrate f over [a, b] to absolute tolerance tol.
+
+    Raises ValueError when the tolerance is not met within MAX_PANELS
+    panels."""
+    panels = 0
 
     def recurse(lo: float, hi: float, budget: float, depth: int) -> float:
+        nonlocal panels
+        panels += 1
+        if panels > MAX_PANELS:
+            raise ValueError(
+                f"quadrature to tolerance {tol:g} on [{a:g}, {b:g}] did not converge "
+                f"within {MAX_PANELS} panels"
+            )
         coarse = _fixed(f, lo, hi, _NODES, _WEIGHTS)
         fine = _fixed(f, lo, hi, _NODES_30, _WEIGHTS_30)
         if abs(fine - coarse) <= budget or depth >= max_depth:

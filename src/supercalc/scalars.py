@@ -1,84 +1,106 @@
 """Exact complex-rational scalars.
 
-All algebraic kernels in this package compute over Q(i): complex numbers
-whose real and imaginary parts are exact `fractions.Fraction` values, so
-that identities can be tested as exact equalities rather than within a
-tolerance.  Floating point only enters through the quadrature path.
+All algebraic kernels in this package compute over Q(i), so that
+identities can be tested as exact equalities rather than within a
+tolerance.  A scalar is stored as a Gaussian-integer numerator over one
+positive integer denominator, (a + b*i) / d, with gcd(a, b, d) == 1; the
+form is unique, so equality compares three ints.  Sums and products of
+scalars with denominator 1, the common case, need no gcd at all.
+Floating point only enters through the quadrature path.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import Union
-
-_NumberLike = Union[int, Fraction, "CRat"]
+from math import gcd, lcm
 
 
 class CRat:
-    """A complex number with exact rational real and imaginary parts."""
+    """A complex number (a + b*i) / d with integers a, b and d, d > 0 and
+    gcd(a, b, d) == 1.  Immutable; `re` and `im` give the parts as
+    `Fraction`."""
 
-    __slots__ = ("re", "im")
+    __slots__ = ("_a", "_b", "_d")
 
     def __init__(self, re: int | Fraction = 0, im: int | Fraction = 0):
-        # hot path: avoid re-normalizing values that are already Fractions
-        object.__setattr__(self, "re", re if type(re) is Fraction else Fraction(re))
-        object.__setattr__(self, "im", im if type(im) is Fraction else Fraction(im))
+        if type(re) is int and type(im) is int:
+            a, b, d = re, im, 1
+        else:
+            re, im = Fraction(re), Fraction(im)
+            d = lcm(re.denominator, im.denominator)
+            a = re.numerator * (d // re.denominator)
+            b = im.numerator * (d // im.denominator)
+        _set_a(self, a)
+        _set_b(self, b)
+        _set_d(self, d)
 
     def __setattr__(self, name, value):
         raise AttributeError("CRat is immutable")
 
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self._a, self._d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self._b, self._d)
+
     @staticmethod
-    def coerce(value: _NumberLike) -> "CRat":
+    def coerce(value: int | Fraction | CRat) -> "CRat":
         if isinstance(value, CRat):
             return value
-        if isinstance(value, (int, Fraction)):
-            return CRat(value)
+        if isinstance(value, int):
+            return _crat(int(value), 0, 1)
+        if isinstance(value, Fraction):
+            return _crat(value.numerator, 0, value.denominator)
         raise TypeError(f"cannot interpret {value!r} as an exact complex rational")
 
-    def __add__(self, other: _NumberLike) -> "CRat":
+    def __add__(self, other: int | Fraction | CRat) -> "CRat":
         if type(other) is not CRat:
             other = CRat.coerce(other)
-        return CRat(self.re + other.re, self.im + other.im)
+        d, f = self._d, other._d
+        if d == f:
+            return _crat(self._a + other._a, self._b + other._b, d)
+        return _crat(self._a * f + other._a * d, self._b * f + other._b * d, d * f)
 
     __radd__ = __add__
 
-    def __sub__(self, other: _NumberLike) -> "CRat":
+    def __sub__(self, other: int | Fraction | CRat) -> "CRat":
         if type(other) is not CRat:
             other = CRat.coerce(other)
-        return CRat(self.re - other.re, self.im - other.im)
+        d, f = self._d, other._d
+        if d == f:
+            return _crat(self._a - other._a, self._b - other._b, d)
+        return _crat(self._a * f - other._a * d, self._b * f - other._b * d, d * f)
 
-    def __rsub__(self, other: _NumberLike) -> "CRat":
+    def __rsub__(self, other: int | Fraction | CRat) -> "CRat":
         return CRat.coerce(other) - self
 
-    def __mul__(self, other: _NumberLike) -> "CRat":
+    def __mul__(self, other: int | Fraction | CRat) -> "CRat":
         if type(other) is not CRat:
             other = CRat.coerce(other)
-        sim, oim = self.im, other.im
-        if not sim and not oim:
-            return CRat(self.re * other.re)
-        return CRat(
-            self.re * other.re - sim * oim,
-            self.re * oim + sim * other.re,
-        )
+        a, b, c, e = self._a, self._b, other._a, other._b
+        if not b and not e:
+            return _crat(a * c, 0, self._d * other._d)
+        return _crat(a * c - b * e, a * e + b * c, self._d * other._d)
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other: _NumberLike) -> "CRat":
+    def __truediv__(self, other: int | Fraction | CRat) -> "CRat":
         other = CRat.coerce(other)
-        d = other.re * other.re + other.im * other.im
-        if d == 0:
+        c, e, f = other._a, other._b, other._d
+        n = c * c + e * e
+        if n == 0:
             raise ZeroDivisionError("division by zero scalar")
-        return CRat(
-            (self.re * other.re + self.im * other.im) / d,
-            (self.im * other.re - self.re * other.im) / d,
-        )
+        a, b = self._a, self._b
+        return _crat(f * (a * c + b * e), f * (b * c - a * e), self._d * n)
 
-    def __rtruediv__(self, other: _NumberLike) -> "CRat":
+    def __rtruediv__(self, other: int | Fraction | CRat) -> "CRat":
         return CRat.coerce(other) / self
 
     def __neg__(self) -> "CRat":
-        return CRat(-self.re, -self.im)
+        return _crat(-self._a, -self._b, self._d)
 
     def __pow__(self, n: int) -> "CRat":
         if not isinstance(n, int):
@@ -95,40 +117,46 @@ class CRat:
         return out
 
     def conjugate(self) -> "CRat":
-        return CRat(self.re, -self.im)
+        return _crat(self._a, -self._b, self._d)
 
     def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
+        return not self._a and not self._b
 
     def is_real(self) -> bool:
-        return self.im == 0
+        return not self._b
 
     def abs2(self) -> Fraction:
         """Squared modulus, exact."""
-        return self.re * self.re + self.im * self.im
+        a, b, d = self._a, self._b, self._d
+        return Fraction(a * a + b * b, d * d)
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = CRat(other)
-        if not isinstance(other, CRat):
-            return NotImplemented
-        return self.re == other.re and self.im == other.im
+        if isinstance(other, CRat):
+            return self._a == other._a and self._b == other._b and self._d == other._d
+        if isinstance(other, int):
+            return not self._b and self._d == 1 and self._a == other
+        if isinstance(other, Fraction):
+            return not self._b and self._d == other.denominator and self._a == other.numerator
+        return NotImplemented
 
     def __hash__(self):
-        if self.im == 0:
-            return hash(self.re)
-        return hash((self.re, self.im))
+        a, b, d = self._a, self._b, self._d
+        if d == 1:
+            return hash(a) if not b else hash((a, b))
+        if not b:
+            return hash(Fraction(a, d))
+        return hash((Fraction(a, d), Fraction(b, d)))
 
     def __bool__(self):
         return not self.is_zero()
 
     def __complex__(self) -> complex:
-        return complex(float(self.re), float(self.im))
+        return complex(self._a / self._d, self._b / self._d)
 
     def __float__(self) -> float:
-        if self.im != 0:
+        if self._b:
             raise ValueError(f"{self} has a nonzero imaginary part")
-        return float(self.re)
+        return self._a / self._d
 
     def __repr__(self):
         return f"CRat({self.re!r}, {self.im!r})"
@@ -137,19 +165,43 @@ class CRat:
         return format_crat(self)
 
 
-def _format_rat(q: Fraction) -> str:
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+_new = object.__new__
+_set_a = CRat._a.__set__
+_set_b = CRat._b.__set__
+_set_d = CRat._d.__set__
+
+
+def _crat(a: int, b: int, d: int) -> CRat:
+    """The one constructor of results: (a + b*i) / d with d > 0, reduced
+    here unless d == 1."""
+    if d != 1:
+        g = gcd(a, b, d)
+        if g != 1:
+            a //= g
+            b //= g
+            d //= g
+    c = _new(CRat)
+    _set_a(c, a)
+    _set_b(c, b)
+    _set_d(c, d)
+    return c
+
+
+def _format_rat(n: int, d: int) -> str:
+    g = gcd(n, d)
+    return str(n // g) if d == g else f"{n // g}/{d // g}"
 
 
 def format_crat(c: CRat) -> str:
     """Render like ``3``, ``-1/2``, ``2i``, ``1+2i`` or ``1/2-3/4i``."""
-    if c.im == 0:
-        return _format_rat(c.re)
-    im_part = "i" if abs(c.im) == 1 else _format_rat(abs(c.im)) + "i"
-    sign = "-" if c.im < 0 else "+"
-    if c.re == 0:
-        return ("-" if c.im < 0 else "") + im_part
-    return f"{_format_rat(c.re)}{sign}{im_part}"
+    a, b, d = c._a, c._b, c._d
+    if not b:
+        return _format_rat(a, d)
+    im_part = "i" if abs(b) == d else _format_rat(abs(b), d) + "i"
+    sign = "-" if b < 0 else "+"
+    if not a:
+        return ("-" if b < 0 else "") + im_part
+    return f"{_format_rat(a, d)}{sign}{im_part}"
 
 
 _RAT = r"\d+(?:/\d+)?"

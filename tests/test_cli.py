@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -319,3 +320,27 @@ def test_check_complexes_with_one_patch_flag():
     proc = run_cli("check", "complexes", "--n", "1", "--trials", "2")
     checks = [line for line in proc.stdout.splitlines() if line.startswith(("  PASS", "  FAIL"))]
     assert checks and all(line.startswith("  PASS (1,2) ") for line in checks)
+
+
+def test_library_reader_errors_name_the_flag_and_file(tmp_path):
+    bad = tmp_path / "f.json"
+    bad.write_text(json.dumps({"terms": {"1,2": "nope"}}))
+    proc = run_cli("mixed", "--n", "1", "--nu", "2", "--expr", str(bad), "--domain", "0,1", expect=2)
+    assert one_error_line(proc).startswith(f"error: --expr {bad}: unknown integrand 'nope'")
+    number = tmp_path / "z.json"
+    number.write_text(json.dumps({"1": 5}))
+    proc = run_cli("eval", "s", "--nu", "1", "--let", f"s={number}", expect=2)
+    assert one_error_line(proc).startswith(f"error: --let {number}: scalar literal 5 is not a string")
+
+
+def test_quadrature_budget_is_an_input_error(tmp_path):
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps({"terms": {"1,2": "gaussian"}}))
+    start = time.monotonic()
+    proc = run_cli(
+        "mixed", "--n", "1", "--nu", "2", "--expr", str(path), "--domain=-1000,1000",
+        "--quad", "1e-13", expect=2,
+    )
+    assert time.monotonic() - start < 5
+    line = one_error_line(proc)
+    assert "--quad 1e-13" in line and "--domain -1000,1000" in line and "did not converge" in line
