@@ -43,7 +43,6 @@ from .forms import (
     SuperDensity,
     SuperForm,
     SuperVectorField,
-    commutator_table,
     contract_iX,
     divergence,
     exterior_d,
@@ -66,6 +65,7 @@ from .metric import (
 )
 from .fock import FockAlgebraSpec, FockState, apply, dual_product, inner_product, translate
 from .clifford import CliffordContext, current, gamma, gamma0, reversal
+from .suites import commutator_table
 
 __version__ = "0.1.0"
 

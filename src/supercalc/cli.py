@@ -28,6 +28,21 @@ from .scalars import CRat
 # 10 s at D = 6 on a 2-core host.  Larger sizes are refused up front.
 MAX_CLIFFORD_DIM = 6
 
+# `check fock` applies every pair of ladder operators to each spanning
+# state, so its cost grows as the (max_occ + 1)^nb * 2^nf states times the
+# squared mode count (nb + nf)^2.  On a 2-core host that size is 1024 at
+# the default (nb, nf, max_occ) = (2, 2, 3), about 1 s; 18432 at
+# (3, 3, 3), 11 s; 20000 at (1, 1, 2499), 15 s, as high occupations cost
+# more per state; 41472 at (1, 8, 1), 22 s.  Larger sizes are refused up
+# front.
+MAX_FOCK_SIZE = 20_000
+
+# The complexes suite samples forms, fields and coordinate pairs of one
+# patch, and its cost grows with the coordinate count n + nu, fastest in
+# n: `check complexes` takes about 2 s at (2, 2), 7 s at (8, 0) and 11 s
+# at (10, 0) on a 2-core host.  Larger patches are refused up front.
+MAX_PATCH_COORDS = 10
+
 # The adaptive quadrature bisects until its tolerance is met; at or below
 # roundoff it never is and bisects to full depth.  1e-14 is the smallest
 # tolerance measured to converge: the gaussian takes about 0.5 s on -8,8
@@ -300,9 +315,21 @@ def _suite_kwargs(args) -> dict:
     table row for this spelling, overridden by the suite's own flags."""
     kwargs = dict(args.run_defaults)
     if args.suite == "fock":
+        # a base of 2 or more to a power above the cap's bit length is over
+        # the cap already, so clipping the exponents keeps huge flags cheap
+        bits = MAX_FOCK_SIZE.bit_length()
+        size = (args.max_occ + 1) ** min(args.nb, bits) * 2 ** min(args.nf, bits) * (args.nb + args.nf) ** 2
+        if size > MAX_FOCK_SIZE:
+            raise ValueError(
+                f"--nb {args.nb} --nf {args.nf} --max-occ {args.max_occ}: "
+                f"(max_occ + 1)^nb * 2^nf * (nb + nf)^2 is over {MAX_FOCK_SIZE}"
+            )
         kwargs.update(n_bose=args.nb, n_fermi=args.nf, max_occupation=args.max_occ)
     elif args.suite == "complexes" and (args.n, args.nu) != (None, None):
-        kwargs["mixes"] = ((2 if args.n is None else args.n, 2 if args.nu is None else args.nu),)
+        n, nu = 2 if args.n is None else args.n, 2 if args.nu is None else args.nu
+        if n + nu > MAX_PATCH_COORDS:
+            raise ValueError(f"--n {n} --nu {nu}: {n + nu} coordinates, at most {MAX_PATCH_COORDS} allowed")
+        kwargs["mixes"] = ((n, nu),)
     elif args.suite == "clifford":
         metric = _metric_rows(args.metric)
         if isinstance(metric, list):

@@ -10,7 +10,9 @@ same parities, which is why the divergence obeys bb = 0 by the same
 cancellation that gives dd = 0.
 
 Operators are small wrappers carrying a parity tag so that graded
-commutators are formed uniformly.
+commutators are formed uniformly.  The table of graded Cartan relations
+that these operators obey is checked in the suites layer
+(`supercalc.suites.IDENTITIES`); this module holds no oracle code.
 """
 
 from __future__ import annotations
@@ -445,32 +447,6 @@ def op_lie_density(x: SuperVectorField) -> Operator:
     return Operator(x.parity, op.fn, "L")
 
 
-def lie_density_classical(x: SuperVectorField) -> Operator:
-    """Textbook component formula for the Lie derivative of a bosonic
-    contravariant weight-one density: transport minus gradient insertion
-    plus the divergence weight term.  Serves as an independent oracle for
-    the bracket definition (purely bosonic fields and coordinates)."""
-    coords = x.coords
-    if coords.nu or x.parity:
-        raise ValueError("classical oracle is for even fields on bosonic patches")
-
-    def run(w: GradedPoly) -> GradedPoly:
-        out = GradedPoly.zero(coords.densities)
-        for a, comp in enumerate(x.bose, start=1):
-            out = out + comp.with_carrier(coords.densities) * w.partial_x(a)
-        for a in range(1, coords.n + 1):
-            for b, comp in enumerate(x.bose, start=1):
-                grad = comp.partial_x(a)
-                if grad.is_zero():
-                    continue
-                replaced = GradedPoly.aux_odd(coords.densities, b) * w.partial_aux_odd(a)
-                out = out - grad.with_carrier(coords.densities) * replaced
-        out = out + x.coordinate_divergence().with_carrier(coords.densities) * w
-        return out
-
-    return Operator(0, run, "L_classical")
-
-
 # -- public operations on wrappers ---------------------------------------
 
 
@@ -560,286 +536,6 @@ def integrate_density(f, bounds: Sequence[tuple]) -> CRat:
             raise ValueError("integration applies to scalar densities")
         return scalar_density_integral(f.poly.coefficient_function(), bounds)
     return scalar_density_integral(f, bounds)
-
-
-# -- commutator table ------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class TrialSet:
-    """Randomized polynomial test elements for the operator identities."""
-
-    forms: tuple[GradedPoly, ...]
-    densities: tuple[GradedPoly, ...]
-    functions: tuple[GradedPoly, ...]  # parity-homogeneous superfunctions
-    fields: tuple[SuperVectorField, ...]
-
-
-@dataclass(frozen=True)
-class TableResult:
-    name: str
-    cases: int
-    failures: int
-
-    @property
-    def ok(self) -> bool:
-        return self.failures == 0
-
-
-def commutator_table(coords: CoordinateSystem, trials: TrialSet) -> list[TableResult]:
-    """Evaluate the graded operator identities of the exterior calculus on
-    the supplied test elements; every deviation must be exactly zero.
-
-    Identities whose naive extension fails off its stated scope are run
-    on that scope only: the density-side [b, e(F)] = 0 needs an even F on
-    mixed patches (the obstruction is the mixed second derivative of an
-    odd F), and [e(F), i(X)] = M(XF) on densities is a bosonic-sector
-    statement.  The Lie/e interchange carries the factor (-1)^{parity X}
-    required by the graded Jacobi identity.
-    """
-    d = op_d_form(coords)
-    b = op_divergence(coords)
-    results: list[TableResult] = []
-
-    def run(name: str, pairs_fn) -> None:
-        cases = failures = 0
-        for dev in pairs_fn():
-            cases += 1
-            if not dev.is_zero():
-                failures += 1
-        results.append(TableResult(name, cases, failures))
-
-    functions = trials.functions
-    fields = trials.fields
-    forms_ = trials.forms
-    densities_ = trials.densities
-    even_functions = [f for f in functions if f.parity() is not Parity.ODD]
-
-    def pair_iter(items):
-        n = len(items)
-        for i in range(n):
-            yield items[i], items[(i + 1) % n]
-
-    # forms
-    run("forms: dd = 0", lambda: (d(d(w)) for w in forms_))
-    run(
-        "forms: [e(F), e(G)] = 0",
-        lambda: (
-            op_e_form(coords, f).graded_bracket(op_e_form(coords, g))(w)
-            for (f, g) in pair_iter(functions)
-            for w in forms_
-        ),
-    )
-    run(
-        "forms: [i(X), i(Y)] = 0",
-        lambda: (
-            op_i_form(x).graded_bracket(op_i_form(y))(w)
-            for (x, y) in pair_iter(fields)
-            for w in forms_
-        ),
-    )
-    run(
-        "forms: [i(X), e(F)] = M(XF)",
-        lambda: (
-            op_i_form(x).graded_bracket(op_e_form(coords, f))(w)
-            - op_mult(coords, x.apply(f))(w)
-            for x in fields
-            for f in functions
-            for w in forms_[:2]
-        ),
-    )
-    run(
-        "forms: [d, e(F)] = 0",
-        lambda: (op_d_form(coords).graded_bracket(op_e_form(coords, f))(w) for f in functions for w in forms_[:2]),
-    )
-    run(
-        "forms: [i(X), d] = L(X)",
-        lambda: (
-            op_i_form(x).graded_bracket(d)(w) - op_lie_form(x)(w)
-            for x in fields
-            for w in forms_[:2]
-        ),
-    )
-    run(
-        "forms: [d, L(X)] = 0",
-        lambda: (d.graded_bracket(op_lie_form(x))(w) for x in fields for w in forms_[:2]),
-    )
-    run(
-        "forms: [d, M(F)] = e(F)",
-        lambda: (
-            d.graded_bracket(op_mult(coords, f))(w) - op_e_form(coords, f)(w)
-            for f in functions
-            for w in forms_[:2]
-        ),
-    )
-    run(
-        "forms: [L(X), L(Y)] = L([X, Y])",
-        lambda: (
-            op_lie_form(x).graded_bracket(op_lie_form(y))(w)
-            - op_lie_form(x.bracket(y))(w)
-            for (x, y) in pair_iter(fields)
-            for w in forms_[:2]
-        ),
-    )
-    run(
-        "forms: [L(X), e(F)] = (-1)^X e(XF)",
-        lambda: (
-            op_lie_form(x).graded_bracket(op_e_form(coords, f))(w)
-            - op_e_form(coords, x.apply(f))(w) * CRat(-1 if x.parity else 1)
-            for x in fields
-            for f in functions[:2]
-            for w in forms_[:2]
-        ),
-    )
-    run(
-        "forms: [L(X), M(F)] = M(XF)",
-        lambda: (
-            op_lie_form(x).graded_bracket(op_mult(coords, f))(w)
-            - op_mult(coords, x.apply(f))(w)
-            for x in fields
-            for f in functions[:2]
-            for w in forms_[:2]
-        ),
-    )
-    run(
-        "forms: [L(X), i(Y)] = i([X, Y])",
-        lambda: (
-            op_lie_form(x).graded_bracket(op_i_form(y))(w)
-            - op_i_form(x.bracket(y))(w)
-            for (x, y) in pair_iter(fields)
-            for w in forms_[:2]
-        ),
-    )
-
-    def rep_devs(elements, op_e, op_lie, op):
-        """Deviations of op = sum_A e(x^A) L(d/dx^A) on each element."""
-        labels = [("x", a) for a in range(1, coords.n + 1)]
-        labels += [("xi", al) for al in range(1, coords.nu + 1)]
-        for w in elements:
-            acc = GradedPoly.zero(w.carrier)
-            for kind, idx in labels:
-                basis = SuperVectorField.coordinate_basis(coords, (kind, idx))
-                coordinate = coords.x(idx) if kind == "x" else coords.xi(idx)
-                acc = acc + op_e(coords, coordinate)(op_lie(basis)(w))
-            yield acc - op(w)
-
-    run("forms: d = sum e(x^A) L(d/dx^A)", lambda: rep_devs(forms_, op_e_form, op_lie_form, d))
-
-    def ladder_devs():
-        for a in range(1, coords.n + 1):
-            for k in range(1, coords.n + 1):
-                pair = op_i_form(
-                    SuperVectorField.coordinate_basis(coords, ("x", a))
-                ).graded_bracket(op_e_form(coords, coords.x(k)))
-                for w in forms_[:3]:
-                    yield pair(w) - w * CRat(1 if a == k else 0)
-        for al in range(1, coords.nu + 1):
-            for lam in range(1, coords.nu + 1):
-                pair = op_i_form(
-                    SuperVectorField.coordinate_basis(coords, ("xi", al))
-                ).graded_bracket(op_e_form(coords, coords.xi(lam)))
-                for w in forms_[:3]:
-                    yield pair(w) - w * CRat(1 if al == lam else 0)
-
-    run("forms: ladder pairs {i(d_a), e(x^k)} = delta, [i(d_xi), e(xi)] = delta", ladder_devs)
-
-    def contraction_leibniz_devs():
-        odd_fields = [x for x in fields if x.parity == 1]
-        for x in odd_fields:
-            ix = op_i_form(x)
-            for w in forms_[:2]:
-                for v in forms_[:2]:
-                    yield ix(w * v) - (ix(w) * v + w * ix(v))
-
-    run("forms: i(odd X) is an even derivation over wedge", contraction_leibniz_devs)
-
-    # densities
-    run("densities: bb = 0", lambda: (b(b(u)) for u in densities_))
-    run(
-        "densities: [e(F), e(G)] = 0",
-        lambda: (
-            op_e_density(coords, f).graded_bracket(op_e_density(coords, g))(u)
-            for (f, g) in pair_iter(functions)
-            for u in densities_[:2]
-        ),
-    )
-    run(
-        "densities: [i(X), i(Y)] = 0",
-        lambda: (
-            op_i_density(x).graded_bracket(op_i_density(y))(u)
-            for (x, y) in pair_iter(fields)
-            for u in densities_[:2]
-        ),
-    )
-    safe_e_args = functions if (coords.n == 0 or coords.nu == 0) else even_functions
-    run(
-        "densities: [b, e(F)] = 0",
-        lambda: (
-            b.graded_bracket(op_e_density(coords, f))(u)
-            for f in safe_e_args
-            for u in densities_[:2]
-        ),
-    )
-    if coords.nu == 0:
-        run(
-            "densities: [e(F), i(X)]+ = M(XF) (bosonic)",
-            lambda: (
-                op_e_density(coords, f).graded_bracket(op_i_density(x))(u)
-                - op_mult_density(coords, x.apply(f))(u)
-                for f in functions
-                for x in fields
-                for u in densities_[:2]
-            ),
-        )
-    run(
-        "densities: [b, L(X)] = 0",
-        lambda: (
-            b.graded_bracket(op_lie_density(x))(u) for x in fields for u in densities_[:2]
-        ),
-    )
-
-    run(
-        "densities: b = sum e(x^A) L(d/dx^A)",
-        lambda: rep_devs(densities_, op_e_density, op_lie_density, b),
-    )
-
-    def lie_transport_devs():
-        for u in densities_[:3]:
-            for a in range(1, coords.n + 1):
-                xa = SuperVectorField.coordinate_basis(coords, ("x", a))
-                yield op_lie_density(xa)(u) - u.partial_x(a)
-            for al in range(1, coords.nu + 1):
-                xal = SuperVectorField.coordinate_basis(coords, ("xi", al))
-                yield op_lie_density(xal)(u) - u.partial_xi(al)
-
-    run("densities: L(d/dx^A) acts as d/dx^A", lie_transport_devs)
-
-    if coords.nu == 0:
-        even_fields = [x for x in fields if x.parity == 0]
-        run(
-            "densities: bracket Lie = classical component formula (bosonic)",
-            lambda: (
-                op_lie_density(x)(u) - lie_density_classical(x)(u)
-                for x in even_fields
-                for u in densities_[:3]
-            ),
-        )
-
-        def scalar_divergence_devs():
-            for x in even_fields:
-                for f in functions:
-                    u = f.with_carrier(coords.densities)
-                    lhs = b.graded_bracket(op_i_density(x))(u)
-                    acc = GradedPoly.zero(coords.densities)
-                    for a in range(1, coords.n + 1):
-                        acc = acc + (
-                            x.bose[a - 1].with_carrier(coords.densities) * u
-                        ).partial_x(a)
-                    yield lhs - acc
-
-        run("densities: [b, i(X)]+ = d_mu(X^mu .) on scalars (bosonic)", scalar_divergence_devs)
-
-    return results
 
 
 # -- conversions ----------------------------------------------------------

@@ -39,14 +39,13 @@ from .grassmann import (
     _map_terms,
     _neg,
     _parity,
-    _power,
     _product,
     _scale,
     _sum,
     indices_of,
     merge_sign,
 )
-from .scalars import CRat
+from .scalars import CRat, _power
 
 ExpTuple = tuple[tuple[int, int], ...]  # sorted ((index, exponent), ...)
 Mono = tuple[ExpTuple, int, int, ExpTuple]  # (x_exps, xi_mask, aux_odd_mask, aux_even_exps)

@@ -11,9 +11,10 @@ unique, so equality tests are exact.
 This module also holds the sparse term routines shared by every kernel
 (`Supernumber` here, `polynomials.Polynomial`, `berezin.MixedFunction`,
 `graded_poly.GradedPoly`): `_accumulate` (add terms, drop the keys that
-cancel), `_sum`, `_scale`, `_neg`, `_product` under a monomial rule,
-`_power` and `_map_terms`.  The supernumber monomial rule is `_mask_mono`:
-disjoint masks multiply to their union with the `merge_sign` sign.
+cancel), `_sum`, `_scale`, `_neg`, `_product` under a monomial rule and
+`_map_terms`; powers use `scalars._power`.  The supernumber monomial rule
+is `_mask_mono`: disjoint masks multiply to their union with the
+`merge_sign` sign.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import json
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from .scalars import CRat
+from .scalars import CRat, _power
 
 MultiIndex = tuple[int, ...]
 
@@ -152,20 +153,6 @@ def _product(a: dict, b: dict, rule, nu: int) -> dict:
 def _map_terms(terms: dict, rule, arg) -> dict:
     """Accumulate rule(key, coeff, arg) -> (key, coeff) | None over terms."""
     return _accumulate({}, filter(None, (rule(k, c, arg) for k, c in terms.items())))
-
-
-def _power(base, k: int, one):
-    """base ** k by repeated squaring, with `one` for k == 0."""
-    if k < 0:
-        raise ValueError("negative powers are not supported; see Supernumber.inverse")
-    out = None
-    while k:
-        if k & 1:
-            out = base if out is None else out * base
-        k >>= 1
-        if k:
-            base = base * base
-    return one if out is None else out
 
 
 def _parity(seen: set[int]) -> Parity:

@@ -16,8 +16,8 @@ from fractions import Fraction
 from operator import add
 from typing import Mapping, Sequence
 
-from .grassmann import GeneratorMismatch, _SCALARS, _hash, _neg, _power, _product, _scale, _sum
-from .scalars import CRat
+from .grassmann import GeneratorMismatch, _SCALARS, _hash, _neg, _product, _scale, _sum
+from .scalars import CRat, _power
 
 Expts = tuple[int, ...]
 

@@ -107,14 +107,7 @@ class CRat:
             raise TypeError("only integer powers are exact")
         if n < 0:
             return CRat(1) / self ** (-n)
-        out = CRat(1)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return _power(self, n, CRat(1))
 
     def conjugate(self) -> "CRat":
         return _crat(self._a, -self._b, self._d)
@@ -185,6 +178,21 @@ def _crat(a: int, b: int, d: int) -> CRat:
     _set_b(c, b)
     _set_d(c, d)
     return c
+
+
+def _power(base, k: int, one):
+    """base ** k by repeated squaring, with `one` for k == 0: the power
+    routine of every ring in the package."""
+    if k < 0:
+        raise ValueError("negative powers are not supported; use the inverse")
+    out = None
+    while k:
+        if k & 1:
+            out = base if out is None else out * base
+        k >>= 1
+        if k:
+            base = base * base
+    return one if out is None else out
 
 
 def _format_rat(n: int, d: int) -> str:

@@ -7,11 +7,12 @@ in their canonical rendering for that reason (timing goes to stderr).
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from . import randomgen as rg
 from .analytic import EXP, EXP_NEG, RECIPROCAL, lift
@@ -27,14 +28,24 @@ from .berezin import (
 )
 from .forms import (
     CoordinateSystem,
-    TrialSet,
-    commutator_table,
+    Operator,
+    SuperVectorField,
     function_to_mixed,
+    op_d_form,
+    op_divergence,
+    op_e_density,
+    op_e_form,
+    op_i_density,
+    op_i_form,
+    op_lie_density,
+    op_lie_form,
+    op_mult,
+    op_mult_density,
     pairing,
     scalar_density_integral,
 )
 from .graded_poly import GradedPoly
-from .grassmann import Convention, Supernumber
+from .grassmann import Convention, Parity, Supernumber
 from .matrices import (
     GradedMatrix,
     ParitySignature,
@@ -397,7 +408,176 @@ def run_linalg(trials: int = 300, seed: int = 0, n_gen: int = 4) -> SuiteReport:
 DEFAULT_MIXES: tuple[tuple[int, int], ...] = ((2, 0), (0, 2), (2, 2), (3, 1))
 
 
-def _trial_set(rng: random.Random, coords: CoordinateSystem) -> TrialSet:
+# The graded Cartan relations of the exterior calculus (DeWitt,
+# "Supermanifolds", 2nd ed., 1992), one row per identity.  Each row is
+# multilinear in its element families, so `commutator_table` checks it on
+# every tuple of the families' product; a row runs only on patches its
+# scope admits.  Relations whose naive extension fails off its stated scope are
+# scoped: [e(F), i(X)] = M(XF) on densities and the classical oracles are
+# bosonic-sector statements, and [b, e(F)] = 0 takes only the functions
+# of the "b-closed functions" family (an even F on mixed patches; the
+# obstruction is the mixed second derivative of an odd F).  The Lie/e
+# interchange carries the factor (-1)^{parity X} required by the graded
+# Jacobi identity.
+
+
+class Identity(NamedTuple):
+    """One row of the table: `deviation(coords, *elements)` must vanish
+    exactly on every tuple drawn from `families` when `scope(coords)`."""
+
+    name: str
+    scope: Callable[[CoordinateSystem], bool]
+    families: tuple[str, ...]
+    deviation: Callable[..., GradedPoly]
+
+
+class TableResult(NamedTuple):
+    name: str
+    cases: int
+    failures: int
+
+
+def _every_patch(coords: CoordinateSystem) -> bool:
+    return True
+
+
+def _bosonic(coords: CoordinateSystem) -> bool:
+    return coords.nu == 0
+
+
+def _coordinate_labels(coords: CoordinateSystem) -> list[tuple[str, int]]:
+    return [("x", a) for a in range(1, coords.n + 1)] + [("xi", al) for al in range(1, coords.nu + 1)]
+
+
+def _coordinate(coords: CoordinateSystem, label: tuple[str, int]) -> GradedPoly:
+    kind, idx = label
+    return coords.x(idx) if kind == "x" else coords.xi(idx)
+
+
+def _coordinate_expansion(coords, op_e, op_lie, w: GradedPoly) -> GradedPoly:
+    """sum_A e(x^A) L(d/dx^A) applied to w."""
+    acc = GradedPoly.zero(w.carrier)
+    for label in _coordinate_labels(coords):
+        basis = SuperVectorField.coordinate_basis(coords, label)
+        acc = acc + op_e(coords, _coordinate(coords, label))(op_lie(basis)(w))
+    return acc
+
+
+def _ladder(coords, pair, w) -> GradedPoly:
+    """[i(d/dx^A), e(x^B)] w - delta_AB w for coordinates A, B of one kind."""
+    a, b = pair
+    basis = SuperVectorField.coordinate_basis(coords, a)
+    bracket = op_i_form(basis).graded_bracket(op_e_form(coords, _coordinate(coords, b)))
+    return bracket(w) - w * CRat(1 if a == b else 0)
+
+
+def _contraction_leibniz(coords, x, w, v) -> GradedPoly:
+    ix = op_i_form(x)
+    return ix(w * v) - (ix(w) * v + w * ix(v))
+
+
+def lie_density_classical(x: SuperVectorField) -> Operator:
+    """Textbook component formula for the Lie derivative of a bosonic
+    contravariant weight-one density: transport minus gradient insertion
+    plus the divergence weight term.  Serves as an independent oracle for
+    the bracket definition (purely bosonic fields and coordinates)."""
+    coords = x.coords
+    if coords.nu or x.parity:
+        raise ValueError("classical oracle is for even fields on bosonic patches")
+
+    def run(w: GradedPoly) -> GradedPoly:
+        out = GradedPoly.zero(coords.densities)
+        for a, comp in enumerate(x.bose, start=1):
+            out = out + comp.with_carrier(coords.densities) * w.partial_x(a)
+        for a in range(1, coords.n + 1):
+            for b, comp in enumerate(x.bose, start=1):
+                grad = comp.partial_x(a)
+                if grad.is_zero():
+                    continue
+                replaced = GradedPoly.aux_odd(coords.densities, b) * w.partial_aux_odd(a)
+                out = out - grad.with_carrier(coords.densities) * replaced
+        out = out + x.coordinate_divergence().with_carrier(coords.densities) * w
+        return out
+
+    return Operator(0, run, "L_classical")
+
+
+def _scalar_divergence(coords, x, f) -> GradedPoly:
+    """[b, i(X)]+ on the scalar density f minus d_mu(X^mu f)."""
+    u = f.with_carrier(coords.densities)
+    acc = GradedPoly.zero(coords.densities)
+    for a in range(1, coords.n + 1):
+        acc = acc + (x.bose[a - 1].with_carrier(coords.densities) * u).partial_x(a)
+    return op_divergence(coords).graded_bracket(op_i_density(x))(u) - acc
+
+
+IDENTITIES: tuple[Identity, ...] = (
+    Identity("forms: dd = 0", _every_patch, ("forms",), lambda c, w: op_d_form(c)(op_d_form(c)(w))),
+    Identity("forms: [e(F), e(G)] = 0", _every_patch, ("function pairs", "forms"),
+             lambda c, fg, w: op_e_form(c, fg[0]).graded_bracket(op_e_form(c, fg[1]))(w)),
+    Identity("forms: [i(X), i(Y)] = 0", _every_patch, ("field pairs", "forms"),
+             lambda c, xy, w: op_i_form(xy[0]).graded_bracket(op_i_form(xy[1]))(w)),
+    Identity("forms: [i(X), e(F)] = M(XF)", _every_patch, ("fields", "functions", "two forms"),
+             lambda c, x, f, w: op_i_form(x).graded_bracket(op_e_form(c, f))(w) - op_mult(c, x.apply(f))(w)),
+    Identity("forms: [d, e(F)] = 0", _every_patch, ("functions", "two forms"),
+             lambda c, f, w: op_d_form(c).graded_bracket(op_e_form(c, f))(w)),
+    Identity("forms: [i(X), d] = L(X)", _every_patch, ("fields", "two forms"),
+             lambda c, x, w: op_i_form(x).graded_bracket(op_d_form(c))(w) - op_lie_form(x)(w)),
+    Identity("forms: [d, L(X)] = 0", _every_patch, ("fields", "two forms"),
+             lambda c, x, w: op_d_form(c).graded_bracket(op_lie_form(x))(w)),
+    Identity("forms: [d, M(F)] = e(F)", _every_patch, ("functions", "two forms"),
+             lambda c, f, w: op_d_form(c).graded_bracket(op_mult(c, f))(w) - op_e_form(c, f)(w)),
+    Identity("forms: [L(X), L(Y)] = L([X, Y])", _every_patch, ("field pairs", "two forms"),
+             lambda c, xy, w: op_lie_form(xy[0]).graded_bracket(op_lie_form(xy[1]))(w)
+             - op_lie_form(xy[0].bracket(xy[1]))(w)),
+    Identity("forms: [L(X), e(F)] = (-1)^X e(XF)", _every_patch, ("fields", "two functions", "two forms"),
+             lambda c, x, f, w: op_lie_form(x).graded_bracket(op_e_form(c, f))(w)
+             - op_e_form(c, x.apply(f))(w) * CRat(-1 if x.parity else 1)),
+    Identity("forms: [L(X), M(F)] = M(XF)", _every_patch, ("fields", "two functions", "two forms"),
+             lambda c, x, f, w: op_lie_form(x).graded_bracket(op_mult(c, f))(w) - op_mult(c, x.apply(f))(w)),
+    Identity("forms: [L(X), i(Y)] = i([X, Y])", _every_patch, ("field pairs", "two forms"),
+             lambda c, xy, w: op_lie_form(xy[0]).graded_bracket(op_i_form(xy[1]))(w)
+             - op_i_form(xy[0].bracket(xy[1]))(w)),
+    Identity("forms: d = sum e(x^A) L(d/dx^A)", _every_patch, ("forms",),
+             lambda c, w: _coordinate_expansion(c, op_e_form, op_lie_form, w) - op_d_form(c)(w)),
+    Identity("forms: ladder pairs {i(d_a), e(x^k)} = delta, [i(d_xi), e(xi)] = delta", _every_patch,
+             ("coordinate pairs", "forms"), _ladder),
+    Identity("forms: i(odd X) is an even derivation over wedge", _every_patch,
+             ("odd fields", "two forms", "two forms"), _contraction_leibniz),
+    Identity("densities: bb = 0", _every_patch, ("densities",),
+             lambda c, u: op_divergence(c)(op_divergence(c)(u))),
+    Identity("densities: [e(F), e(G)] = 0", _every_patch, ("function pairs", "two densities"),
+             lambda c, fg, u: op_e_density(c, fg[0]).graded_bracket(op_e_density(c, fg[1]))(u)),
+    Identity("densities: [i(X), i(Y)] = 0", _every_patch, ("field pairs", "two densities"),
+             lambda c, xy, u: op_i_density(xy[0]).graded_bracket(op_i_density(xy[1]))(u)),
+    Identity("densities: [b, e(F)] = 0", _every_patch, ("b-closed functions", "two densities"),
+             lambda c, f, u: op_divergence(c).graded_bracket(op_e_density(c, f))(u)),
+    Identity("densities: [e(F), i(X)]+ = M(XF) (bosonic)", _bosonic, ("functions", "fields", "two densities"),
+             lambda c, f, x, u: op_e_density(c, f).graded_bracket(op_i_density(x))(u)
+             - op_mult_density(c, x.apply(f))(u)),
+    Identity("densities: [b, L(X)] = 0", _every_patch, ("fields", "two densities"),
+             lambda c, x, u: op_divergence(c).graded_bracket(op_lie_density(x))(u)),
+    Identity("densities: b = sum e(x^A) L(d/dx^A)", _every_patch, ("densities",),
+             lambda c, u: _coordinate_expansion(c, op_e_density, op_lie_density, u) - op_divergence(c)(u)),
+    Identity("densities: L(d/dx^A) acts as d/dx^A", _every_patch, ("densities", "coordinates"),
+             lambda c, u, a: op_lie_density(SuperVectorField.coordinate_basis(c, a))(u)
+             - (u.partial_x(a[1]) if a[0] == "x" else u.partial_xi(a[1]))),
+    Identity("densities: bracket Lie = classical component formula (bosonic)", _bosonic,
+             ("even fields", "densities"),
+             lambda c, x, u: op_lie_density(x)(u) - lie_density_classical(x)(u)),
+    Identity("densities: [b, i(X)]+ = d_mu(X^mu .) on scalars (bosonic)", _bosonic,
+             ("even fields", "functions"), _scalar_divergence),
+)
+
+
+def _cyclic_pairs(items: Sequence) -> list[tuple]:
+    return [(items[i], items[(i + 1) % len(items)]) for i in range(len(items))]
+
+
+def _trial_set(rng: random.Random, coords: CoordinateSystem) -> dict[str, Sequence]:
+    """Seeded test elements for the identity table, by family name: three
+    forms and densities, four parity-homogeneous functions and fields, and
+    the slices, cyclic pairs and filters of them that the rows sample."""
     max_deg = 3 if coords.nu else min(3, coords.n)
     forms = tuple(
         rg.form(rng, coords, rng.randint(0, max_deg)).poly for _ in range(3)
@@ -416,7 +596,39 @@ def _trial_set(rng: random.Random, coords: CoordinateSystem) -> TrialSet:
         rg.vector_field(rng, coords, rng.randint(0, 1) if coords.nu else 0)
         for _ in range(4)
     )
-    return TrialSet(forms, densities, tuple(functions), fields)
+    even_functions = tuple(f for f in functions if f.parity() is not Parity.ODD)
+    labels = _coordinate_labels(coords)
+    return {
+        "forms": forms,
+        "two forms": forms[:2],
+        "densities": densities,
+        "two densities": densities[:2],
+        "functions": functions,
+        "two functions": functions[:2],
+        "function pairs": _cyclic_pairs(functions),
+        "b-closed functions": even_functions if coords.n and coords.nu else functions,
+        "fields": fields,
+        "field pairs": _cyclic_pairs(fields),
+        "odd fields": tuple(x for x in fields if x.parity == 1),
+        "even fields": tuple(x for x in fields if x.parity == 0),
+        "coordinates": labels,
+        "coordinate pairs": [(a, k) for a in labels for k in labels if a[0] == k[0]],
+    }
+
+
+def commutator_table(coords: CoordinateSystem, families: dict[str, Sequence]) -> list[TableResult]:
+    """Evaluate every row of `IDENTITIES` in scope on `coords` over the
+    product of its families; every deviation must be exactly zero."""
+    results = []
+    for row in IDENTITIES:
+        if not row.scope(coords):
+            continue
+        cases = failures = 0
+        for elements in itertools.product(*(families[name] for name in row.families)):
+            cases += 1
+            failures += not row.deviation(coords, *elements).is_zero()
+        results.append(TableResult(row.name, cases, failures))
+    return results
 
 
 def run_complexes(
@@ -427,8 +639,6 @@ def run_complexes(
 ) -> SuiteReport:
     report = SuiteReport("complexes", seed, trials)
     rng = random.Random(seed)
-
-    from .forms import op_d_form, op_divergence
 
     for n, nu in mixes:
         coords = CoordinateSystem(n, nu)

@@ -344,3 +344,23 @@ def test_quadrature_budget_is_an_input_error(tmp_path):
     assert time.monotonic() - start < 5
     line = one_error_line(proc)
     assert "--quad 1e-13" in line and "--domain -1000,1000" in line and "did not converge" in line
+
+
+@pytest.mark.parametrize(
+    "args, named",
+    [
+        (("fock", "check", "--nb", "4", "--nf", "4"), "--nb 4 --nf 4 --max-occ 3"),
+        (("check", "fock", "--nb", "1", "--nf", "8", "--max-occ", "1"), "--nb 1 --nf 8 --max-occ 1"),
+        (("fock", "check", "--nb", "100000000000000000000"), "--nb 100000000000000000000 --nf 2 --max-occ 3"),
+        (("fock", "check", "--nb", "300", "--max-occ", "0"), "--nb 300 --nf 2 --max-occ 0"),
+        (("check", "complexes", "--n", "20", "--nu", "0"), "--n 20 --nu 0"),
+        (("complexes", "check", "--n", "9"), "--n 9 --nu 2"),
+    ],
+    ids=["fock-4-4-3", "fock-1-8-1", "fock-huge-nb", "fock-many-modes", "complexes-20-0", "complexes-9-2"],
+)
+def test_oversize_suite_requests_are_refused_up_front(args, named):
+    start = time.monotonic()
+    proc = run_cli(*args, expect=2)
+    assert time.monotonic() - start < 5
+    line = one_error_line(proc)
+    assert line.startswith(f"error: {named}: ")

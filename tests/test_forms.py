@@ -10,7 +10,6 @@ from supercalc.forms import (
     SuperDensity,
     SuperForm,
     SuperVectorField,
-    commutator_table,
     contract_iX,
     divergence,
     exterior_d,
@@ -31,7 +30,7 @@ from supercalc.forms import (
 from supercalc.graded_poly import GradedPoly
 from supercalc.grassmann import Parity
 from supercalc.scalars import CRat
-from supercalc.suites import _trial_set
+from supercalc.suites import _trial_set, commutator_table
 
 
 def test_wedge_symmetry_rules():
@@ -252,3 +251,42 @@ def test_form_json_round_trip():
         w = rg.form(rng, c, k % 4)
         data = form_to_json(w)
         assert form_from_json(data) == w
+
+
+def test_each_scope_is_load_bearing():
+    """Each scoped row's own deviation is nonzero off its scope, on seeded
+    elements of the mixed patch (2, 2)."""
+    from supercalc.suites import IDENTITIES
+
+    rows = {row.name: row for row in IDENTITIES}
+    c = CoordinateSystem(2, 2)
+    rng = random.Random(30)
+    forms = [rg.form(rng, c, degree).poly for degree in (1, 2, 3)]
+    densities = [rg.density(rng, c, degree).poly for degree in (1, 2, 3)]
+    functions = [rg.superfunction(rng, c, parity=k % 2) for k in range(8)]
+    fields = [rg.vector_field(rng, c, k % 2) for k in range(4)]
+    odd_functions = [f for f in functions if f.parity() is Parity.ODD]
+    odd_fields = [x for x in fields if x.parity == 1]
+
+    # [b, e(F)] = 0 takes no odd F on mixed patches, and fails for one
+    assert not any(f.parity() is Parity.ODD for f in _trial_set(rng, c)["b-closed functions"])
+    b_e = rows["densities: [b, e(F)] = 0"].deviation
+    assert any(not b_e(c, f, u).is_zero() for f in odd_functions for u in densities)
+
+    # [e(F), i(X)]+ = M(XF) on densities is bosonic only, and fails at nu > 0
+    e_i = rows["densities: [e(F), i(X)]+ = M(XF) (bosonic)"]
+    assert not e_i.scope(c)
+    assert any(
+        not e_i.deviation(c, f, x, u).is_zero() for f in functions for x in fields for u in densities
+    )
+
+    # [L(X), e(F)] = (-1)^X e(XF): the deviation is [L(X), e(F)] + e(XF) for
+    # an odd X, so leaving the sign out subtracts e(XF) twice
+    lie_e = rows["forms: [L(X), e(F)] = (-1)^X e(XF)"].deviation
+    unsigned = [
+        lie_e(c, x, f, w) - op_e_form(c, x.apply(f))(w) * 2
+        for x in odd_fields
+        for f in functions
+        for w in forms
+    ]
+    assert any(not dev.is_zero() for dev in unsigned)

@@ -228,3 +228,19 @@ def test_coerce():
             CRat.coerce(bad)
         with pytest.raises(TypeError):
             CRat(1) + bad
+
+
+def test_cube_takes_two_multiplications(monkeypatch):
+    calls = []
+    mul = CRat.__mul__
+
+    def counting(self, other):
+        calls.append(1)
+        return mul(self, other)
+
+    monkeypatch.setattr(CRat, "__mul__", counting)
+    x = CRat(Fraction(2, 3), 1)
+    cube = x ** 3
+    assert len(calls) == 2
+    monkeypatch.undo()
+    assert cube == x * x * x

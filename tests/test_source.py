@@ -47,3 +47,24 @@ def test_no_unreferenced_public_names():
             if not name.startswith("_") and words[name] <= 1
         ]
     assert not unreferenced, f"public names with no reference: {unreferenced}"
+
+
+def test_library_does_not_import_the_harness():
+    """Oracle and sampling code stays out of the library: only the suites,
+    the command line and the package root import `suites` or `randomgen`."""
+    harness = {"suites", "randomgen"}
+    found = []
+    for path in sorted(SOURCE.glob("*.py")):
+        if path.name in ("suites.py", "cli.py", "__init__.py"):
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                names = [node.module or ""] + [alias.name for alias in node.names]
+            elif isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            if any(name.rpartition(".")[2] in harness for name in names):
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, f"library modules importing the harness: {found}"
