@@ -15,11 +15,10 @@ accordingly rather than rounding.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Sequence
 
 from .grassmann import Parity, Supernumber
-from .scalars import CRat
+from .scalars import CRat, parse_crat
 
 
 class SeedDomainError(ValueError):
@@ -78,7 +77,7 @@ def _reciprocal_derivative(k: int, base: CRat) -> CRat:
 
 def polynomial_seed(coeffs: Sequence) -> AnalyticSeed:
     """Seed for c0 + c1 t + c2 t^2 + ...; exact at every base point."""
-    cs = [CRat.coerce(Fraction(c) if isinstance(c, str) else c) for c in coeffs]
+    cs = [parse_crat(c) if isinstance(c, str) else CRat.coerce(c) for c in coeffs]
 
     def derivative(k: int, base: CRat) -> CRat:
         total = CRat(0)

@@ -13,7 +13,10 @@ Two evaluation contexts share one grammar:
 
 ``*`` and ``^`` both denote the graded product (the wedge); ``+``/``-``
 and parentheses behave as usual, and numeric literals are exact
-rationals with an optional trailing ``i``.
+rationals with an optional trailing ``i``.  A ``[...]`` parameter is the
+source text up to the closing bracket, so ``lift[polynomial:1,2i]`` reads
+the seed ``polynomial:1,2i``; only ``lift``, ``conj``, ``e``, ``i`` and
+``L`` accept one.
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ class ExprError(ValueError):
 
 _TOKEN = re.compile(
     r"\s*(?:(?P<num>\d+(?:/\d+)?i?)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
-    r"|(?P<op>[-+*^()\[\],]))"
+    r"|(?P<op>[-+*^()\[\],:]))"
 )
 
 
@@ -73,6 +76,7 @@ MAX_NESTING = 100
 
 @dataclass
 class _Parser:
+    text: str
     tokens: list[tuple[str, str, int]]
     pos: int = 0
     depth: int = 0
@@ -140,10 +144,12 @@ class Context:
         raise ExprError(f"unknown identifier {name!r}", at)
 
     def field_by_name(self, name: str, at: int) -> SuperVectorField:
-        if name.startswith("xi") and name[2:].isdigit():
-            return SuperVectorField.coordinate_basis(self.coords, ("xi", int(name[2:])))
-        if name.startswith("x") and name[1:].isdigit():
-            return SuperVectorField.coordinate_basis(self.coords, ("x", int(name[1:])))
+        for kind, limit in (("xi", self.nu), ("x", self.n)):
+            if name.startswith(kind) and name[len(kind):].isdigit():
+                k = int(name[len(kind):])
+                if not 1 <= k <= limit:
+                    raise ExprError(f"{name}: index outside 1..{limit}", at)
+                return SuperVectorField.coordinate_basis(self.coords, (kind, k))
         raise ExprError(f"{name!r} does not name a coordinate direction", at)
 
     # -- calls -----------------------------------------------------------
@@ -156,6 +162,8 @@ class Context:
     def _call_super(self, name: str, param, args, at):
         if len(args) != 1:
             raise ExprError(f"{name} takes one argument", at)
+        if param is not None and name in ("berezin", "inverse", "body", "soul", "even", "odd"):
+            raise ExprError(f"{name} takes no [...] parameter", at)
         (arg,) = args
         if name == "berezin":
             return Supernumber.scalar(self.nu, berezin_integral(arg))
@@ -165,7 +173,9 @@ class Context:
             try:
                 seed = seed_by_name(param)
             except KeyError as exc:
-                raise ExprError(str(exc), at) from None
+                raise ExprError(exc.args[0], at) from None
+            except ValueError as exc:
+                raise ExprError(f"lift[{param}]: {exc}", at) from None
             return lift(seed, arg)
         if name == "inverse":
             return arg.inverse()
@@ -178,6 +188,8 @@ class Context:
         if name == "odd":
             return arg.odd_part()
         if name == "conj":
+            if param not in (None, "dewitt"):
+                raise ExprError(f"conj takes [dewitt] or no parameter, not [{param}]", at)
             conv = Convention.DEWITT if param == "dewitt" else Convention.KOSZUL
             return arg.conjugate(conv)
         raise ExprError(f"unknown function {name!r}", at)
@@ -187,6 +199,8 @@ class Context:
             raise ExprError(f"{name} takes one argument", at)
         (arg,) = args
         if name == "d":
+            if param is not None:
+                raise ExprError("d takes no [...] parameter", at)
             return op_d_form(self.coords)(arg)
         if name == "e":
             if param is None:
@@ -247,13 +261,7 @@ def _parse_atom(p: _Parser, ctx: Context):
         if nxt in ("[", "("):
             param = None
             if nxt == "[":
-                p.expect("[")
-                pk, ptext, pat = p.next()
-                chunks = [ptext]
-                while p.peek()[1] not in ("]",):
-                    chunks.append(p.next()[1])
-                p.expect("]")
-                param = "".join(chunks)
+                param = _parse_param(p)
             p.expect("(")
             p.enter(at)
             args = [_parse_expr(p, ctx)]
@@ -267,8 +275,20 @@ def _parse_atom(p: _Parser, ctx: Context):
     raise ExprError(f"unexpected token {text!r}", at)
 
 
+def _parse_param(p: _Parser) -> str:
+    """The source text between '[' and its ']', without outer spaces."""
+    _, _, at = p.next()
+    while p.peek()[1] != "]":
+        if p.next()[0] == "end":
+            raise ExprError("'[' is never closed", at)
+    param = p.text[at + 1:p.next()[2]].strip()
+    if not param:
+        raise ExprError("empty [...] parameter", at)
+    return param
+
+
 def evaluate(text: str, ctx: Context):
-    p = _Parser(tokenize(text))
+    p = _Parser(text, tokenize(text))
     value = _parse_expr(p, ctx)
     if p.peek()[0] != "end":
         raise ExprError(f"trailing input {p.peek()[1]!r}", p.peek()[2])

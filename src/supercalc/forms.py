@@ -27,11 +27,13 @@ from .graded_poly import (
     GradedPoly,
     Kind,
     EMPTY,
+    _divergence_terms,
+    _exterior_d_terms,
     density_carrier,
     form_carrier,
     function_carrier,
 )
-from .grassmann import GeneratorMismatch, Parity, _map_terms, indices_of
+from .grassmann import GeneratorMismatch, Parity, _accumulate, _map_terms, indices_of
 from .polynomials import Polynomial
 from .scalars import CRat
 
@@ -326,14 +328,16 @@ def op_mult(coords: CoordinateSystem, f) -> Operator:
     return _mult(coords, f, coords.forms)
 
 
+def _term_pass(carrier: Carrier, w: GradedPoly, rule) -> GradedPoly:
+    """The element whose terms rule(w.terms) yields, on w's own carrier."""
+    if w.carrier != carrier:
+        raise GeneratorMismatch(f"operand is not a {carrier.kind.value} over this patch")
+    return GradedPoly(carrier, _accumulate({}, rule(w.terms)), _canonical=True)
+
+
 def _differential(coords: CoordinateSystem, w: GradedPoly) -> GradedPoly:
     """dw = sum_A dx^A (dw/dx^A) on the form algebra."""
-    out = GradedPoly.zero(coords.forms)
-    for a in range(1, coords.n + 1):
-        out = out + coords.dx(a) * w.partial_x(a)
-    for alpha in range(1, coords.nu + 1):
-        out = out + coords.dxi(alpha) * w.partial_xi(alpha)
-    return out
+    return _term_pass(coords.forms, w, _exterior_d_terms)
 
 
 def _contract(carrier: Carrier, comps, w: GradedPoly) -> GradedPoly:
@@ -393,15 +397,7 @@ def op_mult_density(coords: CoordinateSystem, f) -> Operator:
 def op_divergence(coords: CoordinateSystem) -> Operator:
     """Divergence b = sum_A d/dx^A applied to the first slot; odd, bb = 0."""
 
-    def run(w: GradedPoly) -> GradedPoly:
-        out = GradedPoly.zero(coords.densities)
-        for a in range(1, coords.n + 1):
-            out = out + w.partial_aux_odd(a).partial_x(a)
-        for alpha in range(1, coords.nu + 1):
-            out = out + w.partial_aux_even(alpha).partial_xi(alpha)
-        return out
-
-    return Operator(1, run, "b")
+    return Operator(1, lambda w: _term_pass(coords.densities, w, _divergence_terms), "b")
 
 
 def slot_element(x: SuperVectorField) -> GradedPoly:

@@ -21,7 +21,11 @@ Monomials are stored canonically (x exponents, xi bitmask, odd-aux
 bitmask, even-aux exponents) with every reordering sign absorbed into
 the exact complex-rational coefficient.  Ring arithmetic and the four
 derivations run through the shared sparse term routines of `grassmann`;
-the monomial rule here is `mul_mono` on these 4-tuples.
+the monomial rule here is `mul_mono` on these 4-tuples.  The exterior
+differential d of the form algebra and the divergence b of the density
+algebra are term rules too (`_exterior_d_terms`, `_divergence_terms`):
+one pass over the terms, each term yielding its image terms with the
+signs the products dx_a * dw/dx_a would carry, and no ring product.
 """
 
 from __future__ import annotations
@@ -133,6 +137,49 @@ def _d_aux_even(mono: Mono, c: CRat, alpha: int):
     hit = _d_exps(mono[3], alpha)
     if hit is not None:
         return (mono[0], mono[1], mono[2], hit[0]), c * hit[1]
+
+
+# term generators for the differentials d and b
+
+
+def _exterior_d_terms(terms: Mapping[Mono, CRat]):
+    """Terms of dw = sum_A dx^A (dw/dx^A) on the form algebra.  Putting the
+    odd dx_a in front passes every xi and the lower dx; dxi_alpha is even,
+    so only d/dxi_alpha's own prefix sign counts."""
+    for (x_exps, xi, ao, ae), c in terms.items():
+        odd = xi.bit_count()
+        for a, _ in x_exps:
+            bit = 1 << (a - 1)
+            if not ao & bit:
+                lowered, e = _d_exps(x_exps, a)
+                k = c * e
+                yield (lowered, xi, ao | bit, ae), -k if (odd + (ao & (bit - 1)).bit_count()) & 1 else k
+        rest = xi
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            raised = _merge_exps(ae, ((bit.bit_length(), 1),))
+            yield (x_exps, xi ^ bit, ao, raised), -c if (xi & (bit - 1)).bit_count() & 1 else c
+
+
+def _divergence_terms(terms: Mapping[Mono, CRat]):
+    """Terms of bw = sum_A d/dx^A applied to the first slot, the mirror of
+    `_exterior_d_terms`: drop the x_a slot and lower x_a, or lower the
+    xi_alpha slot and drop xi_alpha."""
+    for (x_exps, xi, ao, ae), c in terms.items():
+        odd = xi.bit_count()
+        for a, _ in x_exps:
+            bit = 1 << (a - 1)
+            if ao & bit:
+                lowered, e = _d_exps(x_exps, a)
+                k = c * e
+                yield (lowered, xi, ao ^ bit, ae), -k if (odd + (ao & (bit - 1)).bit_count()) & 1 else k
+        for alpha, _ in ae:
+            bit = 1 << (alpha - 1)
+            if xi & bit:
+                lowered, e = _d_exps(ae, alpha)
+                k = c * e
+                yield (x_exps, xi ^ bit, ao, lowered), -k if (xi & (bit - 1)).bit_count() & 1 else k
 
 
 def mul_mono(a: Mono, b: Mono, nu: int) -> tuple[Mono, int] | None:

@@ -1,6 +1,13 @@
 """Seeded random instance builders shared by the invariant suites and
 the test suite.  Everything is driven by a caller-supplied
 ``random.Random`` so identical seeds give identical trials.
+
+Superfunctions, forms and densities are written straight into
+canonical term dicts: each monomial's factors are drawn one at a time and
+their reordering sign is tracked as they arrive, instead of multiplying
+one-term ring elements together.  The draws, and so every downstream
+trial, are those of that product construction, which
+``tests/test_builders.py`` keeps as the reference.
 """
 
 from __future__ import annotations
@@ -10,8 +17,8 @@ from fractions import Fraction
 
 from . import exactmat
 from .forms import CoordinateSystem, SuperDensity, SuperForm, SuperVectorField
-from .graded_poly import GradedPoly
-from .grassmann import Supernumber
+from .graded_poly import EMPTY, GradedPoly
+from .grassmann import Supernumber, _accumulate, merge_sign
 from .matrices import GradedMatrix, ParitySignature
 from .polynomials import Polynomial
 from .berezin import MixedFunction
@@ -81,16 +88,7 @@ def superfunction(
     parity: int | None = None,
 ) -> GradedPoly:
     fc = coords.functions
-    out = GradedPoly.zero(fc)
-    for _ in range(terms):
-        t = GradedPoly.scalar(fc, crat(rng, complex_ok=False))
-        for _ in range(rng.randint(0, max_degree)):
-            if coords.n:
-                t = t * GradedPoly.coordinate(fc, rng.randint(1, coords.n))
-        if coords.nu:
-            for _ in range(rng.randint(0, min(coords.nu, 2))):
-                t = t * GradedPoly.odd_coordinate(fc, rng.randint(1, coords.nu))
-        out = out + t
+    out = GradedPoly(fc, _function_terms(rng, coords, terms, max_degree), _canonical=True)
     if parity is not None:
         out = out.parity_part(parity)
         if out.is_zero() and parity == 0:
@@ -98,6 +96,33 @@ def superfunction(
         if out.is_zero() and parity == 1 and coords.nu:
             out = GradedPoly.odd_coordinate(fc, rng.randint(1, coords.nu))
     return out
+
+
+def _function_terms(rng: random.Random, coords: CoordinateSystem, terms: int = 4, max_degree: int = 2) -> dict:
+    """Terms of a sum of `terms` random monomials c * x_a ... * xi_alpha ...,
+    each factor drawn in turn; a repeated xi kills its monomial, whose
+    remaining factors are still drawn."""
+    found = []
+    for _ in range(terms):
+        c = crat(rng, complex_ok=False)
+        x: dict[int, int] = {}
+        for _ in range(rng.randint(0, max_degree)):
+            if coords.n:
+                a = rng.randint(1, coords.n)
+                x[a] = x.get(a, 0) + 1
+        xi = 0
+        dead = c.is_zero()
+        if coords.nu:
+            for _ in range(rng.randint(0, min(coords.nu, 2))):
+                bit = 1 << (rng.randint(1, coords.nu) - 1)
+                if xi & bit:
+                    dead = True
+                elif merge_sign(xi, bit) < 0:
+                    c = -c
+                xi |= bit
+        if not dead:
+            found.append(((tuple(sorted(x.items())), xi, 0, EMPTY), c))
+    return _accumulate({}, found)
 
 
 def form(rng: random.Random, coords: CoordinateSystem, degree: int, blades: int = 3) -> SuperForm:
@@ -110,28 +135,34 @@ def density(rng: random.Random, coords: CoordinateSystem, degree: int, blades: i
 
 def _homogeneous(rng: random.Random, coords: CoordinateSystem, degree: int, blades: int, cls):
     """Sum of random superfunctions times random blades of the given
-    degree, in the form or density algebra of ``cls``."""
-    carrier = cls.carrier_of(coords)
-    acc = GradedPoly.zero(carrier)
+    degree, in the form or density algebra of ``cls``.  A blade is an
+    odd-auxiliary mask, even-auxiliary exponents and a sign; every xi sits
+    below every auxiliary, so a function term times a blade takes the
+    blade's sign alone."""
+    acc: dict = {}
     for _ in range(blades):
-        blade = GradedPoly.unit(carrier)
+        ao, ae, negative = 0, {}, False
         d = 0
         guard = 0
         while d < degree and guard < 30:
             guard += 1
             if coords.nu and (not coords.n or rng.random() < 0.5):
-                blade = blade * GradedPoly.aux_even(carrier, rng.randint(1, coords.nu))
+                alpha = rng.randint(1, coords.nu)
+                ae[alpha] = ae.get(alpha, 0) + 1
                 d += 1
             elif coords.n:
-                new = blade * GradedPoly.aux_odd(carrier, rng.randint(1, coords.n))
-                if new.is_zero():
+                bit = 1 << (rng.randint(1, coords.n) - 1)
+                if ao & bit:
                     continue  # repeated bosonic differential
-                blade = new
+                negative ^= merge_sign(ao, bit) < 0
+                ao |= bit
                 d += 1
         if d < degree:
             continue
-        acc = acc + superfunction(rng, coords).with_carrier(carrier) * blade
-    return cls(coords, acc.degree_part(degree))
+        ae_exps = tuple(sorted(ae.items()))
+        f = _function_terms(rng, coords)
+        _accumulate(acc, (((x, xi, ao, ae_exps), -c if negative else c) for (x, xi, _, _), c in f.items()))
+    return cls(coords, GradedPoly(cls.carrier_of(coords), acc, _canonical=True))
 
 
 def vector_field(rng: random.Random, coords: CoordinateSystem, parity: int) -> SuperVectorField:

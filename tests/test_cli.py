@@ -364,3 +364,49 @@ def test_oversize_suite_requests_are_refused_up_front(args, named):
     assert time.monotonic() - start < 5
     line = one_error_line(proc)
     assert line.startswith(f"error: {named}: ")
+
+
+@pytest.mark.parametrize(
+    "expr, flags, message",
+    [
+        ("e[](x1)", ("--n", "1"), "empty [...] parameter (at column 2)"),
+        ("lift[](x1)", ("--nu", "1"), "empty [...] parameter (at column 5)"),
+        ("lift[exp(x1)", ("--nu", "1"), "'[' is never closed (at column 5)"),
+        ("i[x3](dx1)", ("--n", "1"), "x3: index outside 1..1 (at column 1)"),
+        ("L[xi1](dx1)", ("--n", "1"), "xi1: index outside 1..0 (at column 1)"),
+    ],
+    ids=["empty-e", "empty-lift", "unclosed", "field-index", "odd-field-index"],
+)
+def test_bracket_faults_are_input_errors(expr, flags, message):
+    # the first three used to loop without bound, so the timeout is short
+    proc = subprocess.run(
+        PY + ["eval", expr, *flags], capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert one_error_line(proc) == f"error: {message}\n"
+
+
+def test_polynomial_seed_in_brackets():
+    proc = run_cli("eval", "lift[polynomial:1,2](1+x1)", "--nu", "1")
+    assert proc.stdout.strip() == "3 + 2*x1"
+    proc = run_cli("eval", "lift[ polynomial: 0, 2i ](x1)", "--nu", "1")
+    assert proc.stdout.strip() == "2i*x1"
+
+
+@pytest.mark.parametrize(
+    "expr, message",
+    [
+        ("lift[polynomial:1,q](x1)", "lift[polynomial:1,q]: bad scalar literal: 'q' (at column 1)"),
+        ("2*lift[bogus](x1)", "unknown seed 'bogus'; known: ['cos', 'exp', 'exp_neg', 'identity', "
+         "'reciprocal', 'sin'] or polynomial:c0,c1,... (at column 3)"),
+        ("lift[ex p](x1)", "unknown seed 'ex p'; known: ['cos', 'exp', 'exp_neg', 'identity', "
+         "'reciprocal', 'sin'] or polynomial:c0,c1,... (at column 1)"),
+        ("conj[bogus](x1)", "conj takes [dewitt] or no parameter, not [bogus] (at column 1)"),
+        ("inverse[x1](1+x1)", "inverse takes no [...] parameter (at column 1)"),
+        ("x1:2", "trailing input ':' (at column 3)"),
+    ],
+    ids=["bad-coefficient", "unknown-seed", "spaced-seed", "conj-convention", "stray-parameter", "stray-colon"],
+)
+def test_bad_bracket_parameters_are_input_errors(expr, message):
+    proc = run_cli("eval", expr, "--nu", "2", expect=2)
+    assert one_error_line(proc) == f"error: {message}\n"
