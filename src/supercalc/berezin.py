@@ -8,7 +8,9 @@ defining pair of properties.
 
 A mixed function F(x, xi) keeps, for every Grassmann multi-index, a
 coefficient that is either an exact polynomial in the real variables or
-an arbitrary callable (the quadrature path).
+an arbitrary callable (the quadrature path).  A polynomial coefficient is
+the xi-free part of the superfunction algebra (DeWitt, *Supermanifolds*,
+1992), a `GradedPoly` on `function_carrier(n, 0)`.
 """
 
 from __future__ import annotations
@@ -32,10 +34,11 @@ from .grassmann import (
     mask_of,
     merge_sign,
 )
-from .polynomials import Polynomial, from_json_poly, to_json_poly
+from .graded_poly import EMPTY, GradedPoly, function_carrier
+from .polynomials import from_json_poly, integrate_box, to_json_poly
 from .scalars import CRat
 
-Coefficient = Union[Polynomial, Callable[..., float]]
+Coefficient = Union[GradedPoly, Callable[..., float]]
 
 
 class Normalization(enum.Enum):
@@ -130,7 +133,7 @@ def berezin_integral(f, normalization: Normalization = Normalization.ONE):
             result = grassmann_derivative(result, mu)
         if normalization is not Normalization.ONE:
             raise TypeError("symbolic normalization applies to scalar results only")
-        return result.terms.get(0, Polynomial(f.n))
+        return result.terms.get(0, GradedPoly.zero(function_carrier(f.n, 0)))
     raise TypeError(f"cannot integrate {type(f).__name__}")
 
 
@@ -147,14 +150,15 @@ class MixedFunction:
         object.__setattr__(self, "nu", nu)
         clean: dict[int, Coefficient] = {}
         if terms:
+            ring = function_carrier(n, 0)
             for mask, coeff in terms.items():
                 if mask < 0 or mask >= 1 << nu:
                     raise ValueError(f"multi-index {indices_of(mask)} exceeds {nu} generators")
                 if isinstance(coeff, (int, Fraction, CRat)):
-                    coeff = Polynomial.constant(n, coeff)
-                if isinstance(coeff, Polynomial):
-                    if coeff.n != n:
-                        raise ValueError("coefficient polynomial has wrong variable count")
+                    coeff = GradedPoly.scalar(ring, coeff)
+                if isinstance(coeff, GradedPoly):
+                    if coeff.carrier != ring:
+                        raise ValueError(f"coefficient over {coeff.carrier}, not a polynomial in {n} variables")
                     if not _canonical and coeff.is_zero():
                         continue
                 clean[mask] = coeff
@@ -168,7 +172,7 @@ class MixedFunction:
         return MixedFunction(n, nu, {mask_of(idx, nu): c for idx, c in terms.items()})
 
     def is_polynomial(self) -> bool:
-        return all(isinstance(c, Polynomial) for c in self.terms.values())
+        return all(isinstance(c, GradedPoly) for c in self.terms.values())
 
     def _check(self, other: "MixedFunction"):
         if (self.n, self.nu) != (other.n, other.nu):
@@ -209,7 +213,7 @@ class MixedFunction:
 
     def top_coefficient(self) -> Coefficient:
         full = (1 << self.nu) - 1
-        return self.terms.get(full, Polynomial(self.n))
+        return self.terms.get(full, GradedPoly.zero(function_carrier(self.n, 0)))
 
     def __repr__(self):
         bits = []
@@ -221,16 +225,17 @@ class MixedFunction:
 
 def tensor_product(f: MixedFunction, g: MixedFunction) -> MixedFunction:
     """F(x, xi) G(y, eta) as a function on the combined space; the second
-    factor's Grassmann generators are relabelled after the first's, so no
-    reordering signs arise."""
+    factor's real and Grassmann variables are relabelled after the first's,
+    so no reordering signs arise."""
     if not (f.is_polynomial() and g.is_polynomial()):
         raise TypeError("tensor products need polynomial coefficients")
     n = f.n + g.n
-    pad_f, pad_g = (0,) * g.n, (0,) * f.n
-    lift_f = {m: Polynomial(n, {e + pad_f: c for e, c in p.terms.items()}) for m, p in f.terms.items()}
-    lift_g = {
-        m << f.nu: Polynomial(n, {pad_g + e: c for e, c in p.terms.items()}) for m, p in g.terms.items()
-    }
+    ring = function_carrier(n, 0)
+    lift_f = {m: GradedPoly(ring, p.terms, _canonical=True) for m, p in f.terms.items()}
+    lift_g = {}
+    for m, p in g.terms.items():
+        shifted = {(tuple((i + f.n, e) for i, e in mono[0]), 0, 0, EMPTY): c for mono, c in p.terms.items()}
+        lift_g[m << f.nu] = GradedPoly(ring, shifted, _canonical=True)
     return MixedFunction(n, f.nu + g.nu, _product(lift_f, lift_g, _mask_mono, 0), _canonical=True)
 
 
@@ -285,15 +290,15 @@ def mixed_integral(f: MixedFunction, domain: Domain):
     coefficient over the real box.  Exact (CRat) for polynomial
     coefficients, floating point via quadrature for callables."""
     top = berezin_integral(f)
-    if isinstance(top, Polynomial):
-        return top.integrate_box(domain.bounds)
+    if isinstance(top, GradedPoly):
+        return integrate_box(top, domain.bounds)
     if f.n != 1:
         raise NotImplementedError("quadrature path supports one real variable")
     (lo, hi), = domain.bounds
     return quadrature.integrate(top, float(lo), float(hi), tol=domain.tol)
 
 
-def raised_components(d: MixedFunction) -> dict[int, Polynomial]:
+def raised_components(d: MixedFunction) -> dict[int, GradedPoly]:
     """Index raising with the alternating symbol: for an ordered index set
     I with ordered complement J, the raised component is the sign of the
     (J, I) shuffle times the stored J component.  This is the placement
@@ -302,7 +307,7 @@ def raised_components(d: MixedFunction) -> dict[int, Polynomial]:
     if not d.is_polynomial():
         raise TypeError("index raising needs polynomial coefficients")
     full = (1 << d.nu) - 1
-    out: dict[int, Polynomial] = {}
+    out: dict[int, GradedPoly] = {}
     for mask_j, coeff in d.terms.items():
         mask_i = full & ~mask_j
         sign = merge_sign(mask_j, mask_i)
@@ -310,13 +315,13 @@ def raised_components(d: MixedFunction) -> dict[int, Polynomial]:
     return out
 
 
-def lambda_apply(d: MixedFunction, f: MixedFunction) -> Polynomial:
+def lambda_apply(d: MixedFunction, f: MixedFunction) -> GradedPoly:
     """(Lambda F)(x, 0): contract the raised components of D against the
     left derivatives of F, lowest derivative index acting first."""
     d._check(f)
     if not f.is_polynomial():
         raise TypeError("Lambda operator needs polynomial coefficients")
-    total = Polynomial(f.n)
+    total = GradedPoly.zero(function_carrier(f.n, 0))
     for mask_i, dcoeff in raised_components(d).items():
         g = f
         for idx in indices_of(mask_i):
@@ -332,7 +337,7 @@ def density_pairing(d: MixedFunction, f: MixedFunction, domain: Domain):
     """Pair a scalar density D against F through the integro-differential
     operator route; equals mixed_integral(D * F, domain) exactly for
     polynomial data."""
-    return lambda_apply(d, f).integrate_box(domain.bounds)
+    return integrate_box(lambda_apply(d, f), domain.bounds)
 
 
 # -- JSON ----------------------------------------------------------------

@@ -291,7 +291,8 @@ def cmd_mixed(args) -> int:
     with _blame(f"--expr {args.expr}"):
         f = from_json_mixed({**data, "n": args.n, "nu": args.nu}, _INTEGRANDS)
     domain = _parse_domain(args.domain, args.n, args.quad)
-    with _blame(f"--quad {args.quad:g} --domain {args.domain}"):
+    place = f"--quad {args.quad:g}" if callable(f.top_coefficient()) else f"--expr {args.expr}"
+    with _blame(f"{place} --domain {args.domain}"):
         value = mixed_integral(f, domain)
     return _print_result(args, str(value) if isinstance(value, CRat) else repr(value))
 

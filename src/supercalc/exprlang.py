@@ -41,6 +41,7 @@ from .scalars import CRat, parse_crat
 class ExprError(ValueError):
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} (at column {position + 1})")
+        self.reason = message
         self.position = position
 
 
@@ -82,7 +83,7 @@ class _Parser:
     depth: int = 0
 
     def peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else ("end", "", -1)
+        return self.tokens[self.pos] if self.pos < len(self.tokens) else ("end", "", len(self.text))
 
     def next(self):
         tok = self.peek()
@@ -92,7 +93,8 @@ class _Parser:
     def expect(self, value: str):
         kind, text, at = self.next()
         if text != value:
-            raise ExprError(f"expected {value!r}, found {text or 'end of input'!r}", at)
+            found = "end of input" if kind == "end" else repr(text)
+            raise ExprError(f"expected {value!r}, found {found}", at)
 
     def enter(self, at: int):
         self.depth += 1
@@ -154,9 +156,9 @@ class Context:
 
     # -- calls -----------------------------------------------------------
 
-    def call(self, name: str, param, args: list, at: int):
+    def call(self, name: str, param, args: list, at: int, param_at: int):
         if self.form_mode:
-            return self._call_form(name, param, args, at)
+            return self._call_form(name, param, args, at, param_at)
         return self._call_super(name, param, args, at)
 
     def _call_super(self, name: str, param, args, at):
@@ -194,7 +196,7 @@ class Context:
             return arg.conjugate(conv)
         raise ExprError(f"unknown function {name!r}", at)
 
-    def _call_form(self, name: str, param, args, at):
+    def _call_form(self, name: str, param, args, at, param_at):
         if len(args) != 1:
             raise ExprError(f"{name} takes one argument", at)
         (arg,) = args
@@ -205,7 +207,7 @@ class Context:
         if name == "e":
             if param is None:
                 raise ExprError("e needs a function parameter: e[x1](w)", at)
-            f = evaluate(param, self) if isinstance(param, str) else param
+            f = evaluate(param, self, param_at)
             return op_e_form(self.coords, f.coefficient_function())(arg)
         if name in ("i", "L"):
             if param is None:
@@ -259,9 +261,9 @@ def _parse_atom(p: _Parser, ctx: Context):
     if kind == "name":
         nxt = p.peek()[1]
         if nxt in ("[", "("):
-            param = None
+            param, param_at = None, 0
             if nxt == "[":
-                param = _parse_param(p)
+                param, param_at = _parse_param(p)
             p.expect("(")
             p.enter(at)
             args = [_parse_expr(p, ctx)]
@@ -270,28 +272,34 @@ def _parse_atom(p: _Parser, ctx: Context):
                 args.append(_parse_expr(p, ctx))
             p.expect(")")
             p.depth -= 1
-            return ctx.call(text, param, args, at)
+            return ctx.call(text, param, args, at, param_at)
         return ctx.identifier(text, at)
-    raise ExprError(f"unexpected token {text!r}", at)
+    raise ExprError("unexpected end of input" if kind == "end" else f"unexpected token {text!r}", at)
 
 
-def _parse_param(p: _Parser) -> str:
-    """The source text between '[' and its ']', without outer spaces."""
+def _parse_param(p: _Parser) -> tuple[str, int]:
+    """The source text between '[' and its ']' without outer spaces, and
+    the position where that text starts."""
     _, _, at = p.next()
     while p.peek()[1] != "]":
         if p.next()[0] == "end":
             raise ExprError("'[' is never closed", at)
-    param = p.text[at + 1:p.next()[2]].strip()
+    raw = p.text[at + 1:p.next()[2]]
+    param = raw.strip()
     if not param:
         raise ExprError("empty [...] parameter", at)
-    return param
+    return param, at + 1 + len(raw) - len(raw.lstrip())
 
 
-def evaluate(text: str, ctx: Context):
+def evaluate(text: str, ctx: Context, column: int = 0):
+    """`column` is where `text` starts in an enclosing expression; error columns count from there."""
     p = _Parser(text, tokenize(text))
-    value = _parse_expr(p, ctx)
-    if p.peek()[0] != "end":
-        raise ExprError(f"trailing input {p.peek()[1]!r}", p.peek()[2])
+    try:
+        value = _parse_expr(p, ctx)
+        if p.peek()[0] != "end":
+            raise ExprError(f"trailing input {p.peek()[1]!r}", p.peek()[2])
+    except ExprError as exc:
+        raise ExprError(exc.reason, exc.position + column) from None
     return value
 
 

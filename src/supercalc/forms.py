@@ -34,7 +34,7 @@ from .graded_poly import (
     function_carrier,
 )
 from .grassmann import GeneratorMismatch, Parity, _accumulate, _map_terms, indices_of
-from .polynomials import Polynomial
+from .polynomials import integrate_box
 from .scalars import CRat
 
 
@@ -69,9 +69,6 @@ class CoordinateSystem:
 
     def dxi(self, alpha: int) -> GradedPoly:
         return GradedPoly.aux_even(self.forms, alpha)
-
-    def one(self) -> GradedPoly:
-        return GradedPoly.unit(self.functions)
 
 
 # -- wrappers ----------------------------------------------------------
@@ -223,13 +220,6 @@ class SuperVectorField:
         else:
             raise ValueError(f"unknown coordinate kind {kind!r}")
         return SuperVectorField(coords, tuple(bose), tuple(fermi), parity)
-
-    def upper_components(self) -> tuple[tuple[GradedPoly, ...], tuple[GradedPoly, ...]]:
-        """Index-shifted components: the fermionic ones flip sign for an
-        odd field."""
-        if self.parity == 0:
-            return self.bose, self.fermi
-        return self.bose, tuple(-c for c in self.fermi)
 
     def apply(self, f: GradedPoly) -> GradedPoly:
         """Directional derivative on a superfunction."""
@@ -520,8 +510,7 @@ def scalar_density_integral(f: GradedPoly, bounds: Sequence[tuple]) -> CRat:
     top = f
     for alpha in range(1, f.carrier.nu + 1):
         top = top.partial_xi(alpha)
-    poly = function_to_polynomial(top)
-    return poly.integrate_box(bounds)
+    return integrate_box(function_to_polynomial(top), bounds)
 
 
 def integrate_density(f, bounds: Sequence[tuple]) -> CRat:
@@ -541,43 +530,31 @@ def function_to_mixed(f: GradedPoly) -> MixedFunction:
     """Superfunction -> the integration module's representation."""
     if f.carrier.kind is not Kind.FUNCTION:
         f = f.coefficient_function()
-    n = f.carrier.n
-    return MixedFunction(n, f.carrier.nu, _map_terms(f.terms, _xi_term, n), _canonical=True)
+    n, nu = f.carrier.n, f.carrier.nu
+    return MixedFunction(n, nu, _map_terms(f.terms, _xi_term, function_carrier(n, 0)), _canonical=True)
 
 
-def _dense(n: int, x_exps) -> tuple[int, ...]:
-    dense = [0] * n
-    for idx, e in x_exps:
-        dense[idx - 1] = e
-    return tuple(dense)
-
-
-def _xi_term(mono, c: CRat, n: int):
+def _xi_term(mono, c: CRat, ring: Carrier):
     """A function term as (xi mask, polynomial coefficient)."""
-    return mono[1], Polynomial(n, {_dense(n, mono[0]): c})
+    return mono[1], GradedPoly(ring, {(mono[0], 0, 0, EMPTY): c}, _canonical=True)
 
 
 def mixed_to_function(f: MixedFunction) -> GradedPoly:
     carrier = function_carrier(f.n, f.nu)
     out: dict = {}
     for xi_mask, poly in f.terms.items():
-        if not isinstance(poly, Polynomial):
+        if not isinstance(poly, GradedPoly):
             raise TypeError("only polynomial mixed functions convert")
-        for exps, c in poly.terms.items():
-            sparse = tuple((i + 1, e) for i, e in enumerate(exps) if e)
-            out[(sparse, xi_mask, 0, EMPTY)] = c
+        for mono, c in poly.terms.items():
+            out[(mono[0], xi_mask, 0, EMPTY)] = c
     return GradedPoly(carrier, out)
 
 
-def function_to_polynomial(f: GradedPoly) -> Polynomial:
+def function_to_polynomial(f: GradedPoly) -> GradedPoly:
     """Drop a xi-independent superfunction to a plain polynomial."""
-    n = f.carrier.n
-    terms = {}
-    for (x_exps, xi, _ao, _ae), c in f.terms.items():
-        if xi:
-            raise ValueError("function still depends on odd coordinates")
-        terms[_dense(n, x_exps)] = c
-    return Polynomial(n, terms)
+    if any(mono[1] for mono in f.terms):
+        raise ValueError("function still depends on odd coordinates")
+    return GradedPoly(function_carrier(f.carrier.n, 0), f.terms, _canonical=True)
 
 
 # -- JSON -----------------------------------------------------------------

@@ -9,10 +9,11 @@ into the coefficient when a term is created.  This makes representation
 unique, so equality tests are exact.
 
 This module also holds the sparse term routines shared by every kernel
-(`Supernumber` here, `polynomials.Polynomial`, `berezin.MixedFunction`,
-`graded_poly.GradedPoly`): `_accumulate` (add terms, drop the keys that
-cancel), `_sum`, `_scale`, `_neg`, `_product` under a monomial rule and
-`_map_terms`; powers use `scalars._power`.  The supernumber monomial rule
+(`Supernumber` here, `berezin.MixedFunction` and `graded_poly.GradedPoly`,
+which also holds the polynomials in the real variables): `_accumulate`
+(add terms, drop the keys that cancel), `_sum`, `_scale`, `_neg`,
+`_product` under a monomial rule and `_map_terms`; powers use
+`scalars._power`.  The monomial rule of supernumbers and mixed functions
 is `_mask_mono`: disjoint masks multiply to their union with the
 `merge_sign` sign.
 """
@@ -98,7 +99,7 @@ def merge_sign(a: int, b: int) -> int:
 
 # -- sparse term routines ------------------------------------------------
 #
-# Supernumber, Polynomial, MixedFunction and GradedPoly all hold an element
+# Supernumber, MixedFunction and GradedPoly all hold an element
 # as a dict from a canonical monomial key to a nonzero coefficient, and do
 # their ring arithmetic through the routines below.  A type supplies only
 # its monomial rule, rule(a, b, nu) -> (key, sign), or None when the
@@ -283,9 +284,6 @@ class Supernumber:
 
     # -- structure maps -----------------------------------------------
 
-    def coefficient(self, indices: MultiIndex) -> CRat:
-        return self.terms.get(mask_of(indices, self.n), CRat(0))
-
     def body(self) -> CRat:
         return self.terms.get(0, CRat(0))
 
@@ -339,9 +337,6 @@ class Supernumber:
                     cc = -cc
             out[m] = cc
         return Supernumber(self.n, out, _canonical=True)
-
-    def degrees(self) -> set[int]:
-        return {m.bit_count() for m in self.terms}
 
     # -- rendering ----------------------------------------------------
 

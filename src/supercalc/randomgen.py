@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from . import exactmat
 from .forms import CoordinateSystem, SuperDensity, SuperForm, SuperVectorField
-from .graded_poly import EMPTY, GradedPoly
+from .graded_poly import EMPTY, GradedPoly, function_carrier
 from .grassmann import Supernumber, _accumulate, merge_sign
 from .matrices import GradedMatrix, ParitySignature
 from .polynomials import Polynomial
@@ -72,11 +72,12 @@ def polynomial(rng: random.Random, n: int, max_degree: int = 2, terms: int = 3) 
 def mixed_function(
     rng: random.Random, n: int, nu: int, terms: int = 4, max_degree: int = 2
 ) -> MixedFunction:
-    data: dict[int, Polynomial] = {}
+    zero = GradedPoly.zero(function_carrier(n, 0))
+    data: dict[int, GradedPoly] = {}
     for _ in range(terms):
         mask = rng.randrange(1 << nu)
         poly = polynomial(rng, n, max_degree)
-        data[mask] = data.get(mask, Polynomial(n)) + poly
+        data[mask] = data.get(mask, zero) + poly
     return MixedFunction(n, nu, {m: p for m, p in data.items() if not p.is_zero()})
 
 

@@ -410,3 +410,30 @@ def test_polynomial_seed_in_brackets():
 def test_bad_bracket_parameters_are_input_errors(expr, message):
     proc = run_cli("eval", expr, "--nu", "2", expect=2)
     assert one_error_line(proc) == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "expr, flags, message",
+    [
+        ("e[x1 +* x2](dx1)", ("--n", "2"), "unexpected token '*' (at column 7)"),
+        ("e[ x1 + x3 ](dx1)", ("--n", "2"), "x3: index outside 1..2 (at column 9)"),
+        ("e[x1 +](dx1)", ("--n", "2"), "unexpected end of input (at column 7)"),
+        ("(x1", ("--nu", "1"), "expected ')', found end of input (at column 4)"),
+        ("x1 +", ("--nu", "1"), "unexpected end of input (at column 5)"),
+    ],
+    ids=["inside-e", "spaced-e", "end-of-e", "open-paren", "dangling-plus"],
+)
+def test_error_columns_count_in_the_whole_expression(expr, flags, message):
+    proc = run_cli("eval", expr, *flags, expect=2)
+    assert one_error_line(proc) == f"error: {message}\n"
+
+
+def test_huge_exact_power_is_refused_up_front(tmp_path):
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps({"terms": {"1": {"200000000": "1"}}}))
+    start = time.monotonic()
+    proc = run_cli("mixed", "--n", "1", "--nu", "1", "--expr", str(path), "--domain", "0,1/2", expect=2)
+    assert time.monotonic() - start < 1
+    line = one_error_line(proc)
+    assert line.startswith(f"error: --expr {path} --domain 0,1/2: x1^200000000 ")
+    assert "--quad" not in line and "digits, more than" in line

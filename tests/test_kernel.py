@@ -1,20 +1,23 @@
 """Cross-checks of the per-type monomial rules behind the shared sparse
 term routines.
 
-Supernumber, Polynomial and MixedFunction each multiply through their own
-monomial rule; GradedPoly multiplies through `mul_mono`, written
+Supernumber and MixedFunction each multiply their xi masks through their
+own rule, `_mask_mono`; GradedPoly multiplies through `mul_mono`, written
 independently.  Mapping one type's terms into a GradedPoly carrier must
-commute with sums and products, so a sign or exponent slip in one rule
-shows up here.  A naive product over index tuples checks Supernumber
-without using the shared routines at all.
+commute with sums and products, so a sign slip in one rule shows up here.
+A naive product over index tuples checks Supernumber without using the
+shared routines at all.  Polynomials in x are GradedPoly already; their
+dense-exponent constructor is checked against products of coordinates.
 """
 
 import random
+from fractions import Fraction
 
 import pytest
 
 from supercalc import randomgen as rg
-from supercalc.forms import function_to_mixed, function_to_polynomial
+from supercalc.berezin import MixedFunction, from_json_mixed, to_json_mixed
+from supercalc.forms import function_to_mixed
 from supercalc.graded_poly import EMPTY, GradedPoly, function_carrier
 from supercalc.grassmann import Supernumber, indices_of, mask_of
 from supercalc.polynomials import Polynomial
@@ -25,18 +28,12 @@ def as_graded(z: Supernumber) -> GradedPoly:
     return GradedPoly(function_carrier(0, z.n), {((), m, 0, ()): c for m, c in z.terms.items()})
 
 
-def poly_as_graded(p) -> GradedPoly:
-    terms = {}
-    for exps, c in p.terms.items():
-        terms[(tuple((i + 1, e) for i, e in enumerate(exps) if e), 0, 0, EMPTY)] = c
-    return GradedPoly(function_carrier(p.n, 0), terms)
-
-
 def mixed_as_graded(f) -> GradedPoly:
     terms = {}
     for mask, p in f.terms.items():
-        for exps, c in p.terms.items():
-            terms[(tuple((i + 1, e) for i, e in enumerate(exps) if e), mask, 0, EMPTY)] = c
+        for (x, xi, ao, ae), c in p.terms.items():
+            assert (xi, ao, ae) == (0, 0, EMPTY)
+            terms[(x, mask, 0, EMPTY)] = c
     return GradedPoly(function_carrier(f.n, f.nu), terms)
 
 
@@ -72,17 +69,6 @@ def test_supernumber_rule_matches_graded_poly():
             assert as_graded(a ** 3) == as_graded(a) ** 3
 
 
-def test_polynomial_rule_matches_graded_poly():
-    rng = random.Random(12)
-    for n in range(1, 4):
-        for _ in range(12):
-            p = rg.polynomial(rng, n, max_degree=3, terms=rng.randint(1, 5))
-            q = rg.polynomial(rng, n, max_degree=3, terms=rng.randint(1, 5))
-            assert function_to_polynomial(poly_as_graded(p) * poly_as_graded(q)) == p * q
-            assert function_to_polynomial(poly_as_graded(p) + poly_as_graded(q)) == p + q
-            assert function_to_polynomial(poly_as_graded(p) ** 2) == p ** 2
-
-
 def test_mixed_function_rule_matches_graded_poly():
     rng = random.Random(13)
     for n, nu in ((1, 1), (1, 2), (2, 2), (1, 3), (2, 3)):
@@ -101,3 +87,39 @@ def test_negative_powers_raise():
     ):
         with pytest.raises(ValueError):
             x ** -1
+
+
+def test_dense_constructor_is_a_product_of_coordinates():
+    rng = random.Random(12)
+    for n in range(1, 4):
+        carrier = function_carrier(n, 0)
+        for _ in range(12):
+            exps = [0] * n
+            for _ in range(rng.randint(0, 3)):
+                exps[rng.randrange(n)] += 1
+            c = rg.crat(rng)
+            expected = GradedPoly.scalar(carrier, c)
+            for a, e in enumerate(exps, start=1):
+                expected = expected * GradedPoly.coordinate(carrier, a) ** e
+            assert Polynomial(n, {tuple(exps): c}) == expected
+
+
+def test_mixed_json_key_order():
+    """Grassmann keys by mask; polynomial keys by total degree, then by
+    the dense exponent tuple."""
+    x1, x2 = (Polynomial.variable(2, a) for a in (1, 2))
+    coeff = 3 * x2 ** 2 + x1 * x2 + Polynomial.constant(2, Fraction(1, 2)) + 5 * x1 ** 2 - x2 * CRat(0, 1)
+    f = MixedFunction(2, 2, {0b10: coeff, 0b11: x2 * x1 ** 3, 0: x1})
+    data = to_json_mixed(f)
+    assert data == {
+        "n": 2,
+        "nu": 2,
+        "terms": {
+            "": {"1,0": "1"},
+            "2": {"0,0": "1/2", "0,1": "-i", "0,2": "3", "1,1": "1", "2,0": "5"},
+            "1,2": {"3,1": "1"},
+        },
+    }
+    assert [list(p) for p in data["terms"].values()] == [["1,0"], ["0,0", "0,1", "0,2", "1,1", "2,0"], ["3,1"]]
+    assert list(data["terms"]) == ["", "2", "1,2"]
+    assert from_json_mixed(data) == f

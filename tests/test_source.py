@@ -68,3 +68,27 @@ def test_library_does_not_import_the_harness():
             if any(name.rpartition(".")[2] in harness for name in names):
                 found.append(f"{path.name}:{node.lineno}")
     assert not found, f"library modules importing the harness: {found}"
+
+
+def test_public_methods_are_accessed():
+    """A public method that is never read as an attribute (`.name`) in the
+    library, the tests or the benchmark has no caller: word counts miss it
+    when another definition shares its name."""
+    repo = Path(__file__).resolve().parent.parent
+    files = [*SOURCE.glob("*.py"), *(repo / "tests").glob("*.py"), *(repo / "perfbench").glob("*.py")]
+    accessed = {
+        node.attr
+        for path in files
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
+        if isinstance(node, ast.Attribute)
+    }
+    unused = []
+    for path in sorted(SOURCE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for cls in (node for node in tree.body if isinstance(node, ast.ClassDef)):
+            unused += [
+                f"{path.name}:{cls.name}.{sub.name}"
+                for sub in cls.body
+                if isinstance(sub, ast.FunctionDef) and not sub.name.startswith("_") and sub.name not in accessed
+            ]
+    assert not unused, f"public methods never accessed: {unused}"
