@@ -6,11 +6,13 @@ top-monomial coefficient.  It is the unique operator annihilated by, and
 annihilating, the Grassmann derivatives, which makes DI = ID = 0 the
 defining pair of properties.
 
-A mixed function F(x, xi) keeps, for every Grassmann multi-index, a
-coefficient that is either an exact polynomial in the real variables or
-an arbitrary callable (the quadrature path).  A polynomial coefficient is
-the xi-free part of the superfunction algebra (DeWitt, *Supermanifolds*,
-1992), a `GradedPoly` on `function_carrier(n, 0)`.
+A mixed function F(x, xi) = sum_I f_I(x) xi^I with polynomial
+coefficients is an element of the superfunction algebra (DeWitt,
+*Supermanifolds*, 1992): a `GradedPoly` on `function_carrier(n, nu)`,
+built from its coefficients by `MixedFunction`.  Its Berezin integral is
+a polynomial in x on `function_carrier(n, 0)`.  A coefficient that is an
+arbitrary callable (the quadrature path) makes a `BlackBox` instead, a
+record that only integrates.
 """
 
 from __future__ import annotations
@@ -18,23 +20,12 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Mapping, Sequence, Union
 
 from . import quadrature
 from .exactmat import det, from_rows
-from .grassmann import (
-    GeneratorMismatch,
-    Supernumber,
-    _map_terms,
-    _mask_mono,
-    _product,
-    _sum,
-    indices_of,
-    mask_of,
-    merge_sign,
-)
-from .graded_poly import EMPTY, GradedPoly, function_carrier
+from .grassmann import _SCALARS, Supernumber, _map_terms, indices_of, mask_of, merge_sign
+from .graded_poly import EMPTY, GradedPoly, Kind, function_carrier
 from .polynomials import from_json_poly, integrate_box, to_json_poly
 from .scalars import CRat
 
@@ -79,33 +70,22 @@ class Domain:
 # -- Grassmann derivative ------------------------------------------------
 
 
-def _derive_term(mask: int, coeff, bit: int):
+def _derive_term(mask: int, coeff: CRat, bit: int):
     """Left derivative of one term along the generator `bit`, or None."""
     if mask & bit:
-        return mask & ~bit, _negate(coeff) if (mask & (bit - 1)).bit_count() & 1 else coeff
+        return mask & ~bit, -coeff if (mask & (bit - 1)).bit_count() & 1 else coeff
 
 
 def grassmann_derivative(f, mu: int):
     """Left derivative d/dxi_mu: anticommute xi_mu to the front, drop it.
 
-    Accepts a Supernumber or a MixedFunction and returns the same type.
+    Accepts a Supernumber or a superfunction and returns the same type.
     """
     if isinstance(f, Supernumber):
         if not 1 <= mu <= f.n:
             raise ValueError(f"generator index {mu} outside 1..{f.n}")
         return Supernumber(f.n, _map_terms(f.terms, _derive_term, 1 << (mu - 1)), _canonical=True)
-    if isinstance(f, MixedFunction):
-        if not 1 <= mu <= f.nu:
-            raise ValueError(f"generator index {mu} outside 1..{f.nu}")
-        terms = _map_terms(f.terms, _derive_term, 1 << (mu - 1))
-        return MixedFunction(f.n, f.nu, terms, _canonical=True)
-    raise TypeError(f"cannot differentiate {type(f).__name__}")
-
-
-def _negate(coeff: Coefficient) -> Coefficient:
-    if callable(coeff):
-        return lambda *xs, _c=coeff: -_c(*xs)
-    return -coeff
+    return _exact(f).partial_xi(mu)
 
 
 # -- Berezin integral ----------------------------------------------------
@@ -115,8 +95,8 @@ def berezin_integral(f, normalization: Normalization = Normalization.ONE):
     """Iterated left derivative d/dxi_nu ... d/dxi_1 applied to f.
 
     For a Supernumber this is the coefficient of the full monomial
-    (a scalar); for a MixedFunction it is that coefficient as a function
-    of the real variables.  A non-unit normalization wraps scalar results
+    (a scalar); for a superfunction it is that coefficient as a polynomial
+    in the real variables.  A non-unit normalization wraps scalar results
     in :class:`WeightedScalar`.
     """
     if isinstance(f, Supernumber):
@@ -127,116 +107,102 @@ def berezin_integral(f, normalization: Normalization = Normalization.ONE):
         if normalization is Normalization.ONE:
             return value
         return WeightedScalar(value, normalization.value)
-    if isinstance(f, MixedFunction):
-        result = f
-        for mu in range(1, f.nu + 1):
-            result = grassmann_derivative(result, mu)
-        if normalization is not Normalization.ONE:
-            raise TypeError("symbolic normalization applies to scalar results only")
-        return result.terms.get(0, GradedPoly.zero(function_carrier(f.n, 0)))
-    raise TypeError(f"cannot integrate {type(f).__name__}")
+    n, nu = _exact(f).carrier.n, f.carrier.nu
+    if normalization is not Normalization.ONE:
+        raise TypeError("symbolic normalization applies to scalar results only")
+    for alpha in range(1, nu + 1):
+        f = f.partial_xi(alpha)
+    return GradedPoly(function_carrier(n, 0), f.terms, _canonical=True)
 
 
 # -- mixed functions -----------------------------------------------------
 
 
-class MixedFunction:
-    """F(x, xi) = sum over Grassmann multi-indices of f_I(x) xi^I."""
+def _exact(f) -> GradedPoly:
+    """f itself if it is a superfunction; a black box has no exact
+    arithmetic."""
+    if isinstance(f, GradedPoly) and f.carrier.kind is Kind.FUNCTION:
+        return f
+    raise TypeError(f"{type(f).__name__} is not a mixed function with polynomial coefficients")
 
-    __slots__ = ("n", "nu", "terms")
 
-    def __init__(self, n: int, nu: int, terms: Mapping[int, Coefficient] | None = None, _canonical=False):
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "nu", nu)
-        clean: dict[int, Coefficient] = {}
-        if terms:
-            ring = function_carrier(n, 0)
-            for mask, coeff in terms.items():
-                if mask < 0 or mask >= 1 << nu:
-                    raise ValueError(f"multi-index {indices_of(mask)} exceeds {nu} generators")
-                if isinstance(coeff, (int, Fraction, CRat)):
-                    coeff = GradedPoly.scalar(ring, coeff)
-                if isinstance(coeff, GradedPoly):
-                    if coeff.carrier != ring:
-                        raise ValueError(f"coefficient over {coeff.carrier}, not a polynomial in {n} variables")
-                    if not _canonical and coeff.is_zero():
-                        continue
-                clean[mask] = coeff
-        object.__setattr__(self, "terms", clean)
+def _coefficients(n: int, nu: int, terms: Mapping[int, object]):
+    """The (mask, coefficient) pairs of a nested map: masks checked,
+    scalars lifted to polynomials in n variables, callables as given."""
+    ring = function_carrier(n, 0)
+    for mask, coeff in terms.items():
+        if not 0 <= mask < 1 << nu:
+            raise ValueError(f"xi mask {mask} outside 0..{(1 << nu) - 1}")
+        if isinstance(coeff, _SCALARS):
+            coeff = GradedPoly.scalar(ring, coeff)
+        if isinstance(coeff, GradedPoly):
+            if coeff.carrier != ring:
+                raise ValueError(f"coefficient over {coeff.carrier}, not a polynomial in {n} variables")
+        elif not callable(coeff):
+            raise TypeError(f"coefficient {coeff!r} is neither a polynomial nor a callable")
+        yield mask, coeff
 
-    def __setattr__(self, name, value):
-        raise AttributeError("MixedFunction is immutable")
 
-    @staticmethod
-    def from_indices(n: int, nu: int, terms: Mapping[tuple[int, ...], Coefficient]) -> "MixedFunction":
-        return MixedFunction(n, nu, {mask_of(idx, nu): c for idx, c in terms.items()})
+class MixedFunction(GradedPoly):
+    """`MixedFunction(n, nu, {mask: f_I})` is sum_I f_I(x) xi^I, with each
+    f_I a polynomial on `function_carrier(n, 0)` or a scalar.  Arithmetic
+    on it gives plain `GradedPoly` elements of the same carrier.  A map
+    with a callable coefficient gives a :class:`BlackBox`."""
 
-    def is_polynomial(self) -> bool:
-        return all(isinstance(c, GradedPoly) for c in self.terms.values())
+    __slots__ = ()
 
-    def _check(self, other: "MixedFunction"):
-        if (self.n, self.nu) != (other.n, other.nu):
-            raise GeneratorMismatch("mixed functions over different spaces")
+    def __new__(cls, n: int, nu: int, terms: Mapping[int, Coefficient] | None = None):
+        if terms and any(callable(c) for c in terms.values()):
+            return BlackBox(n, nu, dict(_coefficients(n, nu, terms)))
+        return super().__new__(cls)
 
-    def __add__(self, other: "MixedFunction") -> "MixedFunction":
-        self._check(other)
-        if not (self.is_polynomial() and other.is_polynomial()):
-            raise TypeError("addition needs polynomial coefficients")
-        return MixedFunction(self.n, self.nu, _sum(self.terms, other.terms), _canonical=True)
+    def __init__(self, n: int, nu: int, terms: Mapping[int, Coefficient] | None = None):
+        flat = {}
+        for mask, coeff in _coefficients(n, nu, terms or {}):
+            for mono, c in coeff.terms.items():
+                flat[(mono[0], mask, 0, EMPTY)] = c
+        super().__init__(function_carrier(n, nu), flat, _canonical=True)
 
-    def __neg__(self):
-        return MixedFunction(
-            self.n, self.nu, {m: _negate(c) for m, c in self.terms.items()}, _canonical=True
-        )
 
-    def __sub__(self, other):
-        return self + (-other)
+@dataclass(frozen=True, eq=False)
+class BlackBox:
+    """A mixed function with a callable coefficient, kept as the nested
+    map {xi mask: polynomial or callable}.  It only integrates: sums,
+    products, equality and serialization need exact coefficients."""
 
-    def __mul__(self, other: "MixedFunction") -> "MixedFunction":
-        self._check(other)
-        if not (self.is_polynomial() and other.is_polynomial()):
-            raise TypeError("products need polynomial coefficients")
-        terms = _product(self.terms, other.terms, _mask_mono, 0)
-        return MixedFunction(self.n, self.nu, terms, _canonical=True)
+    n: int
+    nu: int
+    terms: Mapping[int, Coefficient]
 
     def __eq__(self, other):
-        if not isinstance(other, MixedFunction):
-            return NotImplemented
-        if (self.n, self.nu) != (other.n, other.nu):
-            return False
-        if not (self.is_polynomial() and other.is_polynomial()):
-            raise TypeError("equality is exact only for polynomial coefficients")
-        return self.terms == other.terms
+        raise TypeError("equality is exact only for polynomial coefficients")
 
-    def __hash__(self):
-        raise TypeError("unhashable")
-
-    def top_coefficient(self) -> Coefficient:
-        full = (1 << self.nu) - 1
-        return self.terms.get(full, GradedPoly.zero(function_carrier(self.n, 0)))
-
-    def __repr__(self):
-        bits = []
-        for mask in sorted(self.terms, key=lambda m: (m.bit_count(), indices_of(m))):
-            mono = "^".join(f"xi{i}" for i in indices_of(mask)) or "1"
-            bits.append(f"({self.terms[mask]!r})*{mono}")
-        return f"MixedFunction({self.n}|{self.nu}: " + (" + ".join(bits) or "0") + ")"
+    def top(self) -> Coefficient:
+        """The coefficient of xi_1 ... xi_nu, which d/dxi_nu ... d/dxi_1
+        returns with sign +1."""
+        return self.terms.get((1 << self.nu) - 1, GradedPoly.zero(function_carrier(self.n, 0)))
 
 
-def tensor_product(f: MixedFunction, g: MixedFunction) -> MixedFunction:
+def _by_mask(f) -> dict[int, GradedPoly]:
+    """The coefficients f_I(x) of F = sum_I f_I(x) xi^I, keyed by xi mask."""
+    groups: dict[int, dict] = {}
+    for (x_exps, mask, _, _), c in _exact(f).terms.items():
+        groups.setdefault(mask, {})[(x_exps, 0, 0, EMPTY)] = c
+    ring = function_carrier(f.carrier.n, 0)
+    return {mask: GradedPoly(ring, terms, _canonical=True) for mask, terms in groups.items()}
+
+
+def tensor_product(f: GradedPoly, g: GradedPoly) -> GradedPoly:
     """F(x, xi) G(y, eta) as a function on the combined space; the second
     factor's real and Grassmann variables are relabelled after the first's,
-    so no reordering signs arise."""
-    if not (f.is_polynomial() and g.is_polynomial()):
-        raise TypeError("tensor products need polynomial coefficients")
-    n = f.n + g.n
-    ring = function_carrier(n, 0)
-    lift_f = {m: GradedPoly(ring, p.terms, _canonical=True) for m, p in f.terms.items()}
-    lift_g = {}
-    for m, p in g.terms.items():
-        shifted = {(tuple((i + f.n, e) for i, e in mono[0]), 0, 0, EMPTY): c for mono, c in p.terms.items()}
-        lift_g[m << f.nu] = GradedPoly(ring, shifted, _canonical=True)
-    return MixedFunction(n, f.nu + g.nu, _product(lift_f, lift_g, _mask_mono, 0), _canonical=True)
+    so no reordering signs arise and no two terms meet."""
+    n, nu, g_terms = _exact(f).carrier.n, f.carrier.nu, _exact(g).terms.items()
+    terms = {
+        (xf + tuple((i + n, e) for i, e in xg), mf | mg << nu, 0, EMPTY): cf * cg
+        for (xf, mf, _, _), cf in f.terms.items()
+        for (xg, mg, _, _), cg in g_terms
+    }
+    return GradedPoly(function_carrier(n + g.carrier.n, nu + g.carrier.nu), terms, _canonical=True)
 
 
 # -- change of variables -------------------------------------------------
@@ -285,12 +251,14 @@ def change_of_variables_check(f: Supernumber, a: Sequence[Sequence]) -> tuple[CR
 # -- mixed integration ---------------------------------------------------
 
 
-def mixed_integral(f: MixedFunction, domain: Domain):
+def mixed_integral(f, domain: Domain):
     """Berezin-integrate the Grassmann variables, then integrate the top
     coefficient over the real box.  Exact (CRat) for polynomial
     coefficients, floating point via quadrature for callables."""
-    top = berezin_integral(f)
-    if isinstance(top, GradedPoly):
+    if not isinstance(f, BlackBox):
+        return integrate_box(berezin_integral(f), domain.bounds)
+    top = f.top()
+    if not callable(top):
         return integrate_box(top, domain.bounds)
     if f.n != 1:
         raise NotImplementedError("quadrature path supports one real variable")
@@ -298,42 +266,36 @@ def mixed_integral(f: MixedFunction, domain: Domain):
     return quadrature.integrate(top, float(lo), float(hi), tol=domain.tol)
 
 
-def raised_components(d: MixedFunction) -> dict[int, GradedPoly]:
+def raised_components(d: GradedPoly) -> dict[int, GradedPoly]:
     """Index raising with the alternating symbol: for an ordered index set
     I with ordered complement J, the raised component is the sign of the
     (J, I) shuffle times the stored J component.  This is the placement
     that makes the pairing below agree exactly with multiplication
     followed by mixed integration."""
-    if not d.is_polynomial():
-        raise TypeError("index raising needs polynomial coefficients")
-    full = (1 << d.nu) - 1
+    groups = _by_mask(d)
+    full = (1 << d.carrier.nu) - 1
     out: dict[int, GradedPoly] = {}
-    for mask_j, coeff in d.terms.items():
+    for mask_j, coeff in groups.items():
         mask_i = full & ~mask_j
-        sign = merge_sign(mask_j, mask_i)
-        out[mask_i] = coeff if sign > 0 else -coeff
+        out[mask_i] = coeff if merge_sign(mask_j, mask_i) > 0 else -coeff
     return out
 
 
-def lambda_apply(d: MixedFunction, f: MixedFunction) -> GradedPoly:
+def lambda_apply(d: GradedPoly, f: GradedPoly) -> GradedPoly:
     """(Lambda F)(x, 0): contract the raised components of D against the
-    left derivatives of F, lowest derivative index acting first."""
+    left derivatives of F, lowest derivative index acting first.  At
+    xi = 0 those derivatives along I leave exactly F's coefficient f_I."""
+    raised, parts = raised_components(d), _by_mask(f)
     d._check(f)
-    if not f.is_polynomial():
-        raise TypeError("Lambda operator needs polynomial coefficients")
-    total = GradedPoly.zero(function_carrier(f.n, 0))
-    for mask_i, dcoeff in raised_components(d).items():
-        g = f
-        for idx in indices_of(mask_i):
-            g = grassmann_derivative(g, idx)
-        part = g.terms.get(0)
-        if part is None:
-            continue
-        total = total + dcoeff * part
+    total = GradedPoly.zero(function_carrier(f.carrier.n, 0))
+    for mask_i, dcoeff in raised.items():
+        part = parts.get(mask_i)
+        if part is not None:
+            total = total + dcoeff * part
     return total
 
 
-def density_pairing(d: MixedFunction, f: MixedFunction, domain: Domain):
+def density_pairing(d: GradedPoly, f: GradedPoly, domain: Domain):
     """Pair a scalar density D against F through the integro-differential
     operator route; equals mixed_integral(D * F, domain) exactly for
     polynomial data."""
@@ -343,22 +305,21 @@ def density_pairing(d: MixedFunction, f: MixedFunction, domain: Domain):
 # -- JSON ----------------------------------------------------------------
 
 
-def to_json_mixed(f: MixedFunction) -> dict:
-    if not f.is_polynomial():
-        raise TypeError("only polynomial mixed functions serialize")
+def to_json_mixed(f: GradedPoly) -> dict:
+    groups = _by_mask(f)
     return {
-        "n": f.n,
-        "nu": f.nu,
+        "n": f.carrier.n,
+        "nu": f.carrier.nu,
         "terms": {
             ",".join(str(i) for i in indices_of(mask)): to_json_poly(coeff)
-            for mask, coeff in sorted(f.terms.items())
+            for mask, coeff in sorted(groups.items())
         },
     }
 
 
 def from_json_mixed(
     data: Mapping, integrands: Mapping[str, Callable[[float], float]] | None = None
-) -> MixedFunction:
+) -> GradedPoly | BlackBox:
     """Inverse of :func:`to_json_mixed`.  A term whose value is a string
     names a black-box coefficient in `integrands`."""
     n, nu = int(data["n"]), int(data["nu"])

@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from . import suites
-from .berezin import Domain, Normalization, berezin_integral, from_json_mixed, mixed_integral
+from .berezin import BlackBox, Domain, Normalization, berezin_integral, from_json_mixed, mixed_integral
 from .exprlang import Context, evaluate
 from .grassmann import from_json_terms, format_supernumber, Supernumber
 from .scalars import CRat
@@ -291,10 +291,14 @@ def cmd_mixed(args) -> int:
     with _blame(f"--expr {args.expr}"):
         f = from_json_mixed({**data, "n": args.n, "nu": args.nu}, _INTEGRANDS)
     domain = _parse_domain(args.domain, args.n, args.quad)
-    place = f"--quad {args.quad:g}" if callable(f.top_coefficient()) else f"--expr {args.expr}"
+    quad = isinstance(f, BlackBox) and callable(f.top())
+    if quad and args.n != 1:
+        raise ValueError(f"--expr {args.expr} --n {args.n}: the quadrature path supports one real variable")
+    place = f"--quad {args.quad:g}" if quad else f"--expr {args.expr}"
     with _blame(f"{place} --domain {args.domain}"):
         value = mixed_integral(f, domain)
-    return _print_result(args, str(value) if isinstance(value, CRat) else repr(value))
+        text = str(value) if isinstance(value, CRat) else repr(value)
+    return _print_result(args, text)
 
 
 def _metric_rows(spec: str | None):

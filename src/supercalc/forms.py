@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .berezin import MixedFunction
+from .berezin import berezin_integral, from_json_mixed, to_json_mixed
 from .graded_poly import (
     Carrier,
     GradedPoly,
@@ -502,15 +502,12 @@ def pairing(density: SuperDensity, form: SuperForm) -> GradedPoly:
 
 
 def scalar_density_integral(f: GradedPoly, bounds: Sequence[tuple]) -> CRat:
-    """Integrate a scalar density F(x, xi): strip the Grassmann variables
-    by the iterated left derivative d/dxi_nu ... d/dxi_1 (lowest index
-    innermost), then integrate the remaining polynomial over the box."""
+    """Integrate a scalar density F(x, xi): the Berezin integral strips the
+    Grassmann variables, then the remaining polynomial is integrated over
+    the box."""
     if f.carrier.kind is not Kind.FUNCTION:
         f = f.coefficient_function()
-    top = f
-    for alpha in range(1, f.carrier.nu + 1):
-        top = top.partial_xi(alpha)
-    return integrate_box(function_to_polynomial(top), bounds)
+    return integrate_box(berezin_integral(f), bounds)
 
 
 def integrate_density(f, bounds: Sequence[tuple]) -> CRat:
@@ -523,67 +520,28 @@ def integrate_density(f, bounds: Sequence[tuple]) -> CRat:
     return scalar_density_integral(f, bounds)
 
 
-# -- conversions ----------------------------------------------------------
-
-
-def function_to_mixed(f: GradedPoly) -> MixedFunction:
-    """Superfunction -> the integration module's representation."""
-    if f.carrier.kind is not Kind.FUNCTION:
-        f = f.coefficient_function()
-    n, nu = f.carrier.n, f.carrier.nu
-    return MixedFunction(n, nu, _map_terms(f.terms, _xi_term, function_carrier(n, 0)), _canonical=True)
-
-
-def _xi_term(mono, c: CRat, ring: Carrier):
-    """A function term as (xi mask, polynomial coefficient)."""
-    return mono[1], GradedPoly(ring, {(mono[0], 0, 0, EMPTY): c}, _canonical=True)
-
-
-def mixed_to_function(f: MixedFunction) -> GradedPoly:
-    carrier = function_carrier(f.n, f.nu)
-    out: dict = {}
-    for xi_mask, poly in f.terms.items():
-        if not isinstance(poly, GradedPoly):
-            raise TypeError("only polynomial mixed functions convert")
-        for mono, c in poly.terms.items():
-            out[(mono[0], xi_mask, 0, EMPTY)] = c
-    return GradedPoly(carrier, out)
-
-
-def function_to_polynomial(f: GradedPoly) -> GradedPoly:
-    """Drop a xi-independent superfunction to a plain polynomial."""
-    if any(mono[1] for mono in f.terms):
-        raise ValueError("function still depends on odd coordinates")
-    return GradedPoly(function_carrier(f.carrier.n, 0), f.terms, _canonical=True)
-
-
 # -- JSON -----------------------------------------------------------------
 
 
 def form_to_json(w: SuperForm) -> dict:
-    from .berezin import to_json_mixed
-
     comps = []
     for (bose, fermi), coeff in sorted(w.components().items()):
         comps.append(
             {
                 "bose_idx": list(bose),
                 "fermi_idx": list(fermi),
-                "poly": to_json_mixed(function_to_mixed(coeff))["terms"],
+                "poly": to_json_mixed(coeff)["terms"],
             }
         )
     return {"n": w.coords.n, "nu": w.coords.nu, "degree": w.degree, "components": comps}
 
 
 def form_from_json(data) -> SuperForm:
-    from .berezin import from_json_mixed
-
     coords = CoordinateSystem(int(data["n"]), int(data["nu"]))
     poly = GradedPoly.zero(coords.forms)
     for comp in data["components"]:
-        coeff = mixed_to_function(
-            from_json_mixed({"n": coords.n, "nu": coords.nu, "terms": comp["poly"]})
-        ).with_carrier(coords.forms)
+        coeff = from_json_mixed({"n": coords.n, "nu": coords.nu, "terms": comp["poly"]})
+        coeff = coeff.with_carrier(coords.forms)
         blade = GradedPoly.unit(coords.forms)
         for a in comp["bose_idx"]:
             blade = blade * coords.dx(a)

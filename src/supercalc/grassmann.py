@@ -8,14 +8,14 @@ strictly increasing by construction; every reordering sign is absorbed
 into the coefficient when a term is created.  This makes representation
 unique, so equality tests are exact.
 
-This module also holds the sparse term routines shared by every kernel
-(`Supernumber` here, `berezin.MixedFunction` and `graded_poly.GradedPoly`,
-which also holds the polynomials in the real variables): `_accumulate`
-(add terms, drop the keys that cancel), `_sum`, `_scale`, `_neg`,
-`_product` under a monomial rule and `_map_terms`; powers use
-`scalars._power`.  The monomial rule of supernumbers and mixed functions
-is `_mask_mono`: disjoint masks multiply to their union with the
-`merge_sign` sign.
+This module also holds the sparse term routines shared by the two
+kernels, `Supernumber` here and `graded_poly.GradedPoly`, which also
+holds the polynomials in the real variables and the mixed functions
+sum_I f_I(x) xi^I: `_accumulate` (add terms, drop the keys that cancel),
+`_sum`, `_scale`, `_neg`, `_product` under a monomial rule and
+`_map_terms`; powers use `scalars._power`.  The monomial rule of
+supernumbers is `_mask_mono`: disjoint masks multiply to their union with
+the `merge_sign` sign.
 """
 
 from __future__ import annotations
@@ -99,11 +99,11 @@ def merge_sign(a: int, b: int) -> int:
 
 # -- sparse term routines ------------------------------------------------
 #
-# Supernumber, MixedFunction and GradedPoly all hold an element
-# as a dict from a canonical monomial key to a nonzero coefficient, and do
-# their ring arithmetic through the routines below.  A type supplies only
-# its monomial rule, rule(a, b, nu) -> (key, sign), or None when the
-# product of the two monomials vanishes.
+# Supernumber and GradedPoly both hold an element as a dict from a
+# canonical monomial key to a nonzero coefficient, and do their ring
+# arithmetic through the routines below.  A type supplies only its
+# monomial rule, rule(a, b, nu) -> (key, sign), or None when the product
+# of the two monomials vanishes.
 
 _SCALARS = (int, Fraction, CRat)
 

@@ -21,7 +21,6 @@ from .graded_poly import EMPTY, GradedPoly, function_carrier
 from .grassmann import Supernumber, _accumulate, merge_sign
 from .matrices import GradedMatrix, ParitySignature
 from .polynomials import Polynomial
-from .berezin import MixedFunction
 from .scalars import CRat
 
 
@@ -71,14 +70,15 @@ def polynomial(rng: random.Random, n: int, max_degree: int = 2, terms: int = 3) 
 
 def mixed_function(
     rng: random.Random, n: int, nu: int, terms: int = 4, max_degree: int = 2
-) -> MixedFunction:
-    zero = GradedPoly.zero(function_carrier(n, 0))
-    data: dict[int, GradedPoly] = {}
+) -> GradedPoly:
+    """sum_I f_I(x) xi^I on `function_carrier(n, nu)`: `terms` draws of a
+    xi mask and a polynomial, summed."""
+    data: dict = {}
     for _ in range(terms):
         mask = rng.randrange(1 << nu)
         poly = polynomial(rng, n, max_degree)
-        data[mask] = data.get(mask, zero) + poly
-    return MixedFunction(n, nu, {m: p for m, p in data.items() if not p.is_zero()})
+        _accumulate(data, (((mono[0], mask, 0, EMPTY), c) for mono, c in poly.terms.items()))
+    return GradedPoly(function_carrier(n, nu), data, _canonical=True)
 
 
 def superfunction(

@@ -21,6 +21,7 @@ from supercalc.berezin import (
     tensor_product,
     to_json_mixed,
 )
+from supercalc.graded_poly import EMPTY, GradedPoly, function_carrier
 from supercalc.grassmann import GeneratorMismatch, Supernumber
 from supercalc.polynomials import Polynomial
 from supercalc.scalars import CRat
@@ -154,8 +155,8 @@ def test_lambda_apply_matches_coefficient_pairing():
     for _ in range(20):
         d = rg.mixed_function(rng, 1, 3)
         f = rg.mixed_function(rng, 1, 3)
-        top = (d * f).top_coefficient()
-        assert lambda_apply(d, f) == top
+        top = {(x, 0, 0, EMPTY): c for (x, xi, _, _), c in (d * f).terms.items() if xi == 0b111}
+        assert lambda_apply(d, f) == GradedPoly(function_carrier(1, 0), top)
 
 
 def test_fubini_factorized():
@@ -198,3 +199,54 @@ def test_from_json_mixed_resolves_named_integrands():
     for integrands in (None, {"other": gaussian}):
         with pytest.raises(ValueError, match="unknown integrand 'gaussian'"):
             from_json_mixed(data, integrands)
+
+
+def test_mixed_function_is_a_superfunction():
+    f = MixedFunction(1, 1, {1: Polynomial.variable(1, 1)}) * MixedFunction(1, 1, {0: 2})
+    assert type(f) is GradedPoly and f.carrier == function_carrier(1, 1)
+    assert f == GradedPoly(function_carrier(1, 1), {(((1, 1),), 0b1, 0, EMPTY): 2})
+    with pytest.raises(ValueError, match="xi mask"):
+        MixedFunction(1, 1, {-1: 1})
+    with pytest.raises(ValueError, match="not a polynomial in 1 variables"):
+        MixedFunction(1, 1, {0: Polynomial.variable(2, 1)})
+
+
+GAUSSIAN = lambda x: math.exp(-x * x)  # noqa: E731
+
+
+@pytest.mark.parametrize(
+    "op",
+    [
+        lambda box, f: box + f,
+        lambda box, f: f + box,
+        lambda box, f: box * f,
+        lambda box, f: f * box,
+        lambda box, f: box == box,
+        lambda box, f: f == box,
+        lambda box, f: tensor_product(box, f),
+        lambda box, f: tensor_product(f, box),
+        lambda box, f: raised_components(box),
+        lambda box, f: lambda_apply(box, f),
+        lambda box, f: lambda_apply(f, box),
+        lambda box, f: density_pairing(box, f, Domain.box((0, 1))),
+        lambda box, f: density_pairing(f, box, Domain.box((0, 1))),
+        lambda box, f: to_json_mixed(box),
+        lambda box, f: grassmann_derivative(box, 1),
+        lambda box, f: berezin_integral(box),
+    ],
+    ids=[
+        "add", "radd", "mul", "rmul", "eq", "req", "tensor", "rtensor", "raise",
+        "lambda-d", "lambda-f", "pairing-d", "pairing-f", "json", "derivative", "berezin",
+    ],
+)
+def test_black_box_has_no_exact_operations(op):
+    box = MixedFunction(1, 2, {0b11: GAUSSIAN, 0b01: Polynomial.variable(1, 1)})
+    with pytest.raises(TypeError):
+        op(box, MixedFunction(1, 2, {0: 1}))
+
+
+def test_black_box_with_polynomial_top_integrates_exactly():
+    box = MixedFunction(2, 2, {0b01: GAUSSIAN, 0b11: Polynomial(2, {(1, 2): 3})})
+    assert box.terms[0b01] is GAUSSIAN
+    assert mixed_integral(box, Domain.box((0, 1), (0, 2))) == CRat(4)  # (1/2) * 8
+    assert mixed_integral(MixedFunction(2, 2, {0b01: GAUSSIAN}), Domain.box((0, 1), (0, 2))) == CRat(0)

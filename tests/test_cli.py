@@ -437,3 +437,22 @@ def test_huge_exact_power_is_refused_up_front(tmp_path):
     line = one_error_line(proc)
     assert line.startswith(f"error: --expr {path} --domain 0,1/2: x1^200000000 ")
     assert "--quad" not in line and "digits, more than" in line
+
+
+def test_named_integrand_needs_one_real_variable(tmp_path):
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps({"terms": {"1": "gaussian"}}))
+    start = time.monotonic()
+    proc = run_cli("mixed", "--n", "2", "--nu", "1", "--expr", str(path), "--domain", "0,1;0,1", expect=2)
+    assert time.monotonic() - start < 1
+    assert one_error_line(proc) == f"error: --expr {path} --n 2: the quadrature path supports one real variable\n"
+
+
+def test_exact_result_too_large_to_print_names_the_input(tmp_path):
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps({"terms": {"1": {"14000,14000": "1"}}}))
+    start = time.monotonic()
+    proc = run_cli("mixed", "--n", "2", "--nu", "1", "--expr", str(path), "--domain", "0,1/2;0,1/2", expect=2)
+    assert time.monotonic() - start < 1
+    line = one_error_line(proc)
+    assert line.startswith(f"error: --expr {path} --domain 0,1/2;0,1/2: ") and "digits" in line

@@ -1,13 +1,14 @@
 """Cross-checks of the per-type monomial rules behind the shared sparse
 term routines.
 
-Supernumber and MixedFunction each multiply their xi masks through their
-own rule, `_mask_mono`; GradedPoly multiplies through `mul_mono`, written
-independently.  Mapping one type's terms into a GradedPoly carrier must
-commute with sums and products, so a sign slip in one rule shows up here.
-A naive product over index tuples checks Supernumber without using the
-shared routines at all.  Polynomials in x are GradedPoly already; their
-dense-exponent constructor is checked against products of coordinates.
+Supernumber multiplies its xi masks through its own rule, `_mask_mono`;
+GradedPoly multiplies through `mul_mono`, written independently.  Mapping
+a supernumber's terms into a GradedPoly carrier must commute with sums and
+products, so a sign slip in one rule shows up here.  A naive product over
+index tuples checks Supernumber without using the shared routines at all.
+Polynomials in x and mixed functions sum_I f_I(x) xi^I are GradedPoly
+already; the dense-exponent constructor of polynomials is checked against
+products of coordinates.
 """
 
 import random
@@ -17,8 +18,7 @@ import pytest
 
 from supercalc import randomgen as rg
 from supercalc.berezin import MixedFunction, from_json_mixed, to_json_mixed
-from supercalc.forms import function_to_mixed
-from supercalc.graded_poly import EMPTY, GradedPoly, function_carrier
+from supercalc.graded_poly import GradedPoly, function_carrier
 from supercalc.grassmann import Supernumber, indices_of, mask_of
 from supercalc.polynomials import Polynomial
 from supercalc.scalars import CRat
@@ -26,15 +26,6 @@ from supercalc.scalars import CRat
 
 def as_graded(z: Supernumber) -> GradedPoly:
     return GradedPoly(function_carrier(0, z.n), {((), m, 0, ()): c for m, c in z.terms.items()})
-
-
-def mixed_as_graded(f) -> GradedPoly:
-    terms = {}
-    for mask, p in f.terms.items():
-        for (x, xi, ao, ae), c in p.terms.items():
-            assert (xi, ao, ae) == (0, 0, EMPTY)
-            terms[(x, mask, 0, EMPTY)] = c
-    return GradedPoly(function_carrier(f.n, f.nu), terms)
 
 
 def naive_product(a: Supernumber, b: Supernumber) -> Supernumber:
@@ -67,16 +58,6 @@ def test_supernumber_rule_matches_graded_poly():
             assert as_graded(a * b) == as_graded(a) * as_graded(b)
             assert a * b == naive_product(a, b)
             assert as_graded(a ** 3) == as_graded(a) ** 3
-
-
-def test_mixed_function_rule_matches_graded_poly():
-    rng = random.Random(13)
-    for n, nu in ((1, 1), (1, 2), (2, 2), (1, 3), (2, 3)):
-        for _ in range(8):
-            f = rg.mixed_function(rng, n, nu)
-            g = rg.mixed_function(rng, n, nu)
-            assert function_to_mixed(mixed_as_graded(f) * mixed_as_graded(g)) == f * g
-            assert function_to_mixed(mixed_as_graded(f) + mixed_as_graded(g)) == f + g
 
 
 def test_negative_powers_raise():
