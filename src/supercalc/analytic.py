@@ -114,7 +114,7 @@ def seed_by_name(name: str) -> AnalyticSeed:
         return _BUILTINS[name]
     if name.startswith("polynomial:"):
         return polynomial_seed(name.split(":", 1)[1].split(","))
-    raise KeyError(f"unknown seed {name!r}; known: {sorted(_BUILTINS)} or polynomial:c0,c1,...")
+    raise ValueError(f"unknown seed {name!r}; known: {sorted(_BUILTINS)} or polynomial:c0,c1,...")
 
 
 def lift(seed: AnalyticSeed, z: Supernumber) -> Supernumber:

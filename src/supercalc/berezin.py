@@ -9,10 +9,14 @@ defining pair of properties.
 A mixed function F(x, xi) = sum_I f_I(x) xi^I with polynomial
 coefficients is an element of the superfunction algebra (DeWitt,
 *Supermanifolds*, 1992): a `GradedPoly` on `function_carrier(n, nu)`,
-built from its coefficients by `MixedFunction`.  Its Berezin integral is
-a polynomial in x on `function_carrier(n, 0)`.  A coefficient that is an
-arbitrary callable (the quadrature path) makes a `BlackBox` instead, a
-record that only integrates.
+built from its coefficients by `MixedFunction`.  A supernumber is the
+case n = 0, so the one left derivative of the kernel, `partial_xi`,
+serves both.  The Berezin integral of a superfunction is a polynomial in
+x on `function_carrier(n, 0)`, and of a supernumber a scalar.  The
+coefficients f_I are read and written through the kernel's
+`split_xi`/`join_xi`.  A coefficient that is an arbitrary callable (the
+quadrature path) makes a `BlackBox` instead, a record that only
+integrates.
 """
 
 from __future__ import annotations
@@ -24,8 +28,18 @@ from typing import Callable, Mapping, Sequence, Union
 
 from . import quadrature
 from .exactmat import det, from_rows
-from .grassmann import _SCALARS, Supernumber, _map_terms, indices_of, mask_of, merge_sign
-from .graded_poly import EMPTY, GradedPoly, Kind, function_carrier
+from .graded_poly import (
+    _SCALARS,
+    GradedPoly,
+    Kind,
+    function_carrier,
+    indices_of,
+    join_xi,
+    mask_of,
+    merge_sign,
+    split_xi,
+)
+from .grassmann import Supernumber
 from .polynomials import from_json_poly, integrate_box, to_json_poly
 from .scalars import CRat
 
@@ -70,21 +84,11 @@ class Domain:
 # -- Grassmann derivative ------------------------------------------------
 
 
-def _derive_term(mask: int, coeff: CRat, bit: int):
-    """Left derivative of one term along the generator `bit`, or None."""
-    if mask & bit:
-        return mask & ~bit, -coeff if (mask & (bit - 1)).bit_count() & 1 else coeff
-
-
 def grassmann_derivative(f, mu: int):
     """Left derivative d/dxi_mu: anticommute xi_mu to the front, drop it.
 
     Accepts a Supernumber or a superfunction and returns the same type.
     """
-    if isinstance(f, Supernumber):
-        if not 1 <= mu <= f.n:
-            raise ValueError(f"generator index {mu} outside 1..{f.n}")
-        return Supernumber(f.n, _map_terms(f.terms, _derive_term, 1 << (mu - 1)), _canonical=True)
     return _exact(f).partial_xi(mu)
 
 
@@ -99,20 +103,15 @@ def berezin_integral(f, normalization: Normalization = Normalization.ONE):
     in the real variables.  A non-unit normalization wraps scalar results
     in :class:`WeightedScalar`.
     """
-    if isinstance(f, Supernumber):
-        result = f
-        for mu in range(1, f.n + 1):
-            result = grassmann_derivative(result, mu)
-        value = result.body()
-        if normalization is Normalization.ONE:
-            return value
-        return WeightedScalar(value, normalization.value)
     n, nu = _exact(f).carrier.n, f.carrier.nu
-    if normalization is not Normalization.ONE:
-        raise TypeError("symbolic normalization applies to scalar results only")
     for alpha in range(1, nu + 1):
         f = f.partial_xi(alpha)
-    return GradedPoly(function_carrier(n, 0), f.terms, _canonical=True)
+    if isinstance(f, Supernumber):
+        value = f.body()
+        return value if normalization is Normalization.ONE else WeightedScalar(value, normalization.value)
+    if normalization is not Normalization.ONE:
+        raise TypeError("symbolic normalization applies to scalar results only")
+    return split_xi(f).get(0, GradedPoly.zero(function_carrier(n, 0)))
 
 
 # -- mixed functions -----------------------------------------------------
@@ -157,10 +156,11 @@ class MixedFunction(GradedPoly):
         return super().__new__(cls)
 
     def __init__(self, n: int, nu: int, terms: Mapping[int, Coefficient] | None = None):
-        flat = {}
-        for mask, coeff in _coefficients(n, nu, terms or {}):
-            for mono, c in coeff.terms.items():
-                flat[(mono[0], mask, 0, EMPTY)] = c
+        flat = {
+            join_xi(mask, key, nu): c
+            for mask, coeff in _coefficients(n, nu, terms or {})
+            for key, c in coeff.terms.items()
+        }
         super().__init__(function_carrier(n, nu), flat, _canonical=True)
 
 
@@ -183,26 +183,19 @@ class BlackBox:
         return self.terms.get((1 << self.nu) - 1, GradedPoly.zero(function_carrier(self.n, 0)))
 
 
-def _by_mask(f) -> dict[int, GradedPoly]:
-    """The coefficients f_I(x) of F = sum_I f_I(x) xi^I, keyed by xi mask."""
-    groups: dict[int, dict] = {}
-    for (x_exps, mask, _, _), c in _exact(f).terms.items():
-        groups.setdefault(mask, {})[(x_exps, 0, 0, EMPTY)] = c
-    ring = function_carrier(f.carrier.n, 0)
-    return {mask: GradedPoly(ring, terms, _canonical=True) for mask, terms in groups.items()}
-
-
 def tensor_product(f: GradedPoly, g: GradedPoly) -> GradedPoly:
     """F(x, xi) G(y, eta) as a function on the combined space; the second
     factor's real and Grassmann variables are relabelled after the first's,
     so no reordering signs arise and no two terms meet."""
-    n, nu, g_terms = _exact(f).carrier.n, f.carrier.nu, _exact(g).terms.items()
+    n, nu = _exact(f).carrier.n, f.carrier.nu
+    out = function_carrier(n + _exact(g).carrier.n, nu + g.carrier.nu)
+    g_terms = [(g.carrier.unpack(k), c) for k, c in g.terms.items()]
     terms = {
-        (xf + tuple((i + n, e) for i, e in xg), mf | mg << nu, 0, EMPTY): cf * cg
-        for (xf, mf, _, _), cf in f.terms.items()
+        out.pack((xf + tuple((i + n, e) for i, e in xg), mf | mg << nu, 0, ())): cf * cg
+        for (xf, mf, _, _), cf in ((f.carrier.unpack(k), c) for k, c in f.terms.items())
         for (xg, mg, _, _), cg in g_terms
     }
-    return GradedPoly(function_carrier(n + g.carrier.n, nu + g.carrier.nu), terms, _canonical=True)
+    return GradedPoly(out, terms, _canonical=True)
 
 
 # -- change of variables -------------------------------------------------
@@ -272,7 +265,7 @@ def raised_components(d: GradedPoly) -> dict[int, GradedPoly]:
     (J, I) shuffle times the stored J component.  This is the placement
     that makes the pairing below agree exactly with multiplication
     followed by mixed integration."""
-    groups = _by_mask(d)
+    groups = split_xi(_exact(d))
     full = (1 << d.carrier.nu) - 1
     out: dict[int, GradedPoly] = {}
     for mask_j, coeff in groups.items():
@@ -285,7 +278,7 @@ def lambda_apply(d: GradedPoly, f: GradedPoly) -> GradedPoly:
     """(Lambda F)(x, 0): contract the raised components of D against the
     left derivatives of F, lowest derivative index acting first.  At
     xi = 0 those derivatives along I leave exactly F's coefficient f_I."""
-    raised, parts = raised_components(d), _by_mask(f)
+    raised, parts = raised_components(d), split_xi(_exact(f))
     d._check(f)
     total = GradedPoly.zero(function_carrier(f.carrier.n, 0))
     for mask_i, dcoeff in raised.items():
@@ -306,7 +299,7 @@ def density_pairing(d: GradedPoly, f: GradedPoly, domain: Domain):
 
 
 def to_json_mixed(f: GradedPoly) -> dict:
-    groups = _by_mask(f)
+    groups = split_xi(_exact(f))
     return {
         "n": f.carrier.n,
         "nu": f.carrier.nu,

@@ -174,10 +174,10 @@ class Context:
                 raise ExprError("lift needs a seed, e.g. lift[exp](...)", at)
             try:
                 seed = seed_by_name(param)
-            except KeyError as exc:
-                raise ExprError(exc.args[0], at) from None
             except ValueError as exc:
-                raise ExprError(f"lift[{param}]: {exc}", at) from None
+                # a polynomial seed's own fault names the parameter; an unknown name speaks for itself
+                reason = f"lift[{param}]: {exc}" if param.startswith("polynomial:") else str(exc)
+                raise ExprError(reason, at) from None
             return lift(seed, arg)
         if name == "inverse":
             return arg.inverse()

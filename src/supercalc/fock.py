@@ -26,7 +26,7 @@ from math import factorial
 from typing import Iterable
 
 from .forms import CoordinateSystem, SuperDensity, SuperForm, pairing
-from .graded_poly import EMPTY, Carrier, GradedPoly, Kind
+from .graded_poly import Carrier, GradedPoly, function_carrier, indices_of, mask_of
 from .scalars import CRat
 
 REPRESENTATIONS = ("holomorphic", "form", "density")
@@ -46,7 +46,7 @@ class FockAlgebraSpec:
 
     def carrier(self, rep: str) -> Carrier:
         if rep == "holomorphic":
-            return Carrier(self.n_bose, self.n_fermi, Kind.FUNCTION)
+            return function_carrier(self.n_bose, self.n_fermi)
         if rep == "form":
             return self.geometry().forms
         if rep == "density":
@@ -63,7 +63,8 @@ class FockState:
         if poly.carrier != spec.carrier(rep):
             raise ValueError("payload does not live in the representation carrier")
         if rep != "holomorphic":
-            for (x_exps, xi, _ao, _ae) in poly.terms:
+            for key in poly.terms:
+                x_exps, xi, _ao, _ae = poly.carrier.unpack(key)
                 if x_exps or xi:
                     raise ValueError("geometric states must have constant coefficients")
         object.__setattr__(self, "spec", spec)
@@ -105,7 +106,8 @@ class FockState:
     def total_occupation(self) -> set[int]:
         if self.rep == "holomorphic":
             out = set()
-            for (x_exps, xi, _ao, _ae) in self.poly.terms:
+            for key in self.poly.terms:
+                x_exps, xi, _ao, _ae = self.poly.carrier.unpack(key)
                 out.add(sum(e for _, e in x_exps) + xi.bit_count())
             return out
         return self.poly.degrees()
@@ -199,15 +201,13 @@ def translate(s: FockState, to: str) -> FockState:
         return s
     target = s.spec.carrier(to)
     out: dict = {}
-    if s.rep == "holomorphic":
-        for (x_exps, xi, _ao, _ae), c in s.poly.terms.items():
-            out[(EMPTY, 0, xi, x_exps)] = c
-    elif to == "holomorphic":
-        for (_x, _xi, ao, ae), c in s.poly.terms.items():
-            out[(ae, ao, 0, EMPTY)] = c
-    else:
-        for mono, c in s.poly.terms.items():
-            out[mono] = c
+    for key, c in s.poly.terms.items():
+        x_exps, xi, ao, ae = mono = s.poly.carrier.unpack(key)
+        if s.rep == "holomorphic":
+            mono = ((), 0, xi, x_exps)
+        elif to == "holomorphic":
+            mono = (ae, ao, 0, ())
+        out[target.pack(mono)] = c
     return FockState(s.spec, to, GradedPoly(target, out, _canonical=True))
 
 
@@ -228,7 +228,7 @@ def inner_product(f: FockState, g: FockState) -> CRat:
         if cg is None:
             continue
         weight = 1
-        for _, e in mono[0]:
+        for _, e in f.poly.carrier.unpack(mono)[0]:
             weight *= factorial(e)
         total = total + cf.conjugate() * cg * weight
     return total
@@ -256,8 +256,8 @@ def dual_product(density_state: FockState, form_state: FockState, volume: CRat |
             SuperDensity(coords, density_state.poly.degree_part(p)),
             SuperForm(coords, form_state.poly.degree_part(p)),
         )
-        for (x_exps, xi, _ao, _ae), c in paired.terms.items():
-            if x_exps or xi:
+        for key, c in paired.terms.items():
+            if key:
                 raise ValueError("pairing of constant states must be constant")
             total = total + c
     return total * CRat.coerce(volume)
@@ -271,12 +271,9 @@ def state_to_json(s: FockState) -> dict:
     occupations and the fermionic index set of the holomorphic picture."""
     holo = translate(s, "holomorphic")
     terms = {}
-    for (x_exps, xi, _ao, _ae), c in sorted(
-        holo.poly.terms.items(), key=lambda kv: (kv[0][1], kv[0][0])
-    ):
+    monos = ((holo.poly.carrier.unpack(key), c) for key, c in holo.poly.terms.items())
+    for (x_exps, xi, _ao, _ae), c in sorted(monos, key=lambda mc: (mc[0][1], mc[0][0])):
         bose = ";".join(f"{i}:{e}" for i, e in x_exps)
-        from .grassmann import indices_of
-
         fermi = ",".join(str(i) for i in indices_of(xi))
         terms[f"{bose}|{fermi}"] = str(c)
     return {
@@ -288,7 +285,6 @@ def state_to_json(s: FockState) -> dict:
 
 
 def state_from_json(data: dict) -> FockState:
-    from .grassmann import mask_of
     from .scalars import parse_crat
 
     spec = FockAlgebraSpec(int(data["n_bose"]), int(data["n_fermi"]))
@@ -301,7 +297,7 @@ def state_from_json(data: dict) -> FockState:
             for i, e in (pair.split(":") for pair in bose_txt.split(";") if pair)
         )
         fermi = tuple(int(tok) for tok in fermi_txt.split(",")) if fermi_txt else ()
-        terms[(x_exps, mask_of(fermi, spec.n_fermi), 0, EMPTY)] = parse_crat(val)
+        terms[carrier.pack((x_exps, mask_of(fermi, spec.n_fermi), 0, ()))] = parse_crat(val)
     state = FockState(spec, "holomorphic", GradedPoly(carrier, terms))
     return translate(state, data["representation"])
 
@@ -326,12 +322,7 @@ def spanning_states(
     carrier = spec.carrier("holomorphic")
     for bose in bose_tuples(spec.n_bose):
         for fermi_mask in range(1 << spec.n_fermi):
-            mono = (
-                tuple((i + 1, e) for i, e in enumerate(bose) if e),
-                fermi_mask,
-                0,
-                EMPTY,
-            )
-            state = FockState(spec, "holomorphic", GradedPoly(carrier, {mono: CRat(1)}))
+            mono = (tuple((i + 1, e) for i, e in enumerate(bose) if e), fermi_mask, 0, ())
+            state = FockState(spec, "holomorphic", GradedPoly(carrier, {carrier.pack(mono): CRat(1)}))
             states.append(state if rep == "holomorphic" else translate(state, rep))
     return states

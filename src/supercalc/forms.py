@@ -24,16 +24,19 @@ from typing import Callable, Sequence
 from .berezin import berezin_integral, from_json_mixed, to_json_mixed
 from .graded_poly import (
     Carrier,
+    GeneratorMismatch,
     GradedPoly,
     Kind,
-    EMPTY,
+    Parity,
+    _accumulate,
     _divergence_terms,
     _exterior_d_terms,
+    _map_terms,
     density_carrier,
     form_carrier,
     function_carrier,
+    indices_of,
 )
-from .grassmann import GeneratorMismatch, Parity, _accumulate, _map_terms, indices_of
 from .polynomials import integrate_box
 from .scalars import CRat
 
@@ -108,7 +111,7 @@ class _Homogeneous:
 
     @classmethod
     def carrier_of(cls, coords: CoordinateSystem) -> Carrier:
-        return Carrier(coords.n, coords.nu, cls._kind)
+        return coords.forms if cls._kind is Kind.FORM else coords.densities
 
     @classmethod
     def from_function(cls, coords: CoordinateSystem, f):
@@ -160,13 +163,14 @@ class SuperDensity(_Homogeneous):
 
 
 def _split_components(coords, poly) -> dict:
-    return _map_terms(poly.terms, _component_term, coords.functions)
+    return _map_terms(poly.terms, _component_term, (poly.carrier, coords.functions))
 
 
-def _component_term(mono, c: CRat, fn: Carrier):
-    x_exps, xi, ao, ae = mono
+def _component_term(key: int, c: CRat, carriers: tuple[Carrier, Carrier]):
+    source, fn = carriers
+    x_exps, xi, ao, ae = source.unpack(key)
     fermi = tuple(i for i, e in ae for _ in range(e))
-    return (indices_of(ao), fermi), GradedPoly(fn, {(x_exps, xi, 0, EMPTY): c}, _canonical=True)
+    return (indices_of(ao), fermi), GradedPoly(fn, {fn.pack((x_exps, xi, 0, ())): c}, _canonical=True)
 
 
 @dataclass(frozen=True)
@@ -322,7 +326,7 @@ def _term_pass(carrier: Carrier, w: GradedPoly, rule) -> GradedPoly:
     """The element whose terms rule(w.terms) yields, on w's own carrier."""
     if w.carrier != carrier:
         raise GeneratorMismatch(f"operand is not a {carrier.kind.value} over this patch")
-    return GradedPoly(carrier, _accumulate({}, rule(w.terms)), _canonical=True)
+    return GradedPoly(carrier, _accumulate({}, rule(w.terms, carrier)), _canonical=True)
 
 
 def _differential(coords: CoordinateSystem, w: GradedPoly) -> GradedPoly:

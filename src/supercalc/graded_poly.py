@@ -1,9 +1,8 @@
 """Graded-commutative polynomial kernel over mixed coordinates.
 
-Everything downstream of the plain Grassmann algebra (superfunctions of
-(x, xi), exterior forms, tensor densities, Fock-state payloads) lives in
-one kind of object: a polynomial in four generator families over a
-coordinate patch with n even and nu odd coordinates,
+Every ring element of the package is one kind of object: a polynomial in
+four generator families over a coordinate patch with n even and nu odd
+coordinates,
 
     even coordinates   x_a           (a = 1..n,      any exponent)
     odd  coordinates   xi_alpha      (alpha = 1..nu, exponent <= 1)
@@ -13,48 +12,107 @@ coordinate patch with n even and nu odd coordinates,
 The auxiliaries mean different things per carrier kind: for forms they
 are the differentials dx_a (odd!) and dxi_alpha (even), for densities
 the contravariant slots along d/dx_a and d/dxi_alpha, and function
-carriers have none.  All products follow the one sign rule - swapping
-two odd generators costs a minus sign - so the exchange behaviour of
-differentials, slots and coordinates never needs case analysis.
+carriers have none.  Supernumbers are the functions of a patch with
+n = 0 (`grassmann.Supernumber`), polynomials in x those with nu = 0.
+All products follow the one sign rule - swapping two odd generators
+costs a minus sign - so the exchange behaviour of differentials, slots
+and coordinates never needs case analysis.
 
-Monomials are stored canonically (x exponents, xi bitmask, odd-aux
-bitmask, even-aux exponents) with every reordering sign absorbed into
-the exact complex-rational coefficient.  Ring arithmetic and the four
-derivations run through the shared sparse term routines of `grassmann`;
-the monomial rule here is `mul_mono` on these 4-tuples.  The exterior
+A monomial is one int key, laid out by the patch (n, nu) alone: the low
+nu + n bits hold the odd generators, xi_1..xi_nu and then the odd
+auxiliaries, one bit each; above them each even generator, x_1..x_n and
+then the even auxiliaries, has a FIELD-bit exponent field whose top bit
+is a guard.  So a product of monomials is the sum of their keys:
+`a & b & odd` finds a repeated odd generator, `merge_sign` on the odd
+bits gives the reordering sign, and an exponent past MAX_EXPONENT runs
+into a guard bit and is refused with a ValueError.  Every reordering sign
+is absorbed into the exact complex-rational coefficient, so the
+representation is unique and equality is exact.  On
+`function_carrier(0, N)` a key is exactly the xi bitmask (Monagan and
+Pearce pack monomials the same way; "POLY: a new polynomial data
+structure for Maple 17", 2013).
+
+Only this module reads key bits.  `Carrier.pack` and `Carrier.unpack`
+convert a key from and to the tuple view (x exponents, xi mask, odd-aux
+mask, even-aux exponents), exponents as sorted (index, exponent) pairs;
+`split_xi` and `join_xi` take a superfunction apart by xi mask and put
+it back.  The sparse term routines live here too: `_accumulate`,
+`_product` and `_map_terms` under one rule for odd generators
+(`_d_odd`) and one for exponent fields (`_d_field`).  The exterior
 differential d of the form algebra and the divergence b of the density
-algebra are term rules too (`_exterior_d_terms`, `_divergence_terms`):
-one pass over the terms, each term yielding its image terms with the
-signs the products dx_a * dw/dx_a would carry, and no ring product.
+algebra are term rules as well (`_exterior_d_terms`,
+`_divergence_terms`): one pass over the terms, each term yielding its
+image terms with the signs the products dx_a * dw/dx_a would carry, and
+no ring product.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping
+from functools import cache, reduce
+from operator import or_
+from typing import Iterable, Mapping
 
-from .grassmann import (
-    _SCALARS,
-    GeneratorMismatch,
-    Parity,
-    _hash,
-    _map_terms,
-    _neg,
-    _parity,
-    _product,
-    _scale,
-    _sum,
-    indices_of,
-    merge_sign,
-)
 from .scalars import CRat, _power
 
-ExpTuple = tuple[tuple[int, int], ...]  # sorted ((index, exponent), ...)
-Mono = tuple[ExpTuple, int, int, ExpTuple]  # (x_exps, xi_mask, aux_odd_mask, aux_even_exps)
+FIELD = 32  # bits per exponent field of an even generator
+MAX_EXPONENT = (1 << (FIELD - 1)) - 1  # the top bit of a field is its guard
+_FIELD_MASK = (1 << FIELD) - 1
 
-EMPTY: ExpTuple = ()
+
+class Parity(enum.Enum):
+    EVEN = 0
+    ODD = 1
+    MIXED = "mixed"
+
+
+class GeneratorMismatch(ValueError):
+    """Raised when operands live over different generator sets."""
+
+
+def mask_of(indices: Iterable[int], n: int) -> int:
+    """Bitmask of a strictly increasing multi-index with labels in 1..n."""
+    mask = 0
+    prev = 0
+    for idx in indices:
+        if not 1 <= idx <= n:
+            raise ValueError(f"generator label {idx} outside 1..{n}")
+        if idx <= prev:
+            raise ValueError(f"multi-index {tuple(indices)} not strictly increasing")
+        prev = idx
+        mask |= 1 << (idx - 1)
+    return mask
+
+
+def indices_of(mask: int) -> tuple[int, ...]:
+    if mask < 0:
+        raise ValueError(f"negative mask {mask}")
+    out = []
+    i = 1
+    while mask:
+        if mask & 1:
+            out.append(i)
+        mask >>= 1
+        i += 1
+    return tuple(out)
+
+
+def merge_sign(a: int, b: int) -> int:
+    """Sign (+1/-1) of sorting the concatenation of two disjoint masks.
+
+    Counts pairs (i in a, j in b) with i > j; each costs one transposition.
+    """
+    swaps = 0
+    t = a >> 1
+    while t:
+        swaps += (t & b).bit_count()
+        t >>= 1
+    return -1 if swaps & 1 else 1
+
+
+# -- carriers -------------------------------------------------------------
 
 
 class Kind(enum.Enum):
@@ -65,15 +123,29 @@ class Kind(enum.Enum):
 
 @dataclass(frozen=True)
 class Carrier:
-    """Generator universe: coordinate counts plus the auxiliary meaning."""
+    """Generator universe: coordinate counts plus the auxiliary meaning.
+    The key layout depends on (n, nu) only, so carriers of one patch
+    share their keys."""
 
     n: int
     nu: int
     kind: Kind = Kind.FUNCTION
+    odd: int = field(init=False, repr=False, compare=False)  # bits of the odd generators
+    guards: int = field(init=False, repr=False, compare=False)  # guard bit of every field
+    allowed: int = field(init=False, repr=False, compare=False)  # bits a key may set
 
     def __post_init__(self):
         if self.n < 0 or self.nu < 0:
             raise ValueError("coordinate counts must be >= 0")
+        base = self.n + self.nu
+        guards = sum(1 << (base + FIELD * k - 1) for k in range(1, base + 1))
+        if self.kind is Kind.FUNCTION:
+            allowed = (1 << self.nu) - 1 | ((1 << FIELD * self.n) - 1) << base
+        else:
+            allowed = (1 << (base + FIELD * base)) - 1
+        object.__setattr__(self, "odd", (1 << base) - 1)
+        object.__setattr__(self, "guards", guards)
+        object.__setattr__(self, "allowed", allowed & ~guards)
 
     def aux_labels(self) -> tuple[str, str]:
         if self.kind is Kind.FORM:
@@ -82,116 +154,188 @@ class Carrier:
             return "@x", "@xi"  # slots along d/dx_a and d/dxi_alpha
         return "", ""
 
+    def shift(self, k: int) -> int:
+        """Offset of the exponent field of even generator k: x_k for
+        k <= n, the even auxiliary k - n above."""
+        return self.n + self.nu + FIELD * (k - 1)
 
-def _merge_exps(a: ExpTuple, b: ExpTuple) -> ExpTuple:
-    if not a:
-        return b
-    if not b:
-        return a
-    merged = dict(a)
-    for idx, e in b:
-        merged[idx] = merged.get(idx, 0) + e
-    return tuple(sorted(merged.items()))
+    def pack(self, mono) -> int:
+        """The key of (x exponents, xi mask, odd-aux mask, even-aux
+        exponents), exponents as (index, exponent) pairs."""
+        x_exps, xi, ao, ae = mono
+        key = 0
+        for count, offset, exps in ((self.n, 0, x_exps), (self.nu, self.n, ae)):
+            for i, e in exps:
+                if e > MAX_EXPONENT:
+                    raise ValueError(f"exponent {e} exceeds {MAX_EXPONENT}")
+                if not 1 <= i <= count or e <= 0:
+                    raise ValueError(f"monomial {mono} outside {self}")
+                key += e << self.shift(offset + i)
+        if xi < 0 or ao < 0 or xi >> self.nu or ao >> self.n or key & ~self.allowed:
+            raise ValueError(f"monomial {mono} outside {self}")
+        return key | xi | ao << self.nu
+
+    def unpack(self, key: int) -> tuple:
+        """The tuple view of a key, inverse to `pack`."""
+        fields = key >> (self.n + self.nu)
+        exps = []
+        k = 1
+        while fields:
+            if fields & _FIELD_MASK:
+                exps.append((k, fields & _FIELD_MASK))
+            fields >>= FIELD
+            k += 1
+        x_exps = tuple(p for p in exps if p[0] <= self.n)
+        ae = tuple((k - self.n, e) for k, e in exps if k > self.n)
+        return x_exps, key & ((1 << self.nu) - 1), key >> self.nu & ((1 << self.n) - 1), ae
 
 
-def _mono_parity(mono: Mono) -> int:
-    return (mono[1].bit_count() + mono[2].bit_count()) & 1
+@cache
+def function_carrier(n: int, nu: int) -> Carrier:
+    return Carrier(n, nu, Kind.FUNCTION)
 
 
-def _mono_degree(mono: Mono) -> int:
-    return mono[2].bit_count() + sum(e for _, e in mono[3])
+@cache
+def form_carrier(n: int, nu: int) -> Carrier:
+    return Carrier(n, nu, Kind.FORM)
 
 
-def _d_exps(exps: ExpTuple, idx: int) -> tuple[ExpTuple, int] | None:
-    """Lower the exponent of generator idx by one: (new exponents, old
-    exponent), or None when idx is absent."""
-    for pos, (i, e) in enumerate(exps):
-        if i == idx:
-            return exps[:pos] + (((i, e - 1),) if e > 1 else ()) + exps[pos + 1:], e
-    return None
+@cache
+def density_carrier(n: int, nu: int) -> Carrier:
+    return Carrier(n, nu, Kind.DENSITY)
+
+
+# -- sparse term routines ---------------------------------------------------
+#
+# An element is a dict from int key to nonzero coefficient.
+
+_SCALARS = (int, Fraction, CRat)
+
+
+def _accumulate(out: dict, terms) -> dict:
+    """Add (key, coefficient) pairs into `out`, dropping keys that cancel.
+
+    Incoming coefficients are nonzero, so only sums are tested for zero.
+    """
+    for key, c in terms:
+        prev = out.get(key)
+        if prev is None:
+            out[key] = c
+        else:
+            c = prev + c
+            if c.is_zero():
+                del out[key]
+            else:
+                out[key] = c
+    return out
+
+
+def _map_terms(terms: dict, rule, arg) -> dict:
+    """Accumulate rule(key, coeff, arg) -> (key, coeff) | None over terms."""
+    return _accumulate({}, filter(None, (rule(k, c, arg) for k, c in terms.items())))
+
+
+def _check_exponents(carrier: Carrier, keys) -> None:
+    """Refuse keys in which an exponent has run into its guard bit."""
+    if keys and reduce(or_, keys) & carrier.guards:
+        top = max(e for k in keys for part in carrier.unpack(k)[::3] for _, e in part)
+        raise ValueError(f"exponent {top} exceeds {MAX_EXPONENT}")
+
+
+def _product(a: dict, b: dict, carrier: Carrier) -> dict:
+    """Terms of a product: keys add, a repeated odd generator kills the
+    term, and `merge_sign` of the odd bits gives its sign."""
+    odd = carrier.odd
+    right = [(kb, kb & odd, cb) for kb, cb in b.items()]
+    out: dict = {}
+    for ka, ca in a.items():
+        oa = ka & odd
+        for kb, ob, cb in right:
+            if oa & ob:
+                continue
+            c = ca * cb
+            if oa and ob and merge_sign(oa, ob) < 0:
+                c = -c
+            key = ka + kb
+            prev = out.get(key)
+            if prev is None:
+                out[key] = c
+            else:
+                c = prev + c
+                if c.is_zero():
+                    del out[key]
+                else:
+                    out[key] = c
+    _check_exponents(carrier, out)
+    return out
 
 
 # term rules for _map_terms
 
 
-def _d_x(mono: Mono, c: CRat, a: int):
-    hit = _d_exps(mono[0], a)
-    if hit is not None:
-        return (hit[0], mono[1], mono[2], mono[3]), c * hit[1]
+def _d_odd(key: int, c: CRat, bit: int):
+    """Left derivative along the odd generator `bit`: anticommute it past
+    the odd generators below it, then drop it."""
+    if key & bit:
+        return key ^ bit, -c if (key & (bit - 1)).bit_count() & 1 else c
 
 
-def _d_xi(mono: Mono, c: CRat, bit: int):
-    x_exps, xi, ao, ae = mono
-    if xi & bit:
-        return (x_exps, xi & ~bit, ao, ae), -c if (xi & (bit - 1)).bit_count() & 1 else c
-
-
-def _d_aux_odd(mono: Mono, c: CRat, bit: int):
-    x_exps, xi, ao, ae = mono
-    if ao & bit:
-        before = xi.bit_count() + (ao & (bit - 1)).bit_count()
-        return (x_exps, xi, ao & ~bit, ae), -c if before & 1 else c
-
-
-def _d_aux_even(mono: Mono, c: CRat, alpha: int):
-    hit = _d_exps(mono[3], alpha)
-    if hit is not None:
-        return (mono[0], mono[1], mono[2], hit[0]), c * hit[1]
+def _d_field(key: int, c: CRat, shift: int):
+    """Derivative along the even generator whose field starts at `shift`."""
+    e = key >> shift & _FIELD_MASK
+    if e:
+        return key - (1 << shift), c * e
 
 
 # term generators for the differentials d and b
 
 
-def _exterior_d_terms(terms: Mapping[Mono, CRat]):
+def _exterior_d_terms(terms: Mapping[int, CRat], carrier: Carrier):
     """Terms of dw = sum_A dx^A (dw/dx^A) on the form algebra.  Putting the
-    odd dx_a in front passes every xi and the lower dx; dxi_alpha is even,
-    so only d/dxi_alpha's own prefix sign counts."""
-    for (x_exps, xi, ao, ae), c in terms.items():
-        odd = xi.bit_count()
-        for a, _ in x_exps:
-            bit = 1 << (a - 1)
-            if not ao & bit:
-                lowered, e = _d_exps(x_exps, a)
+    odd dx_a in front passes every odd generator below it (every xi and
+    the lower dx); dxi_alpha is even, so only d/dxi_alpha's own prefix
+    sign counts."""
+    n, nu = carrier.n, carrier.nu
+    x_fields = [(carrier.shift(a), 1 << (nu + a - 1)) for a in range(1, n + 1)]
+    for key, c in terms.items():
+        for shift, bit in x_fields:
+            e = key >> shift & _FIELD_MASK
+            if e and not key & bit:
                 k = c * e
-                yield (lowered, xi, ao | bit, ae), -k if (odd + (ao & (bit - 1)).bit_count()) & 1 else k
-        rest = xi
+                yield key - (1 << shift) + bit, -k if (key & (bit - 1)).bit_count() & 1 else k
+        rest = key & ((1 << nu) - 1)
         while rest:
             bit = rest & -rest
             rest ^= bit
-            raised = _merge_exps(ae, ((bit.bit_length(), 1),))
-            yield (x_exps, xi ^ bit, ao, raised), -c if (xi & (bit - 1)).bit_count() & 1 else c
+            raised = (key ^ bit) + (1 << carrier.shift(n + bit.bit_length()))
+            if raised & carrier.guards:
+                _check_exponents(carrier, (raised,))
+            yield raised, -c if (key & (bit - 1)).bit_count() & 1 else c
 
 
-def _divergence_terms(terms: Mapping[Mono, CRat]):
+def _divergence_terms(terms: Mapping[int, CRat], carrier: Carrier):
     """Terms of bw = sum_A d/dx^A applied to the first slot, the mirror of
     `_exterior_d_terms`: drop the x_a slot and lower x_a, or lower the
     xi_alpha slot and drop xi_alpha."""
-    for (x_exps, xi, ao, ae), c in terms.items():
-        odd = xi.bit_count()
-        for a, _ in x_exps:
-            bit = 1 << (a - 1)
-            if ao & bit:
-                lowered, e = _d_exps(x_exps, a)
+    n, nu = carrier.n, carrier.nu
+    pairs = [(carrier.shift(a), 1 << (nu + a - 1)) for a in range(1, n + 1)]
+    pairs += [(carrier.shift(n + alpha), 1 << (alpha - 1)) for alpha in range(1, nu + 1)]
+    for key, c in terms.items():
+        for shift, bit in pairs:
+            e = key >> shift & _FIELD_MASK
+            if e and key & bit:
                 k = c * e
-                yield (lowered, xi, ao ^ bit, ae), -k if (odd + (ao & (bit - 1)).bit_count()) & 1 else k
-        for alpha, _ in ae:
-            bit = 1 << (alpha - 1)
-            if xi & bit:
-                lowered, e = _d_exps(ae, alpha)
-                k = c * e
-                yield (x_exps, xi ^ bit, ao, lowered), -k if (xi & (bit - 1)).bit_count() & 1 else k
+                yield key - (1 << shift) - bit, -k if (key & (bit - 1)).bit_count() & 1 else k
 
 
-def mul_mono(a: Mono, b: Mono, nu: int) -> tuple[Mono, int] | None:
-    """Product of canonical monomials: (result, sign), or None when an
-    odd generator repeats."""
-    if (a[1] & b[1]) or (a[2] & b[2]):
-        return None
-    odd_a = a[1] | (a[2] << nu)
-    odd_b = b[1] | (b[2] << nu)
-    sign = merge_sign(odd_a, odd_b)
-    mono = (_merge_exps(a[0], b[0]), a[1] | b[1], a[2] | b[2], _merge_exps(a[3], b[3]))
-    return mono, sign
+def _degree_of_key(carrier: Carrier, key: int) -> int:
+    """Auxiliary degree: odd auxiliaries plus even-auxiliary exponents."""
+    degree = (key >> carrier.nu & ((1 << carrier.n) - 1)).bit_count()
+    fields = key >> carrier.shift(carrier.n + 1)
+    while fields:
+        degree += fields & _FIELD_MASK
+        fields >>= FIELD
+    return degree
 
 
 class GradedPoly:
@@ -199,33 +343,29 @@ class GradedPoly:
 
     __slots__ = ("carrier", "terms")
 
-    def __init__(self, carrier: Carrier, terms: Mapping[Mono, CRat] | None = None, _canonical=False):
+    def __init__(self, carrier: Carrier, terms: Mapping[int, CRat] | None = None, _canonical=False):
         object.__setattr__(self, "carrier", carrier)
         if terms is None:
-            clean: dict[Mono, CRat] = {}
+            clean: dict[int, CRat] = {}
         elif _canonical:
             clean = terms  # a fresh dict, or the terms of another immutable element
         else:
             clean = {}
-            for mono, c in terms.items():
-                self._validate(carrier, mono)
+            for key, c in terms.items():
+                if not isinstance(key, int) or key & ~carrier.allowed:
+                    raise ValueError(f"monomial key {key!r} outside {carrier}")
                 c = CRat.coerce(c)
                 if not c.is_zero():
-                    clean[mono] = c
+                    clean[key] = c
         object.__setattr__(self, "terms", clean)
 
     def __setattr__(self, name, value):
-        raise AttributeError("GradedPoly is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
-    @staticmethod
-    def _validate(carrier: Carrier, mono: Mono):
-        x_exps, xi_mask, ao_mask, ae_exps = mono
-        if xi_mask >> carrier.nu or any(not 1 <= i <= carrier.n or e <= 0 for i, e in x_exps):
-            raise ValueError(f"monomial {mono} outside carrier {carrier}")
-        if carrier.kind is Kind.FUNCTION and (ao_mask or ae_exps):
-            raise ValueError("function carrier admits no auxiliary generators")
-        if ao_mask >> carrier.n or any(not 1 <= i <= carrier.nu or e <= 0 for i, e in ae_exps):
-            raise ValueError(f"monomial {mono} outside carrier {carrier}")
+    def _new(self, terms: dict) -> "GradedPoly":
+        """An element of this carrier with canonical terms: the type of
+        every result of arithmetic, which a subclass may keep."""
+        return GradedPoly(self.carrier, terms, _canonical=True)
 
     # -- constructors ---------------------------------------------------
 
@@ -236,9 +376,7 @@ class GradedPoly:
     @staticmethod
     def scalar(carrier: Carrier, value) -> "GradedPoly":
         c = CRat.coerce(Fraction(value) if isinstance(value, str) else value)
-        if c.is_zero():
-            return GradedPoly(carrier)
-        return GradedPoly(carrier, {(EMPTY, 0, 0, EMPTY): c}, _canonical=True)
+        return GradedPoly(carrier, {0: c} if not c.is_zero() else {}, _canonical=True)
 
     @staticmethod
     def unit(carrier: Carrier) -> "GradedPoly":
@@ -248,13 +386,13 @@ class GradedPoly:
     def coordinate(carrier: Carrier, a: int) -> "GradedPoly":
         if not 1 <= a <= carrier.n:
             raise ValueError(f"even coordinate index {a} outside 1..{carrier.n}")
-        return GradedPoly(carrier, {(((a, 1),), 0, 0, EMPTY): CRat(1)}, _canonical=True)
+        return GradedPoly(carrier, {1 << carrier.shift(a): CRat(1)}, _canonical=True)
 
     @staticmethod
     def odd_coordinate(carrier: Carrier, alpha: int) -> "GradedPoly":
         if not 1 <= alpha <= carrier.nu:
             raise ValueError(f"odd coordinate index {alpha} outside 1..{carrier.nu}")
-        return GradedPoly(carrier, {(EMPTY, 1 << (alpha - 1), 0, EMPTY): CRat(1)}, _canonical=True)
+        return GradedPoly(carrier, {1 << (alpha - 1): CRat(1)}, _canonical=True)
 
     @staticmethod
     def aux_odd(carrier: Carrier, a: int) -> "GradedPoly":
@@ -263,7 +401,7 @@ class GradedPoly:
             raise ValueError("function carrier has no auxiliary generators")
         if not 1 <= a <= carrier.n:
             raise ValueError(f"auxiliary index {a} outside 1..{carrier.n}")
-        return GradedPoly(carrier, {(EMPTY, 0, 1 << (a - 1), EMPTY): CRat(1)}, _canonical=True)
+        return GradedPoly(carrier, {1 << (carrier.nu + a - 1): CRat(1)}, _canonical=True)
 
     @staticmethod
     def aux_even(carrier: Carrier, alpha: int) -> "GradedPoly":
@@ -272,61 +410,68 @@ class GradedPoly:
             raise ValueError("function carrier has no auxiliary generators")
         if not 1 <= alpha <= carrier.nu:
             raise ValueError(f"auxiliary index {alpha} outside 1..{carrier.nu}")
-        return GradedPoly(carrier, {(EMPTY, 0, 0, ((alpha, 1),)): CRat(1)}, _canonical=True)
+        return GradedPoly(carrier, {1 << carrier.shift(carrier.n + alpha): CRat(1)}, _canonical=True)
 
     # -- ring operations --------------------------------------------------
 
     def _check(self, other: "GradedPoly"):
-        if self.carrier != other.carrier:
+        if self.carrier is not other.carrier and self.carrier != other.carrier:
             raise GeneratorMismatch(f"carriers differ: {self.carrier} vs {other.carrier}")
 
-    def __add__(self, other):
+    def _operand(self, other) -> dict | None:
+        """The terms of a scalar or of an element of this carrier; None
+        for anything else."""
+        if isinstance(other, GradedPoly):
+            self._check(other)
+            return other.terms
         if isinstance(other, _SCALARS):
-            other = GradedPoly.scalar(self.carrier, other)
-        if not isinstance(other, GradedPoly):
+            c = CRat.coerce(other)
+            return {0: c} if not c.is_zero() else {}
+        return None
+
+    def __add__(self, other):
+        terms = self._operand(other)
+        if terms is None:
             return NotImplemented
-        self._check(other)
-        return GradedPoly(self.carrier, _sum(self.terms, other.terms), _canonical=True)
+        return self._new(_accumulate(dict(self.terms), terms.items()))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return GradedPoly(self.carrier, _neg(self.terms), _canonical=True)
+        return self._new({k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other):
-        if isinstance(other, _SCALARS):
-            other = GradedPoly.scalar(self.carrier, other)
-        return self + (-other)
+        terms = self._operand(other)
+        if terms is None:
+            return NotImplemented
+        return self._new(_accumulate(dict(self.terms), ((k, -c) for k, c in terms.items())))
 
     def __rsub__(self, other):
-        return GradedPoly.scalar(self.carrier, other) - self
+        return (-self).__add__(other)
 
     def __mul__(self, other):
+        if isinstance(other, GradedPoly):
+            self._check(other)
+            return self._new(_product(self.terms, other.terms, self.carrier))
         if isinstance(other, _SCALARS):
-            return GradedPoly(self.carrier, _scale(self.terms, CRat.coerce(other)), _canonical=True)
-        if not isinstance(other, GradedPoly):
-            return NotImplemented
-        self._check(other)
-        terms = _product(self.terms, other.terms, mul_mono, self.carrier.nu)
-        return GradedPoly(self.carrier, terms, _canonical=True)
-
-    def __rmul__(self, other):
-        if isinstance(other, _SCALARS):
-            return self * other
+            c = CRat.coerce(other)
+            return self._new({k: v * c for k, v in self.terms.items()} if not c.is_zero() else {})
         return NotImplemented
 
+    __rmul__ = __mul__  # reached only with a scalar on the left, which commutes
+
     def __pow__(self, k: int):
-        return _power(self, k, GradedPoly.unit(self.carrier))
+        return _power(self, k, self._new({0: CRat(1)}))
 
     def __eq__(self, other):
+        if isinstance(other, GradedPoly):
+            return self.carrier == other.carrier and self.terms == other.terms
         if isinstance(other, _SCALARS):
-            other = GradedPoly.scalar(self.carrier, other)
-        if not isinstance(other, GradedPoly):
-            return NotImplemented
-        return self.carrier == other.carrier and self.terms == other.terms
+            return self.terms == self._operand(other)
+        return NotImplemented
 
     def __hash__(self):
-        return _hash(self.carrier, self.terms)
+        return hash((self.carrier, frozenset(self.terms.items())))
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -334,82 +479,70 @@ class GradedPoly:
     # -- structure ------------------------------------------------------
 
     def parity(self) -> Parity:
-        return _parity({_mono_parity(m) for m in self.terms})
+        """EVEN, ODD or MIXED; zero counts as even."""
+        seen = {(k & self.carrier.odd).bit_count() & 1 for k in self.terms}
+        return Parity.MIXED if len(seen) > 1 else Parity.ODD if 1 in seen else Parity.EVEN
 
     def degrees(self) -> set[int]:
         """Auxiliary degrees present (form degree / density degree)."""
-        return {_mono_degree(m) for m in self.terms}
+        return {_degree_of_key(self.carrier, k) for k in self.terms}
 
     def degree_part(self, p: int) -> "GradedPoly":
-        return GradedPoly(
-            self.carrier,
-            {m: c for m, c in self.terms.items() if _mono_degree(m) == p},
-            _canonical=True,
-        )
+        return self._new({k: c for k, c in self.terms.items() if _degree_of_key(self.carrier, k) == p})
 
     def parity_part(self, parity: int) -> "GradedPoly":
-        return GradedPoly(
-            self.carrier,
-            {m: c for m, c in self.terms.items() if _mono_parity(m) == parity},
-            _canonical=True,
-        )
+        return self._new({k: c for k, c in self.terms.items() if (k & self.carrier.odd).bit_count() & 1 == parity})
 
     # -- derivations ------------------------------------------------------
 
+    def _derive(self, index: int, count: int, rule, arg) -> "GradedPoly":
+        if not 1 <= index <= count:
+            raise ValueError(f"index {index} outside 1..{count}")
+        return self._new(_map_terms(self.terms, rule, arg))
+
     def partial_x(self, a: int) -> "GradedPoly":
         """d/dx_a, an even derivation."""
-        if not 1 <= a <= self.carrier.n:
-            raise ValueError(f"index {a} outside 1..{self.carrier.n}")
-        return GradedPoly(self.carrier, _map_terms(self.terms, _d_x, a), _canonical=True)
+        return self._derive(a, self.carrier.n, _d_field, self.carrier.shift(a))
 
     def partial_xi(self, alpha: int) -> "GradedPoly":
         """Left derivative d/dxi_alpha, an odd derivation: anticommute
         xi_alpha to the front (past lower-index xi factors) and drop it."""
-        if not 1 <= alpha <= self.carrier.nu:
-            raise ValueError(f"index {alpha} outside 1..{self.carrier.nu}")
-        return GradedPoly(self.carrier, _map_terms(self.terms, _d_xi, 1 << (alpha - 1)), _canonical=True)
+        return self._derive(alpha, self.carrier.nu, _d_odd, 1 << (alpha - 1))
 
     def partial_aux_odd(self, a: int) -> "GradedPoly":
         """Odd derivation along the odd auxiliary a (dx_a or the x_a slot);
         the prefix sign counts all xi factors plus lower odd auxiliaries."""
-        if not 1 <= a <= self.carrier.n:
-            raise ValueError(f"index {a} outside 1..{self.carrier.n}")
-        return GradedPoly(self.carrier, _map_terms(self.terms, _d_aux_odd, 1 << (a - 1)), _canonical=True)
+        return self._derive(a, self.carrier.n, _d_odd, 1 << (self.carrier.nu + a - 1))
 
     def partial_aux_even(self, alpha: int) -> "GradedPoly":
         """Even derivation along the even auxiliary alpha."""
-        if not 1 <= alpha <= self.carrier.nu:
-            raise ValueError(f"index {alpha} outside 1..{self.carrier.nu}")
-        return GradedPoly(self.carrier, _map_terms(self.terms, _d_aux_even, alpha), _canonical=True)
+        return self._derive(alpha, self.carrier.nu, _d_field, self.carrier.shift(self.carrier.n + alpha))
 
     # -- conversions ------------------------------------------------------
 
     def with_carrier(self, carrier: Carrier) -> "GradedPoly":
         """Reinterpret in another carrier over the same patch (embedding a
-        function into a form/density algebra, or relabelling aux)."""
+        function into a form/density algebra, or relabelling aux); the
+        keys do not move."""
         if (carrier.n, carrier.nu) != (self.carrier.n, self.carrier.nu):
             raise GeneratorMismatch("carriers cover different coordinate patches")
-        for mono in self.terms:
-            self._validate(carrier, mono)
+        if self.terms and reduce(or_, self.terms) & ~carrier.allowed:
+            raise ValueError(f"element has generators outside {carrier}")
         return GradedPoly(carrier, self.terms, _canonical=True)
 
     def coefficient_function(self) -> "GradedPoly":
         """Drop to the function carrier; requires degree 0."""
-        if any(_mono_degree(m) for m in self.terms):
-            raise ValueError("element carries auxiliary generators")
-        return self.with_carrier(Carrier(self.carrier.n, self.carrier.nu, Kind.FUNCTION))
+        return self.with_carrier(function_carrier(self.carrier.n, self.carrier.nu))
 
     # -- rendering --------------------------------------------------------
 
-    def sorted_terms(self) -> list[tuple[Mono, CRat]]:
-        return sorted(self.terms.items(), key=lambda kv: _mono_sort_key(kv[0]))
-
     def __repr__(self):
-        if self.is_zero():
+        if not self.terms:
             return "0"
         ao_label, ae_label = self.carrier.aux_labels()
         bits = []
-        for (x_exps, xi, ao, ae), c in self.sorted_terms():
+        monos = ((self.carrier.unpack(k), c) for k, c in self.terms.items())
+        for (x_exps, xi, ao, ae), c in sorted(monos, key=_print_order):
             factors = []
             for idx, e in x_exps:
                 factors.append(f"x{idx}" + (f"^{e}" if e > 1 else ""))
@@ -422,25 +555,30 @@ class GradedPoly:
         return " + ".join(bits)
 
 
-def _mono_sort_key(mono: Mono):
-    x_exps, xi, ao, ae = mono
-    return (
-        _mono_degree(mono),
-        xi.bit_count(),
-        indices_of(ao),
-        ae,
-        indices_of(xi),
-        x_exps,
-    )
+def _print_order(term):
+    """Sort key of a (tuple view, coefficient) pair: degree, xi count,
+    auxiliaries, xi labels, then x exponents."""
+    (x_exps, xi, ao, ae), _ = term
+    return (ao.bit_count() + sum(e for _, e in ae), xi.bit_count(), indices_of(ao), ae, indices_of(xi), x_exps)
 
 
-def function_carrier(n: int, nu: int) -> Carrier:
-    return Carrier(n, nu, Kind.FUNCTION)
+# -- superfunctions by xi mask ----------------------------------------------
 
 
-def form_carrier(n: int, nu: int) -> Carrier:
-    return Carrier(n, nu, Kind.FORM)
+def split_xi(f: GradedPoly) -> dict[int, GradedPoly]:
+    """The coefficients f_I(x) of a superfunction F = sum_I f_I(x) xi^I,
+    keyed by xi mask I, each on `function_carrier(n, 0)`."""
+    if f.carrier.kind is not Kind.FUNCTION:
+        raise TypeError(f"{f.carrier} is not a function carrier")
+    nu = f.carrier.nu
+    groups: dict[int, dict] = {}
+    for key, c in f.terms.items():
+        groups.setdefault(key & ((1 << nu) - 1), {})[key >> nu] = c
+    ring = function_carrier(f.carrier.n, 0)
+    return {mask: GradedPoly(ring, terms, _canonical=True) for mask, terms in groups.items()}
 
 
-def density_carrier(n: int, nu: int) -> Carrier:
-    return Carrier(n, nu, Kind.DENSITY)
+def join_xi(mask: int, key: int, nu: int) -> int:
+    """The key of x^k xi^I on `function_carrier(n, nu)`, for the key k of
+    x^k on `function_carrier(n, 0)`: the inverse of `split_xi`."""
+    return key << nu | mask

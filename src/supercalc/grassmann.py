@@ -1,39 +1,31 @@
 """Exact arithmetic in the Grassmann algebra Lambda_N and its complex
 supernumbers.
 
-A supernumber is stored as a sparse map from canonical generator
-multi-indices to exact complex-rational coefficients.  Multi-indices are
-held internally as bitmasks (bit k set = generator x_{k+1} present), kept
-strictly increasing by construction; every reordering sign is absorbed
-into the coefficient when a term is created.  This makes representation
-unique, so equality tests are exact.
+A supernumber is a superfunction of the patch with no even coordinates:
+`Supernumber` is a `graded_poly.GradedPoly` on `function_carrier(0, N)`,
+whose packed monomial key is exactly the generator bitmask (bit k set =
+generator x_{k+1} present).  So `.terms` maps masks to exact
+complex-rational coefficients, every reordering sign is absorbed into
+the coefficient, and equality is exact.  Its ring operations and its
+left derivative (`partial_xi`) are those of the one kernel; every
+result of arithmetic on a supernumber is a supernumber.
 
-This module also holds the sparse term routines shared by the two
-kernels, `Supernumber` here and `graded_poly.GradedPoly`, which also
-holds the polynomials in the real variables and the mixed functions
-sum_I f_I(x) xi^I: `_accumulate` (add terms, drop the keys that cancel),
-`_sum`, `_scale`, `_neg`, `_product` under a monomial rule and
-`_map_terms`; powers use `scalars._power`.  The monomial rule of
-supernumbers is `_mask_mono`: disjoint masks multiply to their union with
-the `merge_sign` sign.
+This module adds what is particular to Lambda_N: body and soul, the
+inverse, complex conjugation under two conventions, and the text and
+JSON formats, whose multi-indices are the masks' generator labels.
 """
 
 from __future__ import annotations
 
 import enum
 import json
-from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Mapping
 
-from .scalars import CRat, _power
+# GeneratorMismatch and Parity are kernel names that callers import from here too
+from .graded_poly import GeneratorMismatch, GradedPoly, Parity, function_carrier, indices_of, mask_of
+from .scalars import CRat
 
 MultiIndex = tuple[int, ...]
-
-
-class Parity(enum.Enum):
-    EVEN = 0
-    ODD = 1
-    MIXED = "mixed"
 
 
 class Convention(enum.Enum):
@@ -51,156 +43,34 @@ class Convention(enum.Enum):
 DEFAULT_CONVENTION = Convention.KOSZUL
 
 
-class GeneratorMismatch(ValueError):
-    """Raised when operands live in Grassmann algebras of different rank."""
-
-
 class NotInvertible(ZeroDivisionError):
     """Raised when a supernumber has zero body."""
 
 
-def mask_of(indices: Iterable[int], n: int) -> int:
-    """Bitmask of a strictly increasing multi-index with labels in 1..n."""
-    mask = 0
-    prev = 0
-    for idx in indices:
-        if not 1 <= idx <= n:
-            raise ValueError(f"generator label {idx} outside 1..{n}")
-        if idx <= prev:
-            raise ValueError(f"multi-index {tuple(indices)} not strictly increasing")
-        prev = idx
-        mask |= 1 << (idx - 1)
-    return mask
+class Supernumber(GradedPoly):
+    """Element of Lambda_N over Q(i): `Supernumber(N, {mask: c})`."""
 
-
-def indices_of(mask: int) -> MultiIndex:
-    out = []
-    i = 1
-    while mask:
-        if mask & 1:
-            out.append(i)
-        mask >>= 1
-        i += 1
-    return tuple(out)
-
-
-def merge_sign(a: int, b: int) -> int:
-    """Sign (+1/-1) of sorting the concatenation of two disjoint masks.
-
-    Counts pairs (i in a, j in b) with i > j; each costs one transposition.
-    """
-    swaps = 0
-    t = a >> 1
-    while t:
-        swaps += (t & b).bit_count()
-        t >>= 1
-    return -1 if swaps & 1 else 1
-
-
-# -- sparse term routines ------------------------------------------------
-#
-# Supernumber and GradedPoly both hold an element as a dict from a
-# canonical monomial key to a nonzero coefficient, and do their ring
-# arithmetic through the routines below.  A type supplies only its
-# monomial rule, rule(a, b, nu) -> (key, sign), or None when the product
-# of the two monomials vanishes.
-
-_SCALARS = (int, Fraction, CRat)
-
-
-def _accumulate(out: dict, terms) -> dict:
-    """Add (key, coefficient) pairs into `out`, dropping keys that cancel.
-
-    Incoming coefficients are nonzero, so only sums are tested for zero.
-    """
-    for key, c in terms:
-        prev = out.get(key)
-        if prev is None:
-            out[key] = c
-        else:
-            c = prev + c
-            if c.is_zero():
-                del out[key]
-            else:
-                out[key] = c
-    return out
-
-
-def _sum(a: dict, b: dict) -> dict:
-    return _accumulate(dict(a), b.items())
-
-
-def _scale(terms: dict, c) -> dict:
-    return {k: v * c for k, v in terms.items()} if not c.is_zero() else {}
-
-
-def _neg(terms: dict) -> dict:
-    return {k: -v for k, v in terms.items()}
-
-
-def _product_terms(a: dict, b: dict, rule, nu: int):
-    for ka, ca in a.items():
-        for kb, cb in b.items():
-            hit = rule(ka, kb, nu)
-            if hit is not None:
-                c = ca * cb
-                yield hit[0], (c if hit[1] > 0 else -c)
-
-
-def _product(a: dict, b: dict, rule, nu: int) -> dict:
-    return _accumulate({}, _product_terms(a, b, rule, nu))
-
-
-def _map_terms(terms: dict, rule, arg) -> dict:
-    """Accumulate rule(key, coeff, arg) -> (key, coeff) | None over terms."""
-    return _accumulate({}, filter(None, (rule(k, c, arg) for k, c in terms.items())))
-
-
-def _parity(seen: set[int]) -> Parity:
-    """Parity of an element from the set of its terms' parities; zero
-    counts as even."""
-    if len(seen) > 1:
-        return Parity.MIXED
-    return Parity.ODD if 1 in seen else Parity.EVEN
-
-
-def _hash(space, terms: dict) -> int:
-    return hash((space, frozenset(terms.items())))
-
-
-def _mask_mono(a: int, b: int, nu: int) -> tuple[int, int] | None:
-    """Monomial rule of xi masks: None when a generator repeats."""
-    if a & b:
-        return None
-    return a | b, merge_sign(a, b)
-
-
-class Supernumber:
-    """Element of Lambda_N over Q(i)."""
-
-    __slots__ = ("n", "terms")
+    __slots__ = ()
 
     def __init__(self, n: int, terms: Mapping[int, CRat] | None = None, _canonical=False):
         if n < 0:
             raise ValueError("generator count must be >= 0")
-        object.__setattr__(self, "n", n)
-        if terms is None:
-            clean: dict[int, CRat] = {}
-        elif _canonical:
-            clean = terms  # a fresh dict, or the terms of another immutable element
-        else:
-            clean = {}
-            limit = 1 << n
-            for mask, coeff in terms.items():
-                if mask >= limit or mask < 0:
-                    raise ValueError(f"multi-index {indices_of(mask)} exceeds {n} generators")
-                c = CRat.coerce(coeff)
-                if not c.is_zero():
-                    clean[mask] = c
-        object.__setattr__(self, "terms", clean)
+        if not _canonical:
+            for mask in terms or ():
+                if not 0 <= mask < 1 << n:
+                    raise ValueError(f"mask {mask} outside 0..{(1 << n) - 1} for {n} generators")
+        super().__init__(function_carrier(0, n), terms, _canonical)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Supernumber is immutable")
+    def _new(self, terms: dict) -> "Supernumber":
+        z = object.__new__(Supernumber)
+        object.__setattr__(z, "carrier", self.carrier)
+        object.__setattr__(z, "terms", terms)
+        return z
+
+    @property
+    def n(self) -> int:
+        """The number N of generators."""
+        return self.carrier.nu
 
     # -- constructors -------------------------------------------------
 
@@ -222,65 +92,11 @@ class Supernumber:
 
     @staticmethod
     def generator(n: int, index: int) -> "Supernumber":
-        return Supernumber(n, {mask_of((index,), n): CRat(1)})
+        return Supernumber(n, {mask_of((index,), n): CRat(1)}, _canonical=True)
 
     @staticmethod
     def generators(n: int) -> list["Supernumber"]:
         return [Supernumber.generator(n, i) for i in range(1, n + 1)]
-
-    # -- ring structure -----------------------------------------------
-
-    def _check(self, other: "Supernumber") -> None:
-        if self.n != other.n:
-            raise GeneratorMismatch(f"operands over {self.n} vs {other.n} generators")
-
-    def __add__(self, other):
-        if isinstance(other, _SCALARS):
-            other = Supernumber.scalar(self.n, other)
-        if not isinstance(other, Supernumber):
-            return NotImplemented
-        self._check(other)
-        return Supernumber(self.n, _sum(self.terms, other.terms), _canonical=True)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Supernumber(self.n, _neg(self.terms), _canonical=True)
-
-    def __sub__(self, other):
-        return self + (-other if isinstance(other, Supernumber) else Supernumber.scalar(self.n, -CRat.coerce(other)))
-
-    def __rsub__(self, other):
-        return Supernumber.scalar(self.n, other) - self
-
-    def __mul__(self, other):
-        if isinstance(other, _SCALARS):
-            return Supernumber(self.n, _scale(self.terms, CRat.coerce(other)), _canonical=True)
-        if not isinstance(other, Supernumber):
-            return NotImplemented
-        self._check(other)
-        return Supernumber(self.n, _product(self.terms, other.terms, _mask_mono, 0), _canonical=True)
-
-    def __rmul__(self, other):
-        if isinstance(other, _SCALARS):
-            return self * other
-        return NotImplemented
-
-    def __pow__(self, k: int):
-        return _power(self, k, Supernumber.unit(self.n))
-
-    def __eq__(self, other):
-        if isinstance(other, _SCALARS):
-            other = Supernumber.scalar(self.n, other)
-        if not isinstance(other, Supernumber):
-            return NotImplemented
-        return self.n == other.n and self.terms == other.terms
-
-    def __hash__(self):
-        return _hash(self.n, self.terms)
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     # -- structure maps -----------------------------------------------
 
@@ -288,20 +104,13 @@ class Supernumber:
         return self.terms.get(0, CRat(0))
 
     def soul(self) -> "Supernumber":
-        return Supernumber(self.n, {m: c for m, c in self.terms.items() if m}, _canonical=True)
+        return self._new({m: c for m, c in self.terms.items() if m})
 
     def even_part(self) -> "Supernumber":
-        return Supernumber(
-            self.n, {m: c for m, c in self.terms.items() if not m.bit_count() & 1}, _canonical=True
-        )
+        return self.parity_part(0)
 
     def odd_part(self) -> "Supernumber":
-        return Supernumber(
-            self.n, {m: c for m, c in self.terms.items() if m.bit_count() & 1}, _canonical=True
-        )
-
-    def parity(self) -> Parity:
-        return _parity({m.bit_count() & 1 for m in self.terms})
+        return self.parity_part(1)
 
     def inverse(self) -> "Supernumber":
         """Multiplicative inverse; the geometric series in the soul
@@ -336,7 +145,7 @@ class Supernumber:
                 if (p * (p - 1) // 2) & 1:
                     cc = -cc
             out[m] = cc
-        return Supernumber(self.n, out, _canonical=True)
+        return self._new(out)
 
     # -- rendering ----------------------------------------------------
 

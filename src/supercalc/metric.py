@@ -20,8 +20,7 @@ from typing import Sequence
 from . import exactmat
 from .exactmat import Matrix, from_rows, minor_det
 from .forms import CoordinateSystem, SuperDensity, SuperForm, op_d_form, op_divergence
-from .graded_poly import EMPTY, GradedPoly
-from .grassmann import _accumulate, _map_terms, indices_of, merge_sign
+from .graded_poly import GradedPoly, _accumulate, _map_terms, indices_of, merge_sign
 from .scalars import CRat
 
 
@@ -141,14 +140,15 @@ def _require_bosonic(coords: CoordinateSystem, metric: Metric):
 def _components_by_mask(poly: GradedPoly) -> dict[int, GradedPoly]:
     """Split a bosonic form/density by its differential (slot) mask."""
     fn_carrier = CoordinateSystem(poly.carrier.n, poly.carrier.nu).functions
-    return _map_terms(poly.terms, _mask_piece, fn_carrier)
+    return _map_terms(poly.terms, _mask_piece, (poly.carrier, fn_carrier))
 
 
-def _mask_piece(mono, c: CRat, fn_carrier):
-    x_exps, xi, ao, ae = mono
+def _mask_piece(key: int, c: CRat, carriers):
+    source, fn_carrier = carriers
+    x_exps, xi, ao, ae = source.unpack(key)
     if xi or ae:
         raise MetricError("metric operations need a purely bosonic element")
-    return ao, GradedPoly(fn_carrier, {(x_exps, 0, 0, EMPTY): c}, _canonical=True)
+    return ao, GradedPoly(fn_carrier, {fn_carrier.pack((x_exps, 0, 0, ())): c}, _canonical=True)
 
 
 def _masks_of_size(d: int, p: int) -> list[int]:
@@ -179,13 +179,14 @@ def _transform(comps: dict[int, GradedPoly], targets, factor) -> dict[int, Grade
 def _rebuild(coords: CoordinateSystem, cls, comps: dict[int, GradedPoly]):
     """Assemble a SuperForm or SuperDensity from its components by slot
     mask: an increasing bosonic blade times a bosonic coefficient monomial
-    is the canonical monomial (x_exps, 0, mask, EMPTY) with sign +1."""
+    is the canonical monomial (x_exps, 0, mask, ()) with sign +1."""
+    carrier = cls.carrier_of(coords)
     terms = {
-        (x_exps, 0, mask, EMPTY): c
+        carrier.pack((coeff.carrier.unpack(key)[0], 0, mask, ())): c
         for mask, coeff in comps.items()
-        for (x_exps, _xi, _ao, _ae), c in coeff.terms.items()
+        for key, c in coeff.terms.items()
     }
-    return cls(coords, GradedPoly(cls.carrier_of(coords), terms, _canonical=True))
+    return cls(coords, GradedPoly(carrier, terms, _canonical=True))
 
 
 # -- the correspondence C_g ----------------------------------------------
@@ -357,7 +358,8 @@ def pullback_metric(metric: Metric, a: Sequence[Sequence]) -> Metric:
 
 def _substitute(poly: GradedPoly, carrier, x_images, aux_images) -> GradedPoly:
     out = GradedPoly.zero(carrier)
-    for (x_exps, _xi, ao, _ae), c in poly.terms.items():
+    for key, c in poly.terms.items():
+        x_exps, _xi, ao, _ae = poly.carrier.unpack(key)
         term = GradedPoly.scalar(carrier, c)
         for idx, e in x_exps:
             term = term * x_images[idx - 1].with_carrier(carrier) ** e

@@ -13,7 +13,7 @@ import sys
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .graded_poly import EMPTY, GradedPoly, function_carrier
+from .graded_poly import GradedPoly, function_carrier
 from .scalars import CRat, parse_crat
 
 Expts = tuple[int, ...]
@@ -26,12 +26,13 @@ class Polynomial(GradedPoly):
     __slots__ = ()
 
     def __init__(self, n: int, terms: Mapping[Expts, object] | None = None):
+        carrier = function_carrier(n, 0)
         sparse = {}
         for exps, c in (terms or {}).items():
             if len(exps) != n or any(e < 0 for e in exps):
                 raise ValueError(f"bad exponent tuple {exps} for {n} variables")
-            sparse[(tuple((i, e) for i, e in enumerate(exps, 1) if e), 0, 0, EMPTY)] = c
-        super().__init__(function_carrier(n, 0), sparse)
+            sparse[carrier.pack((tuple((i, e) for i, e in enumerate(exps, 1) if e), 0, 0, ()))] = c
+        super().__init__(carrier, sparse)
 
     @property
     def n(self) -> int:
@@ -47,9 +48,9 @@ class Polynomial(GradedPoly):
         return GradedPoly.coordinate(function_carrier(n, 0), index)
 
 
-def _dense(n: int, x_exps) -> Expts:
-    exps = dict(x_exps)
-    return tuple(exps.get(i, 0) for i in range(1, n + 1))
+def _dense(p: GradedPoly, key: int) -> Expts:
+    exps = dict(p.carrier.unpack(key)[0])
+    return tuple(exps.get(i, 0) for i in range(1, p.carrier.n + 1))
 
 
 def integrate_box(p: GradedPoly, bounds: Sequence[tuple]) -> CRat:
@@ -65,9 +66,9 @@ def integrate_box(p: GradedPoly, bounds: Sequence[tuple]) -> CRat:
     scale = [max(math.log10(max(abs(e.numerator), e.denominator)) for e in ends) for ends in box]
     limit = sys.get_int_max_str_digits()
     total = CRat(0)
-    for (x_exps, _, _, _), c in p.terms.items():
+    for key, c in p.terms.items():
         factor = CRat(1)
-        for i, k in enumerate(_dense(n, x_exps)):
+        for i, k in enumerate(_dense(p, key)):
             lo, hi = box[i]
             digits = (k + 1) * scale[i]
             if limit and digits > limit:
@@ -78,7 +79,7 @@ def integrate_box(p: GradedPoly, bounds: Sequence[tuple]) -> CRat:
 
 
 def to_json_poly(p: GradedPoly) -> dict[str, str]:
-    dense = [(_dense(p.carrier.n, mono[0]), c) for mono, c in p.terms.items()]
+    dense = [(_dense(p, key), c) for key, c in p.terms.items()]
     return {",".join(map(str, e)): str(c) for e, c in sorted(dense, key=lambda kv: (sum(kv[0]), kv[0]))}
 
 

@@ -17,8 +17,8 @@ from fractions import Fraction
 
 from . import exactmat
 from .forms import CoordinateSystem, SuperDensity, SuperForm, SuperVectorField
-from .graded_poly import EMPTY, GradedPoly, function_carrier
-from .grassmann import Supernumber, _accumulate, merge_sign
+from .graded_poly import GradedPoly, _accumulate, function_carrier, join_xi, merge_sign
+from .grassmann import Supernumber
 from .matrices import GradedMatrix, ParitySignature
 from .polynomials import Polynomial
 from .scalars import CRat
@@ -77,7 +77,7 @@ def mixed_function(
     for _ in range(terms):
         mask = rng.randrange(1 << nu)
         poly = polynomial(rng, n, max_degree)
-        _accumulate(data, (((mono[0], mask, 0, EMPTY), c) for mono, c in poly.terms.items()))
+        _accumulate(data, ((join_xi(mask, key, nu), c) for key, c in poly.terms.items()))
     return GradedPoly(function_carrier(n, nu), data, _canonical=True)
 
 
@@ -89,7 +89,8 @@ def superfunction(
     parity: int | None = None,
 ) -> GradedPoly:
     fc = coords.functions
-    out = GradedPoly(fc, _function_terms(rng, coords, terms, max_degree), _canonical=True)
+    found = _function_terms(rng, coords, terms, max_degree)
+    out = GradedPoly(fc, {fc.pack((x, xi, 0, ())): c for (x, xi), c in found.items()}, _canonical=True)
     if parity is not None:
         out = out.parity_part(parity)
         if out.is_zero() and parity == 0:
@@ -101,8 +102,8 @@ def superfunction(
 
 def _function_terms(rng: random.Random, coords: CoordinateSystem, terms: int = 4, max_degree: int = 2) -> dict:
     """Terms of a sum of `terms` random monomials c * x_a ... * xi_alpha ...,
-    each factor drawn in turn; a repeated xi kills its monomial, whose
-    remaining factors are still drawn."""
+    keyed by (x exponents, xi mask), each factor drawn in turn; a repeated
+    xi kills its monomial, whose remaining factors are still drawn."""
     found = []
     for _ in range(terms):
         c = crat(rng, complex_ok=False)
@@ -122,7 +123,7 @@ def _function_terms(rng: random.Random, coords: CoordinateSystem, terms: int = 4
                     c = -c
                 xi |= bit
         if not dead:
-            found.append(((tuple(sorted(x.items())), xi, 0, EMPTY), c))
+            found.append(((tuple(sorted(x.items())), xi), c))
     return _accumulate({}, found)
 
 
@@ -140,6 +141,7 @@ def _homogeneous(rng: random.Random, coords: CoordinateSystem, degree: int, blad
     odd-auxiliary mask, even-auxiliary exponents and a sign; every xi sits
     below every auxiliary, so a function term times a blade takes the
     blade's sign alone."""
+    carrier = cls.carrier_of(coords)
     acc: dict = {}
     for _ in range(blades):
         ao, ae, negative = 0, {}, False
@@ -162,8 +164,8 @@ def _homogeneous(rng: random.Random, coords: CoordinateSystem, degree: int, blad
             continue
         ae_exps = tuple(sorted(ae.items()))
         f = _function_terms(rng, coords)
-        _accumulate(acc, (((x, xi, ao, ae_exps), -c if negative else c) for (x, xi, _, _), c in f.items()))
-    return cls(coords, GradedPoly(cls.carrier_of(coords), acc, _canonical=True))
+        _accumulate(acc, ((carrier.pack((x, xi, ao, ae_exps)), -c if negative else c) for (x, xi), c in f.items()))
+    return cls(coords, GradedPoly(carrier, acc, _canonical=True))
 
 
 def vector_field(rng: random.Random, coords: CoordinateSystem, parity: int) -> SuperVectorField:

@@ -43,7 +43,7 @@ from .forms import (
     pairing,
     scalar_density_integral,
 )
-from .graded_poly import EMPTY, GradedPoly, function_carrier
+from .graded_poly import GradedPoly, function_carrier, split_xi
 from .grassmann import Convention, Parity, Supernumber
 from .matrices import (
     GradedMatrix,
@@ -696,8 +696,7 @@ def run_complexes(
                 fn = rg.superfunction(rng, coords, terms=5)
                 lhs = scalar_density_integral(fn, bounds)
                 # the right side reads F's xi_1...xi_nu terms directly, with no derivative
-                top = {(x, 0, 0, EMPTY): c for (x, xi, _, _), c in fn.terms.items() if xi == full}
-                rhs = integrate_box(GradedPoly(ring, top, _canonical=True), bounds)
+                rhs = integrate_box(split_xi(fn).get(full, GradedPoly.zero(ring)), bounds)
                 cross.expect(lhs == rhs, f"cross-check #{k}")
 
     return report
@@ -805,7 +804,7 @@ def run_metric(trials: int = 10, seed: int = 0, dims: Sequence[int] = (2, 3)) ->
             for i in range(d)
         ]
         transported = GradedPoly.zero(fc)
-        for (x_exps, xi, ao, ae), cc in rhs_raw.terms.items():
+        for (x_exps, xi, ao, ae), cc in ((fc.unpack(k), c) for k, c in rhs_raw.terms.items()):
             term = GradedPoly.scalar(fc, cc)
             for idx, e in x_exps:
                 term = term * images[idx - 1] ** e
@@ -949,7 +948,7 @@ def run_fock(
             if cg is None:
                 continue
             weight = 1
-            for _, e in mono[0]:
+            for _, e in f.poly.carrier.unpack(mono)[0]:
                 weight *= factorial(e)
             want = want + cf * cg * weight
         bilinear.expect(dp == want, f"bilinear #{k}")

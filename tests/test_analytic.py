@@ -93,7 +93,7 @@ def test_seed_registry():
     poly = seed_by_name("polynomial:0,1")
     z = Supernumber.scalar(2, 5)
     assert lift(poly, z) == z
-    with pytest.raises(KeyError):
+    with pytest.raises(ValueError):
         seed_by_name("nope")
 
 

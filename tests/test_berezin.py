@@ -21,7 +21,7 @@ from supercalc.berezin import (
     tensor_product,
     to_json_mixed,
 )
-from supercalc.graded_poly import EMPTY, GradedPoly, function_carrier
+from supercalc.graded_poly import GradedPoly, function_carrier
 from supercalc.grassmann import GeneratorMismatch, Supernumber
 from supercalc.polynomials import Polynomial
 from supercalc.scalars import CRat
@@ -155,8 +155,10 @@ def test_lambda_apply_matches_coefficient_pairing():
     for _ in range(20):
         d = rg.mixed_function(rng, 1, 3)
         f = rg.mixed_function(rng, 1, 3)
-        top = {(x, 0, 0, EMPTY): c for (x, xi, _, _), c in (d * f).terms.items() if xi == 0b111}
-        assert lambda_apply(d, f) == GradedPoly(function_carrier(1, 0), top)
+        prod, ring = d * f, function_carrier(1, 0)
+        monos = ((prod.carrier.unpack(k), c) for k, c in prod.terms.items())
+        top = {ring.pack((x, 0, 0, ())): c for (x, xi, _, _), c in monos if xi == 0b111}
+        assert lambda_apply(d, f) == GradedPoly(ring, top)
 
 
 def test_fubini_factorized():
@@ -204,7 +206,7 @@ def test_from_json_mixed_resolves_named_integrands():
 def test_mixed_function_is_a_superfunction():
     f = MixedFunction(1, 1, {1: Polynomial.variable(1, 1)}) * MixedFunction(1, 1, {0: 2})
     assert type(f) is GradedPoly and f.carrier == function_carrier(1, 1)
-    assert f == GradedPoly(function_carrier(1, 1), {(((1, 1),), 0b1, 0, EMPTY): 2})
+    assert f == GradedPoly(function_carrier(1, 1), {function_carrier(1, 1).pack((((1, 1),), 0b1, 0, ())): 2})
     with pytest.raises(ValueError, match="xi mask"):
         MixedFunction(1, 1, {-1: 1})
     with pytest.raises(ValueError, match="not a polynomial in 1 variables"):

@@ -456,3 +456,12 @@ def test_exact_result_too_large_to_print_names_the_input(tmp_path):
     assert time.monotonic() - start < 1
     line = one_error_line(proc)
     assert line.startswith(f"error: --expr {path} --domain 0,1/2;0,1/2: ") and "digits" in line
+
+
+def test_exponent_past_the_field_width_is_refused(tmp_path):
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps({"terms": {"1": {"2147483648": "1"}}}))
+    start = time.monotonic()
+    proc = run_cli("mixed", "--n", "1", "--nu", "1", "--expr", str(path), "--domain", "0,1/2", expect=2)
+    assert time.monotonic() - start < 1
+    assert one_error_line(proc) == f"error: --expr {path}: exponent 2147483648 exceeds 2147483647\n"

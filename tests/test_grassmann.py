@@ -1,4 +1,6 @@
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -179,3 +181,22 @@ def test_scalar_literal_round_trip():
                        ("1+2i", CRat(1, 2)), ("1/2-3/4i", CRat(Fraction(1, 2), Fraction(-3, 4))),
                        ("i", CRat(0, 1)), ("-i", CRat(0, -1))]:
         assert parse_crat(text) == want
+
+
+def test_arithmetic_stays_in_supernumbers():
+    x1, x2 = gens(2)
+    assert type(x1 * x2) is Supernumber and (x1 * x2).terms == {0b11: CRat(1)}
+    z = 2 + x1 * x2 - x1
+    for result in (z ** 0, -z, 3 - z, z - 3, z + 1, 1 + z, z * 2, 2 * z, z * z, z.soul(), z.even_part()):
+        assert type(result) is Supernumber and result.n == 2
+    assert (z ** 0).terms == {0: CRat(1)} and 3 - z == -(z - 3)
+
+
+def test_negative_mask_is_refused_at_once():
+    """A negative mask once sent the constructor's error message into an
+    endless loop; a child process bounds the wait."""
+    code = "from supercalc.grassmann import Supernumber\nSupernumber(1, {-1: 1})"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=20)
+    assert proc.returncode == 1 and proc.stderr.strip().endswith("ValueError: mask -1 outside 0..1 for 1 generators")
+    with pytest.raises(ValueError):
+        Supernumber(1, {-1: 1})

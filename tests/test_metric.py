@@ -180,7 +180,7 @@ def test_pullback_transformations():
             for i in range(d)
         ]
         moved = GradedPoly.zero(fc)
-        for (x_exps, xi, ao, ae), cc in raw.terms.items():
+        for (x_exps, xi, ao, ae), cc in ((raw.carrier.unpack(k), c) for k, c in raw.terms.items()):
             term = GradedPoly.scalar(fc, cc)
             for idx, e in x_exps:
                 term = term * images[idx - 1] ** e
