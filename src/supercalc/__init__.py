@@ -65,7 +65,6 @@ from .metric import (
 )
 from .fock import FockAlgebraSpec, FockState, apply, dual_product, inner_product, translate
 from .clifford import CliffordContext, current, gamma, gamma0, reversal
-from .suites import commutator_table
 
 __version__ = "0.1.0"
 
@@ -101,7 +100,6 @@ __all__ = [
     "beta_ascending",
     "cg_inverse",
     "change_of_variables_check",
-    "commutator_table",
     "contract_iX",
     "correspondence_cg",
     "current",

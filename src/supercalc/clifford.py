@@ -31,7 +31,7 @@ from .berezin import grassmann_derivative
 from .exactmat import Matrix
 from .forms import SuperForm, SuperVectorField, op_d_form, op_e_form, op_i_form, op_lie_form
 from .grassmann import Supernumber
-from .metric import Metric, metric_delta
+from .metric import Metric, MetricError, metric_delta
 from .scalars import CRat
 
 ExteriorElement = Supernumber  # Lambda V* on D generators
@@ -88,6 +88,8 @@ def gamma_lower(ctx: Metric, a: int) -> Endo:
 def gamma_upper(ctx: Metric, a: int) -> Endo:
     """gamma^a = g^{ab} gamma_b, which on generators reads
     xi^a wedge + g^{ab} d/dxi^b."""
+    if not 1 <= a <= ctx.dim:
+        raise MetricError(f"basis index {a} outside 1..{ctx.dim}")
     row = ctx.g_inv[a - 1]
     mats = [gamma_lower(ctx, b + 1) for b in range(ctx.dim)]
 

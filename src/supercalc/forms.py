@@ -211,19 +211,14 @@ class SuperVectorField:
     def coordinate_basis(coords: CoordinateSystem, label: tuple[str, int]) -> "SuperVectorField":
         """d/dx_a as ('x', a), d/dxi_alpha as ('xi', alpha)."""
         kind, idx = label
-        zero = GradedPoly.zero(coords.functions)
-        one = GradedPoly.unit(coords.functions)
-        bose = [zero] * coords.n
-        fermi = [zero] * coords.nu
-        if kind == "x":
-            bose[idx - 1] = one
-            parity = 0
-        elif kind == "xi":
-            fermi[idx - 1] = one
-            parity = 1
-        else:
+        if kind not in ("x", "xi"):
             raise ValueError(f"unknown coordinate kind {kind!r}")
-        return SuperVectorField(coords, tuple(bose), tuple(fermi), parity)
+        zero = GradedPoly.zero(coords.functions)
+        slots = {"x": [zero] * coords.n, "xi": [zero] * coords.nu}
+        if not 1 <= idx <= len(slots[kind]):
+            raise ValueError(f"{kind} index {idx} outside 1..{len(slots[kind])}")
+        slots[kind][idx - 1] = GradedPoly.unit(coords.functions)
+        return SuperVectorField(coords, tuple(slots["x"]), tuple(slots["xi"]), int(kind == "xi"))
 
     def apply(self, f: GradedPoly) -> GradedPoly:
         """Directional derivative on a superfunction."""

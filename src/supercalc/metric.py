@@ -20,7 +20,7 @@ from typing import Sequence
 from . import exactmat
 from .exactmat import Matrix, from_rows, minor_det
 from .forms import CoordinateSystem, SuperDensity, SuperForm, op_d_form, op_divergence
-from .graded_poly import GradedPoly, _accumulate, _map_terms, indices_of, merge_sign
+from .graded_poly import GradedPoly, _accumulate, indices_of, mask_of, merge_sign
 from .scalars import CRat
 
 
@@ -82,6 +82,8 @@ class Metric:
         return CoordinateSystem(self.dim, 0)
 
     def basis_vector(self, a: int) -> list[CRat]:
+        if not 1 <= a <= self.dim:
+            raise MetricError(f"basis index {a} outside 1..{self.dim}")
         return [CRat(1 if i == a - 1 else 0) for i in range(self.dim)]
 
     def scalar_product(self, v: Sequence, w: Sequence) -> CRat:
@@ -137,18 +139,9 @@ def _require_bosonic(coords: CoordinateSystem, metric: Metric):
         raise MetricError("metric dimension does not match the patch")
 
 
-def _components_by_mask(poly: GradedPoly) -> dict[int, GradedPoly]:
+def _components_by_mask(w: SuperForm | SuperDensity) -> dict[int, GradedPoly]:
     """Split a bosonic form/density by its differential (slot) mask."""
-    fn_carrier = CoordinateSystem(poly.carrier.n, poly.carrier.nu).functions
-    return _map_terms(poly.terms, _mask_piece, (poly.carrier, fn_carrier))
-
-
-def _mask_piece(key: int, c: CRat, carriers):
-    source, fn_carrier = carriers
-    x_exps, xi, ao, ae = source.unpack(key)
-    if xi or ae:
-        raise MetricError("metric operations need a purely bosonic element")
-    return ao, GradedPoly(fn_carrier, {fn_carrier.pack((x_exps, 0, 0, ())): c}, _canonical=True)
+    return {mask_of(bose, w.coords.n): f for (bose, _), f in w.components().items()}
 
 
 def _masks_of_size(d: int, p: int) -> list[int]:
@@ -197,7 +190,7 @@ def correspondence_cg(metric: Metric, w: SuperForm) -> Scaled:
     sqrt(det g)."""
     _require_bosonic(w.coords, metric)
     targets = _masks_of_size(metric.dim, w.degree)
-    out = _transform(_components_by_mask(w.poly), targets, lambda t, s: _minor(metric.g_inv, t, s))
+    out = _transform(_components_by_mask(w), targets, lambda t, s: _minor(metric.g_inv, t, s))
     return Scaled(_rebuild(w.coords, SuperDensity, out), half_power=1).normalized(metric)
 
 
@@ -209,7 +202,7 @@ def cg_inverse(metric: Metric, f: SuperDensity | Scaled) -> Scaled:
         f = f.value
     _require_bosonic(f.coords, metric)
     targets = _masks_of_size(metric.dim, f.degree)
-    out = _transform(_components_by_mask(f.poly), targets, lambda t, s: _minor(metric.g, t, s))
+    out = _transform(_components_by_mask(f), targets, lambda t, s: _minor(metric.g, t, s))
     return Scaled(_rebuild(f.coords, SuperForm, out), half_power=half - 1).normalized(metric)
 
 
@@ -254,7 +247,7 @@ def hodge_star(metric: Metric, w: SuperForm) -> Scaled:
     product times the volume form."""
     _require_bosonic(w.coords, metric)
     ins, outs, q = _star_matrix(metric, w.degree)
-    out = _transform(_components_by_mask(w.poly), outs, _entry(q, outs, ins))
+    out = _transform(_components_by_mask(w), outs, _entry(q, outs, ins))
     return Scaled(_rebuild(w.coords, SuperForm, out), half_power=1).normalized(metric)
 
 
@@ -267,7 +260,7 @@ def hodge_star_inverse(metric: Metric, w: SuperForm | Scaled) -> Scaled:
     d = metric.dim
     p = d - w.degree  # the preimage degree
     ins, outs, q = _star_matrix(metric, p)
-    out = _transform(_components_by_mask(w.poly), ins, _entry(exactmat.inverse(q), ins, outs))
+    out = _transform(_components_by_mask(w), ins, _entry(exactmat.inverse(q), ins, outs))
     return Scaled(_rebuild(w.coords, SuperForm, out), half_power=half - 1).normalized(metric)
 
 

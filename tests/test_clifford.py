@@ -17,6 +17,7 @@ from supercalc.clifford import (
     dirac_operator_gamma_route,
     gamma,
     gamma0,
+    gamma_lower,
     gamma_matrices,
     gamma_upper,
     gamma_upper_symbolic,
@@ -153,6 +154,9 @@ def test_current_components():
     assert exactmat.mat_eq(pair, want)
     with pytest.raises(ValueError):
         current(ctx2, 3)
+    for make, a in itertools.product((gamma_lower, gamma_upper), (0, 3)):
+        with pytest.raises(ValueError, match=rf"basis index {a} outside 1\.\.2"):
+            make(ctx2, a)
 
 
 def test_current_counts_sum_to_dimension():

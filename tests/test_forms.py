@@ -101,6 +101,9 @@ def test_contraction_examples():
     assert contract_iX(d1, vol) == SuperForm(c2, c2.dx(2))
     with pytest.raises(ValueError):
         contract_iX(d1, SuperForm.from_function(c2, 1))
+    for label in [("x", 0), ("x", 3), ("xi", 0), ("xi", 2)]:
+        with pytest.raises(ValueError, match=rf"{label[0]} index {label[1]} outside 1\.\.[12]"):
+            SuperVectorField.coordinate_basis(CoordinateSystem(2, 1), label)
 
 
 def test_insertion_cyclic_example():

@@ -50,6 +50,9 @@ def test_metric_validation():
     with pytest.raises(MetricError):
         Metric.from_matrix([[1, 1], [1, 1]])  # degenerate
     m = Metric.minkowski(4)
+    for a in (0, 5):
+        with pytest.raises(MetricError, match=rf"basis index {a} outside 1\.\.4"):
+            m.basis_vector(a)
     assert m.det == -1
     assert m.sqrt_det == CRat(0, 1)
 

@@ -2,6 +2,7 @@
 
 import ast
 import re
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -50,12 +51,12 @@ def test_no_unreferenced_public_names():
 
 
 def test_library_does_not_import_the_harness():
-    """Oracle and sampling code stays out of the library: only the suites,
-    the command line and the package root import `suites` or `randomgen`."""
+    """Oracle and sampling code stays out of the library: only the suites
+    and the command line import `suites` or `randomgen`."""
     harness = {"suites", "randomgen"}
     found = []
     for path in sorted(SOURCE.glob("*.py")):
-        if path.name in ("suites.py", "cli.py", "__init__.py"):
+        if path.name in ("suites.py", "cli.py"):
             continue
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         for node in ast.walk(tree):
@@ -68,6 +69,27 @@ def test_library_does_not_import_the_harness():
             if any(name.rpartition(".")[2] in harness for name in names):
                 found.append(f"{path.name}:{node.lineno}")
     assert not found, f"library modules importing the harness: {found}"
+
+
+def test_library_imports_only_the_standard_library():
+    """The package has no runtime dependency: every absolute import names a
+    standard-library module."""
+    found = []
+    for path in sorted(SOURCE.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            elif isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            found += [
+                f"{path.name}:{node.lineno}:{name}"
+                for name in names
+                if name.partition(".")[0] not in sys.stdlib_module_names
+            ]
+    assert not found, f"imports outside the standard library: {found}"
 
 
 def test_public_methods_are_accessed():
