@@ -203,9 +203,7 @@ def dirac_gamma_on_forms(metric, mu: int):
             continue
         field = SuperVectorField.coordinate_basis(coords, ("x", nu_idx))
         i_op = op_i_form(field)
-        terms.append(
-            type(i_op)(i_op.parity, lambda w, f=i_op.fn, cc=c: f(w) * cc, "g.i")
-        )
+        terms.append(type(i_op)(i_op.parity, lambda w, f=i_op.fn, cc=c: f(w) * cc))
     total = terms[0]
     for t in terms[1:]:
         total = total + t
@@ -223,7 +221,7 @@ def dirac_operator(metric):
         out = d(poly)
         for p in sorted(poly.degrees()):
             part = SuperForm(coords, poly.degree_part(p))
-            out = out + metric_delta(metric, part).poly
+            out = out + metric_delta(metric, part)
         return out
 
     return run

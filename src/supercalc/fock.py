@@ -14,20 +14,24 @@ The same occupation-number content is written as
                creation/annihilation roles of e and i swap: b = e(xi_i),
                b+ = i(d/dxi_i), f = e(x_j), f+ = i(d/dx_j).
 
-All three are payloads of the same graded kernel, so ``translate`` is a
-structure-preserving relabelling of generators and intertwines every
-ladder operator exactly.
+A `FockState` is a `GradedPoly` on the carrier of its representation:
+the function carrier with n = n_bose and nu = n_fermi, or the form or
+density carrier of the patch with n = n_fermi and nu = n_bose, where a
+state has no x or xi factor.  All three are elements of the same graded
+kernel, so ``translate`` is a structure-preserving relabelling of
+generators and intertwines every ladder operator exactly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from math import factorial
 from typing import Iterable
 
 from .forms import CoordinateSystem, SuperDensity, SuperForm, pairing
-from .graded_poly import Carrier, GradedPoly, function_carrier, indices_of, mask_of
-from .scalars import CRat
+from .graded_poly import Carrier, GradedPoly, Kind, _has_coordinates, function_carrier, indices_of, mask_of
+from .scalars import CRat, parse_crat
 
 REPRESENTATIONS = ("holomorphic", "form", "density")
 
@@ -54,66 +58,62 @@ class FockAlgebraSpec:
         raise ValueError(f"unknown representation {rep!r}")
 
 
-class FockState:
-    __slots__ = ("spec", "rep", "poly")
+class FockState(GradedPoly):
+    """A state: `FockState(spec, rep, element)` for an element of
+    `spec.carrier(rep)`.  The representation is read from the carrier kind
+    and the mode counts from (n, nu), swapped on geometric carriers.
+    Arithmetic keeps the type, and equality is carrier plus terms."""
+
+    __slots__ = ()
 
     def __init__(self, spec: FockAlgebraSpec, rep: str, poly: GradedPoly):
-        if rep not in REPRESENTATIONS:
-            raise ValueError(f"unknown representation {rep!r}")
-        if poly.carrier != spec.carrier(rep):
+        carrier = spec.carrier(rep)
+        if poly.carrier != carrier:
             raise ValueError("payload does not live in the representation carrier")
-        if rep != "holomorphic":
-            for key in poly.terms:
-                x_exps, xi, _ao, _ae = poly.carrier.unpack(key)
-                if x_exps or xi:
-                    raise ValueError("geometric states must have constant coefficients")
-        object.__setattr__(self, "spec", spec)
-        object.__setattr__(self, "rep", rep)
-        object.__setattr__(self, "poly", poly)
+        _check_constant(carrier, poly.terms)
+        super().__init__(carrier, poly.terms, _canonical=True)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("FockState is immutable")
+    def _new(self, terms: dict) -> "FockState":
+        _check_constant(self.carrier, terms)
+        s = object.__new__(FockState)
+        object.__setattr__(s, "carrier", self.carrier)
+        object.__setattr__(s, "terms", terms)
+        return s
+
+    @property
+    def rep(self) -> str:
+        kind = self.carrier.kind
+        return "holomorphic" if kind is Kind.FUNCTION else kind.value
+
+    @property
+    def spec(self) -> FockAlgebraSpec:
+        n, nu = self.carrier.n, self.carrier.nu
+        return FockAlgebraSpec(n, nu) if self.carrier.kind is Kind.FUNCTION else FockAlgebraSpec(nu, n)
 
     @staticmethod
     def vacuum(spec: FockAlgebraSpec, rep: str = "holomorphic") -> "FockState":
         return FockState(spec, rep, GradedPoly.unit(spec.carrier(rep)))
 
-    def is_zero(self) -> bool:
-        return self.poly.is_zero()
-
-    def __add__(self, other: "FockState") -> "FockState":
-        if (self.spec, self.rep) != (other.spec, other.rep):
-            raise ValueError("states live in different spaces")
-        return FockState(self.spec, self.rep, self.poly + other.poly)
-
-    def __sub__(self, other: "FockState") -> "FockState":
-        return self + (-other)
-
-    def __neg__(self):
-        return FockState(self.spec, self.rep, -self.poly)
-
     def scale(self, c) -> "FockState":
-        return FockState(self.spec, self.rep, self.poly * CRat.coerce(c))
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, FockState)
-            and self.spec == other.spec
-            and self.rep == other.rep
-            and self.poly == other.poly
-        )
+        return self * CRat.coerce(c)
 
     def total_occupation(self) -> set[int]:
         if self.rep == "holomorphic":
             out = set()
-            for key in self.poly.terms:
-                x_exps, xi, _ao, _ae = self.poly.carrier.unpack(key)
+            for key in self.terms:
+                x_exps, xi, _ao, _ae = self.carrier.unpack(key)
                 out.add(sum(e for _, e in x_exps) + xi.bit_count())
             return out
-        return self.poly.degrees()
+        return self.degrees()
 
     def __repr__(self):
-        return f"FockState({self.rep}, {self.poly!r})"
+        return f"FockState({self.rep}, {super().__repr__()})"
+
+
+def _check_constant(carrier: Carrier, terms) -> None:
+    """Geometric states carry only auxiliaries: no x or xi factor."""
+    if carrier.kind is not Kind.FUNCTION and _has_coordinates(carrier, terms):
+        raise ValueError("geometric states must have constant coefficients")
 
 
 class ModeError(IndexError):
@@ -134,35 +134,34 @@ def apply(op: tuple[str, int], s: FockState) -> FockState:
         _check_mode(i, spec.n_bose, "bosonic")
     else:
         _check_mode(i, spec.n_fermi, "fermionic")
-    poly = s.poly
-    carrier = poly.carrier
+    carrier = s.carrier
     if s.rep == "holomorphic":
         if name == "b":
-            out = poly.partial_x(i)
+            out = s.partial_x(i)
         elif name == "b+":
-            out = GradedPoly.coordinate(carrier, i) * poly
+            out = GradedPoly.coordinate(carrier, i) * s
         elif name == "f":
-            out = poly.partial_xi(i)
+            out = s.partial_xi(i)
         elif name == "f+":
-            out = GradedPoly.odd_coordinate(carrier, i) * poly
+            out = GradedPoly.odd_coordinate(carrier, i) * s
         else:
             raise ValueError(f"unknown ladder operator {name!r}")
     else:
         # geometric carriers: bosonic modes on even auxiliaries,
         # fermionic modes on odd ones; in the density representation the
         # annihilation/creation roles of contraction and multiplication
-        # swap relative to forms, but the payload action is the same.
+        # swap relative to forms, but the action on the element is the same.
         if name == "b":
-            out = poly.partial_aux_even(i)
+            out = s.partial_aux_even(i)
         elif name == "b+":
-            out = GradedPoly.aux_even(carrier, i) * poly
+            out = GradedPoly.aux_even(carrier, i) * s
         elif name == "f":
-            out = poly.partial_aux_odd(i)
+            out = s.partial_aux_odd(i)
         elif name == "f+":
-            out = GradedPoly.aux_odd(carrier, i) * poly
+            out = GradedPoly.aux_odd(carrier, i) * s
         else:
             raise ValueError(f"unknown ladder operator {name!r}")
-    return FockState(spec, s.rep, out)
+    return s._new(out.terms)
 
 
 def apply_word(word: Iterable[tuple[str, int]], s: FockState) -> FockState:
@@ -191,19 +190,20 @@ def translate(s: FockState, to: str) -> FockState:
 
     Holomorphic z-exponents become even-auxiliary (d xi / slot)
     exponents, zeta-monomials become odd-auxiliary ones; the geometric
-    representations share a payload shape, so translation there is the
+    representations share a carrier shape, so translation there is the
     identity on terms.  Coefficients never change: the relabelling maps
     odd generators in the same relative order.
     """
     if to not in REPRESENTATIONS:
         raise ValueError(f"unknown representation {to!r}")
-    if to == s.rep:
+    source = s.rep
+    if to == source:
         return s
     target = s.spec.carrier(to)
     out: dict = {}
-    for key, c in s.poly.terms.items():
-        x_exps, xi, ao, ae = mono = s.poly.carrier.unpack(key)
-        if s.rep == "holomorphic":
+    for key, c in s.terms.items():
+        x_exps, xi, ao, ae = mono = s.carrier.unpack(key)
+        if source == "holomorphic":
             mono = ((), 0, xi, x_exps)
         elif to == "holomorphic":
             mono = (ae, ao, 0, ())
@@ -223,12 +223,12 @@ def inner_product(f: FockState, g: FockState) -> CRat:
     if f.spec != g.spec:
         raise ValueError("states over different mode counts")
     total = CRat(0)
-    for mono, cf in f.poly.terms.items():
-        cg = g.poly.terms.get(mono)
+    for mono, cf in f.terms.items():
+        cg = g.terms.get(mono)
         if cg is None:
             continue
         weight = 1
-        for _, e in f.poly.carrier.unpack(mono)[0]:
+        for _, e in f.carrier.unpack(mono)[0]:
             weight *= factorial(e)
         total = total + cf.conjugate() * cg * weight
     return total
@@ -248,13 +248,13 @@ def dual_product(density_state: FockState, form_state: FockState, volume: CRat |
     if density_state.spec != form_state.spec:
         raise ValueError("states over different mode counts")
     coords = density_state.spec.geometry()
-    degrees_d = density_state.poly.degrees() or {0}
-    degrees_f = form_state.poly.degrees() or {0}
+    degrees_d = density_state.degrees() or {0}
+    degrees_f = form_state.degrees() or {0}
     total = CRat(0)
     for p in degrees_d & degrees_f:
         paired = pairing(
-            SuperDensity(coords, density_state.poly.degree_part(p)),
-            SuperForm(coords, form_state.poly.degree_part(p)),
+            SuperDensity(coords, density_state.degree_part(p)),
+            SuperForm(coords, form_state.degree_part(p)),
         )
         for key, c in paired.terms.items():
             if key:
@@ -271,7 +271,7 @@ def state_to_json(s: FockState) -> dict:
     occupations and the fermionic index set of the holomorphic picture."""
     holo = translate(s, "holomorphic")
     terms = {}
-    monos = ((holo.poly.carrier.unpack(key), c) for key, c in holo.poly.terms.items())
+    monos = ((holo.carrier.unpack(key), c) for key, c in holo.terms.items())
     for (x_exps, xi, _ao, _ae), c in sorted(monos, key=lambda mc: (mc[0][1], mc[0][0])):
         bose = ";".join(f"{i}:{e}" for i, e in x_exps)
         fermi = ",".join(str(i) for i in indices_of(xi))
@@ -285,8 +285,6 @@ def state_to_json(s: FockState) -> dict:
 
 
 def state_from_json(data: dict) -> FockState:
-    from .scalars import parse_crat
-
     spec = FockAlgebraSpec(int(data["n_bose"]), int(data["n_fermi"]))
     carrier = spec.carrier("holomorphic")
     terms = {}
@@ -310,17 +308,8 @@ def spanning_states(
 ) -> list[FockState]:
     """All monomial states with bosonic occupations <= max_occupation."""
     states: list[FockState] = []
-
-    def bose_tuples(k: int):
-        if k == 0:
-            yield ()
-            return
-        for head in range(max_occupation + 1):
-            for rest in bose_tuples(k - 1):
-                yield (head,) + rest
-
     carrier = spec.carrier("holomorphic")
-    for bose in bose_tuples(spec.n_bose):
+    for bose in product(range(max_occupation + 1), repeat=spec.n_bose):
         for fermi_mask in range(1 << spec.n_fermi):
             mono = (tuple((i + 1, e) for i, e in enumerate(bose) if e), fermi_mask, 0, ())
             state = FockState(spec, "holomorphic", GradedPoly(carrier, {carrier.pack(mono): CRat(1)}))

@@ -9,6 +9,11 @@ live in the mirror algebra generated by contravariant slots with the
 same parities, which is why the divergence obeys bb = 0 by the same
 cancellation that gives dd = 0.
 
+`SuperForm` and `SuperDensity` are `GradedPoly` elements of the form and
+density carriers of a patch that hold one degree; their constructors
+check both, and arithmetic on them returns plain `GradedPoly` elements,
+which the public operations below wrap again.
+
 Operators are small wrappers carrying a parity tag so that graded
 commutators are formed uniformly.  The table of graded Cartan relations
 that these operators obey is checked in the suites layer
@@ -89,25 +94,28 @@ def _as_function(coords: CoordinateSystem, f) -> GradedPoly:
     raise TypeError(f"cannot treat {type(f).__name__} as a superfunction")
 
 
-class _Homogeneous:
+class _Homogeneous(GradedPoly):
     """Degree-homogeneous element of the form or density algebra of a
-    patch; subclasses name the carrier kind."""
+    patch; subclasses name the carrier kind.  Arithmetic on it gives plain
+    `GradedPoly` elements of the same carrier, and equality is carrier
+    plus terms."""
 
-    __slots__ = ("coords", "poly", "degree")
+    __slots__ = ("degree",)
     _kind: Kind
 
     def __init__(self, coords: CoordinateSystem, poly: GradedPoly):
-        if poly.carrier != self.carrier_of(coords):
+        carrier = self.carrier_of(coords)
+        if poly.carrier != carrier:
             raise GeneratorMismatch(f"payload is not a {self._kind.value} over these coordinates")
         degrees = poly.degrees()
         if len(degrees) > 1:
             raise ValueError(f"inhomogeneous degrees {sorted(degrees)}")
-        object.__setattr__(self, "coords", coords)
-        object.__setattr__(self, "poly", poly)
+        super().__init__(carrier, poly.terms, _canonical=True)
         object.__setattr__(self, "degree", degrees.pop() if degrees else 0)
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
+    @property
+    def coords(self) -> CoordinateSystem:
+        return CoordinateSystem(self.carrier.n, self.carrier.nu)
 
     @classmethod
     def carrier_of(cls, coords: CoordinateSystem) -> Carrier:
@@ -117,34 +125,16 @@ class _Homogeneous:
     def from_function(cls, coords: CoordinateSystem, f):
         return cls(coords, _as_function(coords, f).with_carrier(cls.carrier_of(coords)))
 
-    def parity(self) -> Parity:
-        return self.poly.parity()
-
-    def is_zero(self) -> bool:
-        return self.poly.is_zero()
-
-    def __add__(self, other):
-        return type(self)(self.coords, self.poly + other.poly)
-
-    def __sub__(self, other):
-        return type(self)(self.coords, self.poly - other.poly)
-
-    def __neg__(self):
-        return type(self)(self.coords, -self.poly)
-
     def scale(self, c):
-        return type(self)(self.coords, self.poly * CRat.coerce(c))
-
-    def __eq__(self, other):
-        return type(other) is type(self) and self.coords == other.coords and self.poly == other.poly
+        return type(self)(self.coords, self * CRat.coerce(c))
 
     def components(self) -> dict[tuple[tuple[int, ...], tuple[int, ...]], GradedPoly]:
         """Canonical components keyed by (bosonic index set, fermionic
         multiset with multiplicity); values are superfunctions."""
-        return _split_components(self.coords, self.poly)
+        return _map_terms(self.terms, _component_term, (self.carrier, self.coords.functions))
 
     def __repr__(self):
-        return f"{type(self).__name__}(deg {self.degree}: {self.poly!r})"
+        return f"{type(self).__name__}(deg {self.degree}: {super().__repr__()})"
 
 
 class SuperForm(_Homogeneous):
@@ -160,10 +150,6 @@ class SuperDensity(_Homogeneous):
 
     __slots__ = ()
     _kind = Kind.DENSITY
-
-
-def _split_components(coords, poly) -> dict:
-    return _map_terms(poly.terms, _component_term, (poly.carrier, coords.functions))
 
 
 def _component_term(key: int, c: CRat, carriers: tuple[Carrier, Carrier]):
@@ -264,17 +250,16 @@ class Operator:
 
     parity: int
     fn: Callable[[GradedPoly], GradedPoly]
-    name: str = ""
 
     def __call__(self, w: GradedPoly) -> GradedPoly:
         return self.fn(w)
 
     def __add__(self, other: "Operator") -> "Operator":
         parity = self.parity if self.parity == other.parity else None
-        return Operator(parity, lambda w: self.fn(w) + other.fn(w), f"{self.name}+{other.name}")
+        return Operator(parity, lambda w: self.fn(w) + other.fn(w))
 
     def __neg__(self) -> "Operator":
-        return Operator(self.parity, lambda w: -self.fn(w), f"-{self.name}")
+        return Operator(self.parity, lambda w: -self.fn(w))
 
     def __sub__(self, other: "Operator") -> "Operator":
         return self + (-other)
@@ -287,14 +272,10 @@ class Operator:
             pq, qp = self.fn(other.fn(w)), other.fn(self.fn(w))
             return pq + qp if anti else pq - qp
 
-        return Operator((self.parity + other.parity) % 2, bracket, f"[{self.name},{other.name}]")
+        return Operator((self.parity + other.parity) % 2, bracket)
 
     def anticommutator(self, other: "Operator") -> "Operator":
-        return Operator(
-            (self.parity + other.parity) % 2,
-            lambda w: self.fn(other.fn(w)) + other.fn(self.fn(w)),
-            f"{{{self.name},{other.name}}}",
-        )
+        return Operator((self.parity + other.parity) % 2, lambda w: self.fn(other.fn(w)) + other.fn(self.fn(w)))
 
 
 def _parity_of(f: GradedPoly) -> int:
@@ -310,7 +291,7 @@ def _parity_of(f: GradedPoly) -> int:
 def _mult(coords: CoordinateSystem, f, carrier: Carrier) -> Operator:
     f = _as_function(coords, f)
     lifted = f.with_carrier(carrier)
-    return Operator(_parity_of(f), lambda w: lifted * w, "M")
+    return Operator(_parity_of(f), lambda w: lifted * w)
 
 
 def op_mult(coords: CoordinateSystem, f) -> Operator:
@@ -346,12 +327,12 @@ def total_differential(coords: CoordinateSystem, f) -> GradedPoly:
 def op_e_form(coords: CoordinateSystem, f) -> Operator:
     """e(F): left wedge by dF; raises form degree by one."""
     df = total_differential(coords, f)
-    return Operator((_parity_of(_as_function(coords, f)) + 1) % 2, lambda w: df * w, "e")
+    return Operator((_parity_of(_as_function(coords, f)) + 1) % 2, lambda w: df * w)
 
 
 def op_d_form(coords: CoordinateSystem) -> Operator:
     """Exterior differential, an odd derivation with dd = 0."""
-    return Operator(1, lambda w: _differential(coords, w), "d")
+    return Operator(1, lambda w: _differential(coords, w))
 
 
 def op_i_form(x: SuperVectorField) -> Operator:
@@ -367,13 +348,13 @@ def op_i_form(x: SuperVectorField) -> Operator:
         for al, c in enumerate(x.fermi, start=1)
         if not c.is_zero()
     ]
-    return Operator((x.parity + 1) % 2, lambda w: _contract(coords.forms, comps, w), "i")
+    return Operator((x.parity + 1) % 2, lambda w: _contract(coords.forms, comps, w))
 
 
 def op_lie_form(x: SuperVectorField) -> Operator:
     """Lie derivative on forms as the graded bracket of i(X) and d."""
     op = op_i_form(x).graded_bracket(op_d_form(x.coords))
-    return Operator(x.parity, op.fn, "L")
+    return Operator(x.parity, op.fn)
 
 
 # operators on the density algebra
@@ -385,8 +366,7 @@ def op_mult_density(coords: CoordinateSystem, f) -> Operator:
 
 def op_divergence(coords: CoordinateSystem) -> Operator:
     """Divergence b = sum_A d/dx^A applied to the first slot; odd, bb = 0."""
-
-    return Operator(1, lambda w: _term_pass(coords.densities, w, _divergence_terms), "b")
+    return Operator(1, lambda w: _term_pass(coords.densities, w, _divergence_terms))
 
 
 def slot_element(x: SuperVectorField) -> GradedPoly:
@@ -406,7 +386,7 @@ def op_i_density(x: SuperVectorField) -> Operator:
     """Insertion on densities: multiplication by the slot element, which
     performs the partial (anti)symmetrization automatically."""
     xhat = slot_element(x)
-    return Operator((x.parity + 1) % 2, lambda w: xhat * w, "i")
+    return Operator((x.parity + 1) % 2, lambda w: xhat * w)
 
 
 def op_e_density(coords: CoordinateSystem, f) -> Operator:
@@ -420,7 +400,7 @@ def op_e_density(coords: CoordinateSystem, f) -> Operator:
         for alpha in range(1, coords.nu + 1)
     ]
     grads = [(grad, aux) for grad, aux in grads if not grad.is_zero()]
-    return Operator((_parity_of(f) + 1) % 2, lambda w: _contract(coords.densities, grads, w), "e")
+    return Operator((_parity_of(f) + 1) % 2, lambda w: _contract(coords.densities, grads, w))
 
 
 def op_lie_density(x: SuperVectorField) -> Operator:
@@ -429,43 +409,43 @@ def op_lie_density(x: SuperVectorField) -> Operator:
     components positively (L(d/dx^A) acts as d/dx^A).  For even fields
     this is the usual anticommutator i(X) nabla + nabla i(X)."""
     op = op_divergence(x.coords).graded_bracket(op_i_density(x))
-    return Operator(x.parity, op.fn, "L")
+    return Operator(x.parity, op.fn)
 
 
-# -- public operations on wrappers ---------------------------------------
+# -- public operations on forms and densities -----------------------------
 
 
 def wedge(a: SuperForm, b: SuperForm) -> SuperForm:
     if a.coords != b.coords:
         raise GeneratorMismatch("forms over different coordinate systems")
-    return SuperForm(a.coords, a.poly * b.poly)
+    return SuperForm(a.coords, a * b)
 
 
 def exterior_d(w: SuperForm) -> SuperForm:
-    return SuperForm(w.coords, op_d_form(w.coords)(w.poly))
+    return SuperForm(w.coords, op_d_form(w.coords)(w))
 
 
 def divergence(f: SuperDensity) -> SuperDensity:
     if f.degree < 1:
         raise ValueError("divergence needs density degree >= 1")
-    return SuperDensity(f.coords, op_divergence(f.coords)(f.poly))
+    return SuperDensity(f.coords, op_divergence(f.coords)(f))
 
 
 def contract_iX(x: SuperVectorField, w: SuperForm) -> SuperForm:
     if w.degree < 1:
         raise ValueError("contraction needs form degree >= 1")
-    return SuperForm(w.coords, op_i_form(x)(w.poly))
+    return SuperForm(w.coords, op_i_form(x)(w))
 
 
 def insert_iX(x: SuperVectorField, f: SuperDensity) -> SuperDensity:
-    return SuperDensity(f.coords, op_i_density(x)(f.poly))
+    return SuperDensity(f.coords, op_i_density(x)(f))
 
 
 def lie_derivative(x: SuperVectorField, target):
     if isinstance(target, SuperForm):
-        return SuperForm(target.coords, op_lie_form(x)(target.poly))
+        return SuperForm(target.coords, op_lie_form(x)(target))
     if isinstance(target, SuperDensity):
-        return SuperDensity(target.coords, op_lie_density(x)(target.poly))
+        return SuperDensity(target.coords, op_lie_density(x)(target))
     if isinstance(target, GradedPoly) and target.carrier.kind is Kind.FUNCTION:
         return x.apply(target)
     raise TypeError(f"cannot Lie-differentiate {type(target).__name__}")
@@ -512,10 +492,8 @@ def scalar_density_integral(f: GradedPoly, bounds: Sequence[tuple]) -> CRat:
 def integrate_density(f, bounds: Sequence[tuple]) -> CRat:
     """Integration entry point: accepts a degree-zero SuperDensity or a
     bare superfunction."""
-    if isinstance(f, SuperDensity):
-        if f.degree != 0:
-            raise ValueError("integration applies to scalar densities")
-        return scalar_density_integral(f.poly.coefficient_function(), bounds)
+    if isinstance(f, SuperDensity) and f.degree != 0:
+        raise ValueError("integration applies to scalar densities")
     return scalar_density_integral(f, bounds)
 
 

@@ -328,6 +328,11 @@ def _divergence_terms(terms: Mapping[int, CRat], carrier: Carrier):
                 yield key - (1 << shift) - bit, -k if (key & (bit - 1)).bit_count() & 1 else k
 
 
+def _has_coordinates(carrier: Carrier, keys) -> bool:
+    """Whether some key holds a factor x_a or xi_alpha."""
+    return bool(keys) and bool(reduce(or_, keys) & function_carrier(carrier.n, carrier.nu).allowed)
+
+
 def _degree_of_key(carrier: Carrier, key: int) -> int:
     """Auxiliary degree: odd auxiliaries plus even-auxiliary exponents."""
     degree = (key >> carrier.nu & ((1 << carrier.n) - 1)).bit_count()
@@ -495,28 +500,32 @@ class GradedPoly:
 
     # -- derivations ------------------------------------------------------
 
-    def _derive(self, index: int, count: int, rule, arg) -> "GradedPoly":
+    def _derive(self, index: int, count: int, rule, offset: int) -> "GradedPoly":
+        """`rule` along generator `index` of a family of `count`, which
+        starts after `offset` odd bits (`_d_odd`) or exponent fields
+        (`_d_field`); the index is checked before the bit is built."""
         if not 1 <= index <= count:
             raise ValueError(f"index {index} outside 1..{count}")
-        return self._new(_map_terms(self.terms, rule, arg))
+        k = offset + index
+        return self._new(_map_terms(self.terms, rule, 1 << (k - 1) if rule is _d_odd else self.carrier.shift(k)))
 
     def partial_x(self, a: int) -> "GradedPoly":
         """d/dx_a, an even derivation."""
-        return self._derive(a, self.carrier.n, _d_field, self.carrier.shift(a))
+        return self._derive(a, self.carrier.n, _d_field, 0)
 
     def partial_xi(self, alpha: int) -> "GradedPoly":
         """Left derivative d/dxi_alpha, an odd derivation: anticommute
         xi_alpha to the front (past lower-index xi factors) and drop it."""
-        return self._derive(alpha, self.carrier.nu, _d_odd, 1 << (alpha - 1))
+        return self._derive(alpha, self.carrier.nu, _d_odd, 0)
 
     def partial_aux_odd(self, a: int) -> "GradedPoly":
         """Odd derivation along the odd auxiliary a (dx_a or the x_a slot);
         the prefix sign counts all xi factors plus lower odd auxiliaries."""
-        return self._derive(a, self.carrier.n, _d_odd, 1 << (self.carrier.nu + a - 1))
+        return self._derive(a, self.carrier.n, _d_odd, self.carrier.nu)
 
     def partial_aux_even(self, alpha: int) -> "GradedPoly":
         """Even derivation along the even auxiliary alpha."""
-        return self._derive(alpha, self.carrier.nu, _d_field, self.carrier.shift(self.carrier.n + alpha))
+        return self._derive(alpha, self.carrier.nu, _d_field, self.carrier.n)
 
     # -- conversions ------------------------------------------------------
 

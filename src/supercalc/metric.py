@@ -19,7 +19,7 @@ from typing import Sequence
 
 from . import exactmat
 from .exactmat import Matrix, from_rows, minor_det
-from .forms import CoordinateSystem, SuperDensity, SuperForm, op_d_form, op_divergence
+from .forms import CoordinateSystem, SuperDensity, SuperForm, divergence, exterior_d
 from .graded_poly import GradedPoly, _accumulate, indices_of, mask_of, merge_sign
 from .scalars import CRat
 
@@ -98,7 +98,7 @@ class Metric:
 
 @dataclass(frozen=True)
 class Scaled:
-    """payload times (det g)^{half_power / 2}, kept exact."""
+    """value times (det g)^{half_power / 2}, kept exact."""
 
     value: object  # SuperForm or SuperDensity
     half_power: int = 0
@@ -120,13 +120,13 @@ class Scaled:
         return out.value
 
     def component_squared(self, metric: Metric) -> object:
-        """The scalar payload squared times det^half_power - tag-free, so
+        """The scalar value squared times det^half_power - tag-free, so
         scaled objects over different metrics can be compared."""
         out = self.normalized(metric)
         obj = out.value
         if obj.degree != 0:
             raise MetricError("component_squared applies to scalar payloads")
-        sq = type(obj)(obj.coords, obj.poly * obj.poly)
+        sq = type(obj)(obj.coords, obj * obj)
         if out.half_power:
             sq = sq.scale(CRat(metric.det))
         return sq
@@ -276,16 +276,10 @@ def metric_delta(metric: Metric, w: SuperForm, route: str = "correspondence") ->
         return SuperForm.from_function(w.coords, 0)
     if route == "correspondence":
         dens = correspondence_cg(metric, w)
-        dived = Scaled(
-            SuperDensity(w.coords, op_divergence(w.coords)(dens.value.poly)), dens.half_power
-        )
-        return cg_inverse(metric, dived).plain(metric)
+        return cg_inverse(metric, Scaled(divergence(dens.value), dens.half_power)).plain(metric)
     if route == "star":
         starred = hodge_star(metric, w)
-        dstar = Scaled(
-            SuperForm(w.coords, op_d_form(w.coords)(starred.value.poly)), starred.half_power
-        )
-        back = hodge_star_inverse(metric, dstar).plain(metric)
+        back = hodge_star_inverse(metric, Scaled(exterior_d(starred.value), starred.half_power)).plain(metric)
         sign = -1 if (w.degree + 1) & 1 else 1
         return back.scale(sign)
     raise ValueError(f"unknown route {route!r}")
@@ -294,12 +288,8 @@ def metric_delta(metric: Metric, w: SuperForm, route: str = "correspondence") ->
 def beta_ascending(metric: Metric, f: SuperDensity | Scaled) -> Scaled:
     """The d-conjugate acting on densities: C_g d C_g^{-1}."""
     form = cg_inverse(metric, f)
-    lifted = Scaled(
-        SuperForm(form.value.coords, op_d_form(form.value.coords)(form.value.poly)),
-        form.half_power,
-    )
-    inner = correspondence_cg(metric, lifted.value)
-    return Scaled(inner.value, inner.half_power + lifted.half_power).normalized(metric)
+    inner = correspondence_cg(metric, exterior_d(form.value))
+    return Scaled(inner.value, inner.half_power + form.half_power).normalized(metric)
 
 
 # -- linear coordinate changes (x = A xbar) -------------------------------
@@ -323,7 +313,7 @@ def pullback_form(w: SuperForm, a: Sequence[Sequence]) -> SuperForm:
     fc = coords.forms
     x_images = _images(GradedPoly.coordinate, coords.functions, coords.n, lambda i, c: mat[i][c])
     dx_images = _images(GradedPoly.aux_odd, fc, coords.n, lambda i, c: mat[i][c])
-    return SuperForm(coords, _substitute(w.poly, fc, x_images, dx_images))
+    return SuperForm(coords, _substitute(w, fc, x_images, dx_images))
 
 
 def pullback_density(f: SuperDensity, a: Sequence[Sequence]) -> SuperDensity:
@@ -338,7 +328,7 @@ def pullback_density(f: SuperDensity, a: Sequence[Sequence]) -> SuperDensity:
     dc = coords.densities
     x_images = _images(GradedPoly.coordinate, coords.functions, coords.n, lambda i, c: mat[i][c])
     slot_images = _images(GradedPoly.aux_odd, dc, coords.n, lambda i, c: inv[c][i])
-    return SuperDensity(coords, _substitute(f.poly, dc, x_images, slot_images) * d)
+    return SuperDensity(coords, _substitute(f, dc, x_images, slot_images) * d)
 
 
 def pullback_metric(metric: Metric, a: Sequence[Sequence]) -> Metric:

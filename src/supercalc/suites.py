@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, NamedTuple, Sequence
 
+from . import exactmat
 from . import randomgen as rg
 from .analytic import EXP, EXP_NEG, RECIPROCAL, lift
 from .berezin import (
@@ -26,9 +27,36 @@ from .berezin import (
     mixed_integral,
     tensor_product,
 )
+from .clifford import (
+    CliffordContext,
+    anticommutator_matrix,
+    commutator_matrix,
+    current,
+    dirac_gamma_on_forms,
+    dirac_operator,
+    dirac_operator_gamma_route,
+    gamma0,
+    gamma_matrices,
+    gamma_upper_symbolic,
+    identity_matrix,
+    matrix_of,
+    reversal,
+)
+from .fock import (
+    REPRESENTATIONS,
+    FockAlgebraSpec,
+    FockState,
+    apply,
+    dual_product,
+    inner_product,
+    spanning_states,
+    translate,
+)
 from .forms import (
     CoordinateSystem,
     Operator,
+    SuperDensity,
+    SuperForm,
     SuperVectorField,
     op_d_form,
     op_divergence,
@@ -47,6 +75,7 @@ from .graded_poly import GradedPoly, function_carrier, split_xi
 from .grassmann import Convention, Parity, Supernumber
 from .matrices import (
     GradedMatrix,
+    GradedVector,
     ParitySignature,
     apply_to_vector,
     conjugate_matrix,
@@ -54,7 +83,20 @@ from .matrices import (
     superhermitian,
     supertranspose,
 )
-from .metric import Metric, MetricError
+from .metric import (
+    Metric,
+    MetricError,
+    beta_ascending,
+    cg_inverse,
+    correspondence_cg,
+    hodge_star,
+    hodge_star_inverse,
+    metric_delta,
+    pullback_density,
+    pullback_form,
+    pullback_metric,
+    volume_density,
+)
 from .polynomials import integrate_box
 from .scalars import CRat
 
@@ -364,8 +406,6 @@ def run_linalg(trials: int = 300, seed: int = 0, n_gen: int = 4) -> SuiteReport:
             rg.homogeneous_supernumber(rng, n_gen, (vec_parity + p) % 2, 2)
             for p in sig_b.parities
         )
-        from .matrices import GradedVector
-
         vec = GradedVector(sig_b, coords)
         image = apply_to_vector(km, vec)
         want = (pk + vec_parity) % 2
@@ -499,7 +539,7 @@ def lie_density_classical(x: SuperVectorField) -> Operator:
         out = out + x.coordinate_divergence().with_carrier(coords.densities) * w
         return out
 
-    return Operator(0, run, "L_classical")
+    return Operator(0, run)
 
 
 def _scalar_divergence(coords, x, f) -> GradedPoly:
@@ -579,12 +619,8 @@ def _trial_set(rng: random.Random, coords: CoordinateSystem) -> dict[str, Sequen
     forms and densities, four parity-homogeneous functions and fields, and
     the slices, cyclic pairs and filters of them that the rows sample."""
     max_deg = 3 if coords.nu else min(3, coords.n)
-    forms = tuple(
-        rg.form(rng, coords, rng.randint(0, max_deg)).poly for _ in range(3)
-    )
-    densities = tuple(
-        rg.density(rng, coords, rng.randint(0, max_deg)).poly for _ in range(3)
-    )
+    forms = tuple(rg.form(rng, coords, rng.randint(0, max_deg)) for _ in range(3))
+    densities = tuple(rg.density(rng, coords, rng.randint(0, max_deg)) for _ in range(3))
     functions = []
     for _ in range(4):
         parity = rng.randint(0, 1) if coords.nu else 0
@@ -650,15 +686,15 @@ def run_complexes(
         bb = report.check(f"({n},{nu}) bb = 0")
         for k in range(trials):
             w = rg.form(rng, coords, k % (max_deg + 1))
-            dd.expect(d(d(w.poly)).is_zero(), f"dd #{k}")
+            dd.expect(d(d(w)).is_zero(), f"dd #{k}")
             u = rg.density(rng, coords, k % (max_deg + 1))
-            bb.expect(b(b(u.poly)).is_zero(), f"bb #{k}")
+            bb.expect(b(b(u)).is_zero(), f"bb #{k}")
 
         wedge_comm = report.check(f"({n},{nu}) wedge graded commutativity")
         for k in range(trials // 4):
             pa, pb = k % 2, (k // 2) % 2
-            wa = rg.form(rng, coords, rng.randint(0, max_deg)).poly.parity_part(pa)
-            wb = rg.form(rng, coords, rng.randint(0, max_deg)).poly.parity_part(pb)
+            wa = rg.form(rng, coords, rng.randint(0, max_deg)).parity_part(pa)
+            wb = rg.form(rng, coords, rng.randint(0, max_deg)).parity_part(pb)
             sign = CRat(-1 if pa * pb else 1)
             wedge_comm.expect(wa * wb == (wb * wa) * sign, f"wedge #{k}")
 
@@ -722,20 +758,6 @@ def run_metric(trials: int = 10, seed: int = 0, dims: Sequence[int] = (2, 3)) ->
     report = SuiteReport("metric", seed, trials)
     rng = random.Random(seed)
 
-    from .metric import (
-        beta_ascending,
-        cg_inverse,
-        correspondence_cg,
-        hodge_star,
-        hodge_star_inverse,
-        metric_delta,
-        pullback_density,
-        pullback_form,
-        pullback_metric,
-        volume_density,
-    )
-    from .forms import SuperDensity, SuperForm
-
     routes = report.check("metric transpose: correspondence route == star route")
     dd0 = report.check("double transpose vanishes")
     bb0 = report.check("double ascent vanishes")
@@ -786,8 +808,6 @@ def run_metric(trials: int = 10, seed: int = 0, dims: Sequence[int] = (2, 3)) ->
         coords = CoordinateSystem(d, 0)
         metric = _random_metric(rng, d)
         a = rg.invertible_rational_matrix(rng, d)
-        from . import exactmat
-
         det_a = exactmat.det(exactmat.from_rows(a))
         p = k % (d + 1)
         w = rg.form(rng, coords, p)
@@ -830,17 +850,6 @@ def run_fock(
 ) -> SuiteReport:
     report = SuiteReport("fock", seed, trials)
     rng = random.Random(seed)
-
-    from .fock import (
-        REPRESENTATIONS,
-        FockAlgebraSpec,
-        FockState,
-        apply,
-        dual_product,
-        inner_product,
-        spanning_states,
-        translate,
-    )
 
     spec = FockAlgebraSpec(n_bose, n_fermi)
     b_ops = [("b", i) for i in range(1, n_bose + 1)]
@@ -937,19 +946,17 @@ def run_fock(
             degree.expect(dual_product(sd, wf) == CRat(0), f"degrees {p} vs {q}")
 
     bilinear = report.check("dual product matches the bilinear occupation pairing")
-    from math import factorial
-
     for k in range(trials // 2):
         f, g = random_state(), random_state()
         dp = dual_product(translate(f, "density"), translate(g, "form"))
         want = CRat(0)
-        for mono, cf in f.poly.terms.items():
-            cg = g.poly.terms.get(mono)
+        for mono, cf in f.terms.items():
+            cg = g.terms.get(mono)
             if cg is None:
                 continue
             weight = 1
-            for _, e in f.poly.carrier.unpack(mono)[0]:
-                weight *= factorial(e)
+            for _, e in f.carrier.unpack(mono)[0]:
+                weight *= math.factorial(e)
             want = want + cf * cg * weight
         bilinear.expect(dp == want, f"bilinear #{k}")
 
@@ -967,23 +974,6 @@ def run_clifford(
 ) -> SuiteReport:
     report = SuiteReport("clifford", seed, trials)
     rng = random.Random(seed)
-
-    from . import exactmat
-    from .clifford import (
-        CliffordContext,
-        anticommutator_matrix,
-        commutator_matrix,
-        current,
-        dirac_gamma_on_forms,
-        dirac_operator,
-        dirac_operator_gamma_route,
-        gamma0,
-        gamma_matrices,
-        gamma_upper_symbolic,
-        identity_matrix,
-        matrix_of,
-        reversal,
-    )
 
     def contexts_for(d: int) -> list[tuple[str, CliffordContext]]:
         if metric_spec == "identity":
@@ -1070,7 +1060,7 @@ def run_clifford(
         dmet = 2 + (k % 2)
         metric = _random_metric(rng, dmet)
         coords = metric.coords()
-        w = rg.form(rng, coords, k % (dmet + 1)).poly
+        w = rg.form(rng, coords, k % (dmet + 1))
         lhs = dirac_operator(metric)(w)
         rhs = dirac_operator_gamma_route(metric)(w)
         dirac.expect((lhs - rhs).is_zero(), f"dirac routes #{k}")

@@ -33,6 +33,8 @@ def test_left_derivative_examples():
     assert grassmann_derivative(x1 * x2, 2) == -x1  # one transposition
     with pytest.raises(ValueError):
         grassmann_derivative(x1, 3)
+    with pytest.raises(ValueError, match=r"index 0 outside 1\.\.2$"):
+        grassmann_derivative(x1, 0)
 
 
 def test_derivatives_anticommute():

@@ -124,7 +124,7 @@ def test_forms_and_densities_match_products(n, nu):
                     lambda r: ref_homogeneous(r, coords, degree, 3, cls),
                 )
                 assert type(new) is cls and new.degree == old.degree
-                assert new.poly.terms == old.poly.terms, (cls.__name__, n, nu, degree, seed)
+                assert new.terms == old.terms, (cls.__name__, n, nu, degree, seed)
                 assert nxt_new == nxt_old, (cls.__name__, n, nu, degree, seed)
 
 
@@ -135,9 +135,9 @@ def test_d_and_b_match_products(n, nu):
     rng = random.Random(17 * n + nu)
     for degree in DEGREES:
         for _ in range(8):
-            w = rg.form(rng, coords, degree).poly
+            w = rg.form(rng, coords, degree)
             assert d(w).terms == ref_d(coords, w).terms, (n, nu, degree, w)
-            u = rg.density(rng, coords, degree).poly
+            u = rg.density(rng, coords, degree)
             assert b(u).terms == ref_b(coords, u).terms, (n, nu, degree, u)
 
 

@@ -183,7 +183,7 @@ def test_dirac_routes_agree():
             except MetricError:
                 continue
         coords = metric.coords()
-        w = rg.form(rng, coords, k % (d + 1)).poly
+        w = rg.form(rng, coords, k % (d + 1))
         assert (dirac_operator(metric)(w) - dirac_operator_gamma_route(metric)(w)).is_zero()
 
 
@@ -192,7 +192,7 @@ def test_form_gamma_anticommutators():
     m = Metric.from_matrix([[2, 1], [1, 3]])
     coords = m.coords()
     for k in range(6):
-        w = rg.form(rng, coords, k % 3).poly
+        w = rg.form(rng, coords, k % 3)
         for mu in (1, 2):
             for nu in (1, 2):
                 gm = dirac_gamma_on_forms(m, mu)

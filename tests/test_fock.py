@@ -77,10 +77,23 @@ def test_form_representation_is_differential_operators():
     spec = FockAlgebraSpec(1, 1)
     vac = FockState.vacuum(spec, "form")
     carrier = spec.carrier("form")
-    assert apply(("b+", 1), vac).poly == GradedPoly.aux_even(carrier, 1)
-    assert apply(("f+", 1), vac).poly == GradedPoly.aux_odd(carrier, 1)
+    assert apply(("b+", 1), vac) == GradedPoly.aux_even(carrier, 1)
+    assert apply(("f+", 1), vac) == GradedPoly.aux_odd(carrier, 1)
     assert geometric_operator_name("form", ("b+", 1)) == "e(xi1)"
     assert geometric_operator_name("density", ("b+", 1)) == "i(d/dxi1)"
+
+
+def test_state_constructor_refusals():
+    spec = FockAlgebraSpec(1, 1)
+    with pytest.raises(ValueError, match="unknown representation 'spinor'"):
+        FockState(spec, "spinor", GradedPoly.unit(spec.carrier("form")))
+    carrier = spec.carrier("form")
+    for generator in (GradedPoly.coordinate, GradedPoly.odd_coordinate):
+        with pytest.raises(ValueError, match="constant coefficients"):
+            FockState(spec, "form", generator(carrier, 1))
+    state = FockState.vacuum(spec, "form")
+    with pytest.raises((TypeError, ValueError)):
+        state * GradedPoly.coordinate(carrier, 1)
 
 
 def test_translate_intertwines_everything():

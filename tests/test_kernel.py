@@ -188,6 +188,10 @@ def test_packed_kernel_matches_tuple_rules(carrier):
         for i in range(1, nu + 1):
             assert view_of(pa.partial_xi(i)) == old_map(a, _d_xi, 1 << (i - 1))
             assert view_of(pa.partial_aux_even(i)) == old_map(a, _d_aux_even, i)
+        for derive, count in ((pa.partial_x, n), (pa.partial_aux_odd, n), (pa.partial_xi, nu), (pa.partial_aux_even, nu)):
+            for i in (0, count + 1):
+                with pytest.raises(ValueError, match=rf"index {i} outside 1\.\.{count}$"):
+                    derive(i)
         coords = CoordinateSystem(n, nu)
         if carrier.kind is Kind.FORM:
             assert view_of(op_d_form(coords)(pa)) == _collect(_exterior_d_terms(a))
@@ -200,7 +204,7 @@ def test_builders_write_int_keys(n, nu):
     rng = random.Random(10 * n + nu)
     coords = CoordinateSystem(n, nu)
     elements = [rg.superfunction(rng, coords), rg.mixed_function(rng, n, nu)]
-    elements += [rg.form(rng, coords, 2).poly, rg.density(rng, coords, 2).poly, rg.supernumber(rng, nu)]
+    elements += [rg.form(rng, coords, 2), rg.density(rng, coords, 2), rg.supernumber(rng, nu)]
     for f in elements:
         assert {f.carrier.pack(m) for m in view_of(f)} == set(f.terms)
 

@@ -114,3 +114,17 @@ def test_public_methods_are_accessed():
                 if isinstance(sub, ast.FunctionDef) and not sub.name.startswith("_") and sub.name not in accessed
             ]
     assert not unused, f"public methods never accessed: {unused}"
+
+
+def test_no_payload_attribute():
+    """Forms, densities and Fock states are kernel elements themselves:
+    nothing in the library reads a `poly` attribute off an element."""
+    found = []
+    for path in sorted(SOURCE.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr == "poly"
+        ]
+    assert not found, f"payload attribute reads in the library: {found}"
