@@ -49,7 +49,7 @@ def contraction(ctx: Metric, v: Sequence) -> Endo:
     def run(w: ExteriorElement) -> ExteriorElement:
         out = Supernumber.zero(ctx.dim)
         for b, c in enumerate(comps, start=1):
-            if not c.is_zero():
+            if c:
                 out = out + grassmann_derivative(w, b) * c
         return out
 
@@ -64,7 +64,7 @@ def lowered_covector(ctx: Metric, v: Sequence) -> ExteriorElement:
         coeff = CRat(0)
         for a in range(ctx.dim):
             coeff = coeff + ctx.g[b][a] * comps[a]
-        if not coeff.is_zero():
+        if coeff:
             out = out + Supernumber.generator(ctx.dim, b + 1) * coeff
     return out
 
@@ -96,7 +96,7 @@ def gamma_upper(ctx: Metric, a: int) -> Endo:
     def run(w: ExteriorElement) -> ExteriorElement:
         out = Supernumber.zero(ctx.dim)
         for b, c in enumerate(row):
-            if not c.is_zero():
+            if c:
                 out = out + mats[b](w) * c
         return out
 
@@ -111,7 +111,7 @@ def gamma_upper_symbolic(ctx: Metric, a: int) -> Endo:
         out = Supernumber.generator(ctx.dim, a) * w
         for b in range(1, ctx.dim + 1):
             c = ctx.g_inv[a - 1][b - 1]
-            if not c.is_zero():
+            if c:
                 out = out + grassmann_derivative(w, b) * c
         return out
 
@@ -141,7 +141,7 @@ def matrix_of(op: Endo, d: int) -> Matrix:
     size = 1 << d
     cols = []
     for mask in range(size):
-        image = op(Supernumber(d, {mask: CRat(1)}, _canonical=True))
+        image = op(Supernumber(d, {mask: 1}, _canonical=True))
         cols.append([image.terms.get(r, exactmat.ZERO) for r in range(size)])
     return [[cols[c][r] for c in range(size)] for r in range(size)]
 
@@ -199,7 +199,7 @@ def dirac_gamma_on_forms(metric, mu: int):
     terms = [e_part]
     for nu_idx in range(1, metric.dim + 1):
         c = metric.g_inv[mu - 1][nu_idx - 1]
-        if c.is_zero():
+        if not c:
             continue
         field = SuperVectorField.coordinate_basis(coords, ("x", nu_idx))
         i_op = op_i_form(field)

@@ -1,6 +1,10 @@
 """Exact matrices over Q(i) - just enough linear algebra for the metric
-and Clifford layers (determinant, inverse, products).  Entries are
-:class:`~supercalc.scalars.CRat`; no pivot tolerance is ever involved.
+and Clifford layers (determinant, inverse, products).  Entries are exact
+scalars under the kernel's coefficient rule: a plain `int` or a
+:class:`~supercalc.scalars.CRat` (`from_rows` makes `CRat` entries,
+`clifford.matrix_of` may hand over ints), so a zero test is `not x`.
+`det` and `inverse` return `CRat` values; no pivot tolerance is ever
+involved.
 
 A matrix is a dense list of rows, but the products cost what the nonzero
 entries cost: `matmul` lists each row of its right factor as (column,
@@ -20,7 +24,7 @@ from typing import Sequence
 
 from .scalars import CRat
 
-Matrix = list[list[CRat]]
+Matrix = list[list[int | CRat]]
 
 ZERO = CRat(0)
 _ONE = CRat(1)
@@ -45,7 +49,7 @@ def matmul(a: Matrix, b: Matrix) -> Matrix:
     b_pairs = [[(j, x) for j, x in enumerate(row) if x is not ZERO and x] for row in b]
     out = []
     for ai in a:
-        acc: dict[int, CRat] = {}
+        acc: dict[int, int | CRat] = {}
         summed = False
         for aik, bk in zip(ai, b_pairs):
             if not bk or aik is ZERO or not aik:
@@ -95,7 +99,7 @@ def det(a: Matrix) -> CRat:
     for col in range(n):
         pivot = None
         for r in range(col, n):
-            if not m[r][col].is_zero():
+            if m[r][col]:
                 pivot = r
                 break
         if pivot is None:
@@ -103,11 +107,11 @@ def det(a: Matrix) -> CRat:
         if pivot != col:
             m[col], m[pivot] = m[pivot], m[col]
             sign = -sign
-        p = m[col][col]
+        p = CRat.coerce(m[col][col])
         result = result * p
         for r in range(col + 1, n):
             f = m[r][col] / p
-            if f.is_zero():
+            if not f:
                 continue
             for c in range(col, n):
                 m[r][c] = m[r][c] - f * m[col][c]
@@ -121,19 +125,19 @@ def inverse(a: Matrix) -> Matrix:
     for col in range(n):
         pivot = None
         for r in range(col, n):
-            if not m[r][col].is_zero():
+            if m[r][col]:
                 pivot = r
                 break
         if pivot is None:
             raise ValueError("matrix is singular")
         m[col], m[pivot] = m[pivot], m[col]
-        p = m[col][col]
+        p = CRat.coerce(m[col][col])
         m[col] = [x / p for x in m[col]]
         for r in range(n):
             if r == col:
                 continue
             f = m[r][col]
-            if f.is_zero():
+            if not f:
                 continue
             m[r] = [x - f * y for x, y in zip(m[r], m[col])]
     return [row[n:] for row in m]

@@ -95,7 +95,7 @@ class FockState(GradedPoly):
         return FockState(spec, rep, GradedPoly.unit(spec.carrier(rep)))
 
     def scale(self, c) -> "FockState":
-        return self * CRat.coerce(c)
+        return self * c
 
     def total_occupation(self) -> set[int]:
         if self.rep == "holomorphic":
@@ -312,6 +312,6 @@ def spanning_states(
     for bose in product(range(max_occupation + 1), repeat=spec.n_bose):
         for fermi_mask in range(1 << spec.n_fermi):
             mono = (tuple((i + 1, e) for i, e in enumerate(bose) if e), fermi_mask, 0, ())
-            state = FockState(spec, "holomorphic", GradedPoly(carrier, {carrier.pack(mono): CRat(1)}))
+            state = FockState(spec, "holomorphic", GradedPoly(carrier, {carrier.pack(mono): 1}))
             states.append(state if rep == "holomorphic" else translate(state, rep))
     return states

@@ -126,7 +126,7 @@ class _Homogeneous(GradedPoly):
         return cls(coords, _as_function(coords, f).with_carrier(cls.carrier_of(coords)))
 
     def scale(self, c):
-        return type(self)(self.coords, self * CRat.coerce(c))
+        return type(self)(self.coords, self * c)
 
     def components(self) -> dict[tuple[tuple[int, ...], tuple[int, ...]], GradedPoly]:
         """Canonical components keyed by (bosonic index set, fermionic
@@ -152,7 +152,7 @@ class SuperDensity(_Homogeneous):
     _kind = Kind.DENSITY
 
 
-def _component_term(key: int, c: CRat, carriers: tuple[Carrier, Carrier]):
+def _component_term(key: int, c: int | CRat, carriers: tuple[Carrier, Carrier]):
     source, fn = carriers
     x_exps, xi, ao, ae = source.unpack(key)
     fermi = tuple(i for i, e in ae for _ in range(e))

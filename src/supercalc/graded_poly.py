@@ -26,8 +26,8 @@ is a guard.  So a product of monomials is the sum of their keys:
 `a & b & odd` finds a repeated odd generator, `merge_sign` on the odd
 bits gives the reordering sign, and an exponent past MAX_EXPONENT runs
 into a guard bit and is refused with a ValueError.  Every reordering sign
-is absorbed into the exact complex-rational coefficient, so the
-representation is unique and equality is exact.  On
+is absorbed into the exact coefficient, so the representation is unique
+and equality is exact.  On
 `function_carrier(0, N)` a key is exactly the xi bitmask (Monagan and
 Pearce pack monomials the same way; "POLY: a new polynomial data
 structure for Maple 17", 2013).
@@ -44,6 +44,16 @@ algebra are term rules as well (`_exterior_d_terms`,
 `_divergence_terms`): one pass over the terms, each term yielding its
 image terms with the signs the products dx_a * dw/dx_a would carry, and
 no ring product.
+
+A coefficient is a nonzero exact scalar: a Python `int` or a
+`scalars.CRat`.  Integers enter as `int` (int operands, the basis
+elements' 1, seeded random draws) and int arithmetic keeps them there,
+in C; everything else is a `CRat`, and `CRat` arithmetic returns a
+`CRat` even when the value is an integer, with no demotion pass.
+`CRat(3) == 3` with equal hashes, so equality, hashing and printed
+bytes do not depend on which type holds a value, and a zero test is
+`not c`.  A scalar that leaves the library (a body, an integral, an
+inner product) is a `CRat`.
 """
 
 from __future__ import annotations
@@ -207,9 +217,15 @@ def density_carrier(n: int, nu: int) -> Carrier:
 
 # -- sparse term routines ---------------------------------------------------
 #
-# An element is a dict from int key to nonzero coefficient.
+# An element is a dict from int key to nonzero coefficient, an int or a CRat.
 
 _SCALARS = (int, Fraction, CRat)
+
+
+def _coefficient(value):
+    """A scalar as a term coefficient: an int or a CRat as it is, a bool
+    or a Fraction coerced to a CRat."""
+    return value if type(value) is int or type(value) is CRat else CRat.coerce(value)
 
 
 def _accumulate(out: dict, terms) -> dict:
@@ -223,7 +239,7 @@ def _accumulate(out: dict, terms) -> dict:
             out[key] = c
         else:
             c = prev + c
-            if c.is_zero():
+            if not c:
                 del out[key]
             else:
                 out[key] = c
@@ -262,7 +278,7 @@ def _product(a: dict, b: dict, carrier: Carrier) -> dict:
                 out[key] = c
             else:
                 c = prev + c
-                if c.is_zero():
+                if not c:
                     del out[key]
                 else:
                     out[key] = c
@@ -273,14 +289,14 @@ def _product(a: dict, b: dict, carrier: Carrier) -> dict:
 # term rules for _map_terms
 
 
-def _d_odd(key: int, c: CRat, bit: int):
+def _d_odd(key: int, c: int | CRat, bit: int):
     """Left derivative along the odd generator `bit`: anticommute it past
     the odd generators below it, then drop it."""
     if key & bit:
         return key ^ bit, -c if (key & (bit - 1)).bit_count() & 1 else c
 
 
-def _d_field(key: int, c: CRat, shift: int):
+def _d_field(key: int, c: int | CRat, shift: int):
     """Derivative along the even generator whose field starts at `shift`."""
     e = key >> shift & _FIELD_MASK
     if e:
@@ -290,7 +306,7 @@ def _d_field(key: int, c: CRat, shift: int):
 # term generators for the differentials d and b
 
 
-def _exterior_d_terms(terms: Mapping[int, CRat], carrier: Carrier):
+def _exterior_d_terms(terms: Mapping[int, int | CRat], carrier: Carrier):
     """Terms of dw = sum_A dx^A (dw/dx^A) on the form algebra.  Putting the
     odd dx_a in front passes every odd generator below it (every xi and
     the lower dx); dxi_alpha is even, so only d/dxi_alpha's own prefix
@@ -313,7 +329,7 @@ def _exterior_d_terms(terms: Mapping[int, CRat], carrier: Carrier):
             yield raised, -c if (key & (bit - 1)).bit_count() & 1 else c
 
 
-def _divergence_terms(terms: Mapping[int, CRat], carrier: Carrier):
+def _divergence_terms(terms: Mapping[int, int | CRat], carrier: Carrier):
     """Terms of bw = sum_A d/dx^A applied to the first slot, the mirror of
     `_exterior_d_terms`: drop the x_a slot and lower x_a, or lower the
     xi_alpha slot and drop xi_alpha."""
@@ -348,10 +364,10 @@ class GradedPoly:
 
     __slots__ = ("carrier", "terms")
 
-    def __init__(self, carrier: Carrier, terms: Mapping[int, CRat] | None = None, _canonical=False):
+    def __init__(self, carrier: Carrier, terms: Mapping[int, int | CRat] | None = None, _canonical=False):
         object.__setattr__(self, "carrier", carrier)
         if terms is None:
-            clean: dict[int, CRat] = {}
+            clean: dict[int, int | CRat] = {}
         elif _canonical:
             clean = terms  # a fresh dict, or the terms of another immutable element
         else:
@@ -359,8 +375,8 @@ class GradedPoly:
             for key, c in terms.items():
                 if not isinstance(key, int) or key & ~carrier.allowed:
                     raise ValueError(f"monomial key {key!r} outside {carrier}")
-                c = CRat.coerce(c)
-                if not c.is_zero():
+                c = _coefficient(c)
+                if c:
                     clean[key] = c
         object.__setattr__(self, "terms", clean)
 
@@ -380,8 +396,8 @@ class GradedPoly:
 
     @staticmethod
     def scalar(carrier: Carrier, value) -> "GradedPoly":
-        c = CRat.coerce(Fraction(value) if isinstance(value, str) else value)
-        return GradedPoly(carrier, {0: c} if not c.is_zero() else {}, _canonical=True)
+        c = _coefficient(Fraction(value) if isinstance(value, str) else value)
+        return GradedPoly(carrier, {0: c} if c else {}, _canonical=True)
 
     @staticmethod
     def unit(carrier: Carrier) -> "GradedPoly":
@@ -391,13 +407,13 @@ class GradedPoly:
     def coordinate(carrier: Carrier, a: int) -> "GradedPoly":
         if not 1 <= a <= carrier.n:
             raise ValueError(f"even coordinate index {a} outside 1..{carrier.n}")
-        return GradedPoly(carrier, {1 << carrier.shift(a): CRat(1)}, _canonical=True)
+        return GradedPoly(carrier, {1 << carrier.shift(a): 1}, _canonical=True)
 
     @staticmethod
     def odd_coordinate(carrier: Carrier, alpha: int) -> "GradedPoly":
         if not 1 <= alpha <= carrier.nu:
             raise ValueError(f"odd coordinate index {alpha} outside 1..{carrier.nu}")
-        return GradedPoly(carrier, {1 << (alpha - 1): CRat(1)}, _canonical=True)
+        return GradedPoly(carrier, {1 << (alpha - 1): 1}, _canonical=True)
 
     @staticmethod
     def aux_odd(carrier: Carrier, a: int) -> "GradedPoly":
@@ -406,7 +422,7 @@ class GradedPoly:
             raise ValueError("function carrier has no auxiliary generators")
         if not 1 <= a <= carrier.n:
             raise ValueError(f"auxiliary index {a} outside 1..{carrier.n}")
-        return GradedPoly(carrier, {1 << (carrier.nu + a - 1): CRat(1)}, _canonical=True)
+        return GradedPoly(carrier, {1 << (carrier.nu + a - 1): 1}, _canonical=True)
 
     @staticmethod
     def aux_even(carrier: Carrier, alpha: int) -> "GradedPoly":
@@ -415,7 +431,7 @@ class GradedPoly:
             raise ValueError("function carrier has no auxiliary generators")
         if not 1 <= alpha <= carrier.nu:
             raise ValueError(f"auxiliary index {alpha} outside 1..{carrier.nu}")
-        return GradedPoly(carrier, {1 << carrier.shift(carrier.n + alpha): CRat(1)}, _canonical=True)
+        return GradedPoly(carrier, {1 << carrier.shift(carrier.n + alpha): 1}, _canonical=True)
 
     # -- ring operations --------------------------------------------------
 
@@ -430,8 +446,8 @@ class GradedPoly:
             self._check(other)
             return other.terms
         if isinstance(other, _SCALARS):
-            c = CRat.coerce(other)
-            return {0: c} if not c.is_zero() else {}
+            c = _coefficient(other)
+            return {0: c} if c else {}
         return None
 
     def __add__(self, other):
@@ -459,14 +475,14 @@ class GradedPoly:
             self._check(other)
             return self._new(_product(self.terms, other.terms, self.carrier))
         if isinstance(other, _SCALARS):
-            c = CRat.coerce(other)
-            return self._new({k: v * c for k, v in self.terms.items()} if not c.is_zero() else {})
+            c = _coefficient(other)
+            return self._new({k: v * c for k, v in self.terms.items()} if c else {})
         return NotImplemented
 
     __rmul__ = __mul__  # reached only with a scalar on the left, which commutes
 
     def __pow__(self, k: int):
-        return _power(self, k, self._new({0: CRat(1)}))
+        return _power(self, k, self._new({0: 1}))
 
     def __eq__(self, other):
         if isinstance(other, GradedPoly):
@@ -476,7 +492,14 @@ class GradedPoly:
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.carrier, frozenset(self.terms.items())))
+        """A scalar element (every key 0, zero included) hashes as its
+        scalar, since it compares equal to it."""
+        terms = self.terms
+        if not terms:
+            return hash(0)
+        if len(terms) == 1 and 0 in terms:
+            return hash(terms[0])
+        return hash((self.carrier, frozenset(terms.items())))
 
     def is_zero(self) -> bool:
         return not self.terms

@@ -4,11 +4,11 @@ supernumbers.
 A supernumber is a superfunction of the patch with no even coordinates:
 `Supernumber` is a `graded_poly.GradedPoly` on `function_carrier(0, N)`,
 whose packed monomial key is exactly the generator bitmask (bit k set =
-generator x_{k+1} present).  So `.terms` maps masks to exact
-complex-rational coefficients, every reordering sign is absorbed into
-the coefficient, and equality is exact.  Its ring operations and its
-left derivative (`partial_xi`) are those of the one kernel; every
-result of arithmetic on a supernumber is a supernumber.
+generator x_{k+1} present).  So `.terms` maps masks to the kernel's
+exact coefficients (an `int` or a `CRat`), every reordering sign is
+absorbed into the coefficient, and equality is exact.  Its ring
+operations and its left derivative (`partial_xi`) are those of the one
+kernel; every result of arithmetic on a supernumber is a supernumber.
 
 This module adds what is particular to Lambda_N: body and soul, the
 inverse, complex conjugation under two conventions, and the text and
@@ -22,7 +22,7 @@ import json
 from typing import Mapping
 
 # GeneratorMismatch and Parity are kernel names that callers import from here too
-from .graded_poly import GeneratorMismatch, GradedPoly, Parity, function_carrier, indices_of, mask_of
+from .graded_poly import GeneratorMismatch, GradedPoly, Parity, _coefficient, function_carrier, indices_of, mask_of
 from .scalars import CRat
 
 MultiIndex = tuple[int, ...]
@@ -52,7 +52,7 @@ class Supernumber(GradedPoly):
 
     __slots__ = ()
 
-    def __init__(self, n: int, terms: Mapping[int, CRat] | None = None, _canonical=False):
+    def __init__(self, n: int, terms: Mapping[int, int | CRat] | None = None, _canonical=False):
         if n < 0:
             raise ValueError("generator count must be >= 0")
         if not _canonical:
@@ -76,11 +76,11 @@ class Supernumber(GradedPoly):
 
     @staticmethod
     def from_indices(n: int, terms: Mapping[MultiIndex, object]) -> "Supernumber":
-        return Supernumber(n, {mask_of(idx, n): CRat.coerce(c) for idx, c in terms.items()})
+        return Supernumber(n, {mask_of(idx, n): _coefficient(c) for idx, c in terms.items()})
 
     @staticmethod
     def scalar(n: int, value) -> "Supernumber":
-        return Supernumber(n, {0: CRat.coerce(value)})
+        return Supernumber(n, {0: _coefficient(value)})
 
     @staticmethod
     def unit(n: int) -> "Supernumber":
@@ -92,7 +92,7 @@ class Supernumber(GradedPoly):
 
     @staticmethod
     def generator(n: int, index: int) -> "Supernumber":
-        return Supernumber(n, {mask_of((index,), n): CRat(1)}, _canonical=True)
+        return Supernumber(n, {mask_of((index,), n): 1}, _canonical=True)
 
     @staticmethod
     def generators(n: int) -> list["Supernumber"]:
@@ -101,7 +101,7 @@ class Supernumber(GradedPoly):
     # -- structure maps -----------------------------------------------
 
     def body(self) -> CRat:
-        return self.terms.get(0, CRat(0))
+        return CRat.coerce(self.terms.get(0, 0))
 
     def soul(self) -> "Supernumber":
         return self._new({m: c for m, c in self.terms.items() if m})
@@ -116,7 +116,7 @@ class Supernumber(GradedPoly):
         """Multiplicative inverse; the geometric series in the soul
         truncates exactly after N terms by nilpotency."""
         b = self.body()
-        if b.is_zero():
+        if not b:
             raise NotInvertible("supernumber has zero body")
         s = self.soul()
         out = Supernumber.zero(self.n)
@@ -137,7 +137,7 @@ class Supernumber(GradedPoly):
         reverses each generator monomial, i.e. multiplies a degree-p term
         by (-1)^{p(p-1)/2}.
         """
-        out: dict[int, CRat] = {}
+        out: dict[int, int | CRat] = {}
         for m, c in self.terms.items():
             cc = c.conjugate()
             if convention is Convention.DEWITT:
@@ -174,9 +174,9 @@ def format_supernumber(z: Supernumber) -> str:
         mono = "^".join(f"x{i}" for i in indices)
         if not indices:
             text = str(coeff)
-        elif coeff == CRat(1):
+        elif coeff == 1:
             text = mono
-        elif coeff == CRat(-1):
+        elif coeff == -1:
             text = f"-{mono}"
         else:
             c = str(coeff)

@@ -64,7 +64,7 @@ class Metric:
                 if not g[i][j].is_real():
                     raise MetricError("metric entries must be real rationals")
         det = exactmat.det(g)
-        if det.is_zero():
+        if not det:
             raise MetricError("metric is degenerate")
         return Metric(d, g, exactmat.inverse(g), det.re, exact_sqrt(det.re))
 
@@ -164,7 +164,7 @@ def _transform(comps: dict[int, GradedPoly], targets, factor) -> dict[int, Grade
             (t, coeff * f)
             for t in targets
             for s, coeff in comps.items()
-            if not (f := factor(t, s)).is_zero()
+            if (f := factor(t, s))
         ),
     )
 

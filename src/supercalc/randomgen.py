@@ -7,7 +7,9 @@ canonical term dicts: each monomial's factors are drawn one at a time and
 their reordering sign is tracked as they arrive, instead of multiplying
 one-term ring elements together.  The draws, and so every downstream
 trial, are those of that product construction, which
-``tests/test_builders.py`` keeps as the reference.
+``tests/test_builders.py`` keeps as the reference.  A drawn coefficient
+that is a real integer is a plain `int`, the kernel's convention;
+otherwise it is a `CRat`.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from .graded_poly import GradedPoly, _accumulate, function_carrier, join_xi, mer
 from .grassmann import Supernumber
 from .matrices import GradedMatrix, ParitySignature
 from .polynomials import Polynomial
-from .scalars import CRat
+from .scalars import CRat, _crat
 
 
 def rational(rng: random.Random, span: int = 4, den: int = 3) -> Fraction:
@@ -29,9 +31,19 @@ def rational(rng: random.Random, span: int = 4, den: int = 3) -> Fraction:
 
 
 def crat(rng: random.Random, span: int = 4, complex_ok: bool = True) -> CRat:
-    re = rational(rng, span)
-    im = rational(rng, span) if complex_ok and rng.random() < 0.4 else 0
-    return CRat(re, im)
+    return CRat.coerce(_draw_coefficient(rng, span, complex_ok))
+
+
+def _draw_coefficient(rng: random.Random, span: int = 4, complex_ok: bool = True) -> int | CRat:
+    """The value and the draws of `crat` as a term coefficient: (a/d) +
+    (b/e) i from two `rational` draws, the second on 40% of complex_ok
+    draws; an int when the value is a real integer."""
+    a, d = rng.randint(-span, span), rng.randint(1, 3)
+    if complex_ok and rng.random() < 0.4:
+        b, e = rng.randint(-span, span), rng.randint(1, 3)
+        if b:
+            return _crat(a * e, b * d, d * e)
+    return a // d if not a % d else _crat(a, 0, d)
 
 
 def supernumber(
@@ -41,22 +53,20 @@ def supernumber(
     complex_ok: bool = True,
     ensure_body: bool = False,
 ) -> Supernumber:
-    data: dict[int, CRat] = {}
+    data: dict = {}
     for _ in range(terms):
         mask = rng.randrange(1 << n)
-        data[mask] = data.get(mask, CRat(0)) + crat(rng, complex_ok=complex_ok)
-    if ensure_body:
-        body = data.get(0, CRat(0))
-        if body.is_zero():
-            data[0] = CRat(rng.randint(1, 4), 0)
+        data[mask] = data.get(mask, 0) + _draw_coefficient(rng, complex_ok=complex_ok)
+    if ensure_body and not data.get(0):
+        data[0] = rng.randint(1, 4)
     return Supernumber(n, data)
 
 
 def homogeneous_supernumber(rng: random.Random, n: int, parity: int, terms: int = 4) -> Supernumber:
-    data: dict[int, CRat] = {}
+    data: dict = {}
     masks = [m for m in range(1 << n) if m.bit_count() % 2 == parity]
     for _ in range(terms):
-        data[rng.choice(masks)] = crat(rng)
+        data[rng.choice(masks)] = _draw_coefficient(rng)
     return Supernumber(n, data)
 
 
@@ -64,7 +74,7 @@ def polynomial(rng: random.Random, n: int, max_degree: int = 2, terms: int = 3) 
     data = {}
     for _ in range(terms):
         exps = tuple(rng.randint(0, max_degree) for _ in range(n))
-        data[exps] = crat(rng, complex_ok=False)
+        data[exps] = _draw_coefficient(rng, complex_ok=False)
     return Polynomial(n, data)
 
 
@@ -106,14 +116,14 @@ def _function_terms(rng: random.Random, coords: CoordinateSystem, terms: int = 4
     xi kills its monomial, whose remaining factors are still drawn."""
     found = []
     for _ in range(terms):
-        c = crat(rng, complex_ok=False)
+        c = _draw_coefficient(rng, complex_ok=False)
         x: dict[int, int] = {}
         for _ in range(rng.randint(0, max_degree)):
             if coords.n:
                 a = rng.randint(1, coords.n)
                 x[a] = x.get(a, 0) + 1
         xi = 0
-        dead = c.is_zero()
+        dead = not c
         if coords.nu:
             for _ in range(rng.randint(0, min(coords.nu, 2))):
                 bit = 1 << (rng.randint(1, coords.nu) - 1)
@@ -186,7 +196,7 @@ def _invertible(rng: random.Random, size: int, shape) -> list[list[Fraction]]:
     """shape(a) for random rational a, redrawn until it is invertible."""
     while True:
         rows = shape([[rational(rng, 3, 2) for _ in range(size)] for _ in range(size)])
-        if not exactmat.det(exactmat.from_rows(rows)).is_zero():
+        if exactmat.det(exactmat.from_rows(rows)):
             return rows
 
 

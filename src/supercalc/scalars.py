@@ -7,6 +7,12 @@ positive integer denominator, (a + b*i) / d, with gcd(a, b, d) == 1; the
 form is unique, so equality compares three ints.  Sums and products of
 scalars with denominator 1, the common case, need no gcd at all.
 Floating point only enters through the quadrature path.
+
+A plain `int` on either side of +, - or * is used as it is, with no
+`CRat` built for it, and every result of `CRat` arithmetic is a `CRat`.
+`CRat(3) == 3` with equal hashes, which lets the term dicts of the
+graded kernel hold a coefficient either as an `int` or as a `CRat`
+(see `graded_poly`); a scalar that the library returns is a `CRat`.
 """
 
 from __future__ import annotations
@@ -58,6 +64,8 @@ class CRat:
 
     def __add__(self, other: int | Fraction | CRat) -> "CRat":
         if type(other) is not CRat:
+            if type(other) is int:
+                return _crat(self._a + other * self._d, self._b, self._d)
             other = CRat.coerce(other)
         d, f = self._d, other._d
         if d == f:
@@ -68,6 +76,8 @@ class CRat:
 
     def __sub__(self, other: int | Fraction | CRat) -> "CRat":
         if type(other) is not CRat:
+            if type(other) is int:
+                return _crat(self._a - other * self._d, self._b, self._d)
             other = CRat.coerce(other)
         d, f = self._d, other._d
         if d == f:
@@ -75,10 +85,14 @@ class CRat:
         return _crat(self._a * f - other._a * d, self._b * f - other._b * d, d * f)
 
     def __rsub__(self, other: int | Fraction | CRat) -> "CRat":
+        if type(other) is int:
+            return _crat(other * self._d - self._a, -self._b, self._d)
         return CRat.coerce(other) - self
 
     def __mul__(self, other: int | Fraction | CRat) -> "CRat":
         if type(other) is not CRat:
+            if type(other) is int:
+                return _crat(self._a * other, self._b * other, self._d)
             other = CRat.coerce(other)
         a, b, c, e = self._a, self._b, other._a, other._b
         if not b and not e:

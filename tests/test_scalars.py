@@ -244,3 +244,33 @@ def test_cube_takes_two_multiplications(monkeypatch):
     assert len(calls) == 2
     monkeypatch.undo()
     assert cube == x * x * x
+
+
+def test_int_operands_match_the_pair():
+    """CRat op int and int op CRat for + - * / take the int paths: each
+    result is a canonical CRat equal, hash included, to the reference."""
+    rng = random.Random(6)
+    ints = [0, 1, -1, 2, -3, 6] + [rng.randint(-10**9, 10**9) for _ in range(6)]
+    refs = [
+        (lambda c, e: c + e, lambda x, y: (x[0] + y[0], x[1] + y[1])),
+        (lambda c, e: c - e, lambda x, y: (x[0] - y[0], x[1] - y[1])),
+        (lambda c, e: c * e, ref_mul),
+        (lambda c, e: c / e, ref_div),
+    ]
+    for x, _ in CASES:
+        for k in ints:
+            s = (Fraction(k), Fraction(0))
+            for i, (op, ref) in enumerate(refs):
+                cases = []
+                if i < 3 or k:
+                    cases.append((op(CRat(*x), k), ref(x, s)))
+                if i < 3 or x != (0, 0):
+                    cases.append((op(k, CRat(*x)), ref(s, x)))
+                for got, want in cases:
+                    assert type(got) is CRat and canonical(got)
+                    assert pair(got) == want and got == CRat(*want)
+                    assert hash(got) == hash(want[0] if not want[1] else want)
+    half = CRat(1) / 2
+    for got in (half * 2, 2 * half, half * 4 - 1, 3 - half * 6, half + 0, CRat(2, 4) / 2 * 0):
+        assert canonical(got) and type(got) is CRat
+    assert half * 2 == 1 and CRat(Fraction(1, 3), Fraction(2, 3)) * 3 == CRat(1, 2)
