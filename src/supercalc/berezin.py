@@ -32,6 +32,8 @@ from .graded_poly import (
     _SCALARS,
     GradedPoly,
     Kind,
+    _element,
+    _normal,
     function_carrier,
     indices_of,
     join_xi,
@@ -161,7 +163,7 @@ class MixedFunction(GradedPoly):
             for mask, coeff in _coefficients(n, nu, terms or {})
             for key, c in coeff.terms.items()
         }
-        super().__init__(function_carrier(n, nu), flat, _canonical=True)
+        super().__init__(function_carrier(n, nu), flat)
 
 
 @dataclass(frozen=True, eq=False)
@@ -189,13 +191,13 @@ def tensor_product(f: GradedPoly, g: GradedPoly) -> GradedPoly:
     so no reordering signs arise and no two terms meet."""
     n, nu = _exact(f).carrier.n, f.carrier.nu
     out = function_carrier(n + _exact(g).carrier.n, nu + g.carrier.nu)
-    g_terms = [(g.carrier.unpack(k), c) for k, c in g.terms.items()]
-    terms = {
+    g_nums = [(g.carrier.unpack(k), c) for k, c in g.nums.items()]
+    nums = {
         out.pack((xf + tuple((i + n, e) for i, e in xg), mf | mg << nu, 0, ())): cf * cg
-        for (xf, mf, _, _), cf in ((f.carrier.unpack(k), c) for k, c in f.terms.items())
-        for (xg, mg, _, _), cg in g_terms
+        for (xf, mf, _, _), cf in ((f.carrier.unpack(k), c) for k, c in f.nums.items())
+        for (xg, mg, _, _), cg in g_nums
     }
-    return GradedPoly(out, terms, _canonical=True)
+    return _element(GradedPoly, out, *_normal(nums, f.den * g.den))
 
 
 # -- change of variables -------------------------------------------------

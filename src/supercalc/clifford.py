@@ -30,6 +30,7 @@ from . import exactmat
 from .berezin import grassmann_derivative
 from .exactmat import Matrix
 from .forms import SuperForm, SuperVectorField, op_d_form, op_e_form, op_i_form, op_lie_form
+from .graded_poly import _element, function_carrier
 from .grassmann import Supernumber
 from .metric import Metric, MetricError, metric_delta
 from .scalars import CRat
@@ -122,10 +123,10 @@ def reversal(w: ExteriorElement) -> ExteriorElement:
     """J: reverse each monomial, i.e. scale degree p by (-1)^{p(p-1)/2};
     an involution."""
     out = {}
-    for mask, c in w.terms.items():
+    for mask, c in w.nums.items():
         p = mask.bit_count()
         out[mask] = -c if (p * (p - 1) // 2) & 1 else c
-    return Supernumber(w.n, out, _canonical=True)
+    return _element(Supernumber, w.carrier, out, w.den)
 
 
 def gamma0(ctx: Metric, v: Sequence) -> Endo:
@@ -138,11 +139,16 @@ def gamma0(ctx: Metric, v: Sequence) -> Endo:
 
 
 def matrix_of(op: Endo, d: int) -> Matrix:
+    """The matrix of op on the monomial basis; its entries are CRat, and
+    a zero entry is `exactmat.ZERO`."""
     size = 1 << d
+    carrier = function_carrier(0, d)
     cols = []
     for mask in range(size):
-        image = op(Supernumber(d, {mask: 1}, _canonical=True))
-        cols.append([image.terms.get(r, exactmat.ZERO) for r in range(size)])
+        col = [exactmat.ZERO] * size
+        for r, c in op(_element(Supernumber, carrier, {mask: 1})).terms.items():
+            col[r] = CRat.coerce(c)
+        cols.append(col)
     return [[cols[c][r] for c in range(size)] for r in range(size)]
 
 

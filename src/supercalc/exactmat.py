@@ -1,8 +1,8 @@
 """Exact matrices over Q(i) - just enough linear algebra for the metric
 and Clifford layers (determinant, inverse, products).  Entries are exact
-scalars under the kernel's coefficient rule: a plain `int` or a
-:class:`~supercalc.scalars.CRat` (`from_rows` makes `CRat` entries,
-`clifford.matrix_of` may hand over ints), so a zero test is `not x`.
+scalars, a plain `int` or a :class:`~supercalc.scalars.CRat`
+(`from_rows` and `clifford.matrix_of` make `CRat` entries), so a zero
+test is `not x`.
 `det` and `inverse` return `CRat` values; no pivot tolerance is ever
 involved.
 

@@ -30,7 +30,17 @@ from math import factorial
 from typing import Iterable
 
 from .forms import CoordinateSystem, SuperDensity, SuperForm, pairing
-from .graded_poly import Carrier, GradedPoly, Kind, _has_coordinates, function_carrier, indices_of, mask_of
+from .graded_poly import (
+    Carrier,
+    GradedPoly,
+    Kind,
+    _element,
+    _has_coordinates,
+    _init,
+    function_carrier,
+    indices_of,
+    mask_of,
+)
 from .scalars import CRat, parse_crat
 
 REPRESENTATIONS = ("holomorphic", "form", "density")
@@ -65,20 +75,18 @@ class FockState(GradedPoly):
     Arithmetic keeps the type, and equality is carrier plus terms."""
 
     __slots__ = ()
+    _keeps_type = True
 
     def __init__(self, spec: FockAlgebraSpec, rep: str, poly: GradedPoly):
         carrier = spec.carrier(rep)
         if poly.carrier != carrier:
             raise ValueError("payload does not live in the representation carrier")
-        _check_constant(carrier, poly.terms)
-        super().__init__(carrier, poly.terms, _canonical=True)
+        _check_constant(carrier, poly.nums)
+        _init(self, carrier, poly.nums, poly.den)
 
-    def _new(self, terms: dict) -> "FockState":
-        _check_constant(self.carrier, terms)
-        s = object.__new__(FockState)
-        object.__setattr__(s, "carrier", self.carrier)
-        object.__setattr__(s, "terms", terms)
-        return s
+    def _new(self, nums: dict, den: int = 1) -> "FockState":
+        _check_constant(self.carrier, nums)
+        return super()._new(nums, den)
 
     @property
     def rep(self) -> str:
@@ -100,7 +108,7 @@ class FockState(GradedPoly):
     def total_occupation(self) -> set[int]:
         if self.rep == "holomorphic":
             out = set()
-            for key in self.terms:
+            for key in self.nums:
                 x_exps, xi, _ao, _ae = self.carrier.unpack(key)
                 out.add(sum(e for _, e in x_exps) + xi.bit_count())
             return out
@@ -161,7 +169,7 @@ def apply(op: tuple[str, int], s: FockState) -> FockState:
             out = GradedPoly.aux_odd(carrier, i) * s
         else:
             raise ValueError(f"unknown ladder operator {name!r}")
-    return s._new(out.terms)
+    return s._new(out.nums, out.den)
 
 
 def apply_word(word: Iterable[tuple[str, int]], s: FockState) -> FockState:
@@ -201,14 +209,14 @@ def translate(s: FockState, to: str) -> FockState:
         return s
     target = s.spec.carrier(to)
     out: dict = {}
-    for key, c in s.terms.items():
+    for key, c in s.nums.items():
         x_exps, xi, ao, ae = mono = s.carrier.unpack(key)
         if source == "holomorphic":
             mono = ((), 0, xi, x_exps)
         elif to == "holomorphic":
             mono = (ae, ao, 0, ())
         out[target.pack(mono)] = c
-    return FockState(s.spec, to, GradedPoly(target, out, _canonical=True))
+    return FockState(s.spec, to, _element(GradedPoly, target, out, s.den))
 
 
 # -- inner and dual products -----------------------------------------------
@@ -223,8 +231,9 @@ def inner_product(f: FockState, g: FockState) -> CRat:
     if f.spec != g.spec:
         raise ValueError("states over different mode counts")
     total = CRat(0)
+    g_terms = g.terms
     for mono, cf in f.terms.items():
-        cg = g.terms.get(mono)
+        cg = g_terms.get(mono)
         if cg is None:
             continue
         weight = 1

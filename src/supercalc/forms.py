@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Callable, Sequence
 
 from .berezin import berezin_integral, from_json_mixed, to_json_mixed
@@ -34,9 +35,15 @@ from .graded_poly import (
     Kind,
     Parity,
     _accumulate,
+    _d_field,
+    _d_odd,
     _divergence_terms,
+    _element,
     _exterior_d_terms,
+    _init,
     _map_terms,
+    _normal,
+    _product,
     density_carrier,
     form_carrier,
     function_carrier,
@@ -110,7 +117,7 @@ class _Homogeneous(GradedPoly):
         degrees = poly.degrees()
         if len(degrees) > 1:
             raise ValueError(f"inhomogeneous degrees {sorted(degrees)}")
-        super().__init__(carrier, poly.terms, _canonical=True)
+        _init(self, carrier, poly.nums, poly.den)
         object.__setattr__(self, "degree", degrees.pop() if degrees else 0)
 
     @property
@@ -131,7 +138,13 @@ class _Homogeneous(GradedPoly):
     def components(self) -> dict[tuple[tuple[int, ...], tuple[int, ...]], GradedPoly]:
         """Canonical components keyed by (bosonic index set, fermionic
         multiset with multiplicity); values are superfunctions."""
-        return _map_terms(self.terms, _component_term, (self.carrier, self.coords.functions))
+        source, fn = self.carrier, self.coords.functions
+        groups: dict = {}
+        for key, c in self.nums.items():
+            x_exps, xi, ao, ae = source.unpack(key)
+            fermi = tuple(i for i, e in ae for _ in range(e))
+            groups.setdefault((indices_of(ao), fermi), {})[fn.pack((x_exps, xi, 0, ()))] = c
+        return {comp: _element(GradedPoly, fn, *_normal(nums, self.den)) for comp, nums in groups.items()}
 
     def __repr__(self):
         return f"{type(self).__name__}(deg {self.degree}: {super().__repr__()})"
@@ -150,13 +163,6 @@ class SuperDensity(_Homogeneous):
 
     __slots__ = ()
     _kind = Kind.DENSITY
-
-
-def _component_term(key: int, c: int | CRat, carriers: tuple[Carrier, Carrier]):
-    source, fn = carriers
-    x_exps, xi, ao, ae = source.unpack(key)
-    fermi = tuple(i for i, e in ae for _ in range(e))
-    return (indices_of(ao), fermi), GradedPoly(fn, {fn.pack((x_exps, xi, 0, ())): c}, _canonical=True)
 
 
 @dataclass(frozen=True)
@@ -298,11 +304,16 @@ def op_mult(coords: CoordinateSystem, f) -> Operator:
     return _mult(coords, f, coords.forms)
 
 
-def _term_pass(carrier: Carrier, w: GradedPoly, rule) -> GradedPoly:
-    """The element whose terms rule(w.terms) yields, on w's own carrier."""
+def _require(carrier: Carrier, w: GradedPoly) -> None:
     if w.carrier != carrier:
         raise GeneratorMismatch(f"operand is not a {carrier.kind.value} over this patch")
-    return GradedPoly(carrier, _accumulate({}, rule(w.terms, carrier)), _canonical=True)
+
+
+def _term_pass(carrier: Carrier, w: GradedPoly, rule) -> GradedPoly:
+    """The element whose numerators rule(w.nums) yields over w's
+    denominator, on w's own carrier."""
+    _require(carrier, w)
+    return _element(GradedPoly, carrier, *_normal(_accumulate({}, rule(w.nums, carrier)), w.den))
 
 
 def _differential(coords: CoordinateSystem, w: GradedPoly) -> GradedPoly:
@@ -311,12 +322,24 @@ def _differential(coords: CoordinateSystem, w: GradedPoly) -> GradedPoly:
 
 
 def _contract(carrier: Carrier, comps, w: GradedPoly) -> GradedPoly:
-    """sum of comp * (derivative of w along the auxiliary (family, index))."""
-    out = GradedPoly.zero(carrier)
+    """sum of comp * (derivative of w along the auxiliary (family, index)),
+    accumulated into one term dict over the lcm of the comps' denominators."""
+    _require(carrier, w)
+    n, nu = carrier.n, carrier.nu
+    parts = []
     for comp, (fam, idx) in comps:
-        der = w.partial_aux_odd(idx) if fam == "ao" else w.partial_aux_even(idx)
-        out = out + comp * der
-    return out
+        if fam == "ao":
+            der = _map_terms(w.nums, _d_odd, 1 << (nu + idx - 1))
+        else:
+            der = _map_terms(w.nums, _d_field, carrier.shift(n + idx))
+        if der:
+            parts.append((_product(comp.nums, der, carrier), comp.den))
+    den = lcm(*(d for _, d in parts)) if parts else 1
+    out: dict = {}
+    for nums, d in parts:
+        f = den // d
+        _accumulate(out, nums.items() if f == 1 else ((k, c * f) for k, c in nums.items()))
+    return _element(GradedPoly, carrier, *_normal(out, den * w.den))
 
 
 def total_differential(coords: CoordinateSystem, f) -> GradedPoly:

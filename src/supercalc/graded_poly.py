@@ -45,15 +45,21 @@ algebra are term rules as well (`_exterior_d_terms`,
 image terms with the signs the products dx_a * dw/dx_a would carry, and
 no ring product.
 
-A coefficient is a nonzero exact scalar: a Python `int` or a
-`scalars.CRat`.  Integers enter as `int` (int operands, the basis
-elements' 1, seeded random draws) and int arithmetic keeps them there,
-in C; everything else is a `CRat`, and `CRat` arithmetic returns a
-`CRat` even when the value is an integer, with no demotion pass.
-`CRat(3) == 3` with equal hashes, so equality, hashing and printed
-bytes do not depend on which type holds a value, and a zero test is
-`not c`.  A scalar that leaves the library (a body, an integral, an
-inner product) is a `CRat`.
+An element stores integer numerators over one element denominator, as
+FLINT's `fmpq_poly` does (Hart, "FLINT: Fast Library for Number
+Theory", ICMS 2010): `nums` maps each key to a nonzero numerator, a
+Python `int` or, where complex arithmetic made it, a `scalars.CRat`
+with denominator 1 (a Gaussian integer), and `den >= 1` is one int for
+the whole element.  The form is canonical, gcd(den, every real and
+imaginary numerator part) == 1, so equality compares `den` and the
+dict.  Products, sums, derivatives, d and b run on the numerators, which
+stay ints in C for real coefficients, and every result divides out its
+content with one gcd in `_normal`, which costs nothing when den == 1.
+`.terms` is a read-only view of the values, computed on each access: an
+`int` when a value is an integer and a `CRat` otherwise.  `CRat(3) == 3`
+with equal hashes, so which type holds a value never shows.  A scalar
+that leaves the library (a body, an integral, an inner product) is a
+`CRat`.
 """
 
 from __future__ import annotations
@@ -62,10 +68,12 @@ import enum
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, reduce
+from math import gcd, lcm
 from operator import or_
+from types import MappingProxyType
 from typing import Iterable, Mapping
 
-from .scalars import CRat, _power
+from .scalars import CRat, _crat, _power
 
 FIELD = 32  # bits per exponent field of an even generator
 MAX_EXPONENT = (1 << (FIELD - 1)) - 1  # the top bit of a field is its guard
@@ -217,19 +225,77 @@ def density_carrier(n: int, nu: int) -> Carrier:
 
 # -- sparse term routines ---------------------------------------------------
 #
-# An element is a dict from int key to nonzero coefficient, an int or a CRat.
+# Term dicts map an int key to a nonzero numerator: an int, or a CRat with
+# denominator 1.  The routines below never see the element denominator,
+# except `_normal`, `_sum` and `_value`.
 
 _SCALARS = (int, Fraction, CRat)
 
 
-def _coefficient(value):
-    """A scalar as a term coefficient: an int or a CRat as it is, a bool
-    or a Fraction coerced to a CRat."""
-    return value if type(value) is int or type(value) is CRat else CRat.coerce(value)
+def _pair(value) -> tuple:
+    """A scalar as (numerator, denominator); a bool or a Fraction is
+    read as a CRat."""
+    c = value if type(value) is int or type(value) is CRat else CRat.coerce(value)
+    if type(c) is int:
+        return c, 1
+    return (c._a if not c._b else c if c._d == 1 else _crat(c._a, c._b, 1)), c._d
+
+
+def _value(c, den: int):
+    """The coefficient that the numerator c stands for over den: an int
+    when it is an integer, else a CRat."""
+    if type(c) is not int:
+        if c._b:
+            return c if den == 1 else _crat(c._a, c._b, den)
+        c = c._a  # a real result of Gaussian arithmetic
+    return c // den if not c % den else _crat(c, 0, den)
+
+
+def _numerators(carrier: Carrier, terms: Mapping) -> tuple[dict, int]:
+    """(nums, den) of a map from key to scalar, with one lcm pass; the
+    lcm of reduced denominators leaves no common content."""
+    pairs = {}
+    den = 1
+    for key, value in terms.items():
+        if not isinstance(key, int) or key & ~carrier.allowed:
+            raise ValueError(f"monomial key {key!r} outside {carrier}")
+        c, d = _pair(value)
+        if c:
+            pairs[key] = c, d
+            den = lcm(den, d)
+    return {key: c if d == den else c * (den // d) for key, (c, d) in pairs.items()}, den
+
+
+def _normal(nums: dict, den: int) -> tuple[dict, int]:
+    """(nums, den) with the content, gcd(den, every numerator part),
+    divided out; zero gets den 1.  Free when den == 1."""
+    if den == 1:
+        return nums, 1
+    g = den
+    for c in nums.values():
+        g = gcd(g, c) if type(c) is int else gcd(g, c._a, c._b)
+        if g == 1:
+            return nums, den
+    return {k: c // g if type(c) is int else _crat(c._a // g, c._b // g, 1) for k, c in nums.items()}, den // g
+
+
+def _sum(a: dict, da: int, b: dict, db: int, sign: int = 1) -> tuple[dict, int]:
+    """Numerators and denominator of a/da + sign * b/db over lcm(da, db),
+    before the content is divided out."""
+    if not a:
+        return (dict(b) if sign == 1 else {k: -c for k, c in b.items()}), db
+    if da == db:
+        out, fb = dict(a), sign
+    else:
+        den = lcm(da, db)
+        fa, fb = den // da, sign * (den // db)
+        out = {k: c * fa for k, c in a.items()} if fa != 1 else dict(a)
+        da = den
+    return _accumulate(out, b.items() if fb == 1 else ((k, c * fb) for k, c in b.items())), da
 
 
 def _accumulate(out: dict, terms) -> dict:
-    """Add (key, coefficient) pairs into `out`, dropping keys that cancel.
+    """Add (key, value) pairs into `out`, dropping keys that cancel.
 
     Incoming coefficients are nonzero, so only sums are tested for zero.
     """
@@ -247,7 +313,8 @@ def _accumulate(out: dict, terms) -> dict:
 
 
 def _map_terms(terms: dict, rule, arg) -> dict:
-    """Accumulate rule(key, coeff, arg) -> (key, coeff) | None over terms."""
+    """Accumulate rule(key, numerator, arg) -> (key, numerator) | None
+    over terms."""
     return _accumulate({}, filter(None, (rule(k, c, arg) for k, c in terms.items())))
 
 
@@ -289,14 +356,14 @@ def _product(a: dict, b: dict, carrier: Carrier) -> dict:
 # term rules for _map_terms
 
 
-def _d_odd(key: int, c: int | CRat, bit: int):
+def _d_odd(key: int, c, bit: int):
     """Left derivative along the odd generator `bit`: anticommute it past
     the odd generators below it, then drop it."""
     if key & bit:
         return key ^ bit, -c if (key & (bit - 1)).bit_count() & 1 else c
 
 
-def _d_field(key: int, c: int | CRat, shift: int):
+def _d_field(key: int, c, shift: int):
     """Derivative along the even generator whose field starts at `shift`."""
     e = key >> shift & _FIELD_MASK
     if e:
@@ -306,7 +373,7 @@ def _d_field(key: int, c: int | CRat, shift: int):
 # term generators for the differentials d and b
 
 
-def _exterior_d_terms(terms: Mapping[int, int | CRat], carrier: Carrier):
+def _exterior_d_terms(terms: Mapping, carrier: Carrier):
     """Terms of dw = sum_A dx^A (dw/dx^A) on the form algebra.  Putting the
     odd dx_a in front passes every odd generator below it (every xi and
     the lower dx); dxi_alpha is even, so only d/dxi_alpha's own prefix
@@ -329,7 +396,7 @@ def _exterior_d_terms(terms: Mapping[int, int | CRat], carrier: Carrier):
             yield raised, -c if (key & (bit - 1)).bit_count() & 1 else c
 
 
-def _divergence_terms(terms: Mapping[int, int | CRat], carrier: Carrier):
+def _divergence_terms(terms: Mapping, carrier: Carrier):
     """Terms of bw = sum_A d/dx^A applied to the first slot, the mirror of
     `_exterior_d_terms`: drop the x_a slot and lower x_a, or lower the
     xi_alpha slot and drop xi_alpha."""
@@ -360,33 +427,37 @@ def _degree_of_key(carrier: Carrier, key: int) -> int:
 
 
 class GradedPoly:
-    """Sparse element of the graded-commutative algebra of a carrier."""
+    """Sparse element of the graded-commutative algebra of a carrier:
+    `GradedPoly(carrier, {key: value})`, stored as `nums` over `den`."""
 
-    __slots__ = ("carrier", "terms")
+    __slots__ = ("carrier", "nums", "den")
+    _keeps_type = False  # whether arithmetic results keep the subclass
 
-    def __init__(self, carrier: Carrier, terms: Mapping[int, int | CRat] | None = None, _canonical=False):
-        object.__setattr__(self, "carrier", carrier)
-        if terms is None:
-            clean: dict[int, int | CRat] = {}
-        elif _canonical:
-            clean = terms  # a fresh dict, or the terms of another immutable element
-        else:
-            clean = {}
-            for key, c in terms.items():
-                if not isinstance(key, int) or key & ~carrier.allowed:
-                    raise ValueError(f"monomial key {key!r} outside {carrier}")
-                c = _coefficient(c)
-                if c:
-                    clean[key] = c
-        object.__setattr__(self, "terms", clean)
+    def __init__(self, carrier: Carrier, terms: Mapping | None = None):
+        nums, den = _numerators(carrier, terms) if terms else ({}, 1)
+        _init(self, carrier, nums, den)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
-    def _new(self, terms: dict) -> "GradedPoly":
-        """An element of this carrier with canonical terms: the type of
-        every result of arithmetic, which a subclass may keep."""
-        return GradedPoly(self.carrier, terms, _canonical=True)
+    def _new(self, nums: dict, den: int = 1) -> "GradedPoly":
+        """The element nums / den of this carrier, content divided out:
+        every result of arithmetic, of this type when the class keeps it
+        and a plain `GradedPoly` otherwise."""
+        if den != 1:
+            nums, den = _normal(nums, den)
+        x = _new_object(type(self) if self._keeps_type else GradedPoly)
+        _set_carrier(x, self.carrier)
+        _set_nums(x, nums)
+        _set_den(x, den)
+        return x
+
+    @property
+    def terms(self) -> Mapping:
+        """The coefficient of every key, read-only and computed from the
+        numerators on each access: an int when integral, else a CRat."""
+        den = self.den
+        return MappingProxyType({k: _value(c, den) for k, c in self.nums.items()})
 
     # -- constructors ---------------------------------------------------
 
@@ -396,8 +467,8 @@ class GradedPoly:
 
     @staticmethod
     def scalar(carrier: Carrier, value) -> "GradedPoly":
-        c = _coefficient(Fraction(value) if isinstance(value, str) else value)
-        return GradedPoly(carrier, {0: c} if c else {}, _canonical=True)
+        c, den = _pair(Fraction(value) if isinstance(value, str) else value)
+        return _element(GradedPoly, carrier, {0: c}, den) if c else GradedPoly(carrier)
 
     @staticmethod
     def unit(carrier: Carrier) -> "GradedPoly":
@@ -407,13 +478,13 @@ class GradedPoly:
     def coordinate(carrier: Carrier, a: int) -> "GradedPoly":
         if not 1 <= a <= carrier.n:
             raise ValueError(f"even coordinate index {a} outside 1..{carrier.n}")
-        return GradedPoly(carrier, {1 << carrier.shift(a): 1}, _canonical=True)
+        return _element(GradedPoly, carrier, {1 << carrier.shift(a): 1})
 
     @staticmethod
     def odd_coordinate(carrier: Carrier, alpha: int) -> "GradedPoly":
         if not 1 <= alpha <= carrier.nu:
             raise ValueError(f"odd coordinate index {alpha} outside 1..{carrier.nu}")
-        return GradedPoly(carrier, {1 << (alpha - 1): 1}, _canonical=True)
+        return _element(GradedPoly, carrier, {1 << (alpha - 1): 1})
 
     @staticmethod
     def aux_odd(carrier: Carrier, a: int) -> "GradedPoly":
@@ -422,7 +493,7 @@ class GradedPoly:
             raise ValueError("function carrier has no auxiliary generators")
         if not 1 <= a <= carrier.n:
             raise ValueError(f"auxiliary index {a} outside 1..{carrier.n}")
-        return GradedPoly(carrier, {1 << (carrier.nu + a - 1): 1}, _canonical=True)
+        return _element(GradedPoly, carrier, {1 << (carrier.nu + a - 1): 1})
 
     @staticmethod
     def aux_even(carrier: Carrier, alpha: int) -> "GradedPoly":
@@ -431,7 +502,7 @@ class GradedPoly:
             raise ValueError("function carrier has no auxiliary generators")
         if not 1 <= alpha <= carrier.nu:
             raise ValueError(f"auxiliary index {alpha} outside 1..{carrier.nu}")
-        return GradedPoly(carrier, {1 << carrier.shift(carrier.n + alpha): 1}, _canonical=True)
+        return _element(GradedPoly, carrier, {1 << carrier.shift(carrier.n + alpha): 1})
 
     # -- ring operations --------------------------------------------------
 
@@ -439,33 +510,34 @@ class GradedPoly:
         if self.carrier is not other.carrier and self.carrier != other.carrier:
             raise GeneratorMismatch(f"carriers differ: {self.carrier} vs {other.carrier}")
 
-    def _operand(self, other) -> dict | None:
-        """The terms of a scalar or of an element of this carrier; None
+    def _operand(self, other) -> tuple[dict, int] | None:
+        """(nums, den) of a scalar or of an element of this carrier; None
         for anything else."""
         if isinstance(other, GradedPoly):
             self._check(other)
-            return other.terms
+            return other.nums, other.den
         if isinstance(other, _SCALARS):
-            c = _coefficient(other)
-            return {0: c} if c else {}
+            c, den = _pair(other)
+            return ({0: c}, den) if c else ({}, 1)
         return None
 
     def __add__(self, other):
-        terms = self._operand(other)
-        if terms is None:
+        operand = self._operand(other)
+        if operand is None:
             return NotImplemented
-        return self._new(_accumulate(dict(self.terms), terms.items()))
+        return self._new(*_sum(self.nums, self.den, *operand))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return self._new({k: -c for k, c in self.terms.items()})
+        cls = type(self) if self._keeps_type else GradedPoly
+        return _element(cls, self.carrier, {k: -c for k, c in self.nums.items()}, self.den)
 
     def __sub__(self, other):
-        terms = self._operand(other)
-        if terms is None:
+        operand = self._operand(other)
+        if operand is None:
             return NotImplemented
-        return self._new(_accumulate(dict(self.terms), ((k, -c) for k, c in terms.items())))
+        return self._new(*_sum(self.nums, self.den, *operand, -1))
 
     def __rsub__(self, other):
         return (-self).__add__(other)
@@ -473,10 +545,10 @@ class GradedPoly:
     def __mul__(self, other):
         if isinstance(other, GradedPoly):
             self._check(other)
-            return self._new(_product(self.terms, other.terms, self.carrier))
+            return self._new(_product(self.nums, other.nums, self.carrier), self.den * other.den)
         if isinstance(other, _SCALARS):
-            c = _coefficient(other)
-            return self._new({k: v * c for k, v in self.terms.items()} if c else {})
+            c, den = _pair(other)
+            return self._new({k: v * c for k, v in self.nums.items()} if c else {}, self.den * den)
         return NotImplemented
 
     __rmul__ = __mul__  # reached only with a scalar on the left, which commutes
@@ -486,40 +558,42 @@ class GradedPoly:
 
     def __eq__(self, other):
         if isinstance(other, GradedPoly):
-            return self.carrier == other.carrier and self.terms == other.terms
+            return self.carrier == other.carrier and self.den == other.den and self.nums == other.nums
         if isinstance(other, _SCALARS):
-            return self.terms == self._operand(other)
+            nums, den = self._operand(other)
+            return self.den == den and self.nums == nums
         return NotImplemented
 
     def __hash__(self):
         """A scalar element (every key 0, zero included) hashes as its
         scalar, since it compares equal to it."""
-        terms = self.terms
-        if not terms:
+        nums = self.nums
+        if not nums:
             return hash(0)
-        if len(terms) == 1 and 0 in terms:
-            return hash(terms[0])
-        return hash((self.carrier, frozenset(terms.items())))
+        if len(nums) == 1 and 0 in nums:
+            return hash(_value(nums[0], self.den))
+        return hash((self.carrier, self.den, frozenset(nums.items())))
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.nums
 
     # -- structure ------------------------------------------------------
 
     def parity(self) -> Parity:
         """EVEN, ODD or MIXED; zero counts as even."""
-        seen = {(k & self.carrier.odd).bit_count() & 1 for k in self.terms}
+        seen = {(k & self.carrier.odd).bit_count() & 1 for k in self.nums}
         return Parity.MIXED if len(seen) > 1 else Parity.ODD if 1 in seen else Parity.EVEN
 
     def degrees(self) -> set[int]:
         """Auxiliary degrees present (form degree / density degree)."""
-        return {_degree_of_key(self.carrier, k) for k in self.terms}
+        return {_degree_of_key(self.carrier, k) for k in self.nums}
 
     def degree_part(self, p: int) -> "GradedPoly":
-        return self._new({k: c for k, c in self.terms.items() if _degree_of_key(self.carrier, k) == p})
+        return self._new({k: c for k, c in self.nums.items() if _degree_of_key(self.carrier, k) == p}, self.den)
 
     def parity_part(self, parity: int) -> "GradedPoly":
-        return self._new({k: c for k, c in self.terms.items() if (k & self.carrier.odd).bit_count() & 1 == parity})
+        nums = {k: c for k, c in self.nums.items() if (k & self.carrier.odd).bit_count() & 1 == parity}
+        return self._new(nums, self.den)
 
     # -- derivations ------------------------------------------------------
 
@@ -530,7 +604,8 @@ class GradedPoly:
         if not 1 <= index <= count:
             raise ValueError(f"index {index} outside 1..{count}")
         k = offset + index
-        return self._new(_map_terms(self.terms, rule, 1 << (k - 1) if rule is _d_odd else self.carrier.shift(k)))
+        arg = 1 << (k - 1) if rule is _d_odd else self.carrier.shift(k)
+        return self._new(_map_terms(self.nums, rule, arg), self.den)
 
     def partial_x(self, a: int) -> "GradedPoly":
         """d/dx_a, an even derivation."""
@@ -558,9 +633,9 @@ class GradedPoly:
         keys do not move."""
         if (carrier.n, carrier.nu) != (self.carrier.n, self.carrier.nu):
             raise GeneratorMismatch("carriers cover different coordinate patches")
-        if self.terms and reduce(or_, self.terms) & ~carrier.allowed:
+        if self.nums and reduce(or_, self.nums) & ~carrier.allowed:
             raise ValueError(f"element has generators outside {carrier}")
-        return GradedPoly(carrier, self.terms, _canonical=True)
+        return _element(GradedPoly, carrier, self.nums, self.den)
 
     def coefficient_function(self) -> "GradedPoly":
         """Drop to the function carrier; requires degree 0."""
@@ -569,7 +644,7 @@ class GradedPoly:
     # -- rendering --------------------------------------------------------
 
     def __repr__(self):
-        if not self.terms:
+        if not self.nums:
             return "0"
         ao_label, ae_label = self.carrier.aux_labels()
         bits = []
@@ -585,6 +660,28 @@ class GradedPoly:
             mono_txt = "*".join(factors) if factors else "1"
             bits.append(f"({c})*{mono_txt}")
         return " + ".join(bits)
+
+
+_new_object = object.__new__
+_set_carrier = GradedPoly.carrier.__set__
+_set_nums = GradedPoly.nums.__set__
+_set_den = GradedPoly.den.__set__
+
+
+def _init(x: GradedPoly, carrier: Carrier, nums: dict, den: int) -> None:
+    """Fill the slots of x with canonical numerators and denominator."""
+    _set_carrier(x, carrier)
+    _set_nums(x, nums)
+    _set_den(x, den)
+
+
+def _element(cls, carrier: Carrier, nums: dict, den: int = 1) -> GradedPoly:
+    """An element of class cls from numerators already in canonical form."""
+    x = _new_object(cls)
+    _set_carrier(x, carrier)
+    _set_nums(x, nums)
+    _set_den(x, den)
+    return x
 
 
 def _print_order(term):
@@ -604,10 +701,10 @@ def split_xi(f: GradedPoly) -> dict[int, GradedPoly]:
         raise TypeError(f"{f.carrier} is not a function carrier")
     nu = f.carrier.nu
     groups: dict[int, dict] = {}
-    for key, c in f.terms.items():
+    for key, c in f.nums.items():
         groups.setdefault(key & ((1 << nu) - 1), {})[key >> nu] = c
     ring = function_carrier(f.carrier.n, 0)
-    return {mask: GradedPoly(ring, terms, _canonical=True) for mask, terms in groups.items()}
+    return {mask: _element(GradedPoly, ring, *_normal(nums, f.den)) for mask, nums in groups.items()}
 
 
 def join_xi(mask: int, key: int, nu: int) -> int:

@@ -4,9 +4,10 @@ supernumbers.
 A supernumber is a superfunction of the patch with no even coordinates:
 `Supernumber` is a `graded_poly.GradedPoly` on `function_carrier(0, N)`,
 whose packed monomial key is exactly the generator bitmask (bit k set =
-generator x_{k+1} present).  So `.terms` maps masks to the kernel's
-exact coefficients (an `int` or a `CRat`), every reordering sign is
-absorbed into the coefficient, and equality is exact.  Its ring
+generator x_{k+1} present).  So `.terms` maps masks to the exact
+coefficients (an `int` or a `CRat`, a view of the kernel's numerators
+over one denominator), every reordering sign is absorbed into the
+coefficient, and equality is exact.  Its ring
 operations and its left derivative (`partial_xi`) are those of the one
 kernel; every result of arithmetic on a supernumber is a supernumber.
 
@@ -22,8 +23,8 @@ import json
 from typing import Mapping
 
 # GeneratorMismatch and Parity are kernel names that callers import from here too
-from .graded_poly import GeneratorMismatch, GradedPoly, Parity, _coefficient, function_carrier, indices_of, mask_of
-from .scalars import CRat
+from .graded_poly import GeneratorMismatch, GradedPoly, Parity, _element, _pair, function_carrier, indices_of, mask_of
+from .scalars import CRat, _crat
 
 MultiIndex = tuple[int, ...]
 
@@ -51,21 +52,15 @@ class Supernumber(GradedPoly):
     """Element of Lambda_N over Q(i): `Supernumber(N, {mask: c})`."""
 
     __slots__ = ()
+    _keeps_type = True
 
-    def __init__(self, n: int, terms: Mapping[int, int | CRat] | None = None, _canonical=False):
+    def __init__(self, n: int, terms: Mapping[int, object] | None = None):
         if n < 0:
             raise ValueError("generator count must be >= 0")
-        if not _canonical:
-            for mask in terms or ():
-                if not 0 <= mask < 1 << n:
-                    raise ValueError(f"mask {mask} outside 0..{(1 << n) - 1} for {n} generators")
-        super().__init__(function_carrier(0, n), terms, _canonical)
-
-    def _new(self, terms: dict) -> "Supernumber":
-        z = object.__new__(Supernumber)
-        object.__setattr__(z, "carrier", self.carrier)
-        object.__setattr__(z, "terms", terms)
-        return z
+        for mask in terms or ():
+            if not 0 <= mask < 1 << n:
+                raise ValueError(f"mask {mask} outside 0..{(1 << n) - 1} for {n} generators")
+        super().__init__(function_carrier(0, n), terms)
 
     @property
     def n(self) -> int:
@@ -76,11 +71,12 @@ class Supernumber(GradedPoly):
 
     @staticmethod
     def from_indices(n: int, terms: Mapping[MultiIndex, object]) -> "Supernumber":
-        return Supernumber(n, {mask_of(idx, n): _coefficient(c) for idx, c in terms.items()})
+        return Supernumber(n, {mask_of(idx, n): c for idx, c in terms.items()})
 
     @staticmethod
     def scalar(n: int, value) -> "Supernumber":
-        return Supernumber(n, {0: _coefficient(value)})
+        c, den = _pair(value)
+        return _element(Supernumber, function_carrier(0, n), {0: c} if c else {}, den)
 
     @staticmethod
     def unit(n: int) -> "Supernumber":
@@ -92,7 +88,7 @@ class Supernumber(GradedPoly):
 
     @staticmethod
     def generator(n: int, index: int) -> "Supernumber":
-        return Supernumber(n, {mask_of((index,), n): 1}, _canonical=True)
+        return _element(Supernumber, function_carrier(0, n), {mask_of((index,), n): 1})
 
     @staticmethod
     def generators(n: int) -> list["Supernumber"]:
@@ -101,10 +97,11 @@ class Supernumber(GradedPoly):
     # -- structure maps -----------------------------------------------
 
     def body(self) -> CRat:
-        return CRat.coerce(self.terms.get(0, 0))
+        c = self.nums.get(0, 0)
+        return _crat(c, 0, self.den) if type(c) is int else _crat(c._a, c._b, self.den)
 
     def soul(self) -> "Supernumber":
-        return self._new({m: c for m, c in self.terms.items() if m})
+        return self._new({m: c for m, c in self.nums.items() if m}, self.den)
 
     def even_part(self) -> "Supernumber":
         return self.parity_part(0)
@@ -137,23 +134,21 @@ class Supernumber(GradedPoly):
         reverses each generator monomial, i.e. multiplies a degree-p term
         by (-1)^{p(p-1)/2}.
         """
-        out: dict[int, int | CRat] = {}
-        for m, c in self.terms.items():
+        out = {}
+        for m, c in self.nums.items():
             cc = c.conjugate()
             if convention is Convention.DEWITT:
                 p = m.bit_count()
                 if (p * (p - 1) // 2) & 1:
                     cc = -cc
             out[m] = cc
-        return self._new(out)
+        return _element(Supernumber, self.carrier, out, self.den)
 
     # -- rendering ----------------------------------------------------
 
     def sorted_terms(self) -> list[tuple[MultiIndex, CRat]]:
-        return [
-            (indices_of(m), self.terms[m])
-            for m in sorted(self.terms, key=lambda m: (m.bit_count(), indices_of(m)))
-        ]
+        terms = self.terms
+        return [(indices_of(m), terms[m]) for m in sorted(terms, key=lambda m: (m.bit_count(), indices_of(m)))]
 
     def __repr__(self):
         return f"Supernumber({self.n}, {format_supernumber(self)!r})"

@@ -179,7 +179,7 @@ def _rebuild(coords: CoordinateSystem, cls, comps: dict[int, GradedPoly]):
         for mask, coeff in comps.items()
         for key, c in coeff.terms.items()
     }
-    return cls(coords, GradedPoly(carrier, terms, _canonical=True))
+    return cls(coords, GradedPoly(carrier, terms))
 
 
 # -- the correspondence C_g ----------------------------------------------

@@ -7,9 +7,11 @@ canonical term dicts: each monomial's factors are drawn one at a time and
 their reordering sign is tracked as they arrive, instead of multiplying
 one-term ring elements together.  The draws, and so every downstream
 trial, are those of that product construction, which
-``tests/test_builders.py`` keeps as the reference.  A drawn coefficient
-that is a real integer is a plain `int`, the kernel's convention;
-otherwise it is a `CRat`.
+``tests/test_builders.py`` keeps as the reference.  The builders write
+the kernel's stored form directly: every drawn coefficient is a
+numerator over the one denominator 6, the lcm of the drawn denominators,
+and each element divides out its content once.  Integer draws go through
+`_randint`, which consumes the generator exactly as `randint` does.
 """
 
 from __future__ import annotations
@@ -19,31 +21,53 @@ from fractions import Fraction
 
 from . import exactmat
 from .forms import CoordinateSystem, SuperDensity, SuperForm, SuperVectorField
-from .graded_poly import GradedPoly, _accumulate, function_carrier, join_xi, merge_sign
+from .graded_poly import GradedPoly, _accumulate, _element, _normal, function_carrier, join_xi, merge_sign
 from .grassmann import Supernumber
 from .matrices import GradedMatrix, ParitySignature
 from .polynomials import Polynomial
 from .scalars import CRat, _crat
 
 
+_DEN = 6  # the lcm of the drawn denominators 1, 2 and 3
+
+
+def _randint(rng: random.Random, a: int, b: int) -> int:
+    """`rng.randint(a, b)` with the same draws: the getrandbits rejection
+    loop of CPython's `Random._randbelow_with_getrandbits`, without the
+    argument handling of `randint` and `randrange`."""
+    n = b - a + 1
+    k = n.bit_length()
+    r = rng.getrandbits(k)
+    while r >= n:
+        r = rng.getrandbits(k)
+    return a + r
+
+
 def rational(rng: random.Random, span: int = 4, den: int = 3) -> Fraction:
-    return Fraction(rng.randint(-span, span), rng.randint(1, den))
+    return Fraction(_randint(rng, -span, span), _randint(rng, 1, den))
 
 
 def crat(rng: random.Random, span: int = 4, complex_ok: bool = True) -> CRat:
-    return CRat.coerce(_draw_coefficient(rng, span, complex_ok))
+    c = _draw(rng, span, complex_ok)
+    return _crat(c, 0, _DEN) if type(c) is int else _crat(c._a, c._b, _DEN)
 
 
-def _draw_coefficient(rng: random.Random, span: int = 4, complex_ok: bool = True) -> int | CRat:
-    """The value and the draws of `crat` as a term coefficient: (a/d) +
-    (b/e) i from two `rational` draws, the second on 40% of complex_ok
-    draws; an int when the value is a real integer."""
-    a, d = rng.randint(-span, span), rng.randint(1, 3)
+def _draw(rng: random.Random, span: int = 4, complex_ok: bool = True) -> int | CRat:
+    """The draws of `crat` as a numerator over _DEN: (a/d) + (b/e) i from
+    two `rational` draws, the second on 40% of complex_ok draws; an int
+    for a real value, else a Gaussian-integer CRat."""
+    a, d = _randint(rng, -span, span), _randint(rng, 1, 3)
     if complex_ok and rng.random() < 0.4:
-        b, e = rng.randint(-span, span), rng.randint(1, 3)
+        b, e = _randint(rng, -span, span), _randint(rng, 1, 3)
         if b:
-            return _crat(a * e, b * d, d * e)
-    return a // d if not a % d else _crat(a, 0, d)
+            return _crat(a * (_DEN // d), b * (_DEN // e), 1)
+    return a * (_DEN // d)
+
+
+def _over_den(cls, carrier, nums: dict):
+    """The element of class cls with the numerators nums over _DEN; zero
+    numerators are dropped."""
+    return _element(cls, carrier, *_normal({k: c for k, c in nums.items() if c}, _DEN))
 
 
 def supernumber(
@@ -55,27 +79,36 @@ def supernumber(
 ) -> Supernumber:
     data: dict = {}
     for _ in range(terms):
-        mask = rng.randrange(1 << n)
-        data[mask] = data.get(mask, 0) + _draw_coefficient(rng, complex_ok=complex_ok)
+        mask = _randint(rng, 0, (1 << n) - 1)
+        data[mask] = data.get(mask, 0) + _draw(rng, complex_ok=complex_ok)
     if ensure_body and not data.get(0):
-        data[0] = rng.randint(1, 4)
-    return Supernumber(n, data)
+        data[0] = _randint(rng, 1, 4) * _DEN
+    return _over_den(Supernumber, function_carrier(0, n), data)
 
 
 def homogeneous_supernumber(rng: random.Random, n: int, parity: int, terms: int = 4) -> Supernumber:
     data: dict = {}
     masks = [m for m in range(1 << n) if m.bit_count() % 2 == parity]
     for _ in range(terms):
-        data[rng.choice(masks)] = _draw_coefficient(rng)
-    return Supernumber(n, data)
+        data[rng.choice(masks)] = _draw(rng)
+    return _over_den(Supernumber, function_carrier(0, n), data)
 
 
 def polynomial(rng: random.Random, n: int, max_degree: int = 2, terms: int = 3) -> Polynomial:
+    return _over_den(Polynomial, function_carrier(n, 0), _polynomial_nums(rng, n, max_degree, terms))
+
+
+def _polynomial_nums(rng: random.Random, n: int, max_degree: int, terms: int) -> dict:
+    """Numerators over _DEN of `polynomial`: `terms` draws of an exponent
+    tuple and a coefficient, a repeated tuple keeping the last."""
+    carrier = function_carrier(n, 0)
     data = {}
     for _ in range(terms):
-        exps = tuple(rng.randint(0, max_degree) for _ in range(n))
-        data[exps] = _draw_coefficient(rng, complex_ok=False)
-    return Polynomial(n, data)
+        exps = tuple(_randint(rng, 0, max_degree) for _ in range(n))
+        data[carrier.pack((tuple((i, e) for i, e in enumerate(exps, 1) if e), 0, 0, ()))] = _draw(
+            rng, complex_ok=False
+        )
+    return data
 
 
 def mixed_function(
@@ -85,10 +118,10 @@ def mixed_function(
     xi mask and a polynomial, summed."""
     data: dict = {}
     for _ in range(terms):
-        mask = rng.randrange(1 << nu)
-        poly = polynomial(rng, n, max_degree)
-        _accumulate(data, ((join_xi(mask, key, nu), c) for key, c in poly.terms.items()))
-    return GradedPoly(function_carrier(n, nu), data, _canonical=True)
+        mask = _randint(rng, 0, (1 << nu) - 1)
+        poly = _polynomial_nums(rng, n, max_degree, 3)
+        _accumulate(data, ((join_xi(mask, key, nu), c) for key, c in poly.items() if c))
+    return _over_den(GradedPoly, function_carrier(n, nu), data)
 
 
 def superfunction(
@@ -100,33 +133,34 @@ def superfunction(
 ) -> GradedPoly:
     fc = coords.functions
     found = _function_terms(rng, coords, terms, max_degree)
-    out = GradedPoly(fc, {fc.pack((x, xi, 0, ())): c for (x, xi), c in found.items()}, _canonical=True)
+    out = _over_den(GradedPoly, fc, {fc.pack((x, xi, 0, ())): c for (x, xi), c in found.items()})
     if parity is not None:
         out = out.parity_part(parity)
         if out.is_zero() and parity == 0:
-            out = GradedPoly.scalar(fc, rng.randint(1, 3))
+            out = GradedPoly.scalar(fc, _randint(rng, 1, 3))
         if out.is_zero() and parity == 1 and coords.nu:
-            out = GradedPoly.odd_coordinate(fc, rng.randint(1, coords.nu))
+            out = GradedPoly.odd_coordinate(fc, _randint(rng, 1, coords.nu))
     return out
 
 
 def _function_terms(rng: random.Random, coords: CoordinateSystem, terms: int = 4, max_degree: int = 2) -> dict:
-    """Terms of a sum of `terms` random monomials c * x_a ... * xi_alpha ...,
-    keyed by (x exponents, xi mask), each factor drawn in turn; a repeated
-    xi kills its monomial, whose remaining factors are still drawn."""
+    """Numerators over _DEN of a sum of `terms` random monomials
+    c * x_a ... * xi_alpha ..., keyed by (x exponents, xi mask), each
+    factor drawn in turn; a repeated xi kills its monomial, whose
+    remaining factors are still drawn."""
     found = []
     for _ in range(terms):
-        c = _draw_coefficient(rng, complex_ok=False)
+        c = _draw(rng, complex_ok=False)
         x: dict[int, int] = {}
-        for _ in range(rng.randint(0, max_degree)):
+        for _ in range(_randint(rng, 0, max_degree)):
             if coords.n:
-                a = rng.randint(1, coords.n)
+                a = _randint(rng, 1, coords.n)
                 x[a] = x.get(a, 0) + 1
         xi = 0
         dead = not c
         if coords.nu:
-            for _ in range(rng.randint(0, min(coords.nu, 2))):
-                bit = 1 << (rng.randint(1, coords.nu) - 1)
+            for _ in range(_randint(rng, 0, min(coords.nu, 2))):
+                bit = 1 << (_randint(rng, 1, coords.nu) - 1)
                 if xi & bit:
                     dead = True
                 elif merge_sign(xi, bit) < 0:
@@ -160,11 +194,11 @@ def _homogeneous(rng: random.Random, coords: CoordinateSystem, degree: int, blad
         while d < degree and guard < 30:
             guard += 1
             if coords.nu and (not coords.n or rng.random() < 0.5):
-                alpha = rng.randint(1, coords.nu)
+                alpha = _randint(rng, 1, coords.nu)
                 ae[alpha] = ae.get(alpha, 0) + 1
                 d += 1
             elif coords.n:
-                bit = 1 << (rng.randint(1, coords.n) - 1)
+                bit = 1 << (_randint(rng, 1, coords.n) - 1)
                 if ao & bit:
                     continue  # repeated bosonic differential
                 negative ^= merge_sign(ao, bit) < 0
@@ -175,7 +209,7 @@ def _homogeneous(rng: random.Random, coords: CoordinateSystem, degree: int, blad
         ae_exps = tuple(sorted(ae.items()))
         f = _function_terms(rng, coords)
         _accumulate(acc, ((carrier.pack((x, xi, ao, ae_exps)), -c if negative else c) for (x, xi), c in f.items()))
-    return cls(coords, GradedPoly(carrier, acc, _canonical=True))
+    return cls(coords, _over_den(GradedPoly, carrier, acc))
 
 
 def vector_field(rng: random.Random, coords: CoordinateSystem, parity: int) -> SuperVectorField:
@@ -201,8 +235,8 @@ def _invertible(rng: random.Random, size: int, shape) -> list[list[Fraction]]:
 
 
 def parity_signature(rng: random.Random, max_size: int = 4) -> ParitySignature:
-    even = rng.randint(0, max_size - 1)
-    odd = rng.randint(max(0, 1 - even), max_size - even)
+    even = _randint(rng, 0, max_size - 1)
+    odd = _randint(rng, max(0, 1 - even), max_size - even)
     return ParitySignature.of(even, odd)
 
 

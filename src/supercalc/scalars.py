@@ -10,9 +10,12 @@ Floating point only enters through the quadrature path.
 
 A plain `int` on either side of +, - or * is used as it is, with no
 `CRat` built for it, and every result of `CRat` arithmetic is a `CRat`.
-`CRat(3) == 3` with equal hashes, which lets the term dicts of the
-graded kernel hold a coefficient either as an `int` or as a `CRat`
-(see `graded_poly`); a scalar that the library returns is a `CRat`.
+The graded kernel stores int numerators over one element denominator
+and uses a `CRat` with d == 1 only as a Gaussian-integer numerator (see
+`graded_poly`); its `.terms` view reads a value as an `int` when it is
+an integer and as a `CRat` otherwise.  `CRat(3) == 3` with equal hashes,
+so which type holds a value never shows; a scalar that the library
+returns is a `CRat`.
 """
 
 from __future__ import annotations

@@ -950,8 +950,9 @@ def run_fock(
         f, g = random_state(), random_state()
         dp = dual_product(translate(f, "density"), translate(g, "form"))
         want = CRat(0)
+        g_terms = g.terms
         for mono, cf in f.terms.items():
-            cg = g.terms.get(mono)
+            cg = g_terms.get(mono)
             if cg is None:
                 continue
             weight = 1

@@ -235,3 +235,13 @@ def test_current_matches_permutation_sum():
                     acc = exactmat.madd(acc, exactmat.mscale(prod, (-1) ** inversions))
                 want = exactmat.mscale(acc, Fraction(1, math.factorial(p)))
                 assert exactmat.mat_eq(got, want), (d, indices)
+
+
+def test_gamma_matrices_hold_crat_entries():
+    """`matrix_of` coerces every entry, so an integer-valued gamma still
+    reaches `exactmat` with `CRat` entries, and a zero one is `ZERO`."""
+    for ctx in (Metric.identity(2), Metric.minkowski(4)):
+        for upper in (True, False):
+            for m in gamma_matrices(ctx, upper):
+                assert all(type(x) is CRat for row in m for x in row)
+                assert all(x is exactmat.ZERO for row in m for x in row if not x)

@@ -1,11 +1,13 @@
 """The coefficient convention of the term dicts.
 
-A kernel coefficient is a nonzero `int` or a `CRat`: integers enter and
-stay as `int`, everything else is a `CRat`.  `CRat(3) == 3` with equal
-hashes, so which type holds a value must never show: elements built
-with int coefficients and with `CRat(int)` coefficients compare and
-hash equal and print the same bytes.  A scalar element hashes as its
-scalar, and every scalar that leaves the library is a `CRat`.
+An element stores int numerators (a `CRat` Gaussian integer for a value
+with an imaginary part) over one denominator, and `.terms` reads a
+coefficient as an `int` when it is an integer and a `CRat` otherwise.
+`CRat(3) == 3` with equal hashes, so which type a value was given as
+must never show: elements built with int coefficients and with
+`CRat(int)` coefficients store the same numerators, compare and hash
+equal and print the same bytes.  A scalar element hashes as its scalar,
+and every scalar that leaves the library is a `CRat`.
 """
 
 import random
@@ -64,7 +66,7 @@ def test_int_and_crat_coefficients_agree(n, nu):
     for _ in range(4):
         for f in int_elements(rng, n, nu):
             g = as_crat(f)
-            assert all(type(c) is CRat for c in g.terms.values())
+            assert (g.nums, g.den) == (f.nums, f.den)
             assert f == g and g == f and hash(f) == hash(g)
             assert repr(f) == repr(g)
             assert f * f == g * g == f * g and hash(f * f) == hash(g * g)
@@ -79,8 +81,9 @@ def test_int_and_crat_coefficients_agree(n, nu):
 
 
 def test_seeded_elements_hold_int_coefficients():
-    """The convention is the point of the change: integer draws and int
-    arithmetic store `int`, so they run in C."""
+    """The convention is the point of the representation: integer draws
+    and int arithmetic store `int`, so they run in C, and an integral
+    value reads as an `int` whatever type it was given as."""
     rng = random.Random(3)
     coords = CoordinateSystem(2, 2)
     f, g = rg.superfunction(rng, coords, terms=8), rg.superfunction(rng, coords, terms=8)
@@ -92,8 +95,8 @@ def test_seeded_elements_hold_int_coefficients():
     for basis in (GradedPoly.unit(fc), coords.x(1), coords.xi(2), coords.dx(1), coords.dxi(1), Supernumber.generator(3, 2)):
         assert [type(c) for c in basis.terms.values()] == [int]
     assert [type(c) for c in (coords.x(1) ** 0).terms.values()] == [int]
-    assert [type(c) for c in GradedPoly.scalar(fc, True).terms.values()] == [CRat]
-    assert [type(c) for c in GradedPoly.scalar(fc, Fraction(3)).terms.values()] == [CRat]
+    assert [type(c) for c in GradedPoly.scalar(fc, True).terms.values()] == [int]
+    assert [type(c) for c in GradedPoly.scalar(fc, Fraction(3)).terms.values()] == [int]
     assert GradedPoly.scalar(fc, True) == GradedPoly.scalar(fc, 1) == GradedPoly.scalar(fc, Fraction(1))
 
 
@@ -181,10 +184,10 @@ def test_scalars_leaving_the_library_are_crat():
     assert inner_product(s, s) == 5
     assert type(dual_product(translate(s, "density"), translate(s, "form"))) is CRat
 
-    # exactmat on a matrix of int entries from clifford.matrix_of
+    # exactmat on matrices of integer values from clifford.matrix_of
     for dim in (1, 2, 3):
         m = matrix_of(reversal, dim)
-        assert any(type(x) is int for row in m for x in row)
+        assert all(type(x) is CRat for row in m for x in row)
         det = exactmat.det(m)
         assert type(det) is CRat and det in (1, -1)
         inv = exactmat.inverse(m)
@@ -192,7 +195,7 @@ def test_scalars_leaving_the_library_are_crat():
         assert exactmat.mat_eq(inv, m)
         assert exactmat.mat_eq(exactmat.matmul(m, inv), exactmat.identity(1 << dim))
     gamma = matrix_of(lambda w: Supernumber.generator(2, 1) * w + grassmann_derivative(w, 1), 2)
-    assert all(type(x) is int for row in gamma for x in row if x is not exactmat.ZERO)
+    assert all(type(x) is CRat for row in gamma for x in row)
     assert type(exactmat.det(gamma)) is CRat and exactmat.det(gamma) == 1
     assert exactmat.mat_eq(exactmat.inverse(gamma), gamma)
     assert type(exactmat.minor_det(gamma, [0, 1], [0, 1])) is CRat

@@ -18,6 +18,7 @@ from supercalc.forms import (
     integrate_density,
     lie_derivative,
     op_divergence,
+    op_e_density,
     op_e_form,
     op_i_form,
     pairing,
@@ -303,3 +304,17 @@ def test_each_scope_is_load_bearing():
         for w in forms
     ]
     assert any(not dev.is_zero() for dev in unsigned)
+
+
+def test_contraction_operators_refuse_the_other_carrier():
+    """i(X) on forms and e(F) on densities take only their own carrier."""
+    c = CoordinateSystem(2, 1)
+    x = SuperVectorField.coordinate_basis(c, ("x", 1))
+    f = c.x(1) * c.x(2) + c.x(1)
+    form = c.dx(1) * c.dxi(1) * 3
+    density = GradedPoly.aux_odd(c.densities, 1) * GradedPoly.aux_even(c.densities, 1)
+    for op, wrong in ((op_i_form(x), density), (op_e_density(c, f), form)):
+        for operand in (wrong, c.x(1) * c.xi(1)):
+            with pytest.raises(GeneratorMismatch):
+                op(operand)
+    assert not op_i_form(x)(form).is_zero() and not op_e_density(c, f)(density).is_zero()

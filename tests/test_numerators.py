@@ -1,0 +1,209 @@
+"""The stored form of the graded kernel: integer numerators over one
+element denominator.
+
+A reference model keeps every coefficient as a pair of `Fraction`s (real
+and imaginary part) and runs the kernel's term rules on those values:
+products, sums, the partial derivatives, d and b.  On seeded elements of
+every carrier kind over 0 <= n, nu <= 3, with rational and Gaussian
+coefficients, the kernel must give the same values, `==` must agree
+with the model and equal elements must hash equal.  Every result must
+be canonical: den > 0, no zero numerator, gcd(den, every numerator part)
+== 1, and den == 1 exactly when every value is a Gaussian integer.
+
+`randomgen._randint` must consume a generator exactly as
+`random.Random.randint` does, since every seeded trial depends on it.
+"""
+
+import random
+from fractions import Fraction
+from math import gcd
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from supercalc import randomgen as rg
+from supercalc.forms import CoordinateSystem, op_d_form, op_divergence
+from supercalc.graded_poly import (
+    GradedPoly,
+    _accumulate,
+    _d_field,
+    _d_odd,
+    _divergence_terms,
+    _exterior_d_terms,
+    _map_terms,
+    _product,
+    density_carrier,
+    form_carrier,
+    function_carrier,
+)
+from supercalc.grassmann import Supernumber
+from supercalc.scalars import CRat
+
+
+class Q:
+    """A value of Q(i) as two Fractions, for the reference model."""
+
+    __slots__ = ("re", "im")
+
+    def __init__(self, re, im=0):
+        self.re, self.im = Fraction(re), Fraction(im)
+
+    def __add__(self, other):
+        other = q(other)
+        return Q(self.re + other.re, self.im + other.im)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return Q(-self.re, -self.im)
+
+    def __sub__(self, other):
+        return self + -q(other)
+
+    def __mul__(self, other):
+        other = q(other)
+        return Q(self.re * other.re - self.im * other.im, self.re * other.im + self.im * other.re)
+
+    __rmul__ = __mul__
+
+    def __bool__(self):
+        return bool(self.re or self.im)
+
+    def __eq__(self, other):
+        other = q(other)
+        return self.re == other.re and self.im == other.im
+
+    def crat(self) -> CRat:
+        return CRat(self.re, self.im)
+
+
+def q(value) -> Q:
+    if isinstance(value, Q):
+        return value
+    if isinstance(value, CRat):
+        return Q(value.re, value.im)
+    return Q(value)
+
+
+def draw_value(rng: random.Random) -> Q:
+    """A rational, sometimes Gaussian, value with small denominators."""
+    re = Fraction(rng.randint(-6, 6), rng.randint(1, 6))
+    im = Fraction(rng.randint(-6, 6), rng.randint(1, 6)) if rng.random() < 0.3 else 0
+    return Q(re, im)
+
+
+def draw_model(rng: random.Random, carrier, terms: int) -> dict:
+    """{key: Q} with random monomials of the carrier; some values cancel."""
+    aux = carrier.kind.value != "function"
+    out: dict = {}
+    for _ in range(terms):
+        x = tuple((i, rng.randint(1, 2)) for i in range(1, carrier.n + 1) if rng.random() < 0.5)
+        xi = rng.randrange(1 << carrier.nu)
+        ao = rng.randrange(1 << carrier.n) if aux else 0
+        ae = tuple((i, rng.randint(1, 2)) for i in range(1, carrier.nu + 1) if aux and rng.random() < 0.4)
+        value = draw_value(rng)
+        if value:
+            _accumulate(out, [(carrier.pack((x, xi, ao, ae)), value)])
+    return out
+
+
+def element(carrier, model: dict) -> GradedPoly:
+    return GradedPoly(carrier, {k: v.crat() for k, v in model.items()})
+
+
+def assert_canonical(f: GradedPoly):
+    assert type(f.den) is int and f.den >= 1
+    parts = []
+    for c in f.nums.values():
+        assert c, "a zero numerator is stored"
+        if type(c) is int:
+            parts.append(c)
+        else:
+            assert type(c) is CRat and c._d == 1
+            parts += [c._a, c._b]
+    assert gcd(f.den, *parts) == 1
+    gaussian_integers = all(v.re.denominator == 1 and v.im.denominator == 1 for v in map(q, f.terms.values()))
+    assert (f.den == 1) == gaussian_integers
+    for v in f.terms.values():
+        assert type(v) is (int if q(v).im == 0 and q(v).re.denominator == 1 else CRat)
+
+
+def assert_matches(f: GradedPoly, model: dict):
+    assert_canonical(f)
+    assert {k: q(v) for k, v in f.terms.items()} == model
+    assert f == element(f.carrier, model) and hash(f) == hash(element(f.carrier, model))
+
+
+CARRIERS = st.builds(
+    lambda make, n, nu: make(n, nu),
+    st.sampled_from([function_carrier, form_carrier, density_carrier]),
+    st.integers(0, 3),
+    st.integers(0, 3),
+)
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(CARRIERS, st.integers(0, 2**32 - 1))
+def test_kernel_matches_the_fraction_pair_model(carrier, seed):
+    rng = random.Random(seed)
+    ma, mb = draw_model(rng, carrier, rng.randint(0, 6)), draw_model(rng, carrier, rng.randint(0, 6))
+    a, b = element(carrier, ma), element(carrier, mb)
+    assert_matches(a, ma)
+    assert_matches(b, mb)
+
+    assert_matches(a + b, _accumulate(dict(ma), mb.items()))
+    assert_matches(a - b, _accumulate(dict(ma), ((k, -v) for k, v in mb.items())))
+    assert_matches(a - a, {})
+    assert_matches(a * b, _product(ma, mb, carrier))
+    s = draw_value(rng)
+    for scalar in (s.crat(), rng.randint(-3, 3), Fraction(rng.randint(-3, 3), rng.randint(1, 4))):
+        scaled = {k: v * q(scalar) for k, v in ma.items() if v * q(scalar)}
+        assert_matches(a * scalar, scaled)
+        if not isinstance(scalar, CRat):  # CRat * element raises TypeError in CRat.__mul__
+            assert_matches(scalar * a, scaled)
+    for i in range(1, carrier.n + 1):
+        assert_matches(a.partial_x(i), _map_terms(ma, _d_field, carrier.shift(i)))
+    for alpha in range(1, carrier.nu + 1):
+        assert_matches(a.partial_xi(alpha), _map_terms(ma, _d_odd, 1 << (alpha - 1)))
+    coords = CoordinateSystem(carrier.n, carrier.nu)
+    if carrier == coords.forms:
+        assert_matches(op_d_form(coords)(a), _accumulate({}, _exterior_d_terms(ma, carrier)))
+    if carrier == coords.densities:
+        assert_matches(op_divergence(coords)(a), _accumulate({}, _divergence_terms(ma, carrier)))
+
+    # == and hash follow the values, however an element was reached
+    assert (a == b) == (ma == mb)
+    assert a + b - b == a and hash(a + b - b) == hash(a)
+    assert a * 6 * Fraction(1, 6) == a and hash(a * 6 * Fraction(1, 6)) == hash(a)
+    body = GradedPoly.scalar(carrier, s.crat())
+    assert body == s.crat() and hash(body) == hash(s.crat())
+
+
+def test_supernumber_results_are_canonical():
+    rng = random.Random(4)
+    for nu in range(5):
+        for _ in range(10):
+            z, w = rg.supernumber(rng, nu), rg.supernumber(rng, nu, ensure_body=True)
+            for f in (z, w, z * w, z + w, z - z, w.inverse(), z.conjugate(), z.soul(), z.even_part()):
+                assert isinstance(f, Supernumber)
+                assert_canonical(f)
+            assert w * w.inverse() == 1
+
+
+# -- identical-stream integer draws ------------------------------------------
+
+# every (a, b) that randomgen draws from: spans, denominators, degrees,
+# indices, masks of up to 8 generators and parity signatures
+RANGES = sorted(
+    {(a, b) for a in range(-4, 5) for b in range(a, 5)} | {(0, (1 << n) - 1) for n in range(9)} | {(1, 6), (0, 5)}
+)
+
+
+def test_randint_draws_the_randint_stream():
+    for seed in range(20):
+        ours, twin = random.Random(seed), random.Random(seed)
+        for a, b in RANGES:
+            for _ in range(3):
+                assert rg._randint(ours, a, b) == twin.randint(a, b), (seed, a, b)
+            assert ours.random() == twin.random()
+        assert ours.getstate() == twin.getstate()
