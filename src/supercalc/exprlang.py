@@ -13,10 +13,19 @@ Two evaluation contexts share one grammar:
 
 ``*`` and ``^`` both denote the graded product (the wedge); ``+``/``-``
 and parentheses behave as usual, and numeric literals are exact
-rationals with an optional trailing ``i``.  A ``[...]`` parameter is the
-source text up to the closing bracket, so ``lift[polynomial:1,2i]`` reads
-the seed ``polynomial:1,2i``; only ``lift``, ``conj``, ``e``, ``i`` and
-``L`` accept one.
+rationals with an optional trailing ``i``, read by `scalars.parse_crat`.
+
+A literal and the identifier ``i`` evaluate to a bare `CRat`, and two
+scalars combine as `CRat` arithmetic; a scalar meets an element through
+the element's own (or reflected) ``+``, ``-`` and ``*``.  A value that is
+still a bare scalar is lifted into the mode's algebra by
+`Context.as_element` in two places only: each call argument, and the
+result of `evaluate`.  So ``2*3 - 1/2i`` builds no element until the end,
+and ``inverse(2)`` or ``e[2](dx1)`` see elements.
+
+A ``[...]`` parameter is the source text up to the closing bracket, so
+``lift[polynomial:1,2i]`` reads the seed ``polynomial:1,2i``; only
+``lift``, ``conj``, ``e``, ``i`` and ``L`` accept one.
 """
 
 from __future__ import annotations
@@ -38,6 +47,9 @@ from .grassmann import Convention, Supernumber
 from .scalars import CRat, parse_crat
 
 
+_I = CRat(0, 1)
+
+
 class ExprError(ValueError):
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} (at column {position + 1})")
@@ -52,20 +64,20 @@ _TOKEN = re.compile(
 
 
 def tokenize(text: str) -> list[tuple[str, str, int]]:
+    """(kind, text, position) of each token; kind is the name of the
+    `_TOKEN` group that matched."""
     out = []
     pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m or m.end() == pos:
+    end = len(text)
+    match = _TOKEN.match
+    while pos < end:
+        m = match(text, pos)
+        if not m:
             if text[pos:].strip() == "":
                 break
             raise ExprError(f"unexpected character {text[pos]!r}", pos)
-        if m.group("num"):
-            out.append(("num", m.group("num"), m.start("num")))
-        elif m.group("name"):
-            out.append(("name", m.group("name"), m.start("name")))
-        else:
-            out.append(("op", m.group("op"), m.start("op")))
+        k = m.lastindex
+        out.append((m.lastgroup, m[k], m.start(k)))
         pos = m.end()
     return out
 
@@ -77,16 +89,19 @@ MAX_NESTING = 100
 
 @dataclass
 class _Parser:
+    """`tokens` ends with one ("end", "", len(text)) sentinel, which no
+    rule consumes without raising."""
+
     text: str
     tokens: list[tuple[str, str, int]]
     pos: int = 0
     depth: int = 0
 
     def peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else ("end", "", len(self.text))
+        return self.tokens[self.pos]
 
     def next(self):
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         self.pos += 1
         return tok
 
@@ -116,14 +131,18 @@ class Context:
 
     def scalar(self, c: CRat):
         if self.form_mode:
-            return GradedPoly.scalar(self.coords.forms, 1) * c
+            return GradedPoly.scalar(self.coords.forms, c)
         return Supernumber.scalar(self.nu, c)
+
+    def as_element(self, value):
+        """`value` as an element of this mode: a bare scalar is lifted."""
+        return self.scalar(value) if type(value) is CRat else value
 
     def identifier(self, name: str, at: int):
         if name in self.bindings:
             return self.bindings[name]
         if name == "i":
-            return self.scalar(CRat(0, 1))
+            return _I
         if self.form_mode:
             for prefix, maker in (
                 ("dxi", lambda k: self.coords.dxi(k)),
@@ -248,10 +267,9 @@ def _parse_atom(p: _Parser, ctx: Context):
     kind, text, at = p.next()
     if kind == "num":
         try:
-            value = parse_crat(text)
+            return parse_crat(text)
         except ValueError as exc:
             raise ExprError(str(exc), at) from None
-        return ctx.scalar(value)
     if text == "(":
         p.enter(at)
         value = _parse_expr(p, ctx)
@@ -266,10 +284,10 @@ def _parse_atom(p: _Parser, ctx: Context):
                 param, param_at = _parse_param(p)
             p.expect("(")
             p.enter(at)
-            args = [_parse_expr(p, ctx)]
+            args = [ctx.as_element(_parse_expr(p, ctx))]
             while p.peek()[1] == ",":
                 p.next()
-                args.append(_parse_expr(p, ctx))
+                args.append(ctx.as_element(_parse_expr(p, ctx)))
             p.expect(")")
             p.depth -= 1
             return ctx.call(text, param, args, at, param_at)
@@ -293,14 +311,16 @@ def _parse_param(p: _Parser) -> tuple[str, int]:
 
 def evaluate(text: str, ctx: Context, column: int = 0):
     """`column` is where `text` starts in an enclosing expression; error columns count from there."""
-    p = _Parser(text, tokenize(text))
+    tokens = tokenize(text)
+    tokens.append(("end", "", len(text)))
+    p = _Parser(text, tokens)
     try:
         value = _parse_expr(p, ctx)
         if p.peek()[0] != "end":
             raise ExprError(f"trailing input {p.peek()[1]!r}", p.peek()[2])
     except ExprError as exc:
         raise ExprError(exc.reason, exc.position + column) from None
-    return value
+    return ctx.as_element(value)
 
 
 def evaluate_supernumber_text(text: str, nu: int) -> Supernumber:

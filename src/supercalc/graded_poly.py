@@ -73,7 +73,7 @@ from operator import or_
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
-from .scalars import CRat, _crat, _power
+from .scalars import _SCALARS, CRat, _crat, _power
 
 FIELD = 32  # bits per exponent field of an even generator
 MAX_EXPONENT = (1 << (FIELD - 1)) - 1  # the top bit of a field is its guard
@@ -228,8 +228,6 @@ def density_carrier(n: int, nu: int) -> Carrier:
 # Term dicts map an int key to a nonzero numerator: an int, or a CRat with
 # denominator 1.  The routines below never see the element denominator,
 # except `_normal`, `_sum` and `_value`.
-
-_SCALARS = (int, Fraction, CRat)
 
 
 def _pair(value) -> tuple:

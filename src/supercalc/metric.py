@@ -20,7 +20,7 @@ from typing import Sequence
 from . import exactmat
 from .exactmat import Matrix, from_rows, minor_det
 from .forms import CoordinateSystem, SuperDensity, SuperForm, divergence, exterior_d
-from .graded_poly import GradedPoly, _accumulate, indices_of, mask_of, merge_sign
+from .graded_poly import GradedPoly, indices_of, mask_of, merge_sign
 from .scalars import CRat
 
 
@@ -158,15 +158,15 @@ def _minor(matrix: Matrix, target: int, source: int) -> CRat:
 def _transform(comps: dict[int, GradedPoly], targets, factor) -> dict[int, GradedPoly]:
     """Components sum_s factor(t, s) comps[s] for each target mask t;
     targets whose sum vanishes are left out."""
-    return _accumulate(
-        {},
-        (
-            (t, coeff * f)
-            for t in targets
-            for s, coeff in comps.items()
-            if (f := factor(t, s))
-        ),
-    )
+    out = {}
+    for t in targets:
+        total = None
+        for s, coeff in comps.items():
+            if f := factor(t, s):
+                total = coeff * f if total is None else total + coeff * f
+        if total is not None and not total.is_zero():
+            out[t] = total
+    return out
 
 
 def _rebuild(coords: CoordinateSystem, cls, comps: dict[int, GradedPoly]):

@@ -15,7 +15,15 @@ and uses a `CRat` with d == 1 only as a Gaussian-integer numerator (see
 `graded_poly`); its `.terms` view reads a value as an `int` when it is
 an integer and as a `CRat` otherwise.  `CRat(3) == 3` with equal hashes,
 so which type holds a value never shows; a scalar that the library
-returns is a `CRat`.
+returns is a `CRat`.  An operand that is not an `int`, `Fraction` or
+`CRat` makes `CRat` arithmetic return `NotImplemented`, so Python tries
+the other operand's reflected operator: `CRat(2) * x` and `CRat(2) - x`
+work for an element x as `2 * x` does, and a float, str or None still
+raises `TypeError`.
+
+`parse_crat` reads a literal's numerators and denominators with `int()`
+from one regular-expression match and reduces the result once in
+`_crat`; the expression reader's number tokens go through it too.
 """
 
 from __future__ import annotations
@@ -69,6 +77,8 @@ class CRat:
         if type(other) is not CRat:
             if type(other) is int:
                 return _crat(self._a + other * self._d, self._b, self._d)
+            if not isinstance(other, _SCALARS):
+                return NotImplemented
             other = CRat.coerce(other)
         d, f = self._d, other._d
         if d == f:
@@ -81,6 +91,8 @@ class CRat:
         if type(other) is not CRat:
             if type(other) is int:
                 return _crat(self._a - other * self._d, self._b, self._d)
+            if not isinstance(other, _SCALARS):
+                return NotImplemented
             other = CRat.coerce(other)
         d, f = self._d, other._d
         if d == f:
@@ -90,12 +102,16 @@ class CRat:
     def __rsub__(self, other: int | Fraction | CRat) -> "CRat":
         if type(other) is int:
             return _crat(other * self._d - self._a, -self._b, self._d)
+        if not isinstance(other, _SCALARS):
+            return NotImplemented
         return CRat.coerce(other) - self
 
     def __mul__(self, other: int | Fraction | CRat) -> "CRat":
         if type(other) is not CRat:
             if type(other) is int:
                 return _crat(self._a * other, self._b * other, self._d)
+            if not isinstance(other, _SCALARS):
+                return NotImplemented
             other = CRat.coerce(other)
         a, b, c, e = self._a, self._b, other._a, other._b
         if not b and not e:
@@ -105,7 +121,10 @@ class CRat:
     __rmul__ = __mul__
 
     def __truediv__(self, other: int | Fraction | CRat) -> "CRat":
-        other = CRat.coerce(other)
+        if type(other) is not CRat:
+            if not isinstance(other, _SCALARS):
+                return NotImplemented
+            other = CRat.coerce(other)
         c, e, f = other._a, other._b, other._d
         n = c * c + e * e
         if n == 0:
@@ -114,6 +133,8 @@ class CRat:
         return _crat(f * (a * c + b * e), f * (b * c - a * e), self._d * n)
 
     def __rtruediv__(self, other: int | Fraction | CRat) -> "CRat":
+        if not isinstance(other, _SCALARS):
+            return NotImplemented
         return CRat.coerce(other) / self
 
     def __neg__(self) -> "CRat":
@@ -175,6 +196,7 @@ class CRat:
         return format_crat(self)
 
 
+_SCALARS = (int, Fraction, CRat)  # the operands of arithmetic; any other type gets NotImplemented
 _new = object.__new__
 _set_a = CRat._a.__set__
 _set_b = CRat._b.__set__
@@ -229,30 +251,42 @@ def format_crat(c: CRat) -> str:
     return f"{_format_rat(a, d)}{sign}{im_part}"
 
 
-_RAT = r"\d+(?:/\d+)?"
-_PURE_REAL = re.compile(rf"^[+-]?{_RAT}$")
-_PURE_IMAG = re.compile(rf"^(?P<sign>[+-]?)(?P<mag>{_RAT})?i$")
-_REAL_IMAG = re.compile(rf"^(?P<re>[+-]?{_RAT})(?P<sign>[+-])(?P<mag>{_RAT})?i$")
+_RAT = r"(\d+)(?:/(\d+))?"  # numerator and optional denominator, each read with int()
+_PURE_REAL = re.compile(rf"([+-]?){_RAT}")
+_PURE_IMAG = re.compile(rf"([+-]?)(?:{_RAT})?i")
+_REAL_IMAG = re.compile(rf"([+-]?){_RAT}([+-])(?:{_RAT})?i")
 _ZERO_DENOMINATOR = re.compile(r"/0+(?!\d)")
 
 
+def _part(sign: str, n: str | None, d: str | None) -> tuple[int, int]:
+    """A matched ``[sign]n[/d]`` as (numerator, denominator); a missing
+    n is 1, as in ``i``."""
+    n = int(n) if n else 1
+    return -n if sign == "-" else n, int(d) if d else 1
+
+
 def parse_crat(text: str) -> CRat:
-    """Inverse of :func:`format_crat`."""
+    """Inverse of :func:`format_crat`: ``3``, ``-1/2``, ``2i``, ``-i``,
+    ``1+2i`` or ``1/2-3/4i``, spaces around it allowed.  Each part is
+    read with `int()` and the result is reduced once by `_crat`."""
     if not isinstance(text, str):
         raise ValueError(f"scalar literal {text!r} is not a string")
     text = text.strip()
-    if _ZERO_DENOMINATOR.search(text):
+    if m := _PURE_REAL.fullmatch(text):
+        a, d = _part(*m.groups())
+        if d:
+            return _crat(a, 0, d)
+    elif m := _PURE_IMAG.fullmatch(text):
+        b, d = _part(*m.groups())
+        if d:
+            return _crat(0, b, d)
+    elif m := _REAL_IMAG.fullmatch(text):
+        a, q = _part(*m.group(1, 2, 3))
+        b, d = _part(*m.group(4, 5, 6))
+        if q and d:
+            return _crat(a * d, b * q, q * d)
+    # a match falls through only on a zero denominator; other text names
+    # one too when it has "/0" (as in "3/0x"), as the CLI has always said
+    if m or _ZERO_DENOMINATOR.search(text):
         raise ValueError(f"zero denominator in scalar literal {text!r}")
-    if _PURE_REAL.match(text):
-        return CRat(Fraction(text))
-    m = _PURE_IMAG.match(text)
-    if m:
-        mag = Fraction(m.group("mag")) if m.group("mag") else Fraction(1)
-        return CRat(0, -mag if m.group("sign") == "-" else mag)
-    m = _REAL_IMAG.match(text)
-    if m:
-        mag = Fraction(m.group("mag")) if m.group("mag") else Fraction(1)
-        return CRat(
-            Fraction(m.group("re")), -mag if m.group("sign") == "-" else mag
-        )
     raise ValueError(f"bad scalar literal: {text!r}")

@@ -10,6 +10,7 @@ from supercalc.graded_poly import GradedPoly
 from supercalc.metric import (
     Metric,
     MetricError,
+    _transform,
     beta_ascending,
     cg_inverse,
     correspondence_cg,
@@ -34,6 +35,12 @@ def random_metric(rng, d):
             return Metric.from_matrix(g)
         except MetricError:
             continue
+
+
+def test_transform_leaves_out_cancelled_targets():
+    x = CoordinateSystem(1, 1).x(1)
+    assert _transform({1: x, 2: x}, [5], lambda t, s: 1 if s == 1 else -1) == {}
+    assert _transform({1: x, 2: x}, [5, 6], lambda t, s: t - 4) == {5: 2 * x, 6: 4 * x}
 
 
 def test_exact_sqrt():

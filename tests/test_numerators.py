@@ -18,6 +18,7 @@ import random
 from fractions import Fraction
 from math import gcd
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -159,8 +160,7 @@ def test_kernel_matches_the_fraction_pair_model(carrier, seed):
     for scalar in (s.crat(), rng.randint(-3, 3), Fraction(rng.randint(-3, 3), rng.randint(1, 4))):
         scaled = {k: v * q(scalar) for k, v in ma.items() if v * q(scalar)}
         assert_matches(a * scalar, scaled)
-        if not isinstance(scalar, CRat):  # CRat * element raises TypeError in CRat.__mul__
-            assert_matches(scalar * a, scaled)
+        assert_matches(scalar * a, scaled)
     for i in range(1, carrier.n + 1):
         assert_matches(a.partial_x(i), _map_terms(ma, _d_field, carrier.shift(i)))
     for alpha in range(1, carrier.nu + 1):
@@ -177,6 +177,24 @@ def test_kernel_matches_the_fraction_pair_model(carrier, seed):
     assert a * 6 * Fraction(1, 6) == a and hash(a * 6 * Fraction(1, 6)) == hash(a)
     body = GradedPoly.scalar(carrier, s.crat())
     assert body == s.crat() and hash(body) == hash(s.crat())
+
+
+def test_crat_defers_to_elements():
+    """A CRat on the left of +, - or * hands an element to the element's
+    reflected operator, as an int or a Fraction does."""
+    x = CoordinateSystem(1, 1).x(1)
+    g = Supernumber.generator(2, 1)
+    half = CRat(Fraction(1, 2), 1)
+    for e in (x, g, x * 3 + 1):
+        assert CRat(2) * e == 2 * e == e * CRat(2)
+        assert CRat(2) + e == 2 + e == e + CRat(2)
+        assert CRat(2) - e == 2 - e == -(e - CRat(2))
+        assert half * e == e * half and (half + e) - e == half and (half - e) + e == half
+    assert type(CRat(2) - g) is Supernumber and (CRat(2) - g).terms == {0: 2, 1: -1}
+    with pytest.raises(TypeError):
+        CRat(2) / g
+    with pytest.raises(TypeError):
+        g / CRat(2)
 
 
 def test_supernumber_results_are_canonical():

@@ -210,6 +210,53 @@ def test_format_matches_the_pair_format():
         assert parse_crat(text) == c and format_crat(parse_crat(text)) == text
 
 
+# Unsigned rationals as the tokenizer's `num` token writes them: leading
+# zeros, zero numerators, a long numerator and digits outside ASCII, which
+# both `\d` and int() accept.
+RATIONALS = ["0", "7", "007", "12", "0/5", "007/010", "3/4", "10/4", "١٢", "١٢/٣",
+             "123456789012345678901/3"]
+
+
+def ref_literal(text: str) -> CRat:
+    """A literal read part by part with Fraction(str)."""
+    if not text.endswith("i"):
+        return CRat(Fraction(text))
+    body = text[:-1]
+    cut = max(body.rfind("+", 1), body.rfind("-", 1))
+    re, im = (body[:cut], body[cut:]) if cut > 0 else ("0", body)
+    if im in ("", "+", "-"):
+        im += "1"
+    return CRat(Fraction(re), Fraction(im))
+
+
+def test_parse_matches_the_fraction_reader():
+    for r in RATIONALS:
+        for text in (r, r + "i"):  # every shape of the tokenizer's num token
+            assert parse_crat(text) == ref_literal(text) and canonical(parse_crat(text))
+        for sign in ("+", "-"):
+            for text in (sign + r, sign + r + "i", sign + "i", r + sign + "i"):
+                assert parse_crat(text) == ref_literal(text)
+            for q in RATIONALS[::3]:
+                for text in (r + sign + q + "i", "-" + r + sign + q + "i", f" {r}{sign}{q}i "):
+                    c = parse_crat(text)
+                    assert c == ref_literal(text.strip()) and canonical(c)
+    assert parse_crat("007/010i") == CRat(0, Fraction(7, 10)) and parse_crat("0i") == 0
+
+
+@pytest.mark.parametrize("text", ["3/0", "3/00", "0/0i", "1/0-i", "1+2/0i", "3/0x", "3/\u0660"])
+def test_parse_zero_denominator_message(text):
+    with pytest.raises(ValueError) as info:
+        parse_crat(text)
+    assert str(info.value) == f"zero denominator in scalar literal {text!r}"
+
+
+@pytest.mark.parametrize("text", ["", "i2", "1/", "/2", "1.5", "1_0", "++1", "1+-2i", "1+2", "ii", "1/2/3"])
+def test_parse_bad_literal_message(text):
+    with pytest.raises(ValueError) as info:
+        parse_crat(text)
+    assert str(info.value) == f"bad scalar literal: {text!r}"
+
+
 def test_immutable():
     c = CRat(1, 2)
     for name in ("re", "im", "_a", "_b", "_d", "other"):
