@@ -9,12 +9,19 @@ second, commuting copy, which exhibits the representation's commutant
 module).
 
 The exterior-algebra carrier reuses the Grassmann kernel: an element of
-Lambda V* is exactly a supernumber on D generators.  Operators are
-materialized as dense 2^D x 2^D matrices over exact complex rationals,
-the strongest brute-force oracle at these sizes.  The metric is a
-`metric.Metric` (`CliffordContext` names the same class).  The current
-components gamma_[I] come from the one-index antisymmetrizer: each rank
-is built from the one below by peeling off one index with its sign,
+Lambda V* is exactly a supernumber on D generators, and the operators
+above act on it.  As matrices, operators are dense 2^D x 2^D lists of
+exact complex rationals, the strongest brute-force oracle at these
+sizes.  `gamma_matrices` writes them from the Jordan-Wigner sign rule
+alone: moving generator k past monomial m costs
+(-1)^popcount(m & (2^(k-1) - 1)), so no `Supernumber` product (and no
+`merge_sign`) builds a gamma or a current component, and the matrix of
+the kernel operator (`matrix_of`) is an independent route to the same
+entries.  Anticommutators and commutators are `exactmat.bracket`.  The
+metric is a `metric.Metric` (`CliffordContext` names the same class).
+The current components gamma_[I] come from the one-index
+antisymmetrizer: each rank is built from the one below by peeling off
+one index with its sign,
 gamma_[i1..ip] = (1/p) sum_k (-1)^(k-1) gamma_ik gamma_[I - ik], so no
 sum over all p! orderings is formed.
 """
@@ -40,6 +47,9 @@ ExteriorElement = Supernumber  # Lambda V* on D generators
 Endo = Callable[[ExteriorElement], ExteriorElement]
 
 CliffordContext = Metric  # the Clifford layer takes the same constant metric
+
+_ONE = CRat(1)
+_MINUS_ONE = CRat(-1)
 
 
 def contraction(ctx: Metric, v: Sequence) -> Endo:
@@ -157,16 +167,50 @@ def identity_matrix(d: int) -> Matrix:
 
 
 def anticommutator_matrix(a: Matrix, b: Matrix) -> Matrix:
-    return exactmat.madd(exactmat.matmul(a, b), exactmat.matmul(b, a))
+    return exactmat.bracket(a, b, 1)
 
 
 def commutator_matrix(a: Matrix, b: Matrix) -> Matrix:
-    return exactmat.madd(exactmat.matmul(a, b), exactmat.mscale(exactmat.matmul(b, a), -1))
+    return exactmat.bracket(a, b, -1)
+
+
+def _sign(m: int, k: int) -> int:
+    """The Jordan-Wigner sign (-1)^popcount(m & (2^(k-1) - 1)): moving
+    generator k past the generators of monomial m below it."""
+    return -1 if (m & ((1 << (k - 1)) - 1)).bit_count() & 1 else 1
+
+
+def _gamma_lower_matrix(ctx: Metric, a: int) -> Matrix:
+    """gamma_a from the sign rule alone.  Column m is the image of the
+    monomial m: the wedge with g_ba xi^b writes s(m, b) g[b][a] into row
+    m | 2^(b-1) for each b not in m, and the derivative d/dxi^a writes
+    s(m, a) into row m ^ 2^(a-1) when a is in m.  The wedge rows have one
+    bit more than m and the derivative row one less, so no entry is
+    written twice."""
+    size = 1 << ctx.dim
+    out = exactmat.zeros(size, size)
+    col = [(1 << b, b + 1, c, -c) for b, row in enumerate(ctx.g) if (c := row[a - 1])]
+    bit = 1 << (a - 1)
+    for m in range(size):
+        for mb, b, c, neg in col:
+            if not m & mb:
+                out[m | mb][m] = c if _sign(m, b) > 0 else neg
+        if m & bit:
+            out[m ^ bit][m] = _ONE if _sign(m, a) > 0 else _MINUS_ONE
+    return out
 
 
 def gamma_matrices(ctx: Metric, upper: bool = True) -> list[Matrix]:
-    make = gamma_upper if upper else gamma_lower
-    return [matrix_of(make(ctx, a), ctx.dim) for a in range(1, ctx.dim + 1)]
+    """The matrices of gamma_a, or of gamma^a = g^{ab} gamma_b when
+    `upper`, for a = 1..D, built from the sign rule (see
+    `_gamma_lower_matrix`) with no `Supernumber` product."""
+    lowers = [_gamma_lower_matrix(ctx, a) for a in range(1, ctx.dim + 1)]
+    if not upper:
+        return lowers
+    return [
+        reduce(exactmat.madd, (exactmat.mscale(m, c) for c, m in zip(row, lowers) if c))
+        for row in ctx.g_inv
+    ]
 
 
 def current(ctx: Metric, p: int) -> dict[tuple[int, ...], Matrix]:

@@ -1,28 +1,37 @@
 """Exact matrices over Q(i) - just enough linear algebra for the metric
 and Clifford layers (determinant, inverse, products).  Entries are exact
 scalars, a plain `int` or a :class:`~supercalc.scalars.CRat`
-(`from_rows` and `clifford.matrix_of` make `CRat` entries), so a zero
-test is `not x`.
+(`from_rows` and the products make `CRat` entries), so a zero test is
+`not x`.
 `det` and `inverse` return `CRat` values; no pivot tolerance is ever
 involved.
 
 A matrix is a dense list of rows, but the products cost what the nonzero
-entries cost: `matmul` lists each row of its right factor as (column,
-entry) pairs once per call and multiplies only nonzero by nonzero, so a
-near signed-permutation matrix such as a Clifford gamma costs about one
-exact product per row.  Every zero that `zeros`, `identity`, `matmul`,
-`madd` and `mscale` create is the one shared immutable `ZERO` (an exact
-product of nonzero scalars is never zero, so only sums are tested);
-`madd` and `mscale` pass it through untouched, and list comparison
-matches it by identity before comparing values.
+entries cost.  `matmul` and `bracket` share one private row kernel: it
+reads each operand once into rows of nonzero (column, numerator) pairs,
+split into real and imaginary parts, as integers over one denominator,
+the lcm of the entries' denominators (FLINT's `fmpq_mat` keeps a
+rational matrix the same way).  Products and sums run on the ints, and
+each nonzero result entry is made once by `scalars._crat`, so a near
+signed-permutation matrix such as a Clifford gamma costs about one int
+product per row and a real matrix never touches an imaginary part.
+`bracket(a, b, sign)` is ab + sign*ba, both products read from the same
+rows, so an anticommutator or commutator costs one read of each operand.
+Every zero that `zeros`, `identity`, `matmul`, `bracket`, `madd` and
+`mscale` create is the one shared immutable `ZERO`; `madd` and `mscale`
+pass it through untouched, and list comparison matches it by identity
+before comparing values.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import compress, count, repeat
+from math import lcm
+from operator import is_not, or_
 from typing import Sequence
 
-from .scalars import CRat
+from .scalars import CRat, _crat
 
 Matrix = list[list[int | CRat]]
 
@@ -42,30 +51,90 @@ def zeros(rows: int, cols: int) -> Matrix:
     return [[ZERO] * cols for _ in range(rows)]
 
 
+def _rows(m: Matrix) -> tuple[list, list | None, int]:
+    """m's nonzero entries as (real rows, imaginary rows or None, den):
+    row i of each part lists (column, int numerator) pairs of nonzero
+    parts over den, the lcm of the entries' denominators."""
+    read = [[(j, row[j]) for j in compress(count(), map(is_not, row, repeat(ZERO)))] for row in m]
+    den = lcm(*{x._d for nz in read for _, x in nz if type(x) is not int})
+    re_rows, im_rows = [], []
+    for nz in read:
+        re_row, im_row = [], []
+        for j, x in nz:
+            if type(x) is int:
+                if x:
+                    re_row.append((j, x * den))
+            else:
+                f = den // x._d
+                if x._a:
+                    re_row.append((j, x._a * f))
+                if x._b:
+                    im_row.append((j, x._b * f))
+        re_rows.append(re_row)
+        im_rows.append(im_row)
+    return re_rows, (im_rows if any(im_rows) else None), den
+
+
+def _products(rows: int, cols: int, terms: list[tuple], den: int) -> Matrix:
+    """The row kernel: sum over `terms` of sign * left @ right, where each
+    term is (left, right, sign, imag) on the int rows of `_rows`, and
+    `imag` says whether it adds to the imaginary part.  Each row sums
+    into dense int lists, so a cancelled entry reads 0 like an untouched
+    one; every result entry is over `den`."""
+    imaginary = any(t[3] for t in terms)
+    out = []
+    for i in range(rows):
+        acc_re = [0] * cols
+        acc_im = [0] * cols if imaginary else acc_re
+        for left, right, sign, imag in terms:
+            acc = acc_im if imag else acc_re
+            for k, x in left[i]:
+                sx = sign * x
+                for j, y in right[k]:
+                    acc[j] += sx * y
+        row = [ZERO] * cols
+        if imaginary:
+            for j in compress(count(), map(or_, acc_re, acc_im)):
+                row[j] = _crat(acc_re[j], acc_im[j], den)
+        else:
+            for j in compress(count(), acc_re):
+                row[j] = _crat(acc_re[j], 0, den)
+        out.append(row)
+    return out
+
+
+def _terms(a: tuple, b: tuple, sign: int) -> list[tuple]:
+    """The real and imaginary parts of sign * ab as row-kernel terms:
+    (ar + i ai)(br + i bi) = ar br - ai bi + i (ar bi + ai br)."""
+    ar, ai, _ = a
+    br, bi, _ = b
+    terms = [(ar, br, sign, False)]
+    if ai is not None:
+        terms.append((ai, br, sign, True))
+        if bi is not None:
+            terms.append((ai, bi, -sign, False))
+    if bi is not None:
+        terms.append((ar, bi, sign, True))
+    return terms
+
+
 def matmul(a: Matrix, b: Matrix) -> Matrix:
     inner, cols = len(b), len(b[0])
     if any(len(r) != inner for r in a):
         raise ValueError("shape mismatch")
-    b_pairs = [[(j, x) for j, x in enumerate(row) if x is not ZERO and x] for row in b]
-    out = []
-    for ai in a:
-        acc: dict[int, int | CRat] = {}
-        summed = False
-        for aik, bk in zip(ai, b_pairs):
-            if not bk or aik is ZERO or not aik:
-                continue
-            for j, x in bk:
-                if j in acc:
-                    acc[j] = acc[j] + aik * x
-                    summed = True
-                else:
-                    acc[j] = aik * x
-        row = [ZERO] * cols
-        for j, v in acc.items():
-            if not summed or v:
-                row[j] = v
-        out.append(row)
-    return out
+    ra, rb = _rows(a), _rows(b)
+    return _products(len(a), cols, _terms(ra, rb, 1), ra[2] * rb[2])
+
+
+def bracket(a: Matrix, b: Matrix, sign: int) -> Matrix:
+    """ab + sign * ba for square matrices of one size: the anticommutator
+    for sign 1 and the commutator for sign -1.  Each operand is read
+    once for both products."""
+    n = len(a)
+    if any(len(r) != n for r in a) or len(b) != n or any(len(r) != n for r in b):
+        raise ValueError("bracket needs two square matrices of one size")
+    ra, rb = _rows(a), _rows(b)
+    return _products(n, n, _terms(ra, rb, 1) + _terms(rb, ra, sign), ra[2] * rb[2])
 
 
 def madd(a: Matrix, b: Matrix) -> Matrix:

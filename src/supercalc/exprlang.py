@@ -73,9 +73,10 @@ def tokenize(text: str) -> list[tuple[str, str, int]]:
     while pos < end:
         m = match(text, pos)
         if not m:
-            if text[pos:].strip() == "":
+            bad = end - len(text[pos:].lstrip())  # the first character that is not blank
+            if bad == end:
                 break
-            raise ExprError(f"unexpected character {text[pos]!r}", pos)
+            raise ExprError(f"unexpected character {text[bad]!r}", bad)
         k = m.lastindex
         out.append((m.lastgroup, m[k], m.start(k)))
         pos = m.end()

@@ -420,12 +420,21 @@ def test_bad_bracket_parameters_are_input_errors(expr, message):
         ("e[x1 +](dx1)", ("--n", "2"), "unexpected end of input (at column 7)"),
         ("(x1", ("--nu", "1"), "expected ')', found end of input (at column 4)"),
         ("x1 +", ("--nu", "1"), "unexpected end of input (at column 5)"),
+        ("2 $", ("--nu", "1"), "unexpected character '$' (at column 3)"),
+        ("2\t$", ("--nu", "1"), "unexpected character '$' (at column 3)"),
+        ("x1 +  \t$x2", ("--nu", "1"), "unexpected character '$' (at column 8)"),
     ],
-    ids=["inside-e", "spaced-e", "end-of-e", "open-paren", "dangling-plus"],
+    ids=["inside-e", "spaced-e", "end-of-e", "open-paren", "dangling-plus",
+         "space-before-bad-character", "tab-before-bad-character", "blanks-before-bad-character"],
 )
 def test_error_columns_count_in_the_whole_expression(expr, flags, message):
     proc = run_cli("eval", expr, *flags, expect=2)
     assert one_error_line(proc) == f"error: {message}\n"
+
+
+def test_trailing_blanks_end_the_input():
+    proc = run_cli("eval", "x1 + 1 \t ", "--nu", "1")
+    assert proc.stdout == "1 + x1\n"
 
 
 def test_huge_exact_power_is_refused_up_front(tmp_path):

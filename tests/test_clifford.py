@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from supercalc import exactmat
+from supercalc import exactmat, graded_poly
 from supercalc import randomgen as rg
 from supercalc.clifford import (
     CliffordContext,
@@ -238,10 +238,61 @@ def test_current_matches_permutation_sum():
 
 
 def test_gamma_matrices_hold_crat_entries():
-    """`matrix_of` coerces every entry, so an integer-valued gamma still
-    reaches `exactmat` with `CRat` entries, and a zero one is `ZERO`."""
+    """The sign-rule builder writes metric entries and `CRat` signs, so an
+    integer-valued gamma still reaches `exactmat` with `CRat` entries,
+    and a zero one is `ZERO`."""
     for ctx in (Metric.identity(2), Metric.minkowski(4)):
         for upper in (True, False):
             for m in gamma_matrices(ctx, upper):
                 assert all(type(x) is CRat for row in m for x in row)
                 assert all(x is exactmat.ZERO for row in m for x in row if not x)
+
+
+def _sign_rule_contexts():
+    rng = random.Random(59)
+    yield from (Metric.identity(d) for d in (1, 2, 3, 4))
+    yield Metric.minkowski(4)
+    for d in (1, 2, 3, 4):
+        for _ in range(3):
+            yield random_context(rng, d)
+
+
+def test_sign_rule_gammas_equal_the_kernel_route():
+    """The Jordan-Wigner builder against the matrices of the `Supernumber`
+    operators gamma_a and gamma^a, entry for entry."""
+    for ctx in _sign_rule_contexts():
+        d = ctx.dim
+        lowers, uppers = gamma_matrices(ctx, False), gamma_matrices(ctx, True)
+        for a in range(1, d + 1):
+            assert lowers[a - 1] == matrix_of(gamma_lower(ctx, a), d), (d, a)
+            assert uppers[a - 1] == matrix_of(gamma_upper(ctx, a), d), (d, a)
+            for m in (lowers[a - 1], uppers[a - 1]):
+                assert all(type(x) is CRat for row in m for x in row)
+                assert all(x is exactmat.ZERO for row in m for x in row if not x)
+
+
+def test_gammas_and_currents_need_no_grassmann_product(monkeypatch):
+    """A step towards oracles that share no code: the gamma matrices and
+    the current components are built without `merge_sign` or the graded
+    product, so a fault there cannot move both sides of the relations."""
+    contexts = [ctx for ctx in _sign_rule_contexts()]
+    want = [
+        (
+            gamma_matrices(ctx, True),
+            gamma_matrices(ctx, False),
+            [current(ctx, p) for p in range(ctx.dim + 1)],
+        )
+        for ctx in contexts
+    ]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the graded product was called")
+
+    monkeypatch.setattr(graded_poly, "merge_sign", refuse)
+    monkeypatch.setattr(graded_poly, "_product", refuse)
+    with pytest.raises(AssertionError, match="graded product"):
+        Supernumber.generator(2, 1) * Supernumber.generator(2, 2)
+    for ctx, (uppers, lowers, comps) in zip(contexts, want):
+        assert gamma_matrices(ctx, True) == uppers
+        assert gamma_matrices(ctx, False) == lowers
+        assert [current(ctx, p) for p in range(ctx.dim + 1)] == comps

@@ -103,6 +103,81 @@ def test_shape_mismatch_is_refused():
         exactmat.matmul([[CRat(1)], [CRat(1), CRat(2)]], exactmat.identity(2))
 
 
+def random_scalar_matrix(rng, n, zero_fill):
+    """An n x n matrix mixing `int`, rational and Gaussian `CRat` entries
+    with fresh, non-shared `CRat(0)` zeros."""
+
+    def entry():
+        r = rng.random()
+        if r < zero_fill:
+            return CRat(0)
+        if r < zero_fill + (1 - zero_fill) / 3:
+            return rng.randint(-9, 9) or 1
+        return random_matrix(rng, 1, 1, 0.0)[0][0]
+
+    return [[entry() for _ in range(n)] for _ in range(n)]
+
+
+BRACKET_CASES = [
+    (seed, n, fill) for seed, n in enumerate((1, 2, 4, 5, 8)) for fill in (0.0, 0.3, 0.6, 0.9)
+]
+
+
+@pytest.mark.parametrize("seed, n, fill", BRACKET_CASES)
+@pytest.mark.parametrize("sign", (1, -1))
+def test_bracket_equals_two_products(seed, n, fill, sign):
+    rng = random.Random(f"bracket:{seed}:{fill}")
+    shapes = (random_matrix(rng, n, n, fill), random_scalar_matrix(rng, n, fill))
+    for a in shapes:
+        for b in shapes:
+            want = exactmat.madd(exactmat.matmul(a, b), exactmat.mscale(exactmat.matmul(b, a), sign))
+            got = exactmat.bracket(a, b, sign)
+            assert got == want
+            assert got == exactmat.bracket(as_shared_zeros(a), as_shared_zeros(b), sign)
+            assert all(type(x) is CRat for row in got for x in row)
+            assert all(x is exactmat.ZERO for row in got for x in row if not x)
+
+
+def test_row_kernel_on_mixed_entries():
+    """`matmul` on int, rational and Gaussian entries with fresh zeros
+    against the naive triple loop; every entry of the result is a `CRat`."""
+    rng = random.Random("mixed")
+    for n, fill in ((3, 0.0), (4, 0.5), (6, 0.8)):
+        a, b = random_scalar_matrix(rng, n, fill), random_scalar_matrix(rng, n, fill)
+        got = exactmat.matmul(a, b)
+        assert got == naive_matmul(a, b)
+        assert all(type(x) is CRat for row in got for x in row)
+        assert all(x is exactmat.ZERO for row in got for x in row if not x)
+
+
+def test_cancelling_bracket_gives_the_shared_zero():
+    a = exactmat.from_rows([[1, "1/2"], [0, 2]])
+    b = random_matrix(random.Random(4), 2, 2, 0.0)
+    ident = exactmat.identity(2)
+    for m in (a, b):
+        assert exactmat.bracket(m, m, -1) == exactmat.zeros(2, 2)
+        assert all(x is exactmat.ZERO for row in exactmat.bracket(m, m, -1) for x in row)
+        assert exactmat.bracket(m, ident, -1) == exactmat.zeros(2, 2)
+    # anticommuting matrices: [[0, 1], [1, 0]] and [[1, 0], [0, -1]]
+    x = exactmat.from_rows([[0, 1], [1, 0]])
+    z = exactmat.from_rows([[1, 0], [0, -1]])
+    assert all(e is exactmat.ZERO for row in exactmat.bracket(x, z, 1) for e in row)
+    assert exactmat.bracket(x, x, 1) == exactmat.mscale(ident, 2)
+
+
+def test_bracket_refuses_non_square_matrices():
+    for a, b in (
+        (exactmat.zeros(2, 3), exactmat.zeros(2, 3)),
+        (exactmat.identity(2), exactmat.identity(3)),
+        (exactmat.identity(2), exactmat.zeros(2, 3)),
+        ([[CRat(1)], [CRat(1), CRat(2)]], exactmat.identity(2)),
+    ):
+        with pytest.raises(ValueError, match="square"):
+            exactmat.bracket(a, b, 1)
+        with pytest.raises(ValueError, match="square"):
+            exactmat.bracket(b, a, -1)
+
+
 def _to_sympy(sympy, m):
     def entry(x):
         return sympy.Rational(x.re.numerator, x.re.denominator) + sympy.I * sympy.Rational(
