@@ -15,13 +15,34 @@ Two evaluation contexts share one grammar:
 and parentheses behave as usual, and numeric literals are exact
 rationals with an optional trailing ``i``, read by `scalars.parse_crat`.
 
-A literal and the identifier ``i`` evaluate to a bare `CRat`, and two
-scalars combine as `CRat` arithmetic; a scalar meets an element through
-the element's own (or reflected) ``+``, ``-`` and ``*``.  A value that is
-still a bare scalar is lifted into the mode's algebra by
-`Context.as_element` in two places only: each call argument, and the
-result of `evaluate`.  So ``2*3 - 1/2i`` builds no element until the end,
-and ``inverse(2)`` or ``e[2](dx1)`` see elements.
+`tokenize` reads the text in one scan of `_TOKEN`, and `_parse_expr`
+reads one sum, such as sum_I z_I xi^I, into one element.  Each term is
+one loop over its factors:
+
+* unary signs fold into one sign of the term;
+* literals and ``i`` multiply into one `CRat` coefficient;
+* a generator name (one that is no ``--let`` binding and is not followed
+  by ``[`` or ``(``) is its kernel key, which multiplies the term's
+  numerators as a one-term dict through `graded_poly._product`, so the
+  sign rule, a repeated odd generator and the exponent guard are the
+  kernel's own;
+* a parenthesised sum, a call or a binding that is an element enters the
+  same product with its numerators and denominator, after the carrier
+  check that element arithmetic makes.
+
+A sum collects its element terms as (numerators, denominator) pairs and
+adds them once over the lcm of their denominators, with one
+`graded_poly._accumulate` pass and one `graded_poly._normal`.  The
+result takes the carrier and class of the first element term, as element
+arithmetic would: a `Supernumber` in supernumber mode and a `GradedPoly`
+of the form carrier in form mode, unless a binding brings its own.  A
+sum that is one factor and nothing else is that factor itself, so a bare
+binding or call result comes back unchanged.
+
+A sum of scalars only, such as ``2*3 - 1/2i``, is a bare `CRat`.  It is
+lifted into the mode's algebra by `Context.as_element` in two places
+only: each call argument, and the result of `evaluate`; so
+``inverse(2)`` or ``e[2](dx1)`` see elements.
 
 A ``[...]`` parameter is the source text up to the closing bracket, so
 ``lift[polynomial:1,2i]`` reads the seed ``polynomial:1,2i``; only
@@ -32,6 +53,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from math import lcm
+
 from .analytic import lift, seed_by_name
 from .berezin import berezin_integral
 from .forms import (
@@ -42,7 +65,17 @@ from .forms import (
     op_i_form,
     op_lie_form,
 )
-from .graded_poly import GradedPoly
+from .graded_poly import (
+    GradedPoly,
+    _accumulate,
+    _element,
+    _normal,
+    _pair,
+    _product,
+    carrier_mismatch,
+    function_carrier,
+    mask_of,
+)
 from .grassmann import Convention, Supernumber
 from .scalars import CRat, parse_crat
 
@@ -59,32 +92,28 @@ class ExprError(ValueError):
 
 _TOKEN = re.compile(
     r"\s*(?:(?P<num>\d+(?:/\d+)?i?)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
-    r"|(?P<op>[-+*^()\[\],:]))"
+    r"|(?P<op>[-+*^()\[\],:])|(?P<bad>\S))"
 )
+_BAD = _TOKEN.groupindex["bad"]
 
 
 def tokenize(text: str) -> list[tuple[str, str, int]]:
     """(kind, text, position) of each token; kind is the name of the
-    `_TOKEN` group that matched."""
+    `_TOKEN` group that matched.  Blanks after the last token end the
+    input; the first other character that no token reads is an error."""
     out = []
-    pos = 0
-    end = len(text)
-    match = _TOKEN.match
-    while pos < end:
-        m = match(text, pos)
-        if not m:
-            bad = end - len(text[pos:].lstrip())  # the first character that is not blank
-            if bad == end:
-                break
-            raise ExprError(f"unexpected character {text[bad]!r}", bad)
+    for m in _TOKEN.finditer(text):
         k = m.lastindex
+        if k == _BAD:
+            raise ExprError(f"unexpected character {m[k]!r}", m.start(k))
         out.append((m.lastgroup, m[k], m.start(k)))
-        pos = m.end()
     return out
 
 
-# Deepest nesting of parentheses and calls; each level costs four Python
-# frames, so this stays well inside the interpreter's recursion limit.
+# Deepest nesting of parentheses and calls; each level costs two Python
+# frames (`_parse_expr` and `_parse_group`), and an `e[...]` parameter,
+# which cannot hold brackets, at most one more run of levels, so this
+# stays well inside the interpreter's recursion limit.
 MAX_NESTING = 100
 
 
@@ -98,16 +127,9 @@ class _Parser:
     pos: int = 0
     depth: int = 0
 
-    def peek(self):
-        return self.tokens[self.pos]
-
-    def next(self):
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
     def expect(self, value: str):
-        kind, text, at = self.next()
+        kind, text, at = self.tokens[self.pos]
+        self.pos += 1
         if text != value:
             found = "end of input" if kind == "end" else repr(text)
             raise ExprError(f"expected {value!r}, found {found}", at)
@@ -127,6 +149,9 @@ class Context:
         self.bindings = bindings or {}
         self.form_mode = n > 0
         self.coords = CoordinateSystem(n, nu) if self.form_mode else None
+        # the carrier and class of a generator, and so of what arithmetic on generators gives
+        self.carrier = self.coords.forms if self.form_mode else function_carrier(0, nu)
+        self.element_class = GradedPoly if self.form_mode else Supernumber
 
     # -- atoms ---------------------------------------------------------
 
@@ -139,30 +164,26 @@ class Context:
         """`value` as an element of this mode: a bare scalar is lifted."""
         return self.scalar(value) if type(value) is CRat else value
 
-    def identifier(self, name: str, at: int):
-        if name in self.bindings:
-            return self.bindings[name]
-        if name == "i":
-            return _I
+    def generator_key(self, name: str, at: int) -> int:
+        """The kernel key of the generator `name` on `self.carrier`."""
         if self.form_mode:
-            for prefix, maker in (
-                ("dxi", lambda k: self.coords.dxi(k)),
-                ("dx", lambda k: self.coords.dx(k)),
-                ("xi", lambda k: self.coords.xi(k).with_carrier(self.coords.forms)),
-                ("x", lambda k: self.coords.x(k).with_carrier(self.coords.forms)),
+            for prefix, limit, mono in (
+                ("dxi", self.nu, lambda k: ((), 0, 0, ((k, 1),))),
+                ("dx", self.n, lambda k: ((), 0, 1 << (k - 1), ())),
+                ("xi", self.nu, lambda k: ((), 1 << (k - 1), 0, ())),
+                ("x", self.n, lambda k: (((k, 1),), 0, 0, ())),
             ):
                 if name.startswith(prefix) and name[len(prefix):].isdigit():
                     k = int(name[len(prefix):])
-                    limit = self.nu if "xi" in prefix else self.n
                     if not 1 <= k <= limit:
                         raise ExprError(f"{name}: index outside 1..{limit}", at)
-                    return maker(k)
+                    return self.carrier.pack(mono(k))
             raise ExprError(f"unknown identifier {name!r}", at)
         if name.startswith("x") and name[1:].isdigit():
             k = int(name[1:])
             if not 1 <= k <= self.nu:
                 raise ExprError(f"{name}: generator index outside 1..{self.nu}", at)
-            return Supernumber.generator(self.nu, k)
+            return mask_of((k,), self.nu)
         raise ExprError(f"unknown identifier {name!r}", at)
 
     def field_by_name(self, name: str, at: int) -> SuperVectorField:
@@ -228,7 +249,11 @@ class Context:
             if param is None:
                 raise ExprError("e needs a function parameter: e[x1](w)", at)
             f = evaluate(param, self, param_at)
-            return op_e_form(self.coords, f.coefficient_function())(arg)
+            try:
+                f = f.coefficient_function()
+            except ValueError:  # f holds a differential
+                raise ExprError(f"e[{param}]: parameter is not a superfunction", param_at) from None
+            return op_e_form(self.coords, f)(arg)
         if name in ("i", "L"):
             if param is None:
                 raise ExprError(f"{name} needs a coordinate direction: {name}[x1](w)", at)
@@ -239,38 +264,105 @@ class Context:
 
 
 def _parse_expr(p: _Parser, ctx: Context):
-    value = _parse_term(p, ctx)
-    while p.peek()[1] in ("+", "-"):
-        _, op, _ = p.next()
-        rhs = _parse_term(p, ctx)
-        value = value + rhs if op == "+" else value - rhs
-    return value
+    """sum := term (("+" | "-") term)*, term := factor (("*" | "^") factor)*,
+    factor := ("+" | "-")* atom, read into one value as the module
+    docstring says."""
+    tokens = p.tokens
+    bindings = ctx.bindings
+    scalar = None  # the sum of the scalar terms
+    parts = []  # (nums, den) of each element term
+    carrier = cls = None  # those of the first element term
+    single = None  # the factor of a term that is one element factor
+    neg = False  # the sign of the term, from the operator before it
+    while True:
+        coef = None  # the product of the term's scalar factors
+        nums = None  # the product of its element factors, over den
+        den = 1
+        first = None  # its first element factor
+        while True:
+            kind, text, at = tokens[p.pos]
+            p.pos += 1
+            while text == "-" or text == "+":
+                neg ^= text == "-"
+                kind, text, at = tokens[p.pos]
+                p.pos += 1
+            if kind == "num":
+                try:
+                    value = parse_crat(text)
+                except ValueError as exc:
+                    raise ExprError(str(exc), at) from None
+            elif kind == "name" and tokens[p.pos][1] not in ("[", "("):
+                value = bindings[text] if text in bindings else _I if text == "i" else None
+            else:
+                value = _parse_group(p, ctx, kind, text, at)
+            if value is None:
+                fnums, fden, fcarrier = {ctx.generator_key(text, at): 1}, 1, ctx.carrier
+                fcls = ctx.element_class
+            elif type(value) is CRat:
+                coef = value if coef is None else coef * value
+                fnums = None
+            else:
+                fnums, fden, fcarrier = value.nums, value.den, value.carrier
+                fcls = type(value) if value._keeps_type else GradedPoly
+            if fnums is not None:
+                if nums is None:
+                    nums, den, tcarrier, tcls, first = fnums, fden, fcarrier, fcls, value
+                else:
+                    if fcarrier is not tcarrier and fcarrier != tcarrier:
+                        raise carrier_mismatch(tcarrier, fcarrier)
+                    nums = _product(nums, fnums, tcarrier)
+                    den *= fden
+                    first = None
+            op = tokens[p.pos][1]
+            if op != "*" and op != "^":
+                break
+            p.pos += 1
+        if nums is None:
+            if neg:
+                coef = -coef
+            scalar = coef if scalar is None else scalar + coef
+        else:
+            if coef is not None or neg:
+                c, d = _pair(coef) if coef is not None else (1, 1)
+                if neg:
+                    c = -c
+                nums = {k: v * c for k, v in nums.items()} if c else {}
+                den *= d
+                first = None
+            if carrier is None:
+                carrier, cls, single = tcarrier, tcls, first
+            elif tcarrier is not carrier and tcarrier != carrier:
+                raise carrier_mismatch(carrier, tcarrier)
+            parts.append((nums, den))
+        op = tokens[p.pos][1]
+        if op != "+" and op != "-":
+            break
+        p.pos += 1
+        neg = op == "-"
+    if not parts:
+        return scalar
+    if len(parts) == 1 and scalar is None:
+        if single is not None:
+            return single
+        nums, den = parts[0]
+    else:
+        if scalar is not None:
+            c, d = _pair(scalar)
+            if c:
+                parts.append(({0: c}, d))
+        den = 1
+        for _, d in parts:  # lcm(*generator) left allocator memory behind on CPython 3.11
+            den = lcm(den, d)
+        nums = {}
+        for terms, d in parts:
+            f = den // d
+            _accumulate(nums, terms.items() if f == 1 else ((k, c * f) for k, c in terms.items()))
+    return _element(cls, carrier, *_normal(nums, den))
 
 
-def _parse_term(p: _Parser, ctx: Context):
-    value = _parse_factor(p, ctx)
-    while p.peek()[1] in ("*", "^"):
-        p.next()
-        rhs = _parse_factor(p, ctx)
-        value = value * rhs
-    return value
-
-
-def _parse_factor(p: _Parser, ctx: Context):
-    negate = False
-    while p.peek()[1] in ("+", "-"):
-        negate ^= p.next()[1] == "-"
-    value = _parse_atom(p, ctx)
-    return -value if negate else value
-
-
-def _parse_atom(p: _Parser, ctx: Context):
-    kind, text, at = p.next()
-    if kind == "num":
-        try:
-            return parse_crat(text)
-        except ValueError as exc:
-            raise ExprError(str(exc), at) from None
+def _parse_group(p: _Parser, ctx: Context, kind: str, text: str, at: int):
+    """A parenthesised sum or a call, whose first token (kind, text, at)
+    is read; any other token here is an error."""
     if text == "(":
         p.enter(at)
         value = _parse_expr(p, ctx)
@@ -278,32 +370,33 @@ def _parse_atom(p: _Parser, ctx: Context):
         p.depth -= 1
         return value
     if kind == "name":
-        nxt = p.peek()[1]
-        if nxt in ("[", "("):
-            param, param_at = None, 0
-            if nxt == "[":
-                param, param_at = _parse_param(p)
-            p.expect("(")
-            p.enter(at)
-            args = [ctx.as_element(_parse_expr(p, ctx))]
-            while p.peek()[1] == ",":
-                p.next()
-                args.append(ctx.as_element(_parse_expr(p, ctx)))
-            p.expect(")")
-            p.depth -= 1
-            return ctx.call(text, param, args, at, param_at)
-        return ctx.identifier(text, at)
+        param, param_at = None, 0
+        if p.tokens[p.pos][1] == "[":
+            param, param_at = _parse_param(p)
+        p.expect("(")
+        p.enter(at)
+        args = [ctx.as_element(_parse_expr(p, ctx))]
+        while p.tokens[p.pos][1] == ",":
+            p.pos += 1
+            args.append(ctx.as_element(_parse_expr(p, ctx)))
+        p.expect(")")
+        p.depth -= 1
+        return ctx.call(text, param, args, at, param_at)
     raise ExprError("unexpected end of input" if kind == "end" else f"unexpected token {text!r}", at)
 
 
 def _parse_param(p: _Parser) -> tuple[str, int]:
     """The source text between '[' and its ']' without outer spaces, and
     the position where that text starts."""
-    _, _, at = p.next()
-    while p.peek()[1] != "]":
-        if p.next()[0] == "end":
+    tokens = p.tokens
+    at = tokens[p.pos][2]
+    p.pos += 1
+    while tokens[p.pos][1] != "]":
+        if tokens[p.pos][0] == "end":
             raise ExprError("'[' is never closed", at)
-    raw = p.text[at + 1:p.next()[2]]
+        p.pos += 1
+    raw = p.text[at + 1:tokens[p.pos][2]]
+    p.pos += 1
     param = raw.strip()
     if not param:
         raise ExprError("empty [...] parameter", at)
@@ -317,8 +410,9 @@ def evaluate(text: str, ctx: Context, column: int = 0):
     p = _Parser(text, tokens)
     try:
         value = _parse_expr(p, ctx)
-        if p.peek()[0] != "end":
-            raise ExprError(f"trailing input {p.peek()[1]!r}", p.peek()[2])
+        kind, rest, at = tokens[p.pos]
+        if kind != "end":
+            raise ExprError(f"trailing input {rest!r}", at)
     except ExprError as exc:
         raise ExprError(exc.reason, exc.position + column) from None
     return ctx.as_element(value)

@@ -90,6 +90,11 @@ class GeneratorMismatch(ValueError):
     """Raised when operands live over different generator sets."""
 
 
+def carrier_mismatch(left: "Carrier", right: "Carrier") -> GeneratorMismatch:
+    """The error of arithmetic between elements of two carriers."""
+    return GeneratorMismatch(f"carriers differ: {left} vs {right}")
+
+
 def mask_of(indices: Iterable[int], n: int) -> int:
     """Bitmask of a strictly increasing multi-index with labels in 1..n."""
     mask = 0
@@ -506,7 +511,7 @@ class GradedPoly:
 
     def _check(self, other: "GradedPoly"):
         if self.carrier is not other.carrier and self.carrier != other.carrier:
-            raise GeneratorMismatch(f"carriers differ: {self.carrier} vs {other.carrier}")
+            raise carrier_mismatch(self.carrier, other.carrier)
 
     def _operand(self, other) -> tuple[dict, int] | None:
         """(nums, den) of a scalar or of an element of this carrier; None

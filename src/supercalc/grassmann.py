@@ -147,8 +147,10 @@ class Supernumber(GradedPoly):
     # -- rendering ----------------------------------------------------
 
     def sorted_terms(self) -> list[tuple[MultiIndex, CRat]]:
+        """(multi-index, coefficient) pairs by degree, then multi-index."""
         terms = self.terms
-        return [(indices_of(m), terms[m]) for m in sorted(terms, key=lambda m: (m.bit_count(), indices_of(m)))]
+        rows = sorted((m.bit_count(), indices_of(m), m) for m in terms)
+        return [(indices, terms[m]) for _, indices, m in rows]
 
     def __repr__(self):
         return f"Supernumber({self.n}, {format_supernumber(self)!r})"

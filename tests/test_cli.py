@@ -432,6 +432,19 @@ def test_error_columns_count_in_the_whole_expression(expr, flags, message):
     assert one_error_line(proc) == f"error: {message}\n"
 
 
+@pytest.mark.parametrize(
+    "expr, message",
+    [
+        ("e[dx1](x1)", "e[dx1]: parameter is not a superfunction (at column 3)"),
+        ("x1 + e[ x1*dxi1 ](dx1)", "e[x1*dxi1]: parameter is not a superfunction (at column 9)"),
+    ],
+    ids=["differential", "spaced-product"],
+)
+def test_form_parameter_of_e_names_its_column(expr, message):
+    proc = run_cli("eval", expr, "--n", "1", "--nu", "1", expect=2)
+    assert one_error_line(proc) == f"error: {message}\n"
+
+
 def test_trailing_blanks_end_the_input():
     proc = run_cli("eval", "x1 + 1 \t ", "--nu", "1")
     assert proc.stdout == "1 + x1\n"

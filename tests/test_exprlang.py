@@ -7,15 +7,28 @@ as in ``x3*2/5*x1*i``.  The sign of a shuffled monomial is counted here
 from the inversions of the written order, so the check shares no sign
 code with the kernel.  The reader must give `Supernumber.from_indices`
 of the terms.
+
+A second, differential check draws seeded expression trees in both
+modes: nested parentheses, products of sums, chains of unary signs,
+``*`` and ``^``, the calls ``inverse``, ``soul``, ``even``, ``odd`` and
+``conj`` on supernumbers, the generators ``x``, ``xi``, ``dx`` and
+``dxi`` of forms (repeated, so that an even one reaches exponent 2 and
+an odd one gives zero), and a binding that shadows a generator name.
+Each tree is written out as text and also evaluated with the element
+operators alone; the reader must return an equal element of the same
+class that prints the same bytes.
 """
 
 import random
 from fractions import Fraction
 
+import pytest
+
 from supercalc.cli import main
 from supercalc.exprlang import Context, evaluate
+from supercalc.forms import CoordinateSystem
 from supercalc.graded_poly import GradedPoly
-from supercalc.grassmann import Supernumber
+from supercalc.grassmann import Convention, Supernumber, format_supernumber
 from supercalc.scalars import CRat, format_crat
 
 
@@ -114,3 +127,145 @@ def test_scalar_call_arguments_print_as_before(capsys):
     ]:
         assert main(list(args)) == 0
         assert capsys.readouterr().out == out, args
+
+
+# -- differential check on expression trees ---------------------------------
+#
+# A tree is (text, value): the text the reader sees and the value built
+# from the element operators.  A factor's text is an atom with optional
+# signs in front; a sum is wrapped in parentheses before it is used as a
+# factor or as the right operand of a sum.
+
+
+class Trees:
+    """Seeded trees over one mode: `Context(n, nu, bindings)`."""
+
+    def __init__(self, rng: random.Random, n: int, nu: int):
+        self.rng = rng
+        self.n, self.nu = n, nu
+        if n:
+            forms = CoordinateSystem(n, nu).forms
+            self.generators = [(f"x{a}", GradedPoly.coordinate(forms, a)) for a in range(1, n + 1)]
+            self.generators += [(f"dx{a}", GradedPoly.aux_odd(forms, a)) for a in range(1, n + 1)]
+            self.generators += [(f"xi{b}", GradedPoly.odd_coordinate(forms, b)) for b in range(1, nu + 1)]
+            self.generators += [(f"dxi{b}", GradedPoly.aux_even(forms, b)) for b in range(1, nu + 1)]
+            self.lift = lambda c: GradedPoly.scalar(forms, c)
+            shadowed = self.generators[-1][0]
+            self.bindings = {shadowed: GradedPoly.coordinate(forms, 1) * 3 - GradedPoly.aux_odd(forms, 1)}
+        else:
+            self.generators = [(f"x{k}", Supernumber.generator(nu, k)) for k in range(1, nu + 1)]
+            self.lift = lambda c: Supernumber.scalar(nu, c)
+            shadowed = f"x{nu}"
+            self.bindings = {shadowed: Supernumber.from_indices(nu, {(): CRat(2, 1), (1,): Fraction(1, 3)})}
+        self.generators = [(name, self.bindings.get(name, value)) for name, value in self.generators]
+
+    def as_element(self, value):
+        return self.lift(value) if isinstance(value, CRat) else value
+
+    def space(self) -> str:
+        return " " if self.rng.random() < 0.3 else ""
+
+    def literal(self):
+        rng = self.rng
+        p, q = rng.randint(0, 7), rng.randint(1, 4)
+        text = str(p) if q == 1 or rng.random() < 0.3 else f"{p}/{q}"
+        value = CRat(Fraction(p, q if "/" in text else 1))
+        if rng.random() < 0.3:
+            return text + "i", value * CRat(0, 1)
+        return text, value
+
+    def atom(self, depth: int):
+        rng = self.rng
+        roll = rng.random()
+        if depth <= 0 or roll < 0.45:
+            kind = rng.random()
+            if kind < 0.3:
+                return self.literal()
+            if kind < 0.4:
+                return "i", CRat(0, 1)
+            return rng.choice(self.generators)
+        if roll < 0.65:
+            text, value = self.sum(depth - 1)
+            return f"({self.space()}{text}{self.space()})", value
+        return self.call(depth - 1)
+
+    def call(self, depth: int):
+        """A call on a sum; the supernumber calls apply to an element."""
+        rng = self.rng
+        text, value = self.sum(depth)
+        if self.n:
+            return f"({text})", value
+        name = rng.choice(["inverse", "soul", "even", "odd", "conj", "conj[dewitt]"])
+        arg = self.as_element(value)
+        if name == "inverse":
+            # a nonzero body makes the argument invertible
+            body = rng.randint(1, 4)
+            arg = self.lift(CRat(body)) + arg.soul()
+            return f"inverse({body} + soul({text}))", arg.inverse()
+        result = {
+            "soul": lambda: arg.soul(),
+            "even": lambda: arg.even_part(),
+            "odd": lambda: arg.odd_part(),
+            "conj": lambda: arg.conjugate(Convention.KOSZUL),
+            "conj[dewitt]": lambda: arg.conjugate(Convention.DEWITT),
+        }[name]()
+        return f"{name}({text})", result
+
+    def factor(self, depth: int):
+        text, value = self.atom(depth)
+        signs = "".join(self.rng.choice("+-") for _ in range(self.rng.choice([0, 0, 0, 1, 2, 3])))
+        for sign in signs:
+            if sign == "-":
+                value = -value
+        return signs + text, value
+
+    def term(self, depth: int):
+        rng = self.rng
+        text, value = self.factor(depth)
+        for _ in range(rng.choice([0, 1, 1, 2, 3])):
+            if rng.random() < 0.15:
+                rhs_text, rhs = rng.choice(self.generators)  # a repeated generator
+                rhs_text = f"{rhs_text}*{rhs_text}"
+                rhs = rhs * rhs
+            else:
+                rhs_text, rhs = self.factor(depth)
+            op = rng.choice("*^")
+            text, value = f"{text}{self.space()}{op}{self.space()}{rhs_text}", value * rhs
+        return text, value
+
+    def sum(self, depth: int):
+        rng = self.rng
+        text, value = self.term(depth)
+        for _ in range(rng.choice([0, 1, 1, 2, 3])):
+            rhs_text, rhs = self.term(depth)
+            if rng.random() < 0.5:
+                text, value = f"{text} + {rhs_text}", value + rhs
+            else:
+                text, value = f"{text} - {rhs_text}", value - rhs
+        return text, value
+
+
+def show(value) -> str:
+    """The bytes `supercalc eval` prints for an element."""
+    return format_supernumber(value) if isinstance(value, Supernumber) else repr(value)
+
+
+@pytest.mark.parametrize("n, nu", [(0, 1), (0, 3), (0, 4), (1, 1), (2, 1), (1, 2)])
+def test_reader_matches_element_operators(n, nu):
+    rng = random.Random(1801 + 10 * n + nu)
+    trees = Trees(rng, n, nu)
+    for _ in range(200):
+        text, value = trees.sum(2)
+        expected = trees.as_element(value)
+        got = evaluate(text, Context(n, nu, trees.bindings))
+        assert type(got) is type(expected), text
+        assert got == expected, text
+        assert show(got) == show(expected), text
+
+
+def test_a_lone_binding_comes_back_unchanged():
+    trees = Trees(random.Random(0), 0, 2)
+    ctx = Context(0, 2, trees.bindings)
+    assert evaluate("x2", ctx) is trees.bindings["x2"]
+    assert evaluate("((+--x2))", ctx) is trees.bindings["x2"]
+    assert evaluate("x1 * x2", ctx) == trees.generators[0][1] * trees.bindings["x2"]
