@@ -190,7 +190,8 @@ class Trees:
         return self.call(depth - 1)
 
     def call(self, depth: int):
-        """A call on a sum; the supernumber calls apply to an element."""
+        """A supernumber call on a sum, its argument lifted to an element;
+        form mode puts the sum in parentheses instead."""
         rng = self.rng
         text, value = self.sum(depth)
         if self.n:
