@@ -23,10 +23,11 @@ from .grassmann import from_json_terms, format_supernumber, Supernumber
 from .scalars import CRat
 
 
-# Clifford operators are dense 2^D x 2^D matrices, so the cost grows four-
-# to sixfold per dimension: `clifford check` takes about 0.4 s at D = 5,
-# 2 s at D = 6 and 11 s at D = 7 on a 2-core host; from D = 6 on, the
-# 2^D current components take the largest share.  Larger sizes are
+# Clifford operators are dense 2^D x 2^D matrices, so the cost grows three-
+# to sevenfold per dimension: `clifford check` takes about 0.3 s at D = 5,
+# 1 s at D = 6 and 7 s at D = 7 on a 2-core host; from D = 6 on, reading
+# the dense operands into the exact products (the relation brackets and
+# the 2^D current components) takes the largest share.  Larger sizes are
 # refused up front.
 MAX_CLIFFORD_DIM = 6
 
@@ -160,7 +161,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="append",
         default=[],
         metavar="NAME=FILE",
-        help="bind NAME to the supernumber in FILE (JSON term map)",
+        help="bind NAME to the supernumber in FILE (JSON term map); supernumber mode only",
     )
 
     p_ber = _command(sub, "berezin", "Berezin-integrate a supernumber file")
@@ -254,6 +255,9 @@ def _print_result(args, text: str) -> int:
 
 
 def cmd_eval(args) -> int:
+    if args.let and args.n:
+        # a binding is a supernumber, whose x<k> form mode calls xi<k>
+        raise ValueError(f"--let works only in supernumber mode (--n 0), got --n {args.n}")
     bindings = {}
     for item in args.let:
         name, _, path = item.partition("=")

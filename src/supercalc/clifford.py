@@ -12,24 +12,29 @@ The exterior-algebra carrier reuses the Grassmann kernel: an element of
 Lambda V* is exactly a supernumber on D generators, and the operators
 above act on it.  As matrices, operators are dense 2^D x 2^D lists of
 exact complex rationals, the strongest brute-force oracle at these
-sizes.  `gamma_matrices` writes them from the Jordan-Wigner sign rule
-alone: moving generator k past monomial m costs
-(-1)^popcount(m & (2^(k-1) - 1)), so no `Supernumber` product (and no
-`merge_sign`) builds a gamma or a current component, and the matrix of
-the kernel operator (`matrix_of`) is an independent route to the same
-entries.  Anticommutators and commutators are `exactmat.bracket`.  The
-metric is a `metric.Metric` (`CliffordContext` names the same class).
-The current components gamma_[I] come from the one-index
-antisymmetrizer: each rank is built from the one below by peeling off
-one index with its sign,
-gamma_[i1..ip] = (1/p) sum_k (-1)^(k-1) gamma_ik gamma_[I - ik], so no
-sum over all p! orderings is formed.
+sizes.  One builder writes every gamma matrix from the Jordan-Wigner
+sign rule alone: moving generator k past monomial m costs
+(-1)^popcount(m & (2^(k-1) - 1)), and sum_b w_b xi^b wedge +
+sum_b v_b d/dxi^b puts that sign times w_k or v_k at one entry per
+column and generator.  gamma_a takes w = g_{.a} and v = e_a, gamma^a
+takes w = e_a and v = g^{a.}.  J is the diagonal sign (-1)^{p(p-1)/2} on
+monomials of degree p, so the commuting copy J gamma_a J is gamma_a with
+the entries negated where J differs at row and column.  No
+`Supernumber` product (and no `merge_sign`) builds a gamma, a commuting
+copy or a current component, and the matrix of a kernel operator
+(`matrix_of`) is an independent route to the same entries.
+Anticommutators and commutators are `exactmat.bracket`.  The metric is a
+`metric.Metric` (`CliffordContext` names the same class).  The current
+components gamma_[I] come from the one-index antisymmetrizer: each rank
+is built from the one below by peeling off one index with its sign,
+gamma_[i1..ip] = (1/p) sum_k (-1)^(k-1) gamma_ik gamma_[I - ik], one
+`exactmat.product_sum` per component with the signs and the 1/p folded
+into its integer numerators, so no sum over all p! orderings is formed.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import reduce
 from itertools import combinations
 from typing import Callable, Sequence
 
@@ -47,9 +52,6 @@ ExteriorElement = Supernumber  # Lambda V* on D generators
 Endo = Callable[[ExteriorElement], ExteriorElement]
 
 CliffordContext = Metric  # the Clifford layer takes the same constant metric
-
-_ONE = CRat(1)
-_MINUS_ONE = CRat(-1)
 
 
 def contraction(ctx: Metric, v: Sequence) -> Endo:
@@ -174,42 +176,52 @@ def commutator_matrix(a: Matrix, b: Matrix) -> Matrix:
     return exactmat.bracket(a, b, -1)
 
 
-def _sign(m: int, k: int) -> int:
-    """The Jordan-Wigner sign (-1)^popcount(m & (2^(k-1) - 1)): moving
-    generator k past the generators of monomial m below it."""
-    return -1 if (m & ((1 << (k - 1)) - 1)).bit_count() & 1 else 1
-
-
-def _gamma_lower_matrix(ctx: Metric, a: int) -> Matrix:
-    """gamma_a from the sign rule alone.  Column m is the image of the
-    monomial m: the wedge with g_ba xi^b writes s(m, b) g[b][a] into row
-    m | 2^(b-1) for each b not in m, and the derivative d/dxi^a writes
-    s(m, a) into row m ^ 2^(a-1) when a is in m.  The wedge rows have one
-    bit more than m and the derivative row one less, so no entry is
-    written twice."""
-    size = 1 << ctx.dim
+def _sign_rule_matrix(d: int, wedge: Sequence[CRat], derive: Sequence[CRat]) -> Matrix:
+    """The matrix of sum_b wedge[b] xi^b wedge + sum_b derive[b] d/dxi^b
+    from the Jordan-Wigner sign rule alone: moving generator b past
+    monomial m costs s(m, b) = (-1)^popcount(m & (2^(b-1) - 1)).  Column m
+    is the image of the monomial m, and generator b writes row
+    m ^ 2^(b-1): s(m, b) wedge[b] when b is not in m, s(m, b) derive[b]
+    when it is.  Each b writes its own row, so no entry is written twice."""
+    size = 1 << d
     out = exactmat.zeros(size, size)
-    col = [(1 << b, b + 1, c, -c) for b, row in enumerate(ctx.g) if (c := row[a - 1])]
-    bit = 1 << (a - 1)
+    gens = [
+        (1 << b, (1 << b) - 1, (w, -w) if w else None, (v, -v) if v else None)
+        for b, (w, v) in enumerate(zip(wedge, derive))
+    ]
     for m in range(size):
-        for mb, b, c, neg in col:
-            if not m & mb:
-                out[m | mb][m] = c if _sign(m, b) > 0 else neg
-        if m & bit:
-            out[m ^ bit][m] = _ONE if _sign(m, a) > 0 else _MINUS_ONE
+        for bit, below, w, v in gens:
+            c = v if m & bit else w
+            if c:
+                out[m ^ bit][m] = c[(m & below).bit_count() & 1]
     return out
 
 
 def gamma_matrices(ctx: Metric, upper: bool = True) -> list[Matrix]:
-    """The matrices of gamma_a, or of gamma^a = g^{ab} gamma_b when
-    `upper`, for a = 1..D, built from the sign rule (see
-    `_gamma_lower_matrix`) with no `Supernumber` product."""
-    lowers = [_gamma_lower_matrix(ctx, a) for a in range(1, ctx.dim + 1)]
-    if not upper:
-        return lowers
+    """The matrices of gamma_a = g_ba xi^b wedge + d/dxi^a, or when `upper`
+    of gamma^a = xi^a wedge + g^{ab} d/dxi^b, for a = 1..D, each written by
+    `_sign_rule_matrix` with no `Supernumber` product."""
+    d = ctx.dim
+    if upper:
+        return [_sign_rule_matrix(d, ctx.basis_vector(a), ctx.g_inv[a - 1]) for a in range(1, d + 1)]
     return [
-        reduce(exactmat.madd, (exactmat.mscale(m, c) for c, m in zip(row, lowers) if c))
-        for row in ctx.g_inv
+        _sign_rule_matrix(d, [row[a - 1] for row in ctx.g], ctx.basis_vector(a))
+        for a in range(1, d + 1)
+    ]
+
+
+def gamma0_matrices(ctx: Metric) -> list[Matrix]:
+    """The commuting copy J gamma_a J for a = 1..D.  J is diagonal, with
+    (-1)^{p(p-1)/2} at a monomial of degree p (see `reversal`), so each
+    entry is that of gamma_a, negated where J differs at its row and at
+    its column; a zero entry stays `exactmat.ZERO`."""
+    odd = [(p * (p - 1) // 2) & 1 for p in map(int.bit_count, range(1 << ctx.dim))]
+    return [
+        [
+            [x if x is exactmat.ZERO or odd[r] == odd[c] else -x for c, x in enumerate(row)]
+            for r, row in enumerate(g)
+        ]
+        for g in gamma_matrices(ctx, upper=False)
     ]
 
 
@@ -217,7 +229,8 @@ def current(ctx: Metric, p: int) -> dict[tuple[int, ...], Matrix]:
     """Antisymmetrized products gamma_[i1 ... ip] as dense matrices, one
     per increasing index set; the bilinear current against two states is
     a plain matrix sandwich.  Built rank by rank with the one-index
-    antisymmetrizer (see the module docstring)."""
+    antisymmetrizer (see the module docstring), one
+    `exactmat.product_sum` per component."""
     if not 0 <= p <= ctx.dim:
         raise ValueError(f"antisymmetrization rank {p} outside 0..{ctx.dim}")
     if p == 0:
@@ -227,14 +240,10 @@ def current(ctx: Metric, p: int) -> dict[tuple[int, ...], Matrix]:
     for rank in range(2, p + 1):
         prev, level = level, {}
         for indices in combinations(range(1, ctx.dim + 1), rank):
-            terms = (
-                exactmat.mscale(
-                    exactmat.matmul(lowers[i - 1], prev[indices[:k] + indices[k + 1:]]),
-                    Fraction((-1) ** k, rank),
-                )
+            level[indices] = exactmat.product_sum(
+                (lowers[i - 1], prev[indices[:k] + indices[k + 1:]], Fraction((-1) ** k, rank))
                 for k, i in enumerate(indices)
             )
-            level[indices] = reduce(exactmat.madd, terms)
     return level
 
 

@@ -7,17 +7,22 @@ scalars, a plain `int` or a :class:`~supercalc.scalars.CRat`
 involved.
 
 A matrix is a dense list of rows, but the products cost what the nonzero
-entries cost.  `matmul` and `bracket` share one private row kernel: it
-reads each operand once into rows of nonzero (column, numerator) pairs,
-split into real and imaginary parts, as integers over one denominator,
-the lcm of the entries' denominators (FLINT's `fmpq_mat` keeps a
-rational matrix the same way).  Products and sums run on the ints, and
-each nonzero result entry is made once by `scalars._crat`, so a near
-signed-permutation matrix such as a Clifford gamma costs about one int
-product per row and a real matrix never touches an imaginary part.
-`bracket(a, b, sign)` is ab + sign*ba, both products read from the same
-rows, so an anticommutator or commutator costs one read of each operand.
-Every zero that `zeros`, `identity`, `matmul`, `bracket`, `madd` and
+entries cost.  `matmul`, `bracket` and `product_sum` share one private
+row kernel: it reads each operand once into rows of nonzero (column,
+numerator) pairs, split into real and imaginary parts, as integers over
+one denominator, the lcm of the entries' denominators (FLINT's
+`fmpq_mat` keeps a rational matrix the same way).  Products and sums run
+on the ints, and each nonzero result entry is made once by
+`scalars._crat`, so a near signed-permutation matrix such as a Clifford
+gamma costs about one int product per row and a real matrix never
+touches an imaginary part.  `bracket(a, b, sign)` is ab + sign*ba, both
+products read from the same rows, so an anticommutator or commutator
+costs one read of each operand.  `product_sum` is sum c * ab over
+(a, b, c) with exact rational coefficients c: every term is brought over
+the lcm of the terms' denominators (operands' times coefficient's) and
+c folds into its integer sign, so a linear combination of products makes
+each result entry once, with no `mscale` or `madd` pass.  Every zero that
+`zeros`, `identity`, `matmul`, `bracket`, `product_sum`, `madd` and
 `mscale` create is the one shared immutable `ZERO`; `madd` and `mscale`
 pass it through untouched, and list comparison matches it by identity
 before comparing values.
@@ -26,10 +31,10 @@ before comparing values.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import compress, count, repeat
+from itertools import chain, compress, count, repeat
 from math import lcm
 from operator import is_not, or_
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .scalars import CRat, _crat
 
@@ -54,24 +59,26 @@ def zeros(rows: int, cols: int) -> Matrix:
 def _rows(m: Matrix) -> tuple[list, list | None, int]:
     """m's nonzero entries as (real rows, imaginary rows or None, den):
     row i of each part lists (column, int numerator) pairs of nonzero
-    parts over den, the lcm of the entries' denominators."""
-    read = [[(j, row[j]) for j in compress(count(), map(is_not, row, repeat(ZERO)))] for row in m]
-    den = lcm(*{x._d for nz in read for _, x in nz if type(x) is not int})
-    re_rows, im_rows = [], []
-    for nz in read:
-        re_row, im_row = [], []
-        for j, x in nz:
-            if type(x) is int:
-                if x:
-                    re_row.append((j, x * den))
-            else:
-                f = den // x._d
-                if x._a:
-                    re_row.append((j, x._a * f))
-                if x._b:
-                    im_row.append((j, x._b * f))
-        re_rows.append(re_row)
-        im_rows.append(im_row)
+    parts over den, the lcm of the entries' denominators.  m is read as
+    one flat list, so its rows must all have the same length."""
+    cols = len(m[0]) if m else 0
+    flat = list(chain.from_iterable(m))
+    nonzero = list(compress(count(), map(is_not, flat, repeat(ZERO))))
+    den = lcm(*{x._d for x in map(flat.__getitem__, nonzero) if type(x) is not int})
+    re_rows = [[] for _ in m]
+    im_rows = [[] for _ in m]
+    for p in nonzero:
+        x = flat[p]
+        i, j = divmod(p, cols)
+        if type(x) is int:
+            if x:
+                re_rows[i].append((j, x * den))
+        else:
+            f = den // x._d
+            if x._a:
+                re_rows[i].append((j, x._a * f))
+            if x._b:
+                im_rows[i].append((j, x._b * f))
     return re_rows, (im_rows if any(im_rows) else None), den
 
 
@@ -120,10 +127,14 @@ def _terms(a: tuple, b: tuple, sign: int) -> list[tuple]:
 
 def matmul(a: Matrix, b: Matrix) -> Matrix:
     inner, cols = len(b), len(b[0])
-    if any(len(r) != inner for r in a):
+    if any(len(r) != inner for r in a) or any(len(r) != cols for r in b):
         raise ValueError("shape mismatch")
     ra, rb = _rows(a), _rows(b)
     return _products(len(a), cols, _terms(ra, rb, 1), ra[2] * rb[2])
+
+
+def _square(n: int, *ms: Matrix) -> bool:
+    return all(len(m) == n and all(len(r) == n for r in m) for m in ms)
 
 
 def bracket(a: Matrix, b: Matrix, sign: int) -> Matrix:
@@ -131,10 +142,32 @@ def bracket(a: Matrix, b: Matrix, sign: int) -> Matrix:
     for sign 1 and the commutator for sign -1.  Each operand is read
     once for both products."""
     n = len(a)
-    if any(len(r) != n for r in a) or len(b) != n or any(len(r) != n for r in b):
+    if not _square(n, a, b):
         raise ValueError("bracket needs two square matrices of one size")
     ra, rb = _rows(a), _rows(b)
     return _products(n, n, _terms(ra, rb, 1) + _terms(rb, ra, sign), ra[2] * rb[2])
+
+
+def product_sum(triples: Iterable[tuple[Matrix, Matrix, int | Fraction]]) -> Matrix:
+    """sum c * (a @ b) over the (a, b, c) of `triples`, for square matrices
+    of one size and exact rational coefficients c (`int` or `Fraction`),
+    in one row-kernel call: term k is over da_k * db_k * dc_k, its
+    operands' denominators times its coefficient's, every term is brought
+    over the lcm of those, and c's numerator is the term's integer sign."""
+    triples = list(triples)
+    if not triples:
+        raise ValueError("product_sum needs at least one term")
+    n = len(triples[0][0])
+    if not all(_square(n, a, b) for a, b, _ in triples):
+        raise ValueError("product_sum needs square matrices of one size")
+    if any(type(c) is not int and type(c) is not Fraction for _, _, c in triples):
+        raise TypeError("product_sum coefficients are int or Fraction")
+    reads = [(_rows(a), _rows(b), Fraction(c)) for a, b, c in triples]
+    den = lcm(*(ra[2] * rb[2] * c.denominator for ra, rb, c in reads))
+    terms = []
+    for ra, rb, c in reads:
+        terms += _terms(ra, rb, c.numerator * (den // (ra[2] * rb[2] * c.denominator)))
+    return _products(n, n, terms, den)
 
 
 def madd(a: Matrix, b: Matrix) -> Matrix:

@@ -35,7 +35,7 @@ from .clifford import (
     dirac_gamma_on_forms,
     dirac_operator,
     dirac_operator_gamma_route,
-    gamma0,
+    gamma0_matrices,
     gamma_matrices,
     gamma_upper_symbolic,
     identity_matrix,
@@ -1007,7 +1007,7 @@ def run_clifford(
                         exactmat.mat_eq(anticommutator_matrix(gs[a], gs[b]), want),
                         f"D={d} {label} ({a+1},{b+1})",
                     )
-            g0s = [matrix_of(gamma0(ctx, ctx.basis_vector(a)), d) for a in range(1, d + 1)]
+            g0s = gamma0_matrices(ctx)
             gls = gamma_matrices(ctx, upper=False)
             zero = exactmat.zeros(size, size)
             for a in range(d):

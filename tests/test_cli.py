@@ -333,6 +333,19 @@ def test_library_reader_errors_name_the_flag_and_file(tmp_path):
     assert one_error_line(proc).startswith(f"error: --let {number}: scalar literal 5 is not a string")
 
 
+def test_let_is_refused_in_form_mode(tmp_path):
+    """A binding is a supernumber, so form mode refuses `--let` before it
+    reads the file: a missing path gives the same one line."""
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps({"1": "1"}))
+    for target in (str(path), str(tmp_path / "missing.json")):
+        for expression in ("s", "s + dx1"):
+            proc = run_cli("eval", expression, "--n", "1", "--nu", "2", "--let", f"s={target}", expect=2)
+            assert one_error_line(proc) == "error: --let works only in supernumber mode (--n 0), got --n 1\n"
+    proc = run_cli("eval", "s + x1", "--n", "0", "--nu", "2", "--let", f"s={path}")
+    assert proc.stdout.strip() == "2*x1"
+
+
 def test_quadrature_budget_is_an_input_error(tmp_path):
     path = tmp_path / "g.json"
     path.write_text(json.dumps({"terms": {"1,2": "gaussian"}}))

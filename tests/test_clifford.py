@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 
@@ -17,6 +18,7 @@ from supercalc.clifford import (
     dirac_operator_gamma_route,
     gamma,
     gamma0,
+    gamma0_matrices,
     gamma_lower,
     gamma_matrices,
     gamma_upper,
@@ -281,6 +283,7 @@ def test_gammas_and_currents_need_no_grassmann_product(monkeypatch):
             gamma_matrices(ctx, True),
             gamma_matrices(ctx, False),
             [current(ctx, p) for p in range(ctx.dim + 1)],
+            gamma0_matrices(ctx),
         )
         for ctx in contexts
     ]
@@ -292,7 +295,100 @@ def test_gammas_and_currents_need_no_grassmann_product(monkeypatch):
     monkeypatch.setattr(graded_poly, "_product", refuse)
     with pytest.raises(AssertionError, match="graded product"):
         Supernumber.generator(2, 1) * Supernumber.generator(2, 2)
-    for ctx, (uppers, lowers, comps) in zip(contexts, want):
+    for ctx, (uppers, lowers, comps, copies) in zip(contexts, want):
         assert gamma_matrices(ctx, True) == uppers
         assert gamma_matrices(ctx, False) == lowers
         assert [current(ctx, p) for p in range(ctx.dim + 1)] == comps
+        assert gamma0_matrices(ctx) == copies
+
+
+def _assert_shared_zeros(m):
+    assert all(type(x) is CRat for row in m for x in row)
+    assert all(x is exactmat.ZERO for row in m for x in row if not x)
+
+
+def test_commuting_copy_equals_the_kernel_route():
+    """J gamma_a J from the diagonal sign of J against the matrix of the
+    `Supernumber` operator gamma0 = reversal . gamma_a . reversal, entry
+    for entry: the graded kernel stays on one side of this test."""
+    for ctx in _sign_rule_contexts():
+        d = ctx.dim
+        copies = gamma0_matrices(ctx)
+        assert len(copies) == d
+        for a in range(1, d + 1):
+            assert copies[a - 1] == matrix_of(gamma0(ctx, ctx.basis_vector(a)), d), (d, a)
+            _assert_shared_zeros(copies[a - 1])
+
+
+def test_upper_gammas_equal_the_inverse_metric_sum():
+    """The sign-rule gamma^a = xi^a wedge + g^{ab} d/dxi^b against
+    g^{ab} gamma_b summed entrywise from the lower gammas; the two agree
+    only because g^{-1} g = I holds exactly."""
+    for ctx in _sign_rule_contexts():
+        lowers, uppers = gamma_matrices(ctx, False), gamma_matrices(ctx, True)
+        for a, row in enumerate(ctx.g_inv):
+            want = reduce(exactmat.madd, (exactmat.mscale(m, c) for c, m in zip(row, lowers) if c))
+            assert uppers[a] == want, (ctx.dim, a + 1)
+            _assert_shared_zeros(uppers[a])
+
+
+def _antisymmetrized(lowers, indices, d):
+    """(1/p!) sum_sigma sign(sigma) gamma_sigma(1) ... gamma_sigma(p) over
+    all p! orderings of `indices`, the sign from the inversion count."""
+    acc = exactmat.zeros(1 << d, 1 << d)
+    for perm in itertools.permutations(indices):
+        inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
+        prod = identity_matrix(d)
+        for i in perm:
+            prod = exactmat.matmul(prod, lowers[i - 1])
+        acc = exactmat.madd(acc, exactmat.mscale(prod, (-1) ** inversions))
+    return exactmat.mscale(acc, Fraction(1, math.factorial(len(indices))))
+
+
+def test_current_equals_the_antisymmetrizer_on_every_context():
+    """Every rank p <= D of `current` against the p!-term definition, on
+    the identity for D = 1..4, Minkowski and seeded random metrics."""
+    for ctx in _sign_rule_contexts():
+        d = ctx.dim
+        lowers = gamma_matrices(ctx, upper=False)
+        for p in range(d + 1):
+            comps = current(ctx, p)
+            assert sorted(comps) == list(itertools.combinations(range(1, d + 1), p))
+            for indices, got in comps.items():
+                assert got == _antisymmetrized(lowers, indices, d), (d, indices)
+                _assert_shared_zeros(got)
+
+
+def test_clifford_matrices_need_no_entrywise_sums(monkeypatch):
+    """The gammas, the commuting copy and the currents are written by the
+    sign rule and `exactmat.product_sum`, never by `mscale` or `madd`, and
+    each current component of rank 2 or more is one row-kernel call."""
+    contexts = [ctx for ctx in _sign_rule_contexts()]
+    want = [
+        (gamma_matrices(ctx, True), gamma0_matrices(ctx), [current(ctx, p) for p in range(ctx.dim + 1)])
+        for ctx in contexts
+    ]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an entrywise sum was called")
+
+    kernel_calls = []
+    products = exactmat._products
+
+    def counted(*args):
+        kernel_calls.append(1)
+        return products(*args)
+
+    monkeypatch.setattr(exactmat, "mscale", refuse)
+    monkeypatch.setattr(exactmat, "madd", refuse)
+    monkeypatch.setattr(exactmat, "_products", counted)
+    for ctx, (uppers, copies, comps) in zip(contexts, want):
+        kernel_calls.clear()
+        assert gamma_matrices(ctx, True) == uppers
+        assert gamma0_matrices(ctx) == copies
+        assert not kernel_calls
+        for p in range(ctx.dim + 1):
+            kernel_calls.clear()
+            assert current(ctx, p) == comps[p]
+            built = sum(math.comb(ctx.dim, rank) for rank in range(2, p + 1))
+            assert len(kernel_calls) == built, (ctx.dim, p)

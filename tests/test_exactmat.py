@@ -3,6 +3,7 @@ installed, against sympy's exact rational matrices."""
 
 import random
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 
@@ -103,6 +104,15 @@ def test_shape_mismatch_is_refused():
         exactmat.matmul([[CRat(1)], [CRat(1), CRat(2)]], exactmat.identity(2))
 
 
+def test_ragged_right_operand_is_refused():
+    """An operand is read as one flat list, so a right-hand factor with
+    rows of different lengths is a shape error, not a misread."""
+    with pytest.raises(ValueError, match="shape mismatch"):
+        exactmat.matmul(exactmat.identity(2), [[CRat(1)], [CRat(1), CRat(2)]])
+    with pytest.raises(ValueError, match="shape mismatch"):
+        exactmat.matmul(exactmat.identity(2), [[CRat(1), CRat(2), CRat(3)], [CRat(1), CRat(2)]])
+
+
 def random_scalar_matrix(rng, n, zero_fill):
     """An n x n matrix mixing `int`, rational and Gaussian `CRat` entries
     with fresh, non-shared `CRat(0)` zeros."""
@@ -176,6 +186,63 @@ def test_bracket_refuses_non_square_matrices():
             exactmat.bracket(a, b, 1)
         with pytest.raises(ValueError, match="square"):
             exactmat.bracket(b, a, -1)
+
+
+PRODUCT_SUM_CASES = [
+    (seed, n, fill) for seed, n in enumerate((1, 2, 3, 5, 8)) for fill in (0.0, 0.4, 0.8)
+]
+
+
+@pytest.mark.parametrize("seed, n, fill", PRODUCT_SUM_CASES)
+def test_product_sum_equals_matmul_mscale_madd(seed, n, fill):
+    """Sums of one to four products with int and Fraction coefficients on
+    Gaussian and mixed int/rational entries, against `matmul`, `mscale`
+    and `madd`; every entry is a `CRat` and every zero the shared one."""
+    rng = random.Random(f"product_sum:{seed}:{fill}")
+    mats = [random_matrix(rng, n, n, fill), random_scalar_matrix(rng, n, fill),
+            random_matrix(rng, n, n, fill), exactmat.identity(n)]
+    coefficients = [1, -1, 2, 0, Fraction(1, 3), Fraction(-5, 6), Fraction(7, 4)]
+    for terms in range(1, 5):
+        for _ in range(3):
+            triples = [(rng.choice(mats), rng.choice(mats), rng.choice(coefficients)) for _ in range(terms)]
+            want = reduce(exactmat.madd, (exactmat.mscale(exactmat.matmul(a, b), c) for a, b, c in triples))
+            got = exactmat.product_sum(triples)
+            assert got == want
+            assert exactmat.product_sum(iter(triples)) == want
+            assert all(type(x) is CRat for row in got for x in row)
+            assert all(x is exactmat.ZERO for row in got for x in row if not x)
+
+
+def test_cancelling_product_sum_gives_the_shared_zero():
+    rng = random.Random("product_sum:cancel")
+    a, b = random_matrix(rng, 4, 4, 0.0), random_scalar_matrix(rng, 4, 0.3)
+    for triples in (
+        [(a, b, 1), (a, b, -1)],
+        [(a, b, Fraction(1, 2)), (a, b, Fraction(1, 2)), (a, b, -1)],
+        [(a, b, Fraction(2, 3)), (b, a, 1), (a, b, Fraction(-2, 3)), (b, a, -1)],
+        [(a, b, 0)],
+    ):
+        got = exactmat.product_sum(triples)
+        assert all(x is exactmat.ZERO for row in got for x in row)
+
+
+def test_product_sum_refuses_bad_shapes_and_coefficients():
+    for a, b in (
+        (exactmat.zeros(2, 3), exactmat.zeros(3, 2)),
+        (exactmat.identity(2), exactmat.identity(3)),
+        (exactmat.identity(2), exactmat.zeros(2, 3)),
+        ([[CRat(1)], [CRat(1), CRat(2)]], exactmat.identity(2)),
+    ):
+        with pytest.raises(ValueError, match="square matrices of one size"):
+            exactmat.product_sum([(a, b, 1)])
+        with pytest.raises(ValueError, match="square matrices of one size"):
+            exactmat.product_sum([(exactmat.identity(len(a)), exactmat.identity(len(a)), 1), (b, a, 1)])
+    with pytest.raises(ValueError, match="at least one term"):
+        exactmat.product_sum([])
+    ident = exactmat.identity(2)
+    for c in (CRat(1), 0.5, True, "1"):
+        with pytest.raises(TypeError, match="int or Fraction"):
+            exactmat.product_sum([(ident, ident, c)])
 
 
 def _to_sympy(sympy, m):

@@ -11,9 +11,20 @@ return a value or raise an input error, a `ValueError` or a
 `error:` line with exit 2; any other exception, and a case that takes
 longer than its alarm, fails.
 
-The `mixed` and `berezin` JSON readers are not fuzzed here.
+Two more strategies draw JSON documents for the `berezin --expr` and
+`mixed --expr` files: term maps nested or not under "terms", with
+generator and exponent keys in and out of range or malformed, scalar
+values of every JSON type, huge numbers and zero denominators, and now
+and then a wrong shape anywhere.  Each document goes through `cli.main`
+in process, under the same alarm, and must exit 0 with its result on
+stdout or exit 2 with one `error:` line on stderr; a traceback, exit 1
+or a timeout fails.
 """
 
+import contextlib
+import io
+import itertools
+import json
 import signal
 from fractions import Fraction
 
@@ -21,6 +32,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from supercalc import cli
 from supercalc.exprlang import Context, evaluate
 from supercalc.grassmann import Supernumber
 
@@ -44,18 +56,25 @@ def _alarm(signum, frame):
     raise Timeout
 
 
-def read(text: str, ctx: Context) -> None:
+@contextlib.contextmanager
+def alarm(what: str):
     previous = signal.signal(signal.SIGALRM, _alarm)
     signal.alarm(ALARM_S)
     try:
-        evaluate(text, ctx)
-    except INPUT_ERRORS:
-        pass
+        yield
     except Timeout:
-        pytest.fail(f"no result within {ALARM_S} s: {text!r}")
+        pytest.fail(f"no result within {ALARM_S} s: {what}")
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
+
+
+def read(text: str, ctx: Context) -> None:
+    with alarm(repr(text)):
+        try:
+            evaluate(text, ctx)
+        except INPUT_ERRORS:
+            pass
 
 
 LITERALS = ["0", "1", "3", "1/2", "7/3", "2i", "1/2i", "12345678901234567890"]
@@ -116,3 +135,120 @@ TOKENS = ["(", ")", "[", "]", ",", ":", "+", "-", "*", "^", " ", "x1", "xi1", "d
 @given(st.lists(st.sampled_from(TOKENS), max_size=20).map("".join), st.sampled_from([(0, 2), (2, 1)]))
 def test_token_soup(text, mode):
     read(text, Context(*mode))
+
+
+# -- the JSON file readers through the CLI ------------------------------------
+
+SCALAR_TEXT = ["1", "-3/7", "2i", "1/2-3/4i", "0", "0/5", "12345678901234567890123/1",
+               "1/98765432109876543210"]
+SCALAR_FAULTS = ["1/0", "0/0i", "", " ", "x", "1e5", "nan", "gaussian", "nope"]
+JSON_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(min_value=-(10**30), max_value=10**30),
+    st.floats(),
+    st.sampled_from(SCALAR_TEXT + SCALAR_FAULTS),
+)
+KEY_FAULTS = ["2,1", "1,1", "0", "-1", "a", "1,", ",", "99999999999999999999", " 1", "1_0", "x1",
+              "1\n2", "2147483648", "1,2,3,4"]
+JUNK = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.sampled_from(KEY_FAULTS), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def mostly(good, bad):
+    """`good` about nine times in ten, else `bad`."""
+    return st.sampled_from(9 * [good] + [bad]).flatmap(lambda chosen: chosen)
+
+
+def wrong(values):
+    """`values`, or now and then a JSON value of any other shape."""
+    return mostly(values, JUNK)
+
+
+def keys(good: list[str]):
+    """Keys of a term map: mostly `good` ones, now and then a faulty one."""
+    return mostly(st.sampled_from(good), st.sampled_from(KEY_FAULTS))
+
+
+SCALARS = mostly(st.sampled_from(SCALAR_TEXT), st.sampled_from(SCALAR_FAULTS) | JSON_SCALARS)
+
+
+def generator_keys(nu: int) -> list[str]:
+    """Every increasing generator index set on nu generators, comma-joined."""
+    return [",".join(map(str, ix)) for r in range(nu + 1) for ix in itertools.combinations(range(1, nu + 1), r)]
+
+
+def exponent_keys(n: int) -> list[str]:
+    return [""] + [",".join(map(str, e)) for e in itertools.product((0, 1, 3, 40, 3000), repeat=n)]
+
+
+@st.composite
+def berezin_case(draw):
+    nu = draw(st.integers(0, 3))
+    terms = st.dictionaries(keys(generator_keys(nu)), SCALARS, max_size=4)
+    document = draw(wrong(terms | st.fixed_dictionaries({"terms": terms})))
+    return document, str(nu)
+
+
+def counts(value: int):
+    return mostly(st.just(value), st.sampled_from([0, 1, 2, "1", -1, None]))
+
+
+@st.composite
+def mixed_case(draw):
+    n, nu = draw(st.integers(0, 2)), draw(st.integers(0, 2))
+    polynomial = st.dictionaries(keys(exponent_keys(n)), SCALARS, max_size=3)
+    coefficient = st.one_of(polynomial, polynomial, polynomial, st.sampled_from(["gaussian", "nope"]))
+    terms = st.dictionaries(keys(generator_keys(nu)), wrong(coefficient), max_size=3)
+    document = draw(wrong(st.fixed_dictionaries(
+        {"terms": terms}, optional={"n": counts(n), "nu": counts(nu)}
+    )))
+    intervals = ["0,1", "0,1/2", "-1,1", "1/3,2", "-8,8"]
+    good = ";".join(draw(st.lists(st.sampled_from(intervals), min_size=n, max_size=n)))
+    domain = draw(mostly(st.just(good), st.sampled_from(["1,0", "0,0", "0,1/0", "0", "0,1;0,1/3", "a,b"])))
+    return document, str(n), str(nu), domain
+
+
+JSON_FUZZ = settings(FUZZ, max_examples=150)
+
+
+@pytest.fixture(scope="module")
+def json_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "input.json"
+
+
+def run_main(argv: list[str], document) -> None:
+    """`cli.main(argv)` on a file holding `document`: exit 0 with output,
+    or exit 2 with one `error:` line."""
+    out, err = io.StringIO(), io.StringIO()
+    what = f"{argv} on {document!r}"
+    with alarm(what), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            pytest.fail(f"usage exit {exc.code}: {what}")
+    if code == 0:
+        assert out.getvalue().count("\n") == 1 and not err.getvalue(), what
+    else:
+        assert code == 2, f"exit {code}: {what}"
+        lines = err.getvalue().splitlines()
+        assert not out.getvalue() and len(lines) == 1 and lines[0].startswith("error: "), (what, lines)
+
+
+@JSON_FUZZ
+@given(berezin_case(), st.sampled_from(["one", "sqrt2pii", "invsqrt2pii"]))
+def test_berezin_files(json_path, case, norm):
+    document, nu = case
+    json_path.write_text(json.dumps(document))
+    run_main(["berezin", "--nu", nu, "--expr", str(json_path), "--normalization", norm], document)
+
+
+@JSON_FUZZ
+@given(mixed_case())
+def test_mixed_files(json_path, case):
+    document, n, nu, domain = case
+    json_path.write_text(json.dumps(document))
+    run_main(["mixed", "--n", n, "--nu", nu, "--expr", str(json_path), f"--domain={domain}"], document)
