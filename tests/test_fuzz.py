@@ -201,7 +201,7 @@ def counts(value: int):
 def mixed_case(draw):
     n, nu = draw(st.integers(0, 2)), draw(st.integers(0, 2))
     polynomial = st.dictionaries(keys(exponent_keys(n)), SCALARS, max_size=3)
-    coefficient = st.one_of(polynomial, polynomial, polynomial, st.sampled_from(["gaussian", "nope"]))
+    coefficient = mostly(polynomial, st.sampled_from(["gaussian", "nope"]))
     terms = st.dictionaries(keys(generator_keys(nu)), wrong(coefficient), max_size=3)
     document = draw(wrong(st.fixed_dictionaries(
         {"terms": terms}, optional={"n": counts(n), "nu": counts(nu)}
