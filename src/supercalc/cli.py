@@ -35,15 +35,16 @@ MAX_CLIFFORD_DIM = 6
 # state, so its cost grows as the (max_occ + 1)^nb * 2^nf states times the
 # squared mode count (nb + nf)^2.  On a 2-core host that size is 1024 at
 # the default (nb, nf, max_occ) = (2, 2, 3), about 1 s; 18432 at
-# (3, 3, 3), 11 s; 20000 at (1, 1, 2499), 15 s, as high occupations cost
-# more per state; 41472 at (1, 8, 1), 22 s.  Larger sizes are refused up
+# (3, 3, 3), 5 s; 20000 at (1, 1, 2499), 7 s, as high occupations cost
+# more per state; 41472 at (1, 8, 1), 12 s.  Larger sizes are refused up
 # front.
 MAX_FOCK_SIZE = 20_000
 
 # The complexes suite samples forms, fields and coordinate pairs of one
 # patch, and its cost grows with the coordinate count n + nu, fastest in
-# n: `check complexes` takes about 2 s at (2, 2), 7 s at (8, 0) and 11 s
-# at (10, 0) on a 2-core host.  Larger patches are refused up front.
+# n: `check complexes` takes about 0.35 s at (2, 2), 1.0-1.6 s at (8, 0)
+# and 1.4-2.0 s at (10, 0) on a 2-core host.  Larger patches are refused
+# up front.
 MAX_PATCH_COORDS = 10
 
 # The adaptive quadrature bisects until its tolerance is met; at or below

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from typing import Callable, Sequence
 
 from .berezin import berezin_integral, from_json_mixed, to_json_mixed
@@ -34,16 +33,12 @@ from .graded_poly import (
     GradedPoly,
     Kind,
     Parity,
-    _accumulate,
-    _d_field,
-    _d_odd,
-    _divergence_terms,
+    _derivation_sum,
+    _divergence_nums,
     _element,
-    _exterior_d_terms,
+    _exterior_d_nums,
     _init,
-    _map_terms,
     _normal,
-    _product,
     density_carrier,
     form_carrier,
     function_carrier,
@@ -183,6 +178,8 @@ class SuperVectorField:
             raise ValueError("component count mismatch")
         want_bose = Parity.EVEN if self.parity == 0 else Parity.ODD
         want_fermi = Parity.ODD if self.parity == 0 else Parity.EVEN
+        if any(comp.carrier != self.coords.functions for comp in self.bose + self.fermi):
+            raise GeneratorMismatch("component is not a superfunction over this patch")
         for comp in self.bose:
             if not comp.is_zero() and comp.parity() is not want_bose:
                 raise ValueError("bosonic component parity inconsistent with field parity")
@@ -215,14 +212,10 @@ class SuperVectorField:
     def apply(self, f: GradedPoly) -> GradedPoly:
         """Directional derivative on a superfunction."""
         f = _as_function(self.coords, f)
-        out = GradedPoly.zero(self.coords.functions)
-        for a, comp in enumerate(self.bose, start=1):
-            if not comp.is_zero():
-                out = out + comp * f.partial_x(a)
-        for alpha, comp in enumerate(self.fermi, start=1):
-            if not comp.is_zero():
-                out = out + comp * f.partial_xi(alpha)
-        return out
+        fc = self.coords.functions
+        pairs = [(c, 0, fc.shift(a)) for a, c in enumerate(self.bose, start=1) if c.nums]
+        pairs += [(c, 1 << (alpha - 1), 0) for alpha, c in enumerate(self.fermi, start=1) if c.nums]
+        return _element(GradedPoly, fc, *_derivation_sum(fc, pairs, f))
 
     def bracket(self, other: "SuperVectorField") -> "SuperVectorField":
         """Graded Lie bracket [X, Y] = XY - (-1)^{parities} YX."""
@@ -252,9 +245,10 @@ class SuperVectorField:
 
 @dataclass(frozen=True)
 class Operator:
-    """Linear operator with a parity tag, so graded brackets compose."""
+    """Linear operator with a parity tag, so graded brackets compose; the
+    tag is None on a sum of an even and an odd operator."""
 
-    parity: int
+    parity: int | None
     fn: Callable[[GradedPoly], GradedPoly]
 
     def __call__(self, w: GradedPoly) -> GradedPoly:
@@ -272,7 +266,7 @@ class Operator:
 
     def graded_bracket(self, other: "Operator") -> "Operator":
         """[P, Q] = PQ - (-1)^{parity P * parity Q} QP."""
-        anti = (self.parity * other.parity) & 1
+        anti = (_definite(self) * _definite(other)) & 1
 
         def bracket(w: GradedPoly) -> GradedPoly:
             pq, qp = self.fn(other.fn(w)), other.fn(self.fn(w))
@@ -281,7 +275,16 @@ class Operator:
         return Operator((self.parity + other.parity) % 2, bracket)
 
     def anticommutator(self, other: "Operator") -> "Operator":
-        return Operator((self.parity + other.parity) % 2, lambda w: self.fn(other.fn(w)) + other.fn(self.fn(w)))
+        parity = (_definite(self) + _definite(other)) % 2
+        return Operator(parity, lambda w: self.fn(other.fn(w)) + other.fn(self.fn(w)))
+
+
+def _definite(op: Operator) -> int:
+    """The parity of an operator that a bracket can grade: a sum of an even
+    and an odd operator has none."""
+    if op.parity is None:
+        raise ValueError("graded bracket of an operator of mixed parity (a sum of an even and an odd operator)")
+    return op.parity
 
 
 def _parity_of(f: GradedPoly) -> int:
@@ -310,36 +313,32 @@ def _require(carrier: Carrier, w: GradedPoly) -> None:
 
 
 def _term_pass(carrier: Carrier, w: GradedPoly, rule) -> GradedPoly:
-    """The element whose numerators rule(w.nums) yields over w's
+    """The element whose numerators rule(w.nums, carrier) gives over w's
     denominator, on w's own carrier."""
     _require(carrier, w)
-    return _element(GradedPoly, carrier, *_normal(_accumulate({}, rule(w.nums, carrier)), w.den))
+    return _element(GradedPoly, carrier, *_normal(rule(w.nums, carrier), w.den))
 
 
 def _differential(coords: CoordinateSystem, w: GradedPoly) -> GradedPoly:
     """dw = sum_A dx^A (dw/dx^A) on the form algebra."""
-    return _term_pass(coords.forms, w, _exterior_d_terms)
+    return _term_pass(coords.forms, w, _exterior_d_nums)
 
 
-def _contract(carrier: Carrier, comps, w: GradedPoly) -> GradedPoly:
-    """sum of comp * (derivative of w along the auxiliary (family, index)),
-    accumulated into one term dict over the lcm of the comps' denominators."""
+def _contract(carrier: Carrier, pairs, w: GradedPoly) -> GradedPoly:
+    """sum of comp * (derivative of w along an auxiliary) over the
+    (comp, bit, shift) pairs of `_derivation_sum`: the odd auxiliary
+    `bit`, or the even auxiliary whose field is at `shift`."""
     _require(carrier, w)
+    return _element(GradedPoly, carrier, *_derivation_sum(carrier, pairs, w))
+
+
+def _aux_pairs(carrier: Carrier, bose, fermi) -> list:
+    """The nonzero components against the auxiliary they contract: dx_a
+    (the x_a slot) for the bosonic ones, dxi_alpha (the xi_alpha slot)
+    for the fermionic ones."""
     n, nu = carrier.n, carrier.nu
-    parts = []
-    for comp, (fam, idx) in comps:
-        if fam == "ao":
-            der = _map_terms(w.nums, _d_odd, 1 << (nu + idx - 1))
-        else:
-            der = _map_terms(w.nums, _d_field, carrier.shift(n + idx))
-        if der:
-            parts.append((_product(comp.nums, der, carrier), comp.den))
-    den = lcm(*(d for _, d in parts)) if parts else 1
-    out: dict = {}
-    for nums, d in parts:
-        f = den // d
-        _accumulate(out, nums.items() if f == 1 else ((k, c * f) for k, c in nums.items()))
-    return _element(GradedPoly, carrier, *_normal(out, den * w.den))
+    pairs = [(c, 1 << (nu + a - 1), 0) for a, c in enumerate(bose, start=1) if c.nums]
+    return pairs + [(c, 0, carrier.shift(n + alpha)) for alpha, c in enumerate(fermi, start=1) if c.nums]
 
 
 def total_differential(coords: CoordinateSystem, f) -> GradedPoly:
@@ -361,17 +360,9 @@ def op_d_form(coords: CoordinateSystem) -> Operator:
 def op_i_form(x: SuperVectorField) -> Operator:
     """Contraction i(X): components act from the left on the derivative
     along the matching differential."""
-    coords = x.coords
-    comps = [
-        (c.with_carrier(coords.forms), ("ao", a))
-        for a, c in enumerate(x.bose, start=1)
-        if not c.is_zero()
-    ] + [
-        (c.with_carrier(coords.forms), ("ae", al))
-        for al, c in enumerate(x.fermi, start=1)
-        if not c.is_zero()
-    ]
-    return Operator((x.parity + 1) % 2, lambda w: _contract(coords.forms, comps, w))
+    forms = x.coords.forms
+    pairs = _aux_pairs(forms, x.bose, x.fermi)
+    return Operator((x.parity + 1) % 2, lambda w: _contract(forms, pairs, w))
 
 
 def op_lie_form(x: SuperVectorField) -> Operator:
@@ -389,7 +380,7 @@ def op_mult_density(coords: CoordinateSystem, f) -> Operator:
 
 def op_divergence(coords: CoordinateSystem) -> Operator:
     """Divergence b = sum_A d/dx^A applied to the first slot; odd, bb = 0."""
-    return Operator(1, lambda w: _term_pass(coords.densities, w, _divergence_terms))
+    return Operator(1, lambda w: _term_pass(coords.densities, w, _divergence_nums))
 
 
 def slot_element(x: SuperVectorField) -> GradedPoly:
@@ -415,15 +406,10 @@ def op_i_density(x: SuperVectorField) -> Operator:
 def op_e_density(coords: CoordinateSystem, f) -> Operator:
     """e(F) on densities: contract the first slot with dF."""
     f = _as_function(coords, f)
-    grads = [
-        (f.partial_x(a).with_carrier(coords.densities), ("ao", a))
-        for a in range(1, coords.n + 1)
-    ] + [
-        (f.partial_xi(alpha).with_carrier(coords.densities), ("ae", alpha))
-        for alpha in range(1, coords.nu + 1)
-    ]
-    grads = [(grad, aux) for grad, aux in grads if not grad.is_zero()]
-    return Operator((_parity_of(f) + 1) % 2, lambda w: _contract(coords.densities, grads, w))
+    bose = [f.partial_x(a) for a in range(1, coords.n + 1)]
+    fermi = [f.partial_xi(alpha) for alpha in range(1, coords.nu + 1)]
+    pairs = _aux_pairs(coords.densities, bose, fermi)
+    return Operator((_parity_of(f) + 1) % 2, lambda w: _contract(coords.densities, pairs, w))
 
 
 def op_lie_density(x: SuperVectorField) -> Operator:

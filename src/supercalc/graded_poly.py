@@ -38,12 +38,15 @@ mask, even-aux exponents), exponents as sorted (index, exponent) pairs;
 `split_xi` and `join_xi` take a superfunction apart by xi mask and put
 it back.  The sparse term routines live here too: `_accumulate`,
 `_product` and `_map_terms` under one rule for odd generators
-(`_d_odd`) and one for exponent fields (`_d_field`).  The exterior
-differential d of the form algebra and the divergence b of the density
-algebra are term rules as well (`_exterior_d_terms`,
-`_divergence_terms`): one pass over the terms, each term yielding its
-image terms with the signs the products dx_a * dw/dx_a would carry, and
-no ring product.
+(`_d_odd`) and one for exponent fields (`_d_field`).  A sum of
+components times derivatives, sum_A c_A * dw/dx^A (a contraction i(X),
+e(F) on densities, a vector field X(F)), is one pass of
+`_derivation_sum` into one dict, with no derivative or product dict per
+component.  The exterior differential d of the form algebra and the
+divergence b of the density algebra are one-dict passes as well
+(`_exterior_d_nums`, `_divergence_nums`): each term adds its image
+terms, with the signs the products dx_a * dw/dx_a would carry, straight
+into the result, and no ring product is formed.
 
 An element stores integer numerators over one element denominator, as
 FLINT's `fmpq_poly` does (Hart, "FLINT: Fast Library for Number
@@ -356,6 +359,56 @@ def _product(a: dict, b: dict, carrier: Carrier) -> dict:
     return out
 
 
+def _derivation_sum(carrier: Carrier, pairs, w: GradedPoly) -> tuple[dict, int]:
+    """Numerators and denominator of sum_A c_A * (derivative of w along
+    generator A) in one pass, content divided out.  `pairs` holds
+    (c_A, bit, shift): the odd generator `bit`, or bit 0 and the exponent
+    field at `shift`.  Each derivative term of w is multiplied into c_A's
+    numerators, rescaled to the lcm of the c_A denominators, and the
+    products go straight into one dict under `_product`'s sign rule."""
+    odd = carrier.odd
+    den = 1
+    for comp, _, _ in pairs:
+        den = lcm(den, comp.den)
+    items = w.nums.items()
+    out: dict = {}
+    for comp, bit, shift in pairs:
+        f = den // comp.den
+        left = [(kc, kc & odd, cc * f if f != 1 else cc) for kc, cc in comp.nums.items()]
+        for kw, cw in items:
+            if bit:
+                if not kw & bit:
+                    continue
+                kw ^= bit
+                if (kw & (bit - 1)).bit_count() & 1:
+                    cw = -cw
+            else:
+                e = kw >> shift & _FIELD_MASK
+                if not e:
+                    continue
+                kw -= 1 << shift
+                cw *= e
+            ow = kw & odd
+            for kc, oc, cc in left:
+                if oc & ow:
+                    continue
+                c = cc * cw
+                if oc and ow and merge_sign(oc, ow) < 0:
+                    c = -c
+                key = kc + kw
+                prev = out.get(key)
+                if prev is None:
+                    out[key] = c
+                else:
+                    c = prev + c
+                    if not c:
+                        del out[key]
+                    else:
+                        out[key] = c
+    _check_exponents(carrier, out)
+    return _normal(out, den * w.den)
+
+
 # term rules for _map_terms
 
 
@@ -373,45 +426,76 @@ def _d_field(key: int, c, shift: int):
         return key - (1 << shift), c * e
 
 
-# term generators for the differentials d and b
+# one-dict passes for the differentials d and b
 
 
-def _exterior_d_terms(terms: Mapping, carrier: Carrier):
-    """Terms of dw = sum_A dx^A (dw/dx^A) on the form algebra.  Putting the
-    odd dx_a in front passes every odd generator below it (every xi and
-    the lower dx); dxi_alpha is even, so only d/dxi_alpha's own prefix
-    sign counts."""
+def _exterior_d_nums(nums: dict, carrier: Carrier) -> dict:
+    """Numerators of dw = sum_A dx^A (dw/dx^A) on the form algebra, in one
+    dict.  Putting the odd dx_a in front passes every odd generator below
+    it (every xi and the lower dx); dxi_alpha is even, so only
+    d/dxi_alpha's own prefix sign counts."""
     n, nu = carrier.n, carrier.nu
     x_fields = [(carrier.shift(a), 1 << (nu + a - 1)) for a in range(1, n + 1)]
-    for key, c in terms.items():
+    xi_fields = [(1 << (alpha - 1), 1 << carrier.shift(n + alpha)) for alpha in range(1, nu + 1)]
+    guards = carrier.guards
+    out: dict = {}
+    for key, c in nums.items():
         for shift, bit in x_fields:
             e = key >> shift & _FIELD_MASK
             if e and not key & bit:
-                k = c * e
-                yield key - (1 << shift) + bit, -k if (key & (bit - 1)).bit_count() & 1 else k
-        rest = key & ((1 << nu) - 1)
-        while rest:
-            bit = rest & -rest
-            rest ^= bit
-            raised = (key ^ bit) + (1 << carrier.shift(n + bit.bit_length()))
-            if raised & carrier.guards:
-                _check_exponents(carrier, (raised,))
-            yield raised, -c if (key & (bit - 1)).bit_count() & 1 else c
+                k = -c * e if (key & (bit - 1)).bit_count() & 1 else c * e
+                target = key - (1 << shift) + bit
+                prev = out.get(target)
+                if prev is None:
+                    out[target] = k
+                else:
+                    k = prev + k
+                    if not k:
+                        del out[target]
+                    else:
+                        out[target] = k
+        for bit, step in xi_fields:
+            if key & bit:
+                raised = (key ^ bit) + step
+                if raised & guards:
+                    _check_exponents(carrier, (raised,))
+                k = -c if (key & (bit - 1)).bit_count() & 1 else c
+                prev = out.get(raised)
+                if prev is None:
+                    out[raised] = k
+                else:
+                    k = prev + k
+                    if not k:
+                        del out[raised]
+                    else:
+                        out[raised] = k
+    return out
 
 
-def _divergence_terms(terms: Mapping, carrier: Carrier):
-    """Terms of bw = sum_A d/dx^A applied to the first slot, the mirror of
-    `_exterior_d_terms`: drop the x_a slot and lower x_a, or lower the
-    xi_alpha slot and drop xi_alpha."""
+def _divergence_nums(nums: dict, carrier: Carrier) -> dict:
+    """Numerators of bw = sum_A d/dx^A applied to the first slot, in one
+    dict: the mirror of `_exterior_d_nums`, dropping the x_a slot and
+    lowering x_a, or lowering the xi_alpha slot and dropping xi_alpha."""
     n, nu = carrier.n, carrier.nu
     pairs = [(carrier.shift(a), 1 << (nu + a - 1)) for a in range(1, n + 1)]
     pairs += [(carrier.shift(n + alpha), 1 << (alpha - 1)) for alpha in range(1, nu + 1)]
-    for key, c in terms.items():
+    out: dict = {}
+    for key, c in nums.items():
         for shift, bit in pairs:
             e = key >> shift & _FIELD_MASK
             if e and key & bit:
-                k = c * e
-                yield key - (1 << shift) - bit, -k if (key & (bit - 1)).bit_count() & 1 else k
+                k = -c * e if (key & (bit - 1)).bit_count() & 1 else c * e
+                target = key - (1 << shift) - bit
+                prev = out.get(target)
+                if prev is None:
+                    out[target] = k
+                else:
+                    k = prev + k
+                    if not k:
+                        del out[target]
+                    else:
+                        out[target] = k
+    return out
 
 
 def _has_coordinates(carrier: Carrier, keys) -> bool:

@@ -8,9 +8,12 @@ their reordering sign is tracked as they arrive, instead of multiplying
 one-term ring elements together.  The draws, and so every downstream
 trial, are those of that product construction, which
 ``tests/test_builders.py`` keeps as the reference.  The builders write
-the kernel's stored form directly: every drawn coefficient is a
-numerator over the one denominator 6, the lcm of the drawn denominators,
-and each element divides out its content once.  Integer draws go through
+the kernel's stored form directly.  In a superfunction, form or density
+each drawn factor adds its odd bit, or one exponent at its
+`Carrier.shift` offset, to a packed key, with no tuple monomial and no
+`Carrier.pack` per term.  Every drawn coefficient is a numerator over
+the one denominator 6, the lcm of the drawn denominators, and each
+element divides out its content once.  Integer draws go through
 `_randint`, which consumes the generator exactly as `randint` does.
 """
 
@@ -132,8 +135,7 @@ def superfunction(
     parity: int | None = None,
 ) -> GradedPoly:
     fc = coords.functions
-    found = _function_terms(rng, coords, terms, max_degree)
-    out = _over_den(GradedPoly, fc, {fc.pack((x, xi, 0, ())): c for (x, xi), c in found.items()})
+    out = _over_den(GradedPoly, fc, _function_terms(rng, coords, terms, max_degree))
     if parity is not None:
         out = out.parity_part(parity)
         if out.is_zero() and parity == 0:
@@ -145,29 +147,31 @@ def superfunction(
 
 def _function_terms(rng: random.Random, coords: CoordinateSystem, terms: int = 4, max_degree: int = 2) -> dict:
     """Numerators over _DEN of a sum of `terms` random monomials
-    c * x_a ... * xi_alpha ..., keyed by (x exponents, xi mask), each
-    factor drawn in turn; a repeated xi kills its monomial, whose
-    remaining factors are still drawn."""
+    c * x_a ... * xi_alpha ..., keyed by their key on the patch, each
+    factor drawn in turn and added to the key at its `Carrier.shift`
+    offset or odd bit; a repeated xi kills its monomial, whose remaining
+    factors are still drawn."""
+    n, nu = coords.n, coords.nu
+    steps = [1 << coords.functions.shift(a) for a in range(1, n + 1)]  # x_a, one exponent each
     found = []
     for _ in range(terms):
         c = _draw(rng, complex_ok=False)
-        x: dict[int, int] = {}
+        key = 0
         for _ in range(_randint(rng, 0, max_degree)):
-            if coords.n:
-                a = _randint(rng, 1, coords.n)
-                x[a] = x.get(a, 0) + 1
+            if n:
+                key += steps[_randint(rng, 1, n) - 1]
         xi = 0
         dead = not c
-        if coords.nu:
-            for _ in range(_randint(rng, 0, min(coords.nu, 2))):
-                bit = 1 << (_randint(rng, 1, coords.nu) - 1)
+        if nu:
+            for _ in range(_randint(rng, 0, min(nu, 2))):
+                bit = 1 << (_randint(rng, 1, nu) - 1)
                 if xi & bit:
                     dead = True
                 elif merge_sign(xi, bit) < 0:
                     c = -c
                 xi |= bit
         if not dead:
-            found.append(((tuple(sorted(x.items())), xi), c))
+            found.append((key | xi, c))
     return _accumulate({}, found)
 
 
@@ -182,23 +186,25 @@ def density(rng: random.Random, coords: CoordinateSystem, degree: int, blades: i
 def _homogeneous(rng: random.Random, coords: CoordinateSystem, degree: int, blades: int, cls):
     """Sum of random superfunctions times random blades of the given
     degree, in the form or density algebra of ``cls``.  A blade is an
-    odd-auxiliary mask, even-auxiliary exponents and a sign; every xi sits
+    odd-auxiliary mask, even-auxiliary exponents and a sign, kept as the
+    key offset it adds to a function key of the patch; every xi sits
     below every auxiliary, so a function term times a blade takes the
     blade's sign alone."""
     carrier = cls.carrier_of(coords)
+    n, nu = coords.n, coords.nu
+    steps = [1 << carrier.shift(n + alpha) for alpha in range(1, nu + 1)]  # dxi_alpha or its slot
     acc: dict = {}
     for _ in range(blades):
-        ao, ae, negative = 0, {}, False
+        ao, blade, negative = 0, 0, False
         d = 0
         guard = 0
         while d < degree and guard < 30:
             guard += 1
-            if coords.nu and (not coords.n or rng.random() < 0.5):
-                alpha = _randint(rng, 1, coords.nu)
-                ae[alpha] = ae.get(alpha, 0) + 1
+            if nu and (not n or rng.random() < 0.5):
+                blade += steps[_randint(rng, 1, nu) - 1]
                 d += 1
-            elif coords.n:
-                bit = 1 << (_randint(rng, 1, coords.n) - 1)
+            elif n:
+                bit = 1 << (_randint(rng, 1, n) - 1)
                 if ao & bit:
                     continue  # repeated bosonic differential
                 negative ^= merge_sign(ao, bit) < 0
@@ -206,9 +212,9 @@ def _homogeneous(rng: random.Random, coords: CoordinateSystem, degree: int, blad
                 d += 1
         if d < degree:
             continue
-        ae_exps = tuple(sorted(ae.items()))
+        blade += ao << nu
         f = _function_terms(rng, coords)
-        _accumulate(acc, ((carrier.pack((x, xi, ao, ae_exps)), -c if negative else c) for (x, xi), c in f.items()))
+        _accumulate(acc, ((blade + key, -c if negative else c) for key, c in f.items()))
     return cls(coords, _over_den(GradedPoly, carrier, acc))
 
 

@@ -1,7 +1,9 @@
-"""Exactness guard for the term-by-term builders and differentials.
+"""Exactness guard for the term-by-term builders, differentials and
+contractions.
 
-`randomgen.superfunction`, `randomgen.form`/`density` and the operators
-`d` and `b` write their terms straight into term dicts.  The reference
+`randomgen.superfunction`, `randomgen.form`/`density`, the operators
+`d` and `b`, and the one-pass derivation sums i(X), e(F) on densities
+and X(F) write their terms straight into term dicts.  The reference
 versions below build the same things as sums of products of one-term
 `GradedPoly` elements and derivatives, which is how the ring defines
 them.  On seeded inputs over every patch with 0 <= n, nu <= 3 the two
@@ -9,13 +11,25 @@ must agree term for term, and must consume the same random draws.
 """
 
 import random
+from fractions import Fraction
+from math import gcd
 
 import pytest
 
 from supercalc import randomgen as rg
-from supercalc.forms import CoordinateSystem, SuperDensity, SuperForm, op_d_form, op_divergence
-from supercalc.graded_poly import GradedPoly
+from supercalc.forms import (
+    CoordinateSystem,
+    SuperDensity,
+    SuperForm,
+    SuperVectorField,
+    op_d_form,
+    op_divergence,
+    op_e_density,
+    op_i_form,
+)
+from supercalc.graded_poly import MAX_EXPONENT, GradedPoly
 from supercalc.grassmann import GeneratorMismatch
+from supercalc.scalars import CRat
 
 PATCHES = [(n, nu) for n in range(4) for nu in range(4)]
 DEGREES = range(5)
@@ -87,6 +101,35 @@ def ref_b(coords, w):
     return out
 
 
+def ref_i(x, w):
+    forms = x.coords.forms
+    out = GradedPoly.zero(forms)
+    for a, comp in enumerate(x.bose, start=1):
+        out = out + comp.with_carrier(forms) * w.partial_aux_odd(a)
+    for alpha, comp in enumerate(x.fermi, start=1):
+        out = out + comp.with_carrier(forms) * w.partial_aux_even(alpha)
+    return out
+
+
+def ref_e_density(coords, f, u):
+    dens = coords.densities
+    out = GradedPoly.zero(dens)
+    for a in range(1, coords.n + 1):
+        out = out + f.partial_x(a).with_carrier(dens) * u.partial_aux_odd(a)
+    for alpha in range(1, coords.nu + 1):
+        out = out + f.partial_xi(alpha).with_carrier(dens) * u.partial_aux_even(alpha)
+    return out
+
+
+def ref_apply(x, f):
+    out = GradedPoly.zero(x.coords.functions)
+    for a, comp in enumerate(x.bose, start=1):
+        out = out + comp * f.partial_x(a)
+    for alpha, comp in enumerate(x.fermi, start=1):
+        out = out + comp * f.partial_xi(alpha)
+    return out
+
+
 # -- side by side ------------------------------------------------------------
 
 
@@ -147,3 +190,74 @@ def test_d_and_b_refuse_the_other_carrier():
         op_d_form(coords)(GradedPoly.unit(coords.densities))
     with pytest.raises(GeneratorMismatch):
         op_divergence(coords)(GradedPoly.unit(coords.forms))
+
+
+def assert_canonical(p):
+    """den > 0, no zero numerator, and gcd(den, every numerator part) == 1."""
+    assert p.den > 0 and all(p.nums.values())
+    g = p.den
+    for c in p.nums.values():
+        g = gcd(g, c) if type(c) is int else gcd(g, c._a, c._b)
+    assert g == 1 or not p.nums, p
+
+
+def gaussian(rng):
+    """A random Gaussian rational with a nonzero imaginary part."""
+    return CRat(rg.rational(rng), Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 3)))
+
+
+def scaled_field(rng, coords, parity, complex_comps):
+    """A random field of the given parity; with complex_comps, every
+    component times its own Gaussian scalar."""
+    x = rg.vector_field(rng, coords, parity)
+    if not complex_comps:
+        return x
+    return SuperVectorField(
+        coords, tuple(c * gaussian(rng) for c in x.bose), tuple(c * gaussian(rng) for c in x.fermi), parity
+    )
+
+
+@pytest.mark.parametrize("n,nu", PATCHES)
+def test_contractions_match_products(n, nu):
+    coords = CoordinateSystem(n, nu)
+    rng = random.Random(31 * n + nu)
+    for parity in (0, 1):
+        for complex_comps in (False, True):
+            for _ in range(3):
+                x = scaled_field(rng, coords, parity, complex_comps)
+                f = rg.superfunction(rng, coords, parity=parity)
+                if complex_comps:
+                    f = f * gaussian(rng)
+                i_x, e_f = op_i_form(x), op_e_density(coords, f)
+                got = x.apply(f)
+                assert got == ref_apply(x, f), (n, nu, parity, x, f)
+                assert_canonical(got)
+                for degree in range(4):
+                    w = rg.form(rng, coords, degree)
+                    got = i_x(w)
+                    assert got.carrier == coords.forms
+                    assert got.terms == ref_i(x, w).terms, (n, nu, parity, degree, w)
+                    assert_canonical(got)
+                    u = rg.density(rng, coords, degree)
+                    got = e_f(u)
+                    assert got.carrier == coords.densities
+                    assert got.terms == ref_e_density(coords, f, u).terms, (n, nu, parity, degree, u)
+                    assert_canonical(got)
+
+
+def test_contractions_keep_the_exponent_guard():
+    """A product term past MAX_EXPONENT is refused, as `_product` refuses it."""
+    coords = CoordinateSystem(1, 1)
+    fc = coords.functions
+    big = GradedPoly(fc, {MAX_EXPONENT << fc.shift(1): 1})  # x1^MAX_EXPONENT
+    x = SuperVectorField.make(coords, [big], [0], 0)
+    x1 = coords.x(1)
+    message = f"exponent {MAX_EXPONENT + 1} exceeds {MAX_EXPONENT}"
+    slot = GradedPoly.aux_odd(coords.densities, 1)
+    for thunk in (
+        lambda: op_i_form(x)(x1.with_carrier(coords.forms) * coords.dx(1)),
+        lambda: x.apply(x1 * x1),
+        lambda: op_e_density(coords, big)(slot * (x1 * x1).with_carrier(coords.densities)),
+    ):
+        with pytest.raises(ValueError, match=message):
+            thunk()

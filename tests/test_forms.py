@@ -17,10 +17,12 @@ from supercalc.forms import (
     insert_iX,
     integrate_density,
     lie_derivative,
+    op_d_form,
     op_divergence,
     op_e_density,
     op_e_form,
     op_i_form,
+    op_mult,
     pairing,
     scalar_density_integral,
     wedge,
@@ -318,3 +320,29 @@ def test_contraction_operators_refuse_the_other_carrier():
             with pytest.raises(GeneratorMismatch):
                 op(operand)
     assert not op_i_form(x)(form).is_zero() and not op_e_density(c, f)(density).is_zero()
+
+
+def test_brackets_refuse_an_operator_of_mixed_parity():
+    """A sum of an even and an odd operator has no parity, so a graded
+    bracket or anticommutator with it names the mixed parity."""
+    c = CoordinateSystem(1, 1)
+    mixed = op_d_form(c) + op_mult(c, 1)
+    assert mixed.parity is None
+    for make in (
+        lambda: mixed.graded_bracket(op_d_form(c)),
+        lambda: op_d_form(c).graded_bracket(mixed),
+        lambda: mixed.anticommutator(op_mult(c, 1)),
+        lambda: op_mult(c, 1).anticommutator(mixed),
+    ):
+        with pytest.raises(ValueError, match="mixed parity"):
+            make()
+    even = op_mult(c, c.x(1))
+    assert (even + even).graded_bracket(op_d_form(c)).parity == 1
+
+
+def test_vector_field_refuses_components_of_another_patch():
+    c = CoordinateSystem(1, 1)
+    with pytest.raises(GeneratorMismatch):
+        SuperVectorField(c, (CoordinateSystem(2, 1).x(1),), (GradedPoly.zero(c.functions),), 0)
+    with pytest.raises(GeneratorMismatch):
+        SuperVectorField(c, (GradedPoly.unit(c.forms),), (GradedPoly.zero(c.functions),), 0)
