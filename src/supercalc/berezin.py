@@ -33,7 +33,6 @@ from .graded_poly import (
     GradedPoly,
     Kind,
     _element,
-    _normal,
     function_carrier,
     indices_of,
     join_xi,
@@ -197,7 +196,7 @@ def tensor_product(f: GradedPoly, g: GradedPoly) -> GradedPoly:
         for (xf, mf, _, _), cf in ((f.carrier.unpack(k), c) for k, c in f.nums.items())
         for (xg, mg, _, _), cg in g_nums
     }
-    return _element(GradedPoly, out, *_normal(nums, f.den * g.den))
+    return _element(GradedPoly, out, nums, f.den * g.den)
 
 
 # -- change of variables -------------------------------------------------

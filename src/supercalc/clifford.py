@@ -164,18 +164,6 @@ def matrix_of(op: Endo, d: int) -> Matrix:
     return [[cols[c][r] for c in range(size)] for r in range(size)]
 
 
-def identity_matrix(d: int) -> Matrix:
-    return exactmat.identity(1 << d)
-
-
-def anticommutator_matrix(a: Matrix, b: Matrix) -> Matrix:
-    return exactmat.bracket(a, b, 1)
-
-
-def commutator_matrix(a: Matrix, b: Matrix) -> Matrix:
-    return exactmat.bracket(a, b, -1)
-
-
 def _sign_rule_matrix(d: int, wedge: Sequence[CRat], derive: Sequence[CRat]) -> Matrix:
     """The matrix of sum_b wedge[b] xi^b wedge + sum_b derive[b] d/dxi^b
     from the Jordan-Wigner sign rule alone: moving generator b past
@@ -234,7 +222,7 @@ def current(ctx: Metric, p: int) -> dict[tuple[int, ...], Matrix]:
     if not 0 <= p <= ctx.dim:
         raise ValueError(f"antisymmetrization rank {p} outside 0..{ctx.dim}")
     if p == 0:
-        return {(): identity_matrix(ctx.dim)}
+        return {(): exactmat.identity(1 << ctx.dim)}
     lowers = gamma_matrices(ctx, upper=False)
     level = {(i,): lowers[i - 1] for i in range(1, ctx.dim + 1)}
     for rank in range(2, p + 1):

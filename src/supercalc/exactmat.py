@@ -126,7 +126,7 @@ def _terms(a: tuple, b: tuple, sign: int) -> list[tuple]:
 
 
 def matmul(a: Matrix, b: Matrix) -> Matrix:
-    inner, cols = len(b), len(b[0])
+    inner, cols = len(b), len(b[0]) if b else 0
     if any(len(r) != inner for r in a) or any(len(r) != cols for r in b):
         raise ValueError("shape mismatch")
     ra, rb = _rows(a), _rows(b)

@@ -32,8 +32,8 @@ one loop over its factors:
 
 A sum collects its element terms as (numerators, denominator) pairs and
 adds them once over the lcm of their denominators, with one
-`graded_poly._accumulate` pass and one `graded_poly._normal`.  The
-result takes the carrier and class of the first element term, as element
+`graded_poly._accumulate` pass; `graded_poly._element` divides out the
+content.  The result takes the carrier and class of the first element term, as element
 arithmetic would: a `Supernumber` in supernumber mode and a `GradedPoly`
 of the form carrier in form mode, unless a binding brings its own.  A
 sum that is one factor and nothing else is that factor itself, so a bare
@@ -69,7 +69,6 @@ from .graded_poly import (
     GradedPoly,
     _accumulate,
     _element,
-    _normal,
     _pair,
     _product,
     carrier_mismatch,
@@ -357,7 +356,7 @@ def _parse_expr(p: _Parser, ctx: Context):
         for terms, d in parts:
             f = den // d
             _accumulate(nums, terms.items() if f == 1 else ((k, c * f) for k, c in terms.items()))
-    return _element(cls, carrier, *_normal(nums, den))
+    return _element(cls, carrier, nums, den)
 
 
 def _parse_group(p: _Parser, ctx: Context, kind: str, text: str, at: int):

@@ -38,7 +38,6 @@ from .graded_poly import (
     _element,
     _exterior_d_nums,
     _init,
-    _normal,
     density_carrier,
     form_carrier,
     function_carrier,
@@ -139,7 +138,7 @@ class _Homogeneous(GradedPoly):
             x_exps, xi, ao, ae = source.unpack(key)
             fermi = tuple(i for i, e in ae for _ in range(e))
             groups.setdefault((indices_of(ao), fermi), {})[fn.pack((x_exps, xi, 0, ()))] = c
-        return {comp: _element(GradedPoly, fn, *_normal(nums, self.den)) for comp, nums in groups.items()}
+        return {comp: _element(GradedPoly, fn, nums, self.den) for comp, nums in groups.items()}
 
     def __repr__(self):
         return f"{type(self).__name__}(deg {self.degree}: {super().__repr__()})"
@@ -316,7 +315,7 @@ def _term_pass(carrier: Carrier, w: GradedPoly, rule) -> GradedPoly:
     """The element whose numerators rule(w.nums, carrier) gives over w's
     denominator, on w's own carrier."""
     _require(carrier, w)
-    return _element(GradedPoly, carrier, *_normal(rule(w.nums, carrier), w.den))
+    return _element(GradedPoly, carrier, rule(w.nums, carrier), w.den)
 
 
 def _differential(coords: CoordinateSystem, w: GradedPoly) -> GradedPoly:

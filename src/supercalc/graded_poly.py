@@ -36,17 +36,19 @@ Only this module reads key bits.  `Carrier.pack` and `Carrier.unpack`
 convert a key from and to the tuple view (x exponents, xi mask, odd-aux
 mask, even-aux exponents), exponents as sorted (index, exponent) pairs;
 `split_xi` and `join_xi` take a superfunction apart by xi mask and put
-it back.  The sparse term routines live here too: `_accumulate`,
-`_product` and `_map_terms` under one rule for odd generators
-(`_d_odd`) and one for exponent fields (`_d_field`).  A sum of
-components times derivatives, sum_A c_A * dw/dx^A (a contraction i(X),
-e(F) on densities, a vector field X(F)), is one pass of
-`_derivation_sum` into one dict, with no derivative or product dict per
-component.  The exterior differential d of the form algebra and the
-divergence b of the density algebra are one-dict passes as well
-(`_exterior_d_nums`, `_divergence_nums`): each term adds its image
-terms, with the signs the products dx_a * dw/dx_a would carry, straight
-into the result, and no ring product is formed.
+it back.  The sparse term routines live here too: `_accumulate` and
+`_product`.  A derivative along one generator anticommutes an odd
+generator to the front and drops it, or lowers an even one's exponent
+by one; distinct keys stay distinct, so `GradedPoly._derive` is one
+dict comprehension with nothing to accumulate.  A sum of components
+times derivatives, sum_A c_A * dw/dx^A (a contraction i(X), e(F) on
+densities, a vector field X(F)), is one pass of `_derivation_sum` into
+one dict, with no derivative or product dict per component.  The
+exterior differential d of the form algebra and the divergence b of the
+density algebra are one-dict passes as well (`_exterior_d_nums`,
+`_divergence_nums`): each term adds its image terms, with the signs the
+products dx_a * dw/dx_a would carry, straight into the result, and no
+ring product is formed.
 
 An element stores integer numerators over one element denominator, as
 FLINT's `fmpq_poly` does (Hart, "FLINT: Fast Library for Number
@@ -56,8 +58,9 @@ with denominator 1 (a Gaussian integer), and `den >= 1` is one int for
 the whole element.  The form is canonical, gcd(den, every real and
 imaginary numerator part) == 1, so equality compares `den` and the
 dict.  Products, sums, derivatives, d and b run on the numerators, which
-stay ints in C for real coefficients, and every result divides out its
-content with one gcd in `_normal`, which costs nothing when den == 1.
+stay ints in C for real coefficients, and every result is built by the
+one constructor `_element(cls, carrier, nums, den)`, which divides out
+the content with one gcd pass in `_normal`, free when den == 1.
 `.terms` is a read-only view of the values, computed on each access: an
 `int` when a value is an integer and a `CRat` otherwise.  `CRat(3) == 3`
 with equal hashes, so which type holds a value never shows.  A scalar
@@ -235,7 +238,7 @@ def density_carrier(n: int, nu: int) -> Carrier:
 #
 # Term dicts map an int key to a nonzero numerator: an int, or a CRat with
 # denominator 1.  The routines below never see the element denominator,
-# except `_normal`, `_sum` and `_value`.
+# except `_normal`, `_sum`, `_derivation_sum` and `_value`.
 
 
 def _pair(value) -> tuple:
@@ -318,12 +321,6 @@ def _accumulate(out: dict, terms) -> dict:
     return out
 
 
-def _map_terms(terms: dict, rule, arg) -> dict:
-    """Accumulate rule(key, numerator, arg) -> (key, numerator) | None
-    over terms."""
-    return _accumulate({}, filter(None, (rule(k, c, arg) for k, c in terms.items())))
-
-
 def _check_exponents(carrier: Carrier, keys) -> None:
     """Refuse keys in which an exponent has run into its guard bit."""
     if keys and reduce(or_, keys) & carrier.guards:
@@ -361,7 +358,7 @@ def _product(a: dict, b: dict, carrier: Carrier) -> dict:
 
 def _derivation_sum(carrier: Carrier, pairs, w: GradedPoly) -> tuple[dict, int]:
     """Numerators and denominator of sum_A c_A * (derivative of w along
-    generator A) in one pass, content divided out.  `pairs` holds
+    generator A) in one pass, content not divided out.  `pairs` holds
     (c_A, bit, shift): the odd generator `bit`, or bit 0 and the exponent
     field at `shift`.  Each derivative term of w is multiplied into c_A's
     numerators, rescaled to the lcm of the c_A denominators, and the
@@ -406,24 +403,7 @@ def _derivation_sum(carrier: Carrier, pairs, w: GradedPoly) -> tuple[dict, int]:
                     else:
                         out[key] = c
     _check_exponents(carrier, out)
-    return _normal(out, den * w.den)
-
-
-# term rules for _map_terms
-
-
-def _d_odd(key: int, c, bit: int):
-    """Left derivative along the odd generator `bit`: anticommute it past
-    the odd generators below it, then drop it."""
-    if key & bit:
-        return key ^ bit, -c if (key & (bit - 1)).bit_count() & 1 else c
-
-
-def _d_field(key: int, c, shift: int):
-    """Derivative along the even generator whose field starts at `shift`."""
-    e = key >> shift & _FIELD_MASK
-    if e:
-        return key - (1 << shift), c * e
+    return out, den * w.den
 
 
 # one-dict passes for the differentials d and b
@@ -531,13 +511,7 @@ class GradedPoly:
         """The element nums / den of this carrier, content divided out:
         every result of arithmetic, of this type when the class keeps it
         and a plain `GradedPoly` otherwise."""
-        if den != 1:
-            nums, den = _normal(nums, den)
-        x = _new_object(type(self) if self._keeps_type else GradedPoly)
-        _set_carrier(x, self.carrier)
-        _set_nums(x, nums)
-        _set_den(x, den)
-        return x
+        return _element(type(self) if self._keeps_type else GradedPoly, self.carrier, nums, den)
 
     @property
     def terms(self) -> Mapping:
@@ -617,8 +591,7 @@ class GradedPoly:
     __radd__ = __add__
 
     def __neg__(self):
-        cls = type(self) if self._keeps_type else GradedPoly
-        return _element(cls, self.carrier, {k: -c for k, c in self.nums.items()}, self.den)
+        return self._new({k: -c for k, c in self.nums.items()}, self.den)
 
     def __sub__(self, other):
         operand = self._operand(other)
@@ -684,33 +657,40 @@ class GradedPoly:
 
     # -- derivations ------------------------------------------------------
 
-    def _derive(self, index: int, count: int, rule, offset: int) -> "GradedPoly":
-        """`rule` along generator `index` of a family of `count`, which
-        starts after `offset` odd bits (`_d_odd`) or exponent fields
-        (`_d_field`); the index is checked before the bit is built."""
+    def _derive(self, index: int, count: int, offset: int, odd: bool) -> "GradedPoly":
+        """The derivative along generator `index` of a family of `count`,
+        which starts after `offset` odd bits or exponent fields; the
+        index is checked before the bit is built."""
         if not 1 <= index <= count:
             raise ValueError(f"index {index} outside 1..{count}")
-        k = offset + index
-        arg = 1 << (k - 1) if rule is _d_odd else self.carrier.shift(k)
-        return self._new(_map_terms(self.nums, rule, arg), self.den)
+        items = self.nums.items()
+        if odd:
+            bit = 1 << (offset + index - 1)
+            low = bit - 1
+            nums = {k ^ bit: -c if (k & low).bit_count() & 1 else c for k, c in items if k & bit}
+        else:
+            shift = self.carrier.shift(offset + index)
+            step = 1 << shift
+            nums = {k - step: c * e for k, c in items if (e := k >> shift & _FIELD_MASK)}
+        return self._new(nums, self.den)
 
     def partial_x(self, a: int) -> "GradedPoly":
         """d/dx_a, an even derivation."""
-        return self._derive(a, self.carrier.n, _d_field, 0)
+        return self._derive(a, self.carrier.n, 0, False)
 
     def partial_xi(self, alpha: int) -> "GradedPoly":
         """Left derivative d/dxi_alpha, an odd derivation: anticommute
         xi_alpha to the front (past lower-index xi factors) and drop it."""
-        return self._derive(alpha, self.carrier.nu, _d_odd, 0)
+        return self._derive(alpha, self.carrier.nu, 0, True)
 
     def partial_aux_odd(self, a: int) -> "GradedPoly":
         """Odd derivation along the odd auxiliary a (dx_a or the x_a slot);
         the prefix sign counts all xi factors plus lower odd auxiliaries."""
-        return self._derive(a, self.carrier.n, _d_odd, self.carrier.nu)
+        return self._derive(a, self.carrier.n, self.carrier.nu, True)
 
     def partial_aux_even(self, alpha: int) -> "GradedPoly":
         """Even derivation along the even auxiliary alpha."""
-        return self._derive(alpha, self.carrier.nu, _d_field, self.carrier.n)
+        return self._derive(alpha, self.carrier.nu, self.carrier.n, False)
 
     # -- conversions ------------------------------------------------------
 
@@ -756,14 +736,17 @@ _set_den = GradedPoly.den.__set__
 
 
 def _init(x: GradedPoly, carrier: Carrier, nums: dict, den: int) -> None:
-    """Fill the slots of x with canonical numerators and denominator."""
+    """Fill the slots of x in an `__init__`; nums and den are canonical."""
     _set_carrier(x, carrier)
     _set_nums(x, nums)
     _set_den(x, den)
 
 
 def _element(cls, carrier: Carrier, nums: dict, den: int = 1) -> GradedPoly:
-    """An element of class cls from numerators already in canonical form."""
+    """The element nums / den of class cls, content divided out: the one
+    constructor of every result."""
+    if den != 1:
+        nums, den = _normal(nums, den)
     x = _new_object(cls)
     _set_carrier(x, carrier)
     _set_nums(x, nums)
@@ -791,7 +774,7 @@ def split_xi(f: GradedPoly) -> dict[int, GradedPoly]:
     for key, c in f.nums.items():
         groups.setdefault(key & ((1 << nu) - 1), {})[key >> nu] = c
     ring = function_carrier(f.carrier.n, 0)
-    return {mask: _element(GradedPoly, ring, *_normal(nums, f.den)) for mask, nums in groups.items()}
+    return {mask: _element(GradedPoly, ring, nums, f.den) for mask, nums in groups.items()}
 
 
 def join_xi(mask: int, key: int, nu: int) -> int:

@@ -24,7 +24,7 @@ from fractions import Fraction
 
 from . import exactmat
 from .forms import CoordinateSystem, SuperDensity, SuperForm, SuperVectorField
-from .graded_poly import GradedPoly, _accumulate, _element, _normal, function_carrier, join_xi, merge_sign
+from .graded_poly import GradedPoly, _accumulate, _element, function_carrier, join_xi, merge_sign
 from .grassmann import Supernumber
 from .matrices import GradedMatrix, ParitySignature
 from .polynomials import Polynomial
@@ -70,7 +70,7 @@ def _draw(rng: random.Random, span: int = 4, complex_ok: bool = True) -> int | C
 def _over_den(cls, carrier, nums: dict):
     """The element of class cls with the numerators nums over _DEN; zero
     numerators are dropped."""
-    return _element(cls, carrier, *_normal({k: c for k, c in nums.items() if c}, _DEN))
+    return _element(cls, carrier, {k: c for k, c in nums.items() if c}, _DEN)
 
 
 def supernumber(

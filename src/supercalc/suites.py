@@ -29,8 +29,6 @@ from .berezin import (
 )
 from .clifford import (
     CliffordContext,
-    anticommutator_matrix,
-    commutator_matrix,
     current,
     dirac_gamma_on_forms,
     dirac_operator,
@@ -38,7 +36,6 @@ from .clifford import (
     gamma0_matrices,
     gamma_matrices,
     gamma_upper_symbolic,
-    identity_matrix,
     matrix_of,
     reversal,
 )
@@ -997,14 +994,14 @@ def run_clifford(
     dual_route = report.check("matrix route equals generator-derivative route")
     for d in dims:
         size = 1 << d
-        idm = identity_matrix(d)
+        idm = exactmat.identity(size)
         for label, ctx in contexts_for(d):
             gs = gamma_matrices(ctx)
             for a in range(d):
                 for b in range(a, d):
                     want = exactmat.mscale(idm, ctx.g_inv[a][b] * 2)
                     relations.expect(
-                        exactmat.mat_eq(anticommutator_matrix(gs[a], gs[b]), want),
+                        exactmat.mat_eq(exactmat.bracket(gs[a], gs[b], 1), want),
                         f"D={d} {label} ({a+1},{b+1})",
                     )
             g0s = gamma0_matrices(ctx)
@@ -1013,13 +1010,13 @@ def run_clifford(
             for a in range(d):
                 for b in range(d):
                     commutant.expect(
-                        exactmat.mat_eq(commutator_matrix(gls[a], g0s[b]), zero),
+                        exactmat.mat_eq(exactmat.bracket(gls[a], g0s[b], -1), zero),
                         f"commutant D={d} {label} ({a+1},{b+1})",
                     )
                     if b >= a:
                         want0 = exactmat.mscale(idm, ctx.g[a][b] * 2)
                         commutant.expect(
-                            exactmat.mat_eq(anticommutator_matrix(g0s[a], g0s[b]), want0),
+                            exactmat.mat_eq(exactmat.bracket(g0s[a], g0s[b], 1), want0),
                             f"copy relations D={d} {label} ({a+1},{b+1})",
                         )
             if d >= 2:

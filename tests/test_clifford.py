@@ -10,8 +10,6 @@ from supercalc import exactmat, graded_poly
 from supercalc import randomgen as rg
 from supercalc.clifford import (
     CliffordContext,
-    anticommutator_matrix,
-    commutator_matrix,
     current,
     dirac_gamma_on_forms,
     dirac_operator,
@@ -23,7 +21,6 @@ from supercalc.clifford import (
     gamma_matrices,
     gamma_upper,
     gamma_upper_symbolic,
-    identity_matrix,
     matrix_of,
     reversal,
 )
@@ -52,21 +49,21 @@ def test_one_dimensional_square():
 def test_clifford_relations_flat_two_dimensions():
     ctx = CliffordContext.identity(2)
     gs = gamma_matrices(ctx)
-    ident = identity_matrix(2)
+    ident = exactmat.identity(4)
     for a in range(2):
         for b in range(2):
             want = exactmat.mscale(ident, CRat(2 if a == b else 0))
-            assert exactmat.mat_eq(anticommutator_matrix(gs[a], gs[b]), want)
+            assert exactmat.mat_eq(exactmat.bracket(gs[a], gs[b], 1), want)
 
 
 def test_clifford_relations_minkowski_bruteforce():
     ctx = CliffordContext.minkowski(4)
     gs = gamma_matrices(ctx)
-    ident = identity_matrix(4)
+    ident = exactmat.identity(16)
     for a in range(4):
         for b in range(4):
             want = exactmat.mscale(ident, ctx.g_inv[a][b] * 2)
-            assert exactmat.mat_eq(anticommutator_matrix(gs[a], gs[b]), want)
+            assert exactmat.mat_eq(exactmat.bracket(gs[a], gs[b], 1), want)
 
 
 def test_clifford_relations_random_metrics():
@@ -75,11 +72,11 @@ def test_clifford_relations_random_metrics():
         for _ in range(6):
             ctx = random_context(rng, d)
             gs = gamma_matrices(ctx)
-            ident = identity_matrix(d)
+            ident = exactmat.identity(1 << d)
             for a in range(d):
                 for b in range(d):
                     want = exactmat.mscale(ident, ctx.g_inv[a][b] * 2)
-                    assert exactmat.mat_eq(anticommutator_matrix(gs[a], gs[b]), want)
+                    assert exactmat.mat_eq(exactmat.bracket(gs[a], gs[b], 1), want)
 
 
 def test_gamma_vector_bilinearity():
@@ -112,14 +109,14 @@ def test_commuting_copy():
         ctx = CliffordContext.identity(d) if d < 4 else CliffordContext.minkowski(4)
         size = 1 << d
         zero = exactmat.zeros(size, size)
-        ident = identity_matrix(d)
+        ident = exactmat.identity(1 << d)
         g_low = gamma_matrices(ctx, upper=False)
         g0s = [matrix_of(gamma0(ctx, ctx.basis_vector(a)), d) for a in range(1, d + 1)]
         for a in range(d):
             for b in range(d):
-                assert exactmat.mat_eq(commutator_matrix(g_low[a], g0s[b]), zero)
+                assert exactmat.mat_eq(exactmat.bracket(g_low[a], g0s[b], -1), zero)
                 want = exactmat.mscale(ident, ctx.g[a][b] * 2)
-                assert exactmat.mat_eq(anticommutator_matrix(g0s[a], g0s[b]), want)
+                assert exactmat.mat_eq(exactmat.bracket(g0s[a], g0s[b], 1), want)
         # J gamma J = gamma0 by construction; check it differs from gamma
         # somewhere (the commutant is non-scalar, so the representation
         # is reducible)
@@ -144,7 +141,7 @@ def test_current_components():
     ctx2 = CliffordContext.identity(2)
     comps = current(ctx2, 0)
     assert list(comps) == [()]
-    assert exactmat.mat_eq(comps[()], identity_matrix(2))
+    assert exactmat.mat_eq(comps[()], exactmat.identity(4))
     pair = current(ctx2, 2)[(1, 2)]
     g1m, g2m = gamma_matrices(ctx2, upper=False)
     want = exactmat.mscale(
@@ -231,7 +228,7 @@ def test_current_matches_permutation_sum():
                 acc = exactmat.zeros(size, size)
                 for perm in itertools.permutations(indices):
                     inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
-                    prod = identity_matrix(d)
+                    prod = exactmat.identity(1 << d)
                     for i in perm:
                         prod = exactmat.matmul(prod, lowers[i - 1])
                     acc = exactmat.madd(acc, exactmat.mscale(prod, (-1) ** inversions))
@@ -338,7 +335,7 @@ def _antisymmetrized(lowers, indices, d):
     acc = exactmat.zeros(1 << d, 1 << d)
     for perm in itertools.permutations(indices):
         inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
-        prod = identity_matrix(d)
+        prod = exactmat.identity(1 << d)
         for i in perm:
             prod = exactmat.matmul(prod, lowers[i - 1])
         acc = exactmat.madd(acc, exactmat.mscale(prod, (-1) ** inversions))

@@ -8,6 +8,7 @@ from functools import reduce
 import pytest
 
 from supercalc import exactmat
+from supercalc.metric import Metric, pullback_metric
 from supercalc.scalars import CRat
 
 
@@ -102,6 +103,18 @@ def test_shape_mismatch_is_refused():
         exactmat.matmul(exactmat.zeros(2, 3), exactmat.zeros(2, 2))
     with pytest.raises(ValueError, match="shape mismatch"):
         exactmat.matmul([[CRat(1)], [CRat(1), CRat(2)]], exactmat.identity(2))
+
+
+def test_empty_factors():
+    """An empty right factor gives an empty product, as `bracket` and
+    `product_sum` do on empty matrices, unless the left factor has
+    columns to contract."""
+    assert exactmat.matmul([], []) == []
+    assert exactmat.matmul([[]], []) == [[]]
+    assert exactmat.bracket([], [], 1) == [] and exactmat.product_sum([([], [], 1)]) == []
+    with pytest.raises(ValueError, match="shape mismatch"):
+        exactmat.matmul([[CRat(1)]], [])
+    assert pullback_metric(Metric.from_matrix([]), []).g == []
 
 
 def test_ragged_right_operand_is_refused():

@@ -54,6 +54,17 @@ def test_mode_bounds():
 
 
 @pytest.mark.parametrize("rep", REPRESENTATIONS)
+def test_apply_refuses_unknown_names_and_modes(rep):
+    vac = FockState.vacuum(SPEC, rep)
+    for op in (("q", 1), ("b-", 1)):
+        with pytest.raises(ValueError, match="unknown ladder operator"):
+            apply(op, vac)
+    for op in (("b", 0), ("b+", 3), ("f", 3), ("f+", 0)):
+        with pytest.raises(ModeError):
+            apply(op, vac)
+
+
+@pytest.mark.parametrize("rep", REPRESENTATIONS)
 def test_algebra_relations(rep):
     states = spanning_states(SPEC, rep, max_occupation=2)
     vac = FockState.vacuum(SPEC, rep)

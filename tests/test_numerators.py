@@ -2,8 +2,9 @@
 element denominator.
 
 A reference model keeps every coefficient as a pair of `Fraction`s (real
-and imaginary part) and runs the kernel's term rules on those values:
-products, sums, the partial derivatives, d and b.  On seeded elements of
+and imaginary part) and runs the kernel's term rules on those values
+(products, sums, d and b) and its own rules for the four partial
+derivative families, on the tuple view of a key.  On seeded elements of
 every carrier kind over 0 <= n, nu <= 3, with rational and Gaussian
 coefficients, the kernel must give the same values, `==` must agree
 with the model and equal elements must hash equal.  Every result must
@@ -27,18 +28,16 @@ from supercalc.forms import CoordinateSystem, op_d_form, op_divergence
 from supercalc.graded_poly import (
     GradedPoly,
     _accumulate,
-    _d_field,
-    _d_odd,
     _divergence_nums,
+    _element,
     _exterior_d_nums,
-    _map_terms,
     _product,
     density_carrier,
     form_carrier,
     function_carrier,
 )
 from supercalc.grassmann import Supernumber
-from supercalc.scalars import CRat
+from supercalc.scalars import CRat, _crat
 
 
 class Q:
@@ -108,6 +107,40 @@ def draw_model(rng: random.Random, carrier, terms: int) -> dict:
     return out
 
 
+def model_derivative(carrier, model: dict, family: str, index: int) -> dict:
+    """The model's own derivative rule on the tuple view (x exponents, xi
+    mask, odd-aux mask, even-aux exponents): an even generator ("x",
+    "aux_even") has its exponent lowered and multiplies the value by it;
+    an odd one ("xi", "aux_odd") is moved to the front past the odd
+    factors before it, every xi and then the lower odd auxiliaries, and
+    dropped."""
+    out: dict = {}
+    for key, value in model.items():
+        x, xi, ao, ae = carrier.unpack(key)
+        if family in ("x", "aux_even"):
+            exps = dict(x if family == "x" else ae)
+            e = exps.pop(index, 0)
+            if not e:
+                continue
+            if e > 1:
+                exps[index] = e - 1
+            lowered = tuple(sorted(exps.items()))
+            mono = (lowered, xi, ao, ae) if family == "x" else (x, xi, ao, lowered)
+            value = value * e
+        else:
+            mask = xi if family == "xi" else ao
+            bit = 1 << (index - 1)
+            if not mask & bit:
+                continue
+            before = bin(mask & (bit - 1)).count("1") + (bin(xi).count("1") if family == "aux_odd" else 0)
+            mono = (x, xi ^ bit, ao, ae) if family == "xi" else (x, xi, ao ^ bit, ae)
+            value = -value if before % 2 else value
+        target = carrier.pack(mono)
+        assert target not in out, "two terms of one derivative met"
+        out[target] = value
+    return out
+
+
 def element(carrier, model: dict) -> GradedPoly:
     return GradedPoly(carrier, {k: v.crat() for k, v in model.items()})
 
@@ -162,9 +195,11 @@ def test_kernel_matches_the_fraction_pair_model(carrier, seed):
         assert_matches(a * scalar, scaled)
         assert_matches(scalar * a, scaled)
     for i in range(1, carrier.n + 1):
-        assert_matches(a.partial_x(i), _map_terms(ma, _d_field, carrier.shift(i)))
+        assert_matches(a.partial_x(i), model_derivative(carrier, ma, "x", i))
+        assert_matches(a.partial_aux_odd(i), model_derivative(carrier, ma, "aux_odd", i))
     for alpha in range(1, carrier.nu + 1):
-        assert_matches(a.partial_xi(alpha), _map_terms(ma, _d_odd, 1 << (alpha - 1)))
+        assert_matches(a.partial_xi(alpha), model_derivative(carrier, ma, "xi", alpha))
+        assert_matches(a.partial_aux_even(alpha), model_derivative(carrier, ma, "aux_even", alpha))
     coords = CoordinateSystem(carrier.n, carrier.nu)
     if carrier == coords.forms:
         assert_matches(op_d_form(coords)(a), _exterior_d_nums(ma, carrier))
@@ -206,6 +241,25 @@ def test_supernumber_results_are_canonical():
                 assert isinstance(f, Supernumber)
                 assert_canonical(f)
             assert w * w.inverse() == 1
+
+
+def test_element_divides_out_content():
+    """`_element` is the one constructor of results: it divides the gcd of
+    den and every real and imaginary numerator part out of any input."""
+    carrier = function_carrier(2, 1)
+    k, k2 = carrier.pack((((1, 1),), 1, 0, ())), carrier.pack((((2, 3),), 0, 0, ()))
+    f = _element(GradedPoly, carrier, {k: 2, k2: 4}, 6)
+    assert (f.nums, f.den) == ({k: 1, k2: 2}, 3) and type(f) is GradedPoly
+    g = _element(GradedPoly, carrier, {k: _crat(2, 4, 1), k2: 6}, 4)
+    assert (g.nums, g.den) == ({k: _crat(1, 2, 1), k2: 3}, 2)
+    h = _element(GradedPoly, carrier, {k: _crat(2, 3, 1), k2: 6}, 4)
+    assert (h.nums, h.den) == ({k: _crat(2, 3, 1), k2: 6}, 4)
+    for z in (_element(GradedPoly, carrier, {}, 6), _element(Supernumber, function_carrier(0, 2), {}, 5)):
+        assert (z.nums, z.den) == ({}, 1) and z.is_zero()
+    s = _element(Supernumber, function_carrier(0, 2), {1: 3, 3: -9}, 12)
+    assert type(s) is Supernumber and (s.nums, s.den) == ({1: 1, 3: -3}, 4)
+    for x in (f, g, h, s):
+        assert_canonical(x)
 
 
 # -- identical-stream integer draws ------------------------------------------

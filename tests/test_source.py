@@ -128,3 +128,20 @@ def test_no_payload_attribute():
             if isinstance(node, ast.Attribute) and node.attr == "poly"
         ]
     assert not found, f"payload attribute reads in the library: {found}"
+
+
+def test_only_the_kernel_divides_out_content():
+    """`graded_poly._element` is the one constructor that divides out
+    content: no other library module imports or reads `_normal`."""
+    found = []
+    for path in sorted(SOURCE.glob("*.py")):
+        if path.name == "graded_poly.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            names = [alias.name for alias in node.names] if isinstance(node, (ast.Import, ast.ImportFrom)) else []
+            names += [node.attr] if isinstance(node, ast.Attribute) else []
+            names += [node.id] if isinstance(node, ast.Name) else []
+            if "_normal" in names:
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, f"library modules using _normal: {found}"
