@@ -9,11 +9,14 @@ second, commuting copy, which exhibits the representation's commutant
 module).
 
 The exterior-algebra carrier reuses the Grassmann kernel: an element of
-Lambda V* is exactly a supernumber on D generators, and the operators
-above act on it.  As matrices, operators are dense 2^D x 2^D lists of
+Lambda V* is exactly a supernumber on D generators.  `gamma(ctx, v)` is
+the one builder of a gamma operator on it: multiplication by the
+covector sum_b (g v)_b xi^b plus sum_b v_b d/dxi^b.  So gamma_a is
+gamma(e_a) and gamma^a = g^{ab} gamma_b is gamma(g^{a.}), the row a of
+the inverse metric.  As matrices, operators are dense 2^D x 2^D lists of
 exact complex rationals, the strongest brute-force oracle at these
-sizes.  One builder writes every gamma matrix from the Jordan-Wigner
-sign rule alone: moving generator k past monomial m costs
+sizes.  One matrix builder writes every gamma matrix from the
+Jordan-Wigner sign rule alone: moving generator k past monomial m costs
 (-1)^popcount(m & (2^(k-1) - 1)), and sum_b w_b xi^b wedge +
 sum_b v_b d/dxi^b puts that sign times w_k or v_k at one entry per
 column and generator.  gamma_a takes w = g_{.a} and v = e_a, gamma^a
@@ -36,13 +39,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
+from operator import mul
 from typing import Callable, Sequence
 
 from . import exactmat
-from .berezin import grassmann_derivative
 from .exactmat import Matrix
 from .forms import SuperForm, SuperVectorField, op_d_form, op_e_form, op_i_form, op_lie_form
-from .graded_poly import _element, function_carrier
+from .graded_poly import GradedPoly, _derivation_sum, _element, function_carrier
 from .grassmann import Supernumber
 from .metric import Metric, MetricError, metric_delta
 from .scalars import CRat
@@ -54,81 +57,19 @@ Endo = Callable[[ExteriorElement], ExteriorElement]
 CliffordContext = Metric  # the Clifford layer takes the same constant metric
 
 
-def contraction(ctx: Metric, v: Sequence) -> Endo:
-    """i(v): remove one factor at a time with alternating signs; on the
-    generator basis this is the left Grassmann derivative."""
-    comps = [CRat.coerce(c) for c in v]
-
-    def run(w: ExteriorElement) -> ExteriorElement:
-        out = Supernumber.zero(ctx.dim)
-        for b, c in enumerate(comps, start=1):
-            if c:
-                out = out + grassmann_derivative(w, b) * c
-        return out
-
-    return run
-
-
-def lowered_covector(ctx: Metric, v: Sequence) -> ExteriorElement:
-    """The image of v under the metric isomorphism with the dual space."""
-    comps = [CRat.coerce(c) for c in v]
-    out = Supernumber.zero(ctx.dim)
-    for b in range(ctx.dim):
-        coeff = CRat(0)
-        for a in range(ctx.dim):
-            coeff = coeff + ctx.g[b][a] * comps[a]
-        if coeff:
-            out = out + Supernumber.generator(ctx.dim, b + 1) * coeff
-    return out
-
-
 def gamma(ctx: Metric, v: Sequence) -> Endo:
-    """gamma(v) = (lowered v) wedge + i(v); satisfies
+    """gamma(v) = (lowered v) wedge + i(v): multiplication by the covector
+    sum_b (g v)_b xi^b plus sum_b v_b d/dxi^b, the left Grassmann
+    derivatives in one `_derivation_sum` pass.  It satisfies
     gamma(v) gamma(w) + gamma(w) gamma(v) = 2 g(v, w)."""
-    cov = lowered_covector(ctx, v)
-    contract = contraction(ctx, v)
-
-    def run(w: ExteriorElement) -> ExteriorElement:
-        return cov * w + contract(w)
-
-    return run
-
-
-def gamma_lower(ctx: Metric, a: int) -> Endo:
-    return gamma(ctx, ctx.basis_vector(a))
-
-
-def gamma_upper(ctx: Metric, a: int) -> Endo:
-    """gamma^a = g^{ab} gamma_b, which on generators reads
-    xi^a wedge + g^{ab} d/dxi^b."""
-    if not 1 <= a <= ctx.dim:
-        raise MetricError(f"basis index {a} outside 1..{ctx.dim}")
-    row = ctx.g_inv[a - 1]
-    mats = [gamma_lower(ctx, b + 1) for b in range(ctx.dim)]
-
-    def run(w: ExteriorElement) -> ExteriorElement:
-        out = Supernumber.zero(ctx.dim)
-        for b, c in enumerate(row):
-            if c:
-                out = out + mats[b](w) * c
-        return out
-
-    return run
-
-
-def gamma_upper_symbolic(ctx: Metric, a: int) -> Endo:
-    """Independent route: multiply by the generator and add the
-    metric-weighted left derivatives directly."""
-
-    def run(w: ExteriorElement) -> ExteriorElement:
-        out = Supernumber.generator(ctx.dim, a) * w
-        for b in range(1, ctx.dim + 1):
-            c = ctx.g_inv[a - 1][b - 1]
-            if c:
-                out = out + grassmann_derivative(w, b) * c
-        return out
-
-    return run
+    d = ctx.dim
+    if len(v) != d:
+        raise MetricError(f"vector of length {len(v)} for a metric of dimension {d}")
+    v = [CRat.coerce(c) for c in v]
+    carrier = function_carrier(0, d)
+    cov = Supernumber(d, {1 << b: sum(map(mul, row, v), exactmat.ZERO) for b, row in enumerate(ctx.g)})
+    pairs = [(Supernumber.scalar(d, c), 1 << b, 0) for b, c in enumerate(v) if c]
+    return lambda w: cov * w + _element(Supernumber, carrier, *_derivation_sum(carrier, pairs, w))
 
 
 def reversal(w: ExteriorElement) -> ExteriorElement:
@@ -153,15 +94,12 @@ def gamma0(ctx: Metric, v: Sequence) -> Endo:
 def matrix_of(op: Endo, d: int) -> Matrix:
     """The matrix of op on the monomial basis; its entries are CRat, and
     a zero entry is `exactmat.ZERO`."""
-    size = 1 << d
     carrier = function_carrier(0, d)
-    cols = []
-    for mask in range(size):
-        col = [exactmat.ZERO] * size
-        for r, c in op(_element(Supernumber, carrier, {mask: 1})).terms.items():
-            col[r] = CRat.coerce(c)
-        cols.append(col)
-    return [[cols[c][r] for c in range(size)] for r in range(size)]
+    out = exactmat.zeros(1 << d, 1 << d)
+    for m in range(1 << d):
+        for r, c in op(_element(Supernumber, carrier, {m: 1})).terms.items():
+            out[r][m] = CRat.coerce(c)
+    return out
 
 
 def _sign_rule_matrix(d: int, wedge: Sequence[CRat], derive: Sequence[CRat]) -> Matrix:
@@ -239,22 +177,13 @@ def current(ctx: Metric, p: int) -> dict[tuple[int, ...], Matrix]:
 
 
 def dirac_gamma_on_forms(metric, mu: int):
-    """gamma^mu on the bosonic form algebra: e(x^mu) + g^{mu nu} i(d/dx^nu).
-    Anticommutators reproduce 2 g^{mu nu} on every polynomial form."""
+    """gamma^mu on the bosonic form algebra: e(x^mu) + i(g^{mu nu} d/dx^nu),
+    one contraction by a constant field.  Anticommutators reproduce
+    2 g^{mu nu} on every polynomial form."""
     coords = metric.coords()
-    e_part = op_e_form(coords, coords.x(mu))
-    terms = [e_part]
-    for nu_idx in range(1, metric.dim + 1):
-        c = metric.g_inv[mu - 1][nu_idx - 1]
-        if not c:
-            continue
-        field = SuperVectorField.coordinate_basis(coords, ("x", nu_idx))
-        i_op = op_i_form(field)
-        terms.append(type(i_op)(i_op.parity, lambda w, f=i_op.fn, cc=c: f(w) * cc))
-    total = terms[0]
-    for t in terms[1:]:
-        total = total + t
-    return total
+    return op_e_form(coords, coords.x(mu)) + op_i_form(
+        SuperVectorField.make(coords, metric.g_inv[mu - 1], (), 0)
+    )
 
 
 def dirac_operator(metric):
@@ -276,19 +205,10 @@ def dirac_operator(metric):
 
 def dirac_operator_gamma_route(metric):
     """The same operator assembled from gamma^mu and coordinate Lie
-    derivatives - the dual-route oracle."""
+    derivatives, sum_mu gamma^mu L(d/dx^mu) - the dual-route oracle."""
     coords = metric.coords()
-    lies = [
-        op_lie_form(SuperVectorField.coordinate_basis(coords, ("x", mu)))
+    pieces = [
+        (dirac_gamma_on_forms(metric, mu), op_lie_form(SuperVectorField.coordinate_basis(coords, ("x", mu))))
         for mu in range(1, metric.dim + 1)
     ]
-    gammas = [dirac_gamma_on_forms(metric, mu) for mu in range(1, metric.dim + 1)]
-
-    def run(poly):
-        total = None
-        for lie, gam in zip(lies, gammas):
-            piece = gam(lie(poly))
-            total = piece if total is None else total + piece
-        return total
-
-    return run
+    return lambda poly: sum((gam(lie(poly)) for gam, lie in pieces), GradedPoly.zero(coords.forms))

@@ -188,10 +188,6 @@ def transpose(a: Matrix) -> Matrix:
     return [list(col) for col in zip(*a)]
 
 
-def mat_eq(a: Matrix, b: Matrix) -> bool:
-    return len(a) == len(b) and all(ra == rb for ra, rb in zip(a, b))
-
-
 def det(a: Matrix) -> CRat:
     """Determinant by fraction-free-ish Gaussian elimination (exact)."""
     n = len(a)

@@ -137,6 +137,8 @@ def apply(op: tuple[str, int], s: FockState) -> FockState:
     """Apply a ladder operator, named ('b', i), ('b+', i), ('f', j) or
     ('f+', j) with 1-based mode indices."""
     name, i = op
+    if name not in ("b", "b+", "f", "f+"):
+        raise ValueError(f"unknown ladder operator {name!r}")
     spec = s.spec
     if name.startswith("b"):
         _check_mode(i, spec.n_bose, "bosonic")
@@ -150,10 +152,8 @@ def apply(op: tuple[str, int], s: FockState) -> FockState:
             out = GradedPoly.coordinate(carrier, i) * s
         elif name == "f":
             out = s.partial_xi(i)
-        elif name == "f+":
-            out = GradedPoly.odd_coordinate(carrier, i) * s
         else:
-            raise ValueError(f"unknown ladder operator {name!r}")
+            out = GradedPoly.odd_coordinate(carrier, i) * s
     else:
         # geometric carriers: bosonic modes on even auxiliaries,
         # fermionic modes on odd ones; in the density representation the
@@ -165,10 +165,8 @@ def apply(op: tuple[str, int], s: FockState) -> FockState:
             out = GradedPoly.aux_even(carrier, i) * s
         elif name == "f":
             out = s.partial_aux_odd(i)
-        elif name == "f+":
-            out = GradedPoly.aux_odd(carrier, i) * s
         else:
-            raise ValueError(f"unknown ladder operator {name!r}")
+            out = GradedPoly.aux_odd(carrier, i) * s
     return s._new(out.nums, out.den)
 
 

@@ -366,8 +366,7 @@ def op_i_form(x: SuperVectorField) -> Operator:
 
 def op_lie_form(x: SuperVectorField) -> Operator:
     """Lie derivative on forms as the graded bracket of i(X) and d."""
-    op = op_i_form(x).graded_bracket(op_d_form(x.coords))
-    return Operator(x.parity, op.fn)
+    return op_i_form(x).graded_bracket(op_d_form(x.coords))
 
 
 # operators on the density algebra
@@ -416,8 +415,7 @@ def op_lie_density(x: SuperVectorField) -> Operator:
     with the insertion, ordered so that coordinate fields transport
     components positively (L(d/dx^A) acts as d/dx^A).  For even fields
     this is the usual anticommutator i(X) nabla + nabla i(X)."""
-    op = op_divergence(x.coords).graded_bracket(op_i_density(x))
-    return Operator(x.parity, op.fn)
+    return op_divergence(x.coords).graded_bracket(op_i_density(x))
 
 
 # -- public operations on forms and densities -----------------------------

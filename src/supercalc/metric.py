@@ -8,12 +8,19 @@ fold completely whenever det g is (plus or minus) a perfect rational
 square, e.g. the identity or the mostly-plus Minkowski metric; with the
 complexified coefficients a negative determinant folds to an imaginary
 factor rather than raising branch questions.
+
+C_g, its inverse, the star and its inverse are one pipeline, `_mapped`:
+take the components of a form or density by slot mask, send them to
+the target masks by a rule of the source degree (the minors of g^{-1}
+or g, or the star matrix Q or its inverse), rebuild, and move the
+sqrt(det g) tag by one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from math import isqrt
 from typing import Sequence
 
@@ -139,11 +146,6 @@ def _require_bosonic(coords: CoordinateSystem, metric: Metric):
         raise MetricError("metric dimension does not match the patch")
 
 
-def _components_by_mask(w: SuperForm | SuperDensity) -> dict[int, GradedPoly]:
-    """Split a bosonic form/density by its differential (slot) mask."""
-    return {mask_of(bose, w.coords.n): f for (bose, _), f in w.components().items()}
-
-
 def _masks_of_size(d: int, p: int) -> list[int]:
     return [m for m in range(1 << d) if m.bit_count() == p]
 
@@ -155,55 +157,48 @@ def _minor(matrix: Matrix, target: int, source: int) -> CRat:
     return minor_det(matrix, rows, cols)
 
 
-def _transform(comps: dict[int, GradedPoly], targets, factor) -> dict[int, GradedPoly]:
-    """Components sum_s factor(t, s) comps[s] for each target mask t;
-    targets whose sum vanishes are left out."""
-    out = {}
+def _mapped(metric: Metric, x, cls, rule, step: int) -> Scaled:
+    """The pipeline of C_g, its inverse and the star pair.  x is a form or
+    density, or a `Scaled` one; for x of degree p, rule(p) gives the
+    target slot masks t and factor(t, s).  The result is the `cls` whose
+    component at t is sum_s factor(t, s) x_s over x's components by slot
+    mask s, tagged with x's sqrt(det g) power moved by `step`; a target
+    whose sum cancels gets no component.  An increasing bosonic blade
+    times a coefficient monomial is the canonical monomial
+    (x_exps, 0, mask, ()) with sign +1."""
+    half = 0
+    if isinstance(x, Scaled):
+        x, half = x.value, x.half_power
+    _require_bosonic(x.coords, metric)
+    targets, factor = rule(x.degree)
+    comps = [(mask_of(bose, metric.dim), f) for (bose, _), f in x.components().items()]
+    zero, carrier = GradedPoly.zero(x.coords.functions), cls.carrier_of(x.coords)
+    terms = {}
     for t in targets:
-        total = None
-        for s, coeff in comps.items():
-            if f := factor(t, s):
-                total = coeff * f if total is None else total + coeff * f
-        if total is not None and not total.is_zero():
-            out[t] = total
-    return out
-
-
-def _rebuild(coords: CoordinateSystem, cls, comps: dict[int, GradedPoly]):
-    """Assemble a SuperForm or SuperDensity from its components by slot
-    mask: an increasing bosonic blade times a bosonic coefficient monomial
-    is the canonical monomial (x_exps, 0, mask, ()) with sign +1."""
-    carrier = cls.carrier_of(coords)
-    terms = {
-        carrier.pack((coeff.carrier.unpack(key)[0], 0, mask, ())): c
-        for mask, coeff in comps.items()
-        for key, c in coeff.terms.items()
-    }
-    return cls(coords, GradedPoly(carrier, terms))
+        total = sum((f * c for s, f in comps if (c := factor(t, s))), zero)
+        for key, c in total.terms.items():
+            terms[carrier.pack((total.carrier.unpack(key)[0], 0, t, ()))] = c
+    return Scaled(cls(x.coords, GradedPoly(carrier, terms)), half + step).normalized(metric)
 
 
 # -- the correspondence C_g ----------------------------------------------
 
 
+def _minor_rule(matrix: Matrix):
+    """The `_mapped` rule of C_g or its inverse: p-masks to p-masks, each
+    factor a p x p minor of `matrix`."""
+    return lambda p: (_masks_of_size(len(matrix), p), partial(_minor, matrix))
+
+
 def correspondence_cg(metric: Metric, w: SuperForm) -> Scaled:
     """p-form -> p-density: raise every index with g^{-1} and weight by
     sqrt(det g)."""
-    _require_bosonic(w.coords, metric)
-    targets = _masks_of_size(metric.dim, w.degree)
-    out = _transform(_components_by_mask(w), targets, lambda t, s: _minor(metric.g_inv, t, s))
-    return Scaled(_rebuild(w.coords, SuperDensity, out), half_power=1).normalized(metric)
+    return _mapped(metric, w, SuperDensity, _minor_rule(metric.g_inv), 1)
 
 
 def cg_inverse(metric: Metric, f: SuperDensity | Scaled) -> Scaled:
     """p-density -> p-form: lower indices, divide by sqrt(det g)."""
-    half = 0
-    if isinstance(f, Scaled):
-        half = f.half_power
-        f = f.value
-    _require_bosonic(f.coords, metric)
-    targets = _masks_of_size(metric.dim, f.degree)
-    out = _transform(_components_by_mask(f), targets, lambda t, s: _minor(metric.g, t, s))
-    return Scaled(_rebuild(f.coords, SuperForm, out), half_power=half - 1).normalized(metric)
+    return _mapped(metric, f, SuperForm, _minor_rule(metric.g), -1)
 
 
 def volume_density(metric: Metric) -> Scaled:
@@ -217,21 +212,17 @@ def volume_density(metric: Metric) -> Scaled:
 # -- Hodge star -----------------------------------------------------------
 
 
-def _star_matrix(metric: Metric, p: int) -> tuple[list[int], list[int], Matrix]:
-    """Rational part Q of the star on p-forms: (star w)_K = s * sum_J
-    Q[K][J] w_J over ordered masks; s is the sqrt(det g) tag."""
+def _star_rule(metric: Metric, p: int, inverse: bool = False):
+    """The star on p-forms as a `_mapped` rule: (star w)_K = s * sum_J
+    Q[K][J] w_J over ordered masks, s the sqrt(det g) tag, so the targets
+    are the (d - p)-masks and factor reads Q; or, when `inverse`, the
+    targets are the p-masks and factor reads Q^-1."""
     d = metric.dim
-    ins = _masks_of_size(d, p)
-    outs = _masks_of_size(d, d - p)
-    q = [[CRat(0) for _ in ins] for _ in outs]
-    full = (1 << d) - 1
-    for r, k_mask in enumerate(outs):
-        i_mask = full & ~k_mask
-        eps = merge_sign(i_mask, k_mask)
-        for c, j_mask in enumerate(ins):
-            factor = _minor(metric.g_inv, i_mask, j_mask)
-            q[r][c] = factor * eps
-    return ins, outs, q
+    ins, outs, full = _masks_of_size(d, p), _masks_of_size(d, d - p), (1 << d) - 1
+    q = [[_minor(metric.g_inv, full ^ k, j) * merge_sign(full ^ k, k) for j in ins] for k in outs]
+    if inverse:
+        return ins, _entry(exactmat.inverse(q), ins, outs)
+    return outs, _entry(q, outs, ins)
 
 
 def _entry(matrix: Matrix, rows: list[int], cols: list[int]):
@@ -245,23 +236,12 @@ def hodge_star(metric: Metric, w: SuperForm) -> Scaled:
     """Star operator pinned by wedge-pairing against the volume element:
     for every p-form v, v wedge star(w) equals their metric scalar
     product times the volume form."""
-    _require_bosonic(w.coords, metric)
-    ins, outs, q = _star_matrix(metric, w.degree)
-    out = _transform(_components_by_mask(w), outs, _entry(q, outs, ins))
-    return Scaled(_rebuild(w.coords, SuperForm, out), half_power=1).normalized(metric)
+    return _mapped(metric, w, SuperForm, partial(_star_rule, metric), 1)
 
 
 def hodge_star_inverse(metric: Metric, w: SuperForm | Scaled) -> Scaled:
-    half = 0
-    if isinstance(w, Scaled):
-        half = w.half_power
-        w = w.value
-    _require_bosonic(w.coords, metric)
-    d = metric.dim
-    p = d - w.degree  # the preimage degree
-    ins, outs, q = _star_matrix(metric, p)
-    out = _transform(_components_by_mask(w), ins, _entry(exactmat.inverse(q), ins, outs))
-    return Scaled(_rebuild(w.coords, SuperForm, out), half_power=half - 1).normalized(metric)
+    """The inverse of the star: a (d - p)-form back to its p-form preimage."""
+    return _mapped(metric, w, SuperForm, lambda p: _star_rule(metric, metric.dim - p, inverse=True), -1)
 
 
 # -- metric transpose and its ascending partner ---------------------------

@@ -33,9 +33,9 @@ from .clifford import (
     dirac_gamma_on_forms,
     dirac_operator,
     dirac_operator_gamma_route,
+    gamma,
     gamma0_matrices,
     gamma_matrices,
-    gamma_upper_symbolic,
     matrix_of,
     reversal,
 )
@@ -1001,7 +1001,7 @@ def run_clifford(
                 for b in range(a, d):
                     want = exactmat.mscale(idm, ctx.g_inv[a][b] * 2)
                     relations.expect(
-                        exactmat.mat_eq(exactmat.bracket(gs[a], gs[b], 1), want),
+                        exactmat.bracket(gs[a], gs[b], 1) == want,
                         f"D={d} {label} ({a+1},{b+1})",
                     )
             g0s = gamma0_matrices(ctx)
@@ -1010,26 +1010,24 @@ def run_clifford(
             for a in range(d):
                 for b in range(d):
                     commutant.expect(
-                        exactmat.mat_eq(exactmat.bracket(gls[a], g0s[b], -1), zero),
+                        exactmat.bracket(gls[a], g0s[b], -1) == zero,
                         f"commutant D={d} {label} ({a+1},{b+1})",
                     )
                     if b >= a:
                         want0 = exactmat.mscale(idm, ctx.g[a][b] * 2)
                         commutant.expect(
-                            exactmat.mat_eq(exactmat.bracket(g0s[a], g0s[b], 1), want0),
+                            exactmat.bracket(g0s[a], g0s[b], 1) == want0,
                             f"copy relations D={d} {label} ({a+1},{b+1})",
                         )
             if d >= 2:
-                nonscalar = any(
-                    not exactmat.mat_eq(g0, exactmat.mscale(idm, g0[0][0])) for g0 in g0s
-                )
+                nonscalar = any(g0 != exactmat.mscale(idm, g0[0][0]) for g0 in g0s)
                 commutant.expect(
                     nonscalar,
                     f"commutant is non-scalar (reducibility witness) D={d} {label}",
                 )
             for a in range(1, d + 1):
                 dual_route.expect(
-                    exactmat.mat_eq(gs[a - 1], matrix_of(gamma_upper_symbolic(ctx, a), d)),
+                    gs[a - 1] == matrix_of(gamma(ctx, ctx.g_inv[a - 1]), d),
                     f"routes D={d} {label} a={a}",
                 )
         for k in range(5):
@@ -1051,7 +1049,7 @@ def run_clifford(
         exactmat.madd(exactmat.matmul(g1m, g2m), exactmat.mscale(exactmat.matmul(g2m, g1m), -1)),
         Fraction(1, 2),
     )
-    counts.expect(exactmat.mat_eq(c2[(1, 2)], half), "antisymmetrized pair at D=2")
+    counts.expect(c2[(1, 2)] == half, "antisymmetrized pair at D=2")
 
     dirac = report.check("d + transpose equals the gamma/Lie assembly on forms")
     for k in range(max(5, trials // 4)):

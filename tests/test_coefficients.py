@@ -192,10 +192,10 @@ def test_scalars_leaving_the_library_are_crat():
         assert type(det) is CRat and det in (1, -1)
         inv = exactmat.inverse(m)
         assert all(type(x) is CRat for row in inv for x in row)
-        assert exactmat.mat_eq(inv, m)
-        assert exactmat.mat_eq(exactmat.matmul(m, inv), exactmat.identity(1 << dim))
+        assert inv == m
+        assert exactmat.matmul(m, inv) == exactmat.identity(1 << dim)
     gamma = matrix_of(lambda w: Supernumber.generator(2, 1) * w + grassmann_derivative(w, 1), 2)
     assert all(type(x) is CRat for row in gamma for x in row)
     assert type(exactmat.det(gamma)) is CRat and exactmat.det(gamma) == 1
-    assert exactmat.mat_eq(exactmat.inverse(gamma), gamma)
+    assert exactmat.inverse(gamma) == gamma
     assert type(exactmat.minor_det(gamma, [0, 1], [0, 1])) is CRat

@@ -87,7 +87,7 @@ def test_cancelling_sums_give_the_shared_zero():
     assert product == exactmat.from_rows([[0, 0], [-2, 0]])
     assert product[0][0] is exactmat.ZERO
     assert exactmat.madd(a, exactmat.mscale(a, -1))[0][0] is exactmat.ZERO
-    assert exactmat.mat_eq(exactmat.madd(a, exactmat.mscale(a, -1)), exactmat.zeros(2, 2))
+    assert exactmat.madd(a, exactmat.mscale(a, -1)) == exactmat.zeros(2, 2)
 
 
 def test_products_with_identity_and_zeros():

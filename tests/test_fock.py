@@ -56,7 +56,7 @@ def test_mode_bounds():
 @pytest.mark.parametrize("rep", REPRESENTATIONS)
 def test_apply_refuses_unknown_names_and_modes(rep):
     vac = FockState.vacuum(SPEC, rep)
-    for op in (("q", 1), ("b-", 1)):
+    for op in (("q", 1), ("b-", 1), ("q", 3), ("bb", 5)):
         with pytest.raises(ValueError, match="unknown ladder operator"):
             apply(op, vac)
     for op in (("b", 0), ("b+", 3), ("f", 3), ("f+", 0)):

@@ -10,7 +10,7 @@ from supercalc.graded_poly import GradedPoly
 from supercalc.metric import (
     Metric,
     MetricError,
-    _transform,
+    _mapped,
     beta_ascending,
     cg_inverse,
     correspondence_cg,
@@ -37,10 +37,16 @@ def random_metric(rng, d):
             continue
 
 
-def test_transform_leaves_out_cancelled_targets():
-    x = CoordinateSystem(1, 1).x(1)
-    assert _transform({1: x, 2: x}, [5], lambda t, s: 1 if s == 1 else -1) == {}
-    assert _transform({1: x, 2: x}, [5, 6], lambda t, s: t - 4) == {5: 2 * x, 6: 4 * x}
+def test_mapped_leaves_out_cancelled_targets():
+    """A target whose sum cancels gets no component."""
+    metric = Metric.identity(2)
+    coords = metric.coords()
+    x = coords.x(1).with_carrier(coords.forms)
+    w = SuperForm(coords, x * coords.dx(1) + x * coords.dx(2))
+    cancel = _mapped(metric, w, SuperForm, lambda p: ([1], lambda t, s: 1 if s == 1 else -1), 0)
+    assert cancel.half_power == 0 and cancel.value.is_zero()
+    kept = _mapped(metric, w, SuperForm, lambda p: ([1, 2], lambda t, s: t), 0)
+    assert kept.value == SuperForm(coords, x * coords.dx(1) * 2 + x * coords.dx(2) * 4)
 
 
 def test_exact_sqrt():

@@ -3,6 +3,7 @@
 import ast
 import re
 import sys
+import types
 from collections import Counter
 from pathlib import Path
 
@@ -145,3 +146,16 @@ def test_only_the_kernel_divides_out_content():
             if "_normal" in names:
                 found.append(f"{path.name}:{node.lineno}")
     assert not found, f"library modules using _normal: {found}"
+
+
+def test_exports_are_the_public_package_names():
+    """`supercalc.__all__` lists each public name of the package that is
+    not a submodule exactly once, so deleting code cannot leave an export
+    behind or drop one silently."""
+    public = {
+        name
+        for name, obj in vars(supercalc).items()
+        if not name.startswith("_") and not isinstance(obj, types.ModuleType)
+    }
+    assert len(supercalc.__all__) == len(set(supercalc.__all__))
+    assert set(supercalc.__all__) == public
