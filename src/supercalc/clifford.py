@@ -13,23 +13,27 @@ Lambda V* is exactly a supernumber on D generators.  `gamma(ctx, v)` is
 the one builder of a gamma operator on it: multiplication by the
 covector sum_b (g v)_b xi^b plus sum_b v_b d/dxi^b.  So gamma_a is
 gamma(e_a) and gamma^a = g^{ab} gamma_b is gamma(g^{a.}), the row a of
-the inverse metric.  As matrices, operators are dense 2^D x 2^D lists of
-exact complex rationals, the strongest brute-force oracle at these
-sizes.  One matrix builder writes every gamma matrix from the
-Jordan-Wigner sign rule alone: moving generator k past monomial m costs
-(-1)^popcount(m & (2^(k-1) - 1)), and sum_b w_b xi^b wedge +
-sum_b v_b d/dxi^b puts that sign times w_k or v_k at one entry per
-column and generator.  gamma_a takes w = g_{.a} and v = e_a, gamma^a
-takes w = e_a and v = g^{a.}.  J is the diagonal sign (-1)^{p(p-1)/2} on
+the inverse metric.  As matrices, operators are exact 2^D x 2^D
+`exactmat.NumMatrix` values, integer numerators over one denominator,
+the strongest brute-force oracle at these sizes.  One matrix builder
+writes every gamma matrix from the Jordan-Wigner sign rule alone: moving
+generator k past monomial m costs (-1)^popcount(m & (2^(k-1) - 1)), and
+sum_b w_b xi^b wedge + sum_b v_b d/dxi^b puts that sign times w_k or v_k
+at one entry per row and generator, over the lcm of the w and v
+denominators.  gamma_a takes w = g_{.a} and v = e_a, gamma^a takes
+w = e_a and v = g^{a.}.  J is the diagonal sign (-1)^{p(p-1)/2} on
 monomials of degree p, so the commuting copy J gamma_a J is gamma_a with
-the entries negated where J differs at row and column.  No
+the numerators negated where J differs at row and column.  No
 `Supernumber` product (and no `merge_sign`) builds a gamma, a commuting
-copy or a current component, and the matrix of a kernel operator
-(`matrix_of`) is an independent route to the same entries.
-Anticommutators and commutators are `exactmat.bracket`.  The metric is a
-`metric.Metric` (`CliffordContext` names the same class).  The current
-components gamma_[I] come from the one-index antisymmetrizer: each rank
-is built from the one below by peeling off one index with its sign,
+copy or a current component, and the dense `CRat` matrix of a kernel
+operator (`matrix_of`) is an independent route to the same entries.
+Anticommutators and commutators are `exactmat.bracket`, on the
+numerators as they are held, and a relation such as
+{gamma^a, gamma^b} = 2 g^{ab} compares with `exactmat.scalar`.  The
+metric is a `metric.Metric` (`CliffordContext` names the same class).
+The current components gamma_[I] come from the one-index
+antisymmetrizer: each rank is built from the one below by peeling off
+one index with its sign,
 gamma_[i1..ip] = (1/p) sum_k (-1)^(k-1) gamma_ik gamma_[I - ik], one
 `exactmat.product_sum` per component with the signs and the 1/p folded
 into its integer numerators, so no sum over all p! orderings is formed.
@@ -38,16 +42,17 @@ into its integer numerators, so no sum over all p! orderings is formed.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
+from math import lcm
 from operator import mul
 from typing import Callable, Sequence
 
 from . import exactmat
-from .exactmat import Matrix
+from .exactmat import Matrix, NumMatrix
 from .forms import SuperForm, SuperVectorField, op_d_form, op_e_form, op_i_form, op_lie_form
 from .graded_poly import GradedPoly, _derivation_sum, _element, function_carrier
 from .grassmann import Supernumber
-from .metric import Metric, MetricError, metric_delta
+from .metric import Metric, metric_delta
 from .scalars import CRat
 
 ExteriorElement = Supernumber  # Lambda V* on D generators
@@ -63,9 +68,7 @@ def gamma(ctx: Metric, v: Sequence) -> Endo:
     derivatives in one `_derivation_sum` pass.  It satisfies
     gamma(v) gamma(w) + gamma(w) gamma(v) = 2 g(v, w)."""
     d = ctx.dim
-    if len(v) != d:
-        raise MetricError(f"vector of length {len(v)} for a metric of dimension {d}")
-    v = [CRat.coerce(c) for c in v]
+    v = ctx.vector(v)
     carrier = function_carrier(0, d)
     cov = Supernumber(d, {1 << b: sum(map(mul, row, v), exactmat.ZERO) for b, row in enumerate(ctx.g)})
     pairs = [(Supernumber.scalar(d, c), 1 << b, 0) for b, c in enumerate(v) if c]
@@ -88,7 +91,7 @@ def gamma0(ctx: Metric, v: Sequence) -> Endo:
     return lambda w: reversal(inner(reversal(w)))
 
 
-# -- dense-matrix materialization ------------------------------------------
+# -- matrices on the monomial basis -----------------------------------------
 
 
 def matrix_of(op: Endo, d: int) -> Matrix:
@@ -102,28 +105,41 @@ def matrix_of(op: Endo, d: int) -> Matrix:
     return out
 
 
-def _sign_rule_matrix(d: int, wedge: Sequence[CRat], derive: Sequence[CRat]) -> Matrix:
-    """The matrix of sum_b wedge[b] xi^b wedge + sum_b derive[b] d/dxi^b
-    from the Jordan-Wigner sign rule alone: moving generator b past
-    monomial m costs s(m, b) = (-1)^popcount(m & (2^(b-1) - 1)).  Column m
-    is the image of the monomial m, and generator b writes row
-    m ^ 2^(b-1): s(m, b) wedge[b] when b is not in m, s(m, b) derive[b]
-    when it is.  Each b writes its own row, so no entry is written twice."""
-    size = 1 << d
-    out = exactmat.zeros(size, size)
+def _sign_rule_matrix(d: int, wedge: Sequence[CRat], derive: Sequence[CRat]) -> NumMatrix:
+    """The numerator matrix of sum_b wedge[b] xi^b wedge + sum_b derive[b]
+    d/dxi^b, for real coefficients (a metric's entries are real), from
+    the Jordan-Wigner sign rule alone: moving generator b past monomial m
+    costs s(m, b) = (-1)^popcount(m & (2^(b-1) - 1)).  Generator b maps
+    column m to row m ^ 2^(b-1), so row r reads column r ^ 2^(b-1):
+    s(r, b) wedge[b] when b is in r, s(r, b) derive[b] when it is not,
+    over the lcm of the coefficients' denominators.  The columns of the
+    generators in r, taken from the highest down, precede r, and those of
+    the others, from the lowest up, follow it, so each row comes out in
+    ascending column order."""
+    den = lcm(*(c._d for c in chain(wedge, derive)))
     gens = [
-        (1 << b, (1 << b) - 1, (w, -w) if w else None, (v, -v) if v else None)
+        (1 << b, (1 << b) - 1, w._a * (den // w._d), v._a * (den // v._d))
         for b, (w, v) in enumerate(zip(wedge, derive))
+        if w or v
     ]
-    for m in range(size):
-        for bit, below, w, v in gens:
-            c = v if m & bit else w
-            if c:
-                out[m ^ bit][m] = c[(m & below).bit_count() & 1]
-    return out
+    highest_first = gens[::-1]
+    rows = []
+    for r in range(1 << d):
+        row = [
+            (r ^ bit, -w if (r & low).bit_count() & 1 else w)
+            for bit, low, w, _ in highest_first
+            if w and r & bit
+        ]
+        row += [
+            (r ^ bit, -v if (r & low).bit_count() & 1 else v)
+            for bit, low, _, v in gens
+            if v and not r & bit
+        ]
+        rows.append(row)
+    return exactmat._num_matrix(1 << d, 1 << d, rows, None, den)
 
 
-def gamma_matrices(ctx: Metric, upper: bool = True) -> list[Matrix]:
+def gamma_matrices(ctx: Metric, upper: bool = True) -> list[NumMatrix]:
     """The matrices of gamma_a = g_ba xi^b wedge + d/dxi^a, or when `upper`
     of gamma^a = xi^a wedge + g^{ab} d/dxi^b, for a = 1..D, each written by
     `_sign_rule_matrix` with no `Supernumber` product."""
@@ -136,23 +152,23 @@ def gamma_matrices(ctx: Metric, upper: bool = True) -> list[Matrix]:
     ]
 
 
-def gamma0_matrices(ctx: Metric) -> list[Matrix]:
+def gamma0_matrices(ctx: Metric) -> list[NumMatrix]:
     """The commuting copy J gamma_a J for a = 1..D.  J is diagonal, with
     (-1)^{p(p-1)/2} at a monomial of degree p (see `reversal`), so each
-    entry is that of gamma_a, negated where J differs at its row and at
-    its column; a zero entry stays `exactmat.ZERO`."""
+    numerator is that of gamma_a, negated where J differs at its row and
+    at its column; a real metric's gammas have no imaginary part."""
     odd = [(p * (p - 1) // 2) & 1 for p in map(int.bit_count, range(1 << ctx.dim))]
-    return [
-        [
-            [x if x is exactmat.ZERO or odd[r] == odd[c] else -x for c, x in enumerate(row)]
-            for r, row in enumerate(g)
-        ]
-        for g in gamma_matrices(ctx, upper=False)
-    ]
+
+    def flip(rows: tuple) -> tuple:
+        return tuple(
+            tuple((c, x if odd[r] == odd[c] else -x) for c, x in row) for r, row in enumerate(rows)
+        )
+
+    return [g._replace(re=flip(g.re)) for g in gamma_matrices(ctx, upper=False)]
 
 
-def current(ctx: Metric, p: int) -> dict[tuple[int, ...], Matrix]:
-    """Antisymmetrized products gamma_[i1 ... ip] as dense matrices, one
+def current(ctx: Metric, p: int) -> dict[tuple[int, ...], NumMatrix]:
+    """Antisymmetrized products gamma_[i1 ... ip] as numerator matrices, one
     per increasing index set; the bilinear current against two states is
     a plain matrix sandwich.  Built rank by rank with the one-index
     antisymmetrizer (see the module docstring), one
@@ -160,7 +176,7 @@ def current(ctx: Metric, p: int) -> dict[tuple[int, ...], Matrix]:
     if not 0 <= p <= ctx.dim:
         raise ValueError(f"antisymmetrization rank {p} outside 0..{ctx.dim}")
     if p == 0:
-        return {(): exactmat.identity(1 << ctx.dim)}
+        return {(): exactmat.scalar(1 << ctx.dim, 1)}
     lowers = gamma_matrices(ctx, upper=False)
     level = {(i,): lowers[i - 1] for i in range(1, ctx.dim + 1)}
     for rank in range(2, p + 1):

@@ -93,9 +93,15 @@ class Metric:
             raise MetricError(f"basis index {a} outside 1..{self.dim}")
         return [CRat(1 if i == a - 1 else 0) for i in range(self.dim)]
 
+    def vector(self, v: Sequence) -> list[CRat]:
+        """v's components as `CRat`; a vector whose length is not the
+        dimension is refused."""
+        if len(v) != self.dim:
+            raise MetricError(f"vector of length {len(v)} for a metric of dimension {self.dim}")
+        return [CRat.coerce(c) for c in v]
+
     def scalar_product(self, v: Sequence, w: Sequence) -> CRat:
-        v = [CRat.coerce(c) for c in v]
-        w = [CRat.coerce(c) for c in w]
+        v, w = self.vector(v), self.vector(w)
         total = CRat(0)
         for a in range(self.dim):
             for b in range(self.dim):

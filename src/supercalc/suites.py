@@ -994,19 +994,17 @@ def run_clifford(
     dual_route = report.check("matrix route equals generator-derivative route")
     for d in dims:
         size = 1 << d
-        idm = exactmat.identity(size)
         for label, ctx in contexts_for(d):
             gs = gamma_matrices(ctx)
             for a in range(d):
                 for b in range(a, d):
-                    want = exactmat.mscale(idm, ctx.g_inv[a][b] * 2)
                     relations.expect(
-                        exactmat.bracket(gs[a], gs[b], 1) == want,
+                        exactmat.bracket(gs[a], gs[b], 1) == exactmat.scalar(size, ctx.g_inv[a][b] * 2),
                         f"D={d} {label} ({a+1},{b+1})",
                     )
             g0s = gamma0_matrices(ctx)
             gls = gamma_matrices(ctx, upper=False)
-            zero = exactmat.zeros(size, size)
+            zero = exactmat.scalar(size, 0)
             for a in range(d):
                 for b in range(d):
                     commutant.expect(
@@ -1014,20 +1012,19 @@ def run_clifford(
                         f"commutant D={d} {label} ({a+1},{b+1})",
                     )
                     if b >= a:
-                        want0 = exactmat.mscale(idm, ctx.g[a][b] * 2)
                         commutant.expect(
-                            exactmat.bracket(g0s[a], g0s[b], 1) == want0,
+                            exactmat.bracket(g0s[a], g0s[b], 1) == exactmat.scalar(size, ctx.g[a][b] * 2),
                             f"copy relations D={d} {label} ({a+1},{b+1})",
                         )
             if d >= 2:
-                nonscalar = any(g0 != exactmat.mscale(idm, g0[0][0]) for g0 in g0s)
+                nonscalar = any(g0 != exactmat.scalar(size, exactmat.dense(g0)[0][0]) for g0 in g0s)
                 commutant.expect(
                     nonscalar,
                     f"commutant is non-scalar (reducibility witness) D={d} {label}",
                 )
             for a in range(1, d + 1):
                 dual_route.expect(
-                    gs[a - 1] == matrix_of(gamma(ctx, ctx.g_inv[a - 1]), d),
+                    gs[a - 1] == exactmat.read(matrix_of(gamma(ctx, ctx.g_inv[a - 1]), d)),
                     f"routes D={d} {label} a={a}",
                 )
         for k in range(5):
@@ -1044,12 +1041,12 @@ def run_clifford(
         total += len(comps)
     counts.expect(total == 1 << d, "sum of counts = 2^D")
     c2 = current(CliffordContext.identity(2), 2)
-    g1m, g2m = gamma_matrices(CliffordContext.identity(2), upper=False)
+    g1m, g2m = map(exactmat.dense, gamma_matrices(CliffordContext.identity(2), upper=False))
     half = exactmat.mscale(
         exactmat.madd(exactmat.matmul(g1m, g2m), exactmat.mscale(exactmat.matmul(g2m, g1m), -1)),
         Fraction(1, 2),
     )
-    counts.expect(c2[(1, 2)] == half, "antisymmetrized pair at D=2")
+    counts.expect(c2[(1, 2)] == exactmat.read(half), "antisymmetrized pair at D=2")
 
     dirac = report.check("d + transpose equals the gamma/Lie assembly on forms")
     for k in range(max(5, trials // 4)):

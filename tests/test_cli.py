@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 import time
@@ -7,10 +8,21 @@ import pytest
 
 PY = [sys.executable, "-m", "supercalc"]
 
+# The environment of every CLI process here: bytecode is written, to a
+# cache directory of the test session, so that the processes compile the
+# package once between them and the source tree stays clean.
+CLI_ENV: dict[str, str] = {}
+
+
+@pytest.fixture(scope="session", autouse=True)
+def _cli_env(tmp_path_factory):
+    CLI_ENV.update((k, v) for k, v in os.environ.items() if k != "PYTHONDONTWRITEBYTECODE")
+    CLI_ENV["PYTHONPYCACHEPREFIX"] = str(tmp_path_factory.mktemp("pycache"))
+
 
 def run_cli(*args, expect: int = 0):
     proc = subprocess.run(
-        PY + list(args), capture_output=True, text=True, timeout=600
+        PY + list(args), capture_output=True, text=True, timeout=600, env=CLI_ENV
     )
     assert proc.returncode == expect, proc.stderr
     return proc
@@ -42,7 +54,7 @@ def test_eval_form_mode():
 
 def test_eval_parse_error_exit_code():
     proc = subprocess.run(
-        PY + ["eval", "x1 +* x2", "--nu", "2"], capture_output=True, text=True
+        PY + ["eval", "x1 +* x2", "--nu", "2"], capture_output=True, text=True, env=CLI_ENV
     )
     assert proc.returncode == 2
     assert "error" in proc.stderr
@@ -99,7 +111,7 @@ def test_check_json_output():
 
 def test_unknown_suite_usage_error():
     proc = subprocess.run(
-        PY + ["check", "nonsense"], capture_output=True, text=True
+        PY + ["check", "nonsense"], capture_output=True, text=True, env=CLI_ENV
     )
     assert proc.returncode == 2
 
@@ -393,7 +405,7 @@ def test_oversize_suite_requests_are_refused_up_front(args, named):
 def test_bracket_faults_are_input_errors(expr, flags, message):
     # the first three used to loop without bound, so the timeout is short
     proc = subprocess.run(
-        PY + ["eval", expr, *flags], capture_output=True, text=True, timeout=60
+        PY + ["eval", expr, *flags], capture_output=True, text=True, timeout=60, env=CLI_ENV
     )
     assert proc.returncode == 2, proc.stderr
     assert one_error_line(proc) == f"error: {message}\n"

@@ -50,7 +50,7 @@ def test_clifford_relations_flat_two_dimensions():
     for a in range(2):
         for b in range(2):
             want = exactmat.mscale(ident, CRat(2 if a == b else 0))
-            assert exactmat.bracket(gs[a], gs[b], 1) == want
+            assert exactmat.dense(exactmat.bracket(gs[a], gs[b], 1)) == want
 
 
 def test_clifford_relations_minkowski_bruteforce():
@@ -60,7 +60,7 @@ def test_clifford_relations_minkowski_bruteforce():
     for a in range(4):
         for b in range(4):
             want = exactmat.mscale(ident, ctx.g_inv[a][b] * 2)
-            assert exactmat.bracket(gs[a], gs[b], 1) == want
+            assert exactmat.dense(exactmat.bracket(gs[a], gs[b], 1)) == want
 
 
 def test_clifford_relations_random_metrics():
@@ -73,7 +73,7 @@ def test_clifford_relations_random_metrics():
             for a in range(d):
                 for b in range(d):
                     want = exactmat.mscale(ident, ctx.g_inv[a][b] * 2)
-                    assert exactmat.bracket(gs[a], gs[b], 1) == want
+                    assert exactmat.dense(exactmat.bracket(gs[a], gs[b], 1)) == want
 
 
 def test_gamma_vector_bilinearity():
@@ -109,11 +109,12 @@ def test_commuting_copy():
         ident = exactmat.identity(1 << d)
         g_low = gamma_matrices(ctx, upper=False)
         g0s = [matrix_of(gamma0(ctx, ctx.basis_vector(a)), d) for a in range(1, d + 1)]
+        n0s = [exactmat.read(g0) for g0 in g0s]
         for a in range(d):
             for b in range(d):
-                assert exactmat.bracket(g_low[a], g0s[b], -1) == zero
+                assert exactmat.dense(exactmat.bracket(g_low[a], n0s[b], -1)) == zero
                 want = exactmat.mscale(ident, ctx.g[a][b] * 2)
-                assert exactmat.bracket(g0s[a], g0s[b], 1) == want
+                assert exactmat.dense(exactmat.bracket(n0s[a], n0s[b], 1)) == want
         # J gamma J = gamma0 by construction; check it differs from gamma
         # somewhere (the commutant is non-scalar, so the representation
         # is reducible)
@@ -125,9 +126,9 @@ def test_current_components():
     ctx2 = CliffordContext.identity(2)
     comps = current(ctx2, 0)
     assert list(comps) == [()]
-    assert comps[()] == exactmat.identity(4)
-    pair = current(ctx2, 2)[(1, 2)]
-    g1m, g2m = gamma_matrices(ctx2, upper=False)
+    assert exactmat.dense(comps[()]) == exactmat.identity(4)
+    pair = exactmat.dense(current(ctx2, 2)[(1, 2)])
+    g1m, g2m = map(exactmat.dense, gamma_matrices(ctx2, upper=False))
     want = exactmat.mscale(
         exactmat.madd(
             exactmat.matmul(g1m, g2m), exactmat.mscale(exactmat.matmul(g2m, g1m), -1)
@@ -212,7 +213,7 @@ def test_current_matches_permutation_sum():
     for d in (3, 4):
         ctx = random_context(rng, d)
         assert any(not ctx.g[i][j].is_zero() for i in range(d) for j in range(d) if i != j)
-        lowers = gamma_matrices(ctx, upper=False)
+        lowers = [exactmat.dense(m) for m in gamma_matrices(ctx, upper=False)]
         size = 1 << d
         for p in range(d + 1):
             comps = current(ctx, p)
@@ -226,16 +227,15 @@ def test_current_matches_permutation_sum():
                         prod = exactmat.matmul(prod, lowers[i - 1])
                     acc = exactmat.madd(acc, exactmat.mscale(prod, (-1) ** inversions))
                 want = exactmat.mscale(acc, Fraction(1, math.factorial(p)))
-                assert got == want, (d, indices)
+                assert exactmat.dense(got) == want, (d, indices)
 
 
 def test_gamma_matrices_hold_crat_entries():
-    """The sign-rule builder writes metric entries and `CRat` signs, so an
-    integer-valued gamma still reaches `exactmat` with `CRat` entries,
-    and a zero one is `ZERO`."""
+    """The sign-rule builder writes numerator matrices; made dense, an
+    integer-valued gamma has `CRat` entries, and a zero one is `ZERO`."""
     for ctx in (Metric.identity(2), Metric.minkowski(4)):
         for upper in (True, False):
-            for m in gamma_matrices(ctx, upper):
+            for m in map(exactmat.dense, gamma_matrices(ctx, upper)):
                 assert all(type(x) is CRat for row in m for x in row)
                 assert all(x is exactmat.ZERO for row in m for x in row if not x)
 
@@ -251,15 +251,18 @@ def _sign_rule_contexts():
 
 def test_sign_rule_gammas_equal_the_kernel_route():
     """The Jordan-Wigner builder against the matrices of the `Supernumber`
-    operators gamma_a = gamma(e_a) and gamma^a = gamma(g^{a.}), entry for
-    entry."""
+    operators gamma_a = gamma(e_a) and gamma^a = gamma(g^{a.}), read into
+    numerator matrices, and made dense against them entry for entry."""
     for ctx in _sign_rule_contexts():
         d = ctx.dim
         lowers, uppers = gamma_matrices(ctx, False), gamma_matrices(ctx, True)
         for a in range(1, d + 1):
-            assert lowers[a - 1] == matrix_of(gamma(ctx, ctx.basis_vector(a)), d), (d, a)
-            assert uppers[a - 1] == matrix_of(gamma(ctx, ctx.g_inv[a - 1]), d), (d, a)
-            for m in (lowers[a - 1], uppers[a - 1]):
+            lower = matrix_of(gamma(ctx, ctx.basis_vector(a)), d)
+            upper = matrix_of(gamma(ctx, ctx.g_inv[a - 1]), d)
+            assert lowers[a - 1] == exactmat.read(lower), (d, a)
+            assert uppers[a - 1] == exactmat.read(upper), (d, a)
+            assert exactmat.dense(lowers[a - 1]) == lower and exactmat.dense(uppers[a - 1]) == upper, (d, a)
+            for m in map(exactmat.dense, (lowers[a - 1], uppers[a - 1])):
                 assert all(type(x) is CRat for row in m for x in row)
                 assert all(x is exactmat.ZERO for row in m for x in row if not x)
 
@@ -294,6 +297,7 @@ def test_gammas_and_currents_need_no_grassmann_product(monkeypatch):
 
 
 def _assert_shared_zeros(m):
+    m = exactmat.dense(m)
     assert all(type(x) is CRat for row in m for x in row)
     assert all(x is exactmat.ZERO for row in m for x in row if not x)
 
@@ -307,7 +311,7 @@ def test_commuting_copy_equals_the_kernel_route():
         copies = gamma0_matrices(ctx)
         assert len(copies) == d
         for a in range(1, d + 1):
-            assert copies[a - 1] == matrix_of(gamma0(ctx, ctx.basis_vector(a)), d), (d, a)
+            assert copies[a - 1] == exactmat.read(matrix_of(gamma0(ctx, ctx.basis_vector(a)), d)), (d, a)
             _assert_shared_zeros(copies[a - 1])
 
 
@@ -316,10 +320,11 @@ def test_upper_gammas_equal_the_inverse_metric_sum():
     g^{ab} gamma_b summed entrywise from the lower gammas; the two agree
     only because g^{-1} g = I holds exactly."""
     for ctx in _sign_rule_contexts():
-        lowers, uppers = gamma_matrices(ctx, False), gamma_matrices(ctx, True)
+        lowers = [exactmat.dense(m) for m in gamma_matrices(ctx, False)]
+        uppers = gamma_matrices(ctx, True)
         for a, row in enumerate(ctx.g_inv):
             want = reduce(exactmat.madd, (exactmat.mscale(m, c) for c, m in zip(row, lowers) if c))
-            assert uppers[a] == want, (ctx.dim, a + 1)
+            assert exactmat.dense(uppers[a]) == want, (ctx.dim, a + 1)
             _assert_shared_zeros(uppers[a])
 
 
@@ -341,12 +346,12 @@ def test_current_equals_the_antisymmetrizer_on_every_context():
     the identity for D = 1..4, Minkowski and seeded random metrics."""
     for ctx in _sign_rule_contexts():
         d = ctx.dim
-        lowers = gamma_matrices(ctx, upper=False)
+        lowers = [exactmat.dense(m) for m in gamma_matrices(ctx, upper=False)]
         for p in range(d + 1):
             comps = current(ctx, p)
             assert sorted(comps) == list(itertools.combinations(range(1, d + 1), p))
             for indices, got in comps.items():
-                assert got == _antisymmetrized(lowers, indices, d), (d, indices)
+                assert exactmat.dense(got) == _antisymmetrized(lowers, indices, d), (d, indices)
                 _assert_shared_zeros(got)
 
 
@@ -383,3 +388,57 @@ def test_clifford_matrices_need_no_entrywise_sums(monkeypatch):
             assert current(ctx, p) == comps[p]
             built = sum(math.comb(ctx.dim, rank) for rank in range(2, p + 1))
             assert len(kernel_calls) == built, (ctx.dim, p)
+
+
+def test_relations_are_stored_as_canonical_scalars():
+    """{gamma^a, gamma^b} is the numerator matrix of 2 g^{ab} I, with its
+    content divided out: over den 1 for the identity metric, and equal to
+    `exactmat.scalar` on every sign-rule context."""
+    for d in (1, 2, 3, 4):
+        gs = gamma_matrices(Metric.identity(d))
+        for a, b in itertools.combinations_with_replacement(range(d), 2):
+            got = exactmat.bracket(gs[a], gs[b], 1)
+            assert got.den == 1 and got == exactmat.scalar(1 << d, 2 if a == b else 0)
+    for ctx in _sign_rule_contexts():
+        size = 1 << ctx.dim
+        gs, lowers, copies = gamma_matrices(ctx), gamma_matrices(ctx, False), gamma0_matrices(ctx)
+        for a, b in itertools.product(range(ctx.dim), repeat=2):
+            assert exactmat.bracket(gs[a], gs[b], 1) == exactmat.scalar(size, ctx.g_inv[a][b] * 2)
+            assert exactmat.bracket(copies[a], copies[b], 1) == exactmat.scalar(size, ctx.g[a][b] * 2)
+            assert exactmat.bracket(lowers[a], copies[b], -1) == exactmat.scalar(size, 0)
+
+
+def test_suite_brackets_read_no_operand(monkeypatch):
+    """`run_clifford` reads a dense matrix only for the dual route's
+    `matrix_of` and the D = 2 current reference: `bracket` and
+    `product_sum` run on the numerator matrices as they are held."""
+    from supercalc.suites import run_clifford
+
+    reads, inside, calls = [], [], []
+    read = exactmat.read
+
+    def counted_read(m):
+        reads.append(bool(inside))
+        return read(m)
+
+    def entered(fn):
+        def run(*args):
+            calls.append(fn.__name__)
+            inside.append(fn)
+            try:
+                return fn(*args)
+            finally:
+                inside.pop()
+
+        return run
+
+    monkeypatch.setattr(exactmat, "read", counted_read)
+    monkeypatch.setattr(exactmat, "bracket", entered(exactmat.bracket))
+    monkeypatch.setattr(exactmat, "product_sum", entered(exactmat.product_sum))
+    report = run_clifford(trials=1, seed=0, dims=(3,))
+    assert report.ok
+    # two contexts (identity and one random metric) times three dual
+    # routes, two operands for each of two matmul calls, and the reference
+    assert len(reads) == 2 * 3 + 2 * 2 + 1
+    assert not any(reads)
+    assert {"bracket", "product_sum"} <= set(calls)

@@ -1,6 +1,7 @@
 """The exact matrix kernel against a naive triple loop and, when sympy is
 installed, against sympy's exact rational matrices."""
 
+import math
 import random
 from fractions import Fraction
 from functools import reduce
@@ -111,7 +112,9 @@ def test_empty_factors():
     columns to contract."""
     assert exactmat.matmul([], []) == []
     assert exactmat.matmul([[]], []) == [[]]
-    assert exactmat.bracket([], [], 1) == [] and exactmat.product_sum([([], [], 1)]) == []
+    empty = exactmat.read([])
+    assert exactmat.dense(exactmat.bracket(empty, empty, 1)) == []
+    assert exactmat.dense(exactmat.product_sum([(empty, empty, 1)])) == []
     with pytest.raises(ValueError, match="shape mismatch"):
         exactmat.matmul([[CRat(1)]], [])
     assert pullback_metric(Metric.from_matrix([]), []).g == []
@@ -154,9 +157,13 @@ def test_bracket_equals_two_products(seed, n, fill, sign):
     for a in shapes:
         for b in shapes:
             want = exactmat.madd(exactmat.matmul(a, b), exactmat.mscale(exactmat.matmul(b, a), sign))
-            got = exactmat.bracket(a, b, sign)
-            assert got == want
-            assert got == exactmat.bracket(as_shared_zeros(a), as_shared_zeros(b), sign)
+            got = exactmat.bracket(exactmat.read(a), exactmat.read(b), sign)
+            assert exactmat.dense(got) == want
+            assert got == exactmat.read(want)
+            assert got == exactmat.bracket(
+                exactmat.read(as_shared_zeros(a)), exactmat.read(as_shared_zeros(b)), sign
+            )
+            got = exactmat.dense(got)
             assert all(type(x) is CRat for row in got for x in row)
             assert all(x is exactmat.ZERO for row in got for x in row if not x)
 
@@ -174,18 +181,25 @@ def test_row_kernel_on_mixed_entries():
 
 
 def test_cancelling_bracket_gives_the_shared_zero():
-    a = exactmat.from_rows([[1, "1/2"], [0, 2]])
-    b = random_matrix(random.Random(4), 2, 2, 0.0)
-    ident = exactmat.identity(2)
+    """A bracket that cancels is the canonical zero, den 1 with empty rows,
+    and made dense it is all the shared zero."""
+    a = exactmat.read(exactmat.from_rows([[1, "1/2"], [0, 2]]))
+    b = exactmat.read(random_matrix(random.Random(4), 2, 2, 0.0))
+    assert a.den == 2 and b.den > 1
+    ident = exactmat.read(exactmat.identity(2))
+    zero = exactmat.NumMatrix(2, 2, ((), ()), None, 1)
     for m in (a, b):
-        assert exactmat.bracket(m, m, -1) == exactmat.zeros(2, 2)
-        assert all(x is exactmat.ZERO for row in exactmat.bracket(m, m, -1) for x in row)
-        assert exactmat.bracket(m, ident, -1) == exactmat.zeros(2, 2)
+        assert exactmat.dense(exactmat.bracket(m, m, -1)) == exactmat.zeros(2, 2)
+        assert all(x is exactmat.ZERO for row in exactmat.dense(exactmat.bracket(m, m, -1)) for x in row)
+        assert exactmat.dense(exactmat.bracket(m, ident, -1)) == exactmat.zeros(2, 2)
+        assert exactmat.bracket(m, m, -1) == exactmat.bracket(m, ident, -1) == zero
     # anticommuting matrices: [[0, 1], [1, 0]] and [[1, 0], [0, -1]]
-    x = exactmat.from_rows([[0, 1], [1, 0]])
-    z = exactmat.from_rows([[1, 0], [0, -1]])
-    assert all(e is exactmat.ZERO for row in exactmat.bracket(x, z, 1) for e in row)
-    assert exactmat.bracket(x, x, 1) == exactmat.mscale(ident, 2)
+    x = exactmat.read(exactmat.from_rows([[0, 1], [1, 0]]))
+    z = exactmat.read(exactmat.from_rows([[1, 0], [0, -1]]))
+    assert all(e is exactmat.ZERO for row in exactmat.dense(exactmat.bracket(x, z, 1)) for e in row)
+    assert exactmat.bracket(x, z, 1) == zero
+    assert exactmat.dense(exactmat.bracket(x, x, 1)) == exactmat.mscale(exactmat.identity(2), 2)
+    assert exactmat.bracket(x, x, 1) == exactmat.scalar(2, 2)
 
 
 def test_bracket_refuses_non_square_matrices():
@@ -193,12 +207,56 @@ def test_bracket_refuses_non_square_matrices():
         (exactmat.zeros(2, 3), exactmat.zeros(2, 3)),
         (exactmat.identity(2), exactmat.identity(3)),
         (exactmat.identity(2), exactmat.zeros(2, 3)),
-        ([[CRat(1)], [CRat(1), CRat(2)]], exactmat.identity(2)),
     ):
+        a, b = exactmat.read(a), exactmat.read(b)
         with pytest.raises(ValueError, match="square"):
             exactmat.bracket(a, b, 1)
         with pytest.raises(ValueError, match="square"):
             exactmat.bracket(b, a, -1)
+    # a ragged matrix has no numerator matrix to bracket
+    with pytest.raises(ValueError, match="shape mismatch"):
+        exactmat.read([[CRat(1)], [CRat(1), CRat(2)]])
+
+
+def test_bracket_and_product_sum_take_only_numerator_matrices():
+    """Dense lists of rows are refused, not read: there is one path."""
+    dense, num = exactmat.identity(2), exactmat.read(exactmat.identity(2))
+    for a, b in ((dense, dense), (dense, num), (num, dense)):
+        with pytest.raises(TypeError, match="NumMatrix operands"):
+            exactmat.bracket(a, b, 1)
+        with pytest.raises(TypeError, match="NumMatrix operands"):
+            exactmat.product_sum([(a, b, 1)])
+
+
+@pytest.mark.parametrize("seed, n, fill", BRACKET_CASES)
+def test_numerator_form_is_canonical(seed, n, fill):
+    """`read` and `dense` are inverse to each other; rows list nonzero
+    numerators in ascending column order, the content is divided out,
+    an imaginary part with no entry is None, and a product that brings
+    in a common factor is reduced back to the same tuple."""
+    rng = random.Random(f"canonical:{seed}:{fill}")
+    for m in (random_matrix(rng, n, n, fill), random_scalar_matrix(rng, n, fill), exactmat.zeros(n, n)):
+        num = exactmat.read(m)
+        assert exactmat.dense(num) == m
+        assert exactmat.read(exactmat.dense(num)) == num
+        assert exactmat.read(as_shared_zeros(m)) == num
+        rows = [*num.re, *(num.im or ())]
+        assert all([j for j, _ in row] == sorted({j for j, _ in row}) for row in rows)
+        numerators = [x for row in rows for _, x in row]
+        assert all(numerators) and math.gcd(num.den, *numerators) == 1
+        assert num.im is None or any(num.im)
+        if not numerators:
+            assert num == exactmat.NumMatrix(n, n, ((),) * n, None, 1)
+        scaled = exactmat.product_sum([(num, exactmat.scalar(n, Fraction(6, 5)), Fraction(5, 6))])
+        assert scaled == num
+
+
+def test_scalar_is_c_times_the_identity():
+    for n in (0, 1, 3):
+        for c in (0, 1, -2, Fraction(3, 4), CRat(Fraction(1, 2), -3), CRat(0, 1)):
+            assert exactmat.scalar(n, c) == exactmat.read(exactmat.mscale(exactmat.identity(n), c))
+    assert exactmat.scalar(3, 0) == exactmat.NumMatrix(3, 3, ((),) * 3, None, 1)
+    assert exactmat.scalar(2, Fraction(3, 4)) == exactmat.NumMatrix(2, 2, (((0, 3),), ((1, 3),)), None, 4)
 
 
 PRODUCT_SUM_CASES = [
@@ -219,16 +277,19 @@ def test_product_sum_equals_matmul_mscale_madd(seed, n, fill):
         for _ in range(3):
             triples = [(rng.choice(mats), rng.choice(mats), rng.choice(coefficients)) for _ in range(terms)]
             want = reduce(exactmat.madd, (exactmat.mscale(exactmat.matmul(a, b), c) for a, b, c in triples))
-            got = exactmat.product_sum(triples)
+            nums = [(exactmat.read(a), exactmat.read(b), c) for a, b, c in triples]
+            got = exactmat.product_sum(nums)
+            assert got == exactmat.read(want)
+            assert exactmat.product_sum(iter(nums)) == got
+            got = exactmat.dense(got)
             assert got == want
-            assert exactmat.product_sum(iter(triples)) == want
             assert all(type(x) is CRat for row in got for x in row)
             assert all(x is exactmat.ZERO for row in got for x in row if not x)
 
 
 def test_cancelling_product_sum_gives_the_shared_zero():
     rng = random.Random("product_sum:cancel")
-    a, b = random_matrix(rng, 4, 4, 0.0), random_scalar_matrix(rng, 4, 0.3)
+    a, b = exactmat.read(random_matrix(rng, 4, 4, 0.0)), exactmat.read(random_scalar_matrix(rng, 4, 0.3))
     for triples in (
         [(a, b, 1), (a, b, -1)],
         [(a, b, Fraction(1, 2)), (a, b, Fraction(1, 2)), (a, b, -1)],
@@ -236,7 +297,8 @@ def test_cancelling_product_sum_gives_the_shared_zero():
         [(a, b, 0)],
     ):
         got = exactmat.product_sum(triples)
-        assert all(x is exactmat.ZERO for row in got for x in row)
+        assert all(x is exactmat.ZERO for row in exactmat.dense(got) for x in row)
+        assert got == exactmat.scalar(4, 0)
 
 
 def test_product_sum_refuses_bad_shapes_and_coefficients():
@@ -244,15 +306,16 @@ def test_product_sum_refuses_bad_shapes_and_coefficients():
         (exactmat.zeros(2, 3), exactmat.zeros(3, 2)),
         (exactmat.identity(2), exactmat.identity(3)),
         (exactmat.identity(2), exactmat.zeros(2, 3)),
-        ([[CRat(1)], [CRat(1), CRat(2)]], exactmat.identity(2)),
     ):
+        ident = exactmat.scalar(len(a), 1)
+        a, b = exactmat.read(a), exactmat.read(b)
         with pytest.raises(ValueError, match="square matrices of one size"):
             exactmat.product_sum([(a, b, 1)])
         with pytest.raises(ValueError, match="square matrices of one size"):
-            exactmat.product_sum([(exactmat.identity(len(a)), exactmat.identity(len(a)), 1), (b, a, 1)])
+            exactmat.product_sum([(ident, ident, 1), (b, a, 1)])
     with pytest.raises(ValueError, match="at least one term"):
         exactmat.product_sum([])
-    ident = exactmat.identity(2)
+    ident = exactmat.scalar(2, 1)
     for c in (CRat(1), 0.5, True, "1"):
         with pytest.raises(TypeError, match="int or Fraction"):
             exactmat.product_sum([(ident, ident, c)])
