@@ -15,8 +15,13 @@ check both, and arithmetic on them returns plain `GradedPoly` elements,
 which the public operations below wrap again.
 
 Operators are small wrappers carrying a parity tag so that graded
-commutators are formed uniformly.  The table of graded Cartan relations
-that these operators obey is checked in the suites layer
+commutators are formed uniformly.  L(X) on forms is the derivation of
+parity |X| fixed by its values on the generators, one `_derivation_sum`
+pass of L(X)w = sum_A X^A dw/dy^A + (-1)^|X| sum_A dX^A dw/d(dy^A),
+not the bracket [i(X), d] that the Cartan formula equates it with
+(Kolar, Michor and Slovak 1993, section 8); on densities it stays the
+bracket [b, i(X)], as b is not a derivation.  The table of graded Cartan
+relations that these operators obey is checked in the suites layer
 (`supercalc.suites.IDENTITIES`); this module holds no oracle code.
 """
 
@@ -212,9 +217,7 @@ class SuperVectorField:
         """Directional derivative on a superfunction."""
         f = _as_function(self.coords, f)
         fc = self.coords.functions
-        pairs = [(c, 0, fc.shift(a)) for a, c in enumerate(self.bose, start=1) if c.nums]
-        pairs += [(c, 1 << (alpha - 1), 0) for alpha, c in enumerate(self.fermi, start=1) if c.nums]
-        return _element(GradedPoly, fc, *_derivation_sum(fc, pairs, f))
+        return _element(GradedPoly, fc, *_derivation_sum(fc, _coordinate_pairs(fc, self.bose, self.fermi), f))
 
     def bracket(self, other: "SuperVectorField") -> "SuperVectorField":
         """Graded Lie bracket [X, Y] = XY - (-1)^{parities} YX."""
@@ -318,17 +321,19 @@ def _term_pass(carrier: Carrier, w: GradedPoly, rule) -> GradedPoly:
     return _element(GradedPoly, carrier, rule(w.nums, carrier), w.den)
 
 
-def _differential(coords: CoordinateSystem, w: GradedPoly) -> GradedPoly:
-    """dw = sum_A dx^A (dw/dx^A) on the form algebra."""
-    return _term_pass(coords.forms, w, _exterior_d_nums)
-
-
 def _contract(carrier: Carrier, pairs, w: GradedPoly) -> GradedPoly:
     """sum of comp * (derivative of w along an auxiliary) over the
     (comp, bit, shift) pairs of `_derivation_sum`: the odd auxiliary
     `bit`, or the even auxiliary whose field is at `shift`."""
     _require(carrier, w)
     return _element(GradedPoly, carrier, *_derivation_sum(carrier, pairs, w))
+
+
+def _coordinate_pairs(carrier: Carrier, bose, fermi) -> list:
+    """The nonzero components against the coordinate they differentiate:
+    x_a for the bosonic ones, xi_alpha for the fermionic ones."""
+    pairs = [(c, 0, carrier.shift(a)) for a, c in enumerate(bose, start=1) if c.nums]
+    return pairs + [(c, 1 << (alpha - 1), 0) for alpha, c in enumerate(fermi, start=1) if c.nums]
 
 
 def _aux_pairs(carrier: Carrier, bose, fermi) -> list:
@@ -342,7 +347,7 @@ def _aux_pairs(carrier: Carrier, bose, fermi) -> list:
 
 def total_differential(coords: CoordinateSystem, f) -> GradedPoly:
     """dF = sum_A dx^A (dF/dx^A) as an element of the form algebra."""
-    return _differential(coords, _as_function(coords, f).with_carrier(coords.forms))
+    return _term_pass(coords.forms, _as_function(coords, f).with_carrier(coords.forms), _exterior_d_nums)
 
 
 def op_e_form(coords: CoordinateSystem, f) -> Operator:
@@ -353,7 +358,7 @@ def op_e_form(coords: CoordinateSystem, f) -> Operator:
 
 def op_d_form(coords: CoordinateSystem) -> Operator:
     """Exterior differential, an odd derivation with dd = 0."""
-    return Operator(1, lambda w: _differential(coords, w))
+    return Operator(1, lambda w: _term_pass(coords.forms, w, _exterior_d_nums))
 
 
 def op_i_form(x: SuperVectorField) -> Operator:
@@ -365,8 +370,17 @@ def op_i_form(x: SuperVectorField) -> Operator:
 
 
 def op_lie_form(x: SuperVectorField) -> Operator:
-    """Lie derivative on forms as the graded bracket of i(X) and d."""
-    return op_i_form(x).graded_bracket(op_d_form(x.coords))
+    """Lie derivative on forms, L(X)w = sum_A X^A dw/dy^A + (-1)^|X| sum_A
+    dX^A dw/d(dy^A), in one `_derivation_sum` pass; each dX^A is taken
+    once per operator."""
+    forms = x.coords.forms
+    d_comps = []
+    for comp in x.bose + x.fermi:
+        nums = _exterior_d_nums(comp.nums, forms)
+        d_comps.append(_element(GradedPoly, forms, {k: -c for k, c in nums.items()} if x.parity else nums, comp.den))
+    n = x.coords.n
+    pairs = _coordinate_pairs(forms, x.bose, x.fermi) + _aux_pairs(forms, d_comps[:n], d_comps[n:])
+    return Operator(x.parity, lambda w: _contract(forms, pairs, w))
 
 
 # operators on the density algebra

@@ -2,29 +2,30 @@
 the test suite.  Everything is driven by a caller-supplied
 ``random.Random`` so identical seeds give identical trials.
 
-Superfunctions, forms and densities are written straight into
-canonical term dicts: each monomial's factors are drawn one at a time and
-their reordering sign is tracked as they arrive, instead of multiplying
-one-term ring elements together.  The draws, and so every downstream
-trial, are those of that product construction, which
-``tests/test_builders.py`` keeps as the reference.  The builders write
-the kernel's stored form directly.  In a superfunction, form or density
-each drawn factor adds its odd bit, or one exponent at its
-`Carrier.shift` offset, to a packed key, with no tuple monomial and no
-`Carrier.pack` per term.  Every drawn coefficient is a numerator over
-the one denominator 6, the lcm of the drawn denominators, and each
-element divides out its content once.  Integer draws go through
-`_randint`, which consumes the generator exactly as `randint` does.
+Superfunctions, forms and densities are written straight into the
+kernel's packed term dicts: each drawn factor adds its odd bit, or one
+exponent at its `Carrier.shift` offset, to a key, and its reordering
+sign, the parity of the odd factors already drawn above it, is tracked
+as it arrives.  The draws, and so every downstream trial, are those of
+multiplying one-term ring elements together, which
+``tests/test_builders.py`` keeps as the reference.  Every drawn
+coefficient is a numerator over the one denominator 6, the lcm of the
+drawn denominators, and each element divides out its content once.
+Integer draws consume the generator exactly as `randint` does: through
+`_randint`, or, in the form and density builders that feed every trial
+of the complexes suite, as its getrandbits rejection loop written out
+on a bound `rng.getrandbits`.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import cache
 
 from . import exactmat
 from .forms import CoordinateSystem, SuperDensity, SuperForm, SuperVectorField
-from .graded_poly import GradedPoly, _accumulate, _element, function_carrier, join_xi, merge_sign
+from .graded_poly import GradedPoly, _accumulate, _element, function_carrier, join_xi
 from .grassmann import Supernumber
 from .matrices import GradedMatrix, ParitySignature
 from .polynomials import Polynomial
@@ -145,34 +146,66 @@ def superfunction(
     return out
 
 
-def _function_terms(rng: random.Random, coords: CoordinateSystem, terms: int = 4, max_degree: int = 2) -> dict:
+@cache
+def _layout(n: int, nu: int) -> tuple:
+    """The key steps of x_a and of the even auxiliary of xi_alpha on the
+    patch (n, nu), and the bit lengths that `_randint` draws 1..n and 1..nu
+    with: a memo of the key layout, like the carriers."""
+    fc = function_carrier(n, nu)
+    return tuple(1 << fc.shift(a) for a in range(1, n + nu + 1)), n.bit_length(), nu.bit_length()
+
+
+def _function_terms(
+    rng: random.Random, coords: CoordinateSystem, terms: int = 4, max_degree: int = 2,
+    out: dict | None = None, offset: int = 0, negative: int = 0,
+) -> dict:
     """Numerators over _DEN of a sum of `terms` random monomials
-    c * x_a ... * xi_alpha ..., keyed by their key on the patch, each
-    factor drawn in turn and added to the key at its `Carrier.shift`
-    offset or odd bit; a repeated xi kills its monomial, whose remaining
-    factors are still drawn."""
+    c * x_a ... * xi_alpha ..., each factor drawn in turn and added to the
+    key at its `Carrier.shift` offset or odd bit; a repeated xi kills its
+    monomial, whose remaining factors are still drawn.  The terms go into
+    `out` (a new dict by default) at key + offset, negated if `negative`."""
     n, nu = coords.n, coords.nu
-    steps = [1 << coords.functions.shift(a) for a in range(1, n + 1)]  # x_a, one exponent each
-    found = []
+    steps, k_n, k_nu = _layout(n, nu)
+    bits = rng.getrandbits
+    n_deg, n_xi = max_degree + 1, min(nu, 2) + 1
+    k_deg, k_xi = n_deg.bit_length(), n_xi.bit_length()
+    out = {} if out is None else out
     for _ in range(terms):
-        c = _draw(rng, complex_ok=False)
-        key = 0
-        for _ in range(_randint(rng, 0, max_degree)):
-            if n:
-                key += steps[_randint(rng, 1, n) - 1]
-        xi = 0
+        a = bits(4)  # _draw(rng, complex_ok=False): a in -4..4 over d in 1..3
+        while a >= 9:
+            a = bits(4)
+        d = bits(2)
+        while d >= 3:
+            d = bits(2)
+        c = (a - 4) * (_DEN // (d + 1))
+        key, xi, sign = offset, 0, negative
+        count = bits(k_deg)
+        while count >= n_deg:
+            count = bits(k_deg)
+        for _ in range(count if n else 0):
+            a = bits(k_n)
+            while a >= n:
+                a = bits(k_n)
+            key += steps[a]
         dead = not c
         if nu:
-            for _ in range(_randint(rng, 0, min(nu, 2))):
-                bit = 1 << (_randint(rng, 1, nu) - 1)
-                if xi & bit:
-                    dead = True
-                elif merge_sign(xi, bit) < 0:
-                    c = -c
-                xi |= bit
+            count = bits(k_xi)
+            while count >= n_xi:
+                count = bits(k_xi)
+            for _ in range(count):
+                j = bits(k_nu)
+                while j >= nu:
+                    j = bits(k_nu)
+                dead = dead or xi >> j & 1
+                sign ^= (xi >> j + 1).bit_count() & 1
+                xi |= 1 << j
         if not dead:
-            found.append((key | xi, c))
-    return _accumulate({}, found)
+            c = out.get(key + xi, 0) + (-c if sign else c)
+            if c:
+                out[key + xi] = c
+            else:
+                del out[key + xi]
+    return out
 
 
 def form(rng: random.Random, coords: CoordinateSystem, degree: int, blades: int = 3) -> SuperForm:
@@ -189,33 +222,35 @@ def _homogeneous(rng: random.Random, coords: CoordinateSystem, degree: int, blad
     odd-auxiliary mask, even-auxiliary exponents and a sign, kept as the
     key offset it adds to a function key of the patch; every xi sits
     below every auxiliary, so a function term times a blade takes the
-    blade's sign alone."""
-    carrier = cls.carrier_of(coords)
+    blade's sign alone, and `_function_terms` adds it straight into the
+    sum."""
     n, nu = coords.n, coords.nu
-    steps = [1 << carrier.shift(n + alpha) for alpha in range(1, nu + 1)]  # dxi_alpha or its slot
+    steps, k_n, k_nu = _layout(n, nu)
+    bits, uniform = rng.getrandbits, rng.random
     acc: dict = {}
     for _ in range(blades):
-        ao, blade, negative = 0, 0, False
-        d = 0
-        guard = 0
+        ao = blade = negative = d = guard = 0
         while d < degree and guard < 30:
             guard += 1
-            if nu and (not n or rng.random() < 0.5):
-                blade += steps[_randint(rng, 1, nu) - 1]
+            if nu and (not n or uniform() < 0.5):
+                a = bits(k_nu)
+                while a >= nu:
+                    a = bits(k_nu)
+                blade += steps[n + a]
                 d += 1
             elif n:
-                bit = 1 << (_randint(rng, 1, n) - 1)
-                if ao & bit:
+                j = bits(k_n)
+                while j >= n:
+                    j = bits(k_n)
+                if ao >> j & 1:
                     continue  # repeated bosonic differential
-                negative ^= merge_sign(ao, bit) < 0
-                ao |= bit
+                negative ^= (ao >> j + 1).bit_count() & 1
+                ao |= 1 << j
                 d += 1
         if d < degree:
             continue
-        blade += ao << nu
-        f = _function_terms(rng, coords)
-        _accumulate(acc, ((blade + key, -c if negative else c) for key, c in f.items()))
-    return cls(coords, _over_den(GradedPoly, carrier, acc))
+        _function_terms(rng, coords, out=acc, offset=blade + (ao << nu), negative=negative)
+    return cls(coords, _over_den(GradedPoly, cls.carrier_of(coords), acc))
 
 
 def vector_field(rng: random.Random, coords: CoordinateSystem, parity: int) -> SuperVectorField:

@@ -26,6 +26,7 @@ from supercalc.forms import (
     op_divergence,
     op_e_density,
     op_i_form,
+    op_lie_form,
 )
 from supercalc.graded_poly import MAX_EXPONENT, GradedPoly
 from supercalc.grassmann import GeneratorMismatch
@@ -109,6 +110,13 @@ def ref_i(x, w):
     for alpha, comp in enumerate(x.fermi, start=1):
         out = out + comp.with_carrier(forms) * w.partial_aux_even(alpha)
     return out
+
+
+def ref_lie(x, w):
+    """The Cartan formula L(X) = [i(X), d] = i(X) d + (-1)^|X| d i(X),
+    from the product-based references."""
+    coords = x.coords
+    return ref_i(x, ref_d(coords, w)) + ref_d(coords, ref_i(x, w)) * (-1 if x.parity else 1)
 
 
 def ref_e_density(coords, f, u):
@@ -261,3 +269,22 @@ def test_contractions_keep_the_exponent_guard():
     ):
         with pytest.raises(ValueError, match=message):
             thunk()
+
+
+@pytest.mark.parametrize("n,nu", PATCHES)
+def test_lie_derivative_matches_products(n, nu):
+    """The one-pass L(X) against the Cartan formula of products."""
+    coords = CoordinateSystem(n, nu)
+    rng = random.Random(37 * n + nu)
+    for parity in (0, 1):
+        for complex_comps in (False, True):
+            for _ in range(2):
+                x = scaled_field(rng, coords, parity, complex_comps)
+                lie = op_lie_form(x)
+                assert lie.parity == parity
+                for degree in DEGREES:
+                    w = rg.form(rng, coords, degree)
+                    got = lie(w)
+                    assert got.carrier == coords.forms
+                    assert got.terms == ref_lie(x, w).terms, (n, nu, parity, degree, w)
+                    assert_canonical(got)

@@ -6,6 +6,7 @@ import pytest
 from supercalc import randomgen as rg
 from supercalc.forms import (
     CoordinateSystem,
+    Operator,
     SuperDensity,
     SuperForm,
     SuperVectorField,
@@ -22,9 +23,11 @@ from supercalc.forms import (
     op_e_density,
     op_e_form,
     op_i_form,
+    op_lie_form,
     op_mult,
     pairing,
     scalar_density_integral,
+    total_differential,
     wedge,
 )
 from supercalc.graded_poly import GeneratorMismatch, GradedPoly, function_carrier
@@ -168,6 +171,51 @@ def test_lie_derivative_examples():
     const_field = SuperVectorField.make(c, [1, 2], [0], parity=0)
     const_form = SuperForm(c, c.dx(1) * c.dx(2))
     assert lie_derivative(const_field, const_form).is_zero()
+
+
+def test_lie_derivative_on_the_generators():
+    """L(X) takes x_a to X^a, xi_alpha to X^alpha, and dx_a and dxi_alpha
+    to (-1)^|X| dX^a and (-1)^|X| dX^alpha."""
+    rng = random.Random(27)
+    for n, nu in ((1, 0), (0, 1), (2, 1), (1, 2), (3, 3)):
+        c = CoordinateSystem(n, nu)
+        for parity in (0, 1):
+            for _ in range(3):
+                x = rg.vector_field(rng, c, parity)
+                lie = op_lie_form(x)
+                sign = -1 if parity else 1
+                for a in range(1, n + 1):
+                    assert lie(c.x(a).with_carrier(c.forms)) == x.bose[a - 1].with_carrier(c.forms)
+                    assert lie(c.dx(a)) == total_differential(c, x.bose[a - 1]) * sign
+                for alpha in range(1, nu + 1):
+                    assert lie(c.xi(alpha).with_carrier(c.forms)) == x.fermi[alpha - 1].with_carrier(c.forms)
+                    assert lie(c.dxi(alpha)) == total_differential(c, x.fermi[alpha - 1]) * sign
+
+
+def test_lie_derivative_needs_no_bracket(monkeypatch):
+    """L(X) is built and applied without the graded bracket, i(X) or d,
+    so the row [i(X), d] = L(X) checks the Cartan formula against an
+    implementation of its own."""
+    rng = random.Random(28)
+    cases = []
+    for n, nu in ((2, 0), (0, 2), (2, 2), (3, 1)):
+        c = CoordinateSystem(n, nu)
+        for parity in (0, 1):
+            x = rg.vector_field(rng, c, parity)
+            w = rg.form(rng, c, rng.randint(0, 3))
+            cases.append((x, w, op_i_form(x).graded_bracket(op_d_form(c))(w)))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the bracket route was called")
+
+    monkeypatch.setattr(Operator, "graded_bracket", refuse)
+    monkeypatch.setattr("supercalc.forms.op_i_form", refuse)
+    monkeypatch.setattr("supercalc.forms.op_d_form", refuse)
+    with pytest.raises(AssertionError, match="bracket route"):
+        op_d_form(CoordinateSystem(1, 0)).graded_bracket(op_d_form(CoordinateSystem(1, 0)))
+    for x, w, want in cases:
+        assert op_lie_form(x)(w) == want
+        assert lie_derivative(x, SuperForm(x.coords, w)) == want
 
 
 def test_lie_on_densities_and_functions():
