@@ -33,11 +33,11 @@ MAX_CLIFFORD_DIM = 6
 
 # `check fock` applies every pair of ladder operators to each spanning
 # state, so its cost grows as the (max_occ + 1)^nb * 2^nf states times the
-# squared mode count (nb + nf)^2.  On a 2-core host that size is 1024 at
-# the default (nb, nf, max_occ) = (2, 2, 3), about 1 s; 18432 at
-# (3, 3, 3), 5 s; 20000 at (1, 1, 2499), 7 s, as high occupations cost
-# more per state; 41472 at (1, 8, 1), 12 s.  Larger sizes are refused up
-# front.
+# squared mode count (nb + nf)^2.  On a 2-core host (median of three runs,
+# process start included) that size is 1024 at the default (nb, nf,
+# max_occ) = (2, 2, 3), 0.4 s; 18432 at (3, 3, 3), 3.3 s; 20000 at
+# (1, 1, 2499), 4.9 s, as high occupations cost more per state; 41472 at
+# (1, 8, 1), 7.0 s.  Larger sizes are refused up front.
 MAX_FOCK_SIZE = 20_000
 
 # The complexes suite samples forms, fields and coordinate pairs of one

@@ -17,9 +17,12 @@ The same occupation-number content is written as
 A `FockState` is a `GradedPoly` on the carrier of its representation:
 the function carrier with n = n_bose and nu = n_fermi, or the form or
 density carrier of the patch with n = n_fermi and nu = n_bose, where a
-state has no x or xi factor.  All three are elements of the same graded
-kernel, so ``translate`` is a structure-preserving relabelling of
-generators and intertwines every ladder operator exactly.
+state has no x or xi factor.  ``apply`` and ``translate`` are each one
+pass over the packed keys: boson i moves one exponent field (x_i, or the
+even auxiliary i), fermion j one odd bit (xi_j, or the odd auxiliary j),
+and ``translate`` relabels generators, so it intertwines every ladder
+operator exactly.  Neither adds an x or xi factor, so their results skip
+the constant check that arithmetic results get.
 """
 
 from __future__ import annotations
@@ -31,9 +34,12 @@ from typing import Iterable
 
 from .forms import CoordinateSystem, SuperDensity, SuperForm, pairing
 from .graded_poly import (
+    FIELD,
+    _FIELD_MASK,
     Carrier,
     GradedPoly,
     Kind,
+    _check_exponents,
     _element,
     _has_coordinates,
     _init,
@@ -106,13 +112,7 @@ class FockState(GradedPoly):
         return self * c
 
     def total_occupation(self) -> set[int]:
-        if self.rep == "holomorphic":
-            out = set()
-            for key in self.nums:
-                x_exps, xi, _ao, _ae = self.carrier.unpack(key)
-                out.add(sum(e for _, e in x_exps) + xi.bit_count())
-            return out
-        return self.degrees()
+        return translate(self, "form").degrees()
 
     def __repr__(self):
         return f"FockState({self.rep}, {super().__repr__()})"
@@ -135,39 +135,39 @@ def _check_mode(i: int, count: int, kind: str):
 
 def apply(op: tuple[str, int], s: FockState) -> FockState:
     """Apply a ladder operator, named ('b', i), ('b+', i), ('f', j) or
-    ('f+', j) with 1-based mode indices."""
+    ('f+', j) with 1-based mode indices, in one pass over the packed keys.
+    b lowers the field of boson i (x_i holomorphic, the even auxiliary i
+    on forms and densities) as d/dx_i does, b+ raises it; f drops the bit
+    of fermion j (xi_j, or the odd auxiliary j) as the left derivative
+    does, f+ sets it, each signed by the odd bits below it.  On densities
+    e and i swap roles, but the action on the element is the same."""
     name, i = op
     if name not in ("b", "b+", "f", "f+"):
         raise ValueError(f"unknown ladder operator {name!r}")
-    spec = s.spec
-    if name.startswith("b"):
-        _check_mode(i, spec.n_bose, "bosonic")
-    else:
-        _check_mode(i, spec.n_fermi, "fermionic")
+    if not isinstance(s, FockState):
+        raise TypeError(f"ladder operators act on a FockState, not {type(s).__name__}")
     carrier = s.carrier
-    if s.rep == "holomorphic":
+    n, nu = carrier.n, carrier.nu
+    holomorphic = carrier.kind is Kind.FUNCTION
+    items = s.nums.items()
+    if name[0] == "b":
+        _check_mode(i, n if holomorphic else nu, "bosonic")
+        shift = carrier.shift(i if holomorphic else n + i)
+        step = 1 << shift
         if name == "b":
-            out = s.partial_x(i)
-        elif name == "b+":
-            out = GradedPoly.coordinate(carrier, i) * s
-        elif name == "f":
-            out = s.partial_xi(i)
+            nums = {k - step: c * e for k, c in items if (e := k >> shift & _FIELD_MASK)}
         else:
-            out = GradedPoly.odd_coordinate(carrier, i) * s
+            nums = {k + step: c for k, c in items}
+            _check_exponents(carrier, nums)
     else:
-        # geometric carriers: bosonic modes on even auxiliaries,
-        # fermionic modes on odd ones; in the density representation the
-        # annihilation/creation roles of contraction and multiplication
-        # swap relative to forms, but the action on the element is the same.
-        if name == "b":
-            out = s.partial_aux_even(i)
-        elif name == "b+":
-            out = GradedPoly.aux_even(carrier, i) * s
-        elif name == "f":
-            out = s.partial_aux_odd(i)
+        _check_mode(i, nu if holomorphic else n, "fermionic")
+        bit = 1 << (i - 1 if holomorphic else nu + i - 1)
+        low = bit - 1
+        if name == "f":
+            nums = {k ^ bit: -c if (k & low).bit_count() & 1 else c for k, c in items if k & bit}
         else:
-            out = GradedPoly.aux_odd(carrier, i) * s
-    return s._new(out.nums, out.den)
+            nums = {k | bit: -c if (k & low).bit_count() & 1 else c for k, c in items if not k & bit}
+    return _element(FockState, carrier, nums, s.den)
 
 
 def apply_word(word: Iterable[tuple[str, int]], s: FockState) -> FockState:
@@ -192,29 +192,29 @@ def geometric_operator_name(rep: str, op: tuple[str, int]) -> str:
 
 
 def translate(s: FockState, to: str) -> FockState:
-    """Relabel monomials between representations.
-
-    Holomorphic z-exponents become even-auxiliary (d xi / slot)
-    exponents, zeta-monomials become odd-auxiliary ones; the geometric
-    representations share a carrier shape, so translation there is the
-    identity on terms.  Coefficients never change: the relabelling maps
-    odd generators in the same relative order.
-    """
+    """Relabel monomials between representations in one pass over the
+    packed keys.  Every carrier of a spec has n_bose + n_fermi odd bits:
+    the zeta bits move up past the n_bose empty xi bits to the odd
+    auxiliaries, the z fields past the n_fermi empty x fields to the even
+    auxiliaries, and form and density keys agree.  Coefficients never
+    change: odd generators keep their relative order."""
     if to not in REPRESENTATIONS:
         raise ValueError(f"unknown representation {to!r}")
     source = s.rep
     if to == source:
         return s
-    target = s.spec.carrier(to)
-    out: dict = {}
-    for key, c in s.nums.items():
-        x_exps, xi, ao, ae = mono = s.carrier.unpack(key)
-        if source == "holomorphic":
-            mono = ((), 0, xi, x_exps)
-        elif to == "holomorphic":
-            mono = (ae, ao, 0, ())
-        out[target.pack(mono)] = c
-    return FockState(s.spec, to, _element(GradedPoly, target, out, s.den))
+    spec = s.spec
+    nb, nf = spec.n_bose, spec.n_fermi
+    base, zeta = nb + nf, (1 << nf) - 1
+    aux = base + FIELD * nf  # the first even-auxiliary field
+    items = s.nums.items()
+    if source == "holomorphic":
+        nums = {(k & zeta) << nb | (k >> base) << aux: c for k, c in items}
+    elif to == "holomorphic":
+        nums = {k >> nb & zeta | (k >> aux) << base: c for k, c in items}
+    else:
+        nums = s.nums
+    return _element(FockState, spec.carrier(to), nums, s.den)
 
 
 # -- inner and dual products -----------------------------------------------

@@ -21,7 +21,8 @@ from supercalc.fock import (
     spanning_states,
     translate,
 )
-from supercalc.graded_poly import GradedPoly
+from supercalc import graded_poly
+from supercalc.graded_poly import MAX_EXPONENT, Carrier, GradedPoly
 from supercalc.grassmann import Supernumber
 from supercalc.scalars import CRat
 
@@ -257,3 +258,139 @@ def test_state_json_round_trip():
             data = state_to_json(s)
             assert data["representation"] == rep
             assert state_from_json(data) == s
+
+
+ORACLE_SPECS = [FockAlgebraSpec(nb, nf) for nb, nf in ((0, 2), (2, 0), (1, 3), (3, 1), (2, 2))]
+LADDER_NAMES = ("b", "b+", "f", "f+")
+
+
+def seeded_states(rng, spec, count=6, terms=5):
+    """Multi-term states with Gaussian coefficients over a denominator
+    that never cancels (every real part is k/7 with 7 not dividing k)."""
+    carrier = spec.carrier("holomorphic")
+    out = []
+    for _ in range(count):
+        coeffs = {}
+        for _ in range(terms):
+            bose = tuple((i, e) for i in range(1, spec.n_bose + 1) if (e := rng.randint(0, 3)))
+            key = carrier.pack((bose, rng.getrandbits(spec.n_fermi) if spec.n_fermi else 0, 0, ()))
+            coeffs[key] = CRat(Fraction(rng.choice((-3, -1, 2, 5)), 7), Fraction(rng.randint(-4, 4), 5))
+        state = FockState(spec, "holomorphic", GradedPoly(carrier, coeffs))
+        assert state.den != 1
+        out.append(state)
+    return out
+
+
+def element_route(op, s):
+    """A ladder operator as a generator product or a derivative of the
+    graded kernel."""
+    name, i = op
+    carrier = s.carrier
+    if s.rep == "holomorphic":
+        routes = {
+            "b": lambda: s.partial_x(i),
+            "b+": lambda: GradedPoly.coordinate(carrier, i) * s,
+            "f": lambda: s.partial_xi(i),
+            "f+": lambda: GradedPoly.odd_coordinate(carrier, i) * s,
+        }
+    else:
+        routes = {
+            "b": lambda: s.partial_aux_even(i),
+            "b+": lambda: GradedPoly.aux_even(carrier, i) * s,
+            "f": lambda: s.partial_aux_odd(i),
+            "f+": lambda: GradedPoly.aux_odd(carrier, i) * s,
+        }
+    return routes[name]()
+
+
+def pack_route(s, to):
+    """The carrier and numerators of `translate` through the tuple view."""
+    if to == s.rep:
+        return s.carrier, s.nums
+    target = s.spec.carrier(to)
+    nums = {}
+    for key, c in s.nums.items():
+        x_exps, xi, ao, ae = mono = s.carrier.unpack(key)
+        if s.rep == "holomorphic":
+            mono = ((), 0, xi, x_exps)
+        elif to == "holomorphic":
+            mono = (ae, ao, 0, ())
+        nums[target.pack(mono)] = c
+    return target, nums
+
+
+def ladder_ops(spec):
+    return [(name, i) for name in LADDER_NAMES for i in range(1, (spec.n_bose if name[0] == "b" else spec.n_fermi) + 1)]
+
+
+@pytest.mark.parametrize("spec", ORACLE_SPECS, ids=str)
+@pytest.mark.parametrize("rep", REPRESENTATIONS)
+def test_apply_matches_the_element_route(spec, rep):
+    rng = random.Random(51)
+    for s in seeded_states(rng, spec):
+        s = translate(s, rep)
+        for op in ladder_ops(spec):
+            got, want = apply(op, s), element_route(op, s)
+            assert type(got) is FockState and got.carrier == s.carrier
+            assert (got.nums, got.den) == (want.nums, want.den), op
+
+
+@pytest.mark.parametrize("spec", ORACLE_SPECS, ids=str)
+def test_translate_matches_the_pack_route(spec):
+    rng = random.Random(52)
+    for holo in seeded_states(rng, spec):
+        for source in REPRESENTATIONS:
+            s = translate(holo, source)
+            for to in REPRESENTATIONS:
+                got = translate(s, to)
+                target, nums = pack_route(s, to)
+                assert type(got) is FockState and got.rep == to
+                assert (got.carrier, got.nums, got.den) == (target, nums, s.den), (source, to)
+
+
+def test_ladder_and_translate_need_no_product_or_derivative(monkeypatch):
+    """`apply` and `translate` share no path with the graded product, the
+    derivatives or the tuple view, so the CCR/CAR rows check a kernel of
+    their own."""
+    rng = random.Random(53)
+    cases = []
+    for spec in ORACLE_SPECS:
+        for holo in seeded_states(rng, spec, count=2):
+            for rep in REPRESENTATIONS:
+                s = translate(holo, rep)
+                cases += [(op, s, element_route(op, s)) for op in ladder_ops(spec)]
+                cases += [(to, s, pack_route(s, to)) for to in REPRESENTATIONS]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the element route was called")
+
+    monkeypatch.setattr(GradedPoly, "__mul__", refuse)
+    monkeypatch.setattr(GradedPoly, "_derive", refuse)
+    monkeypatch.setattr(graded_poly, "_product", refuse)
+    monkeypatch.setattr(Carrier, "pack", refuse)
+    monkeypatch.setattr(Carrier, "unpack", refuse)
+    with pytest.raises(AssertionError, match="element route"):
+        GradedPoly.unit(SPEC.carrier("form")).partial_aux_even(1)
+    for op, s, want in cases:
+        if isinstance(op, str):
+            got = translate(s, op)
+            assert (got.carrier, got.nums, got.den) == (want[0], want[1], s.den)
+        else:
+            got = apply(op, s)
+            assert (got.nums, got.den) == (want.nums, want.den)
+
+
+@pytest.mark.parametrize("rep", ("holomorphic", "form"))
+def test_creation_refuses_an_exponent_past_the_guard(rep):
+    carrier = SPEC.carrier("holomorphic")
+    top = FockState(SPEC, "holomorphic", GradedPoly(carrier, {carrier.pack((((1, MAX_EXPONENT),), 0, 0, ())): 3}))
+    with pytest.raises(ValueError, match="exceeds"):
+        apply(("b+", 1), translate(top, rep))
+    assert apply(("b+", 2), translate(top, rep)).den == 1
+
+
+def test_apply_refuses_what_is_not_a_state():
+    with pytest.raises(TypeError, match="FockState"):
+        apply(("b", 1), GradedPoly.unit(SPEC.carrier("holomorphic")))
+    with pytest.raises(ValueError, match="unknown ladder operator"):
+        apply(("q", 1), GradedPoly.unit(SPEC.carrier("holomorphic")))
