@@ -47,6 +47,17 @@ MAX_FOCK_SIZE = 20_000
 # up front.
 MAX_PATCH_COORDS = 10
 
+# A generator count sets the width of every monomial key, n + nu bits
+# plus a FIELD-bit exponent field per even generator and auxiliary, so
+# every key operation costs time linear in it, and an operator that runs
+# over all generators costs more: L[X] applies d once per coordinate
+# direction.  On a 2-core host (median of three runs, process start
+# included) `eval "L[x1](x1*xi1*dx1)"` takes 0.3 s at --n 250 --nu 250,
+# 0.5 s at 500, 1.5 s at 700 and 6.6 s at 1000, while `eval x1 --nu N`,
+# `berezin --nu N` and `mixed --n 1 --nu N` stay under 0.3 s up to
+# N = 30 000.  Larger counts are refused up front.
+MAX_GENERATORS = 500
+
 # The adaptive quadrature bisects until its tolerance is met; at or below
 # roundoff it never is and bisects to full depth.  1e-14 is the smallest
 # tolerance measured to converge: the gaussian takes about 0.5 s on -8,8
@@ -73,6 +84,7 @@ def _in_range(kind: type, low, high=None):
 _COUNT = _in_range(int, 0)
 _POSITIVE = _in_range(int, 1)
 _CLIFFORD_DIM = _in_range(int, 1, MAX_CLIFFORD_DIM)
+_GENERATORS = _in_range(int, 0, MAX_GENERATORS)
 _QUAD_TOL = _in_range(float, MIN_QUAD_TOL, sys.float_info.max)
 
 
@@ -155,8 +167,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_eval = _command(sub, "eval", "evaluate an expression")
     p_eval.add_argument("expression")
-    p_eval.add_argument("--nu", type=_COUNT, default=0, help="Grassmann generator count")
-    p_eval.add_argument("--n", type=_COUNT, default=0, help="bosonic coordinate count (form mode)")
+    p_eval.add_argument("--nu", type=_GENERATORS, default=0, help="Grassmann generator count")
+    p_eval.add_argument("--n", type=_GENERATORS, default=0, help="bosonic coordinate count (form mode)")
     p_eval.add_argument(
         "--let",
         action="append",
@@ -166,13 +178,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p_ber = _command(sub, "berezin", "Berezin-integrate a supernumber file")
-    p_ber.add_argument("--nu", type=_COUNT, required=True)
+    p_ber.add_argument("--nu", type=_GENERATORS, required=True)
     p_ber.add_argument("--expr", required=True, help="JSON term map file")
     p_ber.add_argument("--normalization", choices=_NORMALIZATIONS, default="one")
 
     p_mixed = _command(sub, "mixed", "integrate a mixed function over a box")
-    p_mixed.add_argument("--n", type=_COUNT, required=True)
-    p_mixed.add_argument("--nu", type=_COUNT, required=True)
+    p_mixed.add_argument("--n", type=_GENERATORS, required=True)
+    p_mixed.add_argument("--nu", type=_GENERATORS, required=True)
     p_mixed.add_argument("--expr", required=True, help="JSON mixed-function file")
     p_mixed.add_argument("--domain", required=True, help="bounds like '0,1' or '0,1;-1,1'")
     p_mixed.add_argument("--quad", type=_QUAD_TOL, default=1e-10, help="quadrature tolerance")

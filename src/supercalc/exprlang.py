@@ -22,13 +22,15 @@ one loop over its factors:
 * unary signs fold into one sign of the term;
 * literals and ``i`` multiply into one `CRat` coefficient;
 * a generator name (one that is no ``--let`` binding and is not followed
-  by ``[`` or ``(``) is its kernel key, which multiplies the term's
-  numerators as a one-term dict through `graded_poly._product`, so the
-  sign rule, a repeated odd generator and the exponent guard are the
-  kernel's own;
+  by ``[`` or ``(``) is its kernel key, and a run of them folds into one
+  pending monomial, an int key and a sign, by the kernel's rules: keys
+  add, a repeated odd generator makes the run zero, and `merge_sign` of
+  the odd bits gives the sign;
 * a parenthesised sum, a call or a binding that is an element enters the
-  same product with its numerators and denominator, after the carrier
-  check that element arithmetic makes.
+  term's numerators through `graded_poly._product`, after the carrier
+  check that element arithmetic makes; a pending run enters the same way
+  just before it, or at the end of the term, under the exponent guard.
+  A term that is scalars times one run is one numerator and no product.
 
 A sum collects its element terms as (numerators, denominator) pairs and
 adds them once over the lcm of their denominators, with one
@@ -66,14 +68,16 @@ from .forms import (
     op_lie_form,
 )
 from .graded_poly import (
+    FIELD,
     GradedPoly,
     _accumulate,
+    _check_exponents,
     _element,
     _pair,
     _product,
     carrier_mismatch,
     function_carrier,
-    mask_of,
+    merge_sign,
 )
 from .grassmann import Convention, Supernumber
 from .scalars import CRat, parse_crat
@@ -164,25 +168,28 @@ class Context:
         return self.scalar(value) if type(value) is CRat else value
 
     def generator_key(self, name: str, at: int) -> int:
-        """The kernel key of the generator `name` on `self.carrier`."""
+        """The kernel key of the generator `name` on `self.carrier`: the
+        bit of an odd generator, xi_k and then dx_k, or the low bit of the
+        exponent field of an even one, x_k and then dxi_k."""
         if self.form_mode:
-            for prefix, limit, mono in (
-                ("dxi", self.nu, lambda k: ((), 0, 0, ((k, 1),))),
-                ("dx", self.n, lambda k: ((), 0, 1 << (k - 1), ())),
-                ("xi", self.nu, lambda k: ((), 1 << (k - 1), 0, ())),
-                ("x", self.n, lambda k: (((k, 1),), 0, 0, ())),
+            n, nu, shift = self.n, self.nu, self.carrier.shift
+            for prefix, limit, start, step in (
+                ("dxi", nu, shift(n + 1), FIELD),
+                ("dx", n, nu, 1),
+                ("xi", nu, 0, 1),
+                ("x", n, shift(1), FIELD),
             ):
                 if name.startswith(prefix) and name[len(prefix):].isdigit():
                     k = int(name[len(prefix):])
                     if not 1 <= k <= limit:
                         raise ExprError(f"{name}: index outside 1..{limit}", at)
-                    return self.carrier.pack(mono(k))
+                    return 1 << start + step * (k - 1)
             raise ExprError(f"unknown identifier {name!r}", at)
         if name.startswith("x") and name[1:].isdigit():
             k = int(name[1:])
             if not 1 <= k <= self.nu:
                 raise ExprError(f"{name}: generator index outside 1..{self.nu}", at)
-            return mask_of((k,), self.nu)
+            return 1 << (k - 1)
         raise ExprError(f"unknown identifier {name!r}", at)
 
     def field_by_name(self, name: str, at: int) -> SuperVectorField:
@@ -268,6 +275,7 @@ def _parse_expr(p: _Parser, ctx: Context):
     docstring says."""
     tokens = p.tokens
     bindings = ctx.bindings
+    odd = ctx.carrier.odd
     scalar = None  # the sum of the scalar terms
     parts = []  # (nums, den) of each element term
     carrier = cls = None  # those of the first element term
@@ -278,6 +286,7 @@ def _parse_expr(p: _Parser, ctx: Context):
         nums = None  # the product of its element factors, over den
         den = 1
         first = None  # its first element factor
+        key = None  # a pending run of generators: one monomial, times sign (0 once an odd one repeats)
         while True:
             kind, text, at = tokens[p.pos]
             p.pos += 1
@@ -295,38 +304,56 @@ def _parse_expr(p: _Parser, ctx: Context):
             else:
                 value = _parse_group(p, ctx, kind, text, at)
             if value is None:
-                fnums, fden, fcarrier = {ctx.generator_key(text, at): 1}, 1, ctx.carrier
-                fcls = ctx.element_class
+                g = ctx.generator_key(text, at)
+                if key is None:
+                    if nums is None:
+                        tcarrier, tcls = ctx.carrier, ctx.element_class
+                    elif ctx.carrier is not tcarrier and ctx.carrier != tcarrier:
+                        raise carrier_mismatch(tcarrier, ctx.carrier)
+                    key, sign = g, 1
+                elif sign:  # fold g into the run, as `_product` would
+                    og, ok = g & odd, key & odd
+                    if ok & og:
+                        sign = 0
+                    else:
+                        if ok and og and merge_sign(ok, og) < 0:
+                            sign = -sign
+                        key += g
+                first = None
             elif type(value) is CRat:
                 coef = value if coef is None else coef * value
-                fnums = None
             else:
-                fnums, fden, fcarrier = value.nums, value.den, value.carrier
-                fcls = type(value) if value._keeps_type else GradedPoly
-            if fnums is not None:
-                if nums is None:
-                    nums, den, tcarrier, tcls, first = fnums, fden, fcarrier, fcls, value
+                fcarrier = value.carrier
+                if nums is None and key is None:
+                    nums, den, tcarrier, first = value.nums, value.den, fcarrier, value
+                    tcls = type(value) if value._keeps_type else GradedPoly
                 else:
                     if fcarrier is not tcarrier and fcarrier != tcarrier:
                         raise carrier_mismatch(tcarrier, fcarrier)
-                    nums = _product(nums, fnums, tcarrier)
-                    den *= fden
+                    if key is not None:
+                        nums = _times_monomial(nums, key, sign, tcarrier)
+                        key = None
+                    nums = _product(nums, value.nums, tcarrier)
+                    den *= value.den
                     first = None
             op = tokens[p.pos][1]
             if op != "*" and op != "^":
                 break
             p.pos += 1
-        if nums is None:
+        if nums is None and key is None:
             if neg:
                 coef = -coef
             scalar = coef if scalar is None else scalar + coef
         else:
-            if coef is not None or neg:
-                c, d = _pair(coef) if coef is not None else (1, 1)
-                if neg:
-                    c = -c
+            c, d = (1, 1) if coef is None else _pair(coef)
+            if neg:
+                c = -c
+            den *= d
+            if key is not None:
+                nums = _times_monomial(nums, key, c * sign, tcarrier)
+            elif c != 1:
                 nums = {k: v * c for k, v in nums.items()} if c else {}
-                den *= d
+            if coef is not None or neg:
                 first = None
             if carrier is None:
                 carrier, cls, single = tcarrier, tcls, first
@@ -357,6 +384,15 @@ def _parse_expr(p: _Parser, ctx: Context):
             f = den // d
             _accumulate(nums, terms.items() if f == 1 else ((k, c * f) for k, c in terms.items()))
     return _element(cls, carrier, nums, den)
+
+
+def _times_monomial(nums: dict | None, key: int, c, carrier) -> dict:
+    """`nums` (None for 1) times c times the monomial `key`, which may not
+    run past an exponent guard."""
+    _check_exponents(carrier, (key,))
+    if not c:
+        return {}
+    return {key: c} if nums is None else _product(nums, {key: c}, carrier)
 
 
 def _parse_group(p: _Parser, ctx: Context, kind: str, text: str, at: int):

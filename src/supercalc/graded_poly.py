@@ -167,7 +167,8 @@ class Carrier:
         if self.n < 0 or self.nu < 0:
             raise ValueError("coordinate counts must be >= 0")
         base = self.n + self.nu
-        guards = sum(1 << (base + FIELD * k - 1) for k in range(1, base + 1))
+        # the top bit of each of the base fields: a geometric series in 2^FIELD
+        guards = ((1 << FIELD * base) - 1) // ((1 << FIELD) - 1) << (base + FIELD - 1)
         if self.kind is Kind.FUNCTION:
             allowed = (1 << self.nu) - 1 | ((1 << FIELD * self.n) - 1) << base
         else:

@@ -158,8 +158,13 @@ def test_zero_denominator_names_the_column(tmp_path):
         (("fock", "check", "--max-occ", "-1"), "--max-occ"),
         (("eval", "x1", "--nu", "-1"), "--nu"),
         (("complexes", "check", "--n", "-1"), "--n"),
+        (("eval", "x1", "--nu", "1000000000"), "--nu"),
+        (("eval", "dx1", "--n", "501"), "--n"),
+        (("berezin", "--nu", "501", "--expr", "missing.json"), "--nu"),
+        (("mixed", "--n", "1", "--nu", "1000000000", "--expr", "missing.json", "--domain", "0,1"), "--nu"),
     ],
-    ids=["trials", "dim-zero", "dim-negative", "nb-nf", "nf", "max-occ", "nu", "n"],
+    ids=["trials", "dim-zero", "dim-negative", "nb-nf", "nf", "max-occ", "nu", "n",
+         "eval-nu-cap", "eval-n-cap", "berezin-nu-cap", "mixed-nu-cap"],
 )
 def test_integer_flag_out_of_range(args, flag):
     proc = run_cli(*args, expect=2)

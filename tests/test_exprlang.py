@@ -25,9 +25,9 @@ from fractions import Fraction
 import pytest
 
 from supercalc.cli import main
-from supercalc.exprlang import Context, evaluate
+from supercalc.exprlang import Context, ExprError, evaluate
 from supercalc.forms import CoordinateSystem
-from supercalc.graded_poly import GradedPoly
+from supercalc.graded_poly import MAX_EXPONENT, GeneratorMismatch, GradedPoly, form_carrier
 from supercalc.grassmann import Convention, Supernumber, format_supernumber
 from supercalc.scalars import CRat, format_crat
 
@@ -100,6 +100,48 @@ def test_reader_matches_direct_construction():
 def test_repeated_generator_gives_zero():
     assert evaluate("x2*3*x1*i*x2", Context(0, 2)) == Supernumber.scalar(2, 0)
     assert evaluate("x3*2/5*x1*i", Context(0, 3)) == Supernumber.from_indices(3, {(1, 3): CRat(0, Fraction(-2, 5))})
+    # a group between two runs of generators ends the first run
+    assert evaluate("x2*(x1 + 1)*x2", Context(0, 2)) == Supernumber.scalar(2, 0)
+    assert evaluate("0/3*x1*x2", Context(0, 2)) == Supernumber.scalar(2, 0)
+    # an even generator may repeat inside a run of form generators
+    for text, out in (("x1*dx1*x1", "(1)*x1^2*dx1"), ("dxi1*dxi1*xi1", "(1)*xi1*dxi1^2")):
+        assert show(evaluate(text, Context(1, 1))) == out, text
+        assert show(evaluate(text, Context(2, 2))) == out, text
+
+
+@pytest.mark.parametrize("n, nu", [(1, 0), (1, 3), (3, 1), (2, 2)])
+def test_form_generator_keys_are_the_packed_monomials(n, nu):
+    ctx = Context(n, nu)
+    for k in range(1, n + 1):
+        assert ctx.generator_key(f"x{k}", 0) == ctx.carrier.pack((((k, 1),), 0, 0, ()))
+        assert ctx.generator_key(f"dx{k}", 0) == ctx.carrier.pack(((), 0, 1 << (k - 1), ()))
+    for k in range(1, nu + 1):
+        assert ctx.generator_key(f"xi{k}", 0) == ctx.carrier.pack(((), 1 << (k - 1), 0, ()))
+        assert ctx.generator_key(f"dxi{k}", 0) == ctx.carrier.pack(((), 0, 0, ((k, 1),)))
+
+
+TOP = GradedPoly(form_carrier(1, 0), {MAX_EXPONENT << form_carrier(1, 0).shift(1): 1})  # x1^MAX_EXPONENT
+
+
+@pytest.mark.parametrize(
+    "text, ctx, error, message",
+    [
+        # a name is looked up even after its run of generators is zero
+        ("x1*x1*x9", Context(0, 2), ExprError, "x9: generator index outside 1..2 (at column 7)"),
+        ("x1*x1*w", Context(0, 2, {"w": Supernumber.generator(3, 1)}), GeneratorMismatch, "carriers differ"),
+        ("w*x1*x1", Context(0, 2, {"w": Supernumber.generator(3, 1)}), GeneratorMismatch, "carriers differ"),
+        ("x1*x1*w", Context(1, 0, {"w": Supernumber.generator(3, 1)}), GeneratorMismatch, "carriers differ"),
+        ("w*x1", Context(1, 0, {"w": TOP}), ValueError, f"exponent {MAX_EXPONENT + 1} exceeds {MAX_EXPONENT}"),
+        ("x1*w", Context(1, 0, {"w": TOP}), ValueError, f"exponent {MAX_EXPONENT + 1} exceeds {MAX_EXPONENT}"),
+        ("x1*x1*x1*w*x1", Context(1, 0, {"w": TOP}), ValueError, f"exponent {MAX_EXPONENT + 3} exceeds {MAX_EXPONENT}"),
+        # a run after an element multiplies in whole, so the whole run's exponent is named
+        ("w*x1*x1", Context(1, 0, {"w": TOP}), ValueError, f"exponent {MAX_EXPONENT + 2} exceeds {MAX_EXPONENT}"),
+    ],
+)
+def test_runs_of_generators_keep_their_errors(text, ctx, error, message):
+    with pytest.raises(error) as info:
+        evaluate(text, ctx)
+    assert message in str(info.value), text
 
 
 def test_scalar_only_input_is_an_element():

@@ -19,6 +19,13 @@ and then a wrong shape anywhere.  Each document goes through `cli.main`
 in process, under the same alarm, and must exit 0 with its result on
 stdout or exit 2 with one `error:` line on stderr; a traceback, exit 1
 or a timeout fails.
+
+A last strategy draws the generator counts of `eval`, `berezin` and
+`mixed`, from 0 up to 10^9, with cheap expressions and files.  Each
+command goes through `cli.main` under the same alarm and must exit 0, or
+exit 2 with one `error:` line; a count over `cli.MAX_GENERATORS` must be
+refused by the flag's own check within 0.5 s, before any carrier is
+built.
 """
 
 import contextlib
@@ -26,6 +33,7 @@ import io
 import itertools
 import json
 import signal
+import time
 from fractions import Fraction
 
 import pytest
@@ -252,3 +260,60 @@ def test_mixed_files(json_path, case):
     document, n, nu, domain = case
     json_path.write_text(json.dumps(document))
     run_main(["mixed", "--n", n, "--nu", nu, "--expr", str(json_path), f"--domain={domain}"], document)
+
+
+# -- generator counts ------------------------------------------------------------
+
+COUNTS = st.one_of(
+    st.integers(0, 3),
+    st.integers(0, cli.MAX_GENERATORS),
+    st.integers(cli.MAX_GENERATORS + 1, 10**9),
+    st.sampled_from([cli.MAX_GENERATORS, cli.MAX_GENERATORS + 1, 10**9]),
+)
+
+
+@st.composite
+def count_case(draw):
+    """argv of one command whose counts are drawn, and those counts."""
+    command = draw(st.sampled_from(["eval", "eval-forms", "berezin", "mixed"]))
+    if command == "eval":
+        nu = draw(COUNTS)
+        return ["eval", draw(st.sampled_from(["x1", "x1*x2 - 3", "inverse(1 + x1)"])), "--nu", str(nu)], (nu,)
+    if command == "eval-forms":
+        n, nu = draw(COUNTS), draw(COUNTS)
+        expr = draw(st.sampled_from(["x1", "dx1*xi1", "d(x1*xi1)"]))
+        return ["eval", expr, "--n", str(n), "--nu", str(nu)], (n, nu)
+    if command == "berezin":
+        nu = draw(COUNTS)
+        return ["berezin", "--nu", str(nu), "--expr", "{terms}"], (nu,)
+    n, nu = draw(COUNTS), draw(COUNTS)
+    domain = ";".join(["0,1"] * n) if n <= cli.MAX_GENERATORS else "0,1"
+    return ["mixed", "--n", str(n), "--nu", str(nu), "--expr", "{mixed}", f"--domain={domain}"], (n, nu)
+
+
+@JSON_FUZZ
+@given(count_case())
+def test_generator_counts(tmp_path_factory, case):
+    argv, counts = case
+    files = tmp_path_factory.getbasetemp() / "counts"
+    files.mkdir(exist_ok=True)
+    (files / "terms.json").write_text('{"1": "1/2", "1,2": "3"}')
+    (files / "mixed.json").write_text('{"terms": {"": {"": "2"}, "1": {"": "1"}}}')
+    argv = [a.format(terms=files / "terms.json", mixed=files / "mixed.json") for a in argv]
+    out, err = io.StringIO(), io.StringIO()
+    start = time.perf_counter()
+    with alarm(str(argv)), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse refuses a flag out of range
+            code = exc.code
+    elapsed = time.perf_counter() - start
+    errors = [line for line in err.getvalue().splitlines() if "error:" in line]
+    if max(counts) > cli.MAX_GENERATORS:
+        assert code == 2 and not out.getvalue() and len(errors) == 1, (argv, err.getvalue())
+        assert f"must be at most {cli.MAX_GENERATORS}" in errors[0], (argv, errors)
+        assert elapsed < 0.5, (argv, elapsed)
+    elif code == 0:
+        assert out.getvalue().count("\n") == 1 and not err.getvalue(), argv
+    else:
+        assert code == 2 and not out.getvalue() and len(errors) == 1, (argv, code, err.getvalue())

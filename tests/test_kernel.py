@@ -25,7 +25,9 @@ from supercalc import randomgen as rg
 from supercalc.berezin import MixedFunction, from_json_mixed, to_json_mixed
 from supercalc.forms import CoordinateSystem, op_d_form, op_divergence
 from supercalc.graded_poly import (
+    FIELD,
     MAX_EXPONENT,
+    Carrier,
     GradedPoly,
     Kind,
     density_carrier,
@@ -265,6 +267,17 @@ def test_exponent_overflow_is_refused():
     w = GradedPoly(forms, {forms.pack(((), 1, 0, ((1, MAX_EXPONENT),))): 1})
     with pytest.raises(ValueError, match="exceeds"):
         op_d_form(CoordinateSystem(1, 1))(w)
+
+
+def test_guards_are_the_top_bit_of_every_field():
+    """`Carrier.guards` in closed form equals the sum of the guard bits,
+    one per exponent field of the n + nu even generators and auxiliaries."""
+    for base in range(301):
+        expected = sum(1 << (base + FIELD * k - 1) for k in range(1, base + 1))
+        for kind in Kind:
+            carrier = Carrier(base // 2, base - base // 2, kind)
+            assert carrier.guards == expected, (base, kind)
+            assert carrier.guards & carrier.allowed == 0
 
 
 def test_negative_powers_raise():
