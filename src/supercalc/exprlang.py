@@ -143,6 +143,16 @@ class _Parser:
             raise ExprError(f"nesting deeper than {MAX_NESTING} levels", at)
 
 
+def _index(digits: str) -> int:
+    """The index that a name's digits spell, leading zeros ignored, or 0,
+    which no range admits, past 18 significant digits: `int` refuses
+    strings of more than 4300 digits."""
+    if len(digits) < 19:
+        return int(digits)
+    digits = digits.lstrip("0")
+    return int(digits) if 0 < len(digits) < 19 else 0
+
+
 class Context:
     """Name resolution and function dispatch for one evaluation mode."""
 
@@ -180,13 +190,13 @@ class Context:
                 ("x", n, shift(1), FIELD),
             ):
                 if name.startswith(prefix) and name[len(prefix):].isdigit():
-                    k = int(name[len(prefix):])
+                    k = _index(name[len(prefix):])
                     if not 1 <= k <= limit:
                         raise ExprError(f"{name}: index outside 1..{limit}", at)
                     return 1 << start + step * (k - 1)
             raise ExprError(f"unknown identifier {name!r}", at)
         if name.startswith("x") and name[1:].isdigit():
-            k = int(name[1:])
+            k = int(name[1:]) if len(name) < 20 else _index(name[1:])
             if not 1 <= k <= self.nu:
                 raise ExprError(f"{name}: generator index outside 1..{self.nu}", at)
             return 1 << (k - 1)
@@ -195,7 +205,7 @@ class Context:
     def field_by_name(self, name: str, at: int) -> SuperVectorField:
         for kind, limit in (("xi", self.nu), ("x", self.n)):
             if name.startswith(kind) and name[len(kind):].isdigit():
-                k = int(name[len(kind):])
+                k = _index(name[len(kind):])
                 if not 1 <= k <= limit:
                     raise ExprError(f"{name}: index outside 1..{limit}", at)
                 return SuperVectorField.coordinate_basis(self.coords, (kind, k))

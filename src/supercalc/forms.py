@@ -372,11 +372,11 @@ def op_i_form(x: SuperVectorField) -> Operator:
 def op_lie_form(x: SuperVectorField) -> Operator:
     """Lie derivative on forms, L(X)w = sum_A X^A dw/dy^A + (-1)^|X| sum_A
     dX^A dw/d(dy^A), in one `_derivation_sum` pass; each dX^A is taken
-    once per operator."""
+    once per operator, and only for the nonzero components."""
     forms = x.coords.forms
     d_comps = []
     for comp in x.bose + x.fermi:
-        nums = _exterior_d_nums(comp.nums, forms)
+        nums = _exterior_d_nums(comp.nums, forms) if comp.nums else {}
         d_comps.append(_element(GradedPoly, forms, {k: -c for k, c in nums.items()} if x.parity else nums, comp.den))
     n = x.coords.n
     pairs = _coordinate_pairs(forms, x.bose, x.fermi) + _aux_pairs(forms, d_comps[:n], d_comps[n:])

@@ -410,14 +410,22 @@ def _derivation_sum(carrier: Carrier, pairs, w: GradedPoly) -> tuple[dict, int]:
 # one-dict passes for the differentials d and b
 
 
+@cache
+def _d_layout(n: int, nu: int) -> tuple:
+    """The (x_a field shift, dx_a bit) and (xi_alpha bit, dxi_alpha field
+    step) pairs of d on the patch (n, nu): a memo of the key layout, like
+    the carriers."""
+    shift = form_carrier(n, nu).shift
+    x_fields = tuple((shift(a), 1 << (nu + a - 1)) for a in range(1, n + 1))
+    return x_fields, tuple((1 << (alpha - 1), 1 << shift(n + alpha)) for alpha in range(1, nu + 1))
+
+
 def _exterior_d_nums(nums: dict, carrier: Carrier) -> dict:
     """Numerators of dw = sum_A dx^A (dw/dx^A) on the form algebra, in one
     dict.  Putting the odd dx_a in front passes every odd generator below
     it (every xi and the lower dx); dxi_alpha is even, so only
     d/dxi_alpha's own prefix sign counts."""
-    n, nu = carrier.n, carrier.nu
-    x_fields = [(carrier.shift(a), 1 << (nu + a - 1)) for a in range(1, n + 1)]
-    xi_fields = [(1 << (alpha - 1), 1 << carrier.shift(n + alpha)) for alpha in range(1, nu + 1)]
+    x_fields, xi_fields = _d_layout(carrier.n, carrier.nu)
     guards = carrier.guards
     out: dict = {}
     for key, c in nums.items():

@@ -10,6 +10,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from collections import namedtuple
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, NamedTuple, Sequence
@@ -449,18 +450,23 @@ DEFAULT_MIXES: tuple[tuple[int, int], ...] = ((2, 0), (0, 2), (2, 2), (3, 1))
 # "Supermanifolds", 2nd ed., 1992), one row per identity.  Each row is
 # multilinear in its element families, so `commutator_table` checks it on
 # every tuple of the families' product; a row runs only on patches its
-# scope admits.  Relations whose naive extension fails off its stated scope are
-# scoped: [e(F), i(X)] = M(XF) on densities and the classical oracles are
-# bosonic-sector statements, and [b, e(F)] = 0 takes only the functions
-# of the "b-closed functions" family (an even F on mixed patches; the
-# obstruction is the mixed second derivative of an odd F).  The Lie/e
-# interchange carries the factor (-1)^{parity X} required by the graded
-# Jacobi identity.
+# scope admits.  A family entry carries its operators, built once by
+# `_trial_set` where the element is drawn: a `Field` its i(X) and L(X), a
+# `Function` its e(F) and M(F), each on forms and on densities, a `Pair`
+# also the field of [X, Y], a `Product` the function XF, a `Direction`
+# d/dx^A and x^A, and the one-entry "patch" family d, b and the
+# directions; the rows only compose them.  Relations whose naive
+# extension fails off its stated scope are scoped: [e(F), i(X)] = M(XF)
+# on densities and the classical oracles are bosonic-sector statements,
+# and [b, e(F)] = 0 takes only the functions of the "b-closed functions"
+# family (an even F on mixed patches; the obstruction is the mixed second
+# derivative of an odd F).  The Lie/e interchange carries the factor
+# (-1)^{parity X} required by the graded Jacobi identity.
 
 
 class Identity(NamedTuple):
-    """One row of the table: `deviation(coords, *elements)` must vanish
-    exactly on every tuple drawn from `families` when `scope(coords)`."""
+    """One row of the table: `deviation(*elements)` must vanish exactly on
+    every tuple drawn from `families` when `scope(coords)`."""
 
     name: str
     scope: Callable[[CoordinateSystem], bool]
@@ -474,6 +480,22 @@ class TableResult(NamedTuple):
     failures: int
 
 
+Field = namedtuple("Field", "x i lie i_density lie_density")
+Function = namedtuple("Function", "f e m e_density m_density")
+Pair = namedtuple("Pair", "x y bracket")  # fields X, Y and [X, Y]
+Product = namedtuple("Product", "field function image")  # fields X, functions F and XF
+Direction = namedtuple("Direction", "label field coordinate")  # d/dx^A and x^A
+Patch = namedtuple("Patch", "d b directions")
+
+
+def _field(x: SuperVectorField) -> Field:
+    return Field(x, op_i_form(x), op_lie_form(x), op_i_density(x), op_lie_density(x))
+
+
+def _function(coords: CoordinateSystem, f: GradedPoly) -> Function:
+    return Function(f, op_e_form(coords, f), op_mult(coords, f), op_e_density(coords, f), op_mult_density(coords, f))
+
+
 def _every_patch(coords: CoordinateSystem) -> bool:
     return True
 
@@ -482,35 +504,10 @@ def _bosonic(coords: CoordinateSystem) -> bool:
     return coords.nu == 0
 
 
-def _coordinate_labels(coords: CoordinateSystem) -> list[tuple[str, int]]:
-    return [("x", a) for a in range(1, coords.n + 1)] + [("xi", al) for al in range(1, coords.nu + 1)]
-
-
-def _coordinate(coords: CoordinateSystem, label: tuple[str, int]) -> GradedPoly:
-    kind, idx = label
-    return coords.x(idx) if kind == "x" else coords.xi(idx)
-
-
-def _coordinate_expansion(coords, op_e, op_lie, w: GradedPoly) -> GradedPoly:
-    """sum_A e(x^A) L(d/dx^A) applied to w."""
-    acc = GradedPoly.zero(w.carrier)
-    for label in _coordinate_labels(coords):
-        basis = SuperVectorField.coordinate_basis(coords, label)
-        acc = acc + op_e(coords, _coordinate(coords, label))(op_lie(basis)(w))
-    return acc
-
-
-def _ladder(coords, pair, w) -> GradedPoly:
+def _ladder(pair, w) -> GradedPoly:
     """[i(d/dx^A), e(x^B)] w - delta_AB w for coordinates A, B of one kind."""
     a, b = pair
-    basis = SuperVectorField.coordinate_basis(coords, a)
-    bracket = op_i_form(basis).graded_bracket(op_e_form(coords, _coordinate(coords, b)))
-    return bracket(w) - w * CRat(1 if a == b else 0)
-
-
-def _contraction_leibniz(coords, x, w, v) -> GradedPoly:
-    ix = op_i_form(x)
-    return ix(w * v) - (ix(w) * v + w * ix(v))
+    return a.field.i.graded_bracket(b.coordinate.e)(w) - w * CRat(1 if a.label == b.label else 0)
 
 
 def lie_density_classical(x: SuperVectorField) -> Operator:
@@ -539,71 +536,68 @@ def lie_density_classical(x: SuperVectorField) -> Operator:
     return Operator(0, run)
 
 
-def _scalar_divergence(coords, x, f) -> GradedPoly:
+def _scalar_divergence(p: Patch, x: Field, f: Function) -> GradedPoly:
     """[b, i(X)]+ on the scalar density f minus d_mu(X^mu f)."""
-    u = f.with_carrier(coords.densities)
-    acc = GradedPoly.zero(coords.densities)
-    for a in range(1, coords.n + 1):
-        acc = acc + (x.bose[a - 1].with_carrier(coords.densities) * u).partial_x(a)
-    return op_divergence(coords).graded_bracket(op_i_density(x))(u) - acc
+    densities = x.x.coords.densities
+    u = f.f.with_carrier(densities)
+    acc = GradedPoly.zero(densities)
+    for a, comp in enumerate(x.x.bose, start=1):
+        acc = acc + (comp.with_carrier(densities) * u).partial_x(a)
+    return p.b.graded_bracket(x.i_density)(u) - acc
 
 
 IDENTITIES: tuple[Identity, ...] = (
-    Identity("forms: dd = 0", _every_patch, ("forms",), lambda c, w: op_d_form(c)(op_d_form(c)(w))),
+    Identity("forms: dd = 0", _every_patch, ("patch", "forms"), lambda p, w: p.d(p.d(w))),
     Identity("forms: [e(F), e(G)] = 0", _every_patch, ("function pairs", "forms"),
-             lambda c, fg, w: op_e_form(c, fg[0]).graded_bracket(op_e_form(c, fg[1]))(w)),
+             lambda fg, w: fg[0].e.graded_bracket(fg[1].e)(w)),
     Identity("forms: [i(X), i(Y)] = 0", _every_patch, ("field pairs", "forms"),
-             lambda c, xy, w: op_i_form(xy[0]).graded_bracket(op_i_form(xy[1]))(w)),
-    Identity("forms: [i(X), e(F)] = M(XF)", _every_patch, ("fields", "functions", "two forms"),
-             lambda c, x, f, w: op_i_form(x).graded_bracket(op_e_form(c, f))(w) - op_mult(c, x.apply(f))(w)),
-    Identity("forms: [d, e(F)] = 0", _every_patch, ("functions", "two forms"),
-             lambda c, f, w: op_d_form(c).graded_bracket(op_e_form(c, f))(w)),
-    Identity("forms: [i(X), d] = L(X)", _every_patch, ("fields", "two forms"),
-             lambda c, x, w: op_i_form(x).graded_bracket(op_d_form(c))(w) - op_lie_form(x)(w)),
-    Identity("forms: [d, L(X)] = 0", _every_patch, ("fields", "two forms"),
-             lambda c, x, w: op_d_form(c).graded_bracket(op_lie_form(x))(w)),
-    Identity("forms: [d, M(F)] = e(F)", _every_patch, ("functions", "two forms"),
-             lambda c, f, w: op_d_form(c).graded_bracket(op_mult(c, f))(w) - op_e_form(c, f)(w)),
+             lambda xy, w: xy.x.i.graded_bracket(xy.y.i)(w)),
+    Identity("forms: [i(X), e(F)] = M(XF)", _every_patch, ("products", "two forms"),
+             lambda xf, w: xf.field.i.graded_bracket(xf.function.e)(w) - xf.image.m(w)),
+    Identity("forms: [d, e(F)] = 0", _every_patch, ("patch", "functions", "two forms"),
+             lambda p, f, w: p.d.graded_bracket(f.e)(w)),
+    Identity("forms: [i(X), d] = L(X)", _every_patch, ("patch", "fields", "two forms"),
+             lambda p, x, w: x.i.graded_bracket(p.d)(w) - x.lie(w)),
+    Identity("forms: [d, L(X)] = 0", _every_patch, ("patch", "fields", "two forms"),
+             lambda p, x, w: p.d.graded_bracket(x.lie)(w)),
+    Identity("forms: [d, M(F)] = e(F)", _every_patch, ("patch", "functions", "two forms"),
+             lambda p, f, w: p.d.graded_bracket(f.m)(w) - f.e(w)),
     Identity("forms: [L(X), L(Y)] = L([X, Y])", _every_patch, ("field pairs", "two forms"),
-             lambda c, xy, w: op_lie_form(xy[0]).graded_bracket(op_lie_form(xy[1]))(w)
-             - op_lie_form(xy[0].bracket(xy[1]))(w)),
-    Identity("forms: [L(X), e(F)] = (-1)^X e(XF)", _every_patch, ("fields", "two functions", "two forms"),
-             lambda c, x, f, w: op_lie_form(x).graded_bracket(op_e_form(c, f))(w)
-             - op_e_form(c, x.apply(f))(w) * CRat(-1 if x.parity else 1)),
-    Identity("forms: [L(X), M(F)] = M(XF)", _every_patch, ("fields", "two functions", "two forms"),
-             lambda c, x, f, w: op_lie_form(x).graded_bracket(op_mult(c, f))(w) - op_mult(c, x.apply(f))(w)),
+             lambda xy, w: xy.x.lie.graded_bracket(xy.y.lie)(w) - xy.bracket.lie(w)),
+    Identity("forms: [L(X), e(F)] = (-1)^X e(XF)", _every_patch, ("two-function products", "two forms"),
+             lambda xf, w: xf.field.lie.graded_bracket(xf.function.e)(w)
+             - xf.image.e(w) * CRat(-1 if xf.field.x.parity else 1)),
+    Identity("forms: [L(X), M(F)] = M(XF)", _every_patch, ("two-function products", "two forms"),
+             lambda xf, w: xf.field.lie.graded_bracket(xf.function.m)(w) - xf.image.m(w)),
     Identity("forms: [L(X), i(Y)] = i([X, Y])", _every_patch, ("field pairs", "two forms"),
-             lambda c, xy, w: op_lie_form(xy[0]).graded_bracket(op_i_form(xy[1]))(w)
-             - op_i_form(xy[0].bracket(xy[1]))(w)),
-    Identity("forms: d = sum e(x^A) L(d/dx^A)", _every_patch, ("forms",),
-             lambda c, w: _coordinate_expansion(c, op_e_form, op_lie_form, w) - op_d_form(c)(w)),
+             lambda xy, w: xy.x.lie.graded_bracket(xy.y.i)(w) - xy.bracket.i(w)),
+    Identity("forms: d = sum e(x^A) L(d/dx^A)", _every_patch, ("patch", "forms"),
+             lambda p, w: sum((a.coordinate.e(a.field.lie(w)) for a in p.directions), -p.d(w))),
     Identity("forms: ladder pairs {i(d_a), e(x^k)} = delta, [i(d_xi), e(xi)] = delta", _every_patch,
              ("coordinate pairs", "forms"), _ladder),
     Identity("forms: i(odd X) is an even derivation over wedge", _every_patch,
-             ("odd fields", "two forms", "two forms"), _contraction_leibniz),
-    Identity("densities: bb = 0", _every_patch, ("densities",),
-             lambda c, u: op_divergence(c)(op_divergence(c)(u))),
+             ("odd fields", "two forms", "two forms"), lambda x, w, v: x.i(w * v) - (x.i(w) * v + w * x.i(v))),
+    Identity("densities: bb = 0", _every_patch, ("patch", "densities"), lambda p, u: p.b(p.b(u))),
     Identity("densities: [e(F), e(G)] = 0", _every_patch, ("function pairs", "two densities"),
-             lambda c, fg, u: op_e_density(c, fg[0]).graded_bracket(op_e_density(c, fg[1]))(u)),
+             lambda fg, u: fg[0].e_density.graded_bracket(fg[1].e_density)(u)),
     Identity("densities: [i(X), i(Y)] = 0", _every_patch, ("field pairs", "two densities"),
-             lambda c, xy, u: op_i_density(xy[0]).graded_bracket(op_i_density(xy[1]))(u)),
-    Identity("densities: [b, e(F)] = 0", _every_patch, ("b-closed functions", "two densities"),
-             lambda c, f, u: op_divergence(c).graded_bracket(op_e_density(c, f))(u)),
-    Identity("densities: [e(F), i(X)]+ = M(XF) (bosonic)", _bosonic, ("functions", "fields", "two densities"),
-             lambda c, f, x, u: op_e_density(c, f).graded_bracket(op_i_density(x))(u)
-             - op_mult_density(c, x.apply(f))(u)),
-    Identity("densities: [b, L(X)] = 0", _every_patch, ("fields", "two densities"),
-             lambda c, x, u: op_divergence(c).graded_bracket(op_lie_density(x))(u)),
-    Identity("densities: b = sum e(x^A) L(d/dx^A)", _every_patch, ("densities",),
-             lambda c, u: _coordinate_expansion(c, op_e_density, op_lie_density, u) - op_divergence(c)(u)),
+             lambda xy, u: xy.x.i_density.graded_bracket(xy.y.i_density)(u)),
+    Identity("densities: [b, e(F)] = 0", _every_patch, ("patch", "b-closed functions", "two densities"),
+             lambda p, f, u: p.b.graded_bracket(f.e_density)(u)),
+    Identity("densities: [e(F), i(X)]+ = M(XF) (bosonic)", _bosonic, ("products", "two densities"),
+             lambda xf, u: xf.function.e_density.graded_bracket(xf.field.i_density)(u) - xf.image.m_density(u)),
+    Identity("densities: [b, L(X)] = 0", _every_patch, ("patch", "fields", "two densities"),
+             lambda p, x, u: p.b.graded_bracket(x.lie_density)(u)),
+    Identity("densities: b = sum e(x^A) L(d/dx^A)", _every_patch, ("patch", "densities"),
+             lambda p, u: sum((a.coordinate.e_density(a.field.lie_density(u)) for a in p.directions), -p.b(u))),
     Identity("densities: L(d/dx^A) acts as d/dx^A", _every_patch, ("densities", "coordinates"),
-             lambda c, u, a: op_lie_density(SuperVectorField.coordinate_basis(c, a))(u)
-             - (u.partial_x(a[1]) if a[0] == "x" else u.partial_xi(a[1]))),
+             lambda u, a: a.field.lie_density(u)
+             - (u.partial_x(a.label[1]) if a.label[0] == "x" else u.partial_xi(a.label[1]))),
     Identity("densities: bracket Lie = classical component formula (bosonic)", _bosonic,
              ("even fields", "densities"),
-             lambda c, x, u: op_lie_density(x)(u) - lie_density_classical(x)(u)),
+             lambda x, u: x.lie_density(u) - lie_density_classical(x.x)(u)),
     Identity("densities: [b, i(X)]+ = d_mu(X^mu .) on scalars (bosonic)", _bosonic,
-             ("even fields", "functions"), _scalar_divergence),
+             ("patch", "even fields", "functions"), _scalar_divergence),
 )
 
 
@@ -612,9 +606,10 @@ def _cyclic_pairs(items: Sequence) -> list[tuple]:
 
 
 def _trial_set(rng: random.Random, coords: CoordinateSystem) -> dict[str, Sequence]:
-    """Seeded test elements for the identity table, by family name: three
+    """Seeded test entries for the identity table, by family name: three
     forms and densities, four parity-homogeneous functions and fields, and
-    the slices, cyclic pairs and filters of them that the rows sample."""
+    the slices, cyclic pairs, products and filters of them that the rows
+    sample, each function and field with its operators."""
     max_deg = 3 if coords.nu else min(3, coords.n)
     forms = tuple(rg.form(rng, coords, rng.randint(0, max_deg)) for _ in range(3))
     densities = tuple(rg.density(rng, coords, rng.randint(0, max_deg)) for _ in range(3))
@@ -622,30 +617,33 @@ def _trial_set(rng: random.Random, coords: CoordinateSystem) -> dict[str, Sequen
     for _ in range(4):
         parity = rng.randint(0, 1) if coords.nu else 0
         fn = rg.superfunction(rng, coords, parity=parity)
-        if fn.is_zero():
-            fn = GradedPoly.unit(coords.functions)
-        functions.append(fn)
-    fields = tuple(
-        rg.vector_field(rng, coords, rng.randint(0, 1) if coords.nu else 0)
-        for _ in range(4)
+        functions.append(_function(coords, GradedPoly.unit(coords.functions) if fn.is_zero() else fn))
+    fields = tuple(_field(rg.vector_field(rng, coords, rng.randint(0, 1) if coords.nu else 0)) for _ in range(4))
+    even_functions = [f for f in functions if f.f.parity() is not Parity.ODD]
+    # function by function, so the first 2 * len(fields) products take the first two functions
+    products = [Product(x, f, _function(coords, x.x.apply(f.f))) for f in functions for x in fields]
+    directions = tuple(
+        Direction((kind, k), _field(SuperVectorField.coordinate_basis(coords, (kind, k))),
+                  _function(coords, coords.x(k) if kind == "x" else coords.xi(k)))
+        for kind, count in (("x", coords.n), ("xi", coords.nu)) for k in range(1, count + 1)
     )
-    even_functions = tuple(f for f in functions if f.parity() is not Parity.ODD)
-    labels = _coordinate_labels(coords)
     return {
+        "patch": (Patch(op_d_form(coords), op_divergence(coords), directions),),
         "forms": forms,
         "two forms": forms[:2],
         "densities": densities,
         "two densities": densities[:2],
         "functions": functions,
-        "two functions": functions[:2],
         "function pairs": _cyclic_pairs(functions),
         "b-closed functions": even_functions if coords.n and coords.nu else functions,
         "fields": fields,
-        "field pairs": _cyclic_pairs(fields),
-        "odd fields": tuple(x for x in fields if x.parity == 1),
-        "even fields": tuple(x for x in fields if x.parity == 0),
-        "coordinates": labels,
-        "coordinate pairs": [(a, k) for a in labels for k in labels if a[0] == k[0]],
+        "field pairs": [Pair(x, y, _field(x.x.bracket(y.x))) for x, y in _cyclic_pairs(fields)],
+        "odd fields": tuple(x for x in fields if x.x.parity == 1),
+        "even fields": tuple(x for x in fields if x.x.parity == 0),
+        "products": products,
+        "two-function products": products[: 2 * len(fields)],
+        "coordinates": directions,
+        "coordinate pairs": [(a, k) for a in directions for k in directions if a.label[0] == k.label[0]],
     }
 
 
@@ -659,7 +657,7 @@ def commutator_table(coords: CoordinateSystem, families: dict[str, Sequence]) ->
         cases = failures = 0
         for elements in itertools.product(*(families[name] for name in row.families)):
             cases += 1
-            failures += not row.deviation(coords, *elements).is_zero()
+            failures += not row.deviation(*elements).is_zero()
         results.append(TableResult(row.name, cases, failures))
     return results
 

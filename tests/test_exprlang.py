@@ -144,6 +144,33 @@ def test_runs_of_generators_keep_their_errors(text, ctx, error, message):
     assert message in str(info.value), text
 
 
+LONG = "1" * 5000  # more digits than int() reads from a string
+
+
+@pytest.mark.parametrize(
+    "text, ctx, message",
+    [
+        (f"x{LONG}", Context(0, 2), f"x{LONG}: generator index outside 1..2 (at column 1)"),
+        (f"dx{LONG}", Context(1, 1), f"dx{LONG}: index outside 1..1 (at column 1)"),
+        (f"L[x{LONG}](x1)", Context(1, 1), f"x{LONG}: index outside 1..1 (at column 1)"),
+    ],
+    ids=["generator", "form-generator", "field"],
+)
+def test_a_name_with_thousands_of_digits_is_out_of_range(text, ctx, message):
+    with pytest.raises(ExprError) as info:
+        evaluate(text, ctx)
+    assert str(info.value) == message
+
+
+def test_leading_zeros_name_the_same_generator():
+    ctx = Context(0, 2)
+    assert evaluate("x01*x002", ctx) == evaluate("x1*x2", ctx)
+    assert evaluate(f"x{'0' * 5000}2", ctx) == evaluate("x2", ctx)
+    assert evaluate("L[x01](x1*dx01)", Context(1, 1)) == evaluate("L[x1](x1*dx1)", Context(1, 1))
+    with pytest.raises(ExprError, match=r"x0: generator index outside 1\.\.2 \(at column 1\)"):
+        evaluate("x0", ctx)
+
+
 def test_scalar_only_input_is_an_element():
     got = evaluate("2*3 - 1/2i", Context(0, 3))
     assert type(got) is Supernumber and got == Supernumber.scalar(3, CRat(6, Fraction(-1, 2)))

@@ -259,6 +259,146 @@ def test_commutator_table_all_mixes():
             assert res.failures == 0, f"{mix}: {res.name}"
 
 
+# (name, cases) of every check of run_complexes(seed=0, trials=4, table_cases=3)
+# on the default patches: where the operators are built must not change what
+# the table counts, nor the rng draws behind the filtered families
+COMPLEXES_CASES = [
+    ('(2,0) dd = 0', 4),
+    ('(2,0) bb = 0', 4),
+    ('(2,0) wedge graded commutativity', 1),
+    ('(2,0) forms: dd = 0', 3),
+    ('(2,0) forms: [e(F), e(G)] = 0', 12),
+    ('(2,0) forms: [i(X), i(Y)] = 0', 12),
+    ('(2,0) forms: [i(X), e(F)] = M(XF)', 32),
+    ('(2,0) forms: [d, e(F)] = 0', 8),
+    ('(2,0) forms: [i(X), d] = L(X)', 8),
+    ('(2,0) forms: [d, L(X)] = 0', 8),
+    ('(2,0) forms: [d, M(F)] = e(F)', 8),
+    ('(2,0) forms: [L(X), L(Y)] = L([X, Y])', 8),
+    ('(2,0) forms: [L(X), e(F)] = (-1)^X e(XF)', 16),
+    ('(2,0) forms: [L(X), M(F)] = M(XF)', 16),
+    ('(2,0) forms: [L(X), i(Y)] = i([X, Y])', 8),
+    ('(2,0) forms: d = sum e(x^A) L(d/dx^A)', 3),
+    ('(2,0) forms: ladder pairs {i(d_a), e(x^k)} = delta, [i(d_xi), e(xi)] = delta', 12),
+    ('(2,0) forms: i(odd X) is an even derivation over wedge', 0),
+    ('(2,0) densities: bb = 0', 3),
+    ('(2,0) densities: [e(F), e(G)] = 0', 8),
+    ('(2,0) densities: [i(X), i(Y)] = 0', 8),
+    ('(2,0) densities: [b, e(F)] = 0', 8),
+    ('(2,0) densities: [e(F), i(X)]+ = M(XF) (bosonic)', 32),
+    ('(2,0) densities: [b, L(X)] = 0', 8),
+    ('(2,0) densities: b = sum e(x^A) L(d/dx^A)', 3),
+    ('(2,0) densities: L(d/dx^A) acts as d/dx^A', 6),
+    ('(2,0) densities: bracket Lie = classical component formula (bosonic)', 12),
+    ('(2,0) densities: [b, i(X)]+ = d_mu(X^mu .) on scalars (bosonic)', 16),
+    ('(0,2) dd = 0', 4),
+    ('(0,2) bb = 0', 4),
+    ('(0,2) wedge graded commutativity', 1),
+    ('(0,2) complex continues above degree nu', 2),
+    ('(0,2) forms: dd = 0', 3),
+    ('(0,2) forms: [e(F), e(G)] = 0', 12),
+    ('(0,2) forms: [i(X), i(Y)] = 0', 12),
+    ('(0,2) forms: [i(X), e(F)] = M(XF)', 32),
+    ('(0,2) forms: [d, e(F)] = 0', 8),
+    ('(0,2) forms: [i(X), d] = L(X)', 8),
+    ('(0,2) forms: [d, L(X)] = 0', 8),
+    ('(0,2) forms: [d, M(F)] = e(F)', 8),
+    ('(0,2) forms: [L(X), L(Y)] = L([X, Y])', 8),
+    ('(0,2) forms: [L(X), e(F)] = (-1)^X e(XF)', 16),
+    ('(0,2) forms: [L(X), M(F)] = M(XF)', 16),
+    ('(0,2) forms: [L(X), i(Y)] = i([X, Y])', 8),
+    ('(0,2) forms: d = sum e(x^A) L(d/dx^A)', 3),
+    ('(0,2) forms: ladder pairs {i(d_a), e(x^k)} = delta, [i(d_xi), e(xi)] = delta', 12),
+    ('(0,2) forms: i(odd X) is an even derivation over wedge', 8),
+    ('(0,2) densities: bb = 0', 3),
+    ('(0,2) densities: [e(F), e(G)] = 0', 8),
+    ('(0,2) densities: [i(X), i(Y)] = 0', 8),
+    ('(0,2) densities: [b, e(F)] = 0', 8),
+    ('(0,2) densities: [b, L(X)] = 0', 8),
+    ('(0,2) densities: b = sum e(x^A) L(d/dx^A)', 3),
+    ('(0,2) densities: L(d/dx^A) acts as d/dx^A', 6),
+    ('(0,2) scalar-density integral matches mixed integral', 5),
+    ('(2,2) dd = 0', 4),
+    ('(2,2) bb = 0', 4),
+    ('(2,2) wedge graded commutativity', 1),
+    ('(2,2) complex continues above degree nu', 2),
+    ('(2,2) forms: dd = 0', 3),
+    ('(2,2) forms: [e(F), e(G)] = 0', 12),
+    ('(2,2) forms: [i(X), i(Y)] = 0', 12),
+    ('(2,2) forms: [i(X), e(F)] = M(XF)', 32),
+    ('(2,2) forms: [d, e(F)] = 0', 8),
+    ('(2,2) forms: [i(X), d] = L(X)', 8),
+    ('(2,2) forms: [d, L(X)] = 0', 8),
+    ('(2,2) forms: [d, M(F)] = e(F)', 8),
+    ('(2,2) forms: [L(X), L(Y)] = L([X, Y])', 8),
+    ('(2,2) forms: [L(X), e(F)] = (-1)^X e(XF)', 16),
+    ('(2,2) forms: [L(X), M(F)] = M(XF)', 16),
+    ('(2,2) forms: [L(X), i(Y)] = i([X, Y])', 8),
+    ('(2,2) forms: d = sum e(x^A) L(d/dx^A)', 3),
+    ('(2,2) forms: ladder pairs {i(d_a), e(x^k)} = delta, [i(d_xi), e(xi)] = delta', 24),
+    ('(2,2) forms: i(odd X) is an even derivation over wedge', 8),
+    ('(2,2) densities: bb = 0', 3),
+    ('(2,2) densities: [e(F), e(G)] = 0', 8),
+    ('(2,2) densities: [i(X), i(Y)] = 0', 8),
+    ('(2,2) densities: [b, e(F)] = 0', 8),
+    ('(2,2) densities: [b, L(X)] = 0', 8),
+    ('(2,2) densities: b = sum e(x^A) L(d/dx^A)', 3),
+    ('(2,2) densities: L(d/dx^A) acts as d/dx^A', 12),
+    ('(2,2) scalar-density integral matches mixed integral', 5),
+    ('(3,1) dd = 0', 4),
+    ('(3,1) bb = 0', 4),
+    ('(3,1) wedge graded commutativity', 1),
+    ('(3,1) complex continues above degree nu', 2),
+    ('(3,1) forms: dd = 0', 3),
+    ('(3,1) forms: [e(F), e(G)] = 0', 12),
+    ('(3,1) forms: [i(X), i(Y)] = 0', 12),
+    ('(3,1) forms: [i(X), e(F)] = M(XF)', 32),
+    ('(3,1) forms: [d, e(F)] = 0', 8),
+    ('(3,1) forms: [i(X), d] = L(X)', 8),
+    ('(3,1) forms: [d, L(X)] = 0', 8),
+    ('(3,1) forms: [d, M(F)] = e(F)', 8),
+    ('(3,1) forms: [L(X), L(Y)] = L([X, Y])', 8),
+    ('(3,1) forms: [L(X), e(F)] = (-1)^X e(XF)', 16),
+    ('(3,1) forms: [L(X), M(F)] = M(XF)', 16),
+    ('(3,1) forms: [L(X), i(Y)] = i([X, Y])', 8),
+    ('(3,1) forms: d = sum e(x^A) L(d/dx^A)', 3),
+    ('(3,1) forms: ladder pairs {i(d_a), e(x^k)} = delta, [i(d_xi), e(xi)] = delta', 30),
+    ('(3,1) forms: i(odd X) is an even derivation over wedge', 4),
+    ('(3,1) densities: bb = 0', 3),
+    ('(3,1) densities: [e(F), e(G)] = 0', 8),
+    ('(3,1) densities: [i(X), i(Y)] = 0', 8),
+    ('(3,1) densities: [b, e(F)] = 0', 2),
+    ('(3,1) densities: [b, L(X)] = 0', 8),
+    ('(3,1) densities: b = sum e(x^A) L(d/dx^A)', 3),
+    ('(3,1) densities: L(d/dx^A) acts as d/dx^A', 12),
+    ('(3,1) scalar-density integral matches mixed integral', 5),
+]
+
+
+def test_complexes_case_counts_are_pinned():
+    from supercalc.suites import run_complexes
+
+    report = run_complexes(seed=0, trials=4, table_cases=3)
+    assert [(check.name, check.cases) for check in report.checks] == COMPLEXES_CASES
+    assert all(check.ok for check in report.checks)
+
+
+def test_commutator_table_builds_each_lie_derivative_once(monkeypatch):
+    """On patch (2, 2) a trial set builds L(X) on forms at most once per
+    field, per bracket field and per coordinate direction, and the table
+    call builds none."""
+    import supercalc.suites as suites
+
+    builds = []
+    monkeypatch.setattr(suites, "op_lie_form", lambda x: builds.append(x) or op_lie_form(x))
+    coords = CoordinateSystem(2, 2)
+    trial = _trial_set(random.Random(31), coords)
+    assert len(builds) <= len(trial["fields"]) + len(trial["field pairs"]) + len(trial["coordinates"]) == 12
+    built = len(builds)
+    assert all(res.failures == 0 for res in commutator_table(coords, trial))
+    assert len(builds) == built
+
+
 def test_vector_field_parity_validation():
     c = CoordinateSystem(1, 1)
     with pytest.raises(ValueError):
@@ -319,38 +459,38 @@ def test_form_json_round_trip():
 
 def test_each_scope_is_load_bearing():
     """Each scoped row's own deviation is nonzero off its scope, on seeded
-    elements of the mixed patch (2, 2)."""
-    from supercalc.suites import IDENTITIES
+    entries of the mixed patch (2, 2), each carrying its operators."""
+    from supercalc.suites import IDENTITIES, Product, _field, _function
 
     rows = {row.name: row for row in IDENTITIES}
     c = CoordinateSystem(2, 2)
     rng = random.Random(30)
     forms = [rg.form(rng, c, degree) for degree in (1, 2, 3)]
     densities = [rg.density(rng, c, degree) for degree in (1, 2, 3)]
-    functions = [rg.superfunction(rng, c, parity=k % 2) for k in range(8)]
-    fields = [rg.vector_field(rng, c, k % 2) for k in range(4)]
-    odd_functions = [f for f in functions if f.parity() is Parity.ODD]
-    odd_fields = [x for x in fields if x.parity == 1]
+    functions = [_function(c, rg.superfunction(rng, c, parity=k % 2)) for k in range(8)]
+    fields = [_field(rg.vector_field(rng, c, k % 2)) for k in range(4)]
+    products = [Product(x, f, _function(c, x.x.apply(f.f))) for x in fields for f in functions]
+    odd_functions = [f for f in functions if f.f.parity() is Parity.ODD]
+    odd_products = [xf for xf in products if xf.field.x.parity == 1]
 
     # [b, e(F)] = 0 takes no odd F on mixed patches, and fails for one
-    assert not any(f.parity() is Parity.ODD for f in _trial_set(rng, c)["b-closed functions"])
+    trial = _trial_set(rng, c)
+    assert not any(f.f.parity() is Parity.ODD for f in trial["b-closed functions"])
     b_e = rows["densities: [b, e(F)] = 0"].deviation
-    assert any(not b_e(c, f, u).is_zero() for f in odd_functions for u in densities)
+    patch = trial["patch"][0]
+    assert any(not b_e(patch, f, u).is_zero() for f in odd_functions for u in densities)
 
     # [e(F), i(X)]+ = M(XF) on densities is bosonic only, and fails at nu > 0
     e_i = rows["densities: [e(F), i(X)]+ = M(XF) (bosonic)"]
     assert not e_i.scope(c)
-    assert any(
-        not e_i.deviation(c, f, x, u).is_zero() for f in functions for x in fields for u in densities
-    )
+    assert any(not e_i.deviation(xf, u).is_zero() for xf in products for u in densities)
 
     # [L(X), e(F)] = (-1)^X e(XF): the deviation is [L(X), e(F)] + e(XF) for
     # an odd X, so leaving the sign out subtracts e(XF) twice
     lie_e = rows["forms: [L(X), e(F)] = (-1)^X e(XF)"].deviation
     unsigned = [
-        lie_e(c, x, f, w) - op_e_form(c, x.apply(f))(w) * 2
-        for x in odd_fields
-        for f in functions
+        lie_e(xf, w) - op_e_form(c, xf.field.x.apply(xf.function.f))(w) * 2
+        for xf in odd_products
         for w in forms
     ]
     assert any(not dev.is_zero() for dev in unsigned)

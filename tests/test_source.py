@@ -159,3 +159,28 @@ def test_exports_are_the_public_package_names():
     }
     assert len(supercalc.__all__) == len(set(supercalc.__all__))
     assert set(supercalc.__all__) == public
+
+
+def test_identity_rows_only_compose_operators():
+    """The rows of `suites.IDENTITIES` read the operators that their family
+    entries carry: no row lambda, and no suites function that a row names,
+    builds an operator (`op_*`), a coordinate field or a field bracket."""
+    tree = ast.parse((SOURCE / "suites.py").read_text(encoding="utf-8"))
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    table = next(
+        node.value for node in tree.body
+        if isinstance(node, ast.AnnAssign) and getattr(node.target, "id", None) == "IDENTITIES"
+    )
+    found, helpers, todo = [], set(), [table]
+    while todo:
+        for node in ast.walk(todo.pop()):
+            if isinstance(node, ast.Name) and node.id in functions and node.id not in helpers:
+                helpers.add(node.id)
+                todo.append(functions[node.id])
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", "")
+                if name.startswith("op_") or name in ("coordinate_basis", "bracket"):
+                    found.append(f"suites.py:{node.lineno}:{name}")
+    assert {"_ladder", "_scalar_divergence", "lie_density_classical"} <= helpers
+    assert not found, f"operators built inside identity rows: {found}"
