@@ -49,13 +49,11 @@ MAX_PATCH_COORDS = 10
 
 # A generator count sets the width of every monomial key, n + nu bits
 # plus a FIELD-bit exponent field per even generator and auxiliary, so
-# every key operation costs time linear in it.  The cap was set when
-# `eval "L[x1](x1*xi1*dx1)"` took 6.6 s at --n 1000 --nu 1000, applying d
-# to every component; with d applied to the nonzero components only it
-# takes 0.23 s at 250 and 0.18 s at 500 and 1000 on a 2-core host (median
-# of three runs, process start included), and `eval x1 --nu N`, `berezin
-# --nu N` and `mixed --n 1 --nu N` stay under 0.3 s up to N = 30 000.
-# Larger counts are refused up front.
+# every key operation costs time linear in it.  `eval "L[x1](x1*xi1*dx1)"`
+# takes 0.18 s at --n 1000 --nu 1000 on a 2-core host, and `eval x1 --nu
+# N`, `berezin --nu N` and `mixed --n 1 --nu N` stay under 0.3 s up to
+# N = 30 000; the cap stays until a dearer command is measured at large
+# counts.  Larger counts are refused up front.
 MAX_GENERATORS = 500
 
 # The adaptive quadrature bisects until its tolerance is met; at or below

@@ -196,7 +196,7 @@ class Context:
                     return 1 << start + step * (k - 1)
             raise ExprError(f"unknown identifier {name!r}", at)
         if name.startswith("x") and name[1:].isdigit():
-            k = int(name[1:]) if len(name) < 20 else _index(name[1:])
+            k = _index(name[1:])
             if not 1 <= k <= self.nu:
                 raise ExprError(f"{name}: generator index outside 1..{self.nu}", at)
             return 1 << (k - 1)
