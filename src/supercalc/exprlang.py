@@ -273,7 +273,7 @@ class Context:
         if name in ("i", "L"):
             if param is None:
                 raise ExprError(f"{name} needs a coordinate direction: {name}[x1](w)", at)
-            field = self.field_by_name(param, at)
+            field = self.field_by_name(param, param_at)
             op = op_i_form(field) if name == "i" else op_lie_form(field)
             return op(arg)
         raise ExprError(f"unknown function {name!r}", at)

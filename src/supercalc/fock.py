@@ -44,10 +44,8 @@ from .graded_poly import (
     _has_coordinates,
     _init,
     function_carrier,
-    indices_of,
-    mask_of,
 )
-from .scalars import CRat, parse_crat
+from .scalars import CRat
 
 REPRESENTATIONS = ("holomorphic", "form", "density")
 
@@ -268,43 +266,6 @@ def dual_product(density_state: FockState, form_state: FockState, volume: CRat |
                 raise ValueError("pairing of constant states must be constant")
             total = total + c
     return total * CRat.coerce(volume)
-
-
-# -- serialization -----------------------------------------------------------
-
-
-def state_to_json(s: FockState) -> dict:
-    """JSON with a representation tag; monomials are keyed by bosonic
-    occupations and the fermionic index set of the holomorphic picture."""
-    holo = translate(s, "holomorphic")
-    terms = {}
-    monos = ((holo.carrier.unpack(key), c) for key, c in holo.terms.items())
-    for (x_exps, xi, _ao, _ae), c in sorted(monos, key=lambda mc: (mc[0][1], mc[0][0])):
-        bose = ";".join(f"{i}:{e}" for i, e in x_exps)
-        fermi = ",".join(str(i) for i in indices_of(xi))
-        terms[f"{bose}|{fermi}"] = str(c)
-    return {
-        "representation": s.rep,
-        "n_bose": s.spec.n_bose,
-        "n_fermi": s.spec.n_fermi,
-        "terms": terms,
-    }
-
-
-def state_from_json(data: dict) -> FockState:
-    spec = FockAlgebraSpec(int(data["n_bose"]), int(data["n_fermi"]))
-    carrier = spec.carrier("holomorphic")
-    terms = {}
-    for key, val in data["terms"].items():
-        bose_txt, _, fermi_txt = key.partition("|")
-        x_exps = tuple(
-            (int(i), int(e))
-            for i, e in (pair.split(":") for pair in bose_txt.split(";") if pair)
-        )
-        fermi = tuple(int(tok) for tok in fermi_txt.split(",")) if fermi_txt else ()
-        terms[carrier.pack((x_exps, mask_of(fermi, spec.n_fermi), 0, ()))] = parse_crat(val)
-    state = FockState(spec, "holomorphic", GradedPoly(carrier, terms))
-    return translate(state, data["representation"])
 
 
 # -- spanning sets -----------------------------------------------------------

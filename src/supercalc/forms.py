@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .berezin import berezin_integral, from_json_mixed, to_json_mixed
+from .berezin import berezin_integral
 from .graded_poly import (
     Carrier,
     GeneratorMismatch,
@@ -515,34 +515,3 @@ def integrate_density(f, bounds: Sequence[tuple]) -> CRat:
     if isinstance(f, SuperDensity) and f.degree != 0:
         raise ValueError("integration applies to scalar densities")
     return scalar_density_integral(f, bounds)
-
-
-# -- JSON -----------------------------------------------------------------
-
-
-def form_to_json(w: SuperForm) -> dict:
-    comps = []
-    for (bose, fermi), coeff in sorted(w.components().items()):
-        comps.append(
-            {
-                "bose_idx": list(bose),
-                "fermi_idx": list(fermi),
-                "poly": to_json_mixed(coeff)["terms"],
-            }
-        )
-    return {"n": w.coords.n, "nu": w.coords.nu, "degree": w.degree, "components": comps}
-
-
-def form_from_json(data) -> SuperForm:
-    coords = CoordinateSystem(int(data["n"]), int(data["nu"]))
-    poly = GradedPoly.zero(coords.forms)
-    for comp in data["components"]:
-        coeff = from_json_mixed({"n": coords.n, "nu": coords.nu, "terms": comp["poly"]})
-        coeff = coeff.with_carrier(coords.forms)
-        blade = GradedPoly.unit(coords.forms)
-        for a in comp["bose_idx"]:
-            blade = blade * coords.dx(a)
-        for alpha in comp["fermi_idx"]:
-            blade = blade * coords.dxi(alpha)
-        poly = poly + coeff * blade
-    return SuperForm(coords, poly)

@@ -19,7 +19,6 @@ JSON formats, whose multi-indices are the masks' generator labels.
 from __future__ import annotations
 
 import enum
-import json
 from typing import Mapping
 
 # GeneratorMismatch and Parity are kernel names that callers import from here too
@@ -212,12 +211,3 @@ def from_json_terms(data: Mapping[str, str], n: int) -> Supernumber:
         indices = tuple(int(tok) for tok in key.split(",")) if key else ()
         terms[indices] = parse_crat(val)
     return Supernumber.from_indices(n, terms)
-
-
-def dumps(z: Supernumber) -> str:
-    return json.dumps({"n": z.n, "terms": to_json_terms(z)}, sort_keys=True)
-
-
-def loads(text: str) -> Supernumber:
-    data = json.loads(text)
-    return from_json_terms(data["terms"], data["n"])

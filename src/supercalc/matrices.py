@@ -277,29 +277,3 @@ def conjugate_matrix(k: GradedMatrix, convention: Convention = Convention.KOSZUL
 def superhermitian(k: GradedMatrix, convention: Convention = Convention.KOSZUL) -> GradedMatrix:
     """Conjugate supertranspose; the two composition orders agree."""
     return conjugate_matrix(supertranspose(k), convention)
-
-
-def to_json_matrix(k: GradedMatrix) -> dict:
-    from .grassmann import to_json_terms
-
-    n_gen = k.entries[0][0].n if k.entries and k.entries[0] else 0
-    return {
-        "row_parities": list(k.row_sig.parities),
-        "col_parities": list(k.col_sig.parities),
-        "n_generators": n_gen,
-        "entries": [[to_json_terms(z) for z in row] for row in k.entries],
-    }
-
-
-def from_json_matrix(data: dict) -> GradedMatrix:
-    from .grassmann import from_json_terms
-
-    n_gen = int(data["n_generators"])
-    entries = [
-        [from_json_terms(cell, n_gen) for cell in row] for row in data["entries"]
-    ]
-    return GradedMatrix(
-        ParitySignature(data["row_parities"]),
-        ParitySignature(data["col_parities"]),
-        entries,
-    )

@@ -3,16 +3,23 @@
 Each suite draws its trials from a seeded generator, so a fixed seed
 reproduces the run byte for byte; reports never include wall-clock data
 in their canonical rendering for that reason (timing goes to stderr).
+
+The sampled suites `grassmann`, `berezin` and `linalg` are `Check` rows,
+each with its clauses `(holds, message)`, over blocks of draws and one
+driver, `evaluate_checks`.  `complexes` runs the table `IDENTITIES`;
+`metric`, `fock` and `clifford` are nested enumerations written as loops.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 import random
 from collections import namedtuple
 from dataclasses import dataclass, field
 from fractions import Fraction
+from types import SimpleNamespace
 from typing import Callable, NamedTuple, Sequence
 
 from . import exactmat
@@ -165,143 +172,172 @@ class SuiteReport:
         }
 
 
+# -- sampled checks ----------------------------------------------------------
+
+
+class Block(NamedTuple):
+    """`count` draws `draw(rng, k)`, k = 0, 1, ..., from the suite's one
+    generator.  A draw returns the named inputs that the checks of the
+    block share (a draw function returns its `locals()`), `k` among them."""
+
+    count: int
+    draw: Callable[[random.Random, int], dict]
+
+
+class Check(NamedTuple):
+    """One reported check over the draws of `block` that `scope` admits.
+    Each clause `(holds, message)` counts one case per such draw, and when
+    `holds(draw)` is false it records `message` formatted with the draw's
+    names; `holds` and `scope` read the names as attributes."""
+
+    name: str
+    block: Block
+    clauses: Sequence[tuple[Callable[[SimpleNamespace], bool], str]]
+    scope: Callable[[SimpleNamespace], bool] = lambda t: True
+
+
+def evaluate_checks(report: SuiteReport, checks: Sequence[Check]) -> SuiteReport:
+    """Add `checks` to `report` in order and evaluate them.  Blocks draw
+    from one generator seeded with the report's seed, in the order of
+    their first check, so what the checks compute never moves a draw."""
+    rng = random.Random(report.seed)
+    rows = [(check, report.check(check.name)) for check in checks]
+    for block in dict.fromkeys(check.block for check in checks):
+        members = [(check, result) for check, result in rows if check.block == block]
+        for k in range(block.count):
+            names = block.draw(rng, k)
+            t = SimpleNamespace(**names)
+            for check, result in members:
+                if check.scope(t):
+                    for holds, message in check.clauses:
+                        result.cases += 1
+                        if not holds(t):
+                            result.failures.append(message.format_map(names))
+    return report
+
+
 # -- grassmann core ---------------------------------------------------------
 
 
 def run_grassmann(trials: int = 200, seed: int = 0, max_n: int = 6) -> SuiteReport:
-    report = SuiteReport("grassmann", seed, trials)
-    rng = random.Random(seed)
+    dewitt = Convention.DEWITT
 
-    ring = report.check("ring axioms: associativity, distributivity")
-    graded = report.check("graded commutativity on homogeneous pairs")
-    nilp = report.check("soul nilpotency soul(z)^(N+1) = 0")
-    for k in range(trials):
-        n = 2 + (k % (max_n - 1))
-        a = rg.supernumber(rng, n)
-        b_ = rg.supernumber(rng, n)
-        c = rg.supernumber(rng, n)
-        ring.expect((a * b_) * c == a * (b_ * c), f"assoc #{k} n={n}")
-        ring.expect(a * (b_ + c) == a * b_ + a * c, f"distrib #{k} n={n}")
-        pa, pb = k % 2, (k // 2) % 2
-        ha = rg.homogeneous_supernumber(rng, n, pa)
-        hb = rg.homogeneous_supernumber(rng, n, pb)
+    def triples(rng, k):
+        n = 2 + k % (max_n - 1)
+        a, b, c = (rg.supernumber(rng, n) for _ in range(3))
+        pa, pb = k % 2, k // 2 % 2
         sign = -1 if pa * pb else 1
-        graded.expect(ha * hb == (hb * ha) * sign, f"graded #{k} parities {pa}{pb}")
-        nilp.expect((a.soul() ** (n + 1)).is_zero(), f"nilpotency #{k} n={n}")
+        ha, hb = (rg.homogeneous_supernumber(rng, n, p) for p in (pa, pb))
+        return locals()
 
-    inv = report.check("mul(z, inverse(z)) = 1 on invertible z")
-    for k in range(trials):
-        n = 2 + (k % (max_n - 1))
+    def invertibles(rng, k):
+        n = 2 + k % (max_n - 1)
         z = rg.supernumber(rng, n, ensure_body=True)
-        inv.expect(z * z.inverse() == Supernumber.unit(n), f"inverse #{k} n={n}")
+        return locals()
 
-    conj = report.check("conjugation: additivity, product rules, involution")
-    for k in range(trials):
-        n = 2 + (k % (max_n - 1))
-        z = rg.supernumber(rng, n)
-        w = rg.supernumber(rng, n)
-        conj.expect((z + w).conjugate() == z.conjugate() + w.conjugate(), f"additivity #{k}")
-        conj.expect(z.conjugate().conjugate() == z, f"involution #{k}")
-        conj.expect(
-            z.conjugate(Convention.DEWITT).conjugate(Convention.DEWITT) == z,
-            f"dewitt involution #{k}",
-        )
-        conj.expect(
-            (z * w).conjugate() == z.conjugate() * w.conjugate(),
-            f"koszul product rule #{k}",
-        )
-        pa, pb = k % 2, (k // 2) % 2
-        ha = rg.homogeneous_supernumber(rng, n, pa)
-        hb = rg.homogeneous_supernumber(rng, n, pb)
+    def conjugates(rng, k):
+        n = 2 + k % (max_n - 1)
+        z, w = rg.supernumber(rng, n), rg.supernumber(rng, n)
+        pa, pb = k % 2, k // 2 % 2
         sign = -1 if pa * pb else 1
-        conj.expect(
-            (ha * hb).conjugate(Convention.DEWITT)
-            == ha.conjugate(Convention.DEWITT) * hb.conjugate(Convention.DEWITT) * sign,
-            f"dewitt product rule #{k}",
-        )
+        ha, hb = (rg.homogeneous_supernumber(rng, n, p) for p in (pa, pb))
+        return locals()
 
-    lifting = report.check("lifting: exp multiplicativity, reciprocal, composition")
-    for k in range(trials // 2):
-        n = 2 + (k % (max_n - 1))
-        z = rg.supernumber(rng, n).soul().even_part()
-        w = rg.supernumber(rng, n).soul().even_part()
-        lifting.expect(lift(EXP, z) * lift(EXP, w) == lift(EXP, z + w), f"exp additivity #{k}")
+    def souls(rng, k):
+        n = 2 + k % (max_n - 1)
+        z, w = (rg.supernumber(rng, n).soul().even_part() for _ in range(2))
         zz = rg.supernumber(rng, n, ensure_body=True)
-        lifting.expect(lift(RECIPROCAL, zz) == zz.inverse(), f"reciprocal #{k}")
-        lifting.expect(lift(RECIPROCAL, lift(EXP, z)) == lift(EXP_NEG, z), f"composition #{k}")
+        return locals()
 
-    return report
+    ring = Block(trials, triples)
+    return evaluate_checks(SuiteReport("grassmann", seed, trials), [
+        Check("ring axioms: associativity, distributivity", ring, [
+            (lambda t: (t.a * t.b) * t.c == t.a * (t.b * t.c), "assoc #{k} n={n}"),
+            (lambda t: t.a * (t.b + t.c) == t.a * t.b + t.a * t.c, "distrib #{k} n={n}"),
+        ]),
+        Check("graded commutativity on homogeneous pairs", ring,
+              [(lambda t: t.ha * t.hb == (t.hb * t.ha) * t.sign, "graded #{k} parities {pa}{pb}")]),
+        Check("soul nilpotency soul(z)^(N+1) = 0", ring,
+              [(lambda t: (t.a.soul() ** (t.n + 1)).is_zero(), "nilpotency #{k} n={n}")]),
+        Check("mul(z, inverse(z)) = 1 on invertible z", Block(trials, invertibles),
+              [(lambda t: t.z * t.z.inverse() == Supernumber.unit(t.n), "inverse #{k} n={n}")]),
+        Check("conjugation: additivity, product rules, involution", Block(trials, conjugates), [
+            (lambda t: (t.z + t.w).conjugate() == t.z.conjugate() + t.w.conjugate(), "additivity #{k}"),
+            (lambda t: t.z.conjugate().conjugate() == t.z, "involution #{k}"),
+            (lambda t: t.z.conjugate(dewitt).conjugate(dewitt) == t.z, "dewitt involution #{k}"),
+            (lambda t: (t.z * t.w).conjugate() == t.z.conjugate() * t.w.conjugate(), "koszul product rule #{k}"),
+            (lambda t: (t.ha * t.hb).conjugate(dewitt) == t.ha.conjugate(dewitt) * t.hb.conjugate(dewitt) * t.sign,
+             "dewitt product rule #{k}"),
+        ]),
+        Check("lifting: exp multiplicativity, reciprocal, composition", Block(trials // 2, souls), [
+            (lambda t: lift(EXP, t.z) * lift(EXP, t.w) == lift(EXP, t.z + t.w), "exp additivity #{k}"),
+            (lambda t: lift(RECIPROCAL, t.zz) == t.zz.inverse(), "reciprocal #{k}"),
+            (lambda t: lift(RECIPROCAL, lift(EXP, t.z)) == lift(EXP_NEG, t.z), "composition #{k}"),
+        ]),
+    ])
 
 
 # -- berezin -----------------------------------------------------------------
 
 
 def run_berezin(trials: int = 200, seed: int = 0, max_nu: int = 4) -> SuiteReport:
-    report = SuiteReport("berezin", seed, trials)
-    rng = random.Random(seed)
+    unit, wide = Domain.box((0, 1)), Domain.box((-1, 1))
 
-    anti = report.check("left derivatives anticommute")
-    di = report.check("DI = 0 and ID = 0")
-    for k in range(trials):
-        nu = 1 + (k % max_nu)
+    def singles(rng, k):
+        nu = 1 + k % max_nu
         f = rg.supernumber(rng, nu)
-        if nu >= 2:
-            lam, mu = 1 + (k % nu), 1 + ((k + 1) % nu)
-            lhs = grassmann_derivative(grassmann_derivative(f, lam), mu)
-            rhs = grassmann_derivative(grassmann_derivative(f, mu), lam)
-            anti.expect((lhs + rhs).is_zero(), f"anticommute #{k}")
-        value = berezin_integral(f)
-        di.expect(isinstance(value, CRat), f"scalar result #{k}")
-        mu = 1 + (k % nu)
-        di.expect(berezin_integral(grassmann_derivative(f, mu)) == CRat(0), f"ID = 0 #{k} nu={nu}")
+        lam, mu = 1 + k % nu, 1 + (k + 1) % nu
+        return locals()
 
-    parts = report.check("derivation property: integral of d(fg) vanishes")
-    for k in range(trials // 2):
-        nu = 2 + (k % (max_nu - 1))
-        f = rg.supernumber(rng, nu)
-        g = rg.supernumber(rng, nu)
-        mu = 1 + (k % nu)
-        parts.expect(berezin_integral(grassmann_derivative(f * g, mu)) == CRat(0), f"parts #{k}")
+    def products(rng, k):
+        nu = 2 + k % (max_nu - 1)
+        f, g = rg.supernumber(rng, nu), rg.supernumber(rng, nu)
+        return locals()
 
-    cov = report.check("linear change of variables: derivative product vs det")
-    for k in range(trials):
-        nu = 1 + (k % max_nu)
-        f = rg.supernumber(rng, nu)
-        a = rg.invertible_rational_matrix(rng, nu)
-        lhs, rhs = change_of_variables_check(f, a)
-        cov.expect(lhs == rhs, f"change of variables #{k} nu={nu}")
+    def substitutions(rng, k):
+        nu = 1 + k % max_nu
+        f, a = rg.supernumber(rng, nu), rg.invertible_rational_matrix(rng, nu)
+        return locals()
 
-    fub = report.check("Fubini on factorized integrands")
-    for k in range(trials // 4):
-        f1 = rg.mixed_function(rng, 1, 2)
-        f2 = rg.mixed_function(rng, 1, 1)
-        d1, d2 = Domain.box((0, 1)), Domain.box((-1, 1))
-        combined = Domain.box((0, 1), (-1, 1))
-        total = mixed_integral(tensor_product(f1, f2), combined)
-        i1, i2 = mixed_integral(f1, d1), mixed_integral(f2, d2)
-        fub.expect(total == i1 * i2, f"fubini order 1 #{k}")
-        total_swapped = mixed_integral(tensor_product(f2, f1), Domain.box((-1, 1), (0, 1)))
-        fub.expect(total_swapped == i2 * i1, f"fubini order 2 #{k}")
+    def factors(rng, k):
+        f1, f2 = rg.mixed_function(rng, 1, 2), rg.mixed_function(rng, 1, 1)
+        i1, i2 = mixed_integral(f1, unit), mixed_integral(f2, wide)
+        return locals()
 
-    lam = report.check("density pairing equals multiply-then-integrate (n=1, nu=3)")
-    dom = Domain.box((0, 1))
-    for k in range(trials):
-        d_fn = rg.mixed_function(rng, 1, 3)
-        f_fn = rg.mixed_function(rng, 1, 3)
-        lam.expect(
-            density_pairing(d_fn, f_fn, dom) == mixed_integral(d_fn * f_fn, dom),
-            f"pairing #{k}",
-        )
+    def pairs(rng, k):
+        d, f = rg.mixed_function(rng, 1, 3), rg.mixed_function(rng, 1, 3)
+        return locals()
 
-    gauss = report.check("gaussian quadrature example reproduces sqrt(pi)")
-    fgauss = MixedFunction(1, 2, {0b11: lambda x: math.exp(-x * x)})
-    value = mixed_integral(fgauss, Domain(((-8.0, 8.0),), tol=1e-12))
-    gauss.expect(
-        abs(value - math.sqrt(math.pi)) < 1e-10,
-        f"got {value!r}, want sqrt(pi) within 1e-10",
-    )
+    def gaussian(rng, k):
+        fgauss = MixedFunction(1, 2, {0b11: lambda x: math.exp(-x * x)})
+        return {"value": mixed_integral(fgauss, Domain(((-8.0, 8.0),), tol=1e-12))}
 
-    return report
+    first = Block(trials, singles)
+    return evaluate_checks(SuiteReport("berezin", seed, trials), [
+        Check("left derivatives anticommute", first, [
+            (lambda t: (grassmann_derivative(grassmann_derivative(t.f, t.lam), t.mu)
+                        + grassmann_derivative(grassmann_derivative(t.f, t.mu), t.lam)).is_zero(), "anticommute #{k}"),
+        ], scope=lambda t: t.nu >= 2),
+        Check("DI = 0 and ID = 0", first, [
+            (lambda t: isinstance(berezin_integral(t.f), CRat), "scalar result #{k}"),
+            (lambda t: berezin_integral(grassmann_derivative(t.f, t.lam)) == CRat(0), "ID = 0 #{k} nu={nu}"),
+        ]),
+        Check("derivation property: integral of d(fg) vanishes", Block(trials // 2, products), [
+            (lambda t: berezin_integral(grassmann_derivative(t.f * t.g, 1 + t.k % t.nu)) == CRat(0), "parts #{k}"),
+        ]),
+        Check("linear change of variables: derivative product vs det", Block(trials, substitutions),
+              [(lambda t: operator.eq(*change_of_variables_check(t.f, t.a)), "change of variables #{k} nu={nu}")]),
+        Check("Fubini on factorized integrands", Block(trials // 4, factors), [
+            (lambda t: mixed_integral(tensor_product(t.f1, t.f2), Domain.box((0, 1), (-1, 1))) == t.i1 * t.i2,
+             "fubini order 1 #{k}"),
+            (lambda t: mixed_integral(tensor_product(t.f2, t.f1), Domain.box((-1, 1), (0, 1))) == t.i2 * t.i1,
+             "fubini order 2 #{k}"),
+        ]),
+        Check("density pairing equals multiply-then-integrate (n=1, nu=3)", Block(trials, pairs),
+              [(lambda t: density_pairing(t.d, t.f, unit) == mixed_integral(t.d * t.f, unit), "pairing #{k}")]),
+        Check("gaussian quadrature example reproduces sqrt(pi)", Block(1, gaussian),
+              [(lambda t: abs(t.value - math.sqrt(math.pi)) < 1e-10, "got {value!r}, want sqrt(pi) within 1e-10")]),
+    ])
 
 
 # -- graded matrices ----------------------------------------------------------
@@ -323,121 +359,80 @@ def _supertranspose_oracle(k: GradedMatrix) -> GradedMatrix:
     return GradedMatrix(k.col_sig, k.row_sig, out)
 
 
+def _plain_transpose_rule(ma, mb, sign: int, zero: Supernumber) -> bool:
+    """(AB)^T = sign B^T A^T for plain matrices of supernumbers whose
+    entries all have one parity each; sign is (-1)^{|A||B|}."""
+    inner = range(len(mb))
+    return all(
+        sum((row[t] * mb[t][j] for t in inner), zero) == sum((mb[t][j] * row[t] * sign for t in inner), zero)
+        for j in range(len(mb[0])) for row in ma
+    )
+
+
+def _block_form(m: GradedMatrix, pk: int) -> bool:
+    """The supertranspose of [[a, c], [d, b]] on signature (even, odd) with
+    parity pk is [[a, (-1)^{pk+1} d], [(-1)^pk c, b]]."""
+    (a, c), (d, b) = m.entries
+    return supertranspose(m).entries == ((a, d * CRat(1 if pk else -1)), (c * CRat(-1 if pk else 1), b))
+
+
 def run_linalg(trials: int = 300, seed: int = 0, n_gen: int = 4) -> SuiteReport:
-    report = SuiteReport("linalg", seed, trials)
-    rng = random.Random(seed)
+    zero, square = Supernumber.zero(n_gen), ParitySignature.of(1, 1)
 
-    a7 = report.check("ordinary transpose of homogeneous-entry products")
-    a11 = report.check("supertranspose product rule")
-    a13 = report.check("entrywise conjugation is multiplicative (Koszul)")
-    a14 = report.check("superhermitian product rule")
-    double = report.check("double supertranspose matches the sign-rule oracle")
-    blocks = report.check("block form of the supertranspose")
-    parity_action = report.check("even matrices preserve, odd matrices flip, vector parity")
-    product_parity = report.check("matrix product parity adds")
-
-    for k in range(trials):
-        sig_a = rg.parity_signature(rng)
-        sig_b = rg.parity_signature(rng)
-        sig_c = rg.parity_signature(rng)
-        pk, pl = k % 2, (k // 2) % 2
+    def products(rng, k):
+        sig_a, sig_b, sig_c = (rg.parity_signature(rng) for _ in range(3))
+        pk, pl = k % 2, k // 2 % 2
+        sign = -1 if pk * pl else 1
         km = rg.graded_matrix(rng, sig_a, sig_b, n_gen, pk)
         lm = rg.graded_matrix(rng, sig_b, sig_c, n_gen, pl)
-
-        # plain transpose rule for matrices with all entries of one parity
-        ra, rb = rng.randint(1, 3), rng.randint(1, 3)
-        rc = rng.randint(1, 3)
-        ea, eb = k % 2, (k // 2) % 2
-        ma = rg.homogeneous_entry_matrix(rng, ra, rb, n_gen, ea)
-        mb = rg.homogeneous_entry_matrix(rng, rb, rc, n_gen, eb)
-        prod = [
-            [
-                sum(
-                    (ma[i][t] * mb[t][j] for t in range(rb)),
-                    Supernumber.zero(n_gen),
-                )
-                for j in range(rc)
-            ]
-            for i in range(ra)
-        ]
-        lhs = [[prod[i][j] for i in range(ra)] for j in range(rc)]
-        sign = -1 if ea * eb else 1
-        rhs = [
-            [
-                sum(
-                    (mb[t][j] * ma[i][t] * sign for t in range(rb)),
-                    Supernumber.zero(n_gen),
-                )
-                for i in range(ra)
-            ]
-            for j in range(rc)
-        ]
-        a7.expect(lhs == rhs, f"transpose rule #{k} parities {ea}{eb}")
-
+        # plain matrices whose entries share the parities pk and pl
+        ra, rb, rc = rng.randint(1, 3), rng.randint(1, 3), rng.randint(1, 3)
+        ma = rg.homogeneous_entry_matrix(rng, ra, rb, n_gen, pk)
+        mb = rg.homogeneous_entry_matrix(rng, rb, rc, n_gen, pl)
         kl = matmul(km, lm)
-        sign = CRat(-1 if pk * pl else 1)
-        lhs_m = supertranspose(kl)
-        rhs_m = matmul(supertranspose(lm), supertranspose(km)).scale(sign)
-        a11.expect(lhs_m == rhs_m, f"sT product #{k} parities {pk}{pl}")
-
-        a13.expect(
-            conjugate_matrix(kl) == matmul(conjugate_matrix(km), conjugate_matrix(lm)),
-            f"conjugation multiplicative #{k}",
-        )
-        lhs_h = superhermitian(kl)
-        rhs_h = matmul(superhermitian(lm), superhermitian(km)).scale(sign)
-        a14.expect(lhs_h == rhs_h, f"sH product #{k} parities {pk}{pl}")
-        a14.expect(
-            superhermitian(km) == supertranspose(conjugate_matrix(km)),
-            f"sH order independence #{k}",
-        )
-
-        double.expect(
-            supertranspose(km) == _supertranspose_oracle(km)
-            and supertranspose(supertranspose(km))
-            == _supertranspose_oracle(_supertranspose_oracle(km)),
-            f"oracle #{k}",
-        )
-
         vec_parity = k % 2
-        coords = tuple(
-            rg.homogeneous_supernumber(rng, n_gen, (vec_parity + p) % 2, 2)
-            for p in sig_b.parities
-        )
-        vec = GradedVector(sig_b, coords)
-        image = apply_to_vector(km, vec)
-        want = (pk + vec_parity) % 2
-        got = image.parity()
-        parity_action.expect(
-            got in (want, 0) if all(z.is_zero() for z in image.coords) else got == want,
-            f"vector parity #{k}: want {want} got {got}",
-        )
-        product_parity.expect(
-            kl.parity() in ((pk + pl) % 2, 0)
-            if all(z.is_zero() for row in kl.entries for z in row)
-            else kl.parity() == (pk + pl) % 2,
-            f"product parity #{k}",
-        )
+        coords = tuple(rg.homogeneous_supernumber(rng, n_gen, (vec_parity + p) % 2, 2) for p in sig_b.parities)
+        image = apply_to_vector(km, GradedVector(sig_b, coords))
+        want, got = (pk + vec_parity) % 2, image.parity()
+        return locals()
 
-    # block-form identity on 2x2 matrices with signature (even, odd)
-    sig = ParitySignature.of(1, 1)
-    for k in range(trials // 3):
+    def squares(rng, k):
         pk = k % 2
-        m = rg.graded_matrix(rng, sig, sig, n_gen, pk)
-        st = supertranspose(m)
-        a, c = m.entries[0][0], m.entries[0][1]
-        d, b = m.entries[1][0], m.entries[1][1]
-        sign_d = CRat(-1 if (pk + 1) % 2 else 1)
-        sign_c = CRat(-1 if pk % 2 else 1)
-        ok = (
-            st.entries[0][0] == a
-            and st.entries[1][1] == b
-            and st.entries[0][1] == d * sign_d
-            and st.entries[1][0] == c * sign_c
-        )
-        blocks.expect(ok, f"block form #{k} parity {pk}")
+        m = rg.graded_matrix(rng, square, square, n_gen, pk)
+        return locals()
 
-    return report
+    pairs = Block(trials, products)
+    return evaluate_checks(SuiteReport("linalg", seed, trials), [
+        Check("ordinary transpose of homogeneous-entry products", pairs,
+              [(lambda t: _plain_transpose_rule(t.ma, t.mb, t.sign, zero), "transpose rule #{k} parities {pk}{pl}")]),
+        Check("supertranspose product rule", pairs, [
+            (lambda t: supertranspose(t.kl) == matmul(supertranspose(t.lm), supertranspose(t.km)).scale(CRat(t.sign)),
+             "sT product #{k} parities {pk}{pl}"),
+        ]),
+        Check("entrywise conjugation is multiplicative (Koszul)", pairs, [
+            (lambda t: conjugate_matrix(t.kl) == matmul(conjugate_matrix(t.km), conjugate_matrix(t.lm)),
+             "conjugation multiplicative #{k}"),
+        ]),
+        Check("superhermitian product rule", pairs, [
+            (lambda t: superhermitian(t.kl) == matmul(superhermitian(t.lm), superhermitian(t.km)).scale(CRat(t.sign)),
+             "sH product #{k} parities {pk}{pl}"),
+            (lambda t: superhermitian(t.km) == supertranspose(conjugate_matrix(t.km)), "sH order independence #{k}"),
+        ]),
+        Check("double supertranspose matches the sign-rule oracle", pairs, [
+            (lambda t: supertranspose(t.km) == _supertranspose_oracle(t.km)
+             and supertranspose(supertranspose(t.km)) == _supertranspose_oracle(_supertranspose_oracle(t.km)),
+             "oracle #{k}"),
+        ]),
+        Check("block form of the supertranspose", Block(trials // 3, squares),
+              [(lambda t: _block_form(t.m, t.pk), "block form #{k} parity {pk}")]),
+        Check("even matrices preserve, odd matrices flip, vector parity", pairs,
+              [(lambda t: t.got in (t.want, 0) if all(z.is_zero() for z in t.image.coords) else t.got == t.want,
+                "vector parity #{k}: want {want} got {got}")]),
+        Check("matrix product parity adds", pairs, [
+            (lambda t: t.kl.parity() in ((t.pk + t.pl) % 2, 0) if all(z.is_zero() for row in t.kl.entries for z in row)
+             else t.kl.parity() == (t.pk + t.pl) % 2, "product parity #{k}"),
+        ]),
+    ])
 
 
 # -- complexes ----------------------------------------------------------------

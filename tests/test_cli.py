@@ -402,10 +402,11 @@ def test_oversize_suite_requests_are_refused_up_front(args, named):
         ("e[](x1)", ("--n", "1"), "empty [...] parameter (at column 2)"),
         ("lift[](x1)", ("--nu", "1"), "empty [...] parameter (at column 5)"),
         ("lift[exp(x1)", ("--nu", "1"), "'[' is never closed (at column 5)"),
-        ("i[x3](dx1)", ("--n", "1"), "x3: index outside 1..1 (at column 1)"),
-        ("L[xi1](dx1)", ("--n", "1"), "xi1: index outside 1..0 (at column 1)"),
+        ("i[x3](dx1)", ("--n", "1"), "x3: index outside 1..1 (at column 3)"),
+        ("L[xi1](dx1)", ("--n", "1"), "xi1: index outside 1..0 (at column 3)"),
+        ("L[ x5 ](x1)", ("--n", "1", "--nu", "1"), "x5: index outside 1..1 (at column 4)"),
     ],
-    ids=["empty-e", "empty-lift", "unclosed", "field-index", "odd-field-index"],
+    ids=["empty-e", "empty-lift", "unclosed", "field-index", "odd-field-index", "spaced-field-index"],
 )
 def test_bracket_faults_are_input_errors(expr, flags, message):
     # the first three used to loop without bound, so the timeout is short

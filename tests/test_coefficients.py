@@ -31,9 +31,9 @@ from supercalc.berezin import (
 )
 from supercalc.clifford import matrix_of, reversal
 from supercalc.fock import FockAlgebraSpec, dual_product, inner_product, norm_squared, spanning_states, translate
-from supercalc.forms import CoordinateSystem, SuperDensity, SuperForm, form_to_json, integrate_density
+from supercalc.forms import CoordinateSystem, SuperDensity, SuperForm, integrate_density
 from supercalc.graded_poly import GradedPoly, density_carrier, form_carrier, function_carrier
-from supercalc.grassmann import Supernumber, dumps, format_supernumber, to_json_terms
+from supercalc.grassmann import Supernumber, format_supernumber, to_json_terms
 from supercalc.polynomials import Polynomial, integrate_box
 from supercalc.scalars import CRat
 
@@ -73,11 +73,9 @@ def test_int_and_crat_coefficients_agree(n, nu):
             assert f + g == f * 2 == 2 * g
             if isinstance(f, Supernumber):
                 assert format_supernumber(f) == format_supernumber(g)
-                assert to_json_terms(f) == to_json_terms(g) and dumps(f) == dumps(g)
+                assert to_json_terms(f) == to_json_terms(g)
             elif f.carrier == function_carrier(n, nu):
                 assert to_json_mixed(f) == to_json_mixed(g)
-            elif isinstance(f, SuperForm):
-                assert form_to_json(f) == form_to_json(g)
 
 
 def test_seeded_elements_hold_int_coefficients():

@@ -152,7 +152,7 @@ LONG = "1" * 5000  # more digits than int() reads from a string
     [
         (f"x{LONG}", Context(0, 2), f"x{LONG}: generator index outside 1..2 (at column 1)"),
         (f"dx{LONG}", Context(1, 1), f"dx{LONG}: index outside 1..1 (at column 1)"),
-        (f"L[x{LONG}](x1)", Context(1, 1), f"x{LONG}: index outside 1..1 (at column 1)"),
+        (f"L[x{LONG}](x1)", Context(1, 1), f"x{LONG}: index outside 1..1 (at column 3)"),
     ],
     ids=["generator", "form-generator", "field"],
 )

@@ -245,21 +245,6 @@ def test_apply_word_composition():
     assert state == manual
 
 
-def test_state_json_round_trip():
-    from supercalc.fock import state_from_json, state_to_json
-
-    rng = random.Random(44)
-    states = spanning_states(SPEC, "holomorphic", max_occupation=3)
-    for rep in REPRESENTATIONS:
-        for _ in range(8):
-            s = rng.choice(states).scale(rg.crat(rng))
-            if rep != "holomorphic":
-                s = translate(s, rep)
-            data = state_to_json(s)
-            assert data["representation"] == rep
-            assert state_from_json(data) == s
-
-
 ORACLE_SPECS = [FockAlgebraSpec(nb, nf) for nb, nf in ((0, 2), (2, 0), (1, 3), (3, 1), (2, 2))]
 LADDER_NAMES = ("b", "b+", "f", "f+")
 

@@ -13,8 +13,6 @@ from supercalc.forms import (
     contract_iX,
     divergence,
     exterior_d,
-    form_from_json,
-    form_to_json,
     insert_iX,
     integrate_density,
     lie_derivative,
@@ -446,15 +444,6 @@ def test_pairing_degree_orthogonality_and_weights():
     dens2 = SuperDensity(c, GradedPoly.aux_even(c.densities, 1) ** 2)
     assert pairing(dens2, form2) == GradedPoly.scalar(c.functions, 2)  # 2! weight
     assert pairing(dens1, form2).is_zero()  # degree mismatch
-
-
-def test_form_json_round_trip():
-    rng = random.Random(29)
-    c = CoordinateSystem(2, 2)
-    for k in range(8):
-        w = rg.form(rng, c, k % 4)
-        data = form_to_json(w)
-        assert form_from_json(data) == w
 
 
 def test_each_scope_is_load_bearing():

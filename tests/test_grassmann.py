@@ -13,10 +13,8 @@ from supercalc.grassmann import (
     NotInvertible,
     Parity,
     Supernumber,
-    dumps,
     format_supernumber,
     from_json_terms,
-    loads,
     parse_supernumber,
     to_json_terms,
 )
@@ -167,7 +165,6 @@ def test_json_round_trip():
     for _ in range(20):
         z = rg.supernumber(rng, 4)
         assert from_json_terms(to_json_terms(z), 4) == z
-        assert loads(dumps(z)) == z
     simple = Supernumber.from_indices(2, {(): 3, (1, 2): 2})
     assert to_json_terms(simple) == {"": "3", "1,2": "2"}
 

@@ -11,12 +11,10 @@ from supercalc.matrices import (
     ParitySignature,
     apply_to_vector,
     conjugate_matrix,
-    from_json_matrix,
     matmul,
     ordinary_transpose,
     superhermitian,
     supertranspose,
-    to_json_matrix,
 )
 from supercalc.scalars import CRat
 
@@ -169,10 +167,3 @@ def test_dewitt_convention_available():
         supertranspose(m), Convention.DEWITT
     )
 
-
-def test_matrix_json_round_trip():
-    rng = random.Random(10)
-    for k in range(10):
-        sig_r, sig_c = rg.parity_signature(rng), rg.parity_signature(rng)
-        m = rg.graded_matrix(rng, sig_r, sig_c, N_GEN, k % 2)
-        assert from_json_matrix(to_json_matrix(m)) == m

@@ -184,3 +184,17 @@ def test_identity_rows_only_compose_operators():
                     found.append(f"suites.py:{node.lineno}:{name}")
     assert {"_ladder", "_scalar_divergence", "lie_density_classical"} <= helpers
     assert not found, f"operators built inside identity rows: {found}"
+
+
+def test_sampled_suites_run_only_through_the_driver():
+    """`run_grassmann`, `run_berezin` and `run_linalg` are check rows over
+    `suites.evaluate_checks`: none of them, nor a function nested in one,
+    counts cases itself through `CheckResult.expect` or `SuiteReport.check`."""
+    tree = ast.parse((SOURCE / "suites.py").read_text(encoding="utf-8"))
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    found = []
+    for name in ("run_grassmann", "run_berezin", "run_linalg"):
+        calls = [node for node in ast.walk(functions[name]) if isinstance(node, ast.Call)]
+        assert any(getattr(call.func, "id", None) == "evaluate_checks" for call in calls), name
+        found += [f"{name}:{call.lineno}" for call in calls if getattr(call.func, "attr", None) in ("expect", "check")]
+    assert not found, f"sampled suites counting cases outside the driver: {found}"
