@@ -50,7 +50,7 @@ from typing import Callable, Sequence
 from . import exactmat
 from .exactmat import Matrix, NumMatrix
 from .forms import SuperForm, SuperVectorField, op_d_form, op_e_form, op_i_form, op_lie_form
-from .graded_poly import GradedPoly, _derivation_sum, _element, function_carrier
+from .graded_poly import GradedPoly, _derivation_sum, _derivation_terms, _element, function_carrier
 from .grassmann import Supernumber
 from .metric import Metric, metric_delta
 from .scalars import CRat
@@ -71,8 +71,8 @@ def gamma(ctx: Metric, v: Sequence) -> Endo:
     v = ctx.vector(v)
     carrier = function_carrier(0, d)
     cov = Supernumber(d, {1 << b: sum(map(mul, row, v), exactmat.ZERO) for b, row in enumerate(ctx.g)})
-    pairs = [(Supernumber.scalar(d, c), 1 << b, 0) for b, c in enumerate(v) if c]
-    return lambda w: cov * w + _element(Supernumber, carrier, *_derivation_sum(carrier, pairs, w))
+    terms = _derivation_terms(carrier, [(Supernumber.scalar(d, c), 1 << b, 0) for b, c in enumerate(v) if c])
+    return lambda w: cov * w + _element(Supernumber, carrier, *_derivation_sum(w.nums, w.den, terms))
 
 
 def reversal(w: ExteriorElement) -> ExteriorElement:

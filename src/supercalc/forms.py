@@ -14,8 +14,11 @@ density carriers of a patch that hold one degree; their constructors
 check both, and arithmetic on them returns plain `GradedPoly` elements,
 which the public operations below wrap again.
 
-Operators are small wrappers carrying a parity tag so that graded
-commutators are formed uniformly.  L(X) on forms is the derivation of
+An `Operator` maps the numerators and denominator of an element of its
+carrier to those of the image, content kept, and carries a parity tag so
+that graded commutators are formed uniformly.  Sums, composites P @ Q
+and brackets combine these maps, and applying an operator divides out
+the content once, building one element.  L(X) on forms is the derivation of
 parity |X| fixed by its values on the generators, one `_derivation_sum`
 pass of L(X)w = sum_A X^A dw/dy^A + (-1)^|X| sum_A dX^A dw/d(dy^A),
 not the bracket [i(X), d] that the Cartan formula equates it with
@@ -39,10 +42,13 @@ from .graded_poly import (
     Kind,
     Parity,
     _derivation_sum,
+    _derivation_terms,
     _divergence_nums,
     _element,
     _exterior_d_nums,
     _init,
+    _product,
+    _sum,
     density_carrier,
     form_carrier,
     function_carrier,
@@ -217,7 +223,8 @@ class SuperVectorField:
         """Directional derivative on a superfunction."""
         f = _as_function(self.coords, f)
         fc = self.coords.functions
-        return _element(GradedPoly, fc, *_derivation_sum(fc, _coordinate_pairs(fc, self.bose, self.fermi), f))
+        terms = _derivation_terms(fc, _coordinate_pairs(fc, self.bose, self.fermi))
+        return _element(GradedPoly, fc, *_derivation_sum(f.nums, f.den, terms))
 
     def bracket(self, other: "SuperVectorField") -> "SuperVectorField":
         """Graded Lie bracket [X, Y] = XY - (-1)^{parities} YX."""
@@ -247,38 +254,55 @@ class SuperVectorField:
 
 @dataclass(frozen=True)
 class Operator:
-    """Linear operator with a parity tag, so graded brackets compose; the
-    tag is None on a sum of an even and an odd operator."""
+    """Linear operator on one carrier, `fn(nums, den)` giving the image's
+    (nums, den) with the content kept; the parity tag is None on a sum of
+    an even and an odd operator.  A call checks the operand's carrier."""
 
     parity: int | None
-    fn: Callable[[GradedPoly], GradedPoly]
+    carrier: Carrier
+    fn: Callable[[dict, int], tuple[dict, int]]
 
     def __call__(self, w: GradedPoly) -> GradedPoly:
-        return self.fn(w)
+        if w.carrier is not self.carrier and w.carrier != self.carrier:
+            raise GeneratorMismatch(f"operand is not a {self.carrier.kind.value} over this patch")
+        return _element(GradedPoly, self.carrier, *self.fn(w.nums, w.den))
 
-    def __add__(self, other: "Operator") -> "Operator":
+    def _join(self, other: "Operator", parity: int | None, fn) -> "Operator":
+        """The operator `fn` of this one and `other`, on their one carrier."""
+        if other.carrier != self.carrier:
+            raise GeneratorMismatch(f"operators on different carriers: {self.carrier} vs {other.carrier}")
+        return Operator(parity, self.carrier, fn)
+
+    def __add__(self, other: "Operator", sign: int = 1) -> "Operator":
+        p, q = self.fn, other.fn
         parity = self.parity if self.parity == other.parity else None
-        return Operator(parity, lambda w: self.fn(w) + other.fn(w))
-
-    def __neg__(self) -> "Operator":
-        return Operator(self.parity, lambda w: -self.fn(w))
+        return self._join(other, parity, lambda nums, den: _sum(*p(nums, den), *q(nums, den), sign))
 
     def __sub__(self, other: "Operator") -> "Operator":
-        return self + (-other)
+        return self.__add__(other, -1)
+
+    def __neg__(self) -> "Operator":
+        p = self.fn
+        return Operator(self.parity, self.carrier, lambda nums, den: _sum({}, 1, *p(nums, den), -1))
+
+    def __matmul__(self, other: "Operator") -> "Operator":
+        """The composite P @ Q, which applies Q first."""
+        p, q = self.fn, other.fn
+        parity = None if None in (self.parity, other.parity) else (self.parity + other.parity) % 2
+        return self._join(other, parity, lambda nums, den: p(*q(nums, den)))
+
+    def _both_orders(self, other: "Operator", parity: int, sign: int) -> "Operator":
+        """PQ + sign * QP."""
+        p, q = self.fn, other.fn
+        return self._join(other, parity, lambda nums, den: _sum(*p(*q(nums, den)), *q(*p(nums, den)), sign))
 
     def graded_bracket(self, other: "Operator") -> "Operator":
         """[P, Q] = PQ - (-1)^{parity P * parity Q} QP."""
         anti = (_definite(self) * _definite(other)) & 1
-
-        def bracket(w: GradedPoly) -> GradedPoly:
-            pq, qp = self.fn(other.fn(w)), other.fn(self.fn(w))
-            return pq + qp if anti else pq - qp
-
-        return Operator((self.parity + other.parity) % 2, bracket)
+        return self._both_orders(other, (self.parity + other.parity) % 2, 1 if anti else -1)
 
     def anticommutator(self, other: "Operator") -> "Operator":
-        parity = (_definite(self) + _definite(other)) % 2
-        return Operator(parity, lambda w: self.fn(other.fn(w)) + other.fn(self.fn(w)))
+        return self._both_orders(other, (_definite(self) + _definite(other)) % 2, 1)
 
 
 def _definite(op: Operator) -> int:
@@ -296,37 +320,17 @@ def _parity_of(f: GradedPoly) -> int:
     return p.value if p is not Parity.EVEN else 0
 
 
-# operators on the form algebra
+def _left(parity: int, a: GradedPoly) -> Operator:
+    """Left multiplication by the element a, of the given parity."""
+    carrier = a.carrier
+    return Operator(parity, carrier, lambda nums, den: (_product(a.nums, nums, carrier), a.den * den))
 
 
-def _mult(coords: CoordinateSystem, f, carrier: Carrier) -> Operator:
-    f = _as_function(coords, f)
-    lifted = f.with_carrier(carrier)
-    return Operator(_parity_of(f), lambda w: lifted * w)
-
-
-def op_mult(coords: CoordinateSystem, f) -> Operator:
-    return _mult(coords, f, coords.forms)
-
-
-def _require(carrier: Carrier, w: GradedPoly) -> None:
-    if w.carrier != carrier:
-        raise GeneratorMismatch(f"operand is not a {carrier.kind.value} over this patch")
-
-
-def _term_pass(carrier: Carrier, w: GradedPoly, rule) -> GradedPoly:
-    """The element whose numerators rule(w.nums, carrier) gives over w's
-    denominator, on w's own carrier."""
-    _require(carrier, w)
-    return _element(GradedPoly, carrier, rule(w.nums, carrier), w.den)
-
-
-def _contract(carrier: Carrier, pairs, w: GradedPoly) -> GradedPoly:
-    """sum of comp * (derivative of w along an auxiliary) over the
-    (comp, bit, shift) pairs of `_derivation_sum`: the odd auxiliary
-    `bit`, or the even auxiliary whose field is at `shift`."""
-    _require(carrier, w)
-    return _element(GradedPoly, carrier, *_derivation_sum(carrier, pairs, w))
+def _contraction(parity: int, carrier: Carrier, pairs) -> Operator:
+    """sum of comp * (derivative along a generator) over the (comp, bit,
+    shift) pairs of `_derivation_terms`, in one `_derivation_sum` pass."""
+    terms = _derivation_terms(carrier, pairs)
+    return Operator(parity, carrier, lambda nums, den: _derivation_sum(nums, den, terms))
 
 
 def _coordinate_pairs(carrier: Carrier, bose, fermi) -> list:
@@ -345,28 +349,36 @@ def _aux_pairs(carrier: Carrier, bose, fermi) -> list:
     return pairs + [(c, 0, carrier.shift(n + alpha)) for alpha, c in enumerate(fermi, start=1) if c.nums]
 
 
+# operators on the form algebra
+
+
+def op_mult(coords: CoordinateSystem, f) -> Operator:
+    f = _as_function(coords, f)
+    return _left(_parity_of(f), f.with_carrier(coords.forms))
+
+
 def total_differential(coords: CoordinateSystem, f) -> GradedPoly:
     """dF = sum_A dx^A (dF/dx^A) as an element of the form algebra."""
-    return _term_pass(coords.forms, _as_function(coords, f).with_carrier(coords.forms), _exterior_d_nums)
+    f = _as_function(coords, f)
+    return _element(GradedPoly, coords.forms, _exterior_d_nums(f.nums, coords.forms), f.den)
 
 
 def op_e_form(coords: CoordinateSystem, f) -> Operator:
     """e(F): left wedge by dF; raises form degree by one."""
-    df = total_differential(coords, f)
-    return Operator((_parity_of(_as_function(coords, f)) + 1) % 2, lambda w: df * w)
+    return _left((_parity_of(_as_function(coords, f)) + 1) % 2, total_differential(coords, f))
 
 
 def op_d_form(coords: CoordinateSystem) -> Operator:
     """Exterior differential, an odd derivation with dd = 0."""
-    return Operator(1, lambda w: _term_pass(coords.forms, w, _exterior_d_nums))
+    forms = coords.forms
+    return Operator(1, forms, lambda nums, den: (_exterior_d_nums(nums, forms), den))
 
 
 def op_i_form(x: SuperVectorField) -> Operator:
     """Contraction i(X): components act from the left on the derivative
     along the matching differential."""
     forms = x.coords.forms
-    pairs = _aux_pairs(forms, x.bose, x.fermi)
-    return Operator((x.parity + 1) % 2, lambda w: _contract(forms, pairs, w))
+    return _contraction((x.parity + 1) % 2, forms, _aux_pairs(forms, x.bose, x.fermi))
 
 
 def op_lie_form(x: SuperVectorField) -> Operator:
@@ -380,19 +392,21 @@ def op_lie_form(x: SuperVectorField) -> Operator:
         d_comps.append(_element(GradedPoly, forms, {k: -c for k, c in nums.items()} if x.parity else nums, comp.den))
     n = x.coords.n
     pairs = _coordinate_pairs(forms, x.bose, x.fermi) + _aux_pairs(forms, d_comps[:n], d_comps[n:])
-    return Operator(x.parity, lambda w: _contract(forms, pairs, w))
+    return _contraction(x.parity, forms, pairs)
 
 
 # operators on the density algebra
 
 
 def op_mult_density(coords: CoordinateSystem, f) -> Operator:
-    return _mult(coords, f, coords.densities)
+    f = _as_function(coords, f)
+    return _left(_parity_of(f), f.with_carrier(coords.densities))
 
 
 def op_divergence(coords: CoordinateSystem) -> Operator:
     """Divergence b = sum_A d/dx^A applied to the first slot; odd, bb = 0."""
-    return Operator(1, lambda w: _term_pass(coords.densities, w, _divergence_nums))
+    densities = coords.densities
+    return Operator(1, densities, lambda nums, den: (_divergence_nums(nums, densities), den))
 
 
 def slot_element(x: SuperVectorField) -> GradedPoly:
@@ -411,8 +425,7 @@ def slot_element(x: SuperVectorField) -> GradedPoly:
 def op_i_density(x: SuperVectorField) -> Operator:
     """Insertion on densities: multiplication by the slot element, which
     performs the partial (anti)symmetrization automatically."""
-    xhat = slot_element(x)
-    return Operator((x.parity + 1) % 2, lambda w: xhat * w)
+    return _left((x.parity + 1) % 2, slot_element(x))
 
 
 def op_e_density(coords: CoordinateSystem, f) -> Operator:
@@ -420,8 +433,7 @@ def op_e_density(coords: CoordinateSystem, f) -> Operator:
     f = _as_function(coords, f)
     bose = [f.partial_x(a) for a in range(1, coords.n + 1)]
     fermi = [f.partial_xi(alpha) for alpha in range(1, coords.nu + 1)]
-    pairs = _aux_pairs(coords.densities, bose, fermi)
-    return Operator((_parity_of(f) + 1) % 2, lambda w: _contract(coords.densities, pairs, w))
+    return _contraction((_parity_of(f) + 1) % 2, coords.densities, _aux_pairs(coords.densities, bose, fermi))
 
 
 def op_lie_density(x: SuperVectorField) -> Operator:

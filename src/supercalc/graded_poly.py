@@ -41,14 +41,16 @@ it back.  The sparse term routines live here too: `_accumulate` and
 generator to the front and drops it, or lowers an even one's exponent
 by one; distinct keys stay distinct, so `GradedPoly._derive` is one
 dict comprehension with nothing to accumulate.  A sum of components
-times derivatives, sum_A c_A * dw/dx^A (a contraction i(X), e(F) on
-densities, a vector field X(F)), is one pass of `_derivation_sum` into
-one dict, with no derivative or product dict per component.  The
-exterior differential d of the form algebra and the divergence b of the
-density algebra are one-dict passes as well (`_exterior_d_nums`,
-`_divergence_nums`): each term adds its image terms, with the signs the
-products dx_a * dw/dx_a would carry, straight into the result, and no
-ring product is formed.
+times derivatives, sum_A c_A * dw/dx^A (i(X) and L(X) on forms, e(F) on
+densities, a vector field X(F), a Clifford gamma), is one pass of
+`_derivation_sum` over the numerators and denominator of w into one
+dict, with no derivative or product dict per component; the c_A enter
+as their `_derivation_terms`, built once per operator, with numerators
+rescaled to the lcm of their denominators.  The exterior differential d
+of the form algebra and the divergence b of the density algebra are
+one-dict passes as well (`_exterior_d_nums`, `_divergence_nums`): each
+term adds its image terms, with the signs the products dx_a * dw/dx_a
+would carry, straight into the result, and no ring product is formed.
 
 An element stores integer numerators over one element denominator, as
 FLINT's `fmpq_poly` does (Hart, "FLINT: Fast Library for Number
@@ -357,22 +359,32 @@ def _product(a: dict, b: dict, carrier: Carrier) -> dict:
     return out
 
 
-def _derivation_sum(carrier: Carrier, pairs, w: GradedPoly) -> tuple[dict, int]:
-    """Numerators and denominator of sum_A c_A * (derivative of w along
-    generator A) in one pass, content not divided out.  `pairs` holds
-    (c_A, bit, shift): the odd generator `bit`, or bit 0 and the exponent
-    field at `shift`.  Each derivative term of w is multiplied into c_A's
-    numerators, rescaled to the lcm of the c_A denominators, and the
-    products go straight into one dict under `_product`'s sign rule."""
+def _derivation_terms(carrier: Carrier, pairs) -> tuple:
+    """The c_A of a derivation sum, taken once per operator: the carrier,
+    the lcm of their denominators, and per (c_A, bit, shift) of `pairs`
+    (the odd generator `bit`, or bit 0 and the exponent field at `shift`)
+    bit, shift and c_A's (key, odd bits, numerator) list over that lcm."""
     odd = carrier.odd
     den = 1
     for comp, _, _ in pairs:
         den = lcm(den, comp.den)
-    items = w.nums.items()
-    out: dict = {}
+    rows = []
     for comp, bit, shift in pairs:
         f = den // comp.den
-        left = [(kc, kc & odd, cc * f if f != 1 else cc) for kc, cc in comp.nums.items()]
+        rows.append((bit, shift, [(kc, kc & odd, cc * f if f != 1 else cc) for kc, cc in comp.nums.items()]))
+    return carrier, den, rows
+
+
+def _derivation_sum(nums: dict, den: int, terms: tuple) -> tuple[dict, int]:
+    """Numerators and denominator of sum_A c_A * (derivative of nums / den
+    along generator A) for the `_derivation_terms` of the c_A, content not
+    divided out: each derivative term is multiplied into c_A's numerators
+    straight into one dict under `_product`'s sign rule."""
+    carrier, lead, rows = terms
+    odd = carrier.odd
+    items = nums.items()
+    out: dict = {}
+    for bit, shift, left in rows:
         for kw, cw in items:
             if bit:
                 if not kw & bit:
@@ -404,7 +416,7 @@ def _derivation_sum(carrier: Carrier, pairs, w: GradedPoly) -> tuple[dict, int]:
                     else:
                         out[key] = c
     _check_exponents(carrier, out)
-    return out, den * w.den
+    return out, lead * den
 
 
 # one-dict passes for the differentials d and b

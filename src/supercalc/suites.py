@@ -76,7 +76,7 @@ from .forms import (
     pairing,
     scalar_density_integral,
 )
-from .graded_poly import GradedPoly, function_carrier, split_xi
+from .graded_poly import GradedPoly, _element, function_carrier, split_xi
 from .grassmann import Convention, Parity, Supernumber
 from .matrices import (
     GradedMatrix,
@@ -390,7 +390,7 @@ def run_linalg(trials: int = 300, seed: int = 0, n_gen: int = 4) -> SuiteReport:
         ma = rg.homogeneous_entry_matrix(rng, ra, rb, n_gen, pk)
         mb = rg.homogeneous_entry_matrix(rng, rb, rc, n_gen, pl)
         kl = matmul(km, lm)
-        vec_parity = k % 2
+        vec_parity = k // 2 % 2
         coords = tuple(rg.homogeneous_supernumber(rng, n_gen, (vec_parity + p) % 2, 2) for p in sig_b.parities)
         image = apply_to_vector(km, GradedVector(sig_b, coords))
         want, got = (pk + vec_parity) % 2, image.parity()
@@ -514,7 +514,8 @@ def lie_density_classical(x: SuperVectorField) -> Operator:
     if coords.nu or x.parity:
         raise ValueError("classical oracle is for even fields on bosonic patches")
 
-    def run(w: GradedPoly) -> GradedPoly:
+    def run(nums: dict, den: int) -> tuple[dict, int]:
+        w = _element(GradedPoly, coords.densities, nums, den)
         out = GradedPoly.zero(coords.densities)
         for a, comp in enumerate(x.bose, start=1):
             out = out + comp.with_carrier(coords.densities) * w.partial_x(a)
@@ -526,9 +527,9 @@ def lie_density_classical(x: SuperVectorField) -> Operator:
                 replaced = GradedPoly.aux_odd(coords.densities, b) * w.partial_aux_odd(a)
                 out = out - grad.with_carrier(coords.densities) * replaced
         out = out + x.coordinate_divergence().with_carrier(coords.densities) * w
-        return out
+        return out.nums, out.den
 
-    return Operator(0, run)
+    return Operator(0, coords.densities, run)
 
 
 def _scalar_divergence(p: Patch, x: Field, f: Function) -> GradedPoly:
@@ -542,37 +543,37 @@ def _scalar_divergence(p: Patch, x: Field, f: Function) -> GradedPoly:
 
 
 IDENTITIES: tuple[Identity, ...] = (
-    Identity("forms: dd = 0", _every_patch, ("patch", "forms"), lambda p, w: p.d(p.d(w))),
+    Identity("forms: dd = 0", _every_patch, ("patch", "forms"), lambda p, w: (p.d @ p.d)(w)),
     Identity("forms: [e(F), e(G)] = 0", _every_patch, ("function pairs", "forms"),
              lambda fg, w: fg[0].e.graded_bracket(fg[1].e)(w)),
     Identity("forms: [i(X), i(Y)] = 0", _every_patch, ("field pairs", "forms"),
              lambda xy, w: xy.x.i.graded_bracket(xy.y.i)(w)),
     Identity("forms: [i(X), e(F)] = M(XF)", _every_patch, ("products", "two forms"),
-             lambda xf, w: xf.field.i.graded_bracket(xf.function.e)(w) - xf.image.m(w)),
+             lambda xf, w: (xf.field.i.graded_bracket(xf.function.e) - xf.image.m)(w)),
     Identity("forms: [d, e(F)] = 0", _every_patch, ("patch", "functions", "two forms"),
              lambda p, f, w: p.d.graded_bracket(f.e)(w)),
     Identity("forms: [i(X), d] = L(X)", _every_patch, ("patch", "fields", "two forms"),
-             lambda p, x, w: x.i.graded_bracket(p.d)(w) - x.lie(w)),
+             lambda p, x, w: (x.i.graded_bracket(p.d) - x.lie)(w)),
     Identity("forms: [d, L(X)] = 0", _every_patch, ("patch", "fields", "two forms"),
              lambda p, x, w: p.d.graded_bracket(x.lie)(w)),
     Identity("forms: [d, M(F)] = e(F)", _every_patch, ("patch", "functions", "two forms"),
-             lambda p, f, w: p.d.graded_bracket(f.m)(w) - f.e(w)),
+             lambda p, f, w: (p.d.graded_bracket(f.m) - f.e)(w)),
     Identity("forms: [L(X), L(Y)] = L([X, Y])", _every_patch, ("field pairs", "two forms"),
-             lambda xy, w: xy.x.lie.graded_bracket(xy.y.lie)(w) - xy.bracket.lie(w)),
+             lambda xy, w: (xy.x.lie.graded_bracket(xy.y.lie) - xy.bracket.lie)(w)),
     Identity("forms: [L(X), e(F)] = (-1)^X e(XF)", _every_patch, ("two-function products", "two forms"),
-             lambda xf, w: xf.field.lie.graded_bracket(xf.function.e)(w)
-             - xf.image.e(w) * CRat(-1 if xf.field.x.parity else 1)),
+             lambda xf, w: (xf.field.lie.graded_bracket(xf.function.e)
+                            - (-xf.image.e if xf.field.x.parity else xf.image.e))(w)),
     Identity("forms: [L(X), M(F)] = M(XF)", _every_patch, ("two-function products", "two forms"),
-             lambda xf, w: xf.field.lie.graded_bracket(xf.function.m)(w) - xf.image.m(w)),
+             lambda xf, w: (xf.field.lie.graded_bracket(xf.function.m) - xf.image.m)(w)),
     Identity("forms: [L(X), i(Y)] = i([X, Y])", _every_patch, ("field pairs", "two forms"),
-             lambda xy, w: xy.x.lie.graded_bracket(xy.y.i)(w) - xy.bracket.i(w)),
+             lambda xy, w: (xy.x.lie.graded_bracket(xy.y.i) - xy.bracket.i)(w)),
     Identity("forms: d = sum e(x^A) L(d/dx^A)", _every_patch, ("patch", "forms"),
-             lambda p, w: sum((a.coordinate.e(a.field.lie(w)) for a in p.directions), -p.d(w))),
+             lambda p, w: sum((a.coordinate.e @ a.field.lie for a in p.directions), -p.d)(w)),
     Identity("forms: ladder pairs {i(d_a), e(x^k)} = delta, [i(d_xi), e(xi)] = delta", _every_patch,
              ("coordinate pairs", "forms"), _ladder),
     Identity("forms: i(odd X) is an even derivation over wedge", _every_patch,
              ("odd fields", "two forms", "two forms"), lambda x, w, v: x.i(w * v) - (x.i(w) * v + w * x.i(v))),
-    Identity("densities: bb = 0", _every_patch, ("patch", "densities"), lambda p, u: p.b(p.b(u))),
+    Identity("densities: bb = 0", _every_patch, ("patch", "densities"), lambda p, u: (p.b @ p.b)(u)),
     Identity("densities: [e(F), e(G)] = 0", _every_patch, ("function pairs", "two densities"),
              lambda fg, u: fg[0].e_density.graded_bracket(fg[1].e_density)(u)),
     Identity("densities: [i(X), i(Y)] = 0", _every_patch, ("field pairs", "two densities"),
@@ -580,17 +581,17 @@ IDENTITIES: tuple[Identity, ...] = (
     Identity("densities: [b, e(F)] = 0", _every_patch, ("patch", "b-closed functions", "two densities"),
              lambda p, f, u: p.b.graded_bracket(f.e_density)(u)),
     Identity("densities: [e(F), i(X)]+ = M(XF) (bosonic)", _bosonic, ("products", "two densities"),
-             lambda xf, u: xf.function.e_density.graded_bracket(xf.field.i_density)(u) - xf.image.m_density(u)),
+             lambda xf, u: (xf.function.e_density.graded_bracket(xf.field.i_density) - xf.image.m_density)(u)),
     Identity("densities: [b, L(X)] = 0", _every_patch, ("patch", "fields", "two densities"),
              lambda p, x, u: p.b.graded_bracket(x.lie_density)(u)),
     Identity("densities: b = sum e(x^A) L(d/dx^A)", _every_patch, ("patch", "densities"),
-             lambda p, u: sum((a.coordinate.e_density(a.field.lie_density(u)) for a in p.directions), -p.b(u))),
+             lambda p, u: sum((a.coordinate.e_density @ a.field.lie_density for a in p.directions), -p.b)(u)),
     Identity("densities: L(d/dx^A) acts as d/dx^A", _every_patch, ("densities", "coordinates"),
              lambda u, a: a.field.lie_density(u)
              - (u.partial_x(a.label[1]) if a.label[0] == "x" else u.partial_xi(a.label[1]))),
     Identity("densities: bracket Lie = classical component formula (bosonic)", _bosonic,
              ("even fields", "densities"),
-             lambda x, u: x.lie_density(u) - lie_density_classical(x.x)(u)),
+             lambda x, u: (x.lie_density - lie_density_classical(x.x))(u)),
     Identity("densities: [b, i(X)]+ = d_mu(X^mu .) on scalars (bosonic)", _bosonic,
              ("patch", "even fields", "functions"), _scalar_divergence),
 )
@@ -668,17 +669,17 @@ def run_complexes(
 
     for n, nu in mixes:
         coords = CoordinateSystem(n, nu)
-        d = op_d_form(coords)
-        b = op_divergence(coords)
+        d, b = op_d_form(coords), op_divergence(coords)
+        dd_op, bb_op = d @ d, b @ b
         max_deg = 3 if nu else min(3, n)
 
         dd = report.check(f"({n},{nu}) dd = 0")
         bb = report.check(f"({n},{nu}) bb = 0")
         for k in range(trials):
             w = rg.form(rng, coords, k % (max_deg + 1))
-            dd.expect(d(d(w)).is_zero(), f"dd #{k}")
+            dd.expect(dd_op(w).is_zero(), f"dd #{k}")
             u = rg.density(rng, coords, k % (max_deg + 1))
-            bb.expect(b(b(u)).is_zero(), f"bb #{k}")
+            bb.expect(bb_op(u).is_zero(), f"bb #{k}")
 
         wedge_comm = report.check(f"({n},{nu}) wedge graded commutativity")
         for k in range(trials // 4):

@@ -9,13 +9,16 @@ supernumber z acts as L(z) = sum_I z_I c_I, where c_I = c_i1 ... c_ip
 for i1 < ... < ip.  These matrices come from that rule alone and call
 nothing in `graded_poly`, so a slip in `merge_sign`, which signs every
 kernel product, shows as L(ab) != L(a) L(b).  The left derivative
-d/dx_k is the transpose of c_k.
+d/dx_k is the transpose of c_k, and the inverse of a supernumber with a
+nonzero body is the inverse matrix, found by exact Gauss-Jordan
+elimination in `exactmat` rather than by the soul's geometric series.
 """
 
 import random
 
 import pytest
 
+from supercalc import exactmat
 from supercalc import randomgen as rg
 from supercalc.berezin import grassmann_derivative
 
@@ -70,3 +73,21 @@ def test_left_derivative_is_the_transposed_creation_matrix(n):
                 if row in z.terms:
                     image[col] = sign * z.terms[row]
             assert grassmann_derivative(z, k).terms == image
+
+
+def dense(m: dict, n: int) -> list:
+    """The 2^n x 2^n `exactmat` matrix of a {(row, column): value} dict."""
+    return exactmat.from_rows([[m.get((r, col), 0) for col in range(1 << n)] for r in range(1 << n)])
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_inverse_matches_the_inverse_regular_matrix(n):
+    """L(z^-1) is the exact Gauss-Jordan inverse of L(z), and L(z) L(z^-1)
+    is the identity, for z with a nonzero body."""
+    rng = random.Random(90 + n)
+    identity = {(m, m): 1 for m in range(1 << n)}
+    for _ in range(3):
+        z = rg.supernumber(rng, n, terms=2 * n, ensure_body=True)
+        inv = z.inverse()
+        assert dense(regular(inv), n) == exactmat.inverse(dense(regular(z), n))
+        assert matmul(regular(z), regular(inv)) == identity

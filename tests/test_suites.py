@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from supercalc import suites
 from supercalc.suites import Block, Check, SuiteReport, evaluate_checks, run_berezin, run_grassmann, run_linalg
 
 # (name, cases) of each check at seed 0 and 8 trials
@@ -60,3 +61,16 @@ def test_driver_scopes_checks_and_formats_only_failures():
         ("even k", 6, [f"#1 x={xs[1]}"]),
         ("k > 0", 1, ["#1"]),
     ]
+
+
+def test_vector_parity_check_meets_both_parities(monkeypatch):
+    """The draws of "even matrices preserve, odd matrices flip, vector
+    parity" pair each matrix parity with both vector parities, so the
+    wanted image parity is 0 on some draws and 1 on others."""
+    captured = []
+    monkeypatch.setattr(suites, "evaluate_checks", lambda report, checks: captured.extend(checks) or report)
+    run_linalg(seed=0, trials=8)
+    (check,) = [c for c in captured if c.name == "even matrices preserve, odd matrices flip, vector parity"]
+    rng = random.Random(0)
+    draws = [check.block.draw(rng, k) for k in range(check.block.count)]
+    assert {(t["pk"], t["want"]) for t in draws} == {(0, 0), (0, 1), (1, 0), (1, 1)}
