@@ -13,19 +13,22 @@ Two evaluation contexts share one grammar:
 
 ``*`` and ``^`` both denote the graded product (the wedge); ``+``/``-``
 and parentheses behave as usual, and numeric literals are exact
-rationals with an optional trailing ``i``, read by `scalars.parse_crat`.
+rationals with an optional trailing ``i``.
 
-`tokenize` reads the text in one scan of `_TOKEN`, and `_parse_expr`
+`tokenize` reads the text in one `findall` pass of `_TOKEN` and adds
+up the lengths of the blanks and tokens for the positions.  `_parse_expr`
 reads one sum, such as sum_I z_I xi^I, into one element.  Each term is
 one loop over its factors:
 
 * unary signs fold into one sign of the term;
-* literals and ``i`` multiply into one `CRat` coefficient;
+* literals, read by `scalars.unsigned_literal`, and ``i`` multiply
+  into one `CRat` coefficient;
 * a generator name (one that is no ``--let`` binding and is not followed
-  by ``[`` or ``(``) is its kernel key, and a run of them folds into one
-  pending monomial, an int key and a sign, by the kernel's rules: keys
-  add, a repeated odd generator makes the run zero, and `merge_sign` of
-  the odd bits gives the sign;
+  by ``[`` or ``(``) is its kernel key, from `Context.generator_key` on
+  its first use and from the context's name table after that; a run of
+  them folds into one pending monomial, an int key and a sign, by the
+  kernel's rules: keys add, a repeated odd generator makes the run zero,
+  and `merge_sign` of the odd bits gives the sign;
 * a parenthesised sum, a call or a binding that is an element enters the
   term's numerators through `graded_poly._product`, after the carrier
   check that element arithmetic makes; a pending run enters the same way
@@ -80,7 +83,7 @@ from .graded_poly import (
     merge_sign,
 )
 from .grassmann import Convention, Supernumber
-from .scalars import CRat, parse_crat
+from .scalars import CRat, unsigned_literal
 
 
 _I = CRat(0, 1)
@@ -93,11 +96,10 @@ class ExprError(ValueError):
         self.position = position
 
 
+# leading blanks, then one token or a character that no token reads
 _TOKEN = re.compile(
-    r"\s*(?:(?P<num>\d+(?:/\d+)?i?)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
-    r"|(?P<op>[-+*^()\[\],:])|(?P<bad>\S))"
+    r"(\s*)(?:(?P<op>[-+*^()\[\],:])|(?P<num>\d+(?:/\d+)?i?)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<bad>\S))"
 )
-_BAD = _TOKEN.groupindex["bad"]
 
 
 def tokenize(text: str) -> list[tuple[str, str, int]]:
@@ -105,11 +107,20 @@ def tokenize(text: str) -> list[tuple[str, str, int]]:
     `_TOKEN` group that matched.  Blanks after the last token end the
     input; the first other character that no token reads is an error."""
     out = []
-    for m in _TOKEN.finditer(text):
-        k = m.lastindex
-        if k == _BAD:
-            raise ExprError(f"unexpected character {m[k]!r}", m.start(k))
-        out.append((m.lastgroup, m[k], m.start(k)))
+    end = 0
+    for blank, op, num, name, bad in _TOKEN.findall(text):
+        at = end + len(blank)
+        if op:
+            out.append(("op", op, at))
+            end = at + 1
+        elif num:
+            out.append(("num", num, at))
+            end = at + len(num)
+        elif name:
+            out.append(("name", name, at))
+            end = at + len(name)
+        else:
+            raise ExprError(f"unexpected character {bad!r}", at)
     return out
 
 
@@ -160,6 +171,7 @@ class Context:
         self.n = n
         self.nu = nu
         self.bindings = bindings or {}
+        self.name_keys: dict[str, int] = {}  # of the generator names read, from `generator_key`
         self.form_mode = n > 0
         self.coords = CoordinateSystem(n, nu) if self.form_mode else None
         # the carrier and class of a generator, and so of what arithmetic on generators gives
@@ -285,6 +297,7 @@ def _parse_expr(p: _Parser, ctx: Context):
     docstring says."""
     tokens = p.tokens
     bindings = ctx.bindings
+    name_keys = ctx.name_keys
     odd = ctx.carrier.odd
     scalar = None  # the sum of the scalar terms
     parts = []  # (nums, den) of each element term
@@ -306,7 +319,7 @@ def _parse_expr(p: _Parser, ctx: Context):
                 p.pos += 1
             if kind == "num":
                 try:
-                    value = parse_crat(text)
+                    value = unsigned_literal(text)
                 except ValueError as exc:
                     raise ExprError(str(exc), at) from None
             elif kind == "name" and tokens[p.pos][1] not in ("[", "("):
@@ -314,7 +327,9 @@ def _parse_expr(p: _Parser, ctx: Context):
             else:
                 value = _parse_group(p, ctx, kind, text, at)
             if value is None:
-                g = ctx.generator_key(text, at)
+                g = name_keys.get(text)
+                if g is None:
+                    g = name_keys[text] = ctx.generator_key(text, at)
                 if key is None:
                     if nums is None:
                         tcarrier, tcls = ctx.carrier, ctx.element_class
@@ -461,7 +476,3 @@ def evaluate(text: str, ctx: Context, column: int = 0):
     except ExprError as exc:
         raise ExprError(exc.reason, exc.position + column) from None
     return ctx.as_element(value)
-
-
-def evaluate_supernumber_text(text: str, nu: int) -> Supernumber:
-    return evaluate(text, Context(0, nu))

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Callable, Sequence
 
 from .berezin import berezin_integral
@@ -410,16 +411,22 @@ def op_divergence(coords: CoordinateSystem) -> Operator:
 
 
 def slot_element(x: SuperVectorField) -> GradedPoly:
-    """The density-algebra element representing X: slots times components."""
-    coords = x.coords
-    out = GradedPoly.zero(coords.densities)
-    for a, comp in enumerate(x.bose, start=1):
-        if not comp.is_zero():
-            out = out + GradedPoly.aux_odd(coords.densities, a) * comp.with_carrier(coords.densities)
+    """The density-algebra element representing X, slots times components,
+    in one pass over the numerators over the lcm of their denominators:
+    the odd slot of d/dx_a passes a term's xi factors with their sign."""
+    densities = x.coords.densities
+    nu = densities.nu
+    den = 1
+    for comp in x.bose + x.fermi:
+        den = lcm(den, comp.den)
+    nums: dict = {}
+    for a, comp in enumerate(x.bose):
+        bit, f = 1 << (nu + a), den // comp.den
+        nums.update((k + bit, -c * f if (k & (bit - 1)).bit_count() & 1 else c * f) for k, c in comp.nums.items())
     for alpha, comp in enumerate(x.fermi, start=1):
-        if not comp.is_zero():
-            out = out + GradedPoly.aux_even(coords.densities, alpha) * comp.with_carrier(coords.densities)
-    return out
+        step, f = 1 << densities.shift(densities.n + alpha), den // comp.den
+        nums.update((k + step, c * f) for k, c in comp.nums.items())
+    return _element(GradedPoly, densities, nums, den)
 
 
 def op_i_density(x: SuperVectorField) -> Operator:

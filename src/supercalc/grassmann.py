@@ -23,7 +23,7 @@ from typing import Mapping
 
 # GeneratorMismatch and Parity are kernel names that callers import from here too
 from .graded_poly import GeneratorMismatch, GradedPoly, Parity, _element, _pair, function_carrier, indices_of, mask_of
-from .scalars import CRat, _crat
+from .scalars import CRat, _crat, _format_complex
 
 MultiIndex = tuple[int, ...]
 
@@ -162,38 +162,34 @@ class Supernumber(GradedPoly):
 
 
 def format_supernumber(z: Supernumber) -> str:
-    """Canonical text form like ``3 + 2*x1^x2`` (x_i are the generators)."""
-    if z.is_zero():
+    """Canonical text form like ``3 + 2*x1^x2`` (x_i are the generators),
+    each coefficient printed from its numerator over `z.den`."""
+    nums, den = z.nums, z.den
+    if not nums:
         return "0"
     chunks = []
-    for indices, coeff in z.sorted_terms():
-        mono = "^".join(f"x{i}" for i in indices)
+    for _, indices, m in sorted((m.bit_count(), indices_of(m), m) for m in nums):
+        c = nums[m]
+        a, b = (c, 0) if type(c) is int else (c._a, c._b)
+        mono = "^".join([f"x{i}" for i in indices])
         if not indices:
-            text = str(coeff)
-        elif coeff == 1:
+            text = _format_complex(a, b, den)
+        elif not b and a == den:
             text = mono
-        elif coeff == -1:
+        elif not b and a == -den:
             text = f"-{mono}"
         else:
-            c = str(coeff)
-            if "+" in c[1:] or "-" in c[1:]:
-                c = f"({c})"
-            text = f"{c}*{mono}"
+            c = _format_complex(a, b, den)
+            text = f"({c})*{mono}" if a and b else f"{c}*{mono}"
         chunks.append(text)
-    out = chunks[0]
-    for chunk in chunks[1:]:
-        if chunk.startswith("-"):
-            out += " - " + chunk[1:]
-        else:
-            out += " + " + chunk
-    return out
+    return " + ".join(chunks).replace(" + -", " - ")  # no chunk holds a blank
 
 
 def parse_supernumber(text: str, n: int) -> Supernumber:
     """Parse the canonical text form back into a supernumber."""
-    from .exprlang import evaluate_supernumber_text
+    from .exprlang import Context, evaluate
 
-    return evaluate_supernumber_text(text, n)
+    return evaluate(text, Context(0, n))
 
 
 def to_json_terms(z: Supernumber) -> dict[str, str]:

@@ -21,9 +21,9 @@ the other operand's reflected operator: `CRat(2) * x` and `CRat(2) - x`
 work for an element x as `2 * x` does, and a float, str or None still
 raises `TypeError`.
 
-`parse_crat` reads a literal's numerators and denominators with `int()`
-from one regular-expression match and reduces the result once in
-`_crat`; the expression reader's number tokens go through it too.
+`unsigned_literal` is the one reader of literal text: ``n[/d][i]`` read
+with `int()` and reduced once in `_crat`.  The expression reader's number
+tokens go straight to it, and `parse_crat` sends it each signless part.
 """
 
 from __future__ import annotations
@@ -241,7 +241,11 @@ def _format_rat(n: int, d: int) -> str:
 
 def format_crat(c: CRat) -> str:
     """Render like ``3``, ``-1/2``, ``2i``, ``1+2i`` or ``1/2-3/4i``."""
-    a, b, d = c._a, c._b, c._d
+    return _format_complex(c._a, c._b, c._d)
+
+
+def _format_complex(a: int, b: int, d: int) -> str:
+    """`format_crat` of (a + b*i) / d, d > 0, reduced or not."""
     if not b:
         return _format_rat(a, d)
     im_part = "i" if abs(b) == d else _format_rat(abs(b), d) + "i"
@@ -251,42 +255,43 @@ def format_crat(c: CRat) -> str:
     return f"{_format_rat(a, d)}{sign}{im_part}"
 
 
-_RAT = r"(\d+)(?:/(\d+))?"  # numerator and optional denominator, each read with int()
-_PURE_REAL = re.compile(rf"([+-]?){_RAT}")
-_PURE_IMAG = re.compile(rf"([+-]?)(?:{_RAT})?i")
-_REAL_IMAG = re.compile(rf"([+-]?){_RAT}([+-])(?:{_RAT})?i")
+_UNSIGNED = re.compile(r"\d+(?:/\d+)?i?|i")
+_REAL_IMAG = re.compile(r"([+-]?)(\d+(?:/\d+)?)([+-])(\d+(?:/\d+)?)?i")
 _ZERO_DENOMINATOR = re.compile(r"/0+(?!\d)")
 
 
-def _part(sign: str, n: str | None, d: str | None) -> tuple[int, int]:
-    """A matched ``[sign]n[/d]`` as (numerator, denominator); a missing
-    n is 1, as in ``i``."""
-    n = int(n) if n else 1
-    return -n if sign == "-" else n, int(d) if d else 1
+def unsigned_literal(text: str, literal: str | None = None) -> CRat:
+    """The value of ``n[/d][i]`` or a bare ``i``, a shape that the caller
+    has matched; a zero denominator is refused, naming `literal`, the
+    whole literal as written (`text` by default)."""
+    imag = text[-1] == "i"
+    n, _, d = (text[:-1] if imag else text).partition("/")
+    a = int(n) if n else 1
+    q = int(d) if d else 1
+    if not q:
+        raise ValueError(f"zero denominator in scalar literal {literal or text!r}")
+    return _crat(0, a, q) if imag else _crat(a, 0, q)
 
 
 def parse_crat(text: str) -> CRat:
     """Inverse of :func:`format_crat`: ``3``, ``-1/2``, ``2i``, ``-i``,
-    ``1+2i`` or ``1/2-3/4i``, spaces around it allowed.  Each part is
-    read with `int()` and the result is reduced once by `_crat`."""
+    ``1+2i`` or ``1/2-3/4i``, spaces around it allowed; each signless
+    part is read by `unsigned_literal`."""
     if not isinstance(text, str):
         raise ValueError(f"scalar literal {text!r} is not a string")
     text = text.strip()
-    if m := _PURE_REAL.fullmatch(text):
-        a, d = _part(*m.groups())
-        if d:
-            return _crat(a, 0, d)
-    elif m := _PURE_IMAG.fullmatch(text):
-        b, d = _part(*m.groups())
-        if d:
-            return _crat(0, b, d)
-    elif m := _REAL_IMAG.fullmatch(text):
-        a, q = _part(*m.group(1, 2, 3))
-        b, d = _part(*m.group(4, 5, 6))
-        if q and d:
-            return _crat(a * d, b * q, q * d)
-    # a match falls through only on a zero denominator; other text names
-    # one too when it has "/0" (as in "3/0x"), as the CLI has always said
-    if m or _ZERO_DENOMINATOR.search(text):
+    sign = text[:1]
+    body = text[1:] if sign == "-" or sign == "+" else text
+    if _UNSIGNED.fullmatch(body):
+        c = unsigned_literal(body, text)
+        return -c if sign == "-" else c
+    if m := _REAL_IMAG.fullmatch(text):
+        re_sign, re_part, im_sign, im_part = m.groups()
+        a = unsigned_literal(re_part, text)
+        b = unsigned_literal(f"{im_part or ''}i", text)
+        return (-a if re_sign == "-" else a) + (-b if im_sign == "-" else b)
+    # other text names a zero denominator when it has "/0" (as in "3/0x"),
+    # as the CLI has always said
+    if _ZERO_DENOMINATOR.search(text):
         raise ValueError(f"zero denominator in scalar literal {text!r}")
     raise ValueError(f"bad scalar literal: {text!r}")

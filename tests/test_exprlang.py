@@ -339,3 +339,84 @@ def test_a_lone_binding_comes_back_unchanged():
     assert evaluate("x2", ctx) is trees.bindings["x2"]
     assert evaluate("((+--x2))", ctx) is trees.bindings["x2"]
     assert evaluate("x1 * x2", ctx) == trees.generators[0][1] * trees.bindings["x2"]
+
+
+# -- literals and names, read once per token ---------------------------------
+
+
+def _int_limit_message(digits: str) -> str:
+    """What `int()` says of a digit string past the interpreter's limit."""
+    try:
+        int(digits)
+    except ValueError as exc:
+        return str(exc)
+    pytest.skip("this interpreter reads digit strings of any length")
+
+
+@pytest.mark.parametrize(
+    "args, code, out, err",
+    [
+        (("eval", "٣", "--nu", "0"), 0, "3\n", ""),
+        (("eval", "١٢/٣", "--nu", "0", "--json"), 0, '{"result": "4"}\n', ""),
+        (("eval", "٣*x1", "--n", "1", "--nu", "1"), 0, "(3)*x1\n", ""),
+        (("eval", "3/0", "--nu", "0"), 2, "", "error: zero denominator in scalar literal '3/0' (at column 1)\n"),
+        (("eval", "1 + 3/٠i", "--nu", "1"), 2, "", "error: zero denominator in scalar literal '3/٠i' (at column 5)\n"),
+        (("eval", "3/0x", "--nu", "1"), 2, "", "error: zero denominator in scalar literal '3/0' (at column 1)\n"),
+        (("eval", "x1 # x2", "--nu", "2"), 2, "", "error: unexpected character '#' (at column 4)\n"),
+        (("eval", "1/2/3", "--nu", "1"), 2, "", "error: unexpected character '/' (at column 4)\n"),
+        (("eval", "x1 *x1 + 1 )", "--nu", "2"), 2, "", "error: trailing input ')' (at column 12)\n"),
+        (("eval", "(1 +", "--nu", "2"), 2, "", "error: unexpected end of input (at column 5)\n"),
+    ],
+)
+def test_cli_reads_literals_as_before(capsys, args, code, out, err):
+    """Exit code, stdout and the `error:` line, with its column, as the
+    command line printed them when every literal went through `parse_crat`."""
+    assert main(list(args)) == code
+    assert capsys.readouterr() == (out, err)
+
+
+@pytest.mark.parametrize(
+    "text, column",
+    [(LONG, 1), (f"2*{LONG}", 3), (f"{LONG}/3", 1), (f"3/{LONG}i", 1), (f"x1 - {LONG}i*x1", 6)],
+)
+def test_a_literal_past_the_digit_limit_keeps_int_s_message(capsys, text, column):
+    reason = _int_limit_message(LONG)
+    assert main(["eval", text, "--nu", "1"]) == 2
+    assert capsys.readouterr() == ("", f"error: {reason} (at column {column})\n")
+
+
+def test_the_name_table_keeps_only_keys_that_were_read():
+    ctx = Context(0, 3)
+    assert evaluate("x3*x1 + x3", ctx) == Supernumber.from_indices(3, {(1, 3): -1, (3,): 1})
+    assert ctx.name_keys == {"x3": 4, "x1": 1}
+    small = Context(0, 2)
+    for _ in range(2):  # a refused name is not stored, so it is refused again with its column
+        with pytest.raises(ExprError) as info:
+            evaluate("x1 + 2*x3", small)
+        assert str(info.value) == "x3: generator index outside 1..2 (at column 8)"
+        assert small.name_keys == {"x1": 1}
+
+
+def test_form_names_go_through_the_table():
+    ctx = Context(1, 1)
+    got = evaluate("x1*xi1*dx1 + dxi1*x1 - xi1*dxi1*x1", ctx)
+    names = ("x1", "xi1", "dx1", "dxi1")
+    assert ctx.name_keys == {name: ctx.generator_key(name, 0) for name in names}
+    forms = ctx.coords.forms
+    x, xi = GradedPoly.coordinate(forms, 1), GradedPoly.odd_coordinate(forms, 1)
+    dx, dxi = GradedPoly.aux_odd(forms, 1), GradedPoly.aux_even(forms, 1)
+    assert got == x * xi * dx + dxi * x - xi * dxi * x
+    with pytest.raises(ExprError, match=r"^dxi2: index outside 1\.\.1 \(at column 6\)$"):
+        evaluate("dxi1*dxi2", ctx)
+    assert "dxi2" not in ctx.name_keys
+
+
+def test_a_binding_shadows_a_generator_name(tmp_path, capsys):
+    binding = Supernumber.from_indices(2, {(): 2, (2,): Fraction(1, 3)})
+    ctx = Context(0, 2, {"x1": binding})
+    assert evaluate("x1*x2 + x2", ctx) == binding * Supernumber.generator(2, 2) + Supernumber.generator(2, 2)
+    assert ctx.name_keys == {"x2": 2}
+    path = tmp_path / "w.json"
+    path.write_text('{"": "2", "2": "1/3"}', encoding="utf-8")
+    assert main(["eval", "x1*x1 + x2", "--nu", "2", "--let", f"x1={path}"]) == 0
+    assert capsys.readouterr().out == "4 + 7/3*x2\n"

@@ -160,6 +160,54 @@ def test_text_serialization_round_trip():
     assert format_supernumber(Supernumber.scalar(2, 3) + gens(2)[0] * gens(2)[1] * 2) == "3 + 2*x1^x2"
 
 
+def ref_format_supernumber(z: Supernumber) -> str:
+    """The text form printed from the `.terms` view: `str` of each
+    coefficient of `sorted_terms`, parenthesised when it holds an inner sign."""
+    if z.is_zero():
+        return "0"
+    chunks = []
+    for indices, coeff in z.sorted_terms():
+        mono = "^".join(f"x{i}" for i in indices)
+        if not indices:
+            text = str(coeff)
+        elif coeff == 1:
+            text = mono
+        elif coeff == -1:
+            text = f"-{mono}"
+        else:
+            c = str(coeff)
+            if "+" in c[1:] or "-" in c[1:]:
+                c = f"({c})"
+            text = f"{c}*{mono}"
+        chunks.append(text)
+    out = chunks[0]
+    for chunk in chunks[1:]:
+        out += " - " + chunk[1:] if chunk.startswith("-") else " + " + chunk
+    return out
+
+
+COEFFICIENTS = [1, -1, CRat(0, 1), CRat(0, -1), CRat(2, -3), CRat(Fraction(-1, 2), Fraction(3, 4)),
+                Fraction(5, 7), Fraction(-6, 4), 7, -12, CRat(0, Fraction(-2, 3)), CRat(Fraction(9, 3), 1)]
+
+
+def test_the_text_form_matches_the_terms_view_printer():
+    """`format_supernumber` prints from the numerators over one
+    denominator; products give Gaussian numerators whose imaginary part
+    cancels, which print as reals."""
+    rng = random.Random(30)
+    real_gaussian = 0
+    for n in range(9):
+        samples = [Supernumber.zero(n), Supernumber.scalar(n, CRat(0, Fraction(-1, 3)))]
+        for _ in range(40):
+            masks = rng.sample(range(1 << n), min(1 << n, rng.randint(1, 6)))
+            z = Supernumber(n, {m: rng.choice(COEFFICIENTS) for m in masks})
+            samples += [z, Supernumber.scalar(n, rng.choice(COEFFICIENTS)), z * rg.supernumber(rng, n)]
+        for z in samples:
+            assert format_supernumber(z) == ref_format_supernumber(z), z.terms
+            real_gaussian += any(type(c) is CRat and not c._b for c in z.nums.values())
+    assert real_gaussian
+
+
 def test_json_round_trip():
     rng = random.Random(3)
     for _ in range(20):

@@ -24,7 +24,7 @@ from supercalc.forms import (
     op_mult,
     op_mult_density,
 )
-from supercalc.graded_poly import GeneratorMismatch
+from supercalc.graded_poly import GeneratorMismatch, GradedPoly
 from supercalc.scalars import CRat
 from supercalc.suites import DEFAULT_MIXES
 
@@ -121,3 +121,60 @@ def test_a_table_row_builds_one_element(mix, monkeypatch):
             built.clear()
             assert row.deviation(*elements).is_zero(), row.name
             assert len(built) == 1, (row.name, len(built))
+
+
+# -- d, b and the slot element by a second route ----------------------------
+
+
+def _slot_element_by_products(x):
+    """Slots times components by element arithmetic."""
+    densities = x.coords.densities
+    out = GradedPoly.zero(densities)
+    for a, comp in enumerate(x.bose, start=1):
+        out = out + GradedPoly.aux_odd(densities, a) * comp.with_carrier(densities)
+    for alpha, comp in enumerate(x.fermi, start=1):
+        out = out + GradedPoly.aux_even(densities, alpha) * comp.with_carrier(densities)
+    return out
+
+
+@pytest.mark.parametrize("mix", DEFAULT_MIXES, ids=str)
+def test_slot_element_matches_the_element_route(mix):
+    c = CoordinateSystem(*mix)
+    rng = random.Random(3000 + 10 * mix[0] + mix[1])
+    mixed_dens = 0
+    for parity in (0, 1):
+        for _ in range(15):
+            x = rg.vector_field(rng, c, parity)
+            got = forms.slot_element(x)
+            assert type(got) is GradedPoly and got.carrier == c.densities
+            assert got == _slot_element_by_products(x), (mix, parity)
+            mixed_dens += len({comp.den for comp in x.bose + x.fermi if not comp.is_zero()}) > 1
+    assert mixed_dens  # the components were brought over a common denominator
+
+
+@pytest.mark.parametrize("mix", DEFAULT_MIXES, ids=str)
+def test_d_and_b_by_partial_derivatives(mix):
+    """d = sum_A dy^A dw/dy^A from `partial_x`/`partial_xi` and element
+    products, and b = sum_A d/dy^A composed with the derivative along the
+    slot of d/dy^A, against the one-dict kernels of `op_d_form` and
+    `op_divergence`."""
+    c = CoordinateSystem(*mix)
+    rng = random.Random(3100 + 10 * mix[0] + mix[1])
+    f, s = c.forms, c.densities
+    d, b = op_d_form(c), op_divergence(c)
+    max_deg = 3 if c.nu else c.n
+    for _ in range(40):
+        w = rg.form(rng, c, rng.randint(0, max_deg))
+        want = GradedPoly.zero(f)
+        for a in range(1, c.n + 1):
+            want = want + GradedPoly.aux_odd(f, a) * w.partial_x(a)
+        for alpha in range(1, c.nu + 1):
+            want = want + GradedPoly.aux_even(f, alpha) * w.partial_xi(alpha)
+        assert d(w) == want, (mix, w)
+        v = rg.density(rng, c, rng.randint(0, max_deg))
+        want = GradedPoly.zero(s)
+        for a in range(1, c.n + 1):
+            want = want + v.partial_aux_odd(a).partial_x(a)
+        for alpha in range(1, c.nu + 1):
+            want = want + v.partial_aux_even(alpha).partial_xi(alpha)
+        assert b(v) == want, (mix, v)

@@ -6,7 +6,9 @@ from math import gcd
 
 import pytest
 
-from supercalc.scalars import CRat, format_crat, parse_crat
+from supercalc.exprlang import Context, evaluate
+from supercalc.grassmann import Supernumber
+from supercalc.scalars import CRat, format_crat, parse_crat, unsigned_literal
 
 # -- the reference: (re, im) pairs of Fractions ----------------------------
 
@@ -241,6 +243,18 @@ def test_parse_matches_the_fraction_reader():
                     c = parse_crat(text)
                     assert c == ref_literal(text.strip()) and canonical(c)
     assert parse_crat("007/010i") == CRat(0, Fraction(7, 10)) and parse_crat("0i") == 0
+
+
+def test_the_reader_reads_literals_as_the_fraction_reader():
+    """The expression reader's number tokens, non-ASCII digits included,
+    go to `unsigned_literal`; a signed one reads as a negated sum."""
+    for r in RATIONALS:
+        for text in (r, r + "i"):
+            want = Supernumber.scalar(1, ref_literal(text))
+            assert evaluate(text, Context(0, 1)) == want, text
+            assert unsigned_literal(text) == ref_literal(text) and canonical(unsigned_literal(text)), text
+            assert evaluate(f"-{text}*x1", Context(0, 1)) == -want * Supernumber.generator(1, 1), text
+            assert evaluate(text, Context(1, 0)) == ref_literal(text), text  # form mode
 
 
 @pytest.mark.parametrize("text", ["3/0", "3/00", "0/0i", "1/0-i", "1+2/0i", "3/0x", "3/\u0660"])

@@ -198,3 +198,32 @@ def test_sampled_suites_run_only_through_the_driver():
         assert any(getattr(call.func, "id", None) == "evaluate_checks" for call in calls), name
         found += [f"{name}:{call.lineno}" for call in calls if getattr(call.func, "attr", None) in ("expect", "check")]
     assert not found, f"sampled suites counting cases outside the driver: {found}"
+
+
+def test_the_reader_keys_names_only_through_generator_key():
+    """`_parse_expr` takes a generator's key `g` from the context's name
+    table, which it fills from `Context.generator_key` and nothing else;
+    `exprlang` keeps no module-level memo and imports no `functools`
+    cache, so the table lives and dies with its `Context`."""
+    tree = ast.parse((SOURCE / "exprlang.py").read_text(encoding="utf-8"))
+    parse = next(node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "_parse_expr")
+    calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+             and getattr(node.func, "attr", None) == "generator_key"]
+    assert len(calls) == 1, "generator_key is called once in exprlang"
+    fill = next(node for node in ast.walk(parse) if isinstance(node, ast.Assign) and node.value is calls[0])
+    assert [ast.unparse(t) for t in fill.targets] == ["g", "name_keys[text]"]
+    sources = [ast.unparse(node.value) for node in ast.walk(parse) if isinstance(node, ast.Assign)
+               and any(getattr(t, "id", None) == "g" for t in node.targets)]
+    assert sorted(sources) == ["ctx.generator_key(text, at)", "name_keys.get(text)"]
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [getattr(node, "module", None) or ""] + [alias.name for alias in node.names]
+            found += [f"exprlang.py:{node.lineno}" for name in names if name in ("functools", "cache", "lru_cache")]
+    for node in tree.body:
+        value = node.value if isinstance(node, (ast.Assign, ast.AnnAssign)) else None
+        if isinstance(value, (ast.Dict, ast.Set, ast.DictComp)) or (
+            isinstance(value, ast.Call) and getattr(value.func, "id", None) in ("dict", "set", "defaultdict")
+        ):
+            found.append(f"exprlang.py:{node.lineno}")
+    assert not found, f"module-level memos or caches in exprlang: {found}"
