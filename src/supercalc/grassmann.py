@@ -13,7 +13,8 @@ kernel; every result of arithmetic on a supernumber is a supernumber.
 
 This module adds what is particular to Lambda_N: body and soul, the
 inverse, complex conjugation under two conventions, and the text and
-JSON formats, whose multi-indices are the masks' generator labels.
+JSON formats, whose multi-indices are the masks' generator labels; the
+text format prints each coefficient from its numerator over `den`.
 """
 
 from __future__ import annotations

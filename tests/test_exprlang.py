@@ -369,8 +369,8 @@ def _int_limit_message(digits: str) -> str:
     ],
 )
 def test_cli_reads_literals_as_before(capsys, args, code, out, err):
-    """Exit code, stdout and the `error:` line, with its column, as the
-    command line printed them when every literal went through `parse_crat`."""
+    """Exit code, stdout and the `error:` line, with its column, for
+    literals and characters that the reader reads or refuses."""
     assert main(list(args)) == code
     assert capsys.readouterr() == (out, err)
 
