@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .grassmann import Parity, Supernumber
+from .grassmann import Supernumber
 from .scalars import CRat, parse_crat
 
 
@@ -131,39 +131,3 @@ def lift(seed: AnalyticSeed, z: Supernumber) -> Supernumber:
         factorial *= k
         out = out + power * (seed.derivative(k, base) / factorial)
     return out
-
-
-def eval_superfunction(
-    coeffs: dict[tuple[int, ...], Sequence[tuple[AnalyticSeed, int]]],
-    even_args: Sequence[Supernumber],
-    odd_args: Sequence[Supernumber],
-) -> Supernumber:
-    """Evaluate f(u, v) = sum_I [prod_k lift(seed_k, u_{j_k})] v^I.
-
-    ``coeffs`` maps an odd multi-index I (tuple of 1-based positions into
-    ``odd_args``, strictly increasing) to the factors of its coefficient:
-    pairs of a seed and the even-argument index it is lifted at.  Even
-    arguments must be even supernumbers and odd arguments odd ones.
-    """
-    if not even_args and not odd_args:
-        raise ValueError("need at least one argument")
-    n = (even_args[0] if even_args else odd_args[0]).n
-    for u in even_args:
-        if u.parity() not in (Parity.EVEN,):
-            raise ValueError("even argument has odd or mixed terms")
-        if u.n != n:
-            raise ValueError("argument generator counts differ")
-    for v in odd_args:
-        if not v.is_zero() and v.parity() is not Parity.ODD:
-            raise ValueError("odd argument has even or mixed terms")
-        if v.n != n:
-            raise ValueError("argument generator counts differ")
-    total = Supernumber.zero(n)
-    for index, factors in coeffs.items():
-        term = Supernumber.unit(n)
-        for seed, arg_pos in factors:
-            term = term * lift(seed, even_args[arg_pos])
-        for pos in index:
-            term = term * odd_args[pos - 1]
-        total = total + term
-    return total

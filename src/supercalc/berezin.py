@@ -41,7 +41,7 @@ from .graded_poly import (
     split_xi,
 )
 from .grassmann import Supernumber
-from .polynomials import from_json_poly, integrate_box, to_json_poly
+from .polynomials import from_json_poly, integrate_box
 from .scalars import CRat
 
 Coefficient = Union[GradedPoly, Callable[..., float]]
@@ -299,23 +299,13 @@ def density_pairing(d: GradedPoly, f: GradedPoly, domain: Domain):
 # -- JSON ----------------------------------------------------------------
 
 
-def to_json_mixed(f: GradedPoly) -> dict:
-    groups = split_xi(_exact(f))
-    return {
-        "n": f.carrier.n,
-        "nu": f.carrier.nu,
-        "terms": {
-            ",".join(str(i) for i in indices_of(mask)): to_json_poly(coeff)
-            for mask, coeff in sorted(groups.items())
-        },
-    }
-
-
 def from_json_mixed(
     data: Mapping, integrands: Mapping[str, Callable[[float], float]] | None = None
 ) -> GradedPoly | BlackBox:
-    """Inverse of :func:`to_json_mixed`.  A term whose value is a string
-    names a black-box coefficient in `integrands`."""
+    """The mixed function of a JSON object {"n", "nu", "terms"}: each term
+    maps comma-joined Grassmann indices to a polynomial (see
+    `from_json_poly`), or to a string naming a black-box coefficient in
+    `integrands`."""
     n, nu = int(data["n"]), int(data["nu"])
     integrands = integrands or {}
     if not isinstance(data.get("terms"), Mapping):

@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 from . import suites
 from .berezin import BlackBox, Domain, Normalization, berezin_integral, from_json_mixed, mixed_integral
-from .exprlang import Context, evaluate
+from .exprlang import _TOKEN, Context, evaluate
 from .grassmann import from_json_terms, format_supernumber, Supernumber
 from .scalars import CRat
 
@@ -236,10 +236,17 @@ def _load_terms(flag: str, path: str, nu: int) -> Supernumber:
 
 def _rational(value, where: str) -> Fraction:
     """One exact number from a flag or a JSON file; `where` names its place
-    in the error message."""
+    in the error message.  `Fraction` forms 10^e for an exponent e, so an e
+    above the digits Python converts to text (`sys.get_int_max_str_digits`,
+    as `integrate_box` bounds its powers) is refused before it is formed."""
     if isinstance(value, (int, float, str)) and not isinstance(value, bool):
+        text = str(value).strip()
+        exponent = text.lower().partition("e")[2].lstrip("+-").lstrip("0")
+        limit = sys.get_int_max_str_digits()
+        if limit and exponent.isdecimal() and (len(exponent) > limit or int(exponent) > limit):
+            raise ValueError(f"{where}: the exponent of {value!r} is more than {limit} in magnitude")
         try:
-            return Fraction(str(value).strip())
+            return Fraction(text)
         except ZeroDivisionError:
             raise ValueError(f"{where}: zero denominator in {value!r}") from None
         except ValueError:
@@ -269,12 +276,14 @@ def cmd_eval(args) -> int:
     if args.let and args.n:
         # a binding is a supernumber, whose x<k> form mode calls xi<k>
         raise ValueError(f"--let works only in supernumber mode (--n 0), got --n {args.n}")
-    bindings = {}
-    for item in args.let:
-        name, _, path = item.partition("=")
+    lets = [item.partition("=")[::2] for item in args.let]
+    for item, (name, path) in zip(args.let, lets):
         if not path:
             raise ValueError(f"--let needs NAME=FILE, got {item!r}")
-        bindings[name] = _load_terms("--let", path, args.nu)
+        token = _TOKEN.fullmatch(name)
+        if not (token and token["name"] == name):
+            raise ValueError(f"--let {item}: {name!r} is not a name (a letter or _, then letters, digits or _)")
+    bindings = {name: _load_terms("--let", path, args.nu) for name, path in lets}
     value = evaluate(args.expression, Context(args.n, args.nu, bindings))
     text = format_supernumber(value) if isinstance(value, Supernumber) else repr(value)
     return _print_result(args, text)

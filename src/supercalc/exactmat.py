@@ -6,8 +6,8 @@ A dense matrix is a list of rows of exact scalars, a plain `int` or a
 entries), so a zero test is `not x`.  `det`, `inverse`, `matmul`, `madd`,
 `mscale` and `transpose` work on it; `det` and `inverse` return `CRat`
 values, and no pivot tolerance is ever involved.  Every zero that `zeros`,
-`identity`, `dense`, `matmul`, `madd` and `mscale` create is the one
-shared immutable `ZERO`; `madd` and `mscale` pass it through untouched,
+`dense`, `matmul`, `madd` and `mscale` create is the one shared
+immutable `ZERO`; `madd` and `mscale` pass it through untouched,
 and list comparison matches it by identity before comparing values.
 
 A :class:`NumMatrix` holds the same matrix as integer numerators over one
@@ -51,10 +51,6 @@ _ONE = CRat(1)
 
 def from_rows(rows: Sequence[Sequence]) -> Matrix:
     return [[CRat.coerce(Fraction(v) if isinstance(v, str) else v) for v in row] for row in rows]
-
-
-def identity(n: int) -> Matrix:
-    return [[_ONE if i == j else ZERO for j in range(n)] for i in range(n)]
 
 
 def zeros(rows: int, cols: int) -> Matrix:

@@ -30,7 +30,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 from math import factorial
-from typing import Iterable
 
 from .forms import CoordinateSystem, SuperDensity, SuperForm, pairing
 from .graded_poly import (
@@ -168,24 +167,6 @@ def apply(op: tuple[str, int], s: FockState) -> FockState:
     return _element(FockState, carrier, nums, s.den)
 
 
-def apply_word(word: Iterable[tuple[str, int]], s: FockState) -> FockState:
-    for op in reversed(list(word)):
-        s = apply(op, s)
-    return s
-
-
-def geometric_operator_name(rep: str, op: tuple[str, int]) -> str:
-    """The differential-geometry realization of a ladder operator."""
-    name, i = op
-    if rep == "form":
-        table = {"b": f"i(d/dxi{i})", "b+": f"e(xi{i})", "f": f"i(d/dx{i})", "f+": f"e(x{i})"}
-    elif rep == "density":
-        table = {"b": f"e(xi{i})", "b+": f"i(d/dxi{i})", "f": f"e(x{i})", "f+": f"i(d/dx{i})"}
-    else:
-        table = {"b": f"d/dz{i}", "b+": f"z{i}*", "f": f"d/dzeta{i}", "f+": f"zeta{i}*"}
-    return table[name]
-
-
 # -- translation between representations -----------------------------------
 
 
@@ -237,10 +218,6 @@ def inner_product(f: FockState, g: FockState) -> CRat:
             weight *= factorial(e)
         total = total + cf.conjugate() * cg * weight
     return total
-
-
-def norm_squared(f: FockState) -> CRat:
-    return inner_product(f, f)
 
 
 def dual_product(density_state: FockState, form_state: FockState, volume: CRat | int = 1) -> CRat:

@@ -292,18 +292,12 @@ class Operator:
         parity = None if None in (self.parity, other.parity) else (self.parity + other.parity) % 2
         return self._join(other, parity, lambda nums, den: p(*q(nums, den)))
 
-    def _both_orders(self, other: "Operator", parity: int, sign: int) -> "Operator":
-        """PQ + sign * QP."""
-        p, q = self.fn, other.fn
-        return self._join(other, parity, lambda nums, den: _sum(*p(*q(nums, den)), *q(*p(nums, den)), sign))
-
     def graded_bracket(self, other: "Operator") -> "Operator":
         """[P, Q] = PQ - (-1)^{parity P * parity Q} QP."""
-        anti = (_definite(self) * _definite(other)) & 1
-        return self._both_orders(other, (self.parity + other.parity) % 2, 1 if anti else -1)
-
-    def anticommutator(self, other: "Operator") -> "Operator":
-        return self._both_orders(other, (_definite(self) + _definite(other)) % 2, 1)
+        p, q = self.fn, other.fn
+        sign = 1 if (_definite(self) * _definite(other)) & 1 else -1
+        parity = (self.parity + other.parity) % 2
+        return self._join(other, parity, lambda nums, den: _sum(*p(*q(nums, den)), *q(*p(nums, den)), sign))
 
 
 def _definite(op: Operator) -> int:

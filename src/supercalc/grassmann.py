@@ -146,12 +146,6 @@ class Supernumber(GradedPoly):
 
     # -- rendering ----------------------------------------------------
 
-    def sorted_terms(self) -> list[tuple[MultiIndex, CRat]]:
-        """(multi-index, coefficient) pairs by degree, then multi-index."""
-        terms = self.terms
-        rows = sorted((m.bit_count(), indices_of(m), m) for m in terms)
-        return [(indices, terms[m]) for _, indices, m in rows]
-
     def __repr__(self):
         return f"Supernumber({self.n}, {format_supernumber(self)!r})"
 
@@ -184,20 +178,6 @@ def format_supernumber(z: Supernumber) -> str:
             text = f"({c})*{mono}" if a and b else f"{c}*{mono}"
         chunks.append(text)
     return " + ".join(chunks).replace(" + -", " - ")  # no chunk holds a blank
-
-
-def parse_supernumber(text: str, n: int) -> Supernumber:
-    """Parse the canonical text form back into a supernumber."""
-    from .exprlang import Context, evaluate
-
-    return evaluate(text, Context(0, n))
-
-
-def to_json_terms(z: Supernumber) -> dict[str, str]:
-    """JSON term map {"": "3", "1,2": "2"}; lossless round trip."""
-    return {
-        ",".join(str(i) for i in indices): str(coeff) for indices, coeff in z.sorted_terms()
-    }
 
 
 def from_json_terms(data: Mapping[str, str], n: int) -> Supernumber:

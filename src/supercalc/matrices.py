@@ -75,8 +75,7 @@ class GradedVector:
     """Coordinates together with a basis parity signature.
 
     Coordinates are stored in the basis-first convention (the components
-    written to the right of the basis vectors); ``upper_components``
-    applies the index-shift sign (-1)^{vector parity * index parity}.
+    written to the right of the basis vectors).
     """
 
     __slots__ = ("sig", "coords")
@@ -93,14 +92,6 @@ class GradedVector:
     def parity(self) -> int | None:
         """0, 1, or None when no parity can be assigned."""
         return _common_parity(zip(self.sig.parities, self.coords))
-
-    def upper_components(self) -> tuple[Supernumber, ...]:
-        pv = self.parity()
-        if pv is None:
-            raise ParityError("index shift needs an assigned vector parity")
-        return tuple(
-            -z if (pv and p) else z for p, z in zip(self.sig.parities, self.coords)
-        )
 
     def __eq__(self, other):
         return (
@@ -157,19 +148,6 @@ class GradedMatrix:
             for pr, row in zip(self.row_sig.parities, self.entries)
             for pc, z in zip(self.col_sig.parities, row)
         )
-
-    def parity_projection(self, target: int) -> "GradedMatrix":
-        """Keep only the entry components contributing matrix parity
-        ``target``; a mixed matrix is the sum of its two projections."""
-        rows = []
-        for i, pr in enumerate(self.row_sig.parities):
-            row = []
-            for j, pc in enumerate(self.col_sig.parities):
-                z = self.entries[i][j]
-                want_odd = (target + pr + pc) % 2
-                row.append(z.odd_part() if want_odd else z.even_part())
-            rows.append(row)
-        return GradedMatrix(self.row_sig, self.col_sig, rows)
 
     def __eq__(self, other):
         return (
@@ -235,12 +213,6 @@ def apply_to_vector(k: GradedMatrix, v: GradedVector) -> GradedVector:
             acc = acc + k.entries[i][j] * c
         out.append(acc)
     return GradedVector(k.row_sig, out)
-
-
-def ordinary_transpose(k: GradedMatrix) -> GradedMatrix:
-    return GradedMatrix(
-        k.col_sig, k.row_sig, [list(col) for col in zip(*k.entries)]
-    )
 
 
 def supertranspose(k: GradedMatrix) -> GradedMatrix:

@@ -100,14 +100,6 @@ class Metric:
             raise MetricError(f"vector of length {len(v)} for a metric of dimension {self.dim}")
         return [CRat.coerce(c) for c in v]
 
-    def scalar_product(self, v: Sequence, w: Sequence) -> CRat:
-        v, w = self.vector(v), self.vector(w)
-        total = CRat(0)
-        for a in range(self.dim):
-            for b in range(self.dim):
-                total = total + self.g[a][b] * v[a] * w[b]
-        return total
-
 
 @dataclass(frozen=True)
 class Scaled:

@@ -78,11 +78,6 @@ def integrate_box(p: GradedPoly, bounds: Sequence[tuple]) -> CRat:
     return total
 
 
-def to_json_poly(p: GradedPoly) -> dict[str, str]:
-    dense = [(_dense(p, key), c) for key, c in p.terms.items()]
-    return {",".join(map(str, e)): str(c) for e, c in sorted(dense, key=lambda kv: (sum(kv[0]), kv[0]))}
-
-
 def from_json_poly(data: Mapping[str, str], n: int) -> Polynomial:
     terms: dict[Expts, CRat] = {}
     for key, val in data.items():

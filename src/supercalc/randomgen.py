@@ -28,7 +28,6 @@ from .forms import CoordinateSystem, SuperDensity, SuperForm, SuperVectorField
 from .graded_poly import GradedPoly, _accumulate, _element, function_carrier, join_xi
 from .grassmann import Supernumber
 from .matrices import GradedMatrix, ParitySignature
-from .polynomials import Polynomial
 from .scalars import CRat, _crat
 
 
@@ -98,13 +97,10 @@ def homogeneous_supernumber(rng: random.Random, n: int, parity: int, terms: int 
     return _over_den(Supernumber, function_carrier(0, n), data)
 
 
-def polynomial(rng: random.Random, n: int, max_degree: int = 2, terms: int = 3) -> Polynomial:
-    return _over_den(Polynomial, function_carrier(n, 0), _polynomial_nums(rng, n, max_degree, terms))
-
-
 def _polynomial_nums(rng: random.Random, n: int, max_degree: int, terms: int) -> dict:
-    """Numerators over _DEN of `polynomial`: `terms` draws of an exponent
-    tuple and a coefficient, a repeated tuple keeping the last."""
+    """Numerators over _DEN of a polynomial in n variables: `terms` draws
+    of an exponent tuple and a coefficient, a repeated tuple keeping the
+    last."""
     carrier = function_carrier(n, 0)
     data = {}
     for _ in range(terms):

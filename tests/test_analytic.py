@@ -12,11 +12,11 @@ from supercalc.analytic import (
     RECIPROCAL,
     SIN,
     SeedDomainError,
-    eval_superfunction,
     lift,
     polynomial_seed,
     seed_by_name,
 )
+from supercalc.exprlang import Context, evaluate
 from supercalc.grassmann import Parity, Supernumber
 
 
@@ -97,33 +97,26 @@ def test_seed_registry():
         seed_by_name("nope")
 
 
+# A superfunction f(u, v) = sum_I [prod_k lift(seed_k, u)] v^I of an even
+# argument u and an odd one v is an expression of the reader, with u and v
+# bound to supernumbers.
+
+
 def test_eval_superfunction_product_case():
     # f(u, v) = u * v at u = 1 + x1 x2, v = x3
     x1, x2, x3 = Supernumber.generators(3)
     u = Supernumber.unit(3) + x1 * x2
-    v = x3
-    out = eval_superfunction({(1,): [(IDENTITY, 0)]}, [u], [v])
+    out = evaluate("lift[identity](u)*v", Context(0, 3, {"u": u, "v": x3}))
     assert out == x3 + x1 * x2 * x3
 
 
 def test_eval_superfunction_exp_coefficient():
     x1, x2, x3 = Supernumber.generators(3)
-    u = x1 * x2
-    v = x3
-    out = eval_superfunction({(1,): [(EXP, 0)]}, [u], [v])
+    out = evaluate("lift[exp](u)*v", Context(0, 3, {"u": x1 * x2, "v": x3}))
     assert out == x3 + x1 * x2 * x3
 
 
 def test_eval_superfunction_even_only():
-    seed = polynomial_seed([0, 0, 1])  # t^2
-    u = Supernumber.scalar(2, 3)
-    out = eval_superfunction({(): [(seed, 0)]}, [u], [])
+    # f(u) = u^2 at u = 3
+    out = evaluate("lift[polynomial:0,0,1](u)", Context(0, 2, {"u": Supernumber.scalar(2, 3)}))
     assert out == Supernumber.scalar(2, 9)
-
-
-def test_eval_superfunction_parity_checks():
-    x1, _ = Supernumber.generators(2)
-    with pytest.raises(ValueError):
-        eval_superfunction({(): [(IDENTITY, 0)]}, [x1], [])  # odd even-arg
-    with pytest.raises(ValueError):
-        eval_superfunction({(1,): []}, [], [Supernumber.unit(2)])  # even odd-arg

@@ -19,9 +19,8 @@ from supercalc.berezin import (
     mixed_integral,
     raised_components,
     tensor_product,
-    to_json_mixed,
 )
-from supercalc.graded_poly import GradedPoly, function_carrier
+from supercalc.graded_poly import GradedPoly, function_carrier, indices_of
 from supercalc.grassmann import GeneratorMismatch, Supernumber
 from supercalc.polynomials import Polynomial
 from supercalc.scalars import CRat
@@ -174,12 +173,24 @@ def test_fubini_factorized():
         assert mixed_integral(tensor_product(f2, f1), Domain.box((-1, 1), (0, 1))) == i2 * i1
 
 
+def mixed_json(f: GradedPoly) -> dict:
+    """The JSON object of a mixed function, written from the `.terms` view
+    with `str` of each coefficient."""
+    n = f.carrier.n
+    terms: dict = {}
+    for key, c in f.terms.items():
+        x_exps, mask, _, _ = f.carrier.unpack(key)
+        exps = dict(x_exps)
+        poly = terms.setdefault(",".join(map(str, indices_of(mask))), {})
+        poly[",".join(str(exps.get(a, 0)) for a in range(1, n + 1))] = str(c)
+    return {"n": n, "nu": f.carrier.nu, "terms": terms}
+
+
 def test_mixed_function_json_round_trip():
     rng = random.Random(15)
     for _ in range(10):
         f = rg.mixed_function(rng, 2, 3)
-        data = to_json_mixed(f)
-        assert from_json_mixed(data) == f
+        assert from_json_mixed(mixed_json(f)) == f
 
 
 def test_polynomial_variable_count_mismatch():
@@ -234,13 +245,12 @@ GAUSSIAN = lambda x: math.exp(-x * x)  # noqa: E731
         lambda box, f: lambda_apply(f, box),
         lambda box, f: density_pairing(box, f, Domain.box((0, 1))),
         lambda box, f: density_pairing(f, box, Domain.box((0, 1))),
-        lambda box, f: to_json_mixed(box),
         lambda box, f: grassmann_derivative(box, 1),
         lambda box, f: berezin_integral(box),
     ],
     ids=[
         "add", "radd", "mul", "rmul", "eq", "req", "tensor", "rtensor", "raise",
-        "lambda-d", "lambda-f", "pairing-d", "pairing-f", "json", "derivative", "berezin",
+        "lambda-d", "lambda-f", "pairing-d", "pairing-f", "derivative", "berezin",
     ],
 )
 def test_black_box_has_no_exact_operations(op):

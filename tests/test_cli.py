@@ -363,6 +363,43 @@ def test_let_is_refused_in_form_mode(tmp_path):
     assert proc.stdout.strip() == "2*x1"
 
 
+@pytest.mark.parametrize("name", ["9", "", "x-1", " s", "s t"])
+def test_let_name_must_be_one_name_token(tmp_path, name):
+    """A binding the reader could never read is refused before any file is
+    read, also the file of an earlier, well-named binding."""
+    missing = tmp_path / "missing.json"
+    start = time.monotonic()
+    proc = run_cli("eval", "3", "--nu", "1", "--let", f"s={missing}", "--let", f"{name}={missing}", expect=2)
+    assert time.monotonic() - start < 1
+    assert one_error_line(proc) == (
+        f"error: --let {name}={missing}: {name!r} is not a name (a letter or _, then letters, digits or _)\n"
+    )
+
+
+@pytest.mark.parametrize("flag", ["--domain", "--metric"])
+def test_huge_exponent_is_refused_before_the_power_is_formed(tmp_path, flag):
+    """`Fraction` forms 10^e for an exponent e however large it is, so an e
+    above the digits Python converts to text is refused first, naming the
+    flag and the place; a metric entry at the bound still runs."""
+    if flag == "--domain":
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps({"terms": {"1": {"0": "1"}}}))
+        args = ("mixed", "--n", "1", "--nu", "1", "--expr", str(path), "--domain", "0,1e10000000")
+        place = "--domain: interval 1"
+    else:
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps([["1e10000000"]]))
+        args = ("check", "clifford", "--metric", str(path))
+        place = f"--metric {path}: row 1 entry 1"
+    start = time.monotonic()
+    proc = run_cli(*args, expect=2)
+    assert time.monotonic() - start < 1
+    assert one_error_line(proc).startswith(f"error: {place}: the exponent of '1e10000000' is more than ")
+    if flag == "--metric":
+        path.write_text(json.dumps([["1e4300"]]))
+        run_cli("check", "clifford", "--metric", str(path), "--trials", "1")
+
+
 def test_quadrature_budget_is_an_input_error(tmp_path):
     path = tmp_path / "g.json"
     path.write_text(json.dumps({"terms": {"1,2": "gaussian"}}))

@@ -27,13 +27,12 @@ from supercalc.berezin import (
     grassmann_derivative,
     lambda_apply,
     mixed_integral,
-    to_json_mixed,
 )
 from supercalc.clifford import matrix_of, reversal
-from supercalc.fock import FockAlgebraSpec, dual_product, inner_product, norm_squared, spanning_states, translate
+from supercalc.fock import FockAlgebraSpec, dual_product, inner_product, spanning_states, translate
 from supercalc.forms import CoordinateSystem, SuperDensity, SuperForm, integrate_density
 from supercalc.graded_poly import GradedPoly, density_carrier, form_carrier, function_carrier
-from supercalc.grassmann import Supernumber, format_supernumber, to_json_terms
+from supercalc.grassmann import Supernumber, format_supernumber
 from supercalc.polynomials import Polynomial, integrate_box
 from supercalc.scalars import CRat
 
@@ -73,9 +72,6 @@ def test_int_and_crat_coefficients_agree(n, nu):
             assert f + g == f * 2 == 2 * g
             if isinstance(f, Supernumber):
                 assert format_supernumber(f) == format_supernumber(g)
-                assert to_json_terms(f) == to_json_terms(g)
-            elif f.carrier == function_carrier(n, nu):
-                assert to_json_mixed(f) == to_json_mixed(g)
 
 
 def test_seeded_elements_hold_int_coefficients():
@@ -178,7 +174,7 @@ def test_scalars_leaving_the_library_are_crat():
     states = spanning_states(spec, max_occupation=2)
     s = states[0] * 2 + states[1]
     assert all(type(c) is int for c in s.terms.values())
-    assert type(inner_product(s, s)) is CRat and type(norm_squared(s)) is CRat
+    assert type(inner_product(s, s)) is CRat
     assert inner_product(s, s) == 5
     assert type(dual_product(translate(s, "density"), translate(s, "form"))) is CRat
 
@@ -191,7 +187,7 @@ def test_scalars_leaving_the_library_are_crat():
         inv = exactmat.inverse(m)
         assert all(type(x) is CRat for row in inv for x in row)
         assert inv == m
-        assert exactmat.matmul(m, inv) == exactmat.identity(1 << dim)
+        assert exactmat.matmul(m, inv) == exactmat.dense(exactmat.scalar(1 << dim, 1))
     gamma = matrix_of(lambda w: Supernumber.generator(2, 1) * w + grassmann_derivative(w, 1), 2)
     assert all(type(x) is CRat for row in gamma for x in row)
     assert type(exactmat.det(gamma)) is CRat and exactmat.det(gamma) == 1

@@ -13,6 +13,11 @@ from supercalc.metric import Metric, pullback_metric
 from supercalc.scalars import CRat
 
 
+def identity(n):
+    """The dense n x n identity."""
+    return exactmat.dense(exactmat.scalar(n, 1))
+
+
 def naive_matmul(a, b):
     return [
         [sum((a[i][k] * b[k][j] for k in range(len(b))), CRat(0)) for j in range(len(b[0]))]
@@ -94,8 +99,8 @@ def test_cancelling_sums_give_the_shared_zero():
 def test_products_with_identity_and_zeros():
     rng = random.Random(3)
     a = random_matrix(rng, 4, 4, 0.5)
-    assert exactmat.matmul(exactmat.identity(4), a) == a
-    assert exactmat.matmul(a, exactmat.identity(4)) == a
+    assert exactmat.matmul(identity(4), a) == a
+    assert exactmat.matmul(a, identity(4)) == a
     assert exactmat.matmul(a, exactmat.zeros(4, 2)) == exactmat.zeros(4, 2)
 
 
@@ -103,7 +108,7 @@ def test_shape_mismatch_is_refused():
     with pytest.raises(ValueError, match="shape mismatch"):
         exactmat.matmul(exactmat.zeros(2, 3), exactmat.zeros(2, 2))
     with pytest.raises(ValueError, match="shape mismatch"):
-        exactmat.matmul([[CRat(1)], [CRat(1), CRat(2)]], exactmat.identity(2))
+        exactmat.matmul([[CRat(1)], [CRat(1), CRat(2)]], identity(2))
 
 
 def test_empty_factors():
@@ -124,9 +129,9 @@ def test_ragged_right_operand_is_refused():
     """An operand is read as one flat list, so a right-hand factor with
     rows of different lengths is a shape error, not a misread."""
     with pytest.raises(ValueError, match="shape mismatch"):
-        exactmat.matmul(exactmat.identity(2), [[CRat(1)], [CRat(1), CRat(2)]])
+        exactmat.matmul(identity(2), [[CRat(1)], [CRat(1), CRat(2)]])
     with pytest.raises(ValueError, match="shape mismatch"):
-        exactmat.matmul(exactmat.identity(2), [[CRat(1), CRat(2), CRat(3)], [CRat(1), CRat(2)]])
+        exactmat.matmul(identity(2), [[CRat(1), CRat(2), CRat(3)], [CRat(1), CRat(2)]])
 
 
 def random_scalar_matrix(rng, n, zero_fill):
@@ -186,7 +191,7 @@ def test_cancelling_bracket_gives_the_shared_zero():
     a = exactmat.read(exactmat.from_rows([[1, "1/2"], [0, 2]]))
     b = exactmat.read(random_matrix(random.Random(4), 2, 2, 0.0))
     assert a.den == 2 and b.den > 1
-    ident = exactmat.read(exactmat.identity(2))
+    ident = exactmat.scalar(2, 1)
     zero = exactmat.NumMatrix(2, 2, ((), ()), None, 1)
     for m in (a, b):
         assert exactmat.dense(exactmat.bracket(m, m, -1)) == exactmat.zeros(2, 2)
@@ -198,15 +203,15 @@ def test_cancelling_bracket_gives_the_shared_zero():
     z = exactmat.read(exactmat.from_rows([[1, 0], [0, -1]]))
     assert all(e is exactmat.ZERO for row in exactmat.dense(exactmat.bracket(x, z, 1)) for e in row)
     assert exactmat.bracket(x, z, 1) == zero
-    assert exactmat.dense(exactmat.bracket(x, x, 1)) == exactmat.mscale(exactmat.identity(2), 2)
+    assert exactmat.dense(exactmat.bracket(x, x, 1)) == exactmat.mscale(identity(2), 2)
     assert exactmat.bracket(x, x, 1) == exactmat.scalar(2, 2)
 
 
 def test_bracket_refuses_non_square_matrices():
     for a, b in (
         (exactmat.zeros(2, 3), exactmat.zeros(2, 3)),
-        (exactmat.identity(2), exactmat.identity(3)),
-        (exactmat.identity(2), exactmat.zeros(2, 3)),
+        (identity(2), identity(3)),
+        (identity(2), exactmat.zeros(2, 3)),
     ):
         a, b = exactmat.read(a), exactmat.read(b)
         with pytest.raises(ValueError, match="square"):
@@ -220,7 +225,8 @@ def test_bracket_refuses_non_square_matrices():
 
 def test_bracket_and_product_sum_take_only_numerator_matrices():
     """Dense lists of rows are refused, not read: there is one path."""
-    dense, num = exactmat.identity(2), exactmat.read(exactmat.identity(2))
+    num = exactmat.scalar(2, 1)
+    dense = exactmat.dense(num)
     for a, b in ((dense, dense), (dense, num), (num, dense)):
         with pytest.raises(TypeError, match="NumMatrix operands"):
             exactmat.bracket(a, b, 1)
@@ -254,7 +260,8 @@ def test_numerator_form_is_canonical(seed, n, fill):
 def test_scalar_is_c_times_the_identity():
     for n in (0, 1, 3):
         for c in (0, 1, -2, Fraction(3, 4), CRat(Fraction(1, 2), -3), CRat(0, 1)):
-            assert exactmat.scalar(n, c) == exactmat.read(exactmat.mscale(exactmat.identity(n), c))
+            ident = exactmat.from_rows([[int(i == j) for j in range(n)] for i in range(n)])
+            assert exactmat.scalar(n, c) == exactmat.read(exactmat.mscale(ident, c))
     assert exactmat.scalar(3, 0) == exactmat.NumMatrix(3, 3, ((),) * 3, None, 1)
     assert exactmat.scalar(2, Fraction(3, 4)) == exactmat.NumMatrix(2, 2, (((0, 3),), ((1, 3),)), None, 4)
 
@@ -271,7 +278,7 @@ def test_product_sum_equals_matmul_mscale_madd(seed, n, fill):
     and `madd`; every entry is a `CRat` and every zero the shared one."""
     rng = random.Random(f"product_sum:{seed}:{fill}")
     mats = [random_matrix(rng, n, n, fill), random_scalar_matrix(rng, n, fill),
-            random_matrix(rng, n, n, fill), exactmat.identity(n)]
+            random_matrix(rng, n, n, fill), identity(n)]
     coefficients = [1, -1, 2, 0, Fraction(1, 3), Fraction(-5, 6), Fraction(7, 4)]
     for terms in range(1, 5):
         for _ in range(3):
@@ -304,8 +311,8 @@ def test_cancelling_product_sum_gives_the_shared_zero():
 def test_product_sum_refuses_bad_shapes_and_coefficients():
     for a, b in (
         (exactmat.zeros(2, 3), exactmat.zeros(3, 2)),
-        (exactmat.identity(2), exactmat.identity(3)),
-        (exactmat.identity(2), exactmat.zeros(2, 3)),
+        (identity(2), identity(3)),
+        (identity(2), exactmat.zeros(2, 3)),
     ):
         ident = exactmat.scalar(len(a), 1)
         a, b = exactmat.read(a), exactmat.read(b)

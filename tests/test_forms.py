@@ -501,15 +501,13 @@ def test_contraction_operators_refuse_the_other_carrier():
 
 def test_brackets_refuse_an_operator_of_mixed_parity():
     """A sum of an even and an odd operator has no parity, so a graded
-    bracket or anticommutator with it names the mixed parity."""
+    bracket with it names the mixed parity."""
     c = CoordinateSystem(1, 1)
     mixed = op_d_form(c) + op_mult(c, 1)
     assert mixed.parity is None
     for make in (
         lambda: mixed.graded_bracket(op_d_form(c)),
         lambda: op_d_form(c).graded_bracket(mixed),
-        lambda: mixed.anticommutator(op_mult(c, 1)),
-        lambda: op_mult(c, 1).anticommutator(mixed),
     ):
         with pytest.raises(ValueError, match="mixed parity"):
             make()

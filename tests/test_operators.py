@@ -65,7 +65,6 @@ def test_numerator_algebra_equals_element_algebra(mix):
                 assert (p - q)(w) == p(w) - q(w), (kind, pn, qn)
                 assert (-p)(w) == -p(w), (kind, pn)
                 assert p.graded_bracket(q)(w) == pq - qp * sign, (kind, pn, qn)
-                assert p.anticommutator(q)(w) == pq + qp, (kind, pn, qn)
 
 
 def test_composite_parity_and_carrier_rules():
@@ -76,7 +75,7 @@ def test_composite_parity_and_carrier_rules():
     d, b = op_d_form(c), op_divergence(c)
     other = op_d_form(CoordinateSystem(1, 1))
     for make in (lambda: d + b, lambda: d - other, lambda: d @ b, lambda: b @ d,
-                 lambda: d.graded_bracket(other), lambda: d.anticommutator(b)):
+                 lambda: d.graded_bracket(other), lambda: d.graded_bracket(b)):
         with pytest.raises(GeneratorMismatch, match="operators on different carriers"):
             make()
     mixed = d + op_mult(c, 1)

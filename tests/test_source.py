@@ -51,6 +51,57 @@ def test_no_unreferenced_public_names():
     assert not unreferenced, f"public names with no reference: {unreferenced}"
 
 
+def _module_references(tree: ast.Module, modules: set[str]):
+    """The (module, name) pairs a file refers to: a name imported from a
+    package module, and an attribute read off a name bound to one, so
+    `exactmat.identity` counts for `exactmat` and `Metric.identity` does not."""
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            source = (node.module or "").removeprefix("supercalc").lstrip(".")
+            if node.level == 0 and not (node.module or "").startswith("supercalc"):
+                continue
+            for alias in node.names:
+                if not source and alias.name in modules:
+                    bound[alias.asname or alias.name] = alias.name
+                elif source in modules:
+                    yield source, alias.name
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                package, _, source = alias.name.partition(".")
+                if package == "supercalc" and source in modules and alias.asname:
+                    bound[alias.asname] = source
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in bound:
+            yield bound[node.value.id], node.attr
+
+
+def test_public_functions_have_a_caller_outside_the_tests():
+    """A public module-level function is used by the library (apart from
+    its own definition) or by the benchmark; an export in
+    `supercalc.__all__` counts through the package's own import of it.
+    Code that only the tests reach is deleted, or moved into the test that
+    uses it as a reference."""
+    repo = Path(__file__).resolve().parent.parent
+    trees = {path: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+             for path in [*SOURCE.glob("*.py"), *(repo / "perfbench").glob("*.py")]}
+    modules = {path.stem for path in SOURCE.glob("*.py")}
+    used = {ref for tree in trees.values() for ref in _module_references(tree, modules)}
+    unused = []
+    for path in sorted(SOURCE.glob("*.py")):
+        body = trees[path].body
+        for node in body:
+            if not isinstance(node, ast.FunctionDef) or node.name.startswith("_"):
+                continue
+            local = any(
+                isinstance(sub, ast.Name) and sub.id == node.name
+                for other in body if other is not node for sub in ast.walk(other)
+            )
+            if not (local or (path.stem, node.name) in used):
+                unused.append(f"{path.stem}.{node.name}")
+    assert not unused, f"public functions only the tests reach: {unused}"
+
+
 def test_library_does_not_import_the_harness():
     """Oracle and sampling code stays out of the library: only the suites
     and the command line import `suites` or `randomgen`."""
