@@ -14,6 +14,7 @@ accordingly rather than rounding.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -42,37 +43,23 @@ class AnalyticSeed:
         return self.derivative(0, base)
 
 
-def _exp_derivative(k: int, base: CRat) -> CRat:
-    if not base.is_zero():
-        raise SeedDomainError("exp is exact only at base 0")
-    return CRat(1)
+def _at_zero(name: str, cycle: Sequence[int]) -> AnalyticSeed:
+    """The seed exact only at base 0 whose k-th derivative there is
+    cycle[k % len(cycle)]."""
+    values = [CRat(c) for c in cycle]
 
+    def derivative(k: int, base: CRat) -> CRat:
+        if not base.is_zero():
+            raise SeedDomainError(f"{name} is exact only at base 0")
+        return values[k % len(values)]
 
-def _exp_neg_derivative(k: int, base: CRat) -> CRat:
-    if not base.is_zero():
-        raise SeedDomainError("exp_neg is exact only at base 0")
-    return CRat(-1) ** k
-
-
-def _sin_derivative(k: int, base: CRat) -> CRat:
-    if not base.is_zero():
-        raise SeedDomainError("sin is exact only at base 0")
-    return (CRat(0), CRat(1), CRat(0), CRat(-1))[k % 4]
-
-
-def _cos_derivative(k: int, base: CRat) -> CRat:
-    if not base.is_zero():
-        raise SeedDomainError("cos is exact only at base 0")
-    return (CRat(1), CRat(0), CRat(-1), CRat(0))[k % 4]
+    return AnalyticSeed(name, derivative)
 
 
 def _reciprocal_derivative(k: int, base: CRat) -> CRat:
     if base.is_zero():
         raise SeedDomainError("reciprocal undefined at 0")
-    fact = 1
-    for i in range(2, k + 1):
-        fact *= i
-    return (CRat(-1) ** k) * fact / (base ** (k + 1))
+    return (CRat(-1) ** k) * math.factorial(k) / (base ** (k + 1))
 
 
 def polynomial_seed(coeffs: Sequence) -> AnalyticSeed:
@@ -82,30 +69,20 @@ def polynomial_seed(coeffs: Sequence) -> AnalyticSeed:
     def derivative(k: int, base: CRat) -> CRat:
         total = CRat(0)
         for m in range(k, len(cs)):
-            falling = 1
-            for j in range(m, m - k, -1):
-                falling *= j
-            total = total + cs[m] * falling * base ** (m - k)
+            total = total + cs[m] * math.perm(m, k) * base ** (m - k)
         return total
 
     return AnalyticSeed(name="polynomial", derivative=derivative)
 
 
-EXP = AnalyticSeed("exp", _exp_derivative)
-EXP_NEG = AnalyticSeed("exp_neg", _exp_neg_derivative)
-SIN = AnalyticSeed("sin", _sin_derivative)
-COS = AnalyticSeed("cos", _cos_derivative)
+EXP = _at_zero("exp", (1,))
+EXP_NEG = _at_zero("exp_neg", (1, -1))
+SIN = _at_zero("sin", (0, 1, 0, -1))
+COS = _at_zero("cos", (1, 0, -1, 0))
 RECIPROCAL = AnalyticSeed("reciprocal", _reciprocal_derivative)
 IDENTITY = AnalyticSeed("identity", polynomial_seed([0, 1]).derivative)
 
-_BUILTINS = {
-    "exp": EXP,
-    "exp_neg": EXP_NEG,
-    "sin": SIN,
-    "cos": COS,
-    "reciprocal": RECIPROCAL,
-    "identity": IDENTITY,
-}
+_BUILTINS = {seed.name: seed for seed in (EXP, EXP_NEG, SIN, COS, RECIPROCAL, IDENTITY)}
 
 
 def seed_by_name(name: str) -> AnalyticSeed:

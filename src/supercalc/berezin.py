@@ -34,7 +34,6 @@ from .graded_poly import (
     Kind,
     _element,
     function_carrier,
-    indices_of,
     join_xi,
     mask_of,
     merge_sign,
@@ -221,25 +220,14 @@ def change_of_variables_check(f: Supernumber, a: Sequence[Sequence]) -> tuple[CR
     if d.is_zero():
         raise ValueError("substitution matrix is singular")
     zetas = Supernumber.generators(nu)
-    images = []
-    for i in range(nu):
-        img = Supernumber.zero(nu)
-        for j in range(nu):
-            img = img + zetas[j] * mat[i][j]
-        images.append(img)
-    composed = Supernumber.zero(nu)
-    for mask, c in f.terms.items():
-        term = Supernumber.scalar(nu, c)
-        for idx in indices_of(mask):
-            term = term * images[idx - 1]
-        composed = composed + term
+    images = [sum((z * c for z, c in zip(zetas, row)), Supernumber.zero(nu)) for row in mat]
 
     def top_derivatives(g: Supernumber) -> CRat:
         for mu in range(g.n, 0, -1):  # operator product d_1 d_2 ... d_nu
             g = grassmann_derivative(g, mu)
         return g.body()
 
-    return top_derivatives(composed), d * top_derivatives(f)
+    return top_derivatives(f.substitute((), images)), d * top_derivatives(f)
 
 
 # -- mixed integration ---------------------------------------------------

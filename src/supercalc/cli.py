@@ -204,7 +204,7 @@ def _load_json(flag: str, path: str, rows: bool = False):
     with open(path, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # a JSONDecodeError, or an integer too long to convert
             raise ValueError(f"{flag} {path}: {exc}") from None
     if rows:
         ok = isinstance(data, list) and data and all(isinstance(row, list) for row in data)

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import factorial, lcm, prod
 from typing import Callable, Sequence
 
 from .berezin import berezin_integral
@@ -53,7 +53,6 @@ from .graded_poly import (
     density_carrier,
     form_carrier,
     function_carrier,
-    indices_of,
 )
 from .polynomials import integrate_box
 from .scalars import CRat
@@ -141,16 +140,16 @@ class _Homogeneous(GradedPoly):
     def scale(self, c):
         return type(self)(self.coords, self * c)
 
-    def components(self) -> dict[tuple[tuple[int, ...], tuple[int, ...]], GradedPoly]:
-        """Canonical components keyed by (bosonic index set, fermionic
-        multiset with multiplicity); values are superfunctions."""
-        source, fn = self.carrier, self.coords.functions
+    def components(self) -> dict[int, GradedPoly]:
+        """Components keyed by their auxiliary key as stored, the key with
+        its x and xi bits cleared (form and density keys of a patch
+        agree); values are superfunctions."""
+        fn = self.coords.functions
+        coordinates = fn.allowed
         groups: dict = {}
         for key, c in self.nums.items():
-            x_exps, xi, ao, ae = source.unpack(key)
-            fermi = tuple(i for i, e in ae for _ in range(e))
-            groups.setdefault((indices_of(ao), fermi), {})[fn.pack((x_exps, xi, 0, ()))] = c
-        return {comp: _element(GradedPoly, fn, nums, self.den) for comp, nums in groups.items()}
+            groups.setdefault(key & ~coordinates, {})[key & coordinates] = c
+        return {aux: _element(GradedPoly, fn, nums, self.den) for aux, nums in groups.items()}
 
     def __repr__(self):
         return f"{type(self).__name__}(deg {self.degree}: {super().__repr__()})"
@@ -488,10 +487,10 @@ def pairing(density: SuperDensity, form: SuperForm) -> GradedPoly:
     """Full contraction of matching-degree components; the result is a
     superfunction (a scalar density).  Degree mismatch gives zero.
 
-    Matching canonical monomials contribute the product of their
-    coefficient functions weighted by the factorials of the fermionic
-    multiplicities (the 1/p! tensor normalization against p!/multiplicity
-    orderings)."""
+    Components with one auxiliary key contribute the product of their
+    coefficient functions weighted by the factorials of the even-auxiliary
+    exponents, the fermionic multiplicities (the 1/p! tensor normalization
+    against p!/multiplicity orderings)."""
     if density.coords != form.coords:
         raise GeneratorMismatch("density and form over different coordinates")
     coords = density.coords
@@ -501,15 +500,9 @@ def pairing(density: SuperDensity, form: SuperForm) -> GradedPoly:
     dens_parts = density.components()
     for key, fcomp in form.components().items():
         dcomp = dens_parts.get(key)
-        if dcomp is None:
-            continue
-        weight = 1
-        fermi = key[1]
-        run = 1
-        for i, idx in enumerate(fermi):
-            run = run + 1 if i and fermi[i - 1] == idx else 1
-            weight *= run
-        out = out + dcomp * fcomp * weight
+        if dcomp is not None:
+            weight = prod(factorial(e) for _, e in coords.forms.unpack(key)[3])
+            out = out + dcomp * fcomp * weight
     return out
 
 

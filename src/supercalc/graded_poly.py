@@ -32,20 +32,23 @@ and equality is exact.  On
 Pearce pack monomials the same way; "POLY: a new polynomial data
 structure for Maple 17", 2013).
 
-Only this module reads key bits.  `Carrier.pack` and `Carrier.unpack`
-convert a key from and to the tuple view (x exponents, xi mask, odd-aux
-mask, even-aux exponents), exponents as sorted (index, exponent) pairs;
-`split_xi` and `join_xi` take a superfunction apart by xi mask and put
-it back.  The sparse term routines live here too: `_accumulate` and
+Only this module decodes key bits; other modules combine keys through a
+carrier's masks and offsets (`allowed`, `shift`).  `Carrier.pack` and
+`Carrier.unpack` convert a key from and to the tuple view (x exponents,
+xi mask, odd-aux mask, even-aux exponents), exponents as sorted (index,
+exponent) pairs; `split_xi` and `join_xi` take a superfunction apart by
+xi mask and put it back; `GradedPoly.substitute` is the one evaluation
+at images of the generators (linear pullbacks, the Berezin change of
+variables).  The sparse term routines live here too: `_accumulate` and
 `_product`.  A derivative along one generator anticommutes an odd
-generator to the front and drops it, or lowers an even one's exponent
-by one; distinct keys stay distinct, so `GradedPoly._derive` is one
-dict comprehension with nothing to accumulate.  A sum of components
-times derivatives, sum_A c_A * dw/dx^A (i(X) and L(X) on forms, e(F) on
+generator to the front and drops it, or lowers an even one's exponent by
+one; distinct keys stay distinct, so `GradedPoly._derive` is one dict
+comprehension with nothing to accumulate.  A sum of components times
+derivatives, sum_A c_A * dw/dx^A (i(X) and L(X) on forms, e(F) on
 densities, a vector field X(F), a Clifford gamma), is one pass of
 `_derivation_sum` over the numerators and denominator of w into one
-dict, with no derivative or product dict per component; the c_A enter
-as their `_derivation_terms`, built once per operator, with numerators
+dict, with no derivative or product dict per component; the c_A enter as
+their `_derivation_terms`, built once per operator, with numerators
 rescaled to the lcm of their denominators.  The exterior differential d
 of the form algebra and the divergence b of the density algebra are
 one-dict passes as well (`_exterior_d_nums`, `_divergence_nums`): each
@@ -714,6 +717,24 @@ class GradedPoly:
         return self._derive(alpha, self.carrier.nu, self.carrier.n, False)
 
     # -- conversions ------------------------------------------------------
+
+    def substitute(self, x_images, odd_images) -> "GradedPoly":
+        """This element with x_a replaced by x_images[a - 1] and the odd
+        generator at key bit j by odd_images[j - 1], images on this
+        carrier; even auxiliaries stay.  The odd images multiply in key
+        order, so no sign is added."""
+        carrier = self.carrier
+        base, top = carrier.n + carrier.nu, carrier.shift(carrier.n + 1)
+        out = self._new({})
+        for key, c in self.nums.items():
+            term = self._new({key >> top << top: c}, self.den)
+            for j in indices_of(key & carrier.odd):
+                term = term * odd_images[j - 1]
+            for a in range(carrier.n):
+                if e := key >> base + FIELD * a & _FIELD_MASK:
+                    term = term * x_images[a] ** e
+            out = out + term
+        return out
 
     def with_carrier(self, carrier: Carrier) -> "GradedPoly":
         """Reinterpret in another carrier over the same patch (embedding a

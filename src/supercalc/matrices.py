@@ -130,18 +130,6 @@ class GradedMatrix:
     def shape(self) -> tuple[int, int]:
         return len(self.row_sig), len(self.col_sig)
 
-    @staticmethod
-    def identity(sig: ParitySignature, n_gen: int) -> "GradedMatrix":
-        size = len(sig)
-        return GradedMatrix(
-            sig,
-            sig,
-            [
-                [Supernumber.scalar(n_gen, 1 if i == j else 0) for j in range(size)]
-                for i in range(size)
-            ],
-        )
-
     def parity(self) -> int | None:
         return _common_parity(
             (pr + pc, z)

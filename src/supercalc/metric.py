@@ -10,10 +10,13 @@ complexified coefficients a negative determinant folds to an imaginary
 factor rather than raising branch questions.
 
 C_g, its inverse, the star and its inverse are one pipeline, `_mapped`:
-take the components of a form or density by slot mask, send them to
-the target masks by a rule of the source degree (the minors of g^{-1}
-or g, or the star matrix Q or its inverse), rebuild, and move the
-sqrt(det g) tag by one.
+take the components of a form or density by slot mask, which on a
+bosonic patch is the stored auxiliary key of `components()`, send them
+to the target masks by a rule of the source degree (the minors of
+g^{-1} or g, or the star matrix Q or its inverse), rebuild, and move
+the sqrt(det g) tag by one.  The linear pullbacks along x = A xbar build
+the images of x and of the differentials or slots on the target carrier
+and call the kernel's one substitution routine, `GradedPoly.substitute`.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from typing import Sequence
 from . import exactmat
 from .exactmat import Matrix, from_rows, minor_det
 from .forms import CoordinateSystem, SuperDensity, SuperForm, divergence, exterior_d
-from .graded_poly import GradedPoly, indices_of, mask_of, merge_sign
+from .graded_poly import GradedPoly, indices_of, merge_sign
 from .scalars import CRat
 
 
@@ -161,21 +164,21 @@ def _mapped(metric: Metric, x, cls, rule, step: int) -> Scaled:
     target slot masks t and factor(t, s).  The result is the `cls` whose
     component at t is sum_s factor(t, s) x_s over x's components by slot
     mask s, tagged with x's sqrt(det g) power moved by `step`; a target
-    whose sum cancels gets no component.  An increasing bosonic blade
-    times a coefficient monomial is the canonical monomial
-    (x_exps, 0, mask, ()) with sign +1."""
+    whose sum cancels gets no component.  On a bosonic patch the stored
+    auxiliary key of a component is its slot mask, and a coefficient key
+    plus a mask t is the key of the increasing blade t times that
+    monomial, with sign +1."""
     half = 0
     if isinstance(x, Scaled):
         x, half = x.value, x.half_power
     _require_bosonic(x.coords, metric)
     targets, factor = rule(x.degree)
-    comps = [(mask_of(bose, metric.dim), f) for (bose, _), f in x.components().items()]
+    comps = x.components().items()
     zero, carrier = GradedPoly.zero(x.coords.functions), cls.carrier_of(x.coords)
     terms = {}
     for t in targets:
         total = sum((f * c for s, f in comps if (c := factor(t, s))), zero)
-        for key, c in total.terms.items():
-            terms[carrier.pack((total.carrier.unpack(key)[0], 0, t, ()))] = c
+        terms.update((key + t, c) for key, c in total.terms.items())
     return Scaled(cls(x.coords, GradedPoly(carrier, terms)), half + step).normalized(metric)
 
 
@@ -275,10 +278,8 @@ def beta_ascending(metric: Metric, f: SuperDensity | Scaled) -> Scaled:
 
 def _images(generator, carrier, n: int, entry) -> list[GradedPoly]:
     """The n linear combinations sum_c entry(i, c) generator(carrier, c + 1)."""
-    return [
-        sum((generator(carrier, c + 1) * entry(i, c) for c in range(n)), GradedPoly.zero(carrier))
-        for i in range(n)
-    ]
+    gens = [generator(carrier, c + 1) for c in range(n)]
+    return [sum((g * entry(i, c) for c, g in enumerate(gens)), GradedPoly.zero(carrier)) for i in range(n)]
 
 
 def pullback_form(w: SuperForm, a: Sequence[Sequence]) -> SuperForm:
@@ -289,9 +290,9 @@ def pullback_form(w: SuperForm, a: Sequence[Sequence]) -> SuperForm:
         raise MetricError("linear pullback implemented on bosonic patches")
     mat = from_rows(a)
     fc = coords.forms
-    x_images = _images(GradedPoly.coordinate, coords.functions, coords.n, lambda i, c: mat[i][c])
+    x_images = _images(GradedPoly.coordinate, fc, coords.n, lambda i, c: mat[i][c])
     dx_images = _images(GradedPoly.aux_odd, fc, coords.n, lambda i, c: mat[i][c])
-    return SuperForm(coords, _substitute(w, fc, x_images, dx_images))
+    return SuperForm(coords, w.substitute(x_images, dx_images))
 
 
 def pullback_density(f: SuperDensity, a: Sequence[Sequence]) -> SuperDensity:
@@ -304,9 +305,9 @@ def pullback_density(f: SuperDensity, a: Sequence[Sequence]) -> SuperDensity:
     inv = exactmat.inverse(mat)
     d = exactmat.det(mat)
     dc = coords.densities
-    x_images = _images(GradedPoly.coordinate, coords.functions, coords.n, lambda i, c: mat[i][c])
+    x_images = _images(GradedPoly.coordinate, dc, coords.n, lambda i, c: mat[i][c])
     slot_images = _images(GradedPoly.aux_odd, dc, coords.n, lambda i, c: inv[c][i])
-    return SuperDensity(coords, _substitute(f, dc, x_images, slot_images) * d)
+    return SuperDensity(coords, f.substitute(x_images, slot_images) * d)
 
 
 def pullback_metric(metric: Metric, a: Sequence[Sequence]) -> Metric:
@@ -315,16 +316,3 @@ def pullback_metric(metric: Metric, a: Sequence[Sequence]) -> Metric:
     return Metric.from_matrix(
         [[c.re for c in row] for row in exactmat.matmul(at, exactmat.matmul(metric.g, mat))]
     )
-
-
-def _substitute(poly: GradedPoly, carrier, x_images, aux_images) -> GradedPoly:
-    out = GradedPoly.zero(carrier)
-    for key, c in poly.terms.items():
-        x_exps, _xi, ao, _ae = poly.carrier.unpack(key)
-        term = GradedPoly.scalar(carrier, c)
-        for idx, e in x_exps:
-            term = term * x_images[idx - 1].with_carrier(carrier) ** e
-        for a_idx in indices_of(ao):
-            term = term * aux_images[a_idx - 1]
-        out = out + term
-    return out

@@ -38,15 +38,6 @@ class Polynomial(GradedPoly):
     def n(self) -> int:
         return self.carrier.n
 
-    @staticmethod
-    def constant(n: int, value) -> GradedPoly:
-        return GradedPoly.scalar(function_carrier(n, 0), value)
-
-    @staticmethod
-    def variable(n: int, index: int) -> GradedPoly:
-        """The coordinate x_index (1-based)."""
-        return GradedPoly.coordinate(function_carrier(n, 0), index)
-
 
 def _dense(p: GradedPoly, key: int) -> Expts:
     exps = dict(p.carrier.unpack(key)[0])

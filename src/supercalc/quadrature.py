@@ -62,6 +62,7 @@ _WEIGHTS_30 = (
 # The gaussian on -100,100 at tolerance 1e-14 takes 12 435 panels (0.5 s on
 # a 2-core host); on -1000,1000 at 1e-13 it would take 268 711 (9.4 s).
 MAX_PANELS = 20_000
+MAX_DEPTH = 40  # a panel this many bisections deep is accepted as it is
 
 
 def _fixed(f: Callable[[float], float], a: float, b: float, nodes, weights) -> float:
@@ -75,7 +76,6 @@ def integrate(
     a: float,
     b: float,
     tol: float = 1e-10,
-    max_depth: int = 40,
 ) -> float:
     """Integrate f over [a, b] to absolute tolerance tol.
 
@@ -93,7 +93,7 @@ def integrate(
             )
         coarse = _fixed(f, lo, hi, _NODES, _WEIGHTS)
         fine = _fixed(f, lo, hi, _NODES_30, _WEIGHTS_30)
-        if abs(fine - coarse) <= budget or depth >= max_depth:
+        if abs(fine - coarse) <= budget or depth >= MAX_DEPTH:
             return fine
         mid = 0.5 * (lo + hi)
         return recurse(lo, mid, budget / 2, depth + 1) + recurse(mid, hi, budget / 2, depth + 1)

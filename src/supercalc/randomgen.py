@@ -32,6 +32,11 @@ from .scalars import CRat, _crat
 
 
 _DEN = 6  # the lcm of the drawn denominators 1, 2 and 3
+_SPAN = 4  # drawn numerators lie in -_SPAN.._SPAN
+_BLADES = 3  # blades drawn per random form or density
+_ENTRY_TERMS = 3  # terms drawn per graded-matrix entry
+_MIXED_TERMS, _MIXED_DEGREE = 4, 2  # xi masks drawn per mixed function, and its degree in x
+_MAX_SIGNATURE = 4  # rows of a random parity signature
 
 
 def _randint(rng: random.Random, a: int, b: int) -> int:
@@ -50,18 +55,18 @@ def rational(rng: random.Random, span: int = 4, den: int = 3) -> Fraction:
     return Fraction(_randint(rng, -span, span), _randint(rng, 1, den))
 
 
-def crat(rng: random.Random, span: int = 4, complex_ok: bool = True) -> CRat:
-    c = _draw(rng, span, complex_ok)
+def crat(rng: random.Random, complex_ok: bool = True) -> CRat:
+    c = _draw(rng, complex_ok)
     return _crat(c, 0, _DEN) if type(c) is int else _crat(c._a, c._b, _DEN)
 
 
-def _draw(rng: random.Random, span: int = 4, complex_ok: bool = True) -> int | CRat:
+def _draw(rng: random.Random, complex_ok: bool = True) -> int | CRat:
     """The draws of `crat` as a numerator over _DEN: (a/d) + (b/e) i from
     two `rational` draws, the second on 40% of complex_ok draws; an int
     for a real value, else a Gaussian-integer CRat."""
-    a, d = _randint(rng, -span, span), _randint(rng, 1, 3)
+    a, d = _randint(rng, -_SPAN, _SPAN), _randint(rng, 1, 3)
     if complex_ok and rng.random() < 0.4:
-        b, e = _randint(rng, -span, span), _randint(rng, 1, 3)
+        b, e = _randint(rng, -_SPAN, _SPAN), _randint(rng, 1, 3)
         if b:
             return _crat(a * (_DEN // d), b * (_DEN // e), 1)
     return a * (_DEN // d)
@@ -111,15 +116,13 @@ def _polynomial_nums(rng: random.Random, n: int, max_degree: int, terms: int) ->
     return data
 
 
-def mixed_function(
-    rng: random.Random, n: int, nu: int, terms: int = 4, max_degree: int = 2
-) -> GradedPoly:
-    """sum_I f_I(x) xi^I on `function_carrier(n, nu)`: `terms` draws of a
-    xi mask and a polynomial, summed."""
+def mixed_function(rng: random.Random, n: int, nu: int) -> GradedPoly:
+    """sum_I f_I(x) xi^I on `function_carrier(n, nu)`: _MIXED_TERMS draws
+    of a xi mask and a polynomial, summed."""
     data: dict = {}
-    for _ in range(terms):
+    for _ in range(_MIXED_TERMS):
         mask = _randint(rng, 0, (1 << nu) - 1)
-        poly = _polynomial_nums(rng, n, max_degree, 3)
+        poly = _polynomial_nums(rng, n, _MIXED_DEGREE, 3)
         _accumulate(data, ((join_xi(mask, key, nu), c) for key, c in poly.items() if c))
     return _over_den(GradedPoly, function_carrier(n, nu), data)
 
@@ -204,17 +207,17 @@ def _function_terms(
     return out
 
 
-def form(rng: random.Random, coords: CoordinateSystem, degree: int, blades: int = 3) -> SuperForm:
-    return _homogeneous(rng, coords, degree, blades, SuperForm)
+def form(rng: random.Random, coords: CoordinateSystem, degree: int) -> SuperForm:
+    return _homogeneous(rng, coords, degree, SuperForm)
 
 
-def density(rng: random.Random, coords: CoordinateSystem, degree: int, blades: int = 3) -> SuperDensity:
-    return _homogeneous(rng, coords, degree, blades, SuperDensity)
+def density(rng: random.Random, coords: CoordinateSystem, degree: int) -> SuperDensity:
+    return _homogeneous(rng, coords, degree, SuperDensity)
 
 
-def _homogeneous(rng: random.Random, coords: CoordinateSystem, degree: int, blades: int, cls):
-    """Sum of random superfunctions times random blades of the given
-    degree, in the form or density algebra of ``cls``.  A blade is an
+def _homogeneous(rng: random.Random, coords: CoordinateSystem, degree: int, cls):
+    """A sum over _BLADES random blades of the given degree, each times a
+    random superfunction, in the form or density algebra of ``cls``.  A blade is an
     odd-auxiliary mask, even-auxiliary exponents and a sign, kept as the
     key offset it adds to a function key of the patch; every xi sits
     below every auxiliary, so a function term times a blade takes the
@@ -224,7 +227,7 @@ def _homogeneous(rng: random.Random, coords: CoordinateSystem, degree: int, blad
     steps, k_n, k_nu = _layout(n, nu)
     bits, uniform = rng.getrandbits, rng.random
     acc: dict = {}
-    for _ in range(blades):
+    for _ in range(_BLADES):
         ao = blade = negative = d = guard = 0
         while d < degree and guard < 30:
             guard += 1
@@ -271,9 +274,9 @@ def _invertible(rng: random.Random, size: int, shape) -> list[list[Fraction]]:
             return rows
 
 
-def parity_signature(rng: random.Random, max_size: int = 4) -> ParitySignature:
-    even = _randint(rng, 0, max_size - 1)
-    odd = _randint(rng, max(0, 1 - even), max_size - even)
+def parity_signature(rng: random.Random) -> ParitySignature:
+    even = _randint(rng, 0, _MAX_SIGNATURE - 1)
+    odd = _randint(rng, max(0, 1 - even), _MAX_SIGNATURE - even)
     return ParitySignature.of(even, odd)
 
 
@@ -283,14 +286,13 @@ def graded_matrix(
     col_sig: ParitySignature,
     n_gen: int,
     parity: int,
-    terms: int = 3,
 ) -> GradedMatrix:
     entries = []
     for pr in row_sig.parities:
         row = []
         for pc in col_sig.parities:
             want = (parity + pr + pc) % 2
-            row.append(homogeneous_supernumber(rng, n_gen, want, terms))
+            row.append(homogeneous_supernumber(rng, n_gen, want, _ENTRY_TERMS))
         entries.append(row)
     return GradedMatrix(row_sig, col_sig, entries)
 
@@ -299,6 +301,6 @@ def homogeneous_entry_matrix(
     rng: random.Random, rows: int, cols: int, n_gen: int, entry_parity: int
 ) -> list[list[Supernumber]]:
     return [
-        [homogeneous_supernumber(rng, n_gen, entry_parity, 3) for _ in range(cols)]
+        [homogeneous_supernumber(rng, n_gen, entry_parity, _ENTRY_TERMS) for _ in range(cols)]
         for _ in range(rows)
     ]

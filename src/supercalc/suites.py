@@ -216,14 +216,19 @@ def evaluate_checks(report: SuiteReport, checks: Sequence[Check]) -> SuiteReport
     return report
 
 
+MAX_N = 6  # run_grassmann draws supernumbers over 2..MAX_N generators
+MAX_NU = 4  # run_berezin draws supernumbers over 1..MAX_NU generators
+N_GEN = 4  # the generators of run_linalg's matrix entries
+
+
 # -- grassmann core ---------------------------------------------------------
 
 
-def run_grassmann(trials: int = 200, seed: int = 0, max_n: int = 6) -> SuiteReport:
+def run_grassmann(trials: int = 200, seed: int = 0) -> SuiteReport:
     dewitt = Convention.DEWITT
 
     def triples(rng, k):
-        n = 2 + k % (max_n - 1)
+        n = 2 + k % (MAX_N - 1)
         a, b, c = (rg.supernumber(rng, n) for _ in range(3))
         pa, pb = k % 2, k // 2 % 2
         sign = -1 if pa * pb else 1
@@ -231,12 +236,12 @@ def run_grassmann(trials: int = 200, seed: int = 0, max_n: int = 6) -> SuiteRepo
         return locals()
 
     def invertibles(rng, k):
-        n = 2 + k % (max_n - 1)
+        n = 2 + k % (MAX_N - 1)
         z = rg.supernumber(rng, n, ensure_body=True)
         return locals()
 
     def conjugates(rng, k):
-        n = 2 + k % (max_n - 1)
+        n = 2 + k % (MAX_N - 1)
         z, w = rg.supernumber(rng, n), rg.supernumber(rng, n)
         pa, pb = k % 2, k // 2 % 2
         sign = -1 if pa * pb else 1
@@ -244,7 +249,7 @@ def run_grassmann(trials: int = 200, seed: int = 0, max_n: int = 6) -> SuiteRepo
         return locals()
 
     def souls(rng, k):
-        n = 2 + k % (max_n - 1)
+        n = 2 + k % (MAX_N - 1)
         z, w = (rg.supernumber(rng, n).soul().even_part() for _ in range(2))
         zz = rg.supernumber(rng, n, ensure_body=True)
         return locals()
@@ -280,22 +285,22 @@ def run_grassmann(trials: int = 200, seed: int = 0, max_n: int = 6) -> SuiteRepo
 # -- berezin -----------------------------------------------------------------
 
 
-def run_berezin(trials: int = 200, seed: int = 0, max_nu: int = 4) -> SuiteReport:
+def run_berezin(trials: int = 200, seed: int = 0) -> SuiteReport:
     unit, wide = Domain.box((0, 1)), Domain.box((-1, 1))
 
     def singles(rng, k):
-        nu = 1 + k % max_nu
+        nu = 1 + k % MAX_NU
         f = rg.supernumber(rng, nu)
         lam, mu = 1 + k % nu, 1 + (k + 1) % nu
         return locals()
 
     def products(rng, k):
-        nu = 2 + k % (max_nu - 1)
+        nu = 2 + k % (MAX_NU - 1)
         f, g = rg.supernumber(rng, nu), rg.supernumber(rng, nu)
         return locals()
 
     def substitutions(rng, k):
-        nu = 1 + k % max_nu
+        nu = 1 + k % MAX_NU
         f, a = rg.supernumber(rng, nu), rg.invertible_rational_matrix(rng, nu)
         return locals()
 
@@ -376,29 +381,29 @@ def _block_form(m: GradedMatrix, pk: int) -> bool:
     return supertranspose(m).entries == ((a, d * CRat(1 if pk else -1)), (c * CRat(-1 if pk else 1), b))
 
 
-def run_linalg(trials: int = 300, seed: int = 0, n_gen: int = 4) -> SuiteReport:
-    zero, square = Supernumber.zero(n_gen), ParitySignature.of(1, 1)
+def run_linalg(trials: int = 300, seed: int = 0) -> SuiteReport:
+    zero, square = Supernumber.zero(N_GEN), ParitySignature.of(1, 1)
 
     def products(rng, k):
         sig_a, sig_b, sig_c = (rg.parity_signature(rng) for _ in range(3))
         pk, pl = k % 2, k // 2 % 2
         sign = -1 if pk * pl else 1
-        km = rg.graded_matrix(rng, sig_a, sig_b, n_gen, pk)
-        lm = rg.graded_matrix(rng, sig_b, sig_c, n_gen, pl)
+        km = rg.graded_matrix(rng, sig_a, sig_b, N_GEN, pk)
+        lm = rg.graded_matrix(rng, sig_b, sig_c, N_GEN, pl)
         # plain matrices whose entries share the parities pk and pl
         ra, rb, rc = rng.randint(1, 3), rng.randint(1, 3), rng.randint(1, 3)
-        ma = rg.homogeneous_entry_matrix(rng, ra, rb, n_gen, pk)
-        mb = rg.homogeneous_entry_matrix(rng, rb, rc, n_gen, pl)
+        ma = rg.homogeneous_entry_matrix(rng, ra, rb, N_GEN, pk)
+        mb = rg.homogeneous_entry_matrix(rng, rb, rc, N_GEN, pl)
         kl = matmul(km, lm)
         vec_parity = k // 2 % 2
-        coords = tuple(rg.homogeneous_supernumber(rng, n_gen, (vec_parity + p) % 2, 2) for p in sig_b.parities)
+        coords = tuple(rg.homogeneous_supernumber(rng, N_GEN, (vec_parity + p) % 2, 2) for p in sig_b.parities)
         image = apply_to_vector(km, GradedVector(sig_b, coords))
         want, got = (pk + vec_parity) % 2, image.parity()
         return locals()
 
     def squares(rng, k):
         pk = k % 2
-        m = rg.graded_matrix(rng, square, square, n_gen, pk)
+        m = rg.graded_matrix(rng, square, square, N_GEN, pk)
         return locals()
 
     pairs = Block(trials, products)
@@ -799,28 +804,17 @@ def run_metric(trials: int = 10, seed: int = 0, dims: Sequence[int] = (2, 3)) ->
         coords = CoordinateSystem(d, 0)
         metric = _random_metric(rng, d)
         a = rg.invertible_rational_matrix(rng, d)
-        det_a = exactmat.det(exactmat.from_rows(a))
+        mat = exactmat.from_rows(a)
+        det_a = exactmat.det(mat)
         p = k % (d + 1)
         w = rg.form(rng, coords, p)
         dens = rg.density(rng, coords, p)
         lhs = pairing(pullback_density(dens, a), pullback_form(w, a))
         rhs_raw = pairing(dens, w)
         # transport the scalar density by substitution and det factor
-        fc = coords.functions
-        images = [
-            sum(
-                (GradedPoly.coordinate(fc, c + 1) * exactmat.from_rows(a)[i][c] for c in range(d)),
-                GradedPoly.zero(fc),
-            )
-            for i in range(d)
-        ]
-        transported = GradedPoly.zero(fc)
-        for (x_exps, xi, ao, ae), cc in ((fc.unpack(k), c) for k, c in rhs_raw.terms.items()):
-            term = GradedPoly.scalar(fc, cc)
-            for idx, e in x_exps:
-                term = term * images[idx - 1] ** e
-            transported = transported + term
-        push.expect(lhs == transported * det_a, f"pairing pullback #{k}")
+        xs = [GradedPoly.coordinate(coords.functions, c + 1) for c in range(d)]
+        images = [sum((x * m for x, m in zip(xs, row)), GradedPoly.zero(coords.functions)) for row in mat]
+        push.expect(lhs == rhs_raw.substitute(images, ()) * det_a, f"pairing pullback #{k}")
         gbar = pullback_metric(metric, a)
         lhs_sq = volume_density(gbar).component_squared(gbar)
         rhs_sq = SuperDensity.from_function(coords, 1).scale(det_a * det_a * CRat(metric.det))

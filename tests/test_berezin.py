@@ -26,6 +26,16 @@ from supercalc.polynomials import Polynomial
 from supercalc.scalars import CRat
 
 
+def _x(n: int, a: int) -> GradedPoly:
+    """The coordinate x_a of the polynomials in n variables."""
+    return GradedPoly.coordinate(function_carrier(n, 0), a)
+
+
+def _constant(n: int, value) -> GradedPoly:
+    """The constant polynomial in n variables."""
+    return GradedPoly.scalar(function_carrier(n, 0), value)
+
+
 def test_left_derivative_examples():
     x1, x2 = Supernumber.generators(2)
     assert grassmann_derivative(x1 * x2, 1) == x2
@@ -106,12 +116,12 @@ def test_change_of_variables_random():
 
 
 def test_mixed_integral_polynomial():
-    f = MixedFunction(1, 2, {0b11: Polynomial.variable(1, 1)})
+    f = MixedFunction(1, 2, {0b11: _x(1, 1)})
     assert mixed_integral(f, Domain.box((0, 1))) == CRat(Fraction(1, 2))
 
 
 def test_mixed_integral_missing_top_term():
-    f = MixedFunction(1, 2, {0b01: Polynomial.variable(1, 1)})
+    f = MixedFunction(1, 2, {0b01: _x(1, 1)})
     assert mixed_integral(f, Domain.box((0, 1))) == CRat(0)
 
 
@@ -124,20 +134,20 @@ def test_mixed_integral_gaussian():
 def test_raised_components_shuffle_signs():
     # D = xi1 over two generators: the raised slot sits on xi2 with the
     # (complement, target) shuffle sign +1 for (1),(2) and -1 for (2),(1)
-    d = MixedFunction(0, 2, {0b01: Polynomial.constant(0, 1)})
+    d = MixedFunction(0, 2, {0b01: _constant(0, 1)})
     raised = raised_components(d)
-    assert raised == {0b10: Polynomial.constant(0, 1)}
-    d2 = MixedFunction(0, 2, {0b10: Polynomial.constant(0, 1)})
-    assert raised_components(d2) == {0b01: -Polynomial.constant(0, 1)}
+    assert raised == {0b10: _constant(0, 1)}
+    d2 = MixedFunction(0, 2, {0b10: _constant(0, 1)})
+    assert raised_components(d2) == {0b01: -_constant(0, 1)}
 
 
 def test_density_pairing_examples():
     dom = Domain.box((0, 1))
-    f0 = Polynomial.variable(1, 1)  # f0(x) = x
-    d = MixedFunction(1, 2, {0b11: Polynomial.constant(1, 1)})
+    f0 = _x(1, 1)  # f0(x) = x
+    d = MixedFunction(1, 2, {0b11: _constant(1, 1)})
     f = MixedFunction(1, 2, {0: f0})
     assert density_pairing(d, f, dom) == CRat(Fraction(1, 2))
-    d1 = MixedFunction(1, 2, {0: Polynomial.constant(1, 1)})
+    d1 = MixedFunction(1, 2, {0: _constant(1, 1)})
     f12 = MixedFunction(1, 2, {0b11: f0})
     assert density_pairing(d1, f12, dom) == CRat(Fraction(1, 2))
 
@@ -217,13 +227,13 @@ def test_from_json_mixed_resolves_named_integrands():
 
 
 def test_mixed_function_is_a_superfunction():
-    f = MixedFunction(1, 1, {1: Polynomial.variable(1, 1)}) * MixedFunction(1, 1, {0: 2})
+    f = MixedFunction(1, 1, {1: _x(1, 1)}) * MixedFunction(1, 1, {0: 2})
     assert type(f) is GradedPoly and f.carrier == function_carrier(1, 1)
     assert f == GradedPoly(function_carrier(1, 1), {function_carrier(1, 1).pack((((1, 1),), 0b1, 0, ())): 2})
     with pytest.raises(ValueError, match="xi mask"):
         MixedFunction(1, 1, {-1: 1})
     with pytest.raises(ValueError, match="not a polynomial in 1 variables"):
-        MixedFunction(1, 1, {0: Polynomial.variable(2, 1)})
+        MixedFunction(1, 1, {0: _x(2, 1)})
 
 
 GAUSSIAN = lambda x: math.exp(-x * x)  # noqa: E731
@@ -254,7 +264,7 @@ GAUSSIAN = lambda x: math.exp(-x * x)  # noqa: E731
     ],
 )
 def test_black_box_has_no_exact_operations(op):
-    box = MixedFunction(1, 2, {0b11: GAUSSIAN, 0b01: Polynomial.variable(1, 1)})
+    box = MixedFunction(1, 2, {0b11: GAUSSIAN, 0b01: _x(1, 1)})
     with pytest.raises(TypeError):
         op(box, MixedFunction(1, 2, {0: 1}))
 

@@ -188,6 +188,15 @@ def test_clifford_dim_above_the_cap(args):
     assert "argument --dim: must be at most 6" in errors[0]
 
 
+# an integer literal longer than Python converts from text by default
+HUGE_INTEGER = "1" * 5000
+
+
+def write_json(path, content) -> None:
+    """Write content as JSON; a str is written as the JSON text itself."""
+    path.write_text(content if isinstance(content, str) else json.dumps(content))
+
+
 def one_error_line(proc) -> str:
     assert proc.stdout == ""
     assert proc.stderr.startswith("error:")
@@ -204,12 +213,13 @@ def one_error_line(proc) -> str:
         ([["1", "1/0"], ["1/0", "1"]], "row 1 entry 2: zero denominator"),
         ([["1", "x"], ["x", "1"]], "row 1 entry 2: 'x' is not a number"),
         ([["1e10000000"]], "row 1 entry 1: the exponent of '1e10000000' is more than "),
+        (f"[[{HUGE_INTEGER}]]", "Exceeds the limit"),
     ],
-    ids=["too-large", "object", "ragged", "zero-denominator", "not-a-number", "huge-exponent"],
+    ids=["too-large", "object", "ragged", "zero-denominator", "not-a-number", "huge-exponent", "huge-integer"],
 )
 def test_metric_file_shape(tmp_path, content, message):
     path = tmp_path / "metric.json"
-    path.write_text(json.dumps(content))
+    write_json(path, content)
     proc = run_cli("clifford", "check", "--metric", str(path), expect=2)
     assert f"--metric {path}: {message}" in one_error_line(proc)
 
@@ -285,18 +295,20 @@ def test_check_flags_follow_the_suite_name():
         ([1, 2], "expected a JSON object"),
         ({"1": 5}, "scalar literal 5 is not a string"),
         ({"terms": [1]}, '"terms" is not a JSON object'),
+        (f'{{"1": {HUGE_INTEGER}}}', "Exceeds the limit"),
     ],
-    ids=["list", "number", "terms-list"],
+    ids=["list", "number", "terms-list", "huge-integer"],
 )
 @pytest.mark.parametrize("command", ["let", "berezin"])
 def test_term_map_file_shape(tmp_path, content, message, command):
     path = tmp_path / "z.json"
-    path.write_text(json.dumps(content))
+    write_json(path, content)
     if command == "let":
-        proc = run_cli("eval", "s", "--nu", "1", "--let", f"s={path}", expect=2)
+        proc, flag = run_cli("eval", "s", "--nu", "1", "--let", f"s={path}", expect=2), "--let"
     else:
-        proc = run_cli("berezin", "--nu", "1", "--expr", str(path), expect=2)
-    assert message in one_error_line(proc)
+        proc, flag = run_cli("berezin", "--nu", "1", "--expr", str(path), expect=2), "--expr"
+    line = one_error_line(proc)
+    assert f"{flag} {path}: " in line and message in line
 
 
 @pytest.mark.parametrize(

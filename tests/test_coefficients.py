@@ -116,7 +116,8 @@ def test_scalar_elements_hash_as_their_scalar(value):
         GradedPoly.scalar(form_carrier(2, 1), value),
         GradedPoly.scalar(density_carrier(0, 0), value),
         Supernumber.scalar(2, value),
-        Polynomial.constant(2, value),
+        GradedPoly.scalar(function_carrier(2, 0), value),
+        Polynomial(2, {(0, 0): value}),
     ]
     for element in elements:
         assert element == value and value == element

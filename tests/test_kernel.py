@@ -13,7 +13,10 @@ signs by pairwise comparison of generator labels and share no code with
 the kernel.  A naive product over index tuples checks `Supernumber`,
 whose keys are the xi masks themselves.  Exponents past the field width
 are refused, and the dense-exponent constructor of polynomials is
-checked against products of coordinates.
+checked against products of coordinates.  `GradedPoly.substitute` is
+checked by two properties that use no substitution code: the generators
+as their own images leave every element unchanged, and substitution of
+random linear images is multiplicative.
 """
 
 import random
@@ -283,7 +286,7 @@ def test_guards_are_the_top_bit_of_every_field():
 def test_negative_powers_raise():
     for x in (
         Supernumber.generator(2, 1),
-        Polynomial.variable(1, 1),
+        Polynomial(1, {(1,): 1}),
         GradedPoly.coordinate(function_carrier(1, 0), 1),
     ):
         with pytest.raises(ValueError):
@@ -308,8 +311,9 @@ def test_dense_constructor_is_a_product_of_coordinates():
 def test_mixed_json_key_order():
     """`from_json_mixed` reads Grassmann keys and the dense exponent keys of
     each polynomial in any order."""
-    x1, x2 = (Polynomial.variable(2, a) for a in (1, 2))
-    coeff = 3 * x2 ** 2 + x1 * x2 + Polynomial.constant(2, Fraction(1, 2)) + 5 * x1 ** 2 - x2 * CRat(0, 1)
+    ring = function_carrier(2, 0)
+    x1, x2 = (GradedPoly.coordinate(ring, a) for a in (1, 2))
+    coeff = 3 * x2 ** 2 + x1 * x2 + GradedPoly.scalar(ring, Fraction(1, 2)) + 5 * x1 ** 2 - x2 * CRat(0, 1)
     f = MixedFunction(2, 2, {0b10: coeff, 0b11: x2 * x1 ** 3, 0: x1})
     terms = {
         "": {"1,0": "1"},
@@ -320,3 +324,53 @@ def test_mixed_json_key_order():
     shuffled = {key: dict(reversed(poly.items())) for key, poly in reversed(terms.items())}
     assert list(shuffled) == ["1,2", "2", ""] and list(shuffled["2"])[0] == "2,0"
     assert from_json_mixed({"terms": shuffled, "nu": 2, "n": 2}) == f
+
+
+# -- substitution --------------------------------------------------------------
+
+
+def _generators(carrier: Carrier) -> tuple[list, list]:
+    """The x_a, and the odd generators in key-bit order: the xi_alpha, then
+    the odd auxiliaries of a form or density carrier."""
+    xs = [GradedPoly.coordinate(carrier, a) for a in range(1, carrier.n + 1)]
+    odd = [GradedPoly.odd_coordinate(carrier, alpha) for alpha in range(1, carrier.nu + 1)]
+    if carrier.kind is not Kind.FUNCTION:
+        odd += [GradedPoly.aux_odd(carrier, a) for a in range(1, carrier.n + 1)]
+    return xs, odd
+
+
+def _linear(rng, gens: list, zero: GradedPoly) -> GradedPoly:
+    """A seeded linear combination of gens."""
+    return sum((g * rg.crat(rng) for g in gens), zero)
+
+
+@pytest.mark.parametrize("carrier", CARRIERS, ids=lambda c: f"{c.kind.value}-{c.n}-{c.nu}")
+def test_substituting_each_generator_for_itself_changes_nothing(carrier):
+    rng = random.Random(f"substitute-{carrier.kind.value}-{carrier.n}-{carrier.nu}")
+    xs, odd = _generators(carrier)
+    for _ in range(6):
+        f = packed(carrier, random_view(rng, carrier))
+        assert f.substitute(xs, odd) == f
+
+
+def test_substituting_linear_images_is_multiplicative():
+    """Substitution is a ring map: on random linear images of the
+    generators, substituting into a product gives the product of the
+    substitutions.  On the (2, 2) form carrier the even auxiliaries dxi
+    stay; on Lambda_3 the result is a `Supernumber`."""
+    rng = random.Random(32)
+    coords = CoordinateSystem(2, 2)
+    zero = GradedPoly.zero(coords.forms)
+    xs, odd = _generators(coords.forms)
+    for _ in range(4):
+        x_images = [_linear(rng, xs, zero) for _ in xs]
+        odd_images = [_linear(rng, odd, zero) for _ in odd]
+        f, g = (sum((rg.form(rng, coords, p) for p in range(3)), zero) for _ in range(2))
+        left = (f * g).substitute(x_images, odd_images)
+        assert left == f.substitute(x_images, odd_images) * g.substitute(x_images, odd_images)
+    zetas = Supernumber.generators(3)
+    for _ in range(12):
+        images = [_linear(rng, zetas, Supernumber.zero(3)) for _ in zetas]
+        a, b = rg.supernumber(rng, 3), rg.supernumber(rng, 3)
+        assert type(a.substitute((), images)) is Supernumber
+        assert (a * b).substitute((), images) == a.substitute((), images) * b.substitute((), images)

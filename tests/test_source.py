@@ -168,6 +168,54 @@ def test_public_methods_are_accessed():
     assert not unused, f"public methods never accessed: {unused}"
 
 
+def test_static_and_class_methods_are_reached_through_their_class():
+    """A public static or class method is read as `Class.name` by the
+    library or the benchmark, where Class is its class or a subclass, a
+    name bound to one of them (`CliffordContext = Metric`, an `import ...
+    as`), or `self`/`cls` inside one of their bodies.  The guards above
+    miss these: a word count and an attribute read see `Metric.identity`
+    for `GradedMatrix.identity` too, and the caller check reads
+    module-level functions only."""
+    repo = Path(__file__).resolve().parent.parent
+    library = sorted(SOURCE.glob("*.py"))
+    trees = {path: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+             for path in [*library, *(repo / "perfbench").glob("*.py")]}
+    classes = {node.name: (path, node) for path in library for node in trees[path].body
+               if isinstance(node, ast.ClassDef)}
+    names = {name: {name} for name in classes}
+    reads = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            pairs = []
+            if isinstance(node, ast.ImportFrom):
+                pairs = [(alias.name, alias.asname) for alias in node.names]
+            elif isinstance(node, ast.Assign) and isinstance(node.value, ast.Name):
+                pairs = [(node.value.id, t.id) for t in node.targets if isinstance(t, ast.Name)]
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                reads.add((node.value.id, node.attr))
+            for name, alias in pairs:
+                if name in classes and alias:
+                    names[name].add(alias)
+    for name, (_, cls) in classes.items():
+        reads.update((name, node.attr) for node in ast.walk(cls) if isinstance(node, ast.Attribute)
+                     and isinstance(node.value, ast.Name) and node.value.id in ("self", "cls"))
+
+    def family(name: str) -> set[str]:
+        """The class and its subclasses in the library."""
+        subs = [other for other, (_, node) in classes.items() if name in (getattr(b, "id", None) for b in node.bases)]
+        return {name}.union(*map(family, subs))
+
+    unreached = [
+        f"{path.stem}.{name}.{sub.name}"
+        for name, (path, cls) in classes.items()
+        for sub in cls.body
+        if isinstance(sub, ast.FunctionDef) and not sub.name.startswith("_")
+        and {ast.unparse(d) for d in sub.decorator_list} & {"staticmethod", "classmethod"}
+        and not any((alias, sub.name) in reads for member in family(name) for alias in names[member])
+    ]
+    assert not unreached, f"static and class methods the library and the benchmark never reach: {unreached}"
+
+
 def test_no_payload_attribute():
     """Forms, densities and Fock states are kernel elements themselves:
     nothing in the library reads a `poly` attribute off an element."""
