@@ -14,11 +14,13 @@ the kernel.  A naive product over index tuples checks `Supernumber`,
 whose keys are the xi masks themselves.  Exponents past the field width
 are refused, and the dense-exponent constructor of polynomials is
 checked against products of coordinates.  `GradedPoly.substitute` is
-checked by two properties that use no substitution code: the generators
-as their own images leave every element unchanged, and substitution of
-random linear images is multiplicative.
+checked by properties that use no substitution code: the generators as
+their own images leave every element unchanged, scalars for the x_a
+evaluate each term's x monomial, and substitution of random linear
+images is multiplicative.
 """
 
+import math
 import random
 from fractions import Fraction
 
@@ -351,6 +353,22 @@ def test_substituting_each_generator_for_itself_changes_nothing(carrier):
     for _ in range(6):
         f = packed(carrier, random_view(rng, carrier))
         assert f.substitute(xs, odd) == f
+
+
+@pytest.mark.parametrize("carrier", CARRIERS, ids=lambda c: f"{c.kind.value}-{c.n}-{c.nu}")
+def test_substituting_scalars_for_x_evaluates_the_x_part(carrier):
+    """With x_a -> t_a and the odd generators kept, each term's x monomial
+    becomes prod t_a^e, evaluated here on the tuple view."""
+    rng = random.Random(f"evaluate-{carrier.kind.value}-{carrier.n}-{carrier.nu}")
+    _, odd = _generators(carrier)
+    values = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(carrier.n)]
+    x_images = [GradedPoly.scalar(carrier, t) for t in values]
+    for _ in range(6):
+        view, want = random_view(rng, carrier), {}
+        for (x, xi, ao, ae), c in view.items():
+            rest = ((), xi, ao, ae)
+            want[rest] = want.get(rest, 0) + c * math.prod(values[a - 1] ** e for a, e in x)
+        assert packed(carrier, view).substitute(x_images, odd) == packed(carrier, want)
 
 
 def test_substituting_linear_images_is_multiplicative():
