@@ -204,8 +204,9 @@ def _load_json(flag: str, path: str, rows: bool = False):
     with open(path, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)
-        except ValueError as exc:  # a JSONDecodeError, or an integer too long to convert
-            raise ValueError(f"{flag} {path}: {exc}") from None
+        except ValueError as exc:  # a JSONDecodeError, a UnicodeDecodeError, or (plain) too many digits
+            why = f"an integer has more than {sys.get_int_max_str_digits()} digits" if type(exc) is ValueError else exc
+            raise ValueError(f"{flag} {path}: {why}") from None
     if rows:
         ok = isinstance(data, list) and data and all(isinstance(row, list) for row in data)
     else:

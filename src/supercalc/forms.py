@@ -7,7 +7,10 @@ is even, so bosonic differentials anticommute while fermionic ones
 commute, and the ascending complex is unbounded once nu > 0.  Densities
 live in the mirror algebra generated by contravariant slots with the
 same parities, which is why the divergence obeys bb = 0 by the same
-cancellation that gives dd = 0.
+cancellation that gives dd = 0.  Both are one kernel pass,
+`graded_poly._differential_nums`, whose moves the carrier kind selects:
+d trades x_a for dx_a and xi_alpha for dxi_alpha, and b removes x_a and
+xi_alpha each together with its slot.
 
 `SuperForm` and `SuperDensity` are `GradedPoly` elements of the form and
 density carriers of a patch that hold one degree; their constructors
@@ -44,9 +47,8 @@ from .graded_poly import (
     Parity,
     _derivation_sum,
     _derivation_terms,
-    _divergence_nums,
+    _differential_nums,
     _element,
-    _exterior_d_nums,
     _init,
     _product,
     _sum,
@@ -354,7 +356,7 @@ def op_mult(coords: CoordinateSystem, f) -> Operator:
 def total_differential(coords: CoordinateSystem, f) -> GradedPoly:
     """dF = sum_A dx^A (dF/dx^A) as an element of the form algebra."""
     f = _as_function(coords, f)
-    return _element(GradedPoly, coords.forms, _exterior_d_nums(f.nums, coords.forms), f.den)
+    return _element(GradedPoly, coords.forms, _differential_nums(f.nums, coords.forms), f.den)
 
 
 def op_e_form(coords: CoordinateSystem, f) -> Operator:
@@ -365,7 +367,7 @@ def op_e_form(coords: CoordinateSystem, f) -> Operator:
 def op_d_form(coords: CoordinateSystem) -> Operator:
     """Exterior differential, an odd derivation with dd = 0."""
     forms = coords.forms
-    return Operator(1, forms, lambda nums, den: (_exterior_d_nums(nums, forms), den))
+    return Operator(1, forms, lambda nums, den: (_differential_nums(nums, forms), den))
 
 
 def op_i_form(x: SuperVectorField) -> Operator:
@@ -382,7 +384,7 @@ def op_lie_form(x: SuperVectorField) -> Operator:
     forms = x.coords.forms
     d_comps = []
     for comp in x.bose + x.fermi:
-        nums = _exterior_d_nums(comp.nums, forms) if comp.nums else {}
+        nums = _differential_nums(comp.nums, forms) if comp.nums else {}
         d_comps.append(_element(GradedPoly, forms, {k: -c for k, c in nums.items()} if x.parity else nums, comp.den))
     n = x.coords.n
     pairs = _coordinate_pairs(forms, x.bose, x.fermi) + _aux_pairs(forms, d_comps[:n], d_comps[n:])
@@ -400,7 +402,7 @@ def op_mult_density(coords: CoordinateSystem, f) -> Operator:
 def op_divergence(coords: CoordinateSystem) -> Operator:
     """Divergence b = sum_A d/dx^A applied to the first slot; odd, bb = 0."""
     densities = coords.densities
-    return Operator(1, densities, lambda nums, den: (_divergence_nums(nums, densities), den))
+    return Operator(1, densities, lambda nums, den: (_differential_nums(nums, densities), den))
 
 
 def slot_element(x: SuperVectorField) -> GradedPoly:

@@ -50,10 +50,11 @@ densities, a vector field X(F), a Clifford gamma), is one pass of
 dict, with no derivative or product dict per component; the c_A enter as
 their `_derivation_terms`, built once per operator, with numerators
 rescaled to the lcm of their denominators.  The exterior differential d
-of the form algebra and the divergence b of the density algebra are
-one-dict passes as well (`_exterior_d_nums`, `_divergence_nums`): each
-term adds its image terms, with the signs the products dx_a * dw/dx_a
-would carry, straight into the result, and no ring product is formed.
+of the form algebra and the divergence b of the density algebra are one
+one-dict pass, `_differential_nums`, over the moves that the patch's
+layout memo lists for the carrier kind: each term adds its image terms,
+with the signs the products dx_a * dw/dx_a would carry, straight into
+the result, and no ring product is formed.
 
 An element stores integer numerators over one element denominator, as
 FLINT's `fmpq_poly` does (Hart, "FLINT: Fast Library for Number
@@ -422,33 +423,45 @@ def _derivation_sum(nums: dict, den: int, terms: tuple) -> tuple[dict, int]:
     return out, lead * den
 
 
-# one-dict passes for the differentials d and b
+# one differential pass for d on forms and b on densities
 
 
 @cache
-def _d_layout(n: int, nu: int) -> tuple:
-    """The (x_a field shift, dx_a bit) and (xi_alpha bit, dxi_alpha field
-    step) pairs of d on the patch (n, nu): a memo of the key layout, like
-    the carriers."""
-    shift = form_carrier(n, nu).shift
-    x_fields = tuple((shift(a), 1 << (nu + a - 1)) for a in range(1, n + 1))
-    return x_fields, tuple((1 << (alpha - 1), 1 << shift(n + alpha)) for alpha in range(1, nu + 1))
+def _differential_layout(n: int, nu: int) -> dict:
+    """The moves of d on the forms and of b on the densities of the patch
+    (n, nu), by carrier kind: a memo of the key layout, like the carriers.
+    A lowering move (shift, bit, want, delta) applies where key & bit ==
+    want; a raising move (bit, step) where the xi_alpha bit is set."""
+    shift = function_carrier(n, nu).shift
+    x = [(shift(a), 1 << (nu + a - 1)) for a in range(1, n + 1)]
+    xi = [(shift(n + alpha), 1 << (alpha - 1)) for alpha in range(1, nu + 1)]
+    return {
+        Kind.FORM: (tuple((s, bit, 0, bit - (1 << s)) for s, bit in x), tuple((bit, (1 << s) - bit) for s, bit in xi)),
+        Kind.DENSITY: (tuple((s, bit, bit, -bit - (1 << s)) for s, bit in x + xi), ()),
+    }
 
 
-def _exterior_d_nums(nums: dict, carrier: Carrier) -> dict:
-    """Numerators of dw = sum_A dx^A (dw/dx^A) on the form algebra, in one
-    dict.  Putting the odd dx_a in front passes every odd generator below
-    it (every xi and the lower dx); dxi_alpha is even, so only
-    d/dxi_alpha's own prefix sign counts."""
-    x_fields, xi_fields = _d_layout(carrier.n, carrier.nu)
+def _differential_nums(nums: dict, carrier: Carrier) -> dict:
+    """Numerators of dw = sum_A dx^A (dw/dx^A) on a form carrier, or of
+    bw = sum_A d/dx^A applied to the first slot on a density carrier, in
+    one dict.  d lowers x_a and sets the odd dx_a, or clears xi_alpha and
+    raises the even dxi_alpha; b lowers x_a and clears its slot, or lowers
+    the xi_alpha slot and clears xi_alpha.  Each move is signed by the odd
+    bits below its bit, as the products dx_a * dw/dx_a would be."""
+    moves = _differential_layout(carrier.n, carrier.nu).get(carrier.kind)
+    if moves is None:
+        raise ValueError(f"no differential on {carrier}")
+    lowering, raising = moves
     guards = carrier.guards
     out: dict = {}
     for key, c in nums.items():
-        for shift, bit in x_fields:
-            e = key >> shift & _FIELD_MASK
-            if e and not key & bit:
+        for shift, bit, want, delta in lowering:
+            if key & bit == want:
+                e = key >> shift & _FIELD_MASK
+                if not e:
+                    continue
                 k = -c * e if (key & (bit - 1)).bit_count() & 1 else c * e
-                target = key - (1 << shift) + bit
+                target = key + delta
                 prev = out.get(target)
                 if prev is None:
                     out[target] = k
@@ -458,38 +471,12 @@ def _exterior_d_nums(nums: dict, carrier: Carrier) -> dict:
                         del out[target]
                     else:
                         out[target] = k
-        for bit, step in xi_fields:
+        for bit, step in raising:
             if key & bit:
-                raised = (key ^ bit) + step
-                if raised & guards:
-                    _check_exponents(carrier, (raised,))
+                target = key + step
+                if target & guards:
+                    _check_exponents(carrier, (target,))
                 k = -c if (key & (bit - 1)).bit_count() & 1 else c
-                prev = out.get(raised)
-                if prev is None:
-                    out[raised] = k
-                else:
-                    k = prev + k
-                    if not k:
-                        del out[raised]
-                    else:
-                        out[raised] = k
-    return out
-
-
-def _divergence_nums(nums: dict, carrier: Carrier) -> dict:
-    """Numerators of bw = sum_A d/dx^A applied to the first slot, in one
-    dict: the mirror of `_exterior_d_nums`, dropping the x_a slot and
-    lowering x_a, or lowering the xi_alpha slot and dropping xi_alpha."""
-    n, nu = carrier.n, carrier.nu
-    pairs = [(carrier.shift(a), 1 << (nu + a - 1)) for a in range(1, n + 1)]
-    pairs += [(carrier.shift(n + alpha), 1 << (alpha - 1)) for alpha in range(1, nu + 1)]
-    out: dict = {}
-    for key, c in nums.items():
-        for shift, bit in pairs:
-            e = key >> shift & _FIELD_MASK
-            if e and key & bit:
-                k = -c * e if (key & (bit - 1)).bit_count() & 1 else c * e
-                target = key - (1 << shift) - bit
                 prev = out.get(target)
                 if prev is None:
                     out[target] = k

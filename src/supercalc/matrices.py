@@ -9,6 +9,7 @@ carry no parity and must be split before taking a supertranspose.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -20,21 +21,19 @@ class ParityError(ValueError):
     """Raised when an operation needs a parity the object does not have."""
 
 
+@dataclass(frozen=True)
 class ParitySignature:
     """Sequence over {0, 1} with all even entries first."""
 
-    __slots__ = ("parities",)
+    parities: tuple[int, ...]
 
-    def __init__(self, parities: Sequence[int]):
-        ps = tuple(int(p) for p in parities)
+    def __post_init__(self):
+        ps = tuple(int(p) for p in self.parities)
         if any(p not in (0, 1) for p in ps):
             raise ValueError("parities must be 0 or 1")
         if any(a > b for a, b in zip(ps, ps[1:])):
             raise ValueError("even indices must be listed before odd ones")
         object.__setattr__(self, "parities", ps)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ParitySignature is immutable")
 
     @staticmethod
     def of(n_even: int, n_odd: int) -> "ParitySignature":
@@ -45,15 +44,6 @@ class ParitySignature:
 
     def __getitem__(self, i: int) -> int:
         return self.parities[i]
-
-    def __eq__(self, other):
-        return isinstance(other, ParitySignature) and self.parities == other.parities
-
-    def __hash__(self):
-        return hash(self.parities)
-
-    def __repr__(self):
-        return f"ParitySignature({list(self.parities)})"
 
 
 def _common_parity(pairs) -> int | None:
@@ -71,6 +61,7 @@ def _common_parity(pairs) -> int | None:
     return None if len(found) > 1 else (found.pop() if found else 0)
 
 
+@dataclass(frozen=True, repr=False)
 class GradedVector:
     """Coordinates together with a basis parity signature.
 
@@ -78,53 +69,36 @@ class GradedVector:
     written to the right of the basis vectors).
     """
 
-    __slots__ = ("sig", "coords")
+    sig: ParitySignature
+    coords: tuple[Supernumber, ...]
 
-    def __init__(self, sig: ParitySignature, coords: Sequence[Supernumber]):
-        if len(coords) != len(sig):
+    def __post_init__(self):
+        if len(self.coords) != len(self.sig):
             raise ValueError("coordinate/signature length mismatch")
-        object.__setattr__(self, "sig", sig)
-        object.__setattr__(self, "coords", tuple(coords))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("GradedVector is immutable")
+        object.__setattr__(self, "coords", tuple(self.coords))
 
     def parity(self) -> int | None:
         """0, 1, or None when no parity can be assigned."""
         return _common_parity(zip(self.sig.parities, self.coords))
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, GradedVector)
-            and self.sig == other.sig
-            and self.coords == other.coords
-        )
-
     def __repr__(self):
         return f"GradedVector({self.sig!r}, {[str(c) for c in self.coords]})"
 
 
+@dataclass(frozen=True, repr=False)
 class GradedMatrix:
-    __slots__ = ("row_sig", "col_sig", "entries")
+    row_sig: ParitySignature
+    col_sig: ParitySignature
+    entries: tuple[tuple[Supernumber, ...], ...]
 
-    def __init__(
-        self,
-        row_sig: ParitySignature,
-        col_sig: ParitySignature,
-        entries: Sequence[Sequence[Supernumber]],
-    ):
-        rows = tuple(tuple(row) for row in entries)
-        if len(rows) != len(row_sig) or any(len(r) != len(col_sig) for r in rows):
+    def __post_init__(self):
+        rows = tuple(tuple(row) for row in self.entries)
+        if len(rows) != len(self.row_sig) or any(len(r) != len(self.col_sig) for r in rows):
             raise ValueError("entry shape does not match signatures")
         ns = {z.n for row in rows for z in row}
         if len(ns) > 1:
             raise GeneratorMismatch("entries over different Grassmann algebras")
-        object.__setattr__(self, "row_sig", row_sig)
-        object.__setattr__(self, "col_sig", col_sig)
         object.__setattr__(self, "entries", rows)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("GradedMatrix is immutable")
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -135,14 +109,6 @@ class GradedMatrix:
             (pr + pc, z)
             for pr, row in zip(self.row_sig.parities, self.entries)
             for pc, z in zip(self.col_sig.parities, row)
-        )
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, GradedMatrix)
-            and self.row_sig == other.row_sig
-            and self.col_sig == other.col_sig
-            and self.entries == other.entries
         )
 
     def __add__(self, other: "GradedMatrix") -> "GradedMatrix":

@@ -750,6 +750,13 @@ def _random_metric(rng: random.Random, d: int) -> Metric:
             continue
 
 
+def _at(f: GradedPoly, point: Sequence[Fraction]) -> CRat:
+    """The value of a function of the x_a at x_a = point[a - 1], read off
+    its terms."""
+    unpack = f.carrier.unpack
+    return sum((c * math.prod(point[a - 1] ** e for a, e in unpack(key)[0]) for key, c in f.terms.items()), CRat(0))
+
+
 def run_metric(trials: int = 10, seed: int = 0, dims: Sequence[int] = (2, 3)) -> SuiteReport:
     report = SuiteReport("metric", seed, trials)
     rng = random.Random(seed)
@@ -814,7 +821,11 @@ def run_metric(trials: int = 10, seed: int = 0, dims: Sequence[int] = (2, 3)) ->
         # transport the scalar density by substitution and det factor
         xs = [GradedPoly.coordinate(coords.functions, c + 1) for c in range(d)]
         images = [sum((x * m for x, m in zip(xs, row)), GradedPoly.zero(coords.functions)) for row in mat]
-        push.expect(lhs == rhs_raw.substitute(images, ()) * det_a, f"pairing pullback #{k}")
+        # and, with no substitution, at x_j = (j + 1) / (k + 1) and at its image under a
+        point = [Fraction(c + 2, k + 1) for c in range(d)]
+        image = [sum(m * x for m, x in zip(row, point)) for row in a]
+        at_point = _at(lhs, point) == _at(rhs_raw, image) * det_a
+        push.expect(lhs == rhs_raw.substitute(images, ()) * det_a and at_point, f"pairing pullback #{k}")
         gbar = pullback_metric(metric, a)
         lhs_sq = volume_density(gbar).component_squared(gbar)
         rhs_sq = SuperDensity.from_function(coords, 1).scale(det_a * det_a * CRat(metric.det))

@@ -193,8 +193,12 @@ HUGE_INTEGER = "1" * 5000
 
 
 def write_json(path, content) -> None:
-    """Write content as JSON; a str is written as the JSON text itself."""
-    path.write_text(content if isinstance(content, str) else json.dumps(content))
+    """Write content as JSON; a str is written as the JSON text itself,
+    and bytes as the file's bytes."""
+    if isinstance(content, bytes):
+        path.write_bytes(content)
+    else:
+        path.write_text(content if isinstance(content, str) else json.dumps(content))
 
 
 def one_error_line(proc) -> str:
@@ -213,15 +217,27 @@ def one_error_line(proc) -> str:
         ([["1", "1/0"], ["1/0", "1"]], "row 1 entry 2: zero denominator"),
         ([["1", "x"], ["x", "1"]], "row 1 entry 2: 'x' is not a number"),
         ([["1e10000000"]], "row 1 entry 1: the exponent of '1e10000000' is more than "),
-        (f"[[{HUGE_INTEGER}]]", "Exceeds the limit"),
+        (f"[[{HUGE_INTEGER}]]", f"an integer has more than {sys.get_int_max_str_digits()} digits"),
+        (b"\xff[[1]]", "'utf-8' codec can't decode byte 0xff"),
     ],
-    ids=["too-large", "object", "ragged", "zero-denominator", "not-a-number", "huge-exponent", "huge-integer"],
+    ids=[
+        "too-large",
+        "object",
+        "ragged",
+        "zero-denominator",
+        "not-a-number",
+        "huge-exponent",
+        "huge-integer",
+        "not-utf-8",
+    ],
 )
 def test_metric_file_shape(tmp_path, content, message):
     path = tmp_path / "metric.json"
     write_json(path, content)
     proc = run_cli("clifford", "check", "--metric", str(path), expect=2)
-    assert f"--metric {path}: {message}" in one_error_line(proc)
+    line = one_error_line(proc)
+    assert f"--metric {path}: {message}" in line
+    assert "set_int_max_str_digits" not in line
 
 
 def test_metric_file_sets_the_dimension(tmp_path):
@@ -295,7 +311,7 @@ def test_check_flags_follow_the_suite_name():
         ([1, 2], "expected a JSON object"),
         ({"1": 5}, "scalar literal 5 is not a string"),
         ({"terms": [1]}, '"terms" is not a JSON object'),
-        (f'{{"1": {HUGE_INTEGER}}}', "Exceeds the limit"),
+        (f'{{"1": {HUGE_INTEGER}}}', f"an integer has more than {sys.get_int_max_str_digits()} digits"),
     ],
     ids=["list", "number", "terms-list", "huge-integer"],
 )
@@ -309,6 +325,7 @@ def test_term_map_file_shape(tmp_path, content, message, command):
         proc, flag = run_cli("berezin", "--nu", "1", "--expr", str(path), expect=2), "--expr"
     line = one_error_line(proc)
     assert f"{flag} {path}: " in line and message in line
+    assert "set_int_max_str_digits" not in line
 
 
 @pytest.mark.parametrize(

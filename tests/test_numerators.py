@@ -28,9 +28,8 @@ from supercalc.forms import CoordinateSystem, op_d_form, op_divergence
 from supercalc.graded_poly import (
     GradedPoly,
     _accumulate,
-    _divergence_nums,
+    _differential_nums,
     _element,
-    _exterior_d_nums,
     _product,
     density_carrier,
     form_carrier,
@@ -202,9 +201,9 @@ def test_kernel_matches_the_fraction_pair_model(carrier, seed):
         assert_matches(a.partial_aux_even(alpha), model_derivative(carrier, ma, "aux_even", alpha))
     coords = CoordinateSystem(carrier.n, carrier.nu)
     if carrier == coords.forms:
-        assert_matches(op_d_form(coords)(a), _exterior_d_nums(ma, carrier))
+        assert_matches(op_d_form(coords)(a), _differential_nums(ma, carrier))
     if carrier == coords.densities:
-        assert_matches(op_divergence(coords)(a), _divergence_nums(ma, carrier))
+        assert_matches(op_divergence(coords)(a), _differential_nums(ma, carrier))
 
     # == and hash follow the values, however an element was reached
     assert (a == b) == (ma == mb)
