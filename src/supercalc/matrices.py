@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
 from .grassmann import Convention, GeneratorMismatch, Parity, Supernumber
 from .scalars import CRat
