@@ -1,5 +1,5 @@
 """Command-line entry point: expression evaluation, integration commands
-and the invariant-suite runner.
+and the invariant-suite runner, whose one registry is the table `_SUITES`.
 
 Exit codes: 0 all checks pass, 1 check failures, 2 usage or input error.
 Reports are byte-reproducible for a fixed seed; timing goes to stderr.
@@ -14,7 +14,7 @@ import sys
 import time
 from contextlib import contextmanager
 from fractions import Fraction
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from . import suites
 from .berezin import BlackBox, Domain, Normalization, berezin_integral, from_json_mixed, mixed_integral
@@ -89,6 +89,7 @@ _QUAD_TOL = _in_range(float, MIN_QUAD_TOL, sys.float_info.max)
 class _Suite(NamedTuple):
     """What `check SUITE` and, where it exists, `SUITE check` run."""
 
+    run: Callable  # the suite's run function; `all` returns a list of reports
     trials: int  # default --trials
     flags: tuple = ()  # the suite's own flags: (flag, add_argument keywords)
     kwargs: dict = {}  # keyword arguments of the run on both spellings
@@ -97,11 +98,12 @@ class _Suite(NamedTuple):
 
 
 _SUITES = {
-    "all": _Suite(50),
-    "grassmann": _Suite(200),
-    "berezin": _Suite(200),
-    "linalg": _Suite(100),
+    "all": _Suite(suites.run_all, 50),
+    "grassmann": _Suite(suites.run_grassmann, 200),
+    "berezin": _Suite(suites.run_berezin, 200),
+    "linalg": _Suite(suites.run_linalg, 100),
     "complexes": _Suite(
+        suites.run_complexes,
         50,
         (
             ("--n", dict(type=_COUNT, help="bosonic coordinates of the one patch to check")),
@@ -111,8 +113,9 @@ _SUITES = {
         command="exterior-calculus checks",
         standalone={"mixes": ((2, 2),)},
     ),
-    "metric": _Suite(5),
+    "metric": _Suite(suites.run_metric, 5),
     "fock": _Suite(
+        suites.run_fock,
         30,
         (
             ("--nb", dict(type=_POSITIVE, default=2)),
@@ -122,6 +125,7 @@ _SUITES = {
         command="Fock-space checks",
     ),
     "clifford": _Suite(
+        suites.run_clifford,
         5,
         (
             ("--dim", dict(type=_CLIFFORD_DIM, help="one dimension, else the metric file size")),
@@ -379,10 +383,8 @@ def _suite_kwargs(args) -> dict:
 def cmd_check(args) -> int:
     kwargs = _suite_kwargs(args)
     start = time.monotonic()
-    if args.suite == "all":
-        reports = suites.run_all(trials=args.trials, seed=args.seed)
-    else:
-        reports = [suites.SUITES[args.suite](trials=args.trials, seed=args.seed, **kwargs)]
+    reports = _SUITES[args.suite].run(trials=args.trials, seed=args.seed, **kwargs)
+    reports = reports if isinstance(reports, list) else [reports]
     elapsed = time.monotonic() - start
     if args.json:
         print(json.dumps([r.to_json_dict() for r in reports], sort_keys=True))

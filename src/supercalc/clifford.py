@@ -3,10 +3,10 @@
 For a constant symmetric invertible metric on a D-dimensional space, the
 operator gamma(v) = (index-lowered v) wedge + contraction-by-v acts on
 the 2^D-dimensional exterior algebra over the dual space and satisfies
-the Clifford relations.  Conjugating with the degree reversal J yields a
-second, commuting copy, which exhibits the representation's commutant
-(it is not irreducible: for even D it is a tensor square of the spinor
-module).
+the Clifford relations.  Conjugating with the degree reversal J (the
+`grassmann.reversal` of DeWitt conjugation) yields a second, commuting
+copy, which exhibits the representation's commutant (it is not
+irreducible: for even D it is a tensor square of the spinor module).
 
 The exterior-algebra carrier reuses the Grassmann kernel: an element of
 Lambda V* is exactly a supernumber on D generators.  `gamma(ctx, v)` is
@@ -51,7 +51,7 @@ from . import exactmat
 from .exactmat import Matrix, NumMatrix
 from .forms import SuperForm, SuperVectorField, op_d_form, op_e_form, op_i_form, op_lie_form
 from .graded_poly import GradedPoly, _derivation_sum, _derivation_terms, _element, function_carrier
-from .grassmann import Supernumber
+from .grassmann import Supernumber, reversal  # the one J, also exported from here
 from .metric import Metric, metric_delta
 from .scalars import CRat
 
@@ -73,16 +73,6 @@ def gamma(ctx: Metric, v: Sequence) -> Endo:
     cov = Supernumber(d, {1 << b: sum(map(mul, row, v), exactmat.ZERO) for b, row in enumerate(ctx.g)})
     terms = _derivation_terms(carrier, [(Supernumber.scalar(d, c), 1 << b, 0) for b, c in enumerate(v) if c])
     return lambda w: cov * w + _element(Supernumber, carrier, *_derivation_sum(w.nums, w.den, terms))
-
-
-def reversal(w: ExteriorElement) -> ExteriorElement:
-    """J: reverse each monomial, i.e. scale degree p by (-1)^{p(p-1)/2};
-    an involution."""
-    out = {}
-    for mask, c in w.nums.items():
-        p = mask.bit_count()
-        out[mask] = -c if (p * (p - 1) // 2) & 1 else c
-    return _element(Supernumber, w.carrier, out, w.den)
 
 
 def gamma0(ctx: Metric, v: Sequence) -> Endo:

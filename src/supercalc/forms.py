@@ -29,6 +29,7 @@ not the bracket [i(X), d] that the Cartan formula equates it with
 bracket [b, i(X)], as b is not a derivation.  The table of graded Cartan
 relations that these operators obey is checked in the suites layer
 (`supercalc.suites.IDENTITIES`); this module holds no oracle code.
+A scalar density integrates through `berezin.mixed_integral` alone.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from fractions import Fraction
 from math import factorial, lcm, prod
 from typing import Callable, Sequence
 
-from .berezin import berezin_integral
+from .berezin import Domain, mixed_integral
 from .graded_poly import (
     Carrier,
     GeneratorMismatch,
@@ -56,7 +57,6 @@ from .graded_poly import (
     form_carrier,
     function_carrier,
 )
-from .polynomials import integrate_box
 from .scalars import CRat
 
 
@@ -508,18 +508,12 @@ def pairing(density: SuperDensity, form: SuperForm) -> GradedPoly:
     return out
 
 
-def scalar_density_integral(f: GradedPoly, bounds: Sequence[tuple]) -> CRat:
-    """Integrate a scalar density F(x, xi): the Berezin integral strips the
-    Grassmann variables, then the remaining polynomial is integrated over
-    the box."""
-    if f.carrier.kind is not Kind.FUNCTION:
-        f = f.coefficient_function()
-    return integrate_box(berezin_integral(f), bounds)
-
-
 def integrate_density(f, bounds: Sequence[tuple]) -> CRat:
-    """Integration entry point: accepts a degree-zero SuperDensity or a
-    bare superfunction."""
+    """Integrate a scalar density F(x, xi), a degree-zero SuperDensity or
+    a bare superfunction, over the box: `berezin.mixed_integral` of its
+    coefficient function."""
     if isinstance(f, SuperDensity) and f.degree != 0:
         raise ValueError("integration applies to scalar densities")
-    return scalar_density_integral(f, bounds)
+    if f.carrier.kind is not Kind.FUNCTION:
+        f = f.coefficient_function()
+    return mixed_integral(f, Domain(tuple(bounds)))

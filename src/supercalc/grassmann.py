@@ -12,9 +12,10 @@ operations and its left derivative (`partial_xi`) are those of the one
 kernel; every result of arithmetic on a supernumber is a supernumber.
 
 This module adds what is particular to Lambda_N: body and soul, the
-inverse, complex conjugation under two conventions, and the text and
-JSON formats, whose multi-indices are the masks' generator labels; the
-text format prints each coefficient from its numerator over `den`.
+inverse, the package's one degree reversal J (`reversal`), complex
+conjugation (DEWITT is J after KOSZUL), and the text and JSON formats,
+whose multi-indices are the masks' generator labels; the text format
+prints each coefficient from its numerator over `den`.
 """
 
 from __future__ import annotations
@@ -128,21 +129,10 @@ class Supernumber(GradedPoly):
         return out
 
     def conjugate(self, convention: Convention = DEFAULT_CONVENTION) -> "Supernumber":
-        """Complex conjugation.
-
-        KOSZUL conjugates coefficients in place.  DEWITT additionally
-        reverses each generator monomial, i.e. multiplies a degree-p term
-        by (-1)^{p(p-1)/2}.
-        """
-        out = {}
-        for m, c in self.nums.items():
-            cc = c.conjugate()
-            if convention is Convention.DEWITT:
-                p = m.bit_count()
-                if (p * (p - 1) // 2) & 1:
-                    cc = -cc
-            out[m] = cc
-        return _element(Supernumber, self.carrier, out, self.den)
+        """Complex conjugation.  KOSZUL conjugates coefficients in place;
+        DEWITT is the `reversal` J of the KOSZUL conjugate."""
+        out = _element(Supernumber, self.carrier, {m: c.conjugate() for m, c in self.nums.items()}, self.den)
+        return reversal(out) if convention is Convention.DEWITT else out
 
     # -- rendering ----------------------------------------------------
 
@@ -151,6 +141,16 @@ class Supernumber(GradedPoly):
 
     def __str__(self):
         return format_supernumber(self)
+
+
+def reversal(z: Supernumber) -> Supernumber:
+    """J: reverse each generator monomial, i.e. scale degree p by
+    (-1)^{p(p-1)/2}; an involution that fixes the degrees 0 and 1 mod 4."""
+    out = {}
+    for mask, c in z.nums.items():
+        p = mask.bit_count()
+        out[mask] = -c if (p * (p - 1) // 2) & 1 else c
+    return _element(Supernumber, z.carrier, out, z.den)
 
 
 # -- text and JSON serialization --------------------------------------

@@ -5,6 +5,7 @@ since zero entries make inference ambiguous), with even indices listed
 before odd ones.  A matrix has parity 0 (1) when every entry's parity
 plus its row and column parities is even (odd); sums of the two kinds
 carry no parity and must be split before taking a supertranspose.
+`matmul` is the one product: K v is K times v's one-column matrix.
 """
 
 from __future__ import annotations
@@ -156,16 +157,11 @@ def matmul(k: GradedMatrix, m: GradedMatrix) -> GradedMatrix:
 
 
 def apply_to_vector(k: GradedMatrix, v: GradedVector) -> GradedVector:
+    """K v: `matmul` of K with the one even column of v's coordinates."""
     if k.col_sig != v.sig:
         raise ValueError("signature mismatch")
-    n_gen = v.coords[0].n if v.coords else 0
-    out = []
-    for i in range(len(k.row_sig)):
-        acc = Supernumber.zero(n_gen)
-        for j, c in enumerate(v.coords):
-            acc = acc + k.entries[i][j] * c
-        out.append(acc)
-    return GradedVector(k.row_sig, out)
+    column = matmul(k, GradedMatrix(v.sig, ParitySignature((0,)), [[c] for c in v.coords]))
+    return GradedVector(k.row_sig, [row[0] for row in column.entries])
 
 
 def supertranspose(k: GradedMatrix) -> GradedMatrix:

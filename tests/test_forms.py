@@ -24,11 +24,10 @@ from supercalc.forms import (
     op_lie_form,
     op_mult,
     pairing,
-    scalar_density_integral,
     total_differential,
     wedge,
 )
-from supercalc.graded_poly import GeneratorMismatch, GradedPoly, function_carrier
+from supercalc.graded_poly import MAX_EXPONENT, GeneratorMismatch, GradedPoly, function_carrier
 from supercalc.grassmann import Parity
 from supercalc.polynomials import integrate_box
 from supercalc.scalars import CRat
@@ -63,6 +62,17 @@ def test_exterior_d_examples():
     xi1 = SuperForm.from_function(c, c.xi(1))
     assert exterior_d(xi1) == SuperForm(c, c.dxi(1))
     assert exterior_d(exterior_d(xi1)).is_zero()
+
+
+def test_d_keeps_the_exponent_guard_on_the_xi_move():
+    """d trades xi1 for dxi1, raising the even exponent: past MAX_EXPONENT
+    it refuses the form, and up to it it builds the top power."""
+    c = CoordinateSystem(1, 1)
+    d, forms = op_d_form(c), c.forms
+    xi_dxi = lambda e: GradedPoly(forms, {forms.pack(((), 0b1, 0, ((1, e),))): 1})  # xi1 * dxi1^e
+    with pytest.raises(ValueError, match=f"^exponent {MAX_EXPONENT + 1} exceeds {MAX_EXPONENT}$"):
+        d(xi_dxi(MAX_EXPONENT))
+    assert d(xi_dxi(MAX_EXPONENT - 1)).terms == {forms.pack(((), 0, 0, ((1, MAX_EXPONENT),))): 1}
 
 
 def test_constructor_refusals():
@@ -425,7 +435,7 @@ def test_integrate_density_matches_mixed_route():
     bounds = ((0, 1), (-1, 2))
     for _ in range(20):
         fn = rg.superfunction(rng, c, terms=5)
-        direct = scalar_density_integral(fn, bounds)
+        direct = integrate_density(fn, bounds)
         # read the xi1*xi2 terms of F directly, with no derivative, and
         # integrate them over the box
         ring = function_carrier(2, 0)

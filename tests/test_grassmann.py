@@ -15,6 +15,7 @@ from supercalc.grassmann import (
     Supernumber,
     format_supernumber,
     from_json_terms,
+    reversal,
 )
 from supercalc.exprlang import Context, evaluate
 from supercalc.graded_poly import indices_of
@@ -98,6 +99,13 @@ def test_conjugation_examples():
     dewitt = (x1 * x2).conjugate(Convention.DEWITT)
     assert dewitt == -(x1 * x2)
     assert dewitt == x2 * x1
+    # DeWitt scales degree p by (-1)^{p(p-1)/2} after conjugating: degrees
+    # 0, 1 and 4 keep their sign and degree 3 flips, where the reversal
+    # composed with the parity automorphism would flip degree 1 and keep 3
+    for indices, sign in (((), 1), ((1,), 1), ((1, 2, 3), -1), ((1, 2, 3, 4), 1)):
+        z = Supernumber.from_indices(4, {indices: CRat(2, 3)})
+        assert z.conjugate(Convention.DEWITT) == Supernumber.from_indices(4, {indices: CRat(2, -3) * sign})
+        assert z.conjugate(Convention.DEWITT) == reversal(z.conjugate())
 
 
 def test_conjugation_rules_random():
