@@ -46,6 +46,7 @@ from .graded_poly import (
     GradedPoly,
     Kind,
     Parity,
+    _degree_of_key,
     _derivation_sum,
     _derivation_terms,
     _differential_nums,
@@ -110,22 +111,27 @@ def _as_function(coords: CoordinateSystem, f) -> GradedPoly:
 
 class _Homogeneous(GradedPoly):
     """Degree-homogeneous element of the form or density algebra of a
-    patch; subclasses name the carrier kind.  Arithmetic on it gives plain
+    patch; subclasses name the carrier kind.  The degree is read off the
+    first term, 0 for zero.  `__init__` validates a caller's payload;
+    library builders whose terms hold one degree by construction, such as
+    the random draws, use `_element`.  Arithmetic on it gives plain
     `GradedPoly` elements of the same carrier, and equality is carrier
     plus terms."""
 
-    __slots__ = ("degree",)
+    __slots__ = ()
     _kind: Kind
 
     def __init__(self, coords: CoordinateSystem, poly: GradedPoly):
         carrier = self.carrier_of(coords)
         if poly.carrier != carrier:
             raise GeneratorMismatch(f"payload is not a {self._kind.value} over these coordinates")
-        degrees = poly.degrees()
-        if len(degrees) > 1:
-            raise ValueError(f"inhomogeneous degrees {sorted(degrees)}")
+        if len(poly.degrees()) > 1:
+            raise ValueError(f"inhomogeneous degrees {sorted(poly.degrees())}")
         _init(self, carrier, poly.nums, poly.den)
-        object.__setattr__(self, "degree", degrees.pop() if degrees else 0)
+
+    @property
+    def degree(self) -> int:
+        return _degree_of_key(self.carrier, next(iter(self.nums), 0))
 
     @property
     def coords(self) -> CoordinateSystem:

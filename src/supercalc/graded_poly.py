@@ -427,18 +427,18 @@ def _derivation_sum(nums: dict, den: int, terms: tuple) -> tuple[dict, int]:
 
 
 @cache
-def _differential_layout(n: int, nu: int) -> dict:
+def _differential_layout(n: int, nu: int) -> tuple:
     """The moves of d on the forms and of b on the densities of the patch
-    (n, nu), by carrier kind: a memo of the key layout, like the carriers.
+    (n, nu), indexed by `kind is Kind.DENSITY` so no call hashes an Enum.
     A lowering move (shift, bit, want, delta) applies where key & bit ==
     want; a raising move (bit, step) where the xi_alpha bit is set."""
     shift = function_carrier(n, nu).shift
     x = [(shift(a), 1 << (nu + a - 1)) for a in range(1, n + 1)]
     xi = [(shift(n + alpha), 1 << (alpha - 1)) for alpha in range(1, nu + 1)]
-    return {
-        Kind.FORM: (tuple((s, bit, 0, bit - (1 << s)) for s, bit in x), tuple((bit, (1 << s) - bit) for s, bit in xi)),
-        Kind.DENSITY: (tuple((s, bit, bit, -bit - (1 << s)) for s, bit in x + xi), ()),
-    }
+    return (
+        (tuple((s, bit, 0, bit - (1 << s)) for s, bit in x), tuple((bit, (1 << s) - bit) for s, bit in xi)),
+        (tuple((s, bit, bit, -bit - (1 << s)) for s, bit in x + xi), ()),
+    )
 
 
 def _differential_nums(nums: dict, carrier: Carrier) -> dict:
@@ -448,10 +448,10 @@ def _differential_nums(nums: dict, carrier: Carrier) -> dict:
     raises the even dxi_alpha; b lowers x_a and clears its slot, or lowers
     the xi_alpha slot and clears xi_alpha.  Each move is signed by the odd
     bits below its bit, as the products dx_a * dw/dx_a would be."""
-    moves = _differential_layout(carrier.n, carrier.nu).get(carrier.kind)
-    if moves is None:
+    kind = carrier.kind
+    if kind is Kind.FUNCTION:
         raise ValueError(f"no differential on {carrier}")
-    lowering, raising = moves
+    lowering, raising = _differential_layout(carrier.n, carrier.nu)[kind is Kind.DENSITY]
     guards = carrier.guards
     out: dict = {}
     for key, c in nums.items():

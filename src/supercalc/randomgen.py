@@ -3,14 +3,16 @@ the test suite.  Everything is driven by a caller-supplied
 ``random.Random`` so identical seeds give identical trials.
 
 Superfunctions, forms and densities are written straight into the
-kernel's packed term dicts: each drawn factor adds its odd bit, or one
-exponent at its `Carrier.shift` offset, to a key, and its reordering
-sign, the parity of the odd factors already drawn above it, is tracked
-as it arrives.  The draws, and so every downstream trial, are those of
-multiplying one-term ring elements together, which
-``tests/test_builders.py`` keeps as the reference.  Every drawn
-coefficient is a numerator over the one denominator 6, the lcm of the
-drawn denominators, and each element divides out its content once.
+kernel's packed term dicts by `_function_terms`, with one setup per
+draw; a form or density draws each blade's picks, then its terms.  Each
+drawn factor adds its odd bit, or one exponent at its `Carrier.shift`
+offset, to a key, and its reordering sign, the parity of the odd factors
+already drawn above it, is tracked as it arrives.  The draws, and so
+every downstream trial, are those of multiplying one-term ring elements
+together, which ``tests/test_builders.py`` keeps as the reference.
+Every drawn coefficient is a numerator over the one denominator 6, the
+lcm of the drawn denominators, and each element is built once by
+`_element`, which divides out its content, and is not validated again.
 Integer draws consume the generator exactly as `randint` does: through
 `_randint`, or, in the form and density builders that feed every trial
 of the complexes suite, as its getrandbits rejection loop written out
@@ -74,7 +76,7 @@ def _draw(rng: random.Random, complex_ok: bool = True) -> int | CRat:
 
 def _over_den(cls, carrier, nums: dict):
     """The element of class cls with the numerators nums over _DEN; zero
-    numerators are dropped."""
+    numerators, from a zero draw or draws that cancel, are dropped."""
     return _element(cls, carrier, {k: c for k, c in nums.items() if c}, _DEN)
 
 
@@ -135,7 +137,7 @@ def superfunction(
     parity: int | None = None,
 ) -> GradedPoly:
     fc = coords.functions
-    out = _over_den(GradedPoly, fc, _function_terms(rng, coords, terms, max_degree))
+    out = _element(GradedPoly, fc, _function_terms(rng, coords, terms, max_degree), _DEN)
     if parity is not None:
         out = out.parity_part(parity)
         if out.is_zero() and parity == 0:
@@ -155,88 +157,36 @@ def _layout(n: int, nu: int) -> tuple:
 
 
 def _function_terms(
-    rng: random.Random, coords: CoordinateSystem, terms: int = 4, max_degree: int = 2,
-    out: dict | None = None, offset: int = 0, negative: int = 0,
+    rng: random.Random, coords: CoordinateSystem, terms: int = 4, max_degree: int = 2, degree: int | None = None
 ) -> dict:
     """Numerators over _DEN of a sum of `terms` random monomials
     c * x_a ... * xi_alpha ..., each factor drawn in turn and added to the
     key at its `Carrier.shift` offset or odd bit; a repeated xi kills its
-    monomial, whose remaining factors are still drawn.  The terms go into
-    `out` (a new dict by default) at key + offset, negated if `negative`."""
-    n, nu = coords.n, coords.nu
-    steps, k_n, k_nu = _layout(n, nu)
-    bits = rng.getrandbits
-    n_deg, n_xi = max_degree + 1, min(nu, 2) + 1
-    k_deg, k_xi = n_deg.bit_length(), n_xi.bit_length()
-    out = {} if out is None else out
-    for _ in range(terms):
-        a = bits(4)  # _draw(rng, complex_ok=False): a in -4..4 over d in 1..3
-        while a >= 9:
-            a = bits(4)
-        d = bits(2)
-        while d >= 3:
-            d = bits(2)
-        c = (a - 4) * (_DEN // (d + 1))
-        key, xi, sign = offset, 0, negative
-        count = bits(k_deg)
-        while count >= n_deg:
-            count = bits(k_deg)
-        for _ in range(count if n else 0):
-            a = bits(k_n)
-            while a >= n:
-                a = bits(k_n)
-            key += steps[a]
-        dead = not c
-        if nu:
-            count = bits(k_xi)
-            while count >= n_xi:
-                count = bits(k_xi)
-            for _ in range(count):
-                j = bits(k_nu)
-                while j >= nu:
-                    j = bits(k_nu)
-                dead = dead or xi >> j & 1
-                sign ^= (xi >> j + 1).bit_count() & 1
-                xi |= 1 << j
-        if not dead:
-            c = out.get(key + xi, 0) + (-c if sign else c)
-            if c:
-                out[key + xi] = c
-            else:
-                del out[key + xi]
-    return out
-
-
-def form(rng: random.Random, coords: CoordinateSystem, degree: int) -> SuperForm:
-    return _homogeneous(rng, coords, degree, SuperForm)
-
-
-def density(rng: random.Random, coords: CoordinateSystem, degree: int) -> SuperDensity:
-    return _homogeneous(rng, coords, degree, SuperDensity)
-
-
-def _homogeneous(rng: random.Random, coords: CoordinateSystem, degree: int, cls):
-    """A sum over _BLADES random blades of the given degree, each times a
-    random superfunction, in the form or density algebra of ``cls``.  A blade is an
-    odd-auxiliary mask, even-auxiliary exponents and a sign, kept as the
-    key offset it adds to a function key of the patch; every xi sits
-    below every auxiliary, so a function term times a blade takes the
-    blade's sign alone, and `_function_terms` adds it straight into the
-    sum."""
+    monomial, whose remaining factors are still drawn.  Given a degree,
+    the form or density sums _BLADES random blades of that degree, each
+    drawn and then multiplied by its own such sum, with one setup for
+    all.  A blade is an odd-auxiliary mask, even-auxiliary exponents and
+    a sign, kept as the key offset it adds to a function key; every xi
+    sits below every auxiliary, so a term takes the blade's sign alone.
+    A blade that misses its degree in 30 picks adds no terms.  No zero
+    numerator is stored, so the caller builds the element by `_element`."""
     n, nu = coords.n, coords.nu
     steps, k_n, k_nu = _layout(n, nu)
     bits, uniform = rng.getrandbits, rng.random
-    acc: dict = {}
-    for _ in range(_BLADES):
-        ao = blade = negative = d = guard = 0
-        while d < degree and guard < 30:
+    n_deg, n_xi = max_degree + 1, min(nu, 2) + 1
+    k_deg, k_xi = n_deg.bit_length(), n_xi.bit_length()
+    blades, degree = (1, 0) if degree is None else (_BLADES, degree)
+    out: dict = {}
+    for _ in range(blades):
+        ao = offset = negative = got = guard = 0
+        while got < degree and guard < 30:
             guard += 1
             if nu and (not n or uniform() < 0.5):
                 a = bits(k_nu)
                 while a >= nu:
                     a = bits(k_nu)
-                blade += steps[n + a]
-                d += 1
+                offset += steps[n + a]
+                got += 1
             elif n:
                 j = bits(k_n)
                 while j >= n:
@@ -245,11 +195,54 @@ def _homogeneous(rng: random.Random, coords: CoordinateSystem, degree: int, cls)
                     continue  # repeated bosonic differential
                 negative ^= (ao >> j + 1).bit_count() & 1
                 ao |= 1 << j
-                d += 1
-        if d < degree:
+                got += 1
+        if got < degree:
             continue
-        _function_terms(rng, coords, out=acc, offset=blade + (ao << nu), negative=negative)
-    return cls(coords, _over_den(GradedPoly, cls.carrier_of(coords), acc))
+        offset += ao << nu
+        for _ in range(terms):
+            a = bits(4)  # _draw(rng, complex_ok=False): a in -4..4 over d in 1..3
+            while a >= 9:
+                a = bits(4)
+            d = bits(2)
+            while d >= 3:
+                d = bits(2)
+            c = (a - 4) * (_DEN // (d + 1))
+            key, xi, sign = offset, 0, negative
+            count = bits(k_deg)
+            while count >= n_deg:
+                count = bits(k_deg)
+            for _ in range(count if n else 0):
+                a = bits(k_n)
+                while a >= n:
+                    a = bits(k_n)
+                key += steps[a]
+            dead = not c
+            if nu:
+                count = bits(k_xi)
+                while count >= n_xi:
+                    count = bits(k_xi)
+                for _ in range(count):
+                    j = bits(k_nu)
+                    while j >= nu:
+                        j = bits(k_nu)
+                    dead = dead or xi >> j & 1
+                    sign ^= (xi >> j + 1).bit_count() & 1
+                    xi |= 1 << j
+            if not dead:
+                c = out.get(key + xi, 0) + (-c if sign else c)
+                if c:
+                    out[key + xi] = c
+                else:
+                    del out[key + xi]
+    return out
+
+
+def form(rng: random.Random, coords: CoordinateSystem, degree: int) -> SuperForm:
+    return _element(SuperForm, coords.forms, _function_terms(rng, coords, degree=degree), _DEN)
+
+
+def density(rng: random.Random, coords: CoordinateSystem, degree: int) -> SuperDensity:
+    return _element(SuperDensity, coords.densities, _function_terms(rng, coords, degree=degree), _DEN)
 
 
 def vector_field(rng: random.Random, coords: CoordinateSystem, parity: int) -> SuperVectorField:

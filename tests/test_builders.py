@@ -22,13 +22,14 @@ from supercalc.forms import (
     SuperDensity,
     SuperForm,
     SuperVectorField,
+    _Homogeneous,
     op_d_form,
     op_divergence,
     op_e_density,
     op_i_form,
     op_lie_form,
 )
-from supercalc.graded_poly import MAX_EXPONENT, GradedPoly
+from supercalc.graded_poly import MAX_EXPONENT, GradedPoly, _element
 from supercalc.grassmann import GeneratorMismatch
 from supercalc.scalars import CRat
 
@@ -177,6 +178,27 @@ def test_forms_and_densities_match_products(n, nu):
                 assert type(new) is cls and new.degree == old.degree
                 assert new.terms == old.terms, (cls.__name__, n, nu, degree, seed)
                 assert nxt_new == nxt_old, (cls.__name__, n, nu, degree, seed)
+
+
+@pytest.mark.parametrize("n,nu", PATCHES)
+def test_draws_build_without_revalidating(n, nu, monkeypatch):
+    """No form, density or superfunction draw runs the validating
+    constructor, and what a draw builds passes it unchanged."""
+    coords = CoordinateSystem(n, nu)
+
+    def refuse(self, coords, poly):
+        raise AssertionError("a draw ran _Homogeneous.__init__")
+
+    rng = random.Random(41 * n + nu)
+    with monkeypatch.context() as patch:
+        patch.setattr(_Homogeneous, "__init__", refuse)
+        drawn = [(cls, build(rng, coords, degree)) for degree in DEGREES for build, cls in ((rg.form, SuperForm), (rg.density, SuperDensity))]
+        for parity in (None, 0, 1):
+            rg.superfunction(rng, coords, parity=parity)
+    for cls, w in drawn:
+        rebuilt = cls(coords, _element(GradedPoly, w.carrier, w.nums, w.den))
+        assert type(w) is cls and w.carrier == cls.carrier_of(coords)
+        assert rebuilt == w and rebuilt.degree == w.degree, (cls.__name__, n, nu, w)
 
 
 @pytest.mark.parametrize("n,nu", PATCHES)
