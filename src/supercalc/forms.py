@@ -466,13 +466,13 @@ def exterior_d(w: SuperForm) -> SuperForm:
 
 
 def divergence(f: SuperDensity) -> SuperDensity:
-    if f.degree < 1:
+    if f.nums and f.degree < 1:
         raise ValueError("divergence needs density degree >= 1")
     return SuperDensity(f.coords, op_divergence(f.coords)(f))
 
 
 def contract_iX(x: SuperVectorField, w: SuperForm) -> SuperForm:
-    if w.degree < 1:
+    if w.nums and w.degree < 1:
         raise ValueError("contraction needs form degree >= 1")
     return SuperForm(w.coords, op_i_form(x)(w))
 

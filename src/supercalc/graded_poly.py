@@ -32,9 +32,12 @@ and equality is exact.  On
 Pearce pack monomials the same way; "POLY: a new polynomial data
 structure for Maple 17", 2013).
 
-Only this module decodes key bits; other modules combine keys through a
-carrier's masks and offsets (`allowed`, `shift`).  `Carrier.pack` and
-`Carrier.unpack` convert a key from and to the tuple view (x exponents,
+Key bits are decoded here and in `fock`: `fock.apply` and
+`fock.translate` read exponent fields and odd bits through
+`Carrier.shift`, FIELD and _FIELD_MASK.  Other modules combine keys
+through a carrier's masks and offsets (`allowed`, `shift`).
+`Carrier.pack` and `Carrier.unpack` convert a key from and to the tuple
+view (x exponents,
 xi mask, odd-aux mask, even-aux exponents), exponents as sorted (index,
 exponent) pairs; `split_xi` and `join_xi` take a superfunction apart by
 xi mask and put it back; `GradedPoly.substitute` is the one evaluation
@@ -85,7 +88,7 @@ from operator import or_
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
-from .scalars import _SCALARS, CRat, _crat, _power
+from .scalars import _SCALARS, CRat, _crat, _format_complex, _power
 
 FIELD = 32  # bits per exponent field of an even generator
 MAX_EXPONENT = (1 << (FIELD - 1)) - 1  # the top bit of a field is its guard
@@ -743,8 +746,8 @@ class GradedPoly:
         if not self.nums:
             return "0"
         ao_label, ae_label = self.carrier.aux_labels()
-        bits = []
-        monos = ((self.carrier.unpack(k), c) for k, c in self.terms.items())
+        den, bits = self.den, []
+        monos = ((self.carrier.unpack(k), c) for k, c in self.nums.items())
         for (x_exps, xi, ao, ae), c in sorted(monos, key=_print_order):
             factors = []
             for idx, e in x_exps:
@@ -754,7 +757,8 @@ class GradedPoly:
             for idx, e in ae:
                 factors.append(f"{ae_label}{idx}" + (f"^{e}" if e > 1 else ""))
             mono_txt = "*".join(factors) if factors else "1"
-            bits.append(f"({c})*{mono_txt}")
+            a, b = (c, 0) if type(c) is int else (c._a, c._b)
+            bits.append(f"({_format_complex(a, b, den)})*{mono_txt}")
         return " + ".join(bits)
 
 

@@ -4,10 +4,13 @@ Each suite draws its trials from a seeded generator, so a fixed seed
 reproduces the run byte for byte; reports never include wall-clock data
 in their canonical rendering for that reason (timing goes to stderr).
 
+Every suite counts a case one way, `CheckResult.expect`, on the check
+that `SuiteReport.check(name)` starts, or returns if already started.
 The sampled suites `grassmann`, `berezin` and `linalg` are `Check` rows,
 each with its clauses `(holds, message)`, over blocks of draws and one
-driver, `evaluate_checks`.  `complexes` runs the table `IDENTITIES`;
-`metric`, `fock` and `clifford` are nested enumerations written as loops.
+driver, `evaluate_checks`.  `complexes` runs the table `IDENTITIES`, and
+each trial set adds its cases to the row's one check; `metric`, `fock`
+and `clifford` are nested enumerations written as loops.
 """
 
 from __future__ import annotations
@@ -131,7 +134,11 @@ class SuiteReport:
     checks: list[CheckResult] = field(default_factory=list)
 
     def check(self, name: str) -> CheckResult:
-        """Start the next named check of the report."""
+        """The check of the report named `name`: the one already started
+        under that name, or else a new one after the others."""
+        for result in self.checks:
+            if result.name == name:
+                return result
         result = CheckResult(name)
         self.checks.append(result)
         return result
@@ -210,9 +217,8 @@ def evaluate_checks(report: SuiteReport, checks: Sequence[Check]) -> SuiteReport
             for check, result in members:
                 if check.scope(t):
                     for holds, message in check.clauses:
-                        result.cases += 1
-                        if not holds(t):
-                            result.failures.append(message.format_map(names))
+                        ok = holds(t)
+                        result.expect(ok, "" if ok else message.format_map(names))
     return report
 
 
@@ -480,12 +486,6 @@ class Identity(NamedTuple):
     deviation: Callable[..., GradedPoly]
 
 
-class TableResult(NamedTuple):
-    name: str
-    cases: int
-    failures: int
-
-
 Field = namedtuple("Field", "x i lie i_density lie_density")
 Function = namedtuple("Function", "f e m e_density m_density")
 Pair = namedtuple("Pair", "x y bracket")  # fields X, Y and [X, Y]
@@ -654,19 +654,15 @@ def _trial_set(rng: random.Random, coords: CoordinateSystem) -> dict[str, Sequen
     }
 
 
-def commutator_table(coords: CoordinateSystem, families: dict[str, Sequence]) -> list[TableResult]:
+def commutator_table(report: SuiteReport, coords: CoordinateSystem, families: dict[str, Sequence]) -> None:
     """Evaluate every row of `IDENTITIES` in scope on `coords` over the
-    product of its families; every deviation must be exactly zero."""
-    results = []
+    product of its families into the report's check "(n,nu) <row name>",
+    one case per tuple; every deviation must be exactly zero."""
     for row in IDENTITIES:
-        if not row.scope(coords):
-            continue
-        cases = failures = 0
-        for elements in itertools.product(*(families[name] for name in row.families)):
-            cases += 1
-            failures += not row.deviation(*elements).is_zero()
-        results.append(TableResult(row.name, cases, failures))
-    return results
+        if row.scope(coords):
+            result = report.check(f"({coords.n},{coords.nu}) {row.name}")
+            for elements in itertools.product(*(families[name] for name in row.families)):
+                result.expect(row.deviation(*elements).is_zero(), f"case #{result.cases}")
 
 
 def run_complexes(
@@ -712,19 +708,9 @@ def run_complexes(
                 "d of high-degree form vanished",
             )
 
-        # operator identity table, aggregated over fresh trial sets
-        rounds = max(1, math.ceil(table_cases / 3))
-        totals: dict[str, list[int]] = {}
-        for _ in range(rounds):
-            for res in commutator_table(coords, _trial_set(rng, coords)):
-                slot = totals.setdefault(res.name, [0, 0])
-                slot[0] += res.cases
-                slot[1] += res.failures
-        for name, (cases, failures) in totals.items():
-            entry = report.check(f"({n},{nu}) {name}")
-            entry.cases = cases
-            if failures:
-                entry.failures.append(f"{failures} failing cases")
+        # operator identity table, each row counted over fresh trial sets
+        for _ in range(max(1, math.ceil(table_cases / 3))):
+            commutator_table(report, coords, _trial_set(rng, coords))
 
         if nu:
             cross = report.check(f"({n},{nu}) scalar-density integral matches mixed integral")
@@ -854,49 +840,34 @@ def run_fock(
     rng = random.Random(seed)
 
     spec = FockAlgebraSpec(n_bose, n_fermi)
-    b_ops = [("b", i) for i in range(1, n_bose + 1)]
-    bp_ops = [("b+", i) for i in range(1, n_bose + 1)]
-    f_ops = [("f", i) for i in range(1, n_fermi + 1)]
-    fp_ops = [("f+", i) for i in range(1, n_fermi + 1)]
-
-    def comm(o1, o2, s, anti=False):
-        x = apply(o1, apply(o2, s))
-        y = apply(o2, apply(o1, s))
-        return x + y if anti else x - y
+    kinds = ("b", "b+", "f", "f+")
+    ladder = [(kind, i) for kind in kinds for i in range(1, (n_fermi if kind[0] == "f" else n_bose) + 1)]
+    # The ordered pairs whose blocks come in the order b < b+ < f < f+.  The
+    # bracket, an anticommutator when both operators are fermionic, is s on
+    # (b_i, b+_i) and (f_i, f+_i) and 0 on every other pair.
+    pairs = []
+    for o1, o2 in itertools.product(ladder, repeat=2):
+        if kinds.index(o1[0]) <= kinds.index(o2[0]):
+            anti = o1[0][0] == o2[0][0] == "f"
+            text = ("{%s%d, %s%d}" if anti else "[%s%d, %s%d]") % (*o1, *o2)
+            pairs.append((o1, o2, anti, o2 == (o1[0] + "+", o1[1]), f"{text} on state"))
 
     for rep in REPRESENTATIONS:
         states = spanning_states(spec, rep, max_occupation)
         vac = FockState.vacuum(spec, rep)
         table = report.check(f"{rep}: CCR/CAR table with cross-relations")
-        table.expect(
-            all(apply(op, vac).is_zero() for op in b_ops + f_ops),
-            "annihilators kill the vacuum",
-        )
+        table.expect(all(apply(op, vac).is_zero() for op in ladder if "+" not in op[0]), "annihilators kill the vacuum")
         for s in states:
-            for i, bi in enumerate(b_ops):
-                for j, bpj in enumerate(bp_ops):
-                    want = s.scale(1 if i == j else 0)
-                    table.expect((comm(bi, bpj, s) - want).is_zero(), f"[b{i+1}, b+{j+1}] on state")
-            for i, fi in enumerate(f_ops):
-                for j, fpj in enumerate(fp_ops):
-                    want = s.scale(1 if i == j else 0)
-                    table.expect(
-                        (comm(fi, fpj, s, anti=True) - want).is_zero(),
-                        f"{{f{i+1}, f+{j+1}}} on state",
-                    )
-            for o1 in b_ops + bp_ops:
-                for o2 in f_ops + fp_ops:
-                    table.expect(comm(o1, o2, s).is_zero(), f"cross {o1} {o2}")
-            for pair_set, anti in ((b_ops, False), (bp_ops, False), (f_ops, True), (fp_ops, True)):
-                for o1 in pair_set:
-                    for o2 in pair_set:
-                        table.expect(comm(o1, o2, s, anti=anti).is_zero(), f"{o1} {o2}")
+            for o1, o2, anti, delta, text in pairs:
+                x, y = apply(o1, apply(o2, s)), apply(o2, apply(o1, s))
+                bracket = x + y if anti else x - y
+                table.expect((bracket - s if delta else bracket).is_zero(), text)
 
     inter = report.check("translate intertwines every ladder operator")
     holo_states = spanning_states(spec, "holomorphic", max_occupation)
     for rep in ("form", "density"):
         for s in holo_states:
-            for op in b_ops + bp_ops + f_ops + fp_ops:
+            for op in ladder:
                 lhs = translate(apply(op, s), rep)
                 rhs = apply(op, translate(s, rep))
                 inter.expect((lhs - rhs).is_zero(), f"intertwine {rep} {op}")

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -5,6 +7,8 @@ import sys
 import time
 
 import pytest
+
+from supercalc import cli
 
 PY = [sys.executable, "-m", "supercalc"]
 
@@ -21,9 +25,17 @@ def _cli_env(tmp_path_factory):
 
 
 def run_cli(*args, expect: int = 0):
-    proc = subprocess.run(
-        PY + list(args), capture_output=True, text=True, timeout=600, env=CLI_ENV
-    )
+    """`supercalc ARGS` through `cli.main` in this process, as the record
+    of a finished process: an argparse refusal's `SystemExit` code is the
+    return code.  Only a real process shows the interpreter's own exit
+    path, so a few cases below run `python -m supercalc` instead."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(list(args))
+        except SystemExit as exc:
+            code = exc.code
+    proc = subprocess.CompletedProcess(list(args), code, out.getvalue(), err.getvalue())
     assert proc.returncode == expect, proc.stderr
     return proc
 
@@ -562,3 +574,13 @@ def test_exponent_past_the_field_width_is_refused(tmp_path):
     proc = run_cli("mixed", "--n", "1", "--nu", "1", "--expr", str(path), "--domain", "0,1/2", expect=2)
     assert time.monotonic() - start < 1
     assert one_error_line(proc) == f"error: --expr {path}: exponent 2147483648 exceeds 2147483647\n"
+
+
+def test_in_process_run_prints_the_subprocess_bytes():
+    """No state of the in-process runs above leaks into the bytes of the
+    next one: `check all --seed 7` prints what `python -m supercalc`
+    prints."""
+    args = ["check", "all", "--seed", "7"]
+    proc = subprocess.run(PY + args, capture_output=True, text=True, timeout=600, env=CLI_ENV)
+    assert proc.returncode == 0, proc.stderr
+    assert run_cli(*args).stdout == proc.stdout

@@ -31,7 +31,7 @@ from supercalc.graded_poly import MAX_EXPONENT, GeneratorMismatch, GradedPoly, f
 from supercalc.grassmann import Parity
 from supercalc.polynomials import integrate_box
 from supercalc.scalars import CRat
-from supercalc.suites import _trial_set, commutator_table
+from supercalc.suites import SuiteReport, _trial_set, commutator_table
 
 
 def test_wedge_symmetry_rules():
@@ -128,6 +128,25 @@ def test_contraction_examples():
     for label in [("x", 0), ("x", 3), ("xi", 0), ("xi", 2)]:
         with pytest.raises(ValueError, match=rf"{label[0]} index {label[1]} outside 1\.\.[12]"):
             SuperVectorField.coordinate_basis(CoordinateSystem(2, 1), label)
+
+
+def test_zero_of_every_degree_maps_to_zero():
+    """The zero element reads degree 0 but is zero in every degree, so b
+    and i(X) map it to zero, as op_divergence and d do; a nonzero element
+    of degree 0 is still refused."""
+    zero_density = rg.density(random.Random(0), CoordinateSystem(1, 0), 2)  # no 2-density on (1, 0)
+    assert zero_density.is_zero()
+    assert divergence(zero_density).is_zero()
+    for coords in (CoordinateSystem(2, 0), CoordinateSystem(1, 1)):
+        zero_form = SuperForm(coords, GradedPoly.zero(coords.forms))
+        field = SuperVectorField.coordinate_basis(coords, ("x", 1))
+        assert contract_iX(field, zero_form).is_zero()
+        assert divergence(SuperDensity(coords, GradedPoly.zero(coords.densities))).is_zero()
+        assert exterior_d(zero_form).is_zero()
+        with pytest.raises(ValueError, match="degree >= 1"):
+            contract_iX(field, SuperForm.from_function(coords, 3))
+        with pytest.raises(ValueError, match="degree >= 1"):
+            divergence(SuperDensity.from_function(coords, 3))
 
 
 def test_insertion_cyclic_example():
@@ -263,8 +282,10 @@ def test_commutator_table_all_mixes():
     rng = random.Random(27)
     for mix in ((2, 0), (0, 2), (2, 2), (3, 1)):
         coords = CoordinateSystem(*mix)
-        for res in commutator_table(coords, _trial_set(rng, coords)):
-            assert res.failures == 0, f"{mix}: {res.name}"
+        report = SuiteReport("complexes", 27, 1)
+        commutator_table(report, coords, _trial_set(rng, coords))
+        for res in report.checks:
+            assert not res.failures, f"{mix}: {res.name}"
 
 
 # (name, cases) of every check of run_complexes(seed=0, trials=4, table_cases=3)
@@ -403,7 +424,9 @@ def test_commutator_table_builds_each_lie_derivative_once(monkeypatch):
     trial = _trial_set(random.Random(31), coords)
     assert len(builds) <= len(trial["fields"]) + len(trial["field pairs"]) + len(trial["coordinates"]) == 12
     built = len(builds)
-    assert all(res.failures == 0 for res in commutator_table(coords, trial))
+    report = SuiteReport("complexes", 31, 1)
+    commutator_table(report, coords, trial)
+    assert all(not res.failures for res in report.checks)
     assert len(builds) == built
 
 

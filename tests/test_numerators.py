@@ -30,10 +30,12 @@ from supercalc.graded_poly import (
     _accumulate,
     _differential_nums,
     _element,
+    _print_order,
     _product,
     density_carrier,
     form_carrier,
     function_carrier,
+    indices_of,
 )
 from supercalc.grassmann import Supernumber
 from supercalc.scalars import CRat, _crat
@@ -211,6 +213,42 @@ def test_kernel_matches_the_fraction_pair_model(carrier, seed):
     assert a * 6 * Fraction(1, 6) == a and hash(a * 6 * Fraction(1, 6)) == hash(a)
     body = GradedPoly.scalar(carrier, s.crat())
     assert body == s.crat() and hash(body) == hash(s.crat())
+
+
+def terms_text(f: GradedPoly) -> str:
+    """The text of f built from its `.terms` view, each coefficient an int
+    or a CRat printed by `str`: the reference for `GradedPoly.__repr__`."""
+    if not f.terms:
+        return "0"
+    ao_label, ae_label = f.carrier.aux_labels()
+    bits = []
+    for (x_exps, xi, ao, ae), c in sorted(((f.carrier.unpack(k), c) for k, c in f.terms.items()), key=_print_order):
+        factors = [f"x{i}" + (f"^{e}" if e > 1 else "") for i, e in x_exps]
+        factors += [f"xi{i}" for i in indices_of(xi)] + [f"{ao_label}{i}" for i in indices_of(ao)]
+        factors += [f"{ae_label}{i}" + (f"^{e}" if e > 1 else "") for i, e in ae]
+        bits.append(f"({c})*{'*'.join(factors) if factors else '1'}")
+    return " + ".join(bits)
+
+
+def test_text_from_numerators_matches_the_terms_view():
+    """`GradedPoly.__repr__` prints each coefficient from its numerator over the
+    element denominator; the text is the one the `.terms` view gives, on forms and
+    densities with Gaussian numerators and den != 1 among them."""
+    rng = random.Random(36)
+    seen = set()
+    for k in range(120):
+        coords = CoordinateSystem(k % 4, k // 4 % 4)
+        carrier = coords.forms if k % 2 else coords.densities
+        for f in (
+            element(carrier, draw_model(rng, carrier, rng.randint(0, 8))),
+            (rg.form if k % 2 else rg.density)(rng, coords, rng.randint(0, 3)),
+        ):
+            assert GradedPoly.__repr__(f) == terms_text(f)
+            seen.add(f.den != 1)
+            seen.add(any(type(c) is CRat and c._b for c in f.nums.values()))
+    assert seen == {True, False}
+    gaussian = element(form_carrier(1, 1), {form_carrier(1, 1).pack(((), 1, 1, ())): Q(Fraction(3, 4), Fraction(-1, 2))})
+    assert repr(gaussian) == terms_text(gaussian) == "(3/4-1/2i)*xi1*dx1"
 
 
 def test_crat_defers_to_elements():

@@ -299,6 +299,27 @@ def test_sampled_suites_run_only_through_the_driver():
     assert not found, f"sampled suites counting cases outside the driver: {found}"
 
 
+def test_cases_are_counted_only_through_expect():
+    """Every suite counts a case through `CheckResult.expect`: no other
+    code in `suites.py` sets or increments a `cases` field or appends to a
+    `failures` list."""
+    tree = ast.parse((SOURCE / "suites.py").read_text(encoding="utf-8"))
+    result = next(node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "CheckResult")
+    expect = next(node for node in result.body if isinstance(node, ast.FunctionDef) and node.name == "expect")
+    inside = {id(node) for node in ast.walk(expect)}
+    found = []
+    for node in ast.walk(tree):
+        targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+        writes = [t for t in targets if isinstance(t, ast.Attribute) and t.attr == "cases"]
+        appends = (
+            isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "append"
+            and getattr(node.func.value, "attr", None) == "failures"
+        )
+        if (writes or appends) and id(node) not in inside:
+            found.append(f"suites.py:{node.lineno}")
+    assert not found, f"cases counted outside CheckResult.expect: {found}"
+
+
 def test_the_reader_keys_names_only_through_generator_key():
     """`_parse_expr` takes a generator's key `g` from the context's name
     table, which it fills from `Context.generator_key` and nothing else;

@@ -1,11 +1,23 @@
-"""The sampled suites over their one driver, `suites.evaluate_checks`."""
+"""The suites' one counting path: the sampled suites over their one driver,
+`suites.evaluate_checks`, and the rows of the identity table."""
 
+import itertools
 import random
+from types import SimpleNamespace
 
 import pytest
 
 from supercalc import suites
-from supercalc.suites import Block, Check, SuiteReport, evaluate_checks, run_berezin, run_grassmann, run_linalg
+from supercalc.suites import (
+    Block,
+    Check,
+    SuiteReport,
+    evaluate_checks,
+    run_berezin,
+    run_complexes,
+    run_grassmann,
+    run_linalg,
+)
 
 # (name, cases) of each check at seed 0 and 8 trials
 SAMPLED_CASES = {
@@ -74,3 +86,38 @@ def test_vector_parity_check_meets_both_parities(monkeypatch):
     rng = random.Random(0)
     draws = [check.block.draw(rng, k) for k in range(check.block.count)]
     assert {(t["pk"], t["want"]) for t in draws} == {(0, 0), (0, 1), (1, 0), (1, 1)}
+
+
+def test_a_deviating_table_row_lists_its_failing_cases(monkeypatch):
+    """A table row that deviates on every other case fails alone, with
+    the case count of the passing run; it lists its first five failing
+    cases by running index over all trial sets, then how many more, and
+    the report's last line counts the failing cases.  Each trial set adds
+    to the one check that `SuiteReport.check` returns for the row's name."""
+    kwargs = dict(trials=2, seed=5, mixes=((2, 2),), table_cases=6)
+    passing = run_complexes(**kwargs)
+    assert passing.ok
+    name = "forms: [i(X), i(Y)] = 0"
+    calls = itertools.count()
+
+    def deviation(*elements):
+        """Zero on the even calls, nonzero on the odd ones."""
+        k = next(calls)
+        return SimpleNamespace(is_zero=lambda: k % 2 == 0)
+
+    rows = tuple(row._replace(deviation=deviation) if row.name == name else row for row in suites.IDENTITIES)
+    monkeypatch.setattr(suites, "IDENTITIES", rows)
+    report = run_complexes(**kwargs)
+    assert [(c.name, c.cases) for c in report.checks] == [(c.name, c.cases) for c in passing.checks]
+    (failing,) = [c for c in report.checks if not c.ok]
+    assert failing.name == f"(2,2) {name}"
+    assert failing.cases > 10
+    assert failing.failures == [f"case #{k}" for k in range(1, failing.cases, 2)]
+    checks = list(report.checks)
+    assert report.check(failing.name) is failing and report.checks == checks
+    text = report.to_text().splitlines()
+    at = text.index(f"  FAIL (2,2) {name} [{failing.cases} cases]")
+    assert text[at + 1 : at + 7] == [f"    ! case #{k}" for k in (1, 3, 5, 7, 9)] + [
+        f"    ! ... {len(failing.failures) - 5} more"
+    ]
+    assert text[-1] == f"  => FAILURES ({len(report.checks)} checks, {failing.cases // 2} failures)"
