@@ -842,9 +842,9 @@ def run_fock(
     spec = FockAlgebraSpec(n_bose, n_fermi)
     kinds = ("b", "b+", "f", "f+")
     ladder = [(kind, i) for kind in kinds for i in range(1, (n_fermi if kind[0] == "f" else n_bose) + 1)]
-    # The ordered pairs whose blocks come in the order b < b+ < f < f+.  The
-    # bracket, an anticommutator when both operators are fermionic, is s on
-    # (b_i, b+_i) and (f_i, f+_i) and 0 on every other pair.
+    # Ordered pairs whose second block is the first's or a later one in the
+    # order b, b+, f, f+.  The bracket, an anticommutator when both are
+    # fermionic, is s on (b_i, b+_i) and (f_i, f+_i) and 0 on every other pair.
     pairs = []
     for o1, o2 in itertools.product(ladder, repeat=2):
         if kinds.index(o1[0]) <= kinds.index(o2[0]):
