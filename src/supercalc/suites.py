@@ -11,6 +11,13 @@ each with its clauses `(holds, message)`, over blocks of draws and one
 driver, `evaluate_checks`.  `complexes` runs the table `IDENTITIES`, and
 each trial set adds its cases to the row's one check; `metric`, `fock`
 and `clifford` are nested enumerations written as loops.
+
+`run_all`, behind `check all`, runs `complexes` in one forked worker
+process while this process runs the other six suites, then puts its
+report back at its registry place.  Each suite's seed fixes its report,
+so the bytes never depend on how the two processes are scheduled; the
+`[elapsed]` line that `check` writes to stderr is the wall time of the
+whole run.
 """
 
 from __future__ import annotations
@@ -1047,12 +1054,56 @@ def run_clifford(
 
 
 def run_all(trials: int = 50, seed: int = 0) -> list[SuiteReport]:
-    reports = []
-    reports.append(run_grassmann(trials=max(trials, 50), seed=seed))
-    reports.append(run_berezin(trials=max(trials, 40), seed=seed + 1))
-    reports.append(run_linalg(trials=max(trials, 40), seed=seed + 2))
-    reports.append(run_complexes(trials=max(10, trials // 4), seed=seed + 3, table_cases=12))
-    reports.append(run_metric(trials=max(2, trials // 15), seed=seed + 4))
-    reports.append(run_fock(trials=max(10, trials // 4), seed=seed + 5, max_occupation=3))
-    reports.append(run_clifford(trials=max(3, trials // 10), seed=seed + 6))
+    """The reports of all seven suites, in registry order, each on its own
+    seed offset from `seed`.
+
+    `complexes` takes about as long as the other six together, so it runs
+    in one forked worker process while this process runs the other six.
+    Each suite's seed fixes its report, so the reports, and the bytes
+    printed from them, never depend on how the two processes are
+    scheduled.  An exception in `complexes` is raised here again once the
+    other six have run; one raised by them comes first.  The worker is
+    stopped and reaped before this returns or raises.  `fork` starts the
+    worker without importing anything again: `spawn` would run
+    `supercalc.__main__` anew, which calls `main()` with no `__name__`
+    check.
+    """
+    import multiprocessing  # here, so that no other command pays for the import
+
+    context = multiprocessing.get_context("fork")
+    receive, send = context.Pipe(duplex=False)
+    complexes = dict(trials=max(10, trials // 4), seed=seed + 3, table_cases=12)
+    worker = context.Process(target=_send_outcome, args=(send, run_complexes, complexes))
+    worker.start()
+    send.close()
+    try:
+        reports = [
+            run_grassmann(trials=max(trials, 50), seed=seed),
+            run_berezin(trials=max(trials, 40), seed=seed + 1),
+            run_linalg(trials=max(trials, 40), seed=seed + 2),
+            run_metric(trials=max(2, trials // 15), seed=seed + 4),
+            run_fock(trials=max(10, trials // 4), seed=seed + 5, max_occupation=3),
+            run_clifford(trials=max(3, trials // 10), seed=seed + 6),
+        ]
+        try:
+            outcome = receive.recv()
+        except EOFError:  # the worker ended without sending, say killed by a signal
+            raise OSError("the complexes suite's worker process ended without a report") from None
+    finally:
+        receive.close()
+        worker.terminate()
+        worker.join()
+    if isinstance(outcome, Exception):
+        raise outcome
+    reports.insert(3, outcome)
     return reports
+
+
+def _send_outcome(conn, run: Callable, kwargs: dict) -> None:
+    """In a worker process: send what `run(**kwargs)` returns, or the
+    exception it raises, for the parent to raise."""
+    try:
+        outcome = run(**kwargs)
+    except Exception as exc:
+        outcome = exc
+    conn.send(outcome)

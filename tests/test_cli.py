@@ -1,14 +1,17 @@
 import contextlib
+import hashlib
 import io
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
-from supercalc import cli
+from supercalc import cli, suites
 
 PY = [sys.executable, "-m", "supercalc"]
 
@@ -584,3 +587,58 @@ def test_in_process_run_prints_the_subprocess_bytes():
     proc = subprocess.run(PY + args, capture_output=True, text=True, timeout=600, env=CLI_ENV)
     assert proc.returncode == 0, proc.stderr
     assert run_cli(*args).stdout == proc.stdout
+
+
+def test_check_all_prints_the_benchmark_reference_bytes():
+    """`check all` at the benchmark's reference seed 7 and its second
+    operation's seed 1007 prints the bytes whose sha256 prefixes
+    perfbench/reference.json records."""
+    reference = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
+    digests = json.loads(reference.read_text())["digests"]["check_all"]
+    for seed, want in zip((7, 1007), digests, strict=True):
+        stdout = run_cli("check", "all", "--seed", str(seed)).stdout
+        assert hashlib.sha256(stdout.encode("utf-8")).hexdigest()[:16] == want, seed
+
+
+CROSS_CHECK = "scalar-density integral matches mixed integral"
+
+
+def refuse(coords):
+    raise ValueError("refused")
+
+
+def end_the_worker(coords):
+    """End the process at once, as a kill would, unless it is the test
+    process itself."""
+    assert multiprocessing.parent_process() is not None, "the complexes suite ran in the test process"
+    os._exit(3)
+
+
+@pytest.mark.parametrize(
+    "op_d_form, message",
+    [(refuse, "error: refused"), (end_the_worker, "error: the complexes suite's worker process ended without a report")],
+    ids=["raises", "ends"],
+)
+def test_an_error_of_the_forked_suite_is_one_error_line(monkeypatch, op_d_form, message):
+    """`check all` runs the complexes suite in a worker process: an
+    exception there, or the worker ending without a report, is one
+    `error:` line and exit 2, and no child process is left."""
+    monkeypatch.setattr(suites, "op_d_form", op_d_form)
+    proc = run_cli("check", "all", "--seed", "7", expect=2)
+    assert one_error_line(proc) == message + "\n"
+    assert multiprocessing.active_children() == []
+
+
+def test_a_failing_case_of_the_forked_suite_fails_check_all(monkeypatch):
+    """A case that fails in the worker process fails `check all` with
+    exit 1 and that check's FAIL line in the complexes report."""
+    box = suites.integrate_box
+    monkeypatch.setattr(suites, "integrate_box", lambda f, bounds: box(f, bounds) + 1)
+    lines = run_cli("check", "all", "--seed", "7", expect=1).stdout.splitlines()
+    failing = [line for line in lines if line.startswith("  FAIL ")]
+    assert failing and all(CROSS_CHECK in line for line in failing)
+    suite_lines = [k for k, line in enumerate(lines) if line.startswith("suite ")]
+    complexes = lines[suite_lines[3] : suite_lines[4]]
+    assert complexes[0].startswith("suite complexes ")
+    assert [line for line in complexes if line.startswith("  FAIL ")] == failing
+    assert complexes[-1].startswith("  => FAILURES (")

@@ -1,7 +1,9 @@
 """The suites' one counting path: the sampled suites over their one driver,
-`suites.evaluate_checks`, and the rows of the identity table."""
+`suites.evaluate_checks`, and the rows of the identity table; and
+`run_all`, which runs the complexes suite in a worker process."""
 
 import itertools
+import multiprocessing
 import random
 from types import SimpleNamespace
 
@@ -13,10 +15,14 @@ from supercalc.suites import (
     Check,
     SuiteReport,
     evaluate_checks,
+    run_all,
     run_berezin,
+    run_clifford,
     run_complexes,
+    run_fock,
     run_grassmann,
     run_linalg,
+    run_metric,
 )
 
 # (name, cases) of each check at seed 0 and 8 trials
@@ -121,3 +127,41 @@ def test_a_deviating_table_row_lists_its_failing_cases(monkeypatch):
         f"    ! ... {len(failing.failures) - 5} more"
     ]
     assert text[-1] == f"  => FAILURES ({len(report.checks)} checks, {failing.cases // 2} failures)"
+
+
+def serial_reports(trials: int, seed: int) -> list[SuiteReport]:
+    """The seven suites of `run_all`, called one after another here."""
+    return [
+        run_grassmann(trials=max(trials, 50), seed=seed),
+        run_berezin(trials=max(trials, 40), seed=seed + 1),
+        run_linalg(trials=max(trials, 40), seed=seed + 2),
+        run_complexes(trials=max(10, trials // 4), seed=seed + 3, table_cases=12),
+        run_metric(trials=max(2, trials // 15), seed=seed + 4),
+        run_fock(trials=max(10, trials // 4), seed=seed + 5, max_occupation=3),
+        run_clifford(trials=max(3, trials // 10), seed=seed + 6),
+    ]
+
+
+@pytest.mark.parametrize("trials, seed", [(1, 3), (44, 20)])
+def test_run_all_returns_the_serial_reports(trials, seed):
+    """The complexes report comes back from the worker process at its
+    registry place, equal to the one this process computes."""
+    reports, serial = run_all(trials=trials, seed=seed), serial_reports(trials, seed)
+    assert [r.suite for r in reports] == ["grassmann", "berezin", "linalg", "complexes", "metric", "fock", "clifford"]
+    assert [r.to_text() for r in reports] == [r.to_text() for r in serial]
+    assert [r.to_json_dict() for r in reports] == [r.to_json_dict() for r in serial]
+
+
+def test_run_all_leaves_no_child_process(monkeypatch):
+    """The worker is reaped when `run_all` returns, and when a suite of
+    this process raises while the worker still runs."""
+    run_all(trials=1, seed=0)
+    assert multiprocessing.active_children() == []
+
+    def refuse(**kwargs):
+        raise ValueError("refused")
+
+    monkeypatch.setattr(suites, "run_grassmann", refuse)
+    with pytest.raises(ValueError, match="^refused$"):
+        run_all(trials=1, seed=0)
+    assert multiprocessing.active_children() == []
